@@ -29,6 +29,11 @@ pub struct MappedSegment {
     pub ref_map: Bitmap,
     /// Bump-allocation cursor, in words from the segment base.
     pub alloc_cursor: u64,
+    /// Mark-map: set bit = the collection in progress found the object
+    /// whose header starts at this word offset live (at its final address).
+    /// Scratch state of one collection, cleared when the next one starts;
+    /// never shipped or persisted.
+    pub mark_map: Bitmap,
 }
 
 impl MappedSegment {
@@ -41,6 +46,7 @@ impl MappedSegment {
             object_map: Bitmap::new(n),
             ref_map: Bitmap::new(n),
             alloc_cursor: 0,
+            mark_map: Bitmap::new(n),
         }
     }
 
@@ -143,6 +149,11 @@ impl NodeMemory {
     /// Ids of all locally mapped segments, ascending by base address.
     pub fn mapped_segments(&self) -> Vec<SegmentId> {
         self.by_base.values().map(|s| s.info.id).collect()
+    }
+
+    /// The locally mapped segments, mutably, ascending by base address.
+    pub fn segments_mut(&mut self) -> impl Iterator<Item = &mut MappedSegment> {
+        self.by_base.values_mut()
     }
 
     /// Resolves an address to its mapped segment and word offset.

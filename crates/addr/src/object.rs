@@ -7,7 +7,7 @@
 //! [`BmxError::RefMapMismatch`], the reproduction's equivalent of the paper's
 //! compiler-enforced write instrumentation.
 
-use bmx_common::{Addr, BmxError, Oid, Result, SharedWords};
+use bmx_common::{Addr, Bitmap, BmxError, Oid, Result, SharedWords};
 
 use crate::layout::{self, ObjFlags, HEADER_WORDS};
 use crate::memory::{MappedSegment, NodeMemory};
@@ -101,18 +101,103 @@ pub fn alloc_in_segment(
 /// Fails with [`BmxError::NotAnObject`] if the object-map has no header bit
 /// at `addr`.
 pub fn view(mem: &NodeMemory, addr: Addr) -> Result<ObjectView> {
+    Ok(header_at(mem, addr)?.1)
+}
+
+/// The mapped segment holding the object at `addr`, with its decoded header.
+fn header_at(mem: &NodeMemory, addr: Addr) -> Result<(&MappedSegment, ObjectView)> {
     let (seg, off) = mem.resolve(addr)?;
     if !seg.object_map.get(off as usize) {
         return Err(BmxError::NotAnObject { addr });
     }
-    let h0 = seg.words[off as usize];
-    Ok(ObjectView {
-        addr,
+    Ok((seg, view_at(seg, off as usize)))
+}
+
+/// Decodes the header starting at word offset `off` of `seg`. The caller
+/// vouches that the object-map has a header bit there.
+pub fn view_at(seg: &MappedSegment, off: usize) -> ObjectView {
+    let h0 = seg.words[off];
+    ObjectView {
+        addr: seg.info.base.add_words(off as u64),
         size: layout::header0_size(h0),
-        oid: Oid(seg.words[off as usize + 1]),
+        oid: Oid(seg.words[off + 1]),
         flags: layout::header0_flags(h0),
-        forwarding: Addr(seg.words[off as usize + 2]),
-    })
+        forwarding: Addr(seg.words[off + 2]),
+    }
+}
+
+/// Decoded headers of every object in the segment, ascending — the
+/// in-place form of [`objects_in`] + [`view`]: nothing is allocated and the
+/// segment is resolved once, not once per object.
+pub fn views_in(seg: &MappedSegment) -> impl Iterator<Item = ObjectView> + '_ {
+    seg.object_map.iter_ones().map(move |off| view_at(seg, off))
+}
+
+/// `(field index, target)` of every pointer field of the object `v` of
+/// `seg`, read in place — the allocation-free form of [`ref_fields`].
+pub fn refs_of<'a>(
+    seg: &'a MappedSegment,
+    v: &ObjectView,
+) -> impl Iterator<Item = (u64, Addr)> + 'a {
+    let base = (v.addr.words_from(seg.info.base) + HEADER_WORDS) as usize;
+    seg.ref_map
+        .ones_in(base, base + v.size as usize)
+        .map(move |idx| ((idx - base) as u64, Addr(seg.words[idx])))
+}
+
+/// The data words of the object `v` of `seg`.
+fn data_of<'a>(seg: &'a MappedSegment, v: &ObjectView) -> &'a [u64] {
+    let base = (v.addr.words_from(seg.info.base) + HEADER_WORDS) as usize;
+    &seg.words[base..base + v.size as usize]
+}
+
+/// Passes every non-null pointer field of the object whose header starts at
+/// word offset `off` through `f` and stores the result back where it
+/// differs.
+fn rewrite_refs_at(
+    words: &mut [u64],
+    ref_map: &Bitmap,
+    off: usize,
+    f: &mut impl FnMut(Addr) -> Addr,
+) {
+    let base = off + HEADER_WORDS as usize;
+    let end = base + layout::header0_size(words[off]) as usize;
+    for idx in ref_map.ones_in(base, end) {
+        let old = Addr(words[idx]);
+        if old.is_null() {
+            continue;
+        }
+        let new = f(old);
+        if new != old {
+            words[idx] = new.0;
+        }
+    }
+}
+
+/// Rewrites the pointer fields of the object at `addr` in place: every
+/// non-null target goes through `f`, and only changed slots are stored.
+/// Collector use (no barrier).
+pub fn rewrite_refs(
+    mem: &mut NodeMemory,
+    addr: Addr,
+    mut f: impl FnMut(Addr) -> Addr,
+) -> Result<()> {
+    let (seg, off) = mem.resolve_mut(addr)?;
+    if !seg.object_map.get(off as usize) {
+        return Err(BmxError::NotAnObject { addr });
+    }
+    rewrite_refs_at(&mut seg.words, &seg.ref_map, off as usize, &mut f);
+    Ok(())
+}
+
+/// [`rewrite_refs`] over every non-forwarded object of `seg` (a forwarded
+/// header's data words are a dead copy nobody reads).
+pub fn rewrite_refs_in(seg: &mut MappedSegment, mut f: impl FnMut(Addr) -> Addr) {
+    for off in seg.object_map.iter_ones() {
+        if !layout::header0_flags(seg.words[off]).contains(ObjFlags::FORWARDED) {
+            rewrite_refs_at(&mut seg.words, &seg.ref_map, off, &mut f);
+        }
+    }
 }
 
 fn field_slot(mem: &NodeMemory, addr: Addr, field: u64) -> Result<(ObjectView, Addr, bool)> {
@@ -188,22 +273,14 @@ pub fn set_forwarding(mem: &mut NodeMemory, addr: Addr, to: Addr) -> Result<()> 
 ///
 /// [`Bitmap::ones_in`]: bmx_common::Bitmap::ones_in
 pub fn ref_fields(mem: &NodeMemory, addr: Addr) -> Result<Vec<(u64, Addr)>> {
-    let v = view(mem, addr)?;
-    let (seg, off) = mem.resolve(addr)?;
-    let base = (off + HEADER_WORDS) as usize;
-    let mut out = Vec::new();
-    for idx in seg.ref_map.ones_in(base, base + v.size as usize) {
-        out.push(((idx - base) as u64, Addr(seg.words[idx])));
-    }
-    Ok(out)
+    let (seg, v) = header_at(mem, addr)?;
+    Ok(refs_of(seg, &v).collect())
 }
 
 /// Copies the data words of the object at `addr` (for transfer or GC copy).
 pub fn data_words(mem: &NodeMemory, addr: Addr) -> Result<Vec<u64>> {
-    let v = view(mem, addr)?;
-    let (seg, off) = mem.resolve(addr)?;
-    let start = (off + HEADER_WORDS) as usize;
-    Ok(seg.words[start..start + v.size as usize].to_vec())
+    let (seg, v) = header_at(mem, addr)?;
+    Ok(data_of(seg, &v).to_vec())
 }
 
 /// Overwrites the data words of the object at `addr` (DSM install of a
@@ -244,19 +321,11 @@ impl ObjectImage {
     /// word-parallel and the data words sliced once, instead of the two
     /// separate resolve-and-walk passes this used to take.
     pub fn capture(mem: &NodeMemory, addr: Addr) -> Result<ObjectImage> {
-        let v = view(mem, addr)?;
-        let (seg, off) = mem.resolve(addr)?;
-        let base = (off + HEADER_WORDS) as usize;
-        let end = base + v.size as usize;
-        let refs: Vec<u64> = seg
-            .ref_map
-            .ones_in(base, end)
-            .map(|idx| (idx - base) as u64)
-            .collect();
+        let (seg, v) = header_at(mem, addr)?;
         Ok(ObjectImage {
             oid: v.oid,
-            ref_fields: refs,
-            data: SharedWords::from(&seg.words[base..end]),
+            ref_fields: refs_of(seg, &v).map(|(f, _)| f).collect(),
+            data: SharedWords::from(data_of(seg, &v)),
         })
     }
 
@@ -274,8 +343,18 @@ impl ObjectImage {
 /// The segment's allocation cursor is advanced past the object if needed, so
 /// local bump allocation can never collide with installed replicas.
 pub fn install_object_at(mem: &mut NodeMemory, addr: Addr, image: &ObjectImage) -> Result<()> {
-    let size = image.data.len() as u64;
-    for &f in &image.ref_fields {
+    install_parts(mem, addr, image.oid, &image.data, &image.ref_fields)
+}
+
+fn install_parts(
+    mem: &mut NodeMemory,
+    addr: Addr,
+    oid: Oid,
+    data: &[u64],
+    ref_fields: &[u64],
+) -> Result<()> {
+    let size = data.len() as u64;
+    for &f in ref_fields {
         if f >= size {
             return Err(BmxError::FieldOutOfBounds {
                 addr,
@@ -293,20 +372,46 @@ pub fn install_object_at(mem: &mut NodeMemory, addr: Addr, image: &ObjectImage) 
         });
     }
     seg.words[off as usize] = layout::pack_header0(size, ObjFlags::default());
-    seg.words[off as usize + 1] = image.oid.0;
+    seg.words[off as usize + 1] = oid.0;
     seg.words[off as usize + 2] = Addr::NULL.0;
-    seg.words[(off + HEADER_WORDS) as usize..(off + need) as usize].copy_from_slice(&image.data);
+    seg.words[(off + HEADER_WORDS) as usize..(off + need) as usize].copy_from_slice(data);
     seg.ref_map.clear_range(off as usize, (off + need) as usize);
     seg.object_map
         .clear_range(off as usize + 1, (off + need) as usize);
     seg.object_map.set(off as usize);
-    for &f in &image.ref_fields {
+    for &f in ref_fields {
         seg.ref_map.set((off + HEADER_WORDS + f) as usize);
     }
     if seg.alloc_cursor < off + need {
         seg.alloc_cursor = off + need;
     }
     Ok(())
+}
+
+/// Reusable staging buffers for [`copy_object`], so a collection's copies
+/// allocate once per run instead of once per object.
+#[derive(Default)]
+pub struct CopyBuf {
+    data: Vec<u64>,
+    refs: Vec<u64>,
+}
+
+/// Copies the object at `from` to `to` within one node's memory (a
+/// collector copy to to-space): same id, shape and data words, fresh
+/// unforwarded header. Returns the source's header as it was.
+pub fn copy_object(
+    mem: &mut NodeMemory,
+    from: Addr,
+    to: Addr,
+    buf: &mut CopyBuf,
+) -> Result<ObjectView> {
+    let (seg, v) = header_at(mem, from)?;
+    buf.data.clear();
+    buf.data.extend_from_slice(data_of(seg, &v));
+    buf.refs.clear();
+    buf.refs.extend(refs_of(seg, &v).map(|(f, _)| f));
+    install_parts(mem, to, v.oid, &buf.data, &buf.refs)?;
+    Ok(v)
 }
 
 /// Addresses of every object header in the segment, ascending.
@@ -320,7 +425,7 @@ pub fn objects_in(seg: &MappedSegment) -> Vec<Addr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Protection, SegmentServer};
+    use crate::server::{Protection, SegmentInfo, SegmentServer};
     use bmx_common::NodeId;
 
     fn setup() -> (NodeMemory, crate::server::SegmentInfo) {
@@ -541,5 +646,124 @@ mod tests {
         assert_eq!(read_field(&mem, b, 1).unwrap(), 0);
         assert!(read_ref_field(&mem, b, 1).is_err());
         assert_eq!(read_ref_field(&mem, b, 0).unwrap(), Addr::NULL);
+    }
+
+    /// A segment of random objects: `(data size, pointer-field mask, value
+    /// seed, forwarded?, header bit swept?)` each, bump-allocated until the
+    /// segment is full.
+    fn random_segment(objs: &[(u64, u64, u64, bool, bool)]) -> (NodeMemory, SegmentInfo) {
+        let (mut mem, info) = setup();
+        for (i, &(size, mask, seed, forwarded, swept)) in objs.iter().enumerate() {
+            let refs: Vec<u64> = (0..size).filter(|f| mask >> f & 1 == 1).collect();
+            let seg = mem.segment_mut(info.id).unwrap();
+            let Ok(a) = alloc_in_segment(seg, Oid(i as u64 + 1), size, &refs) else {
+                break;
+            };
+            for f in 0..size {
+                // Every third pointer is null; targets are word-aligned.
+                let v = (seed.wrapping_mul(f + 7) % 3) * (0x1_0000 + 8 * (seed % 97 + f));
+                if refs.contains(&f) {
+                    write_ref_field(&mut mem, a, f, Addr(v)).unwrap();
+                } else {
+                    write_data_field(&mut mem, a, f, v).unwrap();
+                }
+            }
+            if forwarded {
+                set_forwarding(&mut mem, a, Addr(0xF_0000 + 8 * i as u64)).unwrap();
+            }
+            if swept {
+                let off = a.words_from(info.base) as usize;
+                mem.segment_mut(info.id).unwrap().object_map.clear(off);
+            }
+        }
+        (mem, info)
+    }
+
+    /// The per-slot scanner the in-place ones replace: one map test and one
+    /// resolving read per data word.
+    fn scalar_refs(mem: &NodeMemory, v: &ObjectView) -> Vec<(u64, Addr)> {
+        (0..v.size)
+            .filter_map(|f| read_ref_field(mem, v.addr, f).ok().map(|t| (f, t)))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// `views_in`/`refs_of`/`rewrite_refs_in`/`copy_object` walk a
+        /// borrowed segment; each must see and do exactly what the
+        /// `objects_in` + `view` + per-field accessors do.
+        #[test]
+        fn in_place_scanners_match_the_per_object_accessors(
+            objs in proptest::collection::vec(
+                (0u64..9, 0u64..512, 0u64..1000, proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+                0..24,
+            ),
+            shift in 1u64..64,
+        ) {
+            let (mut mem, info) = random_segment(&objs);
+            let seg = mem.segment(info.id).unwrap();
+            let want: Vec<ObjectView> =
+                objects_in(seg).into_iter().map(|a| view(&mem, a).unwrap()).collect();
+            let got: Vec<ObjectView> = views_in(seg).collect();
+            proptest::prop_assert_eq!(&got, &want);
+            for v in &want {
+                let fields: Vec<(u64, Addr)> = refs_of(seg, v).collect();
+                proptest::prop_assert_eq!(&fields, &scalar_refs(&mem, v));
+                proptest::prop_assert_eq!(&fields, &ref_fields(&mem, v.addr).unwrap());
+            }
+
+            // Rewriting: the reference goes object by object, field by field.
+            let moved = |t: Addr| if t.0 & 15 == 0 { Addr(t.0 + 8 * shift) } else { t };
+            let mut reference = NodeMemory::new(NodeId(0));
+            reference.install_segment(seg.clone());
+            for v in want.iter().filter(|v| !v.is_forwarded()) {
+                for (f, t) in scalar_refs(&mem, v) {
+                    if !t.is_null() {
+                        write_ref_field(&mut reference, v.addr, f, moved(t)).unwrap();
+                    }
+                }
+            }
+            rewrite_refs_in(mem.segment_mut(info.id).unwrap(), moved);
+            proptest::prop_assert_eq!(
+                &mem.segment(info.id).unwrap().words,
+                &reference.segment(info.id).unwrap().words
+            );
+            // ...and one object at a time.
+            for v in want.iter().filter(|v| v.is_forwarded()) {
+                rewrite_refs(&mut mem, v.addr, moved).unwrap();
+                for (f, t) in scalar_refs(&reference, v) {
+                    if !t.is_null() {
+                        write_ref_field(&mut reference, v.addr, f, moved(t)).unwrap();
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(
+                &mem.segment(info.id).unwrap().words,
+                &reference.segment(info.id).unwrap().words
+            );
+
+            // Copying: staged through reusable buffers vs. through an image.
+            let mut srv = SegmentServer::new(128);
+            let b = srv.create_bunch(NodeId(0), Protection::default());
+            srv.alloc_segment(b).unwrap();
+            let to = srv.alloc_segment(b).unwrap();
+            mem.map_segment(to);
+            reference.map_segment(to);
+            let mut buf = CopyBuf::default();
+            let mut dst = to.base;
+            for v in &want {
+                if v.footprint() > to.words - dst.words_from(to.base) {
+                    break;
+                }
+                let img = ObjectImage::capture(&reference, v.addr).unwrap();
+                install_object_at(&mut reference, dst, &img).unwrap();
+                let src = copy_object(&mut mem, v.addr, dst, &mut buf).unwrap();
+                proptest::prop_assert_eq!(src.oid, v.oid);
+                dst = dst.add_words(v.footprint());
+            }
+            let (a, b) = (mem.segment(to.id).unwrap(), reference.segment(to.id).unwrap());
+            proptest::prop_assert_eq!(&a.words, &b.words);
+            proptest::prop_assert!(a.object_map == b.object_map && a.ref_map == b.ref_map);
+            proptest::prop_assert_eq!(a.alloc_cursor, b.alloc_cursor);
+        }
     }
 }

@@ -82,7 +82,7 @@ pub struct SegmentServer {
     /// Address-keyed routing for *retired* ranges: `from -> (oid, to)` for
     /// every relocation whose from-space was reclaimed by the reuse
     /// protocol. Nodes drop their forwarding knowledge when a range is
-    /// wiped (Section 4.5); a mutator still holding a pre-collection
+    /// released (Section 4.5); a mutator still holding a pre-collection
     /// pointer resolves it here (the stand-in for the original system's
     /// address-keyed routing, like the header fetch in `oid_at`).
     retired: BTreeMap<Addr, (Oid, Addr)>,
@@ -240,8 +240,16 @@ impl SegmentServer {
         self.segment_of(addr).map(|s| s.bunch)
     }
 
+    /// The bunch a *held* address names: the containing segment's, or — for
+    /// an address in a released range — the one its retired-range routing
+    /// leads to (a collection never moves an object across bunches).
+    pub fn bunch_of_held(&self, addr: Addr) -> Option<BunchId> {
+        self.bunch_of(addr)
+            .or_else(|| self.bunch_of(self.resolve_retired(addr)?.1))
+    }
+
     /// Registers the relocation set of a retiring range (called by every
-    /// reuse participant just before it wipes its replica). Later
+    /// reuse participant just before it unmaps its replica). Later
     /// registrations win per from-address: they carry newer knowledge.
     pub fn note_retired(&mut self, relocs: impl IntoIterator<Item = (Oid, Addr, Addr)>) {
         for (oid, from, to) in relocs {
@@ -251,15 +259,29 @@ impl SegmentServer {
         }
     }
 
-    /// Drops retired-range routing whose from-address lies in
-    /// `[start, start + len_words)` — called when the (reused) range is
-    /// about to be evacuated *again*: its residents are now a younger
-    /// generation, and a stale pointer into a re-allocated address is
-    /// genuinely ambiguous (exactly as in any system that reuses address
-    /// space).
-    pub fn forget_retired_range(&mut self, start: Addr, len_words: u64) {
-        self.retired
-            .retain(|from, _| !from.in_range(start, len_words));
+    /// Releases segments the from-space reuse protocol reclaimed
+    /// (Section 4.5; called by the initiator once every replica holder has
+    /// unmapped its copy). The ranges are never handed out again — segment
+    /// bases only grow — so from here on `segment_of`/`bunch_of` answer
+    /// `None` for them and a late relocation record into one is dropped as
+    /// an unknown address. Retired-range routing is kept: it is what still
+    /// serves a held pre-collection pointer. Unknown ids are ignored
+    /// (a retire round may be replayed).
+    pub fn release_segments(&mut self, ids: &[SegmentId]) {
+        for id in ids {
+            let Some(info) = self.segments.remove(id) else {
+                continue;
+            };
+            self.by_base.remove(&info.base.0);
+            if let Some(b) = self.bunches.get_mut(&info.bunch) {
+                b.segments.retain(|s| s != id);
+            }
+        }
+    }
+
+    /// Number of segments currently registered (allocated and not released).
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 
     /// Follows retired-range routing from `addr` to the youngest known

@@ -637,6 +637,15 @@ mod tests {
         assert_eq!(classify("ns/store", 2), Gate::TimeLowerBetter);
         assert_eq!(classify("refault_msgs", 4), Gate::CounterLowerBetter);
         assert_eq!(classify("envelopes", 2), Gate::CounterLowerBetter);
+        // The retained-space bound of E10 is gated at zero tolerance.
+        assert_eq!(
+            classify("mapped_segments_after", 5),
+            Gate::CounterLowerBetter
+        );
+        assert_eq!(
+            classify("server_segments_after", 6),
+            Gate::CounterLowerBetter
+        );
         assert_eq!(classify("piggybacked", 3), Gate::CounterHigherBetter);
         assert_eq!(classify("ops_per_sec", 2), Gate::RateHigherBetter);
         assert_eq!(classify("objects", 1), Gate::Identity);

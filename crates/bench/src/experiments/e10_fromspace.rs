@@ -1,7 +1,8 @@
 //! E10 — the from-space reuse protocol (Section 4.5): explicit messages
 //! are paid only when a segment is actually reclaimed, scaling with the
-//! number of live non-owned residents, and the reclaimed range becomes
-//! allocatable again.
+//! number of live non-owned residents, and the reclaimed segments are
+//! released — unmapped everywhere and unknown to the server — so what stays
+//! mapped is the live data's space, whatever the residency mix.
 
 use bmx_common::{NodeId, StatKind};
 use bmx_net::MsgClass;
@@ -19,10 +20,14 @@ pub struct Row {
     pub background_msgs: u64,
     /// Explicit relocation (retire) messages.
     pub retire_msgs: u64,
-    /// Words wiped and returned to the allocation pool.
+    /// Words of the released segments.
     pub words_reclaimed: u64,
     /// Whether reuse completed.
     pub completed: bool,
+    /// Segments still mapped after the reuse, summed over both nodes.
+    pub mapped_segments_after: usize,
+    /// Segments the server still has registered after the reuse.
+    pub server_segments_after: usize,
 }
 
 /// List size.
@@ -45,6 +50,7 @@ pub fn run(fractions: &[f64]) -> Vec<Row> {
             let retire_before = fx.cluster.total_stat(StatKind::ExplicitRelocationMessages);
             let words_before = fx.cluster.stats[0].get(StatKind::WordsReclaimed);
             let completed = fx.cluster.reuse_from_space(n0, fx.bunch).expect("reuse");
+            let server_segments_after = fx.cluster.server.borrow().segment_count();
             Row {
                 remote_fraction: f,
                 background_msgs: fx.cluster.net.class_stats(MsgClass::GcBackground).sent
@@ -53,6 +59,13 @@ pub fn run(fractions: &[f64]) -> Vec<Row> {
                     - retire_before,
                 words_reclaimed: fx.cluster.stats[0].get(StatKind::WordsReclaimed) - words_before,
                 completed,
+                mapped_segments_after: fx
+                    .cluster
+                    .mems
+                    .iter()
+                    .map(|m| m.mapped_segments().len())
+                    .sum(),
+                server_segments_after,
             }
         })
         .collect()
@@ -68,6 +81,8 @@ pub fn table(rows: &[Row]) -> Table {
             "retire_msgs",
             "words_reclaimed",
             "completed",
+            "mapped_segments_after",
+            "server_segments_after",
         ],
     );
     for r in rows {
@@ -77,6 +92,8 @@ pub fn table(rows: &[Row]) -> Table {
             r.retire_msgs.to_string(),
             r.words_reclaimed.to_string(),
             r.completed.to_string(),
+            r.mapped_segments_after.to_string(),
+            r.server_segments_after.to_string(),
         ]);
     }
     t
@@ -95,5 +112,19 @@ mod tests {
             rows[1].background_msgs >= rows[0].background_msgs,
             "more remote residents, more copy traffic: {rows:?}"
         );
+    }
+
+    #[test]
+    fn released_segments_stay_neither_mapped_nor_registered() {
+        // 64 three-word cells fit one segment: after the reuse each node
+        // maps at most its own to-space and the other's, and the server
+        // knows no more than those.
+        for r in run(&[0.0, 0.5, 1.0]) {
+            assert!(r.server_segments_after <= 2, "{r:?}");
+            assert!(
+                r.mapped_segments_after <= 2 * r.server_segments_after,
+                "{r:?}"
+            );
+        }
     }
 }

@@ -48,7 +48,7 @@ impl Cluster {
     fn check_protection(&self, addr: Addr, write: bool) -> Result<()> {
         // No forwarding resolution needed: to-space segments belong to the
         // same bunch, so any name of the object identifies it.
-        let Some(bunch) = self.server.borrow().bunch_of(addr) else {
+        let Some(bunch) = self.server.borrow().bunch_of_held(addr) else {
             return Ok(()); // unmapped: the access will fail with Unmapped
         };
         let prot = self.server.borrow().bunch(bunch)?.protection;
@@ -78,16 +78,26 @@ impl Cluster {
         let need = bmx_addr::HEADER_WORDS + spec.size;
         // Find a current-space segment with room, or grow the bunch.
         let seg_id = {
-            let candidates = self
+            let mem = &self.mems[node.0 as usize];
+            let pool = self
                 .gc
                 .node(node)
                 .bunch(bunch)
-                .map(|b| b.alloc_segments.clone())
-                .unwrap_or_default();
-            let mem = &self.mems[node.0 as usize];
-            let found = candidates.iter().copied().find(|&s| {
-                mem.has_segment(s) && mem.segment(s).is_ok_and(|x| x.free_words() >= need)
-            });
+                .map_or(&[][..], |b| &b.alloc_segments);
+            // The pool is the current space only: reclaimed from-space is
+            // released (Section 4.5), never pooled, so every entry is
+            // mapped and at most the bunch's first segment is still empty.
+            debug_assert!(
+                pool.iter()
+                    .filter(|&&s| mem.segment(s).map_or(true, |x| x.alloc_cursor == 0))
+                    .count()
+                    <= 1,
+                "reclaimed or unmapped segment in the allocation pool of {bunch} at {node}"
+            );
+            let found = pool
+                .iter()
+                .copied()
+                .find(|&s| mem.segment(s).is_ok_and(|x| x.free_words() >= need));
             match found {
                 Some(s) => s,
                 None => {
@@ -123,7 +133,7 @@ impl Cluster {
 
     /// Resolves `addr` to the current local copy for a mutator access:
     /// local forwarding first; if that dead-ends at an address holding no
-    /// object (the range was wiped for from-space reuse and the edges
+    /// object (the range was released by from-space reuse and the edges
     /// dropped with it, Section 4.5), the segment server's retired-range
     /// routing supplies the object identity and the node's own replica of
     /// it is preferred.
@@ -245,7 +255,7 @@ impl Cluster {
     /// the address-keyed routing of the original system (see DESIGN.md), and
     /// accounted as one protocol round-trip. If the creator's replica lost
     /// the trail too — every copy of the forwarding knowledge dies when a
-    /// from-space range is wiped for reuse (Section 4.5) — the segment
+    /// from-space range is released (Section 4.5) — the segment
     /// server's retired-range routing resolves the stale pointer.
     pub fn oid_at(&mut self, node: NodeId, addr: Addr) -> Result<Oid> {
         if let Ok(oid) = self.oid_at_local(node, addr) {
@@ -254,7 +264,7 @@ impl Cluster {
         let bunch = self
             .server
             .borrow()
-            .bunch_of(addr)
+            .bunch_of_held(addr)
             .ok_or(BmxError::Unmapped { node, addr })?;
         let creator = self.server.borrow().bunch(bunch)?.creator;
         let (oid, retired_to) = match self.oid_at_local(creator, addr) {

@@ -33,8 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bmx_addr::layout::HEADER_WORDS;
-use bmx_addr::object::{self, ObjectImage};
+use bmx_addr::object::{self, CopyBuf};
 use bmx_addr::NodeMemory;
 use bmx_common::WORD_BYTES;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, SegmentId, StatKind};
@@ -81,6 +80,8 @@ pub struct CollectOutcome {
 
 #[derive(Clone, Copy)]
 pub(crate) struct LiveObj {
+    /// Final (post-copy) address.
+    pub(crate) addr: Addr,
     pub(crate) oid: Oid,
     pub(crate) bunch: BunchId,
     pub(crate) owned: bool,
@@ -98,11 +99,18 @@ pub(crate) struct InterRef {
 pub(crate) struct TraceCore {
     pub(crate) group: BTreeSet<BunchId>,
     pub(crate) to_segs: BTreeMap<BunchId, Vec<SegmentId>>,
-    /// Live objects keyed by their final (post-copy) address.
-    pub(crate) live: BTreeMap<Addr, LiveObj>,
-    pub(crate) visited: BTreeSet<Addr>,
+    /// Live objects in discovery order. *Whether* an address is live is
+    /// the mark bit at its final address (`MappedSegment::mark_map`), so
+    /// the trace pays no ordered-set insert per object.
+    pub(crate) live: Vec<LiveObj>,
+    /// Index into `live` of the objects found only through an intra-bunch
+    /// scion so far — the few the incremental collector may have to
+    /// upgrade to strong.
+    pub(crate) weak: BTreeMap<Addr, usize>,
     pub(crate) inter_refs: Vec<InterRef>,
-    pub(crate) new_relocs: Vec<Relocation>,
+    /// This run's copies, with the bunch each belongs to.
+    pub(crate) new_relocs: Vec<(BunchId, Relocation)>,
+    copy_buf: CopyBuf,
     pub(crate) dead_oids: Vec<Oid>,
     pub(crate) out: CollectStats,
     /// Live words per bunch (headers included), for the per-bunch
@@ -116,10 +124,11 @@ impl TraceCore {
         TraceCore {
             group: group.iter().copied().collect(),
             to_segs: BTreeMap::new(),
-            live: BTreeMap::new(),
-            visited: BTreeSet::new(),
+            live: Vec::new(),
+            weak: BTreeMap::new(),
             inter_refs: Vec::new(),
             new_relocs: Vec::new(),
+            copy_buf: CopyBuf::default(),
             dead_oids: Vec::new(),
             out: CollectStats::default(),
             live_words_by_bunch: BTreeMap::new(),
@@ -214,6 +223,23 @@ pub fn refresh_node_gauges(gc: &GcState, node: NodeId) {
     metrics::gauge_set(node, Gge::StubTableSize, stubs);
 }
 
+/// The bunch holding `addr`, read off the locally mapped segment's own
+/// descriptor; the shared segment server (a mutex and a range lookup) is
+/// asked only about addresses this node has not mapped.
+fn bunch_at(gc: &GcState, mem: &NodeMemory, addr: Addr) -> Option<BunchId> {
+    match mem.resolve(addr) {
+        Ok((seg, _)) => Some(seg.info.bunch),
+        Err(_) => gc.bunch_of(addr),
+    }
+}
+
+/// Whether the collection in progress already found the object at `addr`
+/// live.
+pub(crate) fn is_marked(mem: &NodeMemory, addr: Addr) -> bool {
+    mem.resolve(addr)
+        .is_ok_and(|(seg, off)| seg.mark_map.get(off as usize))
+}
+
 pub(crate) struct Ctx<'a> {
     pub(crate) gc: &'a mut GcState,
     pub(crate) engine: &'a DsmEngine,
@@ -254,6 +280,7 @@ pub fn collect(
     let lead = group[0];
     let mut clock = PhaseClock::start();
     ctx.phase(lead, GcPhase::Roots);
+    ctx.clear_marks();
     let (strong_roots, intra_roots) = ctx.gather_roots();
     clock.lap(node, Ctr::BgcRootsMicros);
     ctx.phase(lead, GcPhase::Trace);
@@ -288,9 +315,17 @@ impl Ctx<'_> {
     }
 
     fn in_group(&self, addr: Addr) -> Option<BunchId> {
-        self.gc
-            .bunch_of(addr)
-            .filter(|b| self.core.group.contains(b))
+        bunch_at(self.gc, self.mem, addr).filter(|b| self.core.group.contains(b))
+    }
+
+    /// Clears the mark bits a previous collection left in the group's
+    /// segments. Every collection starts here.
+    pub(crate) fn clear_marks(&mut self) {
+        for seg in self.mem.segments_mut() {
+            if self.core.group.contains(&seg.info.bunch) {
+                seg.mark_map.clear_all();
+            }
+        }
     }
 
     /// Roots per Section 4.1: mutator stacks, scions, entering ownerPtrs.
@@ -350,16 +385,18 @@ impl Ctx<'_> {
                 continue;
             }
             let addr = self.resolve(raw);
-            if self.core.visited.contains(&addr) {
-                continue;
-            }
             // A root or field may point at something this replica has never
             // materialized (e.g. a scion for an object allocated remotely
             // after mapping). Treat as opaque: conservative, nothing to do
             // locally — the owner's replica keeps it alive there.
-            let Ok(view) = object::view(self.mem, addr) else {
+            let Ok((seg, off)) = self.mem.resolve(addr) else {
                 continue;
             };
+            let off = off as usize;
+            if seg.mark_map.get(off) || !seg.object_map.get(off) {
+                continue;
+            }
+            let view = object::view_at(seg, off);
             if view.is_forwarded() {
                 // Header-level forwarding the directory did not know about
                 // cannot normally happen (record_move maintains both), but
@@ -367,49 +404,54 @@ impl Ctx<'_> {
                 stack.push(view.forwarding);
                 continue;
             }
-            let Some(bunch) = self.in_group(addr) else {
+            let bunch = seg.info.bunch;
+            if !self.core.group.contains(&bunch) {
                 continue;
-            };
+            }
             done += 1;
             let owned = self.engine.is_owner(self.node, view.oid);
             let final_addr = if owned {
-                let dst = self.copy_object(bunch, addr)?;
+                let dst = self.copy_object(bunch, addr, view.footprint())?;
                 self.core.out.copied += 1;
-                self.core.out.copied_words += HEADER_WORDS + view.size;
+                self.core.out.copied_words += view.footprint();
                 self.stats.bump(StatKind::ObjectsCopied);
-                self.stats
-                    .add(StatKind::WordsCopied, HEADER_WORDS + view.size);
+                self.stats.add(StatKind::WordsCopied, view.footprint());
                 dst
             } else {
                 self.core.out.scanned += 1;
                 self.stats.bump(StatKind::ObjectsScanned);
                 addr
             };
-            self.core.visited.insert(addr);
-            self.core.visited.insert(final_addr);
             self.core.out.live += 1;
             if metrics::enabled() {
-                *self.core.live_words_by_bunch.entry(bunch).or_default() +=
-                    HEADER_WORDS + view.size;
+                *self.core.live_words_by_bunch.entry(bunch).or_default() += view.footprint();
             }
-            self.core.live.insert(
-                final_addr,
-                LiveObj {
-                    oid: view.oid,
-                    bunch,
-                    owned,
-                    strong,
-                },
-            );
-            for (_, t) in object::ref_fields(self.mem, final_addr)? {
+            if !strong {
+                self.core.weak.insert(final_addr, self.core.live.len());
+            }
+            self.core.live.push(LiveObj {
+                addr: final_addr,
+                oid: view.oid,
+                bunch,
+                owned,
+                strong,
+            });
+            // Mark the final copy, then scan its pointer fields in place.
+            let (seg, off) = self.mem.resolve_mut(final_addr)?;
+            seg.mark_map.set(off as usize);
+            let (gc, mem, core) = (&*self.gc, &*self.mem, &mut *self.core);
+            let dir = &gc.node(self.node).directory;
+            let (seg, off) = mem.resolve(final_addr)?;
+            let copy = object::view_at(seg, off as usize);
+            for (_, t) in object::refs_of(seg, &copy) {
                 if t.is_null() {
                     continue;
                 }
-                let tr = self.resolve(t);
-                match self.gc.bunch_of(tr) {
-                    Some(tb) if self.core.group.contains(&tb) => stack.push(tr),
+                let tr = dir.resolve(t);
+                match bunch_at(gc, mem, tr) {
+                    Some(tb) if core.group.contains(&tb) => stack.push(tr),
                     Some(_) => {
-                        self.core.inter_refs.push(InterRef {
+                        core.inter_refs.push(InterRef {
                             source_oid: view.oid,
                             target: tr,
                         });
@@ -424,36 +466,26 @@ impl Ctx<'_> {
         Ok(done)
     }
 
-    /// Copies one locally owned object to to-space and leaves a forwarding
-    /// header. Strictly local: "this header modification ... does not imply
-    /// acquiring the object's write token" (Section 4.2).
-    fn copy_object(&mut self, bunch: BunchId, from: Addr) -> Result<Addr> {
-        let img = ObjectImage::capture(self.mem, from)?;
-        let need = HEADER_WORDS + img.data.len() as u64;
+    /// Copies one locally owned object (`need` words, header included) to
+    /// to-space and leaves a forwarding header. Strictly local: "this
+    /// header modification ... does not imply acquiring the object's write
+    /// token" (Section 4.2).
+    fn copy_object(&mut self, bunch: BunchId, from: Addr, need: u64) -> Result<Addr> {
         let seg_id = self.target_seg_with_space(bunch, need)?;
         let dst = {
             let seg = self.mem.segment(seg_id)?;
             seg.info.base.add_words(seg.alloc_cursor)
         };
-        object::install_object_at(self.mem, dst, &img)?;
+        let oid = object::copy_object(self.mem, from, dst, &mut self.core.copy_buf)?.oid;
         object::set_forwarding(self.mem, from, dst)?;
         self.gc
             .node_mut(self.node)
             .directory
-            .record_move(img.oid, from, dst);
-        trace::emit(
-            self.node,
-            TraceEvent::Relocate {
-                oid: img.oid,
-                from,
-                to: dst,
-            },
-        );
-        self.core.new_relocs.push(Relocation {
-            oid: img.oid,
-            from,
-            to: dst,
-        });
+            .record_move(oid, from, dst);
+        trace::emit(self.node, TraceEvent::Relocate { oid, from, to: dst });
+        self.core
+            .new_relocs
+            .push((bunch, Relocation { oid, from, to: dst }));
         Ok(dst)
     }
 
@@ -475,17 +507,9 @@ impl Ctx<'_> {
     /// Rewrites every live object's pointer fields, the mutator roots, and
     /// the scion addresses through the local forwarding knowledge.
     pub(crate) fn update_references(&mut self) -> Result<()> {
-        let addrs: Vec<Addr> = self.core.live.keys().copied().collect();
-        for addr in addrs {
-            for (f, t) in object::ref_fields(self.mem, addr)? {
-                if t.is_null() {
-                    continue;
-                }
-                let tr = self.resolve(t);
-                if tr != t {
-                    object::write_ref_field(self.mem, addr, f, tr)?;
-                }
-            }
+        let dir = &self.gc.node(self.node).directory;
+        for l in &self.core.live {
+            object::rewrite_refs(self.mem, l.addr, |t| dir.resolve(t))?;
         }
         let ns = self.gc.node_mut(self.node);
         let root_updates: Vec<(u64, Addr)> = ns
@@ -517,53 +541,41 @@ impl Ctx<'_> {
     /// installed there die like any other) — except the to-space segments
     /// this very run created, which hold only live copies.
     pub(crate) fn sweep(&mut self) -> Result<()> {
-        for &b in &self.core.group.clone() {
-            let fresh: Vec<SegmentId> = self.core.to_segs.get(&b).cloned().unwrap_or_default();
-            let seg_ids: Vec<SegmentId> = self
-                .mem
-                .mapped_segments()
-                .into_iter()
-                .filter(|&sid| {
-                    self.mem.segment(sid).is_ok_and(|s| s.info.bunch == b) && !fresh.contains(&sid)
-                })
-                .collect();
-            for seg_id in seg_ids {
-                if !self.mem.has_segment(seg_id) {
+        let ns = self.gc.node_mut(self.node);
+        for seg in self.mem.segments_mut() {
+            let fresh = self.core.to_segs.get(&seg.info.bunch);
+            if !self.core.group.contains(&seg.info.bunch)
+                || fresh.is_some_and(|f| f.contains(&seg.info.id))
+            {
+                continue;
+            }
+            let mut next = seg.object_map.next_one(0);
+            while let Some(off) = next {
+                next = seg.object_map.next_one(off + 1);
+                let view = object::view_at(seg, off);
+                if view.is_forwarded() || seg.mark_map.get(off) {
                     continue;
                 }
-                let objs = object::objects_in(self.mem.segment(seg_id)?);
-                for addr in objs {
-                    let view = object::view(self.mem, addr)?;
-                    if view.is_forwarded() || self.core.live.contains_key(&addr) {
-                        continue;
-                    }
-                    // Dead local replica.
-                    self.core.out.reclaimed += 1;
-                    self.core.out.reclaimed_words += view.footprint();
-                    self.stats.bump(StatKind::ObjectsReclaimed);
-                    self.stats.add(StatKind::WordsReclaimed, view.footprint());
-                    let ns = self.gc.node_mut(self.node);
-                    if ns.directory.addr_of(view.oid) == Some(addr) {
-                        ns.directory.drop_oid(view.oid);
-                    }
-                    let (seg, off) = self.mem.resolve_mut(addr)?;
-                    seg.object_map.clear(off as usize);
-                    // The replica record disappears: the next report's
-                    // exiting list will no longer mention it, and the scion
-                    // cleaner at the owner will drop the entering ownerPtr
-                    // (Section 6.2). The engine is only touched through this
-                    // record-drop — never through a token.
-                    self.drop_replica_record(view.oid);
+                // Dead local replica.
+                self.core.out.reclaimed += 1;
+                self.core.out.reclaimed_words += view.footprint();
+                self.stats.bump(StatKind::ObjectsReclaimed);
+                self.stats.add(StatKind::WordsReclaimed, view.footprint());
+                if ns.directory.addr_of(view.oid) == Some(view.addr) {
+                    ns.directory.drop_oid(view.oid);
                 }
+                seg.object_map.clear(off);
+                // The replica record disappears: the next report's exiting
+                // list will no longer mention it, and the scion cleaner at
+                // the owner will drop the entering ownerPtr (Section 6.2).
+                // The engine reference is immutable in `Ctx`, so the drop
+                // is only recorded here; the caller applies it after the
+                // collection (`CollectOutcome`) — a record-drop, never a
+                // token.
+                self.core.dead_oids.push(view.oid);
             }
         }
         Ok(())
-    }
-
-    fn drop_replica_record(&mut self, oid: Oid) {
-        // The engine reference is immutable in `Ctx`, so record the drop;
-        // the caller applies it after the collection (`CollectOutcome`).
-        self.core.dead_oids.push(oid);
     }
 
     /// Builds the new stub tables and exiting lists, swaps spaces, and
@@ -572,11 +584,14 @@ impl Ctx<'_> {
         &mut self,
     ) -> Result<Vec<(Vec<NodeId>, ReachabilityReport)>> {
         let mut reports = Vec::new();
+        // Per collected bunch: the other replica holders, which this run's
+        // relocation records are queued for.
+        let mut reloc_dests: BTreeMap<BunchId, Vec<NodeId>> = BTreeMap::new();
         for &b in &self.core.group.clone() {
             let live_of_bunch: BTreeMap<Oid, (bool, bool)> = self
                 .core
                 .live
-                .values()
+                .iter()
                 .filter(|l| l.bunch == b)
                 .map(|l| (l.oid, (l.owned, l.strong)))
                 .collect();
@@ -621,7 +636,10 @@ impl Ctx<'_> {
                 .collect();
             // Report destinations: replica holders of the bunch, scion sites
             // of the old and new stub tables, exiting-ptr targets.
-            let mut dests: BTreeSet<NodeId> = self.gc.mapped_nodes(b).into_iter().collect();
+            let mut replica_holders = self.gc.mapped_nodes(b);
+            let mut dests: BTreeSet<NodeId> = replica_holders.iter().copied().collect();
+            replica_holders.retain(|&d| d != self.node);
+            reloc_dests.insert(b, replica_holders);
             dests.extend(old_inter.iter().map(|s| s.scion_at));
             dests.extend(new_inter.iter().map(|s| s.scion_at));
             dests.extend(old_intra.iter().map(|s| s.scion_at));
@@ -633,8 +651,8 @@ impl Ctx<'_> {
                 .core
                 .new_relocs
                 .iter()
-                .filter(|r| self.gc.server.borrow().bunch_of(r.from) == Some(b))
-                .copied()
+                .filter(|&&(rb, _)| rb == b)
+                .map(|&(_, r)| r)
                 .collect();
             // Swap spaces and store the new tables.
             let epoch = {
@@ -689,16 +707,8 @@ impl Ctx<'_> {
         // Lazy relocation propagation: queue every local move for every
         // replica holder of its bunch; the records ride the next DSM
         // message to each destination (Section 4.4).
-        for r in std::mem::take(&mut self.core.new_relocs) {
-            if let Some(b) = self.gc.bunch_of(r.from) {
-                let dests: Vec<NodeId> = self
-                    .gc
-                    .mapped_nodes(b)
-                    .into_iter()
-                    .filter(|&d| d != self.node)
-                    .collect();
-                GcIntegration::queue_forward(self.gc, self.node, &dests, &[r]);
-            }
+        for (b, r) in std::mem::take(&mut self.core.new_relocs) {
+            GcIntegration::queue_forward(self.gc, self.node, &reloc_dests[&b], &[r]);
         }
         Ok(reports
             .into_iter()

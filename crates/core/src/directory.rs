@@ -37,11 +37,12 @@ use bmx_dsm::Relocation;
 #[derive(Default, Clone)]
 pub struct Directory {
     addr_of: BTreeMap<Oid, Addr>,
-    /// Forwarding edges, possibly chained over multiple collections.
-    forwarded: BTreeMap<Addr, Addr>,
-    /// Reverse lookups for building grant relocations.
-    reloc_by_oid: BTreeMap<Oid, Relocation>,
+    /// Forwarding edges (`from → to`, possibly chained over multiple
+    /// collections), each with the relocation record that made it.
     reloc_by_from: BTreeMap<Addr, Relocation>,
+    /// Reverse lookups for building grant relocations: the latest record
+    /// per object, and the record ending at an address.
+    reloc_by_oid: BTreeMap<Oid, Relocation>,
     reloc_by_to: BTreeMap<Addr, Relocation>,
 }
 
@@ -85,8 +86,8 @@ impl Directory {
     pub fn resolve_hops(&self, addr: Addr) -> (Addr, u32) {
         let mut cur = addr;
         let mut hops = 0;
-        while let Some(&next) = self.forwarded.get(&cur) {
-            cur = next;
+        while let Some(r) = self.reloc_by_from.get(&cur) {
+            cur = r.to;
             hops += 1;
             assert!(hops < 64, "forwarding cycle at {addr}");
         }
@@ -116,11 +117,10 @@ impl Directory {
     /// followed, and replacing it would dead-end local resolution mid-chain
     /// at an address this replica never populated.
     pub fn record_move(&mut self, oid: Oid, from: Addr, to: Addr) -> bool {
-        if self.forwarded.contains_key(&from) {
+        if self.reloc_by_from.contains_key(&from) {
             return false;
         }
         assert_ne!(from, to, "degenerate relocation for {oid}");
-        self.forwarded.insert(from, to);
         let r = Relocation { oid, from, to };
         self.reloc_by_oid.insert(oid, r);
         self.reloc_by_from.insert(from, r);
@@ -134,7 +134,7 @@ impl Directory {
 
     /// Whether a forwarding edge from `addr` exists.
     pub fn is_forwarded_from(&self, addr: Addr) -> bool {
-        self.forwarded.contains_key(&addr)
+        self.reloc_by_from.contains_key(&addr)
     }
 
     /// The relocation record that moved `oid`, if any is still retained.
@@ -162,21 +162,18 @@ impl Directory {
 
     /// Drops forwarding edges and relocation records whose *from* address
     /// lies in `[start, start + len_words)` — called when that from-space
-    /// range is reused and the edges are guaranteed unnecessary
-    /// (Section 4.5).
+    /// range is released and the edges are guaranteed unnecessary
+    /// (Section 4.5). The reverse indexes lose a record only if it is the
+    /// one dropped: an object moved again since keeps its younger record.
     pub fn forget_range(&mut self, start: Addr, len_words: u64) {
-        let in_range = |a: &Addr| a.in_range(start, len_words);
-        self.forwarded.retain(|from, _| !in_range(from));
-        let dropped: Vec<Oid> = self
-            .reloc_by_from
-            .iter()
-            .filter(|(from, _)| in_range(from))
-            .map(|(_, r)| r.oid)
-            .collect();
-        for oid in dropped {
-            if let Some(r) = self.reloc_by_oid.remove(&oid) {
-                self.reloc_by_from.remove(&r.from);
+        for r in self.relocs_from_range(start, len_words) {
+            self.reloc_by_from.remove(&r.from);
+            // The reverse indexes may have moved on to a younger record.
+            if self.reloc_by_to.get(&r.to) == Some(&r) {
                 self.reloc_by_to.remove(&r.to);
+            }
+            if self.reloc_by_oid.get(&r.oid) == Some(&r) {
+                self.reloc_by_oid.remove(&r.oid);
             }
         }
     }
@@ -280,6 +277,21 @@ mod tests {
         assert!(d.reloc_of(Oid(1)).is_none());
         assert_eq!(d.resolve(Addr(0x1000)), Addr(0x880), "other edge kept");
         assert!(d.reloc_of(Oid(2)).is_some());
+    }
+
+    #[test]
+    fn forget_range_keeps_the_objects_younger_record() {
+        // O1 moved twice; only the first hop starts in the forgotten range.
+        // The reverse indexes name the younger record and must keep it.
+        let mut d = Directory::new();
+        d.record_move(Oid(1), Addr(0x100), Addr(0x800));
+        d.record_move(Oid(1), Addr(0x800), Addr(0x1800));
+        d.forget_range(Addr(0x100), 16);
+        assert!(!d.is_forwarded_from(Addr(0x100)));
+        assert!(d.relocs_from_range(Addr(0x100), 16).is_empty());
+        assert_eq!(d.reloc_of(Oid(1)).unwrap().from, Addr(0x800));
+        assert_eq!(d.reloc_touching(Addr(0x800)).unwrap().to, Addr(0x1800));
+        assert_eq!(d.resolve(Addr(0x800)), Addr(0x1800));
     }
 
     #[test]

@@ -18,19 +18,22 @@
 //!    ones out itself, copy-requesting non-owned ones from their owners —
 //!    the initiator cannot know about replicas it already reclaimed
 //!    locally), rewrites its local references and roots away from the
-//!    ranges, wipes its replica of the segments, drops the forwarding
+//!    ranges, unmaps its replica of the segments, drops the forwarding
 //!    knowledge, and acknowledges.
-//! 3. **Wipe** — with every ack in, the initiator rewrites its own
-//!    references, wipes the segments, and returns them to the bunch's
-//!    allocation pool. The address range is then genuinely reusable:
-//!    no replica anywhere still holds live data or needs a forwarding
-//!    pointer into it.
+//! 3. **Release** — with every ack in, the initiator rewrites its own
+//!    references, unmaps the segments, and tells the segment server the
+//!    ranges are released. No replica anywhere still holds live data or
+//!    needs a forwarding pointer into them, and nothing ever will again:
+//!    released ranges are never refilled (to-space and allocation growth
+//!    always take fresh ranges from the server), so a relocation record
+//!    that outlived the round finds no segment to land in and is dropped,
+//!    and what a node maps is bounded by what is live, not by how long it
+//!    has been running.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bmx_addr::layout::HEADER_WORDS;
-use bmx_addr::object::{self, ObjectImage};
-use bmx_addr::NodeMemory;
+use bmx_addr::object::{self, CopyBuf, ObjectView};
+use bmx_addr::{MappedSegment, NodeMemory};
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, SegmentId, StatKind};
 use bmx_dsm::{DsmEngine, Relocation};
 use bmx_trace::{self as trace, ReuseStep, TraceEvent};
@@ -124,37 +127,20 @@ fn evacuate_locally_and_group(
 ) -> Result<Evacuation> {
     let mut by_owner: BTreeMap<NodeId, Vec<Oid>> = BTreeMap::new();
     let mut awaiting = BTreeSet::new();
+    // Locally owned residents (e.g. acquired after the collection) are
+    // copied out by this node itself, once the borrowed walk is over.
+    let mut own = Vec::new();
     for &seg_id in segments {
-        if !mem.has_segment(seg_id) {
+        let Ok(seg) = mem.segment(seg_id) else {
             continue;
-        }
-        for addr in object::objects_in(mem.segment(seg_id)?) {
-            let v = object::view(mem, addr)?;
-            if v.is_forwarded() {
-                continue;
-            }
-            // Only the node's *current* copy is live here: bytes at any
-            // other address are a ghost of an older generation (a replica
-            // the DSM re-installed elsewhere since) and get cleared by the
-            // wipe — copying them out would resurrect stale state.
-            let is_current = {
-                let dir = &gc.node(node).directory;
-                let a0 = dir.addr_of(v.oid);
-                a0 == Some(addr) || a0.map(|a| dir.resolve(a)) == Some(addr)
-            };
-            if !is_current {
-                continue;
-            }
+        };
+        for v in current_residents(gc, node, seg) {
             match engine.obj_state(node, v.oid) {
                 Some(st) if !st.is_owner => {
                     by_owner.entry(st.owner_hint).or_default().push(v.oid);
                     awaiting.insert(v.oid);
                 }
-                Some(_) => {
-                    // Locally owned (e.g. acquired after the collection):
-                    // copy it out ourselves.
-                    copy_out_locally(gc, mem, stats, node, bunch, addr, segments)?;
-                }
+                Some(_) => own.push(v.addr),
                 None => {
                     // No replica record: dead resident that predates the
                     // sweep (or a record dropped since); nothing keeps it.
@@ -162,7 +148,26 @@ fn evacuate_locally_and_group(
             }
         }
     }
+    for addr in own {
+        copy_out_locally(gc, mem, stats, node, bunch, addr, segments)?;
+    }
     Ok((by_owner, awaiting))
+}
+
+/// The residents of `seg` that are `node`'s *current* copy of their object.
+/// Bytes at any other address are a ghost of an older generation (a replica
+/// the DSM re-installed elsewhere since, or a forwarded header) and go
+/// with the segment — copying them out would resurrect stale state.
+fn current_residents<'a>(
+    gc: &'a GcState,
+    node: NodeId,
+    seg: &'a MappedSegment,
+) -> impl Iterator<Item = ObjectView> + 'a {
+    let dir = &gc.node(node).directory;
+    object::views_in(seg).filter(move |v| {
+        let a0 = dir.addr_of(v.oid);
+        !v.is_forwarded() && (a0 == Some(v.addr) || a0.map(|a| dir.resolve(a)) == Some(v.addr))
+    })
 }
 
 /// Copies one locally owned object out of a doomed segment into the local
@@ -176,21 +181,16 @@ fn copy_out_locally(
     from: Addr,
     avoid: &[SegmentId],
 ) -> Result<Relocation> {
-    let img = ObjectImage::capture(mem, from)?;
-    let need = HEADER_WORDS + img.data.len() as u64;
+    let need = object::view(mem, from)?.footprint();
     let seg_id = alloc_target_with_space(gc, mem, node, bunch, need, avoid)?;
     let dst = {
         let seg = mem.segment(seg_id)?;
         seg.info.base.add_words(seg.alloc_cursor)
     };
-    object::install_object_at(mem, dst, &img)?;
+    let oid = object::copy_object(mem, from, dst, &mut CopyBuf::default())?.oid;
     object::set_forwarding(mem, from, dst)?;
-    gc.node_mut(node).directory.record_move(img.oid, from, dst);
-    let r = Relocation {
-        oid: img.oid,
-        from,
-        to: dst,
-    };
+    gc.node_mut(node).directory.record_move(oid, from, dst);
+    let r = Relocation { oid, from, to: dst };
     if let Some(brs) = gc.node_mut(node).bunch_mut(bunch) {
         brs.relocations.push(r);
     }
@@ -210,18 +210,12 @@ fn alloc_target_with_space(
     need: u64,
     avoid: &[SegmentId],
 ) -> Result<SegmentId> {
-    let candidates: Vec<SegmentId> = gc
-        .node(node)
-        .bunch(bunch)
-        .map(|b| b.alloc_segments.clone())
-        .unwrap_or_default();
-    for id in candidates {
-        if avoid.contains(&id) {
-            continue;
-        }
-        if mem.has_segment(id) && mem.segment(id)?.free_words() >= need {
-            return Ok(id);
-        }
+    let pool = gc.node(node).bunch(bunch).map(|b| &b.alloc_segments[..]);
+    let fits = |id: &&SegmentId| {
+        !avoid.contains(id) && mem.segment(**id).is_ok_and(|s| s.free_words() >= need)
+    };
+    if let Some(&id) = pool.unwrap_or_default().iter().find(fits) {
+        return Ok(id);
     }
     let info = gc.server.borrow_mut().alloc_segment(bunch)?;
     if need > info.words {
@@ -511,8 +505,8 @@ pub fn handle_retire(
     Ok(msgs)
 }
 
-/// Completes a receiver's retire handling: wipes the local replica of the
-/// ranges and acknowledges to the initiator.
+/// Completes a receiver's retire handling: releases the local replica of
+/// the ranges and acknowledges to the initiator.
 fn complete_retire(
     gc: &mut GcState,
     engine: &DsmEngine,
@@ -524,13 +518,7 @@ fn complete_retire(
     let Some(rt) = gc.node_mut(at).bunch_or_default(bunch).retire.take() else {
         return Ok(Vec::new());
     };
-    wipe_segments(gc, engine, mem, stats, at, bunch, &rt.segments)?;
-    // The initiator claims the segments; they leave this node's pools.
-    if let Some(brs) = gc.node_mut(at).bunch_mut(bunch) {
-        brs.pending_from.retain(|s| !rt.segments.contains(s));
-        brs.alloc_segments.retain(|s| !rt.segments.contains(s));
-    }
-    crate::collect::refresh_node_gauges(gc, at);
+    release_segments(gc, engine, mem, stats, at, bunch, &rt.segments)?;
     stats.bump(StatKind::BackgroundGcMessages);
     Ok(vec![(rt.requester, GcMsg::RetireAck { bunch, from: at })])
 }
@@ -571,8 +559,8 @@ pub fn handle_retire_ack(
     Ok(())
 }
 
-/// Phase three at the initiator: wipe, forget, and return the segments to
-/// the allocation pool.
+/// Phase three at the initiator: release the local replica, then the
+/// ranges themselves at the segment server.
 fn finish_local(
     gc: &mut GcState,
     engine: &DsmEngine,
@@ -584,18 +572,11 @@ fn finish_local(
     let Some(reuse) = gc.node_mut(node).bunch_or_default(bunch).reuse.take() else {
         return Ok(());
     };
-    wipe_segments(gc, engine, mem, stats, node, bunch, &reuse.segments)?;
+    let ranges = release_segments(gc, engine, mem, stats, node, bunch, &reuse.segments)?;
     let brs = gc.node_mut(node).bunch_mut(bunch).expect("mapped");
-    brs.pending_from.retain(|s| !reuse.segments.contains(s));
-    brs.relocations.retain(|r| {
-        !reuse.segments.iter().any(|&s| {
-            mem.segment(s)
-                .map(|seg| r.from.in_range(seg.info.base, seg.info.words))
-                .unwrap_or(false)
-        })
-    });
-    brs.alloc_segments.extend(reuse.segments.iter().copied());
-    crate::collect::refresh_node_gauges(gc, node);
+    brs.relocations
+        .retain(|r| !ranges.iter().any(|&(b, w)| r.from.in_range(b, w)));
+    gc.server.borrow_mut().release_segments(&reuse.segments);
     trace::emit(
         node,
         TraceEvent::Reuse {
@@ -606,9 +587,11 @@ fn finish_local(
     Ok(())
 }
 
-/// Rewrites local references and roots away from the doomed ranges, zeroes
-/// the segment replicas, and forgets the forwarding knowledge.
-fn wipe_segments(
+/// Releases `at`'s replica of the doomed segments: rewrites local
+/// references and roots away from the ranges, hands the forwarding
+/// knowledge to the server's retired-range routing, unmaps the segments and
+/// drops them from the bunch's pools. Returns the released ranges.
+fn release_segments(
     gc: &mut GcState,
     engine: &DsmEngine,
     mem: &mut NodeMemory,
@@ -616,7 +599,7 @@ fn wipe_segments(
     at: NodeId,
     bunch: BunchId,
     segments: &[SegmentId],
-) -> Result<()> {
+) -> Result<Vec<(Addr, u64)>> {
     let ranges: Vec<(Addr, u64)> = segments
         .iter()
         .filter_map(|&s| {
@@ -636,41 +619,27 @@ fn wipe_segments(
     // here. Residents the DSM no longer tracks, or whose current copy is
     // established elsewhere, are ghosts — bytes a collection dropped as
     // locally dead (`drop_replica`) or a superseded install — and are
-    // exactly what the wipe exists to clear.
+    // exactly what the release exists to clear.
+    let mut unsettled = Vec::new();
     for &sid in segments {
-        if !mem.has_segment(sid) {
-            continue;
+        if let Ok(seg) = mem.segment(sid) {
+            unsettled.extend(
+                current_residents(gc, at, seg)
+                    .filter(|v| engine.obj_state(at, v.oid).is_some())
+                    .map(|v| v.addr),
+            );
         }
-        for addr in object::objects_in(mem.segment(sid)?) {
-            let v = object::view(mem, addr)?;
-            if v.is_forwarded() {
-                continue;
-            }
-            let is_current = {
-                let dir = &gc.node(at).directory;
-                let a0 = dir.addr_of(v.oid);
-                a0 == Some(addr) || a0.map(|a| dir.resolve(a)) == Some(addr)
-            };
-            if is_current && engine.obj_state(at, v.oid).is_some() {
-                copy_out_locally(gc, mem, stats, at, bunch, addr, segments)?;
-            }
-        }
+    }
+    for addr in unsettled {
+        copy_out_locally(gc, mem, stats, at, bunch, addr, segments)?;
     }
     // Rewrite references in every other mapped segment that still point
     // into the ranges, then the roots.
-    for sid in mem.mapped_segments() {
-        if segments.contains(&sid) {
-            continue;
-        }
-        for addr in object::objects_in(mem.segment(sid)?) {
-            if object::view(mem, addr)?.is_forwarded() {
-                continue;
-            }
-            for (f, t) in object::ref_fields(mem, addr)? {
-                if !t.is_null() && in_doomed(t) {
-                    let cur = gc.node(at).directory.resolve(t);
-                    object::write_ref_field(mem, addr, f, cur)?;
-                }
+    {
+        let dir = &gc.node(at).directory;
+        for seg in mem.segments_mut() {
+            if !segments.contains(&seg.info.id) {
+                object::rewrite_refs_in(seg, |t| if in_doomed(t) { dir.resolve(t) } else { t });
             }
         }
     }
@@ -686,52 +655,39 @@ fn wipe_segments(
         gc.node_mut(at).set_root(id, a);
     }
     // Update scion target addresses that still point into the ranges.
-    let bunches: Vec<BunchId> = gc.node(at).bunches.keys().copied().collect();
-    for b in bunches {
-        let updates: Vec<(usize, Addr)> = {
-            let ns = gc.node(at);
-            let Some(brs) = ns.bunch(b) else { continue };
-            brs.scion_table
-                .inter()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| in_doomed(s.target_addr))
-                .map(|(i, s)| (i, ns.directory.resolve(s.target_addr)))
-                .collect()
-        };
-        if let Some(brs) = gc.node_mut(at).bunch_mut(b) {
-            for (i, a) in updates {
-                brs.scion_table.inter_mut()[i].target_addr = a;
+    {
+        let ns = gc.node_mut(at);
+        for brs in ns.bunches.values_mut() {
+            for s in brs.scion_table.inter_mut() {
+                if in_doomed(s.target_addr) {
+                    s.target_addr = ns.directory.resolve(s.target_addr);
+                }
             }
         }
     }
     // Hand the forwarding knowledge this node is about to drop to the
     // segment server's retired-range routing: a mutator anywhere that still
     // holds a pre-collection pointer (a register-resident root, in the
-    // paper's terms) resolves it there once every replica has wiped.
+    // paper's terms) resolves it there once every replica has let go.
     {
         let relocs = relocs_out_of(gc, mem, at, segments);
         gc.server
             .borrow_mut()
             .note_retired(relocs.into_iter().map(|r| (r.oid, r.from, r.to)));
     }
-    // Zero the replicas and drop the forwarding knowledge.
-    let mut freed = 0;
+    // Drop the replicas, the forwarding knowledge and the pool entries.
     for &sid in segments {
-        if !mem.has_segment(sid) {
-            continue;
-        }
-        let (base, words) = {
-            let seg = mem.segment_mut(sid)?;
-            seg.words.fill(0);
-            seg.object_map.clear_all();
-            seg.ref_map.clear_all();
-            seg.alloc_cursor = 0;
-            (seg.info.base, seg.info.words)
-        };
-        freed += words;
-        gc.node_mut(at).directory.forget_range(base, words);
+        let _ = mem.unmap_segment(sid);
     }
-    stats.add(StatKind::WordsReclaimed, freed);
-    Ok(())
+    let ns = gc.node_mut(at);
+    for &(base, words) in &ranges {
+        ns.directory.forget_range(base, words);
+        stats.add(StatKind::WordsReclaimed, words);
+    }
+    if let Some(brs) = ns.bunch_mut(bunch) {
+        brs.pending_from.retain(|s| !segments.contains(s));
+        brs.alloc_segments.retain(|s| !segments.contains(s));
+    }
+    crate::collect::refresh_node_gauges(gc, at);
+    Ok(ranges)
 }

@@ -30,7 +30,7 @@ use bmx_addr::NodeMemory;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Result};
 use bmx_dsm::DsmEngine;
 
-use crate::collect::{CollectOutcome, Ctx, TraceCore};
+use crate::collect::{is_marked, CollectOutcome, Ctx, TraceCore};
 use crate::state::GcState;
 
 /// Phase of an in-flight incremental collection.
@@ -73,7 +73,7 @@ impl IncrementalBgc {
         }
         let mut core = TraceCore::new(group);
         let (strong_stack, intra_stack) = {
-            let ctx = Ctx {
+            let mut ctx = Ctx {
                 gc,
                 engine,
                 mem,
@@ -81,6 +81,7 @@ impl IncrementalBgc {
                 node,
                 core: &mut core,
             };
+            ctx.clear_marks();
             ctx.gather_roots()
         };
         for &b in group {
@@ -125,15 +126,13 @@ impl IncrementalBgc {
                 continue;
             }
             let cur = gc.node(self.node).directory.resolve(a);
-            match self.core.live.get_mut(&cur) {
-                Some(l) if !l.strong => {
-                    l.strong = true;
-                    for (_, t) in object::ref_fields(mem, cur)? {
-                        work.push(t);
-                    }
+            if let Some(i) = self.core.weak.remove(&cur) {
+                self.core.live[i].strong = true;
+                for (_, t) in object::ref_fields(mem, cur)? {
+                    work.push(t);
                 }
-                Some(_) => {}
-                None => self.strong_stack.push(cur),
+            } else if !is_marked(mem, cur) {
+                self.strong_stack.push(cur);
             }
         }
         Ok(())

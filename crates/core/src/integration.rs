@@ -6,7 +6,7 @@
 //! (invariant 3) — all driven *by* the consistency protocol's own messages,
 //! never by collector-initiated token traffic.
 
-use bmx_addr::object::{self, ObjectImage};
+use bmx_addr::object::{self, CopyBuf};
 use bmx_addr::NodeMemory;
 use bmx_common::{Addr, NodeId, Oid};
 use bmx_dsm::{GcIntegration, IntraSspCreate, Relocation};
@@ -80,9 +80,7 @@ pub fn apply_relocations_at(
             }
             let already_there = object::view(mem, dest).is_ok_and(|v| v.oid == r.oid);
             if !already_there {
-                if let Ok(image) = ObjectImage::capture(mem, r.from) {
-                    let _ = object::install_object_at(mem, dest, &image);
-                }
+                let _ = object::copy_object(mem, r.from, dest, &mut CopyBuf::default());
             }
             let _ = object::set_forwarding(mem, r.from, r.to);
         }
@@ -114,8 +112,8 @@ impl GcIntegration for GcState {
             // No local knowledge. If the address lies in a range the reuse
             // protocol reclaimed (every node dropped its edges), the server's
             // retired-range routing still knows where the contents went —
-            // without it, a stale address in an in-flight grant would make
-            // the receiver install the replica into re-pooled space.
+            // without it, a stale address in an in-flight grant would name
+            // a range no node can map any more.
             if let Some((_, to)) = self.server.borrow().resolve_retired(addr) {
                 return self.node(node).directory.resolve(to);
             }

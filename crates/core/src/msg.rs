@@ -59,7 +59,7 @@ pub enum GcMsg {
     /// two): the receiver applies the final relocations, evacuates any live
     /// objects remaining in its own replica of the ranges (copying out
     /// owned ones, copy-requesting non-owned ones), rewrites local
-    /// references, wipes its replica, and acknowledges.
+    /// references, unmaps its replica, and acknowledges.
     Retire {
         /// The bunch whose segments retire.
         bunch: BunchId,

@@ -111,7 +111,6 @@ impl DsmEngine {
     /// write token.
     pub fn register_alloc(&mut self, node: NodeId, oid: Oid, bunch: BunchId) {
         self.ns_mut(node)
-            .objects
             .insert(oid, ObjState::new_owner(bunch, node));
     }
 
@@ -133,7 +132,6 @@ impl DsmEngine {
             return;
         }
         self.ns_mut(node)
-            .objects
             .insert(oid, ObjState::new_replica(bunch, Token::None, owner_hint));
         self.emit(
             sh,
@@ -404,7 +402,6 @@ impl DsmEngine {
         owner: NodeId,
     ) {
         self.ns_mut(node)
-            .objects
             .insert(oid, ObjState::new_replica(bunch, Token::None, owner));
     }
 
@@ -436,7 +433,7 @@ impl DsmEngine {
                 st.copy_set.insert(r);
             }
         }
-        self.ns_mut(node).objects.insert(oid, st);
+        self.ns_mut(node).insert(oid, st);
     }
 
     /// At a surviving node: adopts ownership of an object orphaned by an
@@ -946,6 +943,25 @@ impl DsmEngine {
         }
     }
 
+    /// A token request reached `at`, which holds no replica record of `oid`:
+    /// the local collector reclaimed the replica while a peer's stale
+    /// ownerPtr still pointed here. The request goes on along the ownerPtr
+    /// the record left behind. With none (the object died here as its
+    /// owner, or was never here) it is dropped: nothing can grant it, and
+    /// the requester's acquire times out as against any lost request.
+    fn forward_past_departed(
+        &mut self,
+        at: NodeId,
+        oid: Oid,
+        req: DsmMsg,
+        sh: &mut DsmShared<'_>,
+        send: &mut SendFn<'_>,
+    ) {
+        if let Some(&hint) = self.ns(at).departed.get(&oid) {
+            self.emit(sh, send, at, hint, req);
+        }
+    }
+
     fn handle_read_req(
         &mut self,
         at: NodeId,
@@ -955,10 +971,10 @@ impl DsmEngine {
         send: &mut SendFn<'_>,
     ) -> Result<()> {
         let (token, parked, pending, hint, is_owner) = {
-            let st = self
-                .ns(at)
-                .get(oid)
-                .ok_or_else(|| BmxError::Protocol(format!("ReadReq for unknown {oid} at {at}")))?;
+            let Some(st) = self.ns(at).get(oid) else {
+                self.forward_past_departed(at, oid, DsmMsg::ReadReq { oid, requester }, sh, send);
+                return Ok(());
+            };
             (
                 st.token,
                 st.locked || st.reserved,
@@ -1044,10 +1060,10 @@ impl DsmEngine {
         send: &mut SendFn<'_>,
     ) -> Result<()> {
         let (is_owner, parked, pending, hint) = {
-            let st = self
-                .ns(at)
-                .get(oid)
-                .ok_or_else(|| BmxError::Protocol(format!("WriteReq for unknown {oid} at {at}")))?;
+            let Some(st) = self.ns(at).get(oid) else {
+                self.forward_past_departed(at, oid, DsmMsg::WriteReq { oid, requester }, sh, send);
+                return Ok(());
+            };
             (
                 st.is_owner,
                 st.locked || st.reserved,
@@ -1359,7 +1375,7 @@ impl DsmEngine {
             None => {
                 let mut st = ObjState::new_replica(bunch, Token::Read, owner_hint);
                 st.reserved = reserve;
-                ns.objects.insert(oid, st);
+                ns.insert(oid, st);
             }
         }
         if reserve {
@@ -1411,7 +1427,7 @@ impl DsmEngine {
                 let mut st = ObjState::new_owner(bunch, at);
                 st.entering.insert(src);
                 st.reserved = reserve;
-                ns.objects.insert(oid, st);
+                ns.insert(oid, st);
             }
         }
         ns.waiting_for.remove(&oid);
@@ -1442,8 +1458,17 @@ impl DsmEngine {
         sh: &mut DsmShared<'_>,
     ) -> Result<()> {
         let local = sh.gc.local_addr(at, oid).unwrap_or(granter_addr);
-        let local = sh.gc.resolve_current(at, local);
+        let mut local = sh.gc.resolve_current(at, local);
         sh.gc.ensure_mapped(at, local, sh.mems);
+        if !sh.mems[at.0 as usize].is_mapped(local) {
+            // This node's last address for the object lies in a range the
+            // reuse protocol released since (the directory entry outlived a
+            // replica the collector dropped, and nobody ever moved the
+            // object *from* there, so no routing exists either): the
+            // granter's address is the live one.
+            local = sh.gc.resolve_current(at, granter_addr);
+            sh.gc.ensure_mapped(at, local, sh.mems);
+        }
         let mem = &mut sh.mems[at.0 as usize];
         object::install_object_at(mem, local, image)?;
         sh.gc.note_local_addr(at, oid, local);

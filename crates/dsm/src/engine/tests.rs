@@ -387,6 +387,45 @@ fn owner_ptr_chain_forwards_requests() {
     assert_eq!(h.engine.obj_state(n(1), Oid(1)).unwrap().owner_hint, n(2));
 }
 
+/// A request routed by a stale ownerPtr to a node whose collector has
+/// since reclaimed its replica is forwarded along the ownerPtr the record
+/// left behind — it neither dies there nor fails the protocol.
+#[test]
+fn request_at_a_reclaimed_replica_follows_the_departed_owner_ptr() {
+    for write in [false, true] {
+        let mut h = Harness::new(3);
+        h.alloc(1, 1, &[]);
+        // Ownership hops 0 -> 2 -> 0; node 1's ownerPtr is pointed at node
+        // 2 in between and never hears of the second hop.
+        h.acquire_write(n(2), Oid(1));
+        h.acquire_read(n(1), Oid(1));
+        h.acquire_write(n(0), Oid(1));
+        assert_eq!(h.engine.obj_state(n(1), Oid(1)).unwrap().owner_hint, n(2));
+        assert_eq!(h.engine.obj_state(n(2), Oid(1)).unwrap().owner_hint, n(0));
+        // Node 2's collector finds its (non-owned) replica dead.
+        h.engine.drop_replica(n(2), Oid(1));
+        // The request goes 1 -> 2 -> 0 and completes.
+        if write {
+            h.acquire_write(n(1), Oid(1));
+        } else {
+            h.acquire_read(n(1), Oid(1));
+        }
+    }
+}
+
+/// With no ownerPtr left behind (the record of an owner, whose object is
+/// dead everywhere) the request is dropped, not answered with an error.
+#[test]
+fn request_for_an_object_reclaimed_at_its_owner_is_dropped() {
+    let mut h = Harness::new(2);
+    h.alloc(1, 1, &[]);
+    h.acquire_write(n(1), Oid(1));
+    h.engine.drop_replica(n(1), Oid(1));
+    h.start(n(0), Oid(1), true);
+    h.pump();
+    assert_eq!(h.engine.token(n(0), Oid(1)), Token::None);
+}
+
 #[test]
 fn owner_promotes_read_to_write_locally() {
     let mut h = Harness::new(2);

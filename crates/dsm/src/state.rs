@@ -148,6 +148,12 @@ pub struct DsmNodeState {
     /// Invalidations deferred because the mutator holds the object in a
     /// critical section; each entry is the parent awaiting the ack.
     pub deferred_invals: BTreeMap<Oid, Vec<NodeId>>,
+    /// ownerPtrs of non-owned replicas the collector reclaimed here. A
+    /// peer's stale ownerPtr may route a request through this node after
+    /// the record is gone; forwarding it along the remembered pointer keeps
+    /// the probable-owner chain whole. An entry dies when a replica of the
+    /// object is registered here again.
+    pub departed: BTreeMap<Oid, NodeId>,
 }
 
 impl DsmNodeState {
@@ -166,10 +172,21 @@ impl DsmNodeState {
         self.objects.iter().map(|(&o, s)| (o, s))
     }
 
-    /// Removes the replica record (the object was reclaimed locally).
+    /// Records that a replica of `oid` exists here, with state `st`.
+    pub fn insert(&mut self, oid: Oid, st: ObjState) {
+        self.departed.remove(&oid);
+        self.objects.insert(oid, st);
+    }
+
+    /// Removes the replica record (the object was reclaimed locally). A
+    /// non-owned replica leaves its ownerPtr behind in `departed`.
     pub fn drop_replica(&mut self, oid: Oid) -> Option<ObjState> {
         self.queued.remove(&oid);
-        self.objects.remove(&oid)
+        let st = self.objects.remove(&oid)?;
+        if !st.is_owner {
+            self.departed.insert(oid, st.owner_hint);
+        }
+        Some(st)
     }
 }
 
@@ -196,9 +213,8 @@ mod tests {
     #[test]
     fn node_state_tracks_replicas() {
         let mut ns = DsmNodeState::default();
-        ns.objects
-            .insert(Oid(1), ObjState::new_owner(BunchId(1), NodeId(0)));
-        ns.objects.insert(
+        ns.insert(Oid(1), ObjState::new_owner(BunchId(1), NodeId(0)));
+        ns.insert(
             Oid(2),
             ObjState::new_replica(BunchId(1), Token::None, NodeId(1)),
         );
@@ -207,6 +223,13 @@ mod tests {
         ns.drop_replica(Oid(1));
         assert!(ns.get(Oid(1)).is_none());
         assert_eq!(ns.replicas().count(), 1);
+        assert!(ns.departed.is_empty(), "an owner leaves no ownerPtr");
+        // A dropped non-owned replica leaves its ownerPtr behind until a
+        // replica is registered again.
+        ns.drop_replica(Oid(2));
+        assert_eq!(ns.departed.get(&Oid(2)), Some(&NodeId(1)));
+        ns.insert(Oid(2), ObjState::new_owner(BunchId(1), NodeId(0)));
+        assert!(ns.departed.is_empty());
     }
 
     #[test]

@@ -162,9 +162,10 @@ fn each_replica_copies_exactly_its_owned_objects() {
     assert_eq!(lists::read_payloads(&c, n2, list.head).unwrap().len(), 10);
 }
 
-/// From-space reuse (Section 4.5): after collections on both replicas and
-/// the explicit address-change/copy-request round, the retired segments are
-/// wiped and return to the allocation pool.
+/// From-space reuse (Section 4.5): after the explicit copy-request and
+/// retire round, the retired segments are *released* — unmapped at every
+/// replica holder, in no pool, unknown to the segment server — and a held
+/// pre-collection address is still served through retired-range routing.
 #[test]
 fn from_space_reuse_protocol_reclaims_segments() {
     let mut c = Cluster::new(ClusterConfig::with_nodes(2));
@@ -187,38 +188,51 @@ fn from_space_reuse_protocol_reclaims_segments() {
     assert!(!pending.is_empty(), "retired from-space segments exist");
 
     // The reuse protocol: copy-requests to N2, address changes around,
-    // then the segments are wiped and reusable.
+    // then every replica holder lets the segments go.
     let done = c.reuse_from_space(n1, b).unwrap();
     assert!(done, "reuse completed");
-    let brs = c.gc.node(n1).bunch(b).unwrap();
-    assert!(brs.pending_from.is_empty());
-    for &sid in &pending {
-        let seg = c.mems[0].segment(sid).unwrap();
-        assert_eq!(seg.object_map.count_ones(), 0, "segment wiped");
-        assert_eq!(seg.alloc_cursor, 0);
-        assert!(
-            brs.alloc_segments.contains(&sid),
-            "segment back in the pool"
-        );
+    for node in [n1, n2] {
+        let brs = c.gc.node(node).bunch(b).unwrap();
+        for &sid in &pending {
+            assert!(
+                !c.mems[node.0 as usize].has_segment(sid),
+                "{sid} still mapped at {node}"
+            );
+            assert!(!brs.pending_from.contains(&sid), "{sid} pending at {node}");
+            assert!(!brs.alloc_segments.contains(&sid), "{sid} pooled at {node}");
+        }
     }
-    // The list is still fully intact on both nodes. At N1 the old head
-    // address was retired with the wiped segment, so the walk starts from
-    // the (BGC-updated) root — stale raw addresses are exactly what the
-    // reuse protocol is allowed to invalidate.
+    {
+        let srv = c.server.borrow();
+        assert_eq!(srv.segment_of(list.head), None, "range released");
+        for &sid in &pending {
+            assert!(srv.segment(sid).is_err());
+            assert!(!srv.bunch(b).unwrap().segments.contains(&sid));
+        }
+    }
+    // The list is still fully intact on both nodes, walked from the
+    // (collector-updated) roots...
     let head_n1 = c.root(n1, head_root).unwrap();
     assert_ne!(
         head_n1, list.head,
         "the root was rewritten to the to-space copy"
     );
     assert_eq!(lists::read_payloads(&c, n1, head_n1).unwrap().len(), 8);
-    // N2's replica of the retired segment was wiped by the retire round, so
-    // its walk likewise starts from its rewritten root.
     let head_n2 = c.root(n2, head_root_n2).unwrap();
     assert_eq!(lists::read_payloads(&c, n2, head_n2).unwrap().len(), 8);
-    // And allocation can use the recycled segment.
+    // ...and from the stale head address an application may still hold:
+    // every node dropped its forwarding edges with the range, the server's
+    // retired-range routing kept them.
+    assert!(c.server.borrow().resolve_retired(list.head).is_some());
+    for node in [n1, n2] {
+        assert_eq!(lists::read_payloads(&c, node, list.head).unwrap().len(), 8);
+    }
+    // Allocation goes on, in the current space or a fresh range — never in
+    // the released one.
     let extra = c.alloc(n1, b, &ObjSpec::data(4)).unwrap();
     c.write_data(n1, extra, 0, 31).unwrap();
     assert_eq!(c.read_data(n1, extra, 0).unwrap(), 31);
+    assert!(extra > list.cells[7], "released addresses are not refilled");
     c.assert_gc_acquired_no_tokens();
 }
 
