@@ -21,6 +21,8 @@
 //! Nothing here knows about tokens or collection; the DSM layer and the
 //! collector are built on top.
 
+#![forbid(unsafe_code)]
+
 pub mod layout;
 pub mod memory;
 pub mod object;

@@ -15,6 +15,8 @@
 //!   creating intra-bunch SSPs, costing a scion-message per transfer and
 //!   duplicated stub memory (experiment E6).
 
+#![forbid(unsafe_code)]
+
 pub mod refcount;
 pub mod replicated_ssp;
 pub mod strong_copy;

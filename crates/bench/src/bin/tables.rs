@@ -1,9 +1,12 @@
-//! Regenerates every evaluation table (experiments E1–E10).
+//! Regenerates every evaluation table (experiments E1–E12).
 //!
 //! Usage: `cargo run --release -p bmx-bench --bin tables [e1 e2 ...]`
 //! (no arguments = all experiments). A full run rewrites both
-//! `tables_output.txt` (human-readable) and `BENCH_tables.json`
-//! (machine-readable) in the repository root; a partial run only prints.
+//! `tables_output.txt` (every column, human-readable) and
+//! `BENCH_tables.json` (the deterministic columns only) in the current
+//! directory — run it from the repository root; a partial run only prints.
+//! `cargo test -p bmx-bench` fails when the committed `BENCH_tables.json`
+//! is not byte for byte what this binary would write.
 //!
 //! Set `BMX_METRICS=1` to run with the metrics plane installed: the run
 //! then also dumps a metrics snapshot to `target/bench_metrics.json` and
@@ -11,81 +14,18 @@
 //! tables are the overhead canary — they must reproduce within noise
 //! whether or not metrics are enabled (see DESIGN.md §9).
 
-use bmx_bench::experiments::*;
-use bmx_bench::Table;
+#![forbid(unsafe_code)]
+
+use bmx_bench::{experiments, table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
     let metered = std::env::var("BMX_METRICS").is_ok_and(|v| v == "1");
     if metered {
         bmx_metrics::install();
     }
 
-    let mut tables: Vec<Table> = Vec::new();
-
-    if want("e1") {
-        let rows = e1_replication::run(&[1, 2, 4, 8, 16]);
-        tables.push(e1_replication::table(&rows));
-    }
-    if want("e2") {
-        let mut rows = Vec::new();
-        for readers in [1, 2, 4, 8] {
-            rows.extend(e2_interference::run(readers));
-        }
-        tables.push(e2_interference::table(&rows));
-    }
-    if want("e3") {
-        let mut rows = Vec::new();
-        for synced in [10, 50, 100] {
-            rows.extend(e3_piggyback::run(synced));
-        }
-        tables.push(e3_piggyback::table(&rows));
-    }
-    if want("e4") {
-        let rows = e4_pause::run(&[1, 2, 4, 8, 16, 32]);
-        tables.push(e4_pause::table(&rows));
-        let rows = e4_pause::run_flip(&[100, 400, 1600]);
-        tables.push(e4_pause::flip_table(&rows));
-    }
-    if want("e5") {
-        let rows = e5_message_loss::run(&[0.0, 0.1, 0.3, 0.5]);
-        tables.push(e5_message_loss::table(&rows));
-    }
-    if want("e6") {
-        let rows = e6_ssp_ablation::run(&[0, 1, 2, 4, 8]);
-        tables.push(e6_ssp_ablation::table(&rows));
-    }
-    if want("e7") {
-        let rows = e7_cycles::run(&[2, 4, 8, 16, 32]);
-        tables.push(e7_cycles::table(&rows));
-    }
-    if want("e8") {
-        let rows = e8_barrier::run();
-        tables.push(e8_barrier::table(&rows));
-    }
-    if want("e9") {
-        let rows = e9_recovery::run(&[(2, 4), (4, 8), (8, 16), (16, 16)]);
-        tables.push(e9_recovery::table(&rows));
-        let rows = e9_recovery::run_rejoin(&[(2, 4), (4, 8), (8, 16)]);
-        tables.push(e9_recovery::rejoin_table(&rows));
-    }
-    if want("e10") {
-        let rows = e10_fromspace::run(&[0.0, 0.25, 0.5, 0.75, 1.0]);
-        tables.push(e10_fromspace::table(&rows));
-    }
-    if want("e11") {
-        let rows = e11_consistency::run();
-        tables.push(e11_consistency::table(&rows));
-    }
-    if want("e12") {
-        let rows = e12_hot_paths::run();
-        tables.push(e12_hot_paths::table(&rows));
-    }
-    if want("e13") {
-        let rows = e13_parallel::run(&[2, 4]);
-        tables.push(e13_parallel::table(&rows));
-    }
+    let tables = experiments::run(|name| args.is_empty() || args.iter().any(|a| a == name));
 
     let mut text = String::new();
     for t in &tables {
@@ -96,16 +36,9 @@ fn main() {
     // A full run refreshes the committed artifacts; a subset run would
     // silently drop the other experiments' tables, so it only prints.
     if args.is_empty() {
-        let json = format!(
-            "{{\n  \"tables\": [\n  {}\n  ]\n}}\n",
-            tables
-                .iter()
-                .map(Table::to_json)
-                .collect::<Vec<_>>()
-                .join(",\n  ")
-        );
         std::fs::write("tables_output.txt", &text).expect("write tables_output.txt");
-        std::fs::write("BENCH_tables.json", &json).expect("write BENCH_tables.json");
+        std::fs::write("BENCH_tables.json", table::document_json(&tables))
+            .expect("write BENCH_tables.json");
     }
 
     if metered {

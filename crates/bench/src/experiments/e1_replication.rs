@@ -101,7 +101,8 @@ pub fn table(rows: &[Row]) -> Table {
             "strong_tok",
             "strong_inval",
         ],
-    );
+    )
+    .wall_clock(&["bmx_us", "strong_us"]);
     for r in rows {
         t.row(vec![
             r.replicas.to_string(),

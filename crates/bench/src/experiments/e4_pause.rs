@@ -65,7 +65,8 @@ pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "E4: collection pause vs heap size (150 objects per bunch)",
         &["bunches", "heap_objs", "per_bunch_us", "whole_heap_us"],
-    );
+    )
+    .wall_clock(&["per_bunch_us", "whole_heap_us"]);
     for r in rows {
         t.row(vec![
             r.bunches.to_string(),
@@ -144,7 +145,8 @@ pub fn flip_table(rows: &[FlipRow]) -> Table {
     let mut t = Table::new(
         "E4b: incremental flip pause vs monolithic pause",
         &["objects", "monolithic_us", "steps", "flip_us"],
-    );
+    )
+    .wall_clock(&["monolithic_us", "flip_us"]);
     for r in rows {
         t.row(vec![
             r.objects.to_string(),

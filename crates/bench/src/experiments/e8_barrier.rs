@@ -108,7 +108,8 @@ pub fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(
         "E8: write-barrier cost per store (5000 stores each)",
         &["kind", "stores", "ns/store", "fast_paths", "slow_paths"],
-    );
+    )
+    .wall_clock(&["ns/store"]);
     for r in rows {
         t.row(vec![
             r.kind.to_string(),

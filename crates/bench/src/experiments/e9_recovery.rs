@@ -98,7 +98,8 @@ pub fn table(rows: &[Row]) -> Table {
             "recover_us",
             "parts_verified",
         ],
-    );
+    )
+    .wall_clock(&["ckpt_us", "recover_us"]);
     for r in rows {
         t.row(vec![
             r.objects.to_string(),
@@ -257,7 +258,9 @@ pub fn rejoin_table(rows: &[RejoinRow]) -> Table {
             "reports",
             "parts_verified",
         ],
-    );
+    )
+    // `rejoin_ticks` is simulated time and repeats exactly.
+    .wall_clock(&["replay_us"]);
     for r in rows {
         t.row(vec![
             r.objects.to_string(),

@@ -1,10 +1,20 @@
-//! Minimal aligned-table printing for the `tables` binary.
+//! The experiment tables: aligned text for reading, JSON for gating.
+//!
+//! Every cell an experiment reports is either a *count* the seeded tick
+//! simulation repeats bit for bit (tokens, invalidations, messages, words,
+//! simulated ticks) or a *wall-clock* reading that depends on the host.
+//! Each experiment declares its wall-clock columns with
+//! [`Table::wall_clock`]; [`Table::render`] prints every column,
+//! [`Table::to_json`] leaves the declared ones out, so the committed
+//! `BENCH_tables.json` holds only what must reproduce exactly.
 
 /// A printable table: a title, column headers, and string rows.
 pub struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    /// Per column: whether it was declared wall-clock.
+    wall_clock: Vec<bool>,
 }
 
 impl Table {
@@ -14,7 +24,22 @@ impl Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            wall_clock: vec![false; headers.len()],
         }
+    }
+
+    /// Declares the named columns wall-clock measurements: printed by
+    /// [`Table::render`], absent from [`Table::to_json`].
+    pub fn wall_clock(mut self, columns: &[&str]) -> Table {
+        for name in columns {
+            let i = self
+                .headers
+                .iter()
+                .position(|h| h == name)
+                .unwrap_or_else(|| panic!("no column {name:?} in {:?}", self.title));
+            self.wall_clock[i] = true;
+        }
+        self
     }
 
     /// Appends one row (stringified cells).
@@ -23,24 +48,9 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// The table's title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// Renders the table as a JSON object `{"title", "headers", "rows"}` —
-    /// the machine-readable twin of [`Table::render`], consumed by
-    /// `BENCH_tables.json`.
+    /// Renders the deterministic columns as a JSON object `{"title",
+    /// "headers", "rows"}`, one row per line so a moved counter shows up as
+    /// a one-line diff of `BENCH_tables.json`.
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len() + 2);
@@ -57,7 +67,15 @@ impl Table {
             out.push('"');
             out
         }
-        let list = |cells: &[String]| cells.iter().map(|c| esc(c)).collect::<Vec<_>>().join(", ");
+        let list = |cells: &[String]| {
+            cells
+                .iter()
+                .zip(&self.wall_clock)
+                .filter(|(_, wall)| !**wall)
+                .map(|(c, _)| esc(c))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         let rows = self
             .rows
             .iter()
@@ -102,6 +120,18 @@ impl Table {
     }
 }
 
+/// The whole `BENCH_tables.json` document for `tables`.
+pub fn document_json(tables: &[Table]) -> String {
+    format!(
+        "{{\n  \"tables\": [\n  {}\n  ]\n}}\n",
+        tables
+            .iter()
+            .map(Table::to_json)
+            .collect::<Vec<_>>()
+            .join(",\n  ")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +152,25 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn wall_clock_columns_are_rendered_but_not_in_the_json() {
+        let mut t = Table::new("demo", &["n", "pause_us", "msgs"]).wall_clock(&["pause_us"]);
+        t.row(vec!["4".into(), "1234".into(), "77".into()]);
+        let text = t.render();
+        assert!(text.contains("pause_us") && text.contains("1234"));
+        let j = t.to_json();
+        assert!(j.contains(r#""headers": ["n", "msgs"]"#), "{j}");
+        assert!(j.contains(r#"["4", "77"]"#), "{j}");
+        assert!(!j.contains("pause_us") && !j.contains("1234"), "{j}");
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn wall_clock_columns_still_count_towards_the_row_width() {
+        let mut t = Table::new("demo", &["n", "pause_us"]).wall_clock(&["pause_us"]);
+        t.row(vec!["4".into()]);
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl Driver for LinkDriver {
             Some(env) => {
                 // Same apply attribution as the parallel runtime's own
                 // driver loop: callers that poll a LinkDriver directly
-                // (threaded actors, conformance harnesses) profile
-                // identically to `bmx::parallel`.
+                // (conformance harnesses) profile identically to
+                // `bmx::parallel`.
                 let _apply = profile::span_with_flow(SpanKind::DriverApply, self.node, env.span);
                 let r = cluster.deliver(env);
                 self.transport.ack_delivered();

@@ -46,6 +46,8 @@
 //! # Ok(()) }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod blackbox;
 pub mod cluster;
@@ -56,7 +58,6 @@ pub mod parallel;
 pub mod persist;
 pub mod recovery;
 pub mod retry;
-pub mod threaded;
 
 pub use cluster::{Cluster, ClusterConfig, PersistConfig};
 pub use driver::{Driver, LinkDriver, TickDriver};
@@ -67,4 +68,3 @@ pub use parallel::{
 };
 pub use recovery::RecoveryOutcome;
 pub use retry::{RetryDaemon, RetryPolicy};
-pub use threaded::{ClusterActor, ClusterHandle};

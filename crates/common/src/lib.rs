@@ -10,6 +10,8 @@
 //! keeping these types dependency-free lets the substrate crates share them
 //! without cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod bitmap;
 pub mod error;

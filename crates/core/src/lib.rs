@@ -25,12 +25,13 @@
 //! invariants ([`integration`] implements the DSM hooks), and the from-space
 //! reuse protocol ([`fromspace`], Section 4.5).
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod cleaner;
 pub mod collect;
 pub mod directory;
 pub mod fromspace;
-pub mod gclist;
 pub mod grouping;
 pub mod incremental;
 pub mod integration;

@@ -5,7 +5,8 @@
 //! closure; the cluster driver (in `bmx`) wires that closure to the
 //! simulated network and pumps deliveries back into [`DsmEngine::handle`].
 //! This keeps the protocol unit-testable with a five-line pump and lets the
-//! same engine run under the deterministic or the threaded driver.
+//! same engine run under the deterministic simulation and the parallel
+//! runtime.
 //!
 //! Outgoing messages are *coalesced*: while one protocol round runs (one
 //! mutator operation, one delivered envelope), emissions are buffered per
@@ -63,12 +64,6 @@ pub struct DsmEngine {
     /// single-message envelope (the pre-coalescing wire behaviour, kept for
     /// the equivalence tests and as a diagnostic knob).
     coalesce: bool,
-    /// Lost-request re-sends issued by [`DsmEngine::nudge_wait`].
-    nudges: u64,
-    /// Per-`(node, oid)` request-path accounting: `[rx, fwd, queued,
-    /// granted]` for write requests handled at `node`. Diagnostic only —
-    /// surfaced by [`DsmEngine::describe_object`].
-    req_counts: BTreeMap<(NodeId, Oid), [u64; 4]>,
 }
 
 impl DsmEngine {
@@ -78,8 +73,6 @@ impl DsmEngine {
             nodes: (0..n).map(|_| DsmNodeState::default()).collect(),
             outbox: BTreeMap::new(),
             coalesce: true,
-            nudges: 0,
-            req_counts: BTreeMap::new(),
         }
     }
 
@@ -195,45 +188,6 @@ impl DsmEngine {
     /// Whether the local acquire of `oid` at `node` is still outstanding.
     pub fn is_waiting(&self, node: NodeId, oid: Oid) -> bool {
         self.ns(node).waiting_for.contains_key(&oid)
-    }
-
-    /// Write-request accounting at `(node, oid)`: `[rx, forwarded,
-    /// queued, transfer-started]`. Zeros if none handled yet.
-    pub fn write_req_counts(&self, node: NodeId, oid: Oid) -> [u64; 4] {
-        self.req_counts.get(&(node, oid)).copied().unwrap_or([0; 4])
-    }
-
-    /// One-line-per-node diagnostic of every replica's view of `oid`:
-    /// token, ownership, hint, lock/wait state, and any queued or pending
-    /// protocol entries. The chaos harness prints this when an acquire
-    /// wedges past its deadline.
-    pub fn describe_object(&self, oid: Oid) -> String {
-        let mut out = String::new();
-        for (i, ns) in self.nodes.iter().enumerate() {
-            let Some(st) = ns.get(oid) else { continue };
-            out.push_str(&format!(
-                "  N{i}: token={:?} owner={} hint=N{} locked={} reserved={} wait={:?} \
-                 queued={:?} pending_w={} copy_set={:?} entering={:?}\n",
-                st.token,
-                st.is_owner,
-                st.owner_hint.0,
-                st.locked,
-                st.reserved,
-                ns.waiting_for.get(&oid),
-                ns.queued.get(&oid).map_or(&[][..], |q| &q[..]),
-                ns.pending_write.contains_key(&oid),
-                st.copy_set,
-                st.entering,
-            ));
-            let n = NodeId(i as u32);
-            if let Some(rc) = self.req_counts.get(&(n, oid)) {
-                out.push_str(&format!(
-                    "      wreq rx={} fwd={} queued={} granted={}\n",
-                    rc[0], rc[1], rc[2], rc[3]
-                ));
-            }
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -581,12 +535,6 @@ impl DsmEngine {
         };
         self.emit(sh, send, node, hint, msg);
         self.flush_outbox(sh, send);
-        self.nudges += 1;
-    }
-
-    /// Total re-sends issued by [`DsmEngine::nudge_wait`] (all nodes).
-    pub fn nudges_sent(&self) -> u64 {
-        self.nudges
     }
 
     /// Starts a write-token acquire at `node`.
@@ -1071,20 +1019,15 @@ impl DsmEngine {
                 st.owner_hint,
             )
         };
-        let rc = self.req_counts.entry((at, oid)).or_default();
-        rc[0] += 1;
         if !is_owner {
             // Not the owner: forward along the ownerPtr chain.
-            rc[1] += 1;
             self.emit(sh, send, at, hint, DsmMsg::WriteReq { oid, requester });
             return Ok(());
         }
         if parked || pending {
-            rc[2] += 1;
             self.queue_request(at, oid, requester, ReqKind::Write);
             return Ok(());
         }
-        rc[3] += 1;
         self.owner_start_write_transfer(at, oid, requester, sh, send)
     }
 

@@ -27,6 +27,8 @@
 //!   the cluster driver in `bmx` (and the unit tests here) can pump it
 //!   deterministically.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod integration;
 pub mod msg;

@@ -33,6 +33,8 @@
 //! single-threaded), but the [`Registry`] itself is `Sync` — a dashboard
 //! thread may hold the same `Arc` and render concurrently.
 
+#![forbid(unsafe_code)]
+
 mod histogram;
 pub mod json;
 pub mod prometheus;

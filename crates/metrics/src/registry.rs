@@ -49,7 +49,7 @@ pub enum Ctr {
     /// watchdog credits).
     FromSpaceDrains,
     /// Mutator operations completed through a parallel-runtime node
-    /// handle (the numerator of E13's sustained ops/sec).
+    /// handle (the numerator of sustained ops/sec).
     ParallelOps,
     /// Envelopes fully applied by this node's parallel-runtime driver
     /// thread. Together with [`Ctr::ParallelOps`] this is the progress

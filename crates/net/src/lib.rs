@@ -43,6 +43,8 @@
 //! assert_eq!(net.class_stats(MsgClass::StubTable).dropped, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod fault_transport;
 pub mod network;

@@ -25,6 +25,8 @@
 //! [`enable`], so a test that re-enables the profiler starts from empty
 //! rings even though thread-locals persist.
 
+#![forbid(unsafe_code)]
+
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -52,6 +52,8 @@
 //! # Ok(()) }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod log;
 pub mod manager;

@@ -32,8 +32,9 @@
 //! this).
 //!
 //! The recorder is thread-local because the whole simulated cluster lives
-//! on one thread (the threaded frontend pins the `Cluster` to a single
-//! actor thread), which keeps the hot path free of atomics and locks.
+//! on one thread, which keeps the hot path free of atomics and locks.
+
+#![forbid(unsafe_code)]
 
 pub mod chrome;
 mod event;

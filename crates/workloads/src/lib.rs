@@ -14,6 +14,8 @@
 //! * [`cycles`] — inter-bunch reference rings (the group collector's prey);
 //! * [`churn`] — mutation traces that create garbage and migrate ownership.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod cycles;
 pub mod db;

@@ -19,8 +19,8 @@
 //! consecutive [`Registry::snapshot`]s — per-interval readings, not
 //! monotonic totals — including a last-interval p99 over the wall-clock
 //! acquire and protocol-mutex histograms ([`Hst::AcquireReadMicros`],
-//! [`Hst::AcquireWriteMicros`], [`Hst::MutexWaitMicros`]) the E13
-//! benchmark reports — same registry, different execution mode.
+//! [`Hst::AcquireWriteMicros`], [`Hst::MutexWaitMicros`]) — same
+//! registry, different execution mode.
 
 use bmx_repro::metrics::{self, Ctr, Gge, Hst, LinkCtr, Registry, Snapshot};
 use bmx_repro::prelude::*;

@@ -25,6 +25,8 @@
 //! See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 //! paper-vs-measured record of every reproduced figure and claim.
 
+#![forbid(unsafe_code)]
+
 pub use bmx;
 pub use bmx_addr as addr;
 pub use bmx_baselines as baselines;

@@ -45,6 +45,15 @@ const VICTIM: u32 = 2;
 /// positives in the invariant queries).
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Takes [`SERIAL`]. The mutex guards no data, so a test that panicked while
+/// holding it left nothing inconsistent: ignore the poison, or one failing
+/// test fails every sibling with `PoisonError`.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn per_node_rng(seed: u64, node: u32) -> SplitMix64 {
     SplitMix64::new(seed ^ ((u64::from(node) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
@@ -401,7 +410,7 @@ fn run_fault_soak(seed: u64) {
 /// conservation, total watchdog silence.
 #[test]
 fn chaos_with_zero_plan_is_conformant() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let seed = 0xCAFE_0001u64;
     let mreg = metrics::install_with(WatchdogConfig {
         interval: 50,
@@ -448,7 +457,7 @@ fn chaos_with_zero_plan_is_conformant() {
 /// Section-5 checker, and keep the leak watchdogs silent.
 #[test]
 fn fault_soak_eight_seeds() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     for seed in [
         0x5EED_0001u64,
         0x5EED_0002,
@@ -470,7 +479,7 @@ fn fault_soak_eight_seeds() {
 /// again before shutdown — which therefore reports success.
 #[test]
 fn injected_crash_restarts_live_and_rejoins() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let seed = 0xC4A5_0001u64;
     // Crash-amnesia recovery replays the victim's RVM store; without a
     // persistent checkpoint the revived node would come back knowing no
@@ -590,7 +599,7 @@ fn injected_crash_restarts_live_and_rejoins() {
 /// the typed [`BmxError::NodeDown`]; shutdown reports the dead node.
 #[test]
 fn survivors_outlive_a_downed_node() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(NODES));
     let s = pc
         .handle(n(0))
@@ -646,7 +655,7 @@ fn survivors_outlive_a_downed_node() {
 /// domain.
 #[test]
 fn user_closure_panic_does_not_crash_the_node() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(NODES));
     let h = pc.handle(n(1));
     let err = h
@@ -677,7 +686,7 @@ fn user_closure_panic_does_not_crash_the_node() {
 /// `target/blackbox/` entry on a green run as a bug.
 #[test]
 fn injected_watchdog_alarm_produces_blackbox_dump() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let label = format!("alarm-test-{:x}", std::process::id());
     let dir = std::path::Path::new("target/blackbox").join(&label);
     let _ = std::fs::remove_dir_all(&dir);
@@ -779,7 +788,7 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
 /// every failure at once.
 #[test]
 fn parallel_chaos_seed_sweep() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let seeds: Vec<u64> = match std::env::var("PARALLEL_CHAOS_SEEDS") {
         Ok(s) => s
             .split(',')

@@ -45,6 +45,15 @@ const STEPS: u64 = 24;
 /// with overlapping OIDs — false positives in the invariant queries).
 static TRACE_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Takes [`TRACE_SERIAL`]. The mutex guards no data, so a test that panicked while
+/// holding it left nothing inconsistent: ignore the poison, or one failing
+/// test fails every sibling with `PoisonError`.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    TRACE_SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn per_node_rng(seed: u64, node: u32) -> SplitMix64 {
     SplitMix64::new(seed ^ ((u64::from(node) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
@@ -342,7 +351,7 @@ fn run_parallel(seed: u64, fuzz: Option<u64>) -> Digest {
 /// match the totals replayed from the workload seed alone.
 #[test]
 fn parallel_matches_sim_on_eight_seeds() {
-    let _serial = TRACE_SERIAL.lock().unwrap();
+    let _serial = serial();
     for seed in [
         0xC0F0_0001u64,
         0xC0F0_0002,
@@ -373,7 +382,7 @@ fn parallel_matches_sim_on_eight_seeds() {
 /// dashboard someone squints at later.
 #[test]
 fn profiled_run_digest_is_identical_to_unprofiled() {
-    let _serial = TRACE_SERIAL.lock().unwrap();
+    let _serial = serial();
     let seed = 0x0F11_ED00u64;
     let sim = run_sim(seed);
     profile::disable();
@@ -397,7 +406,7 @@ fn profiled_run_digest_is_identical_to_unprofiled() {
 /// invariants on the causally merged trace of all threads.
 #[test]
 fn schedule_fuzzer_preserves_safety_and_digest() {
-    let _serial = TRACE_SERIAL.lock().unwrap();
+    let _serial = serial();
     let seed = 0xF0CC_ACC1A_u64;
     let reference = run_sim(seed);
     trace::install_global_vec();

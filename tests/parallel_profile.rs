@@ -19,6 +19,15 @@ use bmx_repro::trace::chrome::{parse, validate, Json};
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Takes [`SERIAL`]. The mutex guards no data, so a test that panicked while
+/// holding it left nothing inconsistent: ignore the poison, or one failing
+/// test fails every sibling with `PoisonError`.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn n(i: u32) -> NodeId {
     NodeId(i)
 }
@@ -69,7 +78,7 @@ fn blocking_acquire_trace() -> String {
 /// flow events (`s`/`t`/`f`).
 #[test]
 fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let text = blocking_acquire_trace();
     validate(&text).expect("well-formed trace JSON");
     let doc = parse(&text).expect("parses");
@@ -179,7 +188,7 @@ fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
 /// `parallel_conformance.rs`).
 #[test]
 fn disabled_profiler_records_nothing() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     profile::disable();
     let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
     let h0 = pc.handle(n(0));
