@@ -8,7 +8,7 @@
 //! belong to which bunch. It holds *no* object data — nodes keep their own
 //! replicas in [`crate::NodeMemory`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SegmentId};
 
@@ -45,6 +45,13 @@ pub struct SegmentInfo {
     pub words: u64,
     /// Bunch this segment belongs to.
     pub bunch: BunchId,
+    /// The bunch's creator, copied from its [`BunchInfo`] (fixed at bunch
+    /// creation), so a node holding the segment mapped answers "who may
+    /// allocate here" from its own memory.
+    pub creator: NodeId,
+    /// The bunch's protection attributes, copied likewise: the access
+    /// check of a mapped address touches no shared state.
+    pub protection: Protection,
 }
 
 impl SegmentInfo {
@@ -86,6 +93,10 @@ pub struct SegmentServer {
     /// pointer resolves it here (the stand-in for the original system's
     /// address-keyed routing, like the header fetch in `oid_at`).
     retired: BTreeMap<Addr, (Oid, Addr)>,
+    /// Which nodes have each bunch mapped: where a collection's
+    /// reachability reports and retire requests go. Kept here because the
+    /// server is what every node can ask (paper, Section 8).
+    mappings: BTreeMap<BunchId, BTreeSet<NodeId>>,
 }
 
 /// Lowest address ever handed out; keeps `Addr::NULL` and a guard band
@@ -109,6 +120,7 @@ impl SegmentServer {
             by_base: BTreeMap::new(),
             bunches: BTreeMap::new(),
             retired: BTreeMap::new(),
+            mappings: BTreeMap::new(),
         }
     }
 
@@ -154,6 +166,8 @@ impl SegmentServer {
             base,
             words: self.segment_words,
             bunch,
+            creator: entry.creator,
+            protection: entry.protection,
         };
         self.segments.insert(id, info);
         self.by_base.insert(base.0, id);
@@ -193,6 +207,8 @@ impl SegmentServer {
             base,
             words,
             bunch,
+            creator: entry.creator,
+            protection: entry.protection,
         };
         self.segments.insert(id, info);
         self.by_base.insert(base.0, id);
@@ -276,6 +292,27 @@ impl SegmentServer {
             if let Some(b) = self.bunches.get_mut(&info.bunch) {
                 b.segments.retain(|s| s != id);
             }
+        }
+    }
+
+    /// Records that `node` has `bunch` mapped.
+    pub fn note_mapping(&mut self, bunch: BunchId, node: NodeId) {
+        self.mappings.entry(bunch).or_default().insert(node);
+    }
+
+    /// Nodes that currently have `bunch` mapped, ascending.
+    pub fn mapped_nodes(&self, bunch: BunchId) -> Vec<NodeId> {
+        self.mappings
+            .get(&bunch)
+            .map(|s| s.iter().copied().collect())
+            .unwrap_or_default()
+    }
+
+    /// Forgets every mapping of `node` (it lost its memory; recovery or a
+    /// fresh map re-registers what it regains).
+    pub fn forget_mappings(&mut self, node: NodeId) {
+        for nodes in self.mappings.values_mut() {
+            nodes.remove(&node);
         }
     }
 

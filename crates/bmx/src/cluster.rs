@@ -152,10 +152,10 @@ pub struct Cluster {
     incrementals: Vec<Option<bmx_gc::IncrementalBgc>>,
     /// The automatic report-retry daemon, if enabled.
     retry: Option<RetryDaemon>,
-    /// Highest sequence number delivered per (src, dst) channel, for
-    /// duplicate-delivery accounting (duplicates are delivered anyway — the
-    /// loss-tolerant handlers are idempotent).
-    last_seq: BTreeMap<(NodeId, NodeId), u64>,
+    /// Highest sequence number delivered per channel, `last_seq[dst][src]`,
+    /// for duplicate-delivery accounting (duplicates are delivered anyway —
+    /// the loss-tolerant handlers are idempotent).
+    last_seq: Vec<Vec<u64>>,
     /// Persistence configuration (`None` = purely volatile cluster).
     persist: Option<PersistConfig>,
     /// Lazily opened per-node RVM stores.
@@ -174,6 +174,11 @@ pub struct Cluster {
     /// them back through [`Cluster::deliver`]. `None` in the deterministic
     /// simulation, which keeps the tick loop bit-exact.
     uplink: Option<Uplink>,
+    /// Which node slots hold live state here: all of them in the
+    /// deterministic simulation; in the parallel runtime each node's state
+    /// lives in a cluster of its own (its *site*) and visits another only
+    /// while lent ([`Cluster::swap_slot`]).
+    resident: Vec<bool>,
 }
 
 /// The egress half of the transport seam (see [`Cluster::set_uplink`]).
@@ -183,6 +188,20 @@ impl Cluster {
     /// Builds a cluster.
     pub fn new(cfg: ClusterConfig) -> Self {
         let server = bmx_gc::SharedServer::new(SegmentServer::new(cfg.segment_words));
+        Self::build(cfg, server, None)
+    }
+
+    /// Builds `node`'s *site* of a parallel-runtime cluster: the same
+    /// struct-of-arrays shape on the cluster-wide `server`, with only
+    /// `node`'s slot resident. Every protocol entry point indexes the
+    /// acting node's slot alone, so a site serves its node without touching
+    /// another's; a call that reads a second node borrows that slot with
+    /// [`Cluster::swap_slot`] first.
+    pub(crate) fn site(cfg: ClusterConfig, server: bmx_gc::SharedServer, node: NodeId) -> Self {
+        Self::build(cfg, server, Some(node))
+    }
+
+    fn build(cfg: ClusterConfig, server: bmx_gc::SharedServer, only: Option<NodeId>) -> Self {
         let mut gc = GcState::new(cfg.nodes as usize, server.clone());
         gc.reloc_mode = cfg.reloc_mode;
         let mut engine = DsmEngine::new(cfg.nodes as usize);
@@ -197,16 +216,56 @@ impl Cluster {
             next_oid: vec![0; cfg.nodes as usize],
             incrementals: (0..cfg.nodes).map(|_| None).collect(),
             retry: cfg.retry.map(RetryDaemon::new),
-            last_seq: BTreeMap::new(),
+            last_seq: vec![vec![0; cfg.nodes as usize]; cfg.nodes as usize],
             persist: cfg.persist,
             rvms: (0..cfg.nodes).map(|_| None).collect(),
             recoveries: (0..cfg.nodes).map(|_| None).collect(),
             rejoin_epochs: vec![0; cfg.nodes as usize],
             recovery_log: Vec::new(),
             uplink: None,
+            resident: (0..cfg.nodes)
+                .map(|i| only.is_none() || only == Some(NodeId(i)))
+                .collect(),
         };
         cluster.bind_metrics();
         cluster
+    }
+
+    /// Whether `node`'s slot holds its live state here.
+    pub fn is_resident(&self, node: NodeId) -> bool {
+        self.resident.get(node.0 as usize) == Some(&true)
+    }
+
+    /// Exchanges everything this cluster and `other` hold for `node`: its
+    /// memory, counters, protocol and collector state, OID and rejoin-epoch
+    /// counters, in-flight incremental collection, RVM store and recovery,
+    /// and the sequence numbers of the links it sends and receives on. The
+    /// parallel runtime lends a slot this way, under both sites' locks, and
+    /// calls it again to hand the slot back.
+    pub(crate) fn swap_slot(&mut self, node: NodeId, other: &mut Cluster) {
+        use std::mem::swap;
+        let n = node.0 as usize;
+        swap(&mut self.mems[n], &mut other.mems[n]);
+        swap(&mut self.stats[n], &mut other.stats[n]);
+        self.engine.swap_node(node, &mut other.engine);
+        swap(&mut self.gc.nodes[n], &mut other.gc.nodes[n]);
+        swap(&mut self.next_oid[n], &mut other.next_oid[n]);
+        swap(&mut self.incrementals[n], &mut other.incrementals[n]);
+        swap(&mut self.rvms[n], &mut other.rvms[n]);
+        swap(&mut self.recoveries[n], &mut other.recoveries[n]);
+        swap(&mut self.rejoin_epochs[n], &mut other.rejoin_epochs[n]);
+        swap(&mut self.last_seq[n], &mut other.last_seq[n]);
+        self.net.swap_link_seqs(node, &mut other.net);
+        swap(&mut self.resident[n], &mut other.resident[n]);
+    }
+
+    /// Moves what `other` has *counted* into this cluster — the staging
+    /// network's traffic counters and the recovery log — so a caller holding
+    /// every site sees cluster-wide totals here. Nothing is handed back:
+    /// the sums over all sites are what they were.
+    pub(crate) fn absorb_totals(&mut self, other: &mut Cluster) {
+        self.net.absorb_stats(&mut other.net);
+        self.recovery_log.append(&mut other.recovery_log);
     }
 
     /// Binds every node's live simulation-counter cells to the installed
@@ -218,8 +277,12 @@ impl Cluster {
         if !metrics::enabled() {
             return;
         }
+        // Resident slots only: a parallel-runtime site binding another
+        // node's placeholder would unbind that node's real counters.
         for (i, s) in self.stats.iter().enumerate() {
-            metrics::bind_stats(NodeId(i as u32), s.handle());
+            if self.resident[i] {
+                metrics::bind_stats(NodeId(i as u32), s.handle());
+            }
         }
     }
 
@@ -297,7 +360,9 @@ impl Cluster {
     /// messages to their due time — nothing is dropped or reordered beyond
     /// per-link FIFO.
     pub fn export_outbox(&mut self) {
-        let Some(uplink) = self.uplink.clone() else {
+        // Borrowed, not cloned: the uplink is one `Arc` for the whole
+        // runtime, and its count must stay off every node's operation path.
+        let Some(uplink) = &self.uplink else {
             return;
         };
         while self.net.in_flight() > 0 {
@@ -307,9 +372,9 @@ impl Cluster {
         }
     }
 
-    /// Applies one transport-delivered envelope under the caller's
-    /// protocol lock, then exports whatever the dispatch itself sent. This
-    /// is the per-node driver's entry point in parallel mode; an envelope
+    /// Applies one transport-delivered envelope under the caller's lock on
+    /// the receiving node, then exports whatever the dispatch itself sent.
+    /// This is the per-node driver's entry point in parallel mode; an envelope
     /// is either fully applied (including its cascading sends reaching the
     /// transport) or — if the dispatch errors — not applied at all past
     /// the error point, with the error surfaced to the driver.
@@ -430,12 +495,13 @@ impl Cluster {
         if let Some(d) = &mut self.retry {
             d.forget_origin(node);
         }
-        self.last_seq.retain(|&(s, d), _| s != node && d != node);
+        self.last_seq[n].fill(0);
+        for from_node in &mut self.last_seq {
+            from_node[n] = 0;
+        }
         // The node no longer maps anything; recovery (or a fresh map_bunch)
         // re-registers the mappings it regains.
-        for nodes in self.gc.mappings.values_mut() {
-            nodes.remove(&node);
-        }
+        self.server.borrow_mut().forget_mappings(node);
         self.stats[n].bump(StatKind::AmnesiaWipes);
     }
 
@@ -463,8 +529,9 @@ impl Cluster {
     /// Crash-amnesia restart driven from *outside* the simulated fault
     /// plane: wipes the node's volatile state and launches the recovery
     /// pipeline, exactly as a [`bmx_net::FaultEvent`] crash/restart pair
-    /// would. The parallel runtime's supervisor calls this (under the
-    /// protocol lock) to revive a node whose driver crashed; staged
+    /// would. The parallel runtime's supervisor calls this (holding every
+    /// site, all slots lent to this cluster) to revive a node whose driver
+    /// crashed; staged
     /// `Rejoin` requests are exported through the uplink immediately, so
     /// surviving drivers can answer them.
     pub fn restart_with_amnesia(&mut self, node: NodeId) -> Result<()> {
@@ -525,7 +592,8 @@ impl Cluster {
             .collect();
         if peers.is_empty() {
             for &(oid, bunch) in &recovered {
-                self.engine.rejoin_claim_owner(node, oid, bunch, &[], &[]);
+                self.engine
+                    .rejoin_claim_owner(node, oid, bunch, &[], &[], 1);
             }
             trace::emit(node, TraceEvent::RecoveryComplete { epoch });
             self.stats[n].bump(StatKind::RecoveriesCompleted);
@@ -585,8 +653,13 @@ impl Cluster {
             RejoinMsg::Assign { assignments, .. } => {
                 for a in assignments {
                     if a.owner == dst {
-                        self.engine
-                            .rejoin_adopt_owner(dst, a.oid, &a.replicas, &a.readers);
+                        self.engine.rejoin_adopt_owner(
+                            dst,
+                            a.oid,
+                            &a.replicas,
+                            &a.readers,
+                            a.handoffs,
+                        );
                     } else {
                         self.engine.set_owner_hint(dst, a.oid, a.owner);
                     }
@@ -631,14 +704,21 @@ impl Cluster {
                     is_owner: st.is_owner,
                     has_token: st.token != Token::None,
                     owner_hint: st.owner_hint,
+                    handoffs: st.handoffs,
                 },
-                None => ObjView {
-                    oid,
-                    holds_replica: false,
-                    is_owner: false,
-                    has_token: false,
-                    owner_hint: dst,
-                },
+                None => {
+                    // A reclaimed replica still testifies to the handoffs
+                    // it saw.
+                    let (owner_hint, handoffs) = self.engine.departed(dst, oid).unwrap_or((dst, 0));
+                    ObjView {
+                        oid,
+                        holds_replica: false,
+                        is_owner: false,
+                        has_token: false,
+                        owner_hint,
+                        handoffs,
+                    }
+                }
             })
             .collect();
         let orphans: Vec<OrphanView> = self
@@ -652,6 +732,7 @@ impl Cluster {
                 oid,
                 bunch: st.bunch,
                 has_token: st.token != Token::None,
+                handoffs: st.handoffs,
             })
             .collect();
         let epochs: Vec<(BunchId, u64)> = self
@@ -711,11 +792,7 @@ impl Cluster {
                 rec.views.entry(v.oid).or_default().push((from, v));
             }
             for o in orphans {
-                rec.orphans
-                    .entry(o.oid)
-                    .or_insert((o.bunch, Vec::new()))
-                    .1
-                    .push((from, o.has_token));
+                rec.orphans.entry(o.oid).or_default().push((from, o));
             }
             for (b, e) in epochs {
                 let f = rec.epoch_floor.entry(b).or_insert(0);
@@ -746,7 +823,23 @@ impl Cluster {
         let no_views: Vec<(NodeId, ObjView)> = Vec::new();
         for &(oid, bunch) in &rec.recovered {
             let views = rec.views.get(&oid).unwrap_or(&no_views);
-            if let Some(&(owner, _)) = views.iter().find(|(_, v)| v.is_owner) {
+            // Where ownership is, as far as the survivors can tell: at the
+            // one that says it owns the object; failing that, with the
+            // grantee of the last handoff any of them made (the highest
+            // count). If that grantee is a survivor, the write grant was
+            // still on its way while both ends answered; only if it is
+            // this node did ownership die in the crash.
+            let last_handoff = views
+                .iter()
+                .map(|(_, v)| v)
+                .filter(|v| v.handoffs > 0)
+                .max_by_key(|v| v.handoffs);
+            let owner = views
+                .iter()
+                .find(|(_, v)| v.is_owner)
+                .map(|&(p, _)| p)
+                .or_else(|| last_handoff.map(|v| v.owner_hint).filter(|&to| to != node));
+            if let Some(owner) = owner {
                 // A survivor owns the object (it took the token over before
                 // the crash): the recovered image is just a stale replica.
                 // Demotion cannot violate the Section-5 acquire invariants —
@@ -775,14 +868,16 @@ impl Cluster {
                     .filter(|(_, v)| v.holds_replica && v.has_token)
                     .map(|&(p, _)| p)
                     .collect();
+                let handoffs = last_handoff.map_or(0, |v| v.handoffs) + 1;
                 self.engine
-                    .rejoin_claim_owner(node, oid, bunch, &holders, &readers);
+                    .rejoin_claim_owner(node, oid, bunch, &holders, &readers, handoffs);
                 assignments.push(Assignment {
                     oid,
                     bunch,
                     owner: node,
                     replicas: holders,
                     readers,
+                    handoffs,
                 });
             }
         }
@@ -790,29 +885,28 @@ impl Cluster {
         // to a surviving holder, preferring one whose token makes its copy
         // current, then the lowest id for determinism.
         let mut orphans_adopted = 0usize;
-        for (&oid, (bunch, holders)) in &rec.orphans {
-            let assignee = holders
-                .iter()
-                .filter(|&&(_, tok)| tok)
+        for (&oid, holders) in &rec.orphans {
+            let with_token = holders.iter().filter(|(_, o)| o.has_token);
+            let assignee = with_token
+                .clone()
                 .map(|&(p, _)| p)
                 .min()
                 .or_else(|| holders.iter().map(|&(p, _)| p).min());
             let Some(owner) = assignee else { continue };
             assignments.push(Assignment {
                 oid,
-                bunch: *bunch,
+                bunch: holders[0].1.bunch,
                 owner,
                 replicas: holders
                     .iter()
                     .map(|&(p, _)| p)
                     .filter(|&p| p != owner)
                     .collect(),
-                readers: holders
-                    .iter()
-                    .filter(|&&(_, tok)| tok)
+                readers: with_token
                     .map(|&(p, _)| p)
                     .filter(|&p| p != owner)
                     .collect(),
+                handoffs: holders.iter().map(|(_, o)| o.handoffs).max().unwrap_or(0) + 1,
             });
             orphans_adopted += 1;
             self.stats[n].bump(StatKind::RejoinOrphansAdopted);
@@ -945,7 +1039,7 @@ impl Cluster {
     }
 
     fn dispatch(&mut self, env: Envelope<ClusterMsg>) -> Result<()> {
-        let last = self.last_seq.entry((env.src, env.dst)).or_insert(0);
+        let last = &mut self.last_seq[env.dst.0 as usize][env.src.0 as usize];
         if env.seq.0 <= *last {
             // A duplication fault: deliver anyway (the loss-tolerant
             // handlers are idempotent by design) but account it.
@@ -1185,6 +1279,9 @@ impl Cluster {
         if self.gc.node(node).bunches.contains_key(&bunch) {
             return Ok(());
         }
+        if !self.is_resident(from) {
+            return Err(BmxError::NeedsNode { node: from });
+        }
         let seg_ids: Vec<_> = {
             let srv = self.server.borrow();
             srv.bunch(bunch)?
@@ -1393,16 +1490,25 @@ impl Cluster {
         }
         self.flush_explicit_relocations();
         self.pump()?;
-        self.checkpoint_after_collection(node, group)?;
+        self.checkpoint_after_collection(node)?;
         Ok(outcome.stats)
     }
 
-    /// Periodic background checkpointing: after each BGC the collected
-    /// bunches (now compact) are written to the node's RVM store together
-    /// with the recovery manifest, and the redo log is truncated once it
-    /// outgrows the configured bound (it has just been fully applied, so
-    /// truncation cannot lose a committed state).
-    fn checkpoint_after_collection(&mut self, node: NodeId, group: &[BunchId]) -> Result<()> {
+    /// Periodic background checkpointing: after each BGC every bunch the
+    /// node maps is written to its RVM store together with the recovery
+    /// manifest, and the redo log is truncated once it outgrows the
+    /// configured bound (it has just been fully applied, so truncation
+    /// cannot lose a committed state).
+    ///
+    /// Every mapped bunch, not only the collected group: the manifest
+    /// carries *all* the node's roots, and the images and roots written
+    /// now point wherever the node's pointers point now. A bunch outside
+    /// the group may since its last image have applied a relocation, had a
+    /// grant installed or grown a segment, so that image no longer holds
+    /// the objects those pointers name — recovery would come back with
+    /// roots and fields dangling into it. A checkpoint is therefore one
+    /// cut across the node's whole mapped heap.
+    fn checkpoint_after_collection(&mut self, node: NodeId) -> Result<()> {
         let n = node.0 as usize;
         if self.persist.is_none() || self.recoveries[n].is_some() {
             return Ok(());
@@ -1415,10 +1521,11 @@ impl Cluster {
             // The manifest accumulates every bunch ever checkpointed here.
             let prev = persist::recover_node_meta(node, &mut rvm)?.unwrap_or_default();
             let mut bunches: BTreeSet<BunchId> = prev.bunches.iter().copied().collect();
+            let mapped: Vec<BunchId> = self.gc.node(node).bunches.keys().copied().collect();
             let mut wrote = false;
-            for &bunch in group {
-                // An unmapped (e.g. fully reused) bunch is not
-                // checkpointable; skip it rather than fail the collection.
+            for bunch in mapped {
+                // A bunch with no segment left here (e.g. fully reused) is
+                // not checkpointable; skip it rather than fail the collection.
                 if persist::checkpoint_bunch(self, node, bunch, &mut rvm).is_ok() {
                     bunches.insert(bunch);
                     wrote = true;

@@ -79,14 +79,9 @@ impl LinkDriver {
 
     /// Pops this node's next pending envelope without applying it (the
     /// parallel runtime separates pop from apply so it can take the
-    /// protocol lock only for the apply).
+    /// node's lock only for the apply, and acks on the transport itself).
     pub fn next_pending(&self) -> Option<bmx_net::Envelope<ClusterMsg>> {
         self.transport.try_recv(self.node)
-    }
-
-    /// Accounts a popped envelope as fully applied (or discarded whole).
-    pub fn ack(&self) {
-        self.transport.ack_delivered();
     }
 }
 

@@ -45,13 +45,21 @@ impl ObjSpec {
 impl Cluster {
     /// Enforces the bunch protection attributes (paper, Section 2.1) for a
     /// mutator access to the object at `addr`.
-    fn check_protection(&self, addr: Addr, write: bool) -> Result<()> {
+    fn check_protection(&self, node: NodeId, addr: Addr, write: bool) -> Result<()> {
         // No forwarding resolution needed: to-space segments belong to the
-        // same bunch, so any name of the object identifies it.
-        let Some(bunch) = self.server.borrow().bunch_of_held(addr) else {
-            return Ok(()); // unmapped: the access will fail with Unmapped
+        // same bunch, so any name of the object identifies it. A mapped
+        // address is answered by the node's own segment descriptor; only a
+        // held address in a range the node no longer maps asks the server.
+        let (bunch, prot) = match self.mems[node.0 as usize].resolve(addr) {
+            Ok((seg, _)) => (seg.info.bunch, seg.info.protection),
+            Err(_) => {
+                let srv = self.server.borrow();
+                let Some(bunch) = srv.bunch_of_held(addr) else {
+                    return Ok(()); // unmapped: the access will fail with Unmapped
+                };
+                (bunch, srv.bunch(bunch)?.protection)
+            }
         };
-        let prot = self.server.borrow().bunch(bunch)?.protection;
         if (write && !prot.write) || (!write && !prot.read) {
             return Err(BmxError::AccessDenied { bunch, write });
         }
@@ -68,16 +76,9 @@ impl Cluster {
     /// constraint, which keeps replica allocation cursors from colliding;
     /// see DESIGN.md).
     pub fn alloc(&mut self, node: NodeId, bunch: BunchId, spec: &ObjSpec) -> Result<Addr> {
-        let creator = self.server.borrow().bunch(bunch)?.creator;
-        if creator != node {
-            return Err(BmxError::Protocol(format!(
-                "node {node} may not allocate in bunch {bunch} created by {creator}"
-            )));
-        }
-        let oid = self.mint_oid(node);
         let need = bmx_addr::HEADER_WORDS + spec.size;
-        // Find a current-space segment with room, or grow the bunch.
-        let seg_id = {
+        // A current-space segment with room, if the bunch has one here.
+        let found = {
             let mem = &self.mems[node.0 as usize];
             let pool = self
                 .gc
@@ -94,28 +95,40 @@ impl Cluster {
                     <= 1,
                 "reclaimed or unmapped segment in the allocation pool of {bunch} at {node}"
             );
-            let found = pool
-                .iter()
-                .copied()
-                .find(|&s| mem.segment(s).is_ok_and(|x| x.free_words() >= need));
-            match found {
-                Some(s) => s,
-                None => {
-                    let info = self.server.borrow_mut().alloc_segment(bunch)?;
-                    if need > info.words {
-                        return Err(BmxError::OutOfMemory {
-                            bunch,
-                            words: spec.size,
-                        });
-                    }
-                    self.mems[node.0 as usize].map_segment(info);
-                    self.gc
-                        .node_mut(node)
-                        .bunch_or_default(bunch)
-                        .alloc_segments
-                        .push(info.id);
-                    info.id
+            pool.iter()
+                .filter_map(|&s| mem.segment(s).ok())
+                .find(|seg| seg.free_words() >= need)
+                .map(|seg| seg.info)
+        };
+        // The creator is on every segment descriptor of the bunch; the
+        // server is asked only when the bunch has to grow anyway.
+        let creator = match found {
+            Some(info) => info.creator,
+            None => self.server.borrow().bunch(bunch)?.creator,
+        };
+        if creator != node {
+            return Err(BmxError::Protocol(format!(
+                "node {node} may not allocate in bunch {bunch} created by {creator}"
+            )));
+        }
+        let oid = self.mint_oid(node);
+        let seg_id = match found {
+            Some(info) => info.id,
+            None => {
+                let info = self.server.borrow_mut().alloc_segment(bunch)?;
+                if need > info.words {
+                    return Err(BmxError::OutOfMemory {
+                        bunch,
+                        words: spec.size,
+                    });
                 }
+                self.mems[node.0 as usize].map_segment(info);
+                self.gc
+                    .node_mut(node)
+                    .bunch_or_default(bunch)
+                    .alloc_segments
+                    .push(info.id);
+                info.id
             }
         };
         let addr = {
@@ -157,7 +170,7 @@ impl Cluster {
 
     /// Barriered pointer store: `(*obj).field = target`.
     pub fn write_ref(&mut self, node: NodeId, obj: Addr, field: u64, target: Addr) -> Result<()> {
-        self.check_protection(obj, true)?;
+        self.check_protection(node, obj, true)?;
         let obj = self.mutator_resolve(node, obj);
         if trace::enabled() {
             // The barrier resolves internally; re-resolve here only when a
@@ -195,7 +208,7 @@ impl Cluster {
 
     /// Non-pointer store: `(*obj).field = value`.
     pub fn write_data(&mut self, node: NodeId, obj: Addr, field: u64, value: u64) -> Result<()> {
-        self.check_protection(obj, true)?;
+        self.check_protection(node, obj, true)?;
         let cur = self.mutator_resolve(node, obj);
         trace::emit(
             node,
@@ -210,7 +223,7 @@ impl Cluster {
 
     /// Non-pointer load.
     pub fn read_data(&self, node: NodeId, obj: Addr, field: u64) -> Result<u64> {
-        self.check_protection(obj, false)?;
+        self.check_protection(node, obj, false)?;
         let cur = self.mutator_resolve(node, obj);
         trace::emit(
             node,
@@ -225,7 +238,7 @@ impl Cluster {
 
     /// Pointer load.
     pub fn read_ref(&self, node: NodeId, obj: Addr, field: u64) -> Result<Addr> {
-        self.check_protection(obj, false)?;
+        self.check_protection(node, obj, false)?;
         let cur = self.mutator_resolve(node, obj);
         trace::emit(
             node,
@@ -267,6 +280,11 @@ impl Cluster {
             .bunch_of_held(addr)
             .ok_or(BmxError::Unmapped { node, addr })?;
         let creator = self.server.borrow().bunch(bunch)?.creator;
+        if !self.is_resident(creator) {
+            // Nothing has been changed yet: the caller can simply run the
+            // operation again once it holds the creator's slot too.
+            return Err(BmxError::NeedsNode { node: creator });
+        }
         let (oid, retired_to) = match self.oid_at_local(creator, addr) {
             Ok(oid) => (oid, None),
             Err(err) => {
@@ -404,7 +422,7 @@ impl Cluster {
     ///
     /// Returns `Ok(true)` when the token is held and the critical section
     /// entered; `Ok(false)` when a request is outstanding — the caller
-    /// should release the protocol lock, let driver threads deliver the
+    /// should release the node's lock, let its driver thread deliver the
     /// grant, and poll again. Unlike [`Cluster::acquire_write`], an
     /// outstanding request is *not* re-sent on re-poll (channels are
     /// lossless in parallel mode, so a hot poll loop would only fan out
@@ -570,11 +588,20 @@ impl Cluster {
     // Roots.
     // ------------------------------------------------------------------
 
+    /// The bunch holding `addr`: read off `node`'s own mapping of the
+    /// segment when it has one, asked of the server otherwise.
+    fn bunch_at(&self, node: NodeId, addr: Addr) -> Option<BunchId> {
+        match self.mems[node.0 as usize].resolve(addr) {
+            Ok((seg, _)) => Some(seg.info.bunch),
+            Err(_) => self.gc.bunch_of(addr),
+        }
+    }
+
     /// Registers a mutator stack root at `node`.
     pub fn add_root(&mut self, node: NodeId, addr: Addr) -> u64 {
         // A root created during an incremental collection makes its target
         // reachable: gray it.
-        let bunch = self.gc.bunch_of(addr);
+        let bunch = self.bunch_at(node, addr);
         self.gc.node_mut(node).gray_if_active(bunch, addr);
         self.gc.node_mut(node).add_root(addr)
     }
@@ -586,7 +613,7 @@ impl Cluster {
 
     /// Re-points a root slot.
     pub fn set_root(&mut self, node: NodeId, id: u64, addr: Addr) {
-        let bunch = self.gc.bunch_of(addr);
+        let bunch = self.bunch_at(node, addr);
         self.gc.node_mut(node).gray_if_active(bunch, addr);
         self.gc.node_mut(node).set_root(id, addr);
     }

@@ -6,7 +6,7 @@
 //!
 //! * **One OS driver thread per node** ([`LinkDriver`] inside), each
 //!   polling only its own inboxes on a shared lock-free-facade
-//!   [`ChannelTransport`] and applying envelopes under the protocol lock.
+//!   [`ChannelTransport`] and applying envelopes under its node's lock.
 //! * **Real per-node handles** ([`NodeHandle`]): application mutator
 //!   threads call `acquire/read/write/release` directly — no global actor
 //!   serializing closures. An acquire whose token is remote parks the
@@ -17,51 +17,72 @@
 //!   inline. Per-link FIFO holds; cross-link order is whatever the
 //!   hardware does — exactly the loosely-coupled model of the paper.
 //!
-//! Concurrency model, stated honestly: protocol state (engine, collector
-//! state, heaps) lives under **one protocol mutex** — this is a
-//! coarse-lock runtime, v1. What runs concurrently is everything else:
-//! message transfer, mutator think-time, the blocking part of acquires,
-//! and the per-thread metric/trace planes. The conformance suite
-//! (`tests/parallel_conformance.rs`) proves this runtime and the
-//! deterministic simulator reach equivalent quiesced protocol state on
-//! the same seeded workloads; DESIGN.md §11 describes the methodology
-//! and the locking roadmap.
+//! Concurrency model: **one lock per node, nothing shared on the local
+//! path.** Each node's protocol state (engine, collector state, heap,
+//! counters) lives in a [`Cluster`] of its own — its *site*, built with
+//! `Cluster::site` on the one cluster-wide segment server — behind its
+//! own mutex. A typed [`NodeHandle`] operation and the node's driver lock
+//! that site and nothing else: two nodes that exchange no message never
+//! touch the same lock, counter or cache line (protection and creator of a
+//! mapped address are read off the node's own segment descriptor, the op
+//! counter is per node, idle drivers are parked). The few calls that read
+//! a second node's state — [`NodeHandle::map_bunch`]'s source, the header
+//! fetch from a bunch's creator (the protocol reports
+//! [`BmxError::NeedsNode`] and the handle runs the call again), a live
+//! restart, [`NodeHandle::with`], [`ParallelCluster::quiesce`], shutdown —
+//! lock the sites involved **in ascending node order**, lend the other
+//! slots to the caller's cluster for the call (`Cluster::swap_slot`) and
+//! hand them back; `with` and shutdown take every site, so their closure
+//! and the returned cluster see the whole system, traffic counters and
+//! recovery log included. Nothing polls on a sleep quantum: a driver with
+//! an empty inbox parks on its node's doorbell, rung by every send to the
+//! node and by the phase flip; `quiesce` and shutdown park on a signal rung
+//! by the ack that takes `in_flight` to zero and by each exiting driver.
+//! The conformance suite (`tests/parallel_conformance.rs`) proves this runtime
+//! and the deterministic simulator reach equivalent quiesced protocol
+//! state on the same seeded workloads; `tests/parallel_locking.rs` pins
+//! the lock order and the shared-nothing local path. DESIGN.md §11
+//! describes the methodology.
 //!
 //! **Failure domains** (DESIGN.md §12): each node is its own blast
 //! radius. A protocol panic or an [`ParallelCluster::inject_crash`] marks
 //! only that node [`NodeStatus::Down`] — its driver thread exits, its
 //! pending submitters get [`BmxError::NodeDown`], and every other node
-//! keeps serving. A **supervisor thread** beats a pulse clock (which also
-//! drives [`FaultyTransport`] partition healing), pumps the metrics
-//! watchdogs with real pending-work readings, and — under
-//! [`ChaosConfig::restart`] — revives downed nodes live through the
-//! crash-amnesia recovery pipeline ([`Cluster::restart_with_amnesia`]):
-//! purge the dead incarnation's inbox, wipe + rejoin under the protocol
-//! lock, respawn a fresh driver generation. The generation check under
-//! the lock makes a straggler delivery from the dead thread impossible.
+//! keeps serving. Under chaos (or with a metrics registry installed) a
+//! **supervisor thread** beats a pulse clock (which also drives
+//! [`FaultyTransport`] partition healing), pumps the metrics watchdogs
+//! with real pending-work readings, and — under [`ChaosConfig::restart`] —
+//! revives downed nodes live through the crash-amnesia recovery pipeline
+//! ([`Cluster::restart_with_amnesia`]): purge the dead incarnation's
+//! inbox, wipe + rejoin with every site locked, respawn a fresh driver
+//! generation. The generation check under the node's lock makes a
+//! straggler delivery from the dead thread impossible.
 //!
 //! Shutdown has two modes with deterministic per-class fate
 //! ([`Shutdown`]): **Drain** applies every in-flight envelope before
 //! stopping; **Drop** applies the classes the design requires reliable
 //! (DSM) and discards loss-tolerant collector traffic *whole* — an
 //! envelope is never half-applied, because application happens under the
-//! protocol lock after the envelope was popped intact.
+//! receiving node's lock after the envelope was popped intact.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bmx_addr::SegmentServer;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SplitMix64};
+use bmx_gc::SharedServer;
 use bmx_metrics::{self as metrics, Ctr, Hst, Registry};
 use bmx_net::{
     ChannelTransport, FaultyTransport, MsgClass, NetworkConfig, ParallelFaultPlan, Transport,
 };
 use bmx_profile::{self as profile, SpanKind};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::{Cluster, ClusterConfig, Uplink};
 use crate::driver::LinkDriver;
 use crate::msg::ClusterMsg;
 use crate::mutator::ObjSpec;
@@ -73,6 +94,15 @@ const PHASE_DROP: u8 = 2;
 const NODE_ALIVE: u8 = 0;
 const NODE_RECOVERING: u8 = 1;
 const NODE_DOWN: u8 = 2;
+
+/// Empty polls a driver (or an acquire) spends yielding before it parks.
+const SPINS_BEFORE_PARK: u32 = 64;
+/// Longest a parked driver sleeps without a ring. Every event it waits for
+/// rings its bell; this only bounds the damage of a wake-up lost to a bug.
+const DRIVER_BACKSTOP: Duration = Duration::from_millis(10);
+/// The same for `quiesce` and the shutdown janitor, which also cover what
+/// has no bell to ring: a downed node's inbox filling during a drain.
+const IDLE_BACKSTOP: Duration = Duration::from_micros(500);
 
 /// What happens to in-flight messages at shutdown.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,7 +123,7 @@ pub enum Shutdown {
 pub struct ShutdownReport {
     /// Envelopes accepted by the transport over the run's lifetime.
     pub sent: u64,
-    /// Envelopes fully applied under the protocol lock.
+    /// Envelopes fully applied under the receiving node's lock.
     pub delivered: u64,
     /// Envelopes discarded whole (drop policy, injected faults, purged
     /// inboxes of crashed nodes, or post-join leftovers).
@@ -166,8 +196,63 @@ pub struct NodeLiveness {
     pub note: Option<String>,
 }
 
-/// One node's failure-domain state.
-struct NodeState {
+/// A wake-up that cannot be lost and costs its ringer two atomic
+/// operations while nobody waits: the waiter samples [`Signal::epoch`],
+/// checks its condition, and [`Signal::wait`]s on the sample; a
+/// [`Signal::ring`] in between moves the epoch, so the wait falls through.
+/// Aligned so that no two signals, and no signal and its neighbour in a
+/// struct, share a cache line.
+//
+// std primitives, not the parking_lot shim: the timed wait needs a real
+// condvar. The mutex guards no data; a ringer takes it only to order its
+// notify after a waiter's epoch check.
+#[repr(align(128))]
+#[derive(Default)]
+struct Signal {
+    epoch: AtomicU64,
+    waiters: AtomicUsize,
+    lock: std::sync::Mutex<()>,
+    cv: std::sync::Condvar,
+}
+
+impl Signal {
+    /// Current epoch; sample this *before* checking the awaited condition.
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Wakes every waiter and invalidates in-flight `epoch()` samples so
+    /// the next `wait` on them returns without blocking.
+    fn ring(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        // SeqCst pairs with `wait`: either this load sees the waiter's
+        // registration, or the waiter's epoch check sees the increment.
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
+            self.cv.notify_all();
+        }
+    }
+
+    /// Parks the caller until the next ring or `timeout`, whichever comes
+    /// first. Returns immediately if a ring already landed since `seen`
+    /// was sampled. Spurious wakeups are fine: every caller re-checks.
+    fn wait(&self, seen: u64, timeout: Duration) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        if self.epoch.load(Ordering::SeqCst) == seen {
+            let _ = self.cv.wait_timeout(guard, timeout);
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Everything the runtime keeps per node, on cache lines no other node's
+/// local path writes.
+#[repr(align(128))]
+struct Site {
+    /// The node's protocol state: a `Cluster::site` whose one resident
+    /// slot is this node's (others visit while lent, see [`Gathered`]).
+    core: Mutex<Cluster>,
     status: AtomicU8,
     /// Why the node last went down.
     note: Mutex<Option<String>>,
@@ -175,38 +260,38 @@ struct NodeState {
     /// Pulse at which the supervisor first saw this down episode
     /// (`u64::MAX` = not stamped yet).
     down_since: AtomicU64,
-    /// Driver-thread incarnation. A restart bumps this under the
-    /// protocol lock; a driver holding a stale generation discards
-    /// instead of applying.
+    /// Driver-thread incarnation. A restart bumps this under the node's
+    /// lock; a driver holding a stale generation discards instead of
+    /// applying.
     generation: AtomicU64,
-}
-
-impl NodeState {
-    fn new() -> Self {
-        NodeState {
-            status: AtomicU8::new(NODE_ALIVE),
-            note: Mutex::new(None),
-            restarts: AtomicU64::new(0),
-            down_since: AtomicU64::new(u64::MAX),
-            generation: AtomicU64::new(0),
-        }
-    }
+    /// Mutator operations completed through this node's handles.
+    ops: AtomicU64,
+    /// Envelopes fully applied by this node's driver, per class.
+    delivered_by_class: [AtomicU64; 4],
+    /// Grant wakeup: blocking acquires park here instead of sleeping
+    /// blind, and the node's driver rings after every applied envelope.
+    /// Without this, a grant that lands mid-backoff sits
+    /// reserved-but-unclaimed for the rest of the sleep — dead time the
+    /// whole cluster queues behind.
+    wake: Signal,
 }
 
 struct Shared {
-    /// The protocol core. `None` after shutdown took the cluster out.
-    core: Mutex<Option<Cluster>>,
+    sites: Vec<Site>,
+    /// Driver doorbells, one per node: rung by every send to the node (the
+    /// uplink holds the other reference), by its crash and by the phase
+    /// flip. An idle driver parks here.
+    bells: Arc<Vec<Signal>>,
+    /// Rung by the ack that takes `in_flight` to zero and by each exiting
+    /// driver: what `quiesce` and shutdown park on.
+    idle: Signal,
+    /// Driver threads that have not left [`drive`] yet.
+    running: AtomicUsize,
     transport: Arc<dyn Transport<ClusterMsg>>,
     /// The fault-injecting wrapper, when chaos is on (same object as
     /// `transport`, kept concretely typed for pulse/heal/stats access).
     chaos: Option<Arc<FaultyTransport<ClusterMsg>>>,
     phase: AtomicU8,
-    /// Envelopes fully applied by driver threads, per class.
-    delivered_by_class: [AtomicU64; 4],
-    /// Mutator operations completed through node handles.
-    ops: AtomicU64,
-    /// Per-node failure domains.
-    nodes: Vec<NodeState>,
     /// Driver threads respawned by the supervisor; joined at shutdown.
     revived: Mutex<Vec<JoinHandle<()>>>,
     /// Registry captured at spawn, installed on driver threads and
@@ -217,82 +302,32 @@ struct Shared {
     acquire_timeout: Duration,
     /// Seed for acquire-backoff jitter.
     backoff_seed: u64,
-    /// Per-node grant wakeup: blocking acquires park here instead of
-    /// sleeping blind, and the node's driver pokes the cell after every
-    /// applied envelope. Without this, a grant that lands mid-backoff
-    /// sits reserved-but-unclaimed for the rest of the sleep — dead time
-    /// the whole cluster queues behind.
-    wake: Vec<WakeCell>,
 }
 
-// std primitives, not the parking_lot shim: the timed wait needs a real
-// condvar. The mutex guards a poke epoch so a grant applied between a
-// waiter's failed poll and its park is never lost: the waiter samples the
-// epoch before polling and `wait` returns immediately if it has moved.
-struct WakeCell {
-    epoch: std::sync::Mutex<u64>,
-    cv: std::sync::Condvar,
-}
-
-impl WakeCell {
-    fn new() -> Self {
-        WakeCell {
-            epoch: std::sync::Mutex::new(0),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Current poke epoch; sample this *before* polling the protocol.
-    fn epoch(&self) -> u64 {
-        *self.epoch.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Wakes every parked acquire and invalidates in-flight `epoch()`
-    /// samples so the next `wait` on them returns without blocking.
-    fn poke(&self) {
-        let mut guard = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = guard.wrapping_add(1);
-        drop(guard);
-        self.cv.notify_all();
-    }
-
-    /// Parks the caller until the next poke or `timeout`, whichever comes
-    /// first. Returns immediately if a poke already landed since `seen`
-    /// was sampled. Spurious wakeups are fine: the acquire loop re-polls.
-    fn wait(&self, seen: u64, timeout: Duration) {
-        let guard = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-        if *guard != seen {
-            return;
-        }
-        let _ = self.cv.wait_timeout(guard, timeout);
-    }
-}
-
-/// The protocol mutex, taken with wait/hold attribution: wall-clock
-/// wait and hold time land in [`Hst::MutexWaitMicros`] /
-/// [`Hst::MutexHoldMicros`] under `node` — the node the locking thread
-/// was working *for* — and as `mutex/wait` / `mutex/hold` profiler
-/// spans carrying the thread's current flow. Zero-cost when both planes
-/// are off: one `Instant` read gated behind their enabled checks.
+/// A site's mutex, taken with wait/hold attribution: wall-clock wait and
+/// hold time land in [`Hst::MutexWaitMicros`] / [`Hst::MutexHoldMicros`]
+/// under `node` — the node the locking thread was working *for* — and as
+/// `mutex/wait` / `mutex/hold` profiler spans carrying the thread's
+/// current flow. Zero-cost when both planes are off: the clock reads are
+/// gated behind their enabled checks.
 struct CoreGuard<'a> {
-    guard: parking_lot::MutexGuard<'a, Option<Cluster>>,
+    guard: MutexGuard<'a, Cluster>,
     node: NodeId,
     /// `Some` only when a plane is recording (the enabled check at lock
-    /// time is the gate for the whole guard).
-    hold_start: Option<Instant>,
-    /// Hold start on the profiler clock, µs since its epoch.
-    hold_start_us: u64,
+    /// time is the gate for the whole guard): the hold's start, and the
+    /// same instant on the profiler clock, µs since its epoch.
+    hold_start: Option<(Instant, u64)>,
 }
 
 impl std::ops::Deref for CoreGuard<'_> {
-    type Target = Option<Cluster>;
-    fn deref(&self) -> &Self::Target {
+    type Target = Cluster;
+    fn deref(&self) -> &Cluster {
         &self.guard
     }
 }
 
 impl std::ops::DerefMut for CoreGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
+    fn deref_mut(&mut self) -> &mut Cluster {
         &mut self.guard
     }
 }
@@ -301,12 +336,61 @@ impl Drop for CoreGuard<'_> {
     fn drop(&mut self) {
         // Runs *before* the mutex guard field drops, so the measured
         // hold ends while the lock is still held — never short.
-        if let Some(t0) = self.hold_start.take() {
+        if let Some((t0, start_us)) = self.hold_start.take() {
             let us = t0.elapsed().as_micros() as u64;
             metrics::observe(self.node, Hst::MutexHoldMicros, us);
             if profile::enabled() {
-                profile::record(SpanKind::MutexHold, self.node, self.hold_start_us, us);
+                profile::record(SpanKind::MutexHold, self.node, start_us, us);
             }
+        }
+    }
+}
+
+/// Several sites locked for one call: `home`'s cluster holds every other
+/// locked node's slot on loan, and dropping this hands them back — on a
+/// panic inside the call too. Built only by [`Shared::gather`], which
+/// locks in ascending node order.
+struct Gathered<'a> {
+    /// Ascending by node.
+    guards: Vec<(NodeId, CoreGuard<'a>)>,
+    /// Index of the borrowing site in `guards`.
+    home: usize,
+}
+
+impl Gathered<'_> {
+    fn cluster(&mut self) -> &mut Cluster {
+        &mut self.guards[self.home].1
+    }
+
+    /// Calls `f(home cluster, node, that node's site)` for every locked
+    /// site but the home one.
+    fn each_other(&mut self, mut f: impl FnMut(&mut Cluster, NodeId, &mut Cluster)) {
+        let (before, rest) = self.guards.split_at_mut(self.home);
+        let ((_, home), after) = rest.split_first_mut().expect("home site is locked");
+        for (node, site) in before.iter_mut().chain(after) {
+            f(home, *node, site);
+        }
+    }
+
+    /// Swaps every locked slot but the home one between its own site and
+    /// the home cluster: lends them the first time, returns them the next.
+    fn swap_slots(&mut self) {
+        self.each_other(|home, node, site| home.swap_slot(node, site));
+    }
+
+    /// Keeps the gathered slots: takes the home cluster, leaving `husk` in
+    /// its place.
+    fn into_cluster(mut self, husk: Cluster) -> Cluster {
+        let cluster = std::mem::replace(self.cluster(), husk);
+        self.guards.clear();
+        cluster
+    }
+}
+
+impl Drop for Gathered<'_> {
+    fn drop(&mut self) {
+        if !self.guards.is_empty() {
+            self.swap_slots();
         }
     }
 }
@@ -319,8 +403,16 @@ fn class_idx(class: MsgClass) -> usize {
 }
 
 impl Shared {
+    fn site(&self, node: NodeId) -> &Site {
+        &self.sites[node.0 as usize]
+    }
+
+    fn all_nodes(&self) -> Vec<NodeId> {
+        (0..self.sites.len() as u32).map(NodeId).collect()
+    }
+
     fn status_of(&self, node: NodeId) -> u8 {
-        self.nodes[node.0 as usize].status.load(Ordering::Acquire)
+        self.site(node).status.load(Ordering::Acquire)
     }
 
     /// Marks `node`'s failure domain down. Later calls in the same down
@@ -333,10 +425,12 @@ impl Shared {
         if !note.starts_with("injected crash") {
             crate::blackbox::dump_if_armed(&note, self.registry.as_deref(), &self.generations());
         }
-        let st = &self.nodes[node.0 as usize];
+        let st = self.site(node);
         *st.note.lock() = Some(note);
         st.down_since.store(u64::MAX, Ordering::Release);
         st.status.store(NODE_DOWN, Ordering::Release);
+        // A parked driver is the node's process: it must notice its death.
+        self.bells[node.0 as usize].ring();
     }
 
     fn check(&self, node: NodeId) -> Result<()> {
@@ -350,45 +444,97 @@ impl Shared {
     }
 
     fn count_delivery(&self, node: NodeId, class: MsgClass) {
-        self.delivered_by_class[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+        self.site(node).delivered_by_class[class_idx(class)].fetch_add(1, Ordering::Relaxed);
         metrics::bump(node, Ctr::ParallelDeliveries);
     }
 
-    fn delivered_total(&self) -> u64 {
-        self.delivered_by_class
+    fn delivered(&self, class: MsgClass) -> u64 {
+        let idx = class_idx(class);
+        self.sites
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|st| st.delivered_by_class[idx].load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Takes the protocol mutex attributed to `node`; see [`CoreGuard`].
-    fn lock_core(&self, node: NodeId) -> CoreGuard<'_> {
+    /// Takes `site`'s mutex attributed to `node`; see [`CoreGuard`].
+    fn lock_site(&self, site: NodeId, node: NodeId) -> CoreGuard<'_> {
         let timed = metrics::enabled() || profile::enabled();
-        let wait_start = if timed { Some(Instant::now()) } else { None };
-        let wait_start_us = profile::now_us();
-        let guard = self.core.lock();
-        if let Some(t0) = wait_start {
+        let wait_start = timed.then(|| (Instant::now(), profile::now_us()));
+        let guard = self.site(site).core.lock();
+        if let Some((t0, start_us)) = wait_start {
             let us = t0.elapsed().as_micros() as u64;
             metrics::observe(node, Hst::MutexWaitMicros, us);
             if profile::enabled() {
-                profile::record(SpanKind::MutexWait, node, wait_start_us, us);
+                profile::record(SpanKind::MutexWait, node, start_us, us);
             }
         }
         CoreGuard {
             guard,
             node,
-            hold_start: if timed { Some(Instant::now()) } else { None },
-            hold_start_us: profile::now_us(),
+            hold_start: timed.then(|| (Instant::now(), profile::now_us())),
         }
+    }
+
+    /// Locks `home`'s site and those of `others`, in ascending node order
+    /// whatever order they are named in — the one rule that keeps two
+    /// multi-site calls from deadlocking — and lends the others' slots to
+    /// `home`'s cluster, which also takes over what they have counted
+    /// (`Cluster::absorb_totals`).
+    fn gather(&self, home: NodeId, others: &[NodeId]) -> Result<Gathered<'_>> {
+        let nodes: BTreeSet<NodeId> = others.iter().copied().chain([home]).collect();
+        let guards: Vec<(NodeId, CoreGuard<'_>)> = nodes
+            .into_iter()
+            .map(|n| (n, self.lock_site(n, home)))
+            .collect();
+        let at = guards
+            .iter()
+            .position(|(n, _)| *n == home)
+            .expect("home is among the locked sites");
+        // Refused before any slot moves: the husk a completed shutdown
+        // leaves behind has none to lend to or borrow for.
+        if !guards[at].1.is_resident(home) {
+            return Err(shut_down());
+        }
+        let mut gathered = Gathered { guards, home: at };
+        gathered.swap_slots();
+        gathered.each_other(|home, _, site| home.absorb_totals(site));
+        Ok(gathered)
     }
 
     /// Per-node failure-domain generations, for blackbox metadata.
     fn generations(&self) -> Vec<(u32, u64)> {
-        self.nodes
+        self.sites
             .iter()
             .enumerate()
             .map(|(i, st)| (i as u32, st.generation.load(Ordering::Acquire)))
             .collect()
+    }
+
+    /// Accounts one popped envelope as fully applied or discarded whole,
+    /// and tells whoever waits for the transport to run dry when it has.
+    fn ack(&self) {
+        self.transport.ack_delivered();
+        if self.transport.in_flight() == 0 {
+            self.idle.ring();
+            if self.phase.load(Ordering::Acquire) != PHASE_RUN {
+                // Draining drivers exit on this condition, not on a send.
+                self.ring_drivers();
+            }
+        }
+    }
+
+    fn ring_drivers(&self) {
+        for bell in self.bells.iter() {
+            bell.ring();
+        }
+    }
+
+    /// Advances the fault plane's healing clock (when chaos is on) and
+    /// wakes the drivers for whatever traffic the pulse released.
+    fn pulse(&self) -> Option<u64> {
+        let pulse = self.chaos.as_ref()?.pulse();
+        self.ring_drivers();
+        Some(pulse)
     }
 
     /// Discards everything queued for `node` (crash semantics: the dead
@@ -396,9 +542,27 @@ impl Shared {
     fn purge_inbox(&self, node: NodeId) {
         while let Some(env) = self.transport.try_recv(node) {
             self.transport.note_dropped(env.class);
-            self.transport.ack_delivered();
+            self.ack();
         }
     }
+
+    fn spawn_driver(self: &Arc<Self>, node: NodeId, generation: u64) -> JoinHandle<()> {
+        self.running.fetch_add(1, Ordering::SeqCst);
+        let shared = Arc::clone(self);
+        let name = match generation {
+            0 => format!("bmx-driver-{}", node.0),
+            g => format!("bmx-driver-{}-g{g}", node.0),
+        };
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(move || drive(node, shared, generation))
+            .expect("spawn driver thread")
+    }
+}
+
+#[cold]
+fn shut_down() -> BmxError {
+    BmxError::Protocol("parallel runtime shut down".into())
 }
 
 fn panic_note(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -411,6 +575,14 @@ fn panic_note(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+fn status_from(raw: u8) -> NodeStatus {
+    match raw {
+        NODE_ALIVE => NodeStatus::Alive,
+        NODE_RECOVERING => NodeStatus::Recovering,
+        _ => NodeStatus::Down,
+    }
+}
+
 /// The parallel runtime: a cluster whose nodes run on real OS threads.
 pub struct ParallelCluster {
     shared: Arc<Shared>,
@@ -420,24 +592,24 @@ pub struct ParallelCluster {
 }
 
 impl ParallelCluster {
-    /// Builds the cluster and spawns one driver thread per node plus the
-    /// supervisor.
+    /// Builds the cluster and spawns one driver thread per node.
     ///
     /// The config's network is replaced by a lossless latency-1 staging
     /// network (the channel transport carries the traffic; the simulated
     /// fault plan and the retry daemon are features of the deterministic
     /// mode) and the retry daemon is disabled. Without chaos the
-    /// transport is a plain [`ChannelTransport`] and the supervisor does
-    /// not restart failed nodes — a protocol panic stays a hard failure,
-    /// surfaced at shutdown.
+    /// transport is a plain [`ChannelTransport`] and nothing restarts a
+    /// failed node — a protocol panic stays a hard failure, surfaced at
+    /// shutdown. A supervisor thread is spawned only if the calling
+    /// thread has a metrics registry installed (it pumps the watchdogs).
     pub fn spawn(cfg: ClusterConfig) -> ParallelCluster {
         Self::spawn_inner(cfg, None)
     }
 
     /// Like [`ParallelCluster::spawn`], but the transport is wrapped in a
-    /// seeded [`FaultyTransport`] and the supervisor revives crashed
-    /// nodes through the crash-amnesia recovery pipeline (when
-    /// [`ChaosConfig::restart`] is on).
+    /// seeded [`FaultyTransport`] and a supervisor thread beats its pulse
+    /// clock and revives crashed nodes through the crash-amnesia recovery
+    /// pipeline (when [`ChaosConfig::restart`] is on).
     pub fn spawn_with_chaos(cfg: ClusterConfig, chaos: ChaosConfig) -> ParallelCluster {
         Self::spawn_inner(cfg, Some(chaos))
     }
@@ -458,52 +630,71 @@ impl ParallelCluster {
             Some(ft) => Arc::clone(ft) as Arc<dyn Transport<ClusterMsg>>,
             None => Arc::new(ChannelTransport::<ClusterMsg>::new(nodes as usize)),
         };
-        let mut cluster = Cluster::new(cfg);
-        let uplink_t = Arc::clone(&transport);
-        cluster.set_uplink(Arc::new(move |env| uplink_t.send_env(env)));
+        let bells: Arc<Vec<Signal>> = Arc::new((0..nodes).map(|_| Signal::default()).collect());
+        let uplink: Uplink = {
+            let (transport, bells) = (Arc::clone(&transport), Arc::clone(&bells));
+            Arc::new(move |env| {
+                let dst = env.dst.0 as usize;
+                transport.send_env(env);
+                bells[dst].ring();
+            })
+        };
+        let server = SharedServer::new(SegmentServer::new(cfg.segment_words));
+        let sites = (0..nodes)
+            .map(|i| {
+                let mut site = Cluster::site(cfg.clone(), server.clone(), NodeId(i));
+                site.set_uplink(Arc::clone(&uplink));
+                Site {
+                    core: Mutex::new(site),
+                    status: AtomicU8::new(NODE_ALIVE),
+                    note: Mutex::new(None),
+                    restarts: AtomicU64::new(0),
+                    down_since: AtomicU64::new(u64::MAX),
+                    generation: AtomicU64::new(0),
+                    ops: AtomicU64::new(0),
+                    delivered_by_class: Default::default(),
+                    wake: Signal::default(),
+                }
+            })
+            .collect();
 
         let shared = Arc::new(Shared {
-            core: Mutex::new(Some(cluster)),
+            sites,
+            bells,
+            idle: Signal::default(),
+            running: AtomicUsize::new(0),
             transport,
             chaos: faulty,
             phase: AtomicU8::new(PHASE_RUN),
-            delivered_by_class: Default::default(),
-            ops: AtomicU64::new(0),
-            nodes: (0..nodes).map(|_| NodeState::new()).collect(),
             revived: Mutex::new(Vec::new()),
             registry: metrics::registry(),
             acquire_timeout,
             backoff_seed: chaos.as_ref().map_or(0xB0FF_5EED, |cc| cc.seed),
-            wake: (0..nodes).map(|_| WakeCell::new()).collect(),
         });
 
-        let mut drivers = Vec::with_capacity(nodes as usize);
-        for i in 0..nodes {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("bmx-driver-{i}"))
-                .spawn(move || drive(NodeId(i), shared, 0))
-                .expect("spawn driver thread");
-            drivers.push(handle);
-        }
-        let sup = SupervisorCfg {
-            pulse: chaos
-                .as_ref()
-                .map_or(Duration::from_millis(1), |cc| cc.pulse),
-            restart: chaos.as_ref().is_some_and(|cc| cc.restart),
-            restart_delay: chaos.as_ref().map_or(16, |cc| cc.restart_delay_pulses),
-        };
-        let supervisor = {
+        let drivers = (0..nodes)
+            .map(|i| shared.spawn_driver(NodeId(i), 0))
+            .collect();
+        // A thread only when it has work: without a fault plane to pulse
+        // and without watchdogs to pump there is nothing to supervise.
+        let supervisor = (chaos.is_some() || shared.registry.is_some()).then(|| {
+            let sup = SupervisorCfg {
+                pulse: chaos
+                    .as_ref()
+                    .map_or(Duration::from_millis(1), |cc| cc.pulse),
+                restart: chaos.as_ref().is_some_and(|cc| cc.restart),
+                restart_delay: chaos.as_ref().map_or(16, |cc| cc.restart_delay_pulses),
+            };
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("bmx-supervisor".into())
                 .spawn(move || supervise(shared, sup))
                 .expect("spawn supervisor thread")
-        };
+        });
         ParallelCluster {
             shared,
             drivers,
-            supervisor: Some(supervisor),
+            supervisor,
             nodes,
         }
     }
@@ -525,7 +716,11 @@ impl ParallelCluster {
 
     /// Mutator operations completed so far across all handles.
     pub fn ops(&self) -> u64 {
-        self.shared.ops.load(Ordering::Relaxed)
+        self.shared
+            .sites
+            .iter()
+            .map(|st| st.ops.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Envelopes currently in flight (sent, not yet fully applied;
@@ -575,15 +770,10 @@ impl ParallelCluster {
     pub fn liveness(&self) -> Vec<NodeLiveness> {
         (0..self.nodes)
             .map(|i| {
-                let st = &self.shared.nodes[i as usize];
-                let status = match st.status.load(Ordering::Acquire) {
-                    NODE_ALIVE => NodeStatus::Alive,
-                    NODE_RECOVERING => NodeStatus::Recovering,
-                    _ => NodeStatus::Down,
-                };
+                let st = self.shared.site(NodeId(i));
                 NodeLiveness {
                     node: NodeId(i),
-                    status,
+                    status: status_from(st.status.load(Ordering::Acquire)),
                     restarts: st.restarts.load(Ordering::Relaxed),
                     note: st.note.lock().clone(),
                 }
@@ -594,11 +784,7 @@ impl ParallelCluster {
     /// One node's current status.
     pub fn node_status(&self, node: NodeId) -> NodeStatus {
         assert!(node.0 < self.nodes, "no such node {node:?}");
-        match self.shared.status_of(node) {
-            NODE_ALIVE => NodeStatus::Alive,
-            NODE_RECOVERING => NodeStatus::Recovering,
-            _ => NodeStatus::Down,
-        }
+        status_from(self.shared.status_of(node))
     }
 
     /// Blocks until no message is in flight *and* no mutator operation is
@@ -610,25 +796,28 @@ impl ParallelCluster {
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
+            let seen = self.shared.idle.epoch();
             if self.shared.transport.in_flight() == 0 {
-                // Taking the protocol lock serializes against any op that
-                // was mid-flight when we looked; re-check afterwards.
-                let _core = self.shared.core.lock();
+                // Holding every site's lock (ascending, like any multi-site
+                // call) serializes against any op that was mid-flight when
+                // we looked; re-check afterwards.
+                let _sites: Vec<_> = self.shared.sites.iter().map(|s| s.core.lock()).collect();
                 if self.shared.transport.in_flight() == 0 {
                     return true;
                 }
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_micros(50));
+            self.shared.idle.wait(seen, left.min(IDLE_BACKSTOP));
         }
     }
 
     /// Stops the drivers under `mode`, joins them, and returns the final
-    /// cluster (uplink detached — it dispatches inline again, so tests
-    /// can keep using it deterministically) plus the transport report.
+    /// cluster — every node's slot gathered into one [`Cluster`], uplink
+    /// detached, so it dispatches inline again and tests can keep using it
+    /// deterministically — plus the transport report.
     ///
     /// Errors if any node is still down or mid-recovery at shutdown — a
     /// crash the supervisor healed in time is *not* an error (the report
@@ -636,92 +825,84 @@ impl ParallelCluster {
     /// the notes). Partitions are healed first so `Drain` cannot hang on
     /// held traffic.
     pub fn shutdown(mut self, mode: Shutdown) -> Result<(Cluster, ShutdownReport)> {
+        let shared = &self.shared;
         let phase = match mode {
             Shutdown::Drain => PHASE_DRAIN,
             Shutdown::Drop => PHASE_DROP,
         };
-        self.shared.phase.store(phase, Ordering::Release);
+        shared.phase.store(phase, Ordering::Release);
+        shared.ring_drivers();
         // The supervisor exits at the phase flip; join it first so no
         // restart can race the teardown below.
         if let Some(s) = self.supervisor.take() {
             let _ = s.join();
         }
-        if let Some(ch) = &self.shared.chaos {
+        if let Some(ch) = &shared.chaos {
             ch.heal_all();
+            shared.ring_drivers();
         }
         // Janitor loop: drivers of live nodes drain to in_flight == 0,
         // which can only happen if someone keeps emptying the inboxes of
         // downed nodes (their drivers are gone) and flushing any traffic
-        // the fault plane still holds.
-        let mut handles: Vec<JoinHandle<()>> = self.drivers.drain(..).collect();
+        // the fault plane still holds. Each exiting driver rings `idle`;
+        // the backstop paces only those two chores.
         loop {
-            if let Some(ch) = &self.shared.chaos {
-                ch.pulse();
-            }
+            let seen = shared.idle.epoch();
+            shared.pulse();
             for i in 0..self.nodes {
-                if self.shared.status_of(NodeId(i)) == NODE_DOWN {
-                    self.shared.purge_inbox(NodeId(i));
+                if shared.status_of(NodeId(i)) == NODE_DOWN {
+                    shared.purge_inbox(NodeId(i));
                 }
             }
-            handles.extend(self.shared.revived.lock().drain(..));
-            if handles.iter().all(JoinHandle::is_finished) {
+            if shared.running.load(Ordering::SeqCst) == 0 {
                 break;
             }
-            std::thread::sleep(Duration::from_micros(100));
+            shared.idle.wait(seen, IDLE_BACKSTOP);
         }
-        handles.extend(self.shared.revived.lock().drain(..));
-        for d in handles {
+        let revived = std::mem::take(&mut *shared.revived.lock());
+        for d in self.drivers.drain(..).chain(revived) {
             let _ = d.join();
         }
         // A failed driver may have left its inboxes non-empty, and final
         // deliveries may have staged sends to a downed node; discard the
         // leftovers whole so accounting conserves.
         for i in 0..self.nodes {
-            self.shared.purge_inbox(NodeId(i));
-        }
-        let mut sent_by_class = [0u64; 4];
-        let mut delivered_by_class = [0u64; 4];
-        let mut dropped_by_class = [0u64; 4];
-        for (idx, class) in MsgClass::ALL.into_iter().enumerate() {
-            sent_by_class[idx] = self.shared.transport.sent(class);
-            delivered_by_class[idx] = self.shared.delivered_by_class[idx].load(Ordering::Relaxed);
-            dropped_by_class[idx] = self.shared.transport.dropped(class);
+            shared.purge_inbox(NodeId(i));
         }
         let report = ShutdownReport {
-            sent: self.shared.transport.sent_total(),
-            delivered: self.shared.delivered_total(),
-            dropped: self.shared.transport.dropped_total(),
-            sent_by_class,
-            delivered_by_class,
-            dropped_by_class,
-            restarts: self
-                .shared
-                .nodes
+            sent: shared.transport.sent_total(),
+            delivered: MsgClass::ALL.iter().map(|&c| shared.delivered(c)).sum(),
+            dropped: shared.transport.dropped_total(),
+            sent_by_class: MsgClass::ALL.map(|c| shared.transport.sent(c)),
+            delivered_by_class: MsgClass::ALL.map(|c| shared.delivered(c)),
+            dropped_by_class: MsgClass::ALL.map(|c| shared.transport.dropped(c)),
+            restarts: shared
+                .sites
                 .iter()
                 .map(|st| st.restarts.load(Ordering::Relaxed))
                 .sum(),
         };
         let mut failures = Vec::new();
-        for (i, st) in self.shared.nodes.iter().enumerate() {
+        for (i, st) in shared.sites.iter().enumerate() {
             if st.status.load(Ordering::Acquire) != NODE_ALIVE {
                 let note = st.note.lock().clone();
                 failures.push(format!("N{i}: {}", note.unwrap_or_else(|| "down".into())));
             }
         }
-        let mut cluster = self
-            .shared
-            .core
-            .lock()
-            .take()
-            .expect("cluster present until shutdown");
+        // Every slot into node 0's cluster, for good. Handles may outlive
+        // the runtime; what they find from now on is a cluster with no
+        // resident slot, which every operation refuses.
+        let mut cluster = shared
+            .gather(NodeId(0), &shared.all_nodes())?
+            .into_cluster(Cluster::new(ClusterConfig::with_nodes(0)));
         cluster.clear_uplink();
         if !failures.is_empty() {
             // A failed shutdown is the chaos soak's "the run died": grab
             // the post-mortem while the rings still hold the death.
             crate::blackbox::dump_if_armed(
                 &format!("shutdown with failed nodes: {}", failures.join("; ")),
-                self.shared.registry.as_deref(),
-                &self.shared.generations(),
+                shared.registry.as_deref(),
+                &shared.generations(),
             );
             return Err(BmxError::Protocol(format!(
                 "parallel runtime failed: {}",
@@ -735,13 +916,26 @@ impl ParallelCluster {
 /// The per-node driver thread body. `generation` is the incarnation this
 /// thread serves; a supervisor restart supersedes it.
 fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
+    /// Tells shutdown this driver is gone, however it left.
+    struct Exit<'a>(&'a Shared);
+    impl Drop for Exit<'_> {
+        fn drop(&mut self) {
+            self.0.running.fetch_sub(1, Ordering::SeqCst);
+            self.0.idle.ring();
+        }
+    }
+    let _exit = Exit(&shared);
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
     let driver = LinkDriver::new(node, Arc::clone(&shared.transport));
-    let me = &shared.nodes[node.0 as usize];
+    let me = shared.site(node);
+    let bell = &shared.bells[node.0 as usize];
     let mut idle_rounds: u32 = 0;
     loop {
+        // Sampled before the inbox is looked at: a send after this line
+        // moves the epoch, so the park below falls through.
+        let seen = bell.epoch();
         let phase = shared.phase.load(Ordering::Acquire);
         if me.status.load(Ordering::Acquire) == NODE_DOWN
             || me.generation.load(Ordering::Acquire) != generation
@@ -755,7 +949,7 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
                 idle_rounds = 0;
                 if phase == PHASE_DROP && !env.class.requires_reliability() {
                     shared.transport.note_dropped(env.class);
-                    driver.ack();
+                    shared.ack();
                     continue;
                 }
                 let class = env.class;
@@ -771,8 +965,8 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
                     None
                 };
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut core = shared.lock_core(node);
-                    // Crash check *under the protocol lock*: a restart
+                    let mut core = shared.lock_site(node, node);
+                    // Crash check *under the node's lock*: a restart
                     // bumps the generation while holding it, so a popped
                     // envelope can never leak into the recovered state
                     // through the pre-crash thread.
@@ -781,10 +975,7 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
                     {
                         return None;
                     }
-                    Some(match core.as_mut() {
-                        Some(c) => c.deliver(env),
-                        None => Ok(()),
-                    })
+                    Some(core.deliver(env))
                 }));
                 drop(apply_span);
                 if let Some(t0) = apply_t0 {
@@ -794,18 +985,18 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
                         t0.elapsed().as_micros() as u64,
                     );
                 }
-                driver.ack();
                 match outcome {
                     Ok(None) => {
                         // Popped by a dead incarnation: lost with it.
                         shared.transport.note_dropped(class);
+                        shared.ack();
                         break;
                     }
                     Ok(Some(Ok(()))) => {
                         shared.count_delivery(node, class);
-                        // Poke parked acquires: the envelope may have been
+                        // Wake parked acquires: the envelope may have been
                         // their grant.
-                        shared.wake[node.0 as usize].poke();
+                        me.wake.ring();
                     }
                     Ok(Some(Err(e))) => {
                         shared.fail_node(node, format!("driver {node:?}: {e}"));
@@ -817,18 +1008,22 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
                         );
                     }
                 }
+                // Last, so that a quiescence seen through `in_flight`
+                // finds the delivery counted and the waiters woken.
+                shared.ack();
             }
             None => {
                 if phase != PHASE_RUN && shared.transport.in_flight() == 0 {
                     break;
                 }
-                // Idle backoff: spin briefly, then sleep — keeps grant
-                // latency low without burning a core per idle node.
+                // Spin briefly for back-to-back traffic, then park on the
+                // doorbell: an idle node costs no CPU, and the next send
+                // to it wakes it at once.
                 idle_rounds = idle_rounds.saturating_add(1);
-                if idle_rounds < 64 {
+                if idle_rounds < SPINS_BEFORE_PARK {
                     std::thread::yield_now();
                 } else {
-                    std::thread::sleep(Duration::from_micros(50));
+                    bell.wait(seen, DRIVER_BACKSTOP);
                 }
             }
         }
@@ -859,13 +1054,9 @@ fn supervise(shared: Arc<Shared>, cfg: SupervisorCfg) {
     while shared.phase.load(Ordering::Acquire) == PHASE_RUN {
         std::thread::sleep(cfg.pulse);
         let _pulse_span = profile::span(SpanKind::SupervisorPulse, NodeId(0));
-        pulse = match &shared.chaos {
-            Some(ch) => ch.pulse(),
-            None => pulse + 1,
-        };
-        for i in 0..shared.nodes.len() {
+        pulse = shared.pulse().unwrap_or(pulse + 1);
+        for (i, st) in shared.sites.iter().enumerate() {
             let node = NodeId(i as u32);
-            let st = &shared.nodes[i];
             match st.status.load(Ordering::Acquire) {
                 NODE_DOWN => {
                     let seen = st.down_since.load(Ordering::Acquire);
@@ -875,16 +1066,8 @@ fn supervise(shared: Arc<Shared>, cfg: SupervisorCfg) {
                         restart_node(&shared, node);
                     }
                 }
-                NODE_RECOVERING => {
-                    let done = {
-                        let core = shared.core.lock();
-                        // `map_or(true, ..)` rather than `is_none_or`: MSRV 1.75.
-                        #[allow(clippy::unnecessary_map_or)]
-                        core.as_ref().map_or(true, |c| !c.in_recovery(node))
-                    };
-                    if done {
-                        st.status.store(NODE_ALIVE, Ordering::Release);
-                    }
+                NODE_RECOVERING if !st.core.lock().in_recovery(node) => {
+                    st.status.store(NODE_ALIVE, Ordering::Release);
                 }
                 _ => {}
             }
@@ -912,46 +1095,45 @@ fn supervise(shared: Arc<Shared>, cfg: SupervisorCfg) {
 }
 
 /// Revives one downed node: purge the dead incarnation's inbox (its
-/// queued traffic died with it — the sim's crash loss model), then under
-/// the protocol lock bump the driver generation and run
+/// queued traffic died with it — the sim's crash loss model), then with
+/// every site locked (the wipe reaches into each receiver's duplicate
+/// tracking) bump the driver generation and run
 /// [`Cluster::restart_with_amnesia`] (wipe, RVM replay, rejoin-request
 /// broadcast through the uplink), then respawn a fresh driver. Stage 2/3
 /// of recovery complete asynchronously as surviving drivers answer; the
 /// supervisor flips the node back to alive when `in_recovery` clears.
 fn restart_node(shared: &Arc<Shared>, node: NodeId) {
     let _span = profile::span(SpanKind::RecoveryRestart, node);
-    let st = &shared.nodes[node.0 as usize];
+    let st = shared.site(node);
     shared.purge_inbox(node);
     let generation = {
-        let mut core = shared.core.lock();
-        let generation = st.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        match core.as_mut() {
-            Some(c) => {
-                if let Err(e) = c.restart_with_amnesia(node) {
-                    *st.note.lock() = Some(format!("restart of {node:?} failed: {e}"));
-                    return;
-                }
+        let restarted = shared
+            .gather(node, &shared.all_nodes())
+            .and_then(|mut sites| {
+                let generation = st.generation.fetch_add(1, Ordering::AcqRel) + 1;
+                sites.cluster().restart_with_amnesia(node)?;
+                Ok(generation)
+            });
+        match restarted {
+            Ok(generation) => generation,
+            Err(e) => {
+                *st.note.lock() = Some(format!("restart of {node:?} failed: {e}"));
+                return;
             }
-            None => return,
         }
-        generation
     };
     st.restarts.fetch_add(1, Ordering::Relaxed);
     st.down_since.store(u64::MAX, Ordering::Release);
     st.status.store(NODE_RECOVERING, Ordering::Release);
-    let sh = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("bmx-driver-{}-g{generation}", node.0))
-        .spawn(move || drive(node, sh, generation))
-        .expect("respawn driver thread");
+    let handle = shared.spawn_driver(node, generation);
     shared.revived.lock().push(handle);
 }
 
 /// A mutator's door into one node of a running [`ParallelCluster`].
 ///
-/// Operations take the protocol lock for their own duration only; an
+/// Operations take the node's lock for their own duration only; an
 /// acquire that must wait for a remote grant releases the lock between
-/// polls so driver threads can deliver it.
+/// polls so the node's driver can deliver it.
 #[derive(Clone)]
 pub struct NodeHandle {
     node: NodeId,
@@ -972,7 +1154,9 @@ impl NodeHandle {
         }
     }
 
-    /// Runs `f` on the protocol core under the lock.
+    /// Runs `f` on the whole cluster, stopped: every site is locked and
+    /// every node's slot is lent to this node's cluster for the call, so
+    /// `f` may act as any node and reads cluster-wide totals.
     ///
     /// This is the *user-closure* domain: a panic inside `f` is caught
     /// and returned as an `Err` **to this caller only** — it does not
@@ -983,11 +1167,12 @@ impl NodeHandle {
     pub fn with<R>(&self, f: impl FnOnce(&mut Cluster) -> Result<R>) -> Result<R> {
         self.shared.check(self.node)?;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut core = self.shared.lock_core(self.node);
-            match core.as_mut() {
-                Some(c) => f(c),
-                None => Err(BmxError::Protocol("parallel runtime shut down".into())),
-            }
+            let mut sites = self.shared.gather(self.node, &self.shared.all_nodes())?;
+            let r = f(sites.cluster());
+            // Whatever `f` staged without pumping leaves before the slots
+            // go home, or a later send of the same node could overtake it.
+            sites.cluster().export_outbox();
+            r
         }));
         match outcome {
             Ok(r) => {
@@ -1009,14 +1194,17 @@ impl NodeHandle {
     /// only the completed acquire is, so the count stays
     /// schedule-independent.
     fn count_op(&self) {
-        self.shared.ops.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .site(self.node)
+            .ops
+            .fetch_add(1, Ordering::Relaxed);
         metrics::bump(self.node, Ctr::ParallelOps);
     }
 
     /// The *protocol* domain behind the typed methods: a panic here is a
     /// protocol bug, so it crashes this node's failure domain (the node
     /// goes down; other nodes keep serving).
-    fn with_protocol<R>(&self, f: impl FnOnce(&mut Cluster) -> Result<R>) -> Result<R> {
+    fn with_protocol<R>(&self, f: impl Fn(&mut Cluster) -> Result<R>) -> Result<R> {
         let r = self.with_protocol_uncounted(f);
         if r.is_ok() {
             self.count_op();
@@ -1024,16 +1212,42 @@ impl NodeHandle {
         r
     }
 
-    fn with_protocol_uncounted<R>(&self, f: impl FnOnce(&mut Cluster) -> Result<R>) -> Result<R> {
-        self.shared.check(self.node)?;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut core = self.shared.lock_core(self.node);
-            match core.as_mut() {
-                Some(c) => f(c),
-                None => Err(BmxError::Protocol("parallel runtime shut down".into())),
+    /// Runs `f` under this node's lock alone. If the protocol finds it
+    /// must read another node ([`BmxError::NeedsNode`], reported before
+    /// anything was changed), `f` runs again with that node's site locked
+    /// too and its slot lent.
+    fn with_protocol_uncounted<R>(&self, f: impl Fn(&mut Cluster) -> Result<R>) -> Result<R> {
+        let alone = self.guarded(|| {
+            let mut core = self.shared.lock_site(self.node, self.node);
+            // Under its lock a node's slot is always home; only the husk
+            // a completed shutdown leaves behind has none.
+            if !core.is_resident(self.node) {
+                return Err(shut_down());
             }
-        }));
-        match outcome {
+            f(&mut core)
+        });
+        match alone {
+            Err(BmxError::NeedsNode { node }) => self.with_sites(&[node], f),
+            r => r,
+        }
+    }
+
+    /// Runs `f` with the sites of `others` locked as well as this node's,
+    /// and their slots lent to it.
+    fn with_sites<R>(
+        &self,
+        others: &[NodeId],
+        f: impl FnOnce(&mut Cluster) -> Result<R>,
+    ) -> Result<R> {
+        self.guarded(|| f(self.shared.gather(self.node, others)?.cluster()))
+    }
+
+    /// The protocol domain's failure handling around one locked call:
+    /// refused on a node that is down, and a panic inside takes the node
+    /// down.
+    fn guarded<R>(&self, call: impl FnOnce() -> Result<R>) -> Result<R> {
+        self.shared.check(self.node)?;
+        match catch_unwind(AssertUnwindSafe(call)) {
             Ok(r) => r,
             Err(p) => {
                 let note = format!("handle op at {:?} panicked: {}", self.node, panic_note(p));
@@ -1052,7 +1266,11 @@ impl NodeHandle {
     /// Maps `bunch` (created at `from`) onto this node.
     pub fn map_bunch(&self, bunch: BunchId, from: NodeId) -> Result<()> {
         let n = self.node;
-        self.with_protocol(|c| c.map_bunch(n, bunch, from))
+        let r = self.with_sites(&[from], |c| c.map_bunch(n, bunch, from));
+        if r.is_ok() {
+            self.count_op();
+        }
+        r
     }
 
     /// Allocates an object in `bunch`.
@@ -1121,10 +1339,32 @@ impl NodeHandle {
         self.with_protocol(|c| c.release(n, obj))
     }
 
+    /// One poll of a blocking acquire. Returns whether the critical
+    /// section was entered and, if not, whose grant the node is waiting
+    /// for — so a dead owner surfaces as a typed error instead of burning
+    /// the whole acquire timeout.
+    fn poll_acquire(&self, obj: Addr, write: bool, nudge: bool) -> Result<(bool, Option<NodeId>)> {
+        let n = self.node;
+        self.with_protocol_uncounted(|c| {
+            if nudge {
+                c.nudge_acquire(n, obj)?;
+            }
+            let entered = c.poll_acquire(n, obj, write)?;
+            let owner = if entered {
+                None
+            } else {
+                c.oid_at(n, obj)
+                    .ok()
+                    .and_then(|oid| c.engine.obj_state(n, oid))
+                    .map(|st| st.owner_hint)
+            };
+            Ok((entered, owner))
+        })
+    }
+
     fn acquire(&self, obj: Addr, write: bool) -> Result<()> {
         let n = self.node;
-        let t0 = Instant::now();
-        let deadline = t0 + self.shared.acquire_timeout;
+        let t0 = metrics::enabled().then(Instant::now);
         // One acquire = one distributed flow. Every protocol send this
         // thread stages while polling carries the id on its envelope,
         // remote drivers restore it while applying (and park it with a
@@ -1134,119 +1374,98 @@ impl NodeHandle {
         let flow = profile::new_flow();
         let _flow_scope = profile::flow_scope(flow);
         let _acquire_span = profile::span_with_flow(SpanKind::Acquire, n, flow);
-        let mut rng = SplitMix64::new(
-            self.shared
-                .backoff_seed
-                .wrapping_add(obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                ^ ((u64::from(n.0) + 1) << 32)
-                ^ u64::from(write),
-        );
-        let mut spins: u32 = 0;
-        let mut backoff_us: u64 = 20;
-        let mut first_poll = true;
-        // Open between a park's end and the end of the next poll: the
-        // poke-wake -> re-poll reaction time the WakeCell exists to
-        // minimize, measured instead of assumed.
-        let mut wake_span: Option<profile::SpanGuard> = None;
-        loop {
-            // Once the backoff has hit its ceiling the grant is overdue by
-            // orders of magnitude over the lossless-channel round trip: the
-            // request may have died with a crashed node (purged inbox,
-            // amnesia-wiped queue). Re-send it toward the current owner
-            // hint — deduplicated at the queue, so a false alarm is noise,
-            // not a double grant.
-            let nudge = spins >= 64 && backoff_us >= 2_000;
-            // Sample the wake epoch *before* polling: a grant applied
-            // after this line moves the epoch, so the `wait` below falls
-            // through instead of sleeping past it (no lost wakeup).
-            let seen = self.shared.wake[n.0 as usize].epoch();
-            let poll_span = profile::span_with_flow(
-                if first_poll {
-                    SpanKind::AcquireSubmit
-                } else {
-                    SpanKind::AcquirePoll
-                },
-                n,
-                flow,
+        let submit_span = profile::span_with_flow(SpanKind::AcquireSubmit, n, flow);
+        let (mut entered, mut owner) = self.poll_acquire(obj, write, false)?;
+        drop(submit_span);
+        if !entered {
+            // The token is elsewhere. Everything a *wait* needs — the
+            // clock, the jitter stream, the wake epoch — starts here, so
+            // an acquire the node satisfies itself pays for none of it.
+            let wake = &self.shared.site(n).wake;
+            let deadline = Instant::now() + self.shared.acquire_timeout;
+            let mut rng = SplitMix64::new(
+                self.shared
+                    .backoff_seed
+                    .wrapping_add(obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    ^ ((u64::from(n.0) + 1) << 32)
+                    ^ u64::from(write),
             );
-            first_poll = false;
-            let (entered, owner) = self.with_protocol_uncounted(|c| {
-                if nudge {
-                    c.nudge_acquire(n, obj)?;
-                }
-                let entered = c.poll_acquire(n, obj, write)?;
-                // While waiting, note whose grant we are waiting for, so
-                // a dead owner surfaces as a typed error below instead of
-                // burning the whole acquire timeout.
-                let owner = if entered {
-                    None
-                } else {
-                    c.oid_at(n, obj)
-                        .ok()
-                        .and_then(|oid| c.engine.obj_state(n, oid))
-                        .map(|st| st.owner_hint)
-                };
-                Ok((entered, owner))
-            })?;
-            drop(poll_span);
-            // If we were parked, the wake "ends" once the poll it
-            // triggered completes (grant claimed or not).
-            drop(wake_span.take());
-            if entered {
-                self.count_op();
-                let waited = t0.elapsed().as_micros() as u64;
-                let h = if write {
-                    Hst::AcquireWriteMicros
-                } else {
-                    Hst::AcquireReadMicros
-                };
-                metrics::observe(n, h, waited);
-                return Ok(());
-            }
-            if let Some(owner) = owner {
-                // Down hard: fail fast with the typed error. A merely
-                // *recovering* owner is coming back — keep polling; the
-                // backoff-ceiling nudge above re-sends the request once
-                // the recovered node is serving again.
-                if owner != n && self.shared.status_of(owner) == NODE_DOWN {
-                    self.abandon_acquire(obj);
-                    return Err(BmxError::NodeDown { node: owner });
-                }
-            }
-            if Instant::now() >= deadline {
-                if let Some(owner) = owner {
-                    if owner != n && self.shared.status_of(owner) != NODE_ALIVE {
+            let mut spins: u32 = 0;
+            let mut backoff_us: u64 = 20;
+            let mut seen = wake.epoch();
+            while !entered {
+                let late = Instant::now() >= deadline;
+                if let Some(owner) = owner.filter(|&o| o != n) {
+                    // Down hard: fail fast with the typed error. A merely
+                    // *recovering* owner is coming back — keep polling (the
+                    // backoff-ceiling nudge below re-sends the request once
+                    // the recovered node is serving again) until time is up.
+                    let status = self.shared.status_of(owner);
+                    if status == NODE_DOWN || (late && status != NODE_ALIVE) {
                         self.abandon_acquire(obj);
                         return Err(BmxError::NodeDown { node: owner });
                     }
                 }
-                let oid = self.with_protocol_uncounted(|c| c.oid_at(n, obj))?;
-                self.abandon_acquire(obj);
-                return Err(BmxError::WouldBlock { oid });
-            }
-            // Re-poll cadence: spin briefly for fast grants, then back
-            // off exponentially with seeded jitter so contending handles
-            // don't re-poll in lockstep.
-            spins = spins.saturating_add(1);
-            if spins < 64 {
-                std::thread::yield_now();
-            } else {
-                // Park on the node's wake cell rather than sleeping blind:
-                // the driver pokes it after every applied envelope, so a
-                // landing grant is claimed in microseconds instead of
-                // idling reserved for the rest of the backoff. The epoch
-                // sampled above makes the poll-then-park window safe, and
-                // the backoff is still the timeout of last resort.
-                let jitter = rng.next_below(backoff_us / 2 + 1);
-                {
-                    let _park = profile::span_with_flow(SpanKind::AcquirePark, n, flow);
-                    self.shared.wake[n.0 as usize]
-                        .wait(seen, Duration::from_micros(backoff_us + jitter));
+                if late {
+                    let oid = self.with_protocol_uncounted(|c| c.oid_at(n, obj))?;
+                    self.abandon_acquire(obj);
+                    return Err(BmxError::WouldBlock { oid });
                 }
-                wake_span = Some(profile::span_with_flow(SpanKind::AcquireWake, n, flow));
-                backoff_us = (backoff_us * 2).min(2_000);
+                // Re-poll cadence: spin briefly for fast grants, then back
+                // off exponentially with seeded jitter so contending handles
+                // don't re-poll in lockstep.
+                spins = spins.saturating_add(1);
+                // Open between a park's end and the end of the next poll:
+                // the ring -> re-poll reaction time the wake signal exists
+                // to minimize, measured instead of assumed.
+                let mut wake_span = None;
+                if spins < SPINS_BEFORE_PARK {
+                    std::thread::yield_now();
+                } else {
+                    // Park on the node's wake signal rather than sleeping
+                    // blind: the driver rings it after every applied
+                    // envelope, so a landing grant is claimed in
+                    // microseconds instead of idling reserved for the rest
+                    // of the backoff. `seen` was sampled before the last
+                    // poll, which makes the poll-then-park window safe, and
+                    // the backoff is still the timeout of last resort.
+                    let jitter = rng.next_below(backoff_us / 2 + 1);
+                    {
+                        let _park = profile::span_with_flow(SpanKind::AcquirePark, n, flow);
+                        wake.wait(seen, Duration::from_micros(backoff_us + jitter));
+                    }
+                    wake_span = Some(profile::span_with_flow(SpanKind::AcquireWake, n, flow));
+                    backoff_us = (backoff_us * 2).min(2_000);
+                }
+                // Once the backoff has hit its ceiling the grant is overdue
+                // by orders of magnitude over the lossless-channel round
+                // trip: the request may have died with a crashed node
+                // (purged inbox, amnesia-wiped queue). Re-send it toward the
+                // current owner hint — deduplicated at the queue, so a false
+                // alarm is noise, not a double grant.
+                let nudge = spins >= SPINS_BEFORE_PARK && backoff_us >= 2_000;
+                // Sample the wake epoch *before* polling: a grant applied
+                // after this line moves the epoch, so the next `wait` falls
+                // through instead of sleeping past it (no lost wakeup).
+                seen = wake.epoch();
+                let poll_span = profile::span_with_flow(SpanKind::AcquirePoll, n, flow);
+                (entered, owner) = self.poll_acquire(obj, write, nudge)?;
+                drop(poll_span);
+                // If we were parked, the wake "ends" once the poll it
+                // triggered completes (grant claimed or not).
+                drop(wake_span);
             }
         }
+        self.count_op();
+        if let Some(t0) = t0 {
+            let h = if write {
+                Hst::AcquireWriteMicros
+            } else {
+                Hst::AcquireReadMicros
+            };
+            metrics::observe(n, h, t0.elapsed().as_micros() as u64);
+        }
+        Ok(())
     }
 
     /// Best-effort wait cancellation on an acquire's error exit. Without

@@ -23,7 +23,15 @@
 //!    bunch it maps. Ownership is reconciled without ever moving a token a
 //!    surviving node holds — the Section-5 acquire invariants are untouched
 //!    because the recovering node only ever *demotes* itself (replica where
-//!    a survivor owns) or claims objects nobody else owns.
+//!    a survivor owns) or claims objects nobody else owns. "Nobody reports
+//!    ownership" is not yet "nobody owns": a write grant between two
+//!    survivors may be in flight while both answer, the old owner already
+//!    demoted and the new one still waiting. Each peer therefore reports
+//!    its place in the object's ownership history
+//!    ([`ObjView::handoffs`]); the peer with the highest count made the
+//!    last handoff any survivor knows of, and its grantee — this node, and
+//!    ownership died with it, or a survivor the grant is on its way to —
+//!    decides between claiming and waiting as a plain replica.
 //! 3. **Scion/stub regeneration** — the piggy-backed reports are applied
 //!    through the ordinary idempotent cleaner
 //!    ([`bmx_gc::cleaner::process_report`]), which recreates every scion
@@ -56,8 +64,13 @@ pub struct ObjView {
     /// Whether the peer holds a (read or write) token.
     pub has_token: bool,
     /// The peer's ownerPtr for the object (meaningful when it holds a
-    /// non-owned replica).
+    /// non-owned replica, or held one its collector reclaimed).
     pub owner_hint: NodeId,
+    /// The peer's position in the object's ownership history
+    /// ([`bmx_dsm::ObjState::handoffs`]): if it is not the owner and the
+    /// count is not 0, `owner_hint` is the node it granted ownership to in
+    /// change of hands number `handoffs`.
+    pub handoffs: u32,
 }
 
 /// A replica at a peer whose ownerPtr names the crashed node but which the
@@ -71,6 +84,8 @@ pub struct OrphanView {
     pub bunch: BunchId,
     /// Whether the peer holds a token for its (stale-at-worst) copy.
     pub has_token: bool,
+    /// The peer's position in the object's ownership history.
+    pub handoffs: u32,
 }
 
 /// One ownership decision broadcast at the end of the handshake.
@@ -88,6 +103,9 @@ pub struct Assignment {
     pub replicas: Vec<NodeId>,
     /// The subset holding read tokens (the new owner's copy-set).
     pub readers: Vec<NodeId>,
+    /// Which change of hands in the object's ownership history this
+    /// decision is: one past the highest count any peer reported.
+    pub handoffs: u32,
 }
 
 /// The rejoin handshake messages. All travel on the reliable
@@ -144,8 +162,8 @@ impl WireSize for RejoinMsg {
                 reports,
                 ..
             } => {
-                20 + 14 * views.len() as u64
-                    + 13 * orphans.len() as u64
+                20 + 18 * views.len() as u64
+                    + 17 * orphans.len() as u64
                     + 12 * epochs.len() as u64
                     + reports
                         .iter()
@@ -160,7 +178,7 @@ impl WireSize for RejoinMsg {
             RejoinMsg::Assign { assignments, .. } => {
                 16 + assignments
                     .iter()
-                    .map(|a| 20 + 4 * (a.replicas.len() + a.readers.len()) as u64)
+                    .map(|a| 24 + 4 * (a.replicas.len() + a.readers.len()) as u64)
                     .sum::<u64>()
             }
         }
@@ -184,8 +202,8 @@ pub struct Recovery {
     /// Collected peer views per recovered object, tagged with the replying
     /// peer (an `is_owner` view makes that peer the surviving owner).
     pub views: BTreeMap<Oid, Vec<(NodeId, ObjView)>>,
-    /// Collected orphans: object -> (bunch, holders with token flag).
-    pub orphans: BTreeMap<Oid, (BunchId, Vec<(NodeId, bool)>)>,
+    /// Collected orphans per object, tagged with the reporting holder.
+    pub orphans: BTreeMap<Oid, Vec<(NodeId, OrphanView)>>,
     /// Cluster-wide cleaner-epoch maximum per bunch for this node's reports.
     pub epoch_floor: BTreeMap<BunchId, u64>,
     /// Reports piggy-backed on replies, applied at completion (after the

@@ -51,6 +51,11 @@ pub enum BmxError {
     /// (crashed driver or injected crash in the parallel runtime). The
     /// caller may retry once the supervisor has restarted the node.
     NodeDown { node: NodeId },
+    /// The operation must read state of `node` that the acting node's
+    /// site does not hold. Only a parallel-runtime site reports this, and
+    /// only before changing anything; the node handle answers by running
+    /// the operation again with `node`'s site locked and lent too.
+    NeedsNode { node: NodeId },
     /// Protocol violation detected at runtime (a bug, surfaced loudly).
     Protocol(String),
 }
@@ -103,6 +108,9 @@ impl fmt::Display for BmxError {
             }
             BmxError::NodeDown { node } => {
                 write!(f, "node {node} is down (failure domain crashed)")
+            }
+            BmxError::NeedsNode { node } => {
+                write!(f, "the operation needs node {node}'s state as well")
             }
             BmxError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
         }

@@ -244,8 +244,6 @@ pub struct GcState {
     pub nodes: Vec<GcNodeState>,
     /// The shared segment server (to map to-space segments on demand).
     pub server: SharedServer,
-    /// Which nodes have each bunch mapped (report destinations).
-    pub mappings: BTreeMap<BunchId, BTreeSet<NodeId>>,
     /// How relocations travel (experiment E3 knob).
     pub reloc_mode: RelocMode,
     /// Relocations awaiting explicit transmission (only used in
@@ -259,7 +257,6 @@ impl GcState {
         GcState {
             nodes: (0..n).map(|i| GcNodeState::new(NodeId(i as u32))).collect(),
             server,
-            mappings: BTreeMap::new(),
             reloc_mode: RelocMode::default(),
             explicit_queue: Vec::new(),
         }
@@ -275,17 +272,14 @@ impl GcState {
         &mut self.nodes[node.0 as usize]
     }
 
-    /// Records that `node` has `bunch` mapped.
+    /// Records at the shared server that `node` has `bunch` mapped.
     pub fn note_mapping(&mut self, bunch: BunchId, node: NodeId) {
-        self.mappings.entry(bunch).or_default().insert(node);
+        self.server.borrow_mut().note_mapping(bunch, node);
     }
 
-    /// Nodes that currently have `bunch` mapped.
+    /// Nodes that currently have `bunch` mapped (report destinations).
     pub fn mapped_nodes(&self, bunch: BunchId) -> Vec<NodeId> {
-        self.mappings
-            .get(&bunch)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.server.borrow().mapped_nodes(bunch)
     }
 
     /// The bunch containing `addr`, from the shared server.

@@ -88,6 +88,16 @@ impl DsmEngine {
         self.nodes.len()
     }
 
+    /// Exchanges `node`'s protocol state with `other`'s. The parallel
+    /// runtime keeps each node's state in an engine of its own and lends
+    /// it to another for a call that reads two nodes.
+    pub fn swap_node(&mut self, node: NodeId, other: &mut DsmEngine) {
+        std::mem::swap(
+            &mut self.nodes[node.0 as usize],
+            &mut other.nodes[node.0 as usize],
+        );
+    }
+
     fn ns(&self, node: NodeId) -> &DsmNodeState {
         &self.nodes[node.0 as usize]
     }
@@ -183,6 +193,12 @@ impl DsmEngine {
             .filter(|(_, s)| s.bunch == bunch && !s.entering.is_empty())
             .map(|(o, s)| (o, s.entering.iter().copied().collect()))
             .collect()
+    }
+
+    /// What `node` remembers of an object it holds no replica of any more:
+    /// the ownerPtr and handoff count its reclaimed replica left behind.
+    pub fn departed(&self, node: NodeId, oid: Oid) -> Option<(NodeId, u32)> {
+        self.ns(node).departed.get(&oid).copied()
     }
 
     /// Whether the local acquire of `oid` at `node` is still outstanding.
@@ -364,7 +380,8 @@ impl DsmEngine {
     /// copies (they become entering ownerPtrs); `readers` the subset that
     /// reported a read token (they stay valid, so the claimant takes only a
     /// read token when any exist — writes go through the normal
-    /// invalidation path).
+    /// invalidation path). The claim is change of hands number `handoffs`
+    /// of the object: one past the highest any survivor has seen.
     pub fn rejoin_claim_owner(
         &mut self,
         node: NodeId,
@@ -372,8 +389,10 @@ impl DsmEngine {
         bunch: BunchId,
         replicas: &[NodeId],
         readers: &[NodeId],
+        handoffs: u32,
     ) {
         let mut st = ObjState::new_owner(bunch, node);
+        st.handoffs = handoffs;
         if readers.iter().any(|&r| r != node) {
             st.token = Token::Read;
         }
@@ -395,17 +414,20 @@ impl DsmEngine {
     /// authoritative copy is gone). The adopter's replica — possibly stale
     /// — becomes the authoritative one; this is the bounded data loss the
     /// crash-amnesia model allows. The token is promoted only to `Read` so
-    /// other surviving readers stay valid.
+    /// other surviving readers stay valid. Like a claim, the adoption is
+    /// change of hands number `handoffs`.
     pub fn rejoin_adopt_owner(
         &mut self,
         node: NodeId,
         oid: Oid,
         replicas: &[NodeId],
         readers: &[NodeId],
+        handoffs: u32,
     ) {
         if let Some(st) = self.ns_mut(node).get_mut(oid) {
             st.is_owner = true;
             st.owner_hint = node;
+            st.handoffs = handoffs;
             if st.token == Token::None {
                 st.token = Token::Read;
             }
@@ -827,6 +849,7 @@ impl DsmEngine {
                 image,
                 relocations,
                 intra_ssp,
+                handoffs,
             } => self.handle_write_grant(
                 src,
                 dst,
@@ -836,6 +859,7 @@ impl DsmEngine {
                 image,
                 relocations,
                 intra_ssp,
+                handoffs,
                 sh,
             ),
             DsmMsg::Invalidate { oid, parent } => {
@@ -905,7 +929,7 @@ impl DsmEngine {
         sh: &mut DsmShared<'_>,
         send: &mut SendFn<'_>,
     ) {
-        if let Some(&hint) = self.ns(at).departed.get(&oid) {
+        if let Some(&(hint, _)) = self.ns(at).departed.get(&oid) {
             self.emit(sh, send, at, hint, req);
         }
     }
@@ -1221,7 +1245,7 @@ impl DsmEngine {
         let image = ObjectImage::capture(&sh.mems[owner.0 as usize], addr)?;
         sh.stats[owner.0 as usize].add(StatKind::ImageWordsCopied, image.data.len() as u64);
         metrics::observe(owner, Hst::GrantImageWords, image.data.len() as u64);
-        let bunch = {
+        let (bunch, handoffs) = {
             let st = self.ns_mut(owner).get_mut(oid).expect("owner state exists");
             if st.token != Token::None {
                 st.token = Token::None;
@@ -1229,8 +1253,9 @@ impl DsmEngine {
             }
             st.is_owner = false;
             st.owner_hint = requester;
+            st.handoffs += 1;
             st.entering.remove(&requester);
-            st.bunch
+            (st.bunch, st.handoffs)
         };
         trace::emit(
             owner,
@@ -1252,6 +1277,7 @@ impl DsmEngine {
                 image,
                 relocations,
                 intra_ssp,
+                handoffs,
             },
         );
         Ok(())
@@ -1345,6 +1371,7 @@ impl DsmEngine {
         image: ObjectImage,
         relocations: Vec<Relocation>,
         intra_ssp: Vec<crate::msg::IntraSspCreate>,
+        handoffs: u32,
         sh: &mut DsmShared<'_>,
     ) -> Result<()> {
         self.apply_incoming_relocations(at, &relocations, sh);
@@ -1363,11 +1390,13 @@ impl DsmEngine {
                 st.token = Token::Write;
                 st.is_owner = true;
                 st.owner_hint = at;
+                st.handoffs = handoffs;
                 st.entering.insert(src);
                 st.reserved = reserve;
             }
             None => {
                 let mut st = ObjState::new_owner(bunch, at);
+                st.handoffs = handoffs;
                 st.entering.insert(src);
                 st.reserved = reserve;
                 ns.insert(oid, st);

@@ -91,6 +91,9 @@ pub enum DsmMsg {
         relocations: Vec<Relocation>,
         /// Invariant 3 payload: intra-bunch stubs the new owner must create.
         intra_ssp: Vec<IntraSspCreate>,
+        /// Which change of hands this is in the object's ownership history
+        /// ([`crate::ObjState::handoffs`] at both ends afterwards).
+        handoffs: u32,
     },
     /// Invalidate the local read replica (transitively) on behalf of a write
     /// transfer; ack to `parent` once the local subtree is invalid.
@@ -140,6 +143,8 @@ impl WireSize for DsmMsg {
             DsmMsg::ReadGrant {
                 image, relocations, ..
             } => 40 + image.wire_size() + 24 * relocations.len() as u64,
+            // The fixed part is a read grant's: the handoff count sits where
+            // that has its owner hint.
             DsmMsg::WriteGrant {
                 image,
                 relocations,

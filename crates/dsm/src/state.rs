@@ -98,6 +98,15 @@ pub struct ObjState {
     /// enough to livelock under duplicate-request storms. Cleared by
     /// [`super::DsmEngine::lock`] (the claim) or by cancelling the wait.
     pub reserved: bool,
+    /// How many times ownership of the object had changed hands when this
+    /// node last took part in a handoff: as the grantor (the count includes
+    /// that grant and `owner_hint` names the grantee) or as the grantee
+    /// (`is_owner`). 0 at a node that never did. The protocol proper never
+    /// reads it. Crash recovery compares it across the survivors: the
+    /// record with the highest count says where ownership went last, which
+    /// tells a grant still in flight between two survivors — neither end
+    /// calls itself owner — from an owner that died.
+    pub handoffs: u32,
 }
 
 impl ObjState {
@@ -112,6 +121,7 @@ impl ObjState {
             entering: BTreeSet::new(),
             locked: false,
             reserved: false,
+            handoffs: 0,
         }
     }
 
@@ -127,6 +137,7 @@ impl ObjState {
             entering: BTreeSet::new(),
             locked: false,
             reserved: false,
+            handoffs: 0,
         }
     }
 }
@@ -152,8 +163,10 @@ pub struct DsmNodeState {
     /// peer's stale ownerPtr may route a request through this node after
     /// the record is gone; forwarding it along the remembered pointer keeps
     /// the probable-owner chain whole. An entry dies when a replica of the
-    /// object is registered here again.
-    pub departed: BTreeMap<Oid, NodeId>,
+    /// object is registered here again. Kept with the record's
+    /// [`ObjState::handoffs`]: what the node knew of the ownership history
+    /// must outlive its replica for crash recovery to order it.
+    pub departed: BTreeMap<Oid, (NodeId, u32)>,
 }
 
 impl DsmNodeState {
@@ -184,7 +197,7 @@ impl DsmNodeState {
         self.queued.remove(&oid);
         let st = self.objects.remove(&oid)?;
         if !st.is_owner {
-            self.departed.insert(oid, st.owner_hint);
+            self.departed.insert(oid, (st.owner_hint, st.handoffs));
         }
         Some(st)
     }
@@ -227,7 +240,7 @@ mod tests {
         // A dropped non-owned replica leaves its ownerPtr behind until a
         // replica is registered again.
         ns.drop_replica(Oid(2));
-        assert_eq!(ns.departed.get(&Oid(2)), Some(&NodeId(1)));
+        assert_eq!(ns.departed.get(&Oid(2)), Some(&(NodeId(1), 0)));
         ns.insert(Oid(2), ObjState::new_owner(BunchId(1), NodeId(0)));
         assert!(ns.departed.is_empty());
     }

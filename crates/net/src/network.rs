@@ -584,6 +584,34 @@ impl<M: WireSize + Clone> Network<M> {
         self.stats.values().map(|s| s.dropped).sum()
     }
 
+    /// Exchanges the per-link sequence counters of the links leaving
+    /// `src` with `other`'s: they are the sender's state, and move with it
+    /// when the parallel runtime lends a node to another site's cluster.
+    pub fn swap_link_seqs(&mut self, src: NodeId, other: &mut Self) {
+        let take = |seqs: &mut BTreeMap<(NodeId, NodeId), MsgSeq>| {
+            let mut tail = seqs.split_off(&(src, NodeId(0)));
+            if let Some(next) = src.0.checked_add(1) {
+                seqs.append(&mut tail.split_off(&(NodeId(next), NodeId(0))));
+            }
+            tail
+        };
+        let (mine, theirs) = (take(&mut self.seqs), take(&mut other.seqs));
+        self.seqs.extend(theirs);
+        other.seqs.extend(mine);
+    }
+
+    /// Moves `other`'s traffic counters into this network's, leaving
+    /// `other`'s at zero: the sum over both is unchanged.
+    pub fn absorb_stats(&mut self, other: &mut Self) {
+        for (class, s) in std::mem::take(&mut other.stats) {
+            let mine = self.stats.entry(class).or_default();
+            mine.sent += s.sent;
+            mine.dropped += s.dropped;
+            mine.duplicated += s.duplicated;
+            mine.bytes += s.bytes;
+        }
+    }
+
     /// Resets traffic counters (in-flight messages are unaffected).
     pub fn reset_stats(&mut self) {
         self.stats.clear();

@@ -19,8 +19,8 @@
 //! Quiescence is race-free by construction: [`Transport::in_flight`]
 //! counts *send → fully-applied* (not send → received), and a driver only
 //! calls [`Transport::ack_delivered`] after the dispatch completed under
-//! the protocol lock. `in_flight() == 0` therefore means "no message
-//! exists that could still change protocol state".
+//! the receiving node's lock. `in_flight() == 0` therefore means "no
+//! message exists that could still change protocol state".
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;

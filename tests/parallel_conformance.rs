@@ -373,6 +373,39 @@ fn parallel_matches_sim_on_eight_seeds() {
     }
 }
 
+/// Gather identity: the runtime keeps each node's state in a cluster of
+/// its own and `shutdown` gathers them into the one it returns. With no
+/// racing phase at all — spawn, the set-up, drain — that cluster must be
+/// the simulator's, digest for digest: nothing is lost, duplicated or
+/// left behind in a site when slots are lent for `with` and collected at
+/// the end.
+#[test]
+fn gathered_cluster_after_setup_matches_sim() {
+    let _serial = serial();
+    let mut cfg = ClusterConfig::with_nodes(NODES);
+    cfg.net = NetworkConfig::lossless(1);
+    cfg.retry = None;
+    let mut sim = Cluster::new(cfg);
+    let s_sim = setup_workload(&mut sim);
+
+    let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(NODES));
+    let s_par = pc
+        .handle(n(1))
+        .with(|c| Ok(setup_workload(c)))
+        .expect("setup");
+    assert!(pc.quiesce(Duration::from_secs(10)), "setup settles");
+    let (mut gathered, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    assert_eq!(report.delivered, report.sent, "{report:?}");
+    assert_eq!(s_sim.shared, s_par.shared, "same addresses in both modes");
+    for i in 0..NODES {
+        assert!(gathered.is_resident(n(i)), "node {i}'s slot came home");
+    }
+    assert_eq!(
+        settle_and_digest(&mut sim, &s_sim),
+        settle_and_digest(&mut gathered, &s_par)
+    );
+}
+
 /// The wall-clock span profiler's zero-cost claim, pinned as protocol
 /// conformance: the same seeded workload, run once with the profiler off
 /// and once recording every span kind, must produce *bit-identical*

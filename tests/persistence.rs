@@ -161,3 +161,102 @@ fn checkpoint_after_collection_round_trips_forwarding() {
     );
     let _ = b;
 }
+
+/// A manifest write is a cut across *every* locally mapped bunch, not only
+/// the collected group (the root cause of ROADMAP 2(f)). N2 holds a
+/// private `k` pointing at `x` in a shared bunch. N0's collection moves
+/// `x`; N2's next acquire applies that relocation, so N2's replica of the
+/// shared bunch gains a to-space segment and `k.0`/N2's root now name the
+/// new address. N2 then collects only its *private* bunch: the checkpoint
+/// must also re-store the shared bunch, or an amnesia restart recovers
+/// pointers into a to-space the stored image never had.
+#[test]
+fn checkpoint_stores_every_bunch_changed_since_its_last_image() {
+    let dir = fresh_dir("cut");
+    let (n0, n2) = (n(0), n(2));
+    let mut cfg = ClusterConfig::with_nodes(3);
+    cfg.persist = Some(PersistConfig::at(&dir));
+    let mut c = Cluster::new(cfg);
+    let shared = c.create_bunch(n0).unwrap();
+    let x = c.alloc(n0, shared, &ObjSpec::with_refs(2, &[0])).unwrap();
+    c.add_root(n0, x);
+    c.map_bunch(n2, shared, n0).unwrap();
+    let x_root = c.add_root(n2, x);
+    let private = c.create_bunch(n2).unwrap();
+    let k = c.alloc(n2, private, &ObjSpec::with_refs(2, &[0])).unwrap();
+    let k_root = c.add_root(n2, k);
+    c.write_ref(n2, k, 0, x).unwrap();
+
+    c.run_bgc(n2, private).unwrap();
+    c.run_bgc(n2, shared).unwrap();
+    c.run_bgc(n0, shared).unwrap(); // moves x at its owner
+    c.acquire_write(n2, x).unwrap(); // N2 learns the move, maps the to-space
+    c.release(n2, x).unwrap();
+    c.run_bgc(n2, private).unwrap(); // checkpoint names x's new address
+
+    c.restart_with_amnesia(n2).unwrap();
+    c.settle(10_000).unwrap();
+    assert!(!c.in_recovery(n2), "rejoin completed");
+    let findings = bmx_repro::bmx::audit::audit(&c);
+    assert!(findings.is_empty(), "audit after recovery: {findings:#?}");
+    let k = c.root(n2, k_root).expect("k's root recovered");
+    let x = c.root(n2, x_root).expect("x's root recovered");
+    assert!(c.ptr_eq(n2, c.read_ref(n2, k, 0).unwrap(), x));
+    c.acquire_read(n2, x)
+        .expect("the recovered replica of x is usable");
+    c.release(n2, x).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Nobody *reporting* ownership is not nobody owning. N1's write request
+/// reaches the owner N0 in the same tick as N2's rejoin request: N0 grants
+/// first and answers "not the owner any more", N1 answers "not the owner
+/// yet", and the grant lands a tick later. N2 must read the handoff counts
+/// — N0 made the last handoff, to N1 — and come back as a plain replica;
+/// claiming the object would make two owners.
+#[test]
+fn rejoin_does_not_claim_an_object_whose_ownership_is_in_flight() {
+    let dir = fresh_dir("inflight");
+    let (n0, n1, n2) = (n(0), n(1), n(2));
+    let mut cfg = ClusterConfig::with_nodes(3);
+    cfg.persist = Some(PersistConfig::at(&dir));
+    let mut c = Cluster::new(cfg);
+    let b = c.create_bunch(n0).unwrap();
+    let x = c.alloc(n0, b, &ObjSpec::with_refs(2, &[0])).unwrap();
+    c.add_root(n0, x);
+    for node in [n1, n2] {
+        c.map_bunch(node, b, n0).unwrap();
+        c.add_root(node, x);
+    }
+    c.run_bgc(n2, b).unwrap(); // N2's checkpoint holds x
+    c.settle(1_000).unwrap();
+
+    c.restart_with_amnesia(n2).unwrap(); // rejoin requests staged, not delivered
+    assert!(c.poll_acquire(n1, x, true).unwrap(), "N1 got the token");
+    c.release(n1, x).unwrap();
+    c.settle(10_000).unwrap();
+    assert!(!c.in_recovery(n2), "rejoin completed");
+    let findings = bmx_repro::bmx::audit::audit(&c);
+    assert!(findings.is_empty(), "audit after recovery: {findings:#?}");
+    let oid = c.oid_at(n1, x).unwrap();
+    assert!(c.engine.is_owner(n1, oid) && !c.engine.is_owner(n2, oid));
+
+    // The opposite case still recovers: ownership moves to N2, N2 crashes
+    // as the owner, and the survivors' last handoff names it.
+    c.acquire_write(n2, x).unwrap();
+    c.write_data(n2, x, 1, 7).unwrap();
+    c.release(n2, x).unwrap();
+    c.run_bgc(n2, b).unwrap();
+    c.restart_with_amnesia(n2).unwrap();
+    c.settle(10_000).unwrap();
+    let findings = bmx_repro::bmx::audit::audit(&c);
+    assert!(
+        findings.is_empty(),
+        "audit after the second recovery: {findings:#?}"
+    );
+    assert!(c.engine.is_owner(n2, oid), "N2 claims what died with it");
+    c.acquire_read(n0, x).unwrap();
+    assert_eq!(c.read_data(n0, x, 1).unwrap(), 7);
+    c.release(n0, x).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
