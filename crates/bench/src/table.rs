@@ -8,6 +8,8 @@
 //! [`Table::to_json`] leaves the declared ones out, so the committed
 //! `BENCH_tables.json` holds only what must reproduce exactly.
 
+use bmx_common::json::quoted;
+
 /// A printable table: a title, column headers, and string rows.
 pub struct Table {
     title: String,
@@ -52,27 +54,12 @@ impl Table {
     /// "headers", "rows"}`, one row per line so a moved counter shows up as
     /// a one-line diff of `BENCH_tables.json`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
         let list = |cells: &[String]| {
             cells
                 .iter()
                 .zip(&self.wall_clock)
                 .filter(|(_, wall)| !**wall)
-                .map(|(c, _)| esc(c))
+                .map(|(c, _)| quoted(c))
                 .collect::<Vec<_>>()
                 .join(", ")
         };
@@ -84,7 +71,7 @@ impl Table {
             .join(",\n");
         format!(
             "{{\n    \"title\": {},\n    \"headers\": [{}],\n    \"rows\": [\n{}\n    ]\n  }}",
-            esc(&self.title),
+            quoted(&self.title),
             list(&self.headers),
             rows
         )

@@ -349,11 +349,6 @@ impl Cluster {
         self.uplink = None;
     }
 
-    /// Whether sends currently leave through a transport uplink.
-    pub fn has_uplink(&self) -> bool {
-        self.uplink.is_some()
-    }
-
     /// Drains every staged envelope out of the simulated network and hands
     /// it to the uplink. No-op without an uplink. The staging network is
     /// configured lossless in parallel mode, so the tick here only rolls

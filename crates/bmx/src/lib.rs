@@ -51,7 +51,6 @@
 pub mod audit;
 pub mod blackbox;
 pub mod cluster;
-pub mod driver;
 pub mod msg;
 pub mod mutator;
 pub mod parallel;
@@ -60,7 +59,6 @@ pub mod recovery;
 pub mod retry;
 
 pub use cluster::{Cluster, ClusterConfig, PersistConfig};
-pub use driver::{Driver, LinkDriver, TickDriver};
 pub use msg::ClusterMsg;
 pub use mutator::ObjSpec;
 pub use parallel::{

@@ -4,9 +4,9 @@
 //! the paper's protocol properties can be audited bit-exactly. This module
 //! runs the *same* protocol state machines on real hardware concurrency:
 //!
-//! * **One OS driver thread per node** ([`LinkDriver`] inside), each
-//!   polling only its own inboxes on a shared lock-free-facade
-//!   [`ChannelTransport`] and applying envelopes under its node's lock.
+//! * **One OS driver thread per node**, each polling only its own inboxes
+//!   on a shared lock-free-facade [`ChannelTransport`] and applying
+//!   envelopes under its node's lock.
 //! * **Real per-node handles** ([`NodeHandle`]): application mutator
 //!   threads call `acquire/read/write/release` directly — no global actor
 //!   serializing closures. An acquire whose token is remote parks the
@@ -48,10 +48,12 @@
 //! radius. A protocol panic or an [`ParallelCluster::inject_crash`] marks
 //! only that node [`NodeStatus::Down`] — its driver thread exits, its
 //! pending submitters get [`BmxError::NodeDown`], and every other node
-//! keeps serving. Under chaos (or with a metrics registry installed) a
-//! **supervisor thread** beats a pulse clock (which also drives
-//! [`FaultyTransport`] partition healing), pumps the metrics watchdogs
-//! with real pending-work readings, and — under [`ChaosConfig::restart`] —
+//! keeps serving. Under a fault plan ([`ClusterConfig::net`], the same one
+//! the simulator reads), a [`ChaosConfig`] or an installed metrics registry
+//! a **supervisor thread** beats a pulse clock (the [`FaultyTransport`]'s
+//! clock: partitions, jitter and the plan's crashes are timed in pulses),
+//! pumps the metrics watchdogs with real pending-work readings, and — for
+//! the plan's crashes, and under [`ChaosConfig::restart`] for any other —
 //! revives downed nodes live through the crash-amnesia recovery pipeline
 //! ([`Cluster::restart_with_amnesia`]): purge the dead incarnation's
 //! inbox, wipe + rejoin with every site locked, respawn a fresh driver
@@ -76,14 +78,11 @@ use bmx_addr::SegmentServer;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SplitMix64};
 use bmx_gc::SharedServer;
 use bmx_metrics::{self as metrics, Ctr, Hst, Registry};
-use bmx_net::{
-    ChannelTransport, FaultyTransport, MsgClass, NetworkConfig, ParallelFaultPlan, Transport,
-};
+use bmx_net::{ChannelTransport, FaultStats, FaultyTransport, MsgClass, NetworkConfig, Transport};
 use bmx_profile::{self as profile, SpanKind};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::cluster::{Cluster, ClusterConfig, Uplink};
-use crate::driver::LinkDriver;
 use crate::msg::ClusterMsg;
 use crate::mutator::ObjSpec;
 
@@ -141,29 +140,25 @@ pub struct ShutdownReport {
     pub restarts: u64,
 }
 
-/// Fault-plane configuration for [`ParallelCluster::spawn_with_chaos`].
+/// The supervisor's configuration ([`ParallelCluster::spawn_with_chaos`]).
+/// The faults themselves are [`ClusterConfig::net`]'s.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// Seed for every fault decision (see [`FaultyTransport`]) and the
-    /// acquire-backoff jitter.
-    pub seed: u64,
-    /// Per-link drop/duplicate/delay probabilities and timed partitions.
-    pub plan: ParallelFaultPlan,
-    /// Supervisor beat. Each beat advances the fault plane's healing
-    /// clock one pulse, so partition windows are measured in beats.
+    /// Supervisor beat. Each beat advances the fault plane's clock one
+    /// pulse, so the plan's windows and jitter are measured in beats.
     pub pulse: Duration,
-    /// Whether the supervisor restarts downed nodes through the
-    /// crash-amnesia recovery pipeline.
+    /// Whether the supervisor restarts nodes that went down outside the
+    /// fault plan (a protocol panic, [`ParallelCluster::inject_crash`])
+    /// through the crash-amnesia recovery pipeline. The plan's own crashes
+    /// restart when the plan says.
     pub restart: bool,
-    /// Beats between observing a node down and restarting it.
+    /// Beats between observing such a node down and restarting it.
     pub restart_delay_pulses: u64,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            seed: 0,
-            plan: ParallelFaultPlan::default(),
             pulse: Duration::from_micros(500),
             restart: true,
             restart_delay_pulses: 16,
@@ -257,9 +252,9 @@ struct Site {
     /// Why the node last went down.
     note: Mutex<Option<String>>,
     restarts: AtomicU64,
-    /// Pulse at which the supervisor first saw this down episode
-    /// (`u64::MAX` = not stamped yet).
-    down_since: AtomicU64,
+    /// Pulse at which the supervisor restarts the node from this down
+    /// episode (`u64::MAX` = not stamped, or never).
+    restart_due: AtomicU64,
     /// Driver-thread incarnation. A restart bumps this under the node's
     /// lock; a driver holding a stale generation discards instead of
     /// applying.
@@ -288,7 +283,7 @@ struct Shared {
     /// Driver threads that have not left [`drive`] yet.
     running: AtomicUsize,
     transport: Arc<dyn Transport<ClusterMsg>>,
-    /// The fault-injecting wrapper, when chaos is on (same object as
+    /// The fault-injecting wrapper, under a fault plan (same object as
     /// `transport`, kept concretely typed for pulse/heal/stats access).
     chaos: Option<Arc<FaultyTransport<ClusterMsg>>>,
     phase: AtomicU8,
@@ -300,7 +295,7 @@ struct Shared {
     /// Cap on how long a blocking acquire re-polls before giving up
     /// (from [`ClusterConfig::acquire_timeout`]).
     acquire_timeout: Duration,
-    /// Seed for acquire-backoff jitter.
+    /// Seed for acquire-backoff jitter (the configuration's one seed).
     backoff_seed: u64,
 }
 
@@ -427,10 +422,15 @@ impl Shared {
         }
         let st = self.site(node);
         *st.note.lock() = Some(note);
-        st.down_since.store(u64::MAX, Ordering::Release);
+        st.restart_due.store(u64::MAX, Ordering::Release);
         st.status.store(NODE_DOWN, Ordering::Release);
         // A parked driver is the node's process: it must notice its death.
         self.bells[node.0 as usize].ring();
+    }
+
+    /// Crashes `node`'s failure domain on purpose.
+    fn inject_crash(&self, node: NodeId) {
+        self.fail_node(node, format!("injected crash at {node:?}"));
     }
 
     fn check(&self, node: NodeId) -> Result<()> {
@@ -529,8 +529,8 @@ impl Shared {
         }
     }
 
-    /// Advances the fault plane's healing clock (when chaos is on) and
-    /// wakes the drivers for whatever traffic the pulse released.
+    /// Advances the fault plane's clock (when there is one) and wakes the
+    /// drivers for whatever traffic the pulse released.
     fn pulse(&self) -> Option<u64> {
         let pulse = self.chaos.as_ref()?.pulse();
         self.ring_drivers();
@@ -594,22 +594,29 @@ pub struct ParallelCluster {
 impl ParallelCluster {
     /// Builds the cluster and spawns one driver thread per node.
     ///
-    /// The config's network is replaced by a lossless latency-1 staging
-    /// network (the channel transport carries the traffic; the simulated
-    /// fault plan and the retry daemon are features of the deterministic
-    /// mode) and the retry daemon is disabled. Without chaos the
-    /// transport is a plain [`ChannelTransport`] and nothing restarts a
-    /// failed node — a protocol panic stays a hard failure, surfaced at
-    /// shutdown. A supervisor thread is spawned only if the calling
-    /// thread has a metrics registry installed (it pumps the watchdogs).
+    /// `cfg.net` means what it means to the simulator, read in pulses: its
+    /// fault plan, class drop rates and seed go to a [`FaultyTransport`]
+    /// over the channels (each site's own network only stages its sends,
+    /// lossless), and a supervisor thread beats the pulse clock and fires
+    /// and restarts the plan's `crash_amnesia` events. A configuration that
+    /// injects nothing gets a plain [`ChannelTransport`], and a supervisor
+    /// only if the calling thread has a metrics registry installed (it
+    /// pumps the watchdogs). Nothing restarts a node that fails outside the
+    /// plan — a protocol panic stays a hard failure, surfaced at shutdown.
+    /// The retry daemon is a feature of the deterministic mode and is
+    /// disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the typed error's wording, on a configuration
+    /// [`NetworkConfig::validate`] rejects and on a fail-buffered `crash`.
     pub fn spawn(cfg: ClusterConfig) -> ParallelCluster {
         Self::spawn_inner(cfg, None)
     }
 
-    /// Like [`ParallelCluster::spawn`], but the transport is wrapped in a
-    /// seeded [`FaultyTransport`] and a supervisor thread beats its pulse
-    /// clock and revives crashed nodes through the crash-amnesia recovery
-    /// pipeline (when [`ChaosConfig::restart`] is on).
+    /// Like [`ParallelCluster::spawn`], with a supervisor always, beating
+    /// at [`ChaosConfig::pulse`] and (when [`ChaosConfig::restart`] is on)
+    /// reviving nodes that go down outside the plan too.
     pub fn spawn_with_chaos(cfg: ClusterConfig, chaos: ChaosConfig) -> ParallelCluster {
         Self::spawn_inner(cfg, Some(chaos))
     }
@@ -617,14 +624,12 @@ impl ParallelCluster {
     fn spawn_inner(mut cfg: ClusterConfig, chaos: Option<ChaosConfig>) -> ParallelCluster {
         let nodes = cfg.nodes;
         let acquire_timeout = cfg.acquire_timeout;
-        cfg.net = NetworkConfig::lossless(1);
+        let net = std::mem::replace(&mut cfg.net, NetworkConfig::lossless(1));
         cfg.retry = None;
-        let faulty = chaos.as_ref().map(|cc| {
-            Arc::new(FaultyTransport::<ClusterMsg>::new(
-                nodes as usize,
-                cc.plan.clone(),
-                cc.seed,
-            ))
+        let backoff_seed = net.seed;
+        let faulty = (!net.is_quiet()).then(|| {
+            let ft = FaultyTransport::<ClusterMsg>::try_new(nodes as usize, net);
+            Arc::new(ft.unwrap_or_else(|e| panic!("{e}")))
         });
         let transport: Arc<dyn Transport<ClusterMsg>> = match &faulty {
             Some(ft) => Arc::clone(ft) as Arc<dyn Transport<ClusterMsg>>,
@@ -649,7 +654,7 @@ impl ParallelCluster {
                     status: AtomicU8::new(NODE_ALIVE),
                     note: Mutex::new(None),
                     restarts: AtomicU64::new(0),
-                    down_since: AtomicU64::new(u64::MAX),
+                    restart_due: AtomicU64::new(u64::MAX),
                     generation: AtomicU64::new(0),
                     ops: AtomicU64::new(0),
                     delivered_by_class: Default::default(),
@@ -669,22 +674,21 @@ impl ParallelCluster {
             revived: Mutex::new(Vec::new()),
             registry: metrics::registry(),
             acquire_timeout,
-            backoff_seed: chaos.as_ref().map_or(0xB0FF_5EED, |cc| cc.seed),
+            backoff_seed,
         });
 
         let drivers = (0..nodes)
             .map(|i| shared.spawn_driver(NodeId(i), 0))
             .collect();
-        // A thread only when it has work: without a fault plane to pulse
-        // and without watchdogs to pump there is nothing to supervise.
-        let supervisor = (chaos.is_some() || shared.registry.is_some()).then(|| {
-            let sup = SupervisorCfg {
-                pulse: chaos
-                    .as_ref()
-                    .map_or(Duration::from_millis(1), |cc| cc.pulse),
-                restart: chaos.as_ref().is_some_and(|cc| cc.restart),
-                restart_delay: chaos.as_ref().map_or(16, |cc| cc.restart_delay_pulses),
-            };
+        // A thread only when it has work: without a fault plane to pulse,
+        // restarts to make or watchdogs to pump there is nothing to
+        // supervise.
+        let supervised = shared.chaos.is_some() || chaos.is_some() || shared.registry.is_some();
+        let supervisor = supervised.then(|| {
+            let sup = chaos.unwrap_or(ChaosConfig {
+                restart: false,
+                ..ChaosConfig::default()
+            });
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("bmx-supervisor".into())
@@ -729,14 +733,22 @@ impl ParallelCluster {
         self.shared.transport.in_flight()
     }
 
-    /// Injected-fault accounting, when chaos is on.
-    pub fn fault_stats(&self) -> Option<bmx_net::ParallelFaultStats> {
-        self.shared.chaos.as_ref().map(|ch| ch.stats())
+    /// Injected-fault accounting, under a fault plan: the simulator's
+    /// [`FaultStats`], with `restarts` counting every live restart.
+    pub fn fault_stats(&self) -> Option<FaultStats> {
+        let sites = &self.shared.sites;
+        self.shared.chaos.as_ref().map(|ch| FaultStats {
+            restarts: sites
+                .iter()
+                .map(|st| st.restarts.load(Ordering::Relaxed))
+                .sum(),
+            ..ch.stats()
+        })
     }
 
-    /// The fault plane's healing-clock reading, when chaos is on. A
-    /// stalled pulse clock means held (delayed/partitioned) envelopes
-    /// are not being flushed — useful when diagnosing a stall.
+    /// The fault plane's clock reading, under a fault plan. A stalled
+    /// pulse clock means held (jittered/partitioned) envelopes are not
+    /// being released — useful when diagnosing a stall.
     pub fn now_pulse(&self) -> Option<u64> {
         self.shared.chaos.as_ref().map(|ch| ch.now_pulse())
     }
@@ -745,11 +757,11 @@ impl ParallelCluster {
     /// driver thread exits, pending and future submitters at that node
     /// get [`BmxError::NodeDown`], and — under a chaos config with
     /// restarts — the supervisor revives it through the recovery
-    /// pipeline after [`ChaosConfig::restart_delay_pulses`].
+    /// pipeline after [`ChaosConfig::restart_delay_pulses`]. A
+    /// `crash_amnesia` in the fault plan takes this path at its pulse.
     pub fn inject_crash(&self, node: NodeId) {
         assert!(node.0 < self.nodes, "no such node {node:?}");
-        self.shared
-            .fail_node(node, format!("injected crash at {node:?}"));
+        self.shared.inject_crash(node);
     }
 
     /// A metrics snapshot stamped for post-hoc ordering: wall-clock
@@ -928,7 +940,6 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
-    let driver = LinkDriver::new(node, Arc::clone(&shared.transport));
     let me = shared.site(node);
     let bell = &shared.bells[node.0 as usize];
     let mut idle_rounds: u32 = 0;
@@ -944,7 +955,7 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
             // the driver is the node's process; it dies with it.
             break;
         }
-        match driver.next_pending() {
+        match shared.transport.try_recv(node) {
             Some(env) => {
                 idle_rounds = 0;
                 if phase == PHASE_DROP && !env.class.requires_reliability() {
@@ -1030,18 +1041,12 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
     }
 }
 
-struct SupervisorCfg {
-    pulse: Duration,
-    restart: bool,
-    restart_delay: u64,
-}
-
-/// The supervisor thread body: beats the pulse clock (healing the fault
-/// plane's partitions on schedule), stamps and revives downed nodes,
-/// flips recovered nodes back to alive, and pumps the metrics watchdogs
-/// with a real pending-work reading so stalls latch alarms instead of
-/// being waited out.
-fn supervise(shared: Arc<Shared>, cfg: SupervisorCfg) {
+/// The supervisor thread body: beats the pulse clock (releasing what the
+/// fault plane holds on schedule), fires the plan's crashes, stamps and
+/// revives downed nodes, flips recovered nodes back to alive, and pumps the
+/// metrics watchdogs with a real pending-work reading so stalls latch
+/// alarms instead of being waited out.
+fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
@@ -1049,21 +1054,39 @@ fn supervise(shared: Arc<Shared>, cfg: SupervisorCfg) {
         .registry
         .as_ref()
         .map_or(0, |r| r.watchdog_config().interval.max(1));
+    let crashes = shared
+        .chaos
+        .as_ref()
+        .map_or(&[][..], |ch| &ch.config().fault.crashes);
+    let mut fired = vec![false; crashes.len()];
     let mut pulse: u64 = 0;
     let mut alarms_seen = shared.registry.as_ref().map_or(0, |r| r.total_alarms());
     while shared.phase.load(Ordering::Acquire) == PHASE_RUN {
         std::thread::sleep(cfg.pulse);
         let _pulse_span = profile::span(SpanKind::SupervisorPulse, NodeId(0));
         pulse = shared.pulse().unwrap_or(pulse + 1);
+        for (c, fired) in crashes.iter().zip(&mut fired) {
+            if !*fired && pulse >= c.at {
+                *fired = true;
+                shared.inject_crash(c.node);
+                shared
+                    .site(c.node)
+                    .restart_due
+                    .store(c.restart_at, Ordering::Release);
+            }
+        }
         for (i, st) in shared.sites.iter().enumerate() {
             let node = NodeId(i as u32);
             match st.status.load(Ordering::Acquire) {
                 NODE_DOWN => {
-                    let seen = st.down_since.load(Ordering::Acquire);
-                    if seen == u64::MAX {
-                        st.down_since.store(pulse, Ordering::Release);
-                    } else if cfg.restart && pulse.saturating_sub(seen) >= cfg.restart_delay {
-                        restart_node(&shared, node);
+                    let due = st.restart_due.load(Ordering::Acquire);
+                    if due != u64::MAX {
+                        if pulse >= due {
+                            restart_node(&shared, node);
+                        }
+                    } else if cfg.restart {
+                        st.restart_due
+                            .store(pulse + cfg.restart_delay_pulses, Ordering::Release);
                     }
                 }
                 NODE_RECOVERING if !st.core.lock().in_recovery(node) => {
@@ -1123,7 +1146,7 @@ fn restart_node(shared: &Arc<Shared>, node: NodeId) {
         }
     };
     st.restarts.fetch_add(1, Ordering::Relaxed);
-    st.down_since.store(u64::MAX, Ordering::Release);
+    st.restart_due.store(u64::MAX, Ordering::Release);
     st.status.store(NODE_RECOVERING, Ordering::Release);
     let handle = shared.spawn_driver(node, generation);
     shared.revived.lock().push(handle);

@@ -4,7 +4,8 @@
 //! workspace: typed identifiers ([`ids`]), 64-bit single-address-space
 //! addresses ([`addr`]), the bit arrays backing object-maps and
 //! reference-maps ([`bitmap`]), instrumentation counters ([`stats`]), the
-//! common error type ([`error`]) and a small deterministic RNG ([`rng`]).
+//! common error type ([`error`]), a small deterministic RNG ([`rng`]) and the
+//! one JSON codec ([`json`]).
 //!
 //! Nothing here knows about the network, the DSM protocol or the collector;
 //! keeping these types dependency-free lets the substrate crates share them
@@ -16,6 +17,7 @@ pub mod addr;
 pub mod bitmap;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod rng;
 pub mod shared;
 pub mod stats;

@@ -286,11 +286,6 @@ impl GcState {
     pub fn bunch_of(&self, addr: Addr) -> Option<BunchId> {
         self.server.borrow().bunch_of(addr)
     }
-
-    /// Convenience: the current local address of `oid` at `node`.
-    pub fn local_addr_of(&self, node: NodeId, oid: Oid) -> Option<Addr> {
-        self.node(node).directory.addr_of(oid)
-    }
 }
 
 #[cfg(test)]

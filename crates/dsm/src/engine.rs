@@ -359,22 +359,6 @@ impl DsmEngine {
         Ok(())
     }
 
-    /// At a recovered node: installs `oid` as an inconsistent replica whose
-    /// ownerPtr names the surviving `owner`. Used when the rejoin handshake
-    /// finds a peer that (still) owns an object recovered from the RVM
-    /// store — the recovered image may be stale, so the node re-enters the
-    /// copy-set without any token and re-acquires on next use.
-    pub fn rejoin_install_replica(
-        &mut self,
-        node: NodeId,
-        oid: Oid,
-        bunch: BunchId,
-        owner: NodeId,
-    ) {
-        self.ns_mut(node)
-            .insert(oid, ObjState::new_replica(bunch, Token::None, owner));
-    }
-
     /// At a recovered node: claims ownership of a recovered `oid` because
     /// no surviving peer owns it. `replicas` are the peers that still hold
     /// copies (they become entering ownerPtrs); `readers` the subset that

@@ -1,13 +1,16 @@
 //! JSON codec for [`Snapshot`] and snapshot diffs.
 //!
 //! The format is deliberately flat — one JSON object mapping metric path
-//! to integer value — so dumps diff cleanly under `jq`/`diff` and the
-//! parser can stay a page long (no dependency budget for serde here).
-//! Paths contain only `[A-Za-z0-9_/.-]`, so no string escaping is needed
-//! in either direction; the parser still rejects anything it does not
-//! understand rather than guessing.
+//! to integer value — so dumps diff cleanly under `jq`/`diff`. Paths
+//! contain only `[A-Za-z0-9_/.-]`, so no string escaping is needed in
+//! either direction; the reader is the workspace's one
+//! ([`bmx_common::json`]) and still rejects anything a snapshot cannot
+//! contain — escapes, duplicate keys, values that are not a `u64` — rather
+//! than guessing.
 
 use std::collections::BTreeMap;
+
+use bmx_common::json::{parse, Json};
 
 use crate::registry::Snapshot;
 
@@ -38,35 +41,21 @@ fn render_map<'a>(entries: impl Iterator<Item = (&'a str, i64)>) -> String {
 /// Parses a snapshot previously rendered by [`to_json`]. Returns an error
 /// message describing the first malformed construct.
 pub fn from_json(text: &str) -> Result<Snapshot, String> {
+    if text.contains('\\') {
+        return Err("unsupported escape: metric paths need none".into());
+    }
+    let Json::Obj(members) = parse(text)? else {
+        return Err("snapshot JSON must be a single object".into());
+    };
     let mut entries = BTreeMap::new();
-    let body = text.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or("snapshot JSON must be a single object")?;
-    for (lineno, raw) in body.split(',').enumerate() {
-        let pair = raw.trim();
-        if pair.is_empty() {
-            continue;
+    for (key, value) in members {
+        let value = value
+            .as_u64()
+            .ok_or_else(|| format!("bad value for {key:?}: {value:?} is not a u64"))?;
+        if entries.contains_key(&key) {
+            return Err(format!("duplicate key {key:?}"));
         }
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("entry {lineno}: missing ':' in {pair:?}"))?;
-        let key = key.trim();
-        let key = key
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("entry {lineno}: key must be quoted, got {key:?}"))?;
-        if key.contains('"') || key.contains('\\') {
-            return Err(format!("entry {lineno}: unsupported escape in key {key:?}"));
-        }
-        let value: u64 = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("entry {lineno}: bad value for {key:?}: {e}"))?;
-        if entries.insert(key.to_string(), value).is_some() {
-            return Err(format!("entry {lineno}: duplicate key {key:?}"));
-        }
+        entries.insert(key, value);
     }
     Ok(Snapshot { entries })
 }

@@ -1,11 +1,15 @@
-//! Chaos-grade fault injection for the simulated network.
+//! The fault plane: one vocabulary and one verdict for both message planes.
 //!
-//! A [`FaultPlan`] describes every fault the network will inject over a run:
-//! per-link loss/duplication/latency-jitter, timed partitions that heal, and
-//! node crash/restart events. All randomness is drawn from the network's one
-//! seeded [`bmx_common::SplitMix64`] stream, so a chaos run is replayable from
-//! a single `u64` seed: same seed, same plan, same traffic ⇒ bit-identical
-//! fault schedule and counters.
+//! A [`FaultPlan`] describes every fault a run injects: per-link
+//! loss/duplication/latency-jitter, timed partitions that heal, and node
+//! crash/restart events. Its time fields are read in the clock of the plane
+//! that interprets it — ticks in the simulated [`crate::Network`], supervisor
+//! pulses in [`crate::FaultyTransport`] — and [`FaultPlan::fate`] is the only
+//! code that turns (class, link fault, partition, crash) into a decision;
+//! each plane keeps only its own queueing. Every draw comes from a seeded
+//! [`SplitMix64`] stream (one per network in the simulator, one per directed
+//! link on threads), so the simulator replays bit-exactly from a single `u64`
+//! seed and the k-th send on a thread-plane link always meets the same fate.
 //!
 //! Fault semantics follow the paper's transport assumptions (Section 4.4):
 //!
@@ -28,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bmx_common::NodeId;
+use bmx_common::{NodeId, SplitMix64};
 
 use crate::network::MsgClass;
 
@@ -67,6 +71,12 @@ pub enum FaultConfigError {
         /// The offending node.
         node: NodeId,
     },
+    /// A fail-buffered crash was scheduled on the thread plane, which cannot
+    /// stall a node while keeping its volatile state.
+    BufferedCrashOnThreads {
+        /// The node the plan would crash.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for FaultConfigError {
@@ -86,6 +96,13 @@ impl fmt::Display for FaultConfigError {
             }
             FaultConfigError::NodeOnBothSides { node } => {
                 write!(f, "{node:?} appears on both sides of a partition")
+            }
+            FaultConfigError::BufferedCrashOnThreads { node } => {
+                write!(
+                    f,
+                    "fail-buffered crash of {node:?} cannot be honoured on real threads \
+                     (schedule a crash_amnesia instead)"
+                )
             }
         }
     }
@@ -109,8 +126,9 @@ pub struct LinkFault {
     pub drop: f64,
     /// Probability of delivering an idempotent-class message twice.
     pub duplicate: f64,
-    /// Maximum extra delivery latency in ticks, drawn uniformly from
-    /// `0..=jitter`. FIFO is preserved by monotone clamping per channel.
+    /// Maximum extra delivery latency in the plane's clock (ticks or
+    /// pulses), drawn uniformly from `0..=jitter`. FIFO is preserved by
+    /// monotone clamping per channel.
     pub jitter: u64,
 }
 
@@ -139,9 +157,9 @@ impl LinkFault {
 }
 
 /// A timed two-sided network partition. Traffic between a node in `a` and a
-/// node in `b` is severed during `[start, end)` ticks; links within a side
-/// are unaffected. Partitions heal: at tick `end` held reliable traffic
-/// flows again.
+/// node in `b` is severed during `[start, end)` of the plane's clock; links
+/// within a side are unaffected. Partitions heal: at `end` held reliable
+/// traffic flows again.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Partition {
     /// One side of the cut.
@@ -181,7 +199,8 @@ impl Partition {
     }
 }
 
-/// A node crash at tick `at` followed by a restart at tick `restart_at`.
+/// A node crash at `at` followed by a restart at `restart_at`, both read in
+/// the plane's clock.
 ///
 /// In the default (fail-buffered) mode the node neither sends nor receives
 /// while crashed: lossy traffic to or from it is discarded, reliable traffic
@@ -196,7 +215,8 @@ impl Partition {
 /// dropped at crash time, and traffic addressed to or from it during the
 /// outage is dropped rather than held. The layer above is expected to wipe
 /// the node's state on [`FaultEvent::NodeCrashed`] and run a recovery
-/// pipeline on [`FaultEvent::NodeRestarted`].
+/// pipeline on [`FaultEvent::NodeRestarted`]. The thread plane honours only
+/// this kind: a crashed driver thread takes its node's state with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The crashing node.
@@ -348,10 +368,112 @@ impl FaultPlan {
     pub fn amnesia_at(&self, node: NodeId, t: u64) -> bool {
         self.crashes.iter().any(|c| c.amnesia && c.down(node, t))
     }
+
+    /// Decides what happens to one `class` message sent `src -> dst` at
+    /// `now`, where `class_loss` is the class-level drop probability
+    /// ([`crate::NetworkConfig::drop_rate`]).
+    ///
+    /// Draw order, each verdict drawn only when it can apply (a probability
+    /// of 0 or 1 draws nothing), so a run replays bit-exactly from `rng`'s
+    /// seed: class-level loss, per-link loss (loss-tolerant classes only),
+    /// per-link duplication (idempotent classes only), per-link jitter.
+    /// Outages come last and draw nothing: a crashed endpoint or severing
+    /// partition discards loss-tolerant traffic and holds reliable traffic
+    /// until the outage ends — except that an amnesia crash discards reliable
+    /// traffic too, because the crashed endpoint has no state for a
+    /// retransmission protocol to resume against. A crash dominates a
+    /// concurrent partition for accounting; a held message waits out
+    /// whichever outage ends last.
+    pub fn fate(
+        &self,
+        rng: &mut SplitMix64,
+        class_loss: f64,
+        src: NodeId,
+        dst: NodeId,
+        class: MsgClass,
+        now: u64,
+    ) -> Fate {
+        if rng.chance(class_loss) {
+            return Fate::Drop(DropCause::ClassLoss);
+        }
+        let reliable = class.requires_reliability();
+        let link = self.link_fault(src, dst);
+        if !reliable && rng.chance(link.drop) {
+            return Fate::Drop(DropCause::Link);
+        }
+        let copies = 1 + u64::from(class.is_idempotent() && rng.chance(link.duplicate));
+        let extra_delay = match link.jitter {
+            0 => 0,
+            jitter => rng.next_below(jitter + 1),
+        };
+        let crashed = self
+            .crashed_until(src, now)
+            .max(self.crashed_until(dst, now));
+        let outage = match crashed {
+            Some(_) => Outage::Crash,
+            None => Outage::Partition,
+        };
+        let not_before = match crashed.max(self.severed_until(src, dst, now)) {
+            None => None,
+            Some(_) if !reliable => return Fate::Drop(DropCause::Outage(outage)),
+            Some(_)
+                if crashed.is_some()
+                    && (self.amnesia_at(src, now) || self.amnesia_at(dst, now)) =>
+            {
+                return Fate::Drop(DropCause::Amnesia)
+            }
+            Some(end) => Some((outage, end)),
+        };
+        Fate::Deliver {
+            copies,
+            extra_delay,
+            not_before,
+        }
+    }
 }
 
-/// Counters for every fault the network injected. All deterministic under a
-/// fixed seed, so two runs of the same plan can be compared field-for-field.
+/// The kind of outage a send ran into.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outage {
+    /// A partition severs the link.
+    Partition,
+    /// An endpoint is crashed.
+    Crash,
+}
+
+/// Why [`FaultPlan::fate`] discarded a message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DropCause {
+    /// The class-level drop rate.
+    ClassLoss,
+    /// The link's drop fault.
+    Link,
+    /// A loss-tolerant message met an outage.
+    Outage(Outage),
+    /// A reliable message met an amnesia crash.
+    Amnesia,
+}
+
+/// The verdict of [`FaultPlan::fate`] on one send.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fate {
+    /// Discard the message.
+    Drop(DropCause),
+    /// Deliver the message.
+    Deliver {
+        /// How many copies arrive (2 under a duplication fault).
+        copies: u64,
+        /// Jitter to add to the plane's own delivery latency.
+        extra_delay: u64,
+        /// The outage holding the message back and the time it ends; the
+        /// message must not arrive before then.
+        not_before: Option<(Outage, u64)>,
+    },
+}
+
+/// Counters for every fault a message plane injected. In the simulator all
+/// are deterministic under a fixed seed, so two runs of the same plan can be
+/// compared field-for-field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Loss-tolerant messages discarded by per-link drop faults.
@@ -374,6 +496,30 @@ pub struct FaultStats {
     pub amnesia_dropped: u64,
     /// Nodes that came back up.
     pub restarts: u64,
+}
+
+impl FaultStats {
+    /// Accounts one verdict.
+    pub fn note(&mut self, fate: &Fate) {
+        let counter = match fate {
+            Fate::Drop(DropCause::ClassLoss) => return,
+            Fate::Drop(DropCause::Link) => &mut self.link_dropped,
+            Fate::Drop(DropCause::Outage(Outage::Partition)) => &mut self.partition_dropped,
+            Fate::Drop(DropCause::Outage(Outage::Crash)) => &mut self.crash_dropped,
+            Fate::Drop(DropCause::Amnesia) => &mut self.amnesia_dropped,
+            Fate::Deliver {
+                copies, not_before, ..
+            } => {
+                self.duplicates_injected += copies - 1;
+                match not_before {
+                    None => return,
+                    Some((Outage::Partition, _)) => &mut self.partition_held,
+                    Some((Outage::Crash, _)) => &mut self.crash_held,
+                }
+            }
+        };
+        *counter += 1;
+    }
 }
 
 /// A fault transition observed by [`crate::Network::tick`], reported so the
@@ -518,6 +664,217 @@ mod tests {
         assert!(MsgClass::ScionMessage.is_idempotent());
         assert!(!MsgClass::Dsm.is_idempotent());
         assert!(!MsgClass::GcBackground.is_idempotent());
+    }
+
+    /// The class policy, stated once for both message planes: every class
+    /// against every kind of fault.
+    #[test]
+    fn fate_applies_the_class_policy_to_every_fault() {
+        use MsgClass::{Dsm, GcBackground, ScionMessage, StubTable};
+        let deliver = |copies, not_before| Fate::Deliver {
+            copies,
+            extra_delay: 0,
+            not_before,
+        };
+        let dropped = |why| Fate::Drop(why);
+        let certain = LinkFault {
+            drop: 1.0,
+            duplicate: 1.0,
+            jitter: 0,
+        };
+        let doubling = LinkFault {
+            duplicate: 1.0,
+            ..LinkFault::default()
+        };
+        let cut = FaultPlan::none().partition(vec![n(0)], vec![n(1)], 5, 9);
+        let stall = FaultPlan::none().crash(n(1), 5, 12);
+        let power_cut = FaultPlan::none().crash_amnesia(n(0), 5, 12);
+        let in_cut = DropCause::Outage(Outage::Partition);
+        let in_crash = DropCause::Outage(Outage::Crash);
+        // (plan, class loss, now, [Dsm, ScionMessage, StubTable, GcBackground])
+        let table = [
+            (
+                FaultPlan::none().all_links(certain),
+                0.0,
+                0,
+                [
+                    deliver(1, None),
+                    dropped(DropCause::Link),
+                    dropped(DropCause::Link),
+                    dropped(DropCause::Link),
+                ],
+            ),
+            (
+                FaultPlan::none().all_links(doubling),
+                0.0,
+                0,
+                [
+                    deliver(1, None),
+                    deliver(2, None),
+                    deliver(2, None),
+                    deliver(1, None),
+                ],
+            ),
+            (
+                cut.clone(),
+                0.0,
+                5,
+                [
+                    deliver(1, Some((Outage::Partition, 9))),
+                    dropped(in_cut),
+                    dropped(in_cut),
+                    dropped(in_cut),
+                ],
+            ),
+            (
+                cut.clone().all_links(doubling),
+                0.0,
+                9,
+                [
+                    deliver(1, None),
+                    deliver(2, None),
+                    deliver(2, None),
+                    deliver(1, None),
+                ],
+            ),
+            (
+                stall.clone(),
+                0.0,
+                11,
+                [
+                    deliver(1, Some((Outage::Crash, 12))),
+                    dropped(in_crash),
+                    dropped(in_crash),
+                    dropped(in_crash),
+                ],
+            ),
+            (
+                // A crash dominates the accounting; the later end wins.
+                stall.partition(vec![n(0)], vec![n(1)], 0, 20),
+                0.0,
+                6,
+                [
+                    deliver(1, Some((Outage::Crash, 20))),
+                    dropped(in_crash),
+                    dropped(in_crash),
+                    dropped(in_crash),
+                ],
+            ),
+            (
+                power_cut,
+                0.0,
+                5,
+                [
+                    dropped(DropCause::Amnesia),
+                    dropped(in_crash),
+                    dropped(in_crash),
+                    dropped(in_crash),
+                ],
+            ),
+            (
+                // Class loss is configured per class; here on all it may be.
+                cut,
+                1.0,
+                0,
+                [
+                    deliver(1, None),
+                    dropped(DropCause::ClassLoss),
+                    dropped(DropCause::ClassLoss),
+                    dropped(DropCause::ClassLoss),
+                ],
+            ),
+        ];
+        for (row, (plan, loss, now, expected)) in table.iter().enumerate() {
+            assert!(plan.validate().is_ok());
+            for (class, want) in [Dsm, ScionMessage, StubTable, GcBackground]
+                .into_iter()
+                .zip(expected)
+            {
+                let class_loss = if class.requires_reliability() {
+                    0.0
+                } else {
+                    *loss
+                };
+                let mut rng = SplitMix64::new(1);
+                let got = plan.fate(&mut rng, class_loss, n(0), n(1), class, *now);
+                assert_eq!(got, *want, "row {row}, {class:?}");
+                assert_eq!(
+                    rng.next_u64(),
+                    SplitMix64::new(1).next_u64(),
+                    "row {row}, {class:?}: a certain verdict draws nothing"
+                );
+            }
+        }
+    }
+
+    /// The replay contract: class loss, link drop, duplicate, jitter, in that
+    /// order, each drawn only for a class it can apply to.
+    #[test]
+    fn fate_draws_only_the_verdicts_that_can_apply() {
+        let plan = FaultPlan::none().all_links(LinkFault {
+            drop: 0.5,
+            duplicate: 0.5,
+            jitter: 3,
+        });
+        // Draws of a send that survives every verdict, per class.
+        for (class, class_loss, draws) in [
+            (MsgClass::Dsm, 0.0, 1),          // jitter
+            (MsgClass::GcBackground, 0.0, 2), // drop, jitter
+            (MsgClass::StubTable, 0.0, 3),    // drop, duplicate, jitter
+            (MsgClass::StubTable, 0.5, 4),    // class loss first
+        ] {
+            let survivor = (0..64u64)
+                .find_map(|seed| {
+                    let mut rng = SplitMix64::new(seed);
+                    match plan.fate(&mut rng, class_loss, n(0), n(1), class, 0) {
+                        Fate::Deliver { .. } => Some((seed, rng.next_u64())),
+                        Fate::Drop(_) => None,
+                    }
+                })
+                .expect("some seed survives");
+            let mut reference = SplitMix64::new(survivor.0);
+            for _ in 0..draws {
+                reference.next_u64();
+            }
+            assert_eq!(survivor.1, reference.next_u64(), "{class:?}: {draws} draws");
+        }
+    }
+
+    #[test]
+    fn stats_count_each_verdict_in_its_own_field() {
+        let mut stats = FaultStats::default();
+        for fate in [
+            Fate::Drop(DropCause::ClassLoss),
+            Fate::Drop(DropCause::Link),
+            Fate::Drop(DropCause::Outage(Outage::Partition)),
+            Fate::Drop(DropCause::Outage(Outage::Crash)),
+            Fate::Drop(DropCause::Amnesia),
+            Fate::Deliver {
+                copies: 2,
+                extra_delay: 1,
+                not_before: Some((Outage::Partition, 4)),
+            },
+            Fate::Deliver {
+                copies: 1,
+                extra_delay: 0,
+                not_before: Some((Outage::Crash, 4)),
+            },
+        ] {
+            stats.note(&fate);
+        }
+        assert_eq!(
+            stats,
+            FaultStats {
+                link_dropped: 1,
+                duplicates_injected: 1,
+                partition_dropped: 1,
+                partition_held: 1,
+                crash_dropped: 1,
+                crash_held: 1,
+                amnesia_dropped: 1,
+                ..FaultStats::default()
+            }
+        );
     }
 
     #[test]

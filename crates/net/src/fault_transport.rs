@@ -1,31 +1,23 @@
-//! Seeded fault injection for the *parallel* message plane.
+//! The fault plane on the *parallel* message plane.
 //!
-//! The deterministic simulator injects faults inside [`crate::Network`],
-//! where the discrete-event clock makes every decision replayable. The
-//! parallel runtime has no such clock — threads interleave however the
-//! hardware likes — so its fault plane must get determinism from
-//! somewhere else. [`FaultyTransport`] wraps a [`ChannelTransport`] and
-//! derives every fault *decision* from per-link send counters:
+//! [`FaultyTransport`] wraps a [`ChannelTransport`] and subjects every send
+//! to the same [`FaultPlan::fate`](crate::FaultPlan::fate) verdict the
+//! simulated [`crate::Network`] uses, under the same [`NetworkConfig`]. What
+//! differs is only what a thread plane must supply itself:
 //!
-//! * Each directed link owns a [`SplitMix64`] stream seeded from one
-//!   cluster seed plus the link identity. Every send draws drop,
-//!   duplicate, and delay verdicts **in a fixed order**, so the fate of
-//!   the k-th envelope on link `(s, d)` is a pure function of
-//!   `(seed, s, d, k, class)` — bit-stable across runs even though
+//! * **The clock is a pulse counter** advanced by the runtime's supervisor
+//!   ([`FaultyTransport::pulse`]), not wall clock: the plan's partition and
+//!   crash windows and its jitter are counted in pulses.
+//! * **One verdict stream per directed link**, seeded from the
+//!   configuration's seed plus the link identity and drawn in `fate`'s
+//!   order, so the fate of the k-th envelope on link `(s, d)` is a function
+//!   of `(seed, s, d, k, class, pulse)` — stable across runs even though
 //!   *which* payload is the k-th send is schedule-dependent.
-//! * Time for healing partitions is a **pulse counter** advanced by the
-//!   runtime's supervisor ([`FaultyTransport::pulse`]), not wall clock:
-//!   a partition severs links for a pulse interval and heals when the
-//!   counter passes `until_pulse`, at which point held traffic flushes
-//!   in per-link FIFO order.
-//!
-//! The class reliability model matches the simulator exactly (the
-//! paper's Section 8 loss model): the DSM class is never dropped — a
-//! partition *holds* it and a drop verdict is ignored for it — only
-//! idempotent classes (`ScionMessage`, `StubTable`) may be duplicated,
-//! and loss-tolerant classes may be dropped outright. Per-link FIFO is
-//! preserved under delay: once a link holds anything back, every later
-//! send on that link queues behind it.
+//! * **"Held" is a queue, not a schedule**: an envelope that must wait (for
+//!   its jitter, or for the outage holding it to end) sits in its link's
+//!   held queue with the pulse that releases it, clamped monotonically
+//!   against the queue's tail so a link never reorders; once a link holds
+//!   anything back, every later send on it queues behind.
 //!
 //! Accounting keeps the conservation law auditable under faults:
 //! [`Transport::sent`] counts every copy this wrapper accepted
@@ -40,160 +32,53 @@ use std::sync::Mutex;
 
 use bmx_common::{NodeId, SplitMix64};
 
-use crate::network::{Envelope, MsgClass};
-use crate::transport::{ChannelTransport, Transport};
-
-/// Per-link fault probabilities for the parallel plane. All default to
-/// zero (a quiet link).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ParallelLinkFault {
-    /// Probability a loss-tolerant envelope is dropped. Never applied to
-    /// the DSM class (the design requires it reliable).
-    pub drop: f64,
-    /// Probability an idempotent envelope (`ScionMessage`, `StubTable`)
-    /// is delivered twice. Non-idempotent classes are never duplicated.
-    pub duplicate: f64,
-    /// Probability an envelope (any class) is held until the next pulse.
-    pub delay: f64,
-}
-
-/// A timed partition: links between side `a` and side `b` are severed
-/// for pulses in `[from_pulse, until_pulse)` and heal after.
-#[derive(Clone, Debug)]
-pub struct ParallelPartition {
-    /// One side of the cut.
-    pub a: Vec<NodeId>,
-    /// The other side.
-    pub b: Vec<NodeId>,
-    /// First pulse at which the cut is active.
-    pub from_pulse: u64,
-    /// First pulse at which the cut is healed again.
-    pub until_pulse: u64,
-}
-
-impl ParallelPartition {
-    fn severs(&self, src: NodeId, dst: NodeId, pulse: u64) -> bool {
-        if pulse < self.from_pulse || pulse >= self.until_pulse {
-            return false;
-        }
-        (self.a.contains(&src) && self.b.contains(&dst))
-            || (self.b.contains(&src) && self.a.contains(&dst))
-    }
-}
-
-/// The whole fault plan for a parallel run: a default per-link fault,
-/// optional per-link overrides, and timed healing partitions.
-#[derive(Clone, Debug, Default)]
-pub struct ParallelFaultPlan {
-    /// Fault probabilities applied to links without an override.
-    pub default_link: ParallelLinkFault,
-    /// Per-link overrides, keyed `(src, dst)`.
-    pub links: Vec<((NodeId, NodeId), ParallelLinkFault)>,
-    /// Timed partitions (pulse-counted, see [`FaultyTransport::pulse`]).
-    pub partitions: Vec<ParallelPartition>,
-}
-
-impl ParallelFaultPlan {
-    /// Applies `fault` to every link without an explicit override.
-    pub fn all_links(mut self, fault: ParallelLinkFault) -> Self {
-        self.default_link = fault;
-        self
-    }
-
-    /// Overrides the fault on one directed link.
-    pub fn link(mut self, src: NodeId, dst: NodeId, fault: ParallelLinkFault) -> Self {
-        self.links.push(((src, dst), fault));
-        self
-    }
-
-    /// Adds a timed partition between `a` and `b`.
-    pub fn partition(
-        mut self,
-        a: Vec<NodeId>,
-        b: Vec<NodeId>,
-        from_pulse: u64,
-        until_pulse: u64,
-    ) -> Self {
-        self.partitions.push(ParallelPartition {
-            a,
-            b,
-            from_pulse,
-            until_pulse,
-        });
-        self
-    }
-
-    fn fault_for(&self, src: NodeId, dst: NodeId) -> ParallelLinkFault {
-        self.links
-            .iter()
-            .rev()
-            .find(|((s, d), _)| *s == src && *d == dst)
-            .map(|(_, f)| *f)
-            .unwrap_or(self.default_link)
-    }
-}
-
-/// Injected-fault accounting for a run (monotone counters).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParallelFaultStats {
-    /// Envelopes dropped by a drop verdict or a severed link.
-    pub injected_drops: u64,
-    /// Duplicate copies injected.
-    pub duplicates: u64,
-    /// Envelopes held back (delay verdict, severed link, or FIFO queueing
-    /// behind either).
-    pub delayed: u64,
-    /// Envelopes currently held back (a gauge: returns to zero once every
-    /// partition healed and a pulse flushed the queues).
-    pub held_now: u64,
-}
+use crate::fault::{Fate, FaultConfigError, FaultStats};
+use crate::network::{Envelope, MsgClass, NetworkConfig};
+use crate::transport::{class_idx, ChannelTransport, Transport};
 
 struct LinkState<M> {
     rng: SplitMix64,
-    held: VecDeque<Envelope<M>>,
-}
-
-fn class_idx(class: MsgClass) -> usize {
-    match class {
-        MsgClass::Dsm => 0,
-        MsgClass::ScionMessage => 1,
-        MsgClass::StubTable => 2,
-        MsgClass::GcBackground => 3,
-    }
+    /// Envelopes held back, each with the pulse that releases it
+    /// (nondecreasing front to back).
+    held: VecDeque<(u64, Envelope<M>)>,
 }
 
 /// A fault-injecting wrapper over [`ChannelTransport`]. See the module
-/// docs for the determinism contract.
+/// docs for what it shares with the simulator and what it does not.
 pub struct FaultyTransport<M> {
     inner: ChannelTransport<M>,
-    plan: ParallelFaultPlan,
-    nodes: usize,
+    cfg: NetworkConfig,
     /// Flattened `src * nodes + dst` per-link fault state.
     links: Vec<Mutex<LinkState<M>>>,
-    /// The healing clock: advanced by [`FaultyTransport::pulse`].
+    /// The plane's clock: advanced by [`FaultyTransport::pulse`].
     pulse: AtomicU64,
     /// Envelopes currently held back across all links. Counted into
     /// [`Transport::in_flight`] so quiescence waits for them.
     held: AtomicU64,
-    /// Set by [`FaultyTransport::heal_all`]: partitions stop severing.
+    /// Set by [`FaultyTransport::heal_all`]: every outage is over and
+    /// nothing is held back any more.
     healed: AtomicBool,
     /// Envelopes this wrapper accepted, per class (duplicates counted).
     sent: [AtomicU64; 4],
     /// Envelopes dropped by fault injection, per class.
     fault_dropped: [AtomicU64; 4],
-    drops: AtomicU64,
-    dups: AtomicU64,
-    delays: AtomicU64,
+    stats: Mutex<FaultStats>,
 }
 
 impl<M: Send + Clone> FaultyTransport<M> {
-    /// Wraps a fresh full mesh for `n` nodes under `plan`, with every
-    /// fault decision derived from `seed`.
-    pub fn new(n: usize, plan: ParallelFaultPlan, seed: u64) -> Self {
+    /// Wraps a fresh full mesh for `n` nodes under `cfg`'s fault plan, class
+    /// drop rates and seed (its latency belongs to the simulator: a channel
+    /// delivers as fast as the hardware does). Rejects what
+    /// [`NetworkConfig::validate`] rejects, and fail-buffered crashes.
+    pub fn try_new(n: usize, cfg: NetworkConfig) -> Result<Self, FaultConfigError> {
+        cfg.validate()?;
+        if let Some(c) = cfg.fault.crashes.iter().find(|c| !c.amnesia) {
+            return Err(FaultConfigError::BufferedCrashOnThreads { node: c.node });
+        }
         let links = (0..n * n)
             .map(|i| {
                 let (src, dst) = (i / n, i % n);
-                let link_seed = seed
+                let link_seed = cfg.seed
                     ^ ((src as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                     ^ ((dst as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
                 Mutex::new(LinkState {
@@ -202,144 +87,116 @@ impl<M: Send + Clone> FaultyTransport<M> {
                 })
             })
             .collect();
-        FaultyTransport {
+        Ok(FaultyTransport {
             inner: ChannelTransport::new(n),
-            plan,
-            nodes: n,
+            cfg,
             links,
             pulse: AtomicU64::new(0),
             held: AtomicU64::new(0),
             healed: AtomicBool::new(false),
             sent: Default::default(),
             fault_dropped: Default::default(),
-            drops: AtomicU64::new(0),
-            dups: AtomicU64::new(0),
-            delays: AtomicU64::new(0),
-        }
+            stats: Mutex::new(FaultStats::default()),
+        })
     }
 
-    /// Number of nodes in the mesh.
-    pub fn nodes(&self) -> usize {
-        self.nodes
+    /// The configuration in force (the supervisor reads the plan's crash
+    /// schedule from it).
+    pub fn config(&self) -> &NetworkConfig {
+        &self.cfg
     }
 
-    /// The current pulse (the healing clock's reading).
+    /// The current pulse (the plane's clock reading).
     pub fn now_pulse(&self) -> u64 {
         self.pulse.load(Ordering::SeqCst)
     }
 
-    /// Advances the healing clock one pulse and flushes held envelopes on
-    /// every link that is not severed at the new pulse. Returns the new
-    /// pulse. The runtime's supervisor calls this periodically; tests may
-    /// call it directly to drive partitions deterministically.
+    /// Advances the clock one pulse and releases every held envelope due
+    /// at the new pulse. Returns the new pulse. The runtime's supervisor
+    /// calls this periodically; tests may call it directly to drive
+    /// partitions deterministically.
     pub fn pulse(&self) -> u64 {
         let p = self.pulse.fetch_add(1, Ordering::SeqCst) + 1;
+        let heals = self.cfg.fault.partitions.iter().filter(|x| x.end == p);
+        self.stats.lock().expect("stats").partitions_healed += heals.count() as u64;
         self.flush(p);
         p
     }
 
-    /// Disables every partition permanently and flushes all held traffic.
-    /// Shutdown calls this so `Drain` cannot hang on a never-healing cut.
+    /// Ends every outage for good and releases all held traffic. Shutdown
+    /// calls this so `Drain` cannot hang on a never-healing cut.
     pub fn heal_all(&self) {
         self.healed.store(true, Ordering::SeqCst);
         self.flush(u64::MAX);
     }
 
-    /// Injected-fault accounting so far.
-    pub fn stats(&self) -> ParallelFaultStats {
-        ParallelFaultStats {
-            injected_drops: self.drops.load(Ordering::Relaxed),
-            duplicates: self.dups.load(Ordering::Relaxed),
-            delayed: self.delays.load(Ordering::Relaxed),
-            held_now: self.held.load(Ordering::SeqCst),
-        }
-    }
-
-    fn severed(&self, src: NodeId, dst: NodeId, pulse: u64) -> bool {
-        if self.healed.load(Ordering::SeqCst) {
-            return false;
-        }
-        self.plan
-            .partitions
-            .iter()
-            .any(|p| p.severs(src, dst, pulse))
+    /// Counters for every fault injected so far.
+    pub fn stats(&self) -> FaultStats {
+        *self.stats.lock().expect("stats")
     }
 
     fn flush(&self, pulse: u64) {
-        for src in 0..self.nodes {
-            for dst in 0..self.nodes {
-                let (s, d) = (NodeId(src as u32), NodeId(dst as u32));
-                if self.severed(s, d, pulse) {
-                    continue;
-                }
-                let mut st = self.links[src * self.nodes + dst].lock().expect("link");
-                while let Some(env) = st.held.pop_front() {
-                    // Forward before decrementing `held`: in_flight must
-                    // never momentarily read zero while a message exists.
-                    self.inner.send_env(env);
-                    self.held.fetch_sub(1, Ordering::SeqCst);
-                }
+        for link in &self.links {
+            let mut st = link.lock().expect("link");
+            while st.held.front().is_some_and(|(due, _)| *due <= pulse) {
+                let (_, env) = st.held.pop_front().expect("front checked");
+                // Forward before decrementing `held`: in_flight must
+                // never momentarily read zero while a message exists.
+                self.inner.send_env(env);
+                self.held.fetch_sub(1, Ordering::SeqCst);
             }
         }
-    }
-
-    fn hold(&self, st: &mut LinkState<M>, env: Envelope<M>) {
-        self.held.fetch_add(1, Ordering::SeqCst);
-        self.delays.fetch_add(1, Ordering::Relaxed);
-        st.held.push_back(env);
     }
 }
 
 impl<M: Send + Clone> Transport<M> for FaultyTransport<M> {
     fn send_env(&self, env: Envelope<M>) {
-        let (src, dst) = (env.src, env.dst);
-        let li = src.0 as usize * self.nodes + dst.0 as usize;
+        let (src, dst, class) = (env.src, env.dst, env.class);
+        let li = src.0 as usize * self.inner.nodes() + dst.0 as usize;
         let mut st = self.links[li].lock().expect("link");
-        let fault = self.plan.fault_for(src, dst);
-        // The three verdicts are always drawn, in this order, whatever
-        // the class: the stream position depends only on the send count.
-        let drop_verdict = st.rng.chance(fault.drop);
-        let dup_verdict = st.rng.chance(fault.duplicate);
-        let delay_verdict = st.rng.chance(fault.delay);
-        let severed = self.severed(src, dst, self.pulse.load(Ordering::SeqCst));
-
-        self.sent[class_idx(env.class)].fetch_add(1, Ordering::Relaxed);
-        if !env.class.requires_reliability() && (drop_verdict || severed) {
-            // Loss-tolerant traffic: a drop verdict or a severed link
-            // discards it whole. The collector's design absorbs this.
-            self.fault_dropped[class_idx(env.class)].fetch_add(1, Ordering::Relaxed);
-            self.drops.fetch_add(1, Ordering::Relaxed);
+        // After `heal_all` it is the end of time: `u64::MAX` lies in no
+        // window and nothing is due later. The verdict streams keep
+        // advancing, but a drained shutdown must not strand late traffic
+        // behind a release that nobody will pulse.
+        let now = if self.healed.load(Ordering::SeqCst) {
+            u64::MAX
+        } else {
+            self.pulse.load(Ordering::SeqCst)
+        };
+        let class_loss = self.cfg.class_loss(class);
+        let fate = self
+            .cfg
+            .fault
+            .fate(&mut st.rng, class_loss, src, dst, class, now);
+        self.stats.lock().expect("stats").note(&fate);
+        self.sent[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+        let (copies, mut release) = match fate {
+            Fate::Drop(_) => {
+                self.fault_dropped[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Fate::Deliver {
+                copies,
+                extra_delay,
+                not_before,
+            } => {
+                let outage_end = not_before.map_or(0, |(_, end)| end);
+                (copies, now.saturating_add(extra_delay).max(outage_end))
+            }
+        };
+        self.sent[class_idx(class)].fetch_add(copies - 1, Ordering::Relaxed);
+        let copies = (copies > 1).then(|| env.clone()).into_iter().chain([env]);
+        // FIFO: behind whatever the link already holds (a racing `pulse` or
+        // `heal_all` that has not reached this link yet releases both).
+        let tail = st.held.back().map(|(due, _)| *due);
+        if tail.is_none() && release <= now {
+            copies.for_each(|env| self.inner.send_env(env));
             return;
         }
-        let duplicate = dup_verdict && env.class.is_idempotent();
-        if duplicate {
-            self.sent[class_idx(env.class)].fetch_add(1, Ordering::Relaxed);
-            self.dups.fetch_add(1, Ordering::Relaxed);
-        }
-        // FIFO under delay: once anything is held on this link, every
-        // later send queues behind it or per-link order would break.
-        // After `heal_all` nothing holds anymore (the verdict streams
-        // keep advancing for determinism, but a drained shutdown must
-        // not strand late traffic behind a delay that nobody will pulse).
-        let healed = self.healed.load(Ordering::SeqCst);
-        if healed {
-            // Drain anything a racing `heal_all` has not flushed yet
-            // before forwarding, so per-link FIFO survives the heal.
-            while let Some(held_env) = st.held.pop_front() {
-                self.inner.send_env(held_env);
-                self.held.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        if !healed && (severed || delay_verdict || !st.held.is_empty()) {
-            if duplicate {
-                self.hold(&mut st, env.clone());
-            }
-            self.hold(&mut st, env);
-            return;
-        }
-        self.inner.send_env(env.clone());
-        if duplicate {
-            self.inner.send_env(env);
+        release = release.max(tail.unwrap_or(0));
+        for env in copies {
+            self.held.fetch_add(1, Ordering::SeqCst);
+            st.held.push_back((release, env));
         }
     }
 
@@ -371,6 +228,7 @@ impl<M: Send + Clone> Transport<M> for FaultyTransport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, LinkFault};
     use bmx_common::MsgSeq;
 
     fn env(src: u32, dst: u32, seq: u64, class: MsgClass, v: u64) -> Envelope<u64> {
@@ -385,6 +243,12 @@ mod tests {
         }
     }
 
+    fn transport(n: usize, fault: FaultPlan, seed: u64) -> FaultyTransport<u64> {
+        let mut cfg = NetworkConfig::lossless(1).with_fault(fault);
+        cfg.seed = seed;
+        FaultyTransport::try_new(n, cfg).expect("valid plan")
+    }
+
     fn drain(t: &FaultyTransport<u64>, dst: u32) -> Vec<u64> {
         let mut got = Vec::new();
         while let Some(e) = t.try_recv(NodeId(dst)) {
@@ -397,20 +261,20 @@ mod tests {
     /// Records the per-send verdict sequence a link produces under a
     /// plan; used to pin determinism across transports.
     fn fate_signature(seed: u64, sends: u64) -> Vec<(bool, u64)> {
-        let plan = ParallelFaultPlan::default().all_links(ParallelLinkFault {
+        let plan = FaultPlan::none().all_links(LinkFault {
             drop: 0.3,
             duplicate: 0.3,
-            delay: 0.0,
+            jitter: 0,
         });
-        let t: FaultyTransport<u64> = FaultyTransport::new(2, plan, seed);
+        let t = transport(2, plan, seed);
         let mut out = Vec::new();
         for i in 0..sends {
             let before = t.stats();
             t.send_env(env(0, 1, i + 1, MsgClass::StubTable, i));
             let after = t.stats();
             out.push((
-                after.injected_drops > before.injected_drops,
-                after.duplicates - before.duplicates,
+                after.link_dropped > before.link_dropped,
+                after.duplicates_injected - before.duplicates_injected,
             ));
         }
         out
@@ -428,59 +292,51 @@ mod tests {
     }
 
     #[test]
-    fn dsm_class_is_never_dropped_or_duplicated() {
-        let plan = ParallelFaultPlan::default().all_links(ParallelLinkFault {
-            drop: 1.0,
-            duplicate: 1.0,
-            delay: 0.0,
-        });
-        let t: FaultyTransport<u64> = FaultyTransport::new(2, plan, 7);
-        for i in 0..50 {
-            t.send_env(env(0, 1, i + 1, MsgClass::Dsm, i));
-        }
-        assert_eq!(drain(&t, 1), (0..50).collect::<Vec<_>>());
-        assert_eq!(t.dropped(MsgClass::Dsm), 0);
-        assert_eq!(t.sent(MsgClass::Dsm), 50, "no duplicate copies");
-        assert_eq!(t.in_flight(), 0);
-    }
+    fn try_new_rejects_what_the_simulator_rejects_and_buffered_crashes() {
+        let mut cfg = NetworkConfig::lossless(1);
+        cfg.fault = FaultPlan::none().all_links(LinkFault::dropping(1.5));
+        let err = FaultyTransport::<u64>::try_new(2, cfg).err().expect("drop");
+        assert!(err.to_string().contains("probability out of range"));
 
-    #[test]
-    fn loss_tolerant_classes_may_drop_but_gcbackground_never_duplicates() {
-        let plan = ParallelFaultPlan::default().all_links(ParallelLinkFault {
-            drop: 0.0,
-            duplicate: 1.0,
-            delay: 0.0,
-        });
-        let t: FaultyTransport<u64> = FaultyTransport::new(2, plan, 7);
-        t.send_env(env(0, 1, 1, MsgClass::GcBackground, 1));
-        t.send_env(env(0, 1, 2, MsgClass::StubTable, 2));
-        assert_eq!(drain(&t, 1), vec![1, 2, 2], "only the stub table doubled");
-        assert_eq!(t.sent(MsgClass::StubTable), 2, "the copy is accounted");
-        assert_eq!(t.sent(MsgClass::GcBackground), 1);
+        let mut cfg = NetworkConfig::lossless(1);
+        cfg.drop_rate.insert(MsgClass::Dsm, 0.5);
+        let err = FaultyTransport::<u64>::try_new(2, cfg).err().expect("dsm");
+        assert!(err.to_string().contains("assumed reliable"));
+
+        let cfg = NetworkConfig::lossless(1).with_fault(FaultPlan::none().crash(NodeId(1), 2, 9));
+        assert_eq!(
+            FaultyTransport::<u64>::try_new(2, cfg).err(),
+            Some(FaultConfigError::BufferedCrashOnThreads { node: NodeId(1) })
+        );
     }
 
     #[test]
     fn delay_holds_until_the_next_pulse_and_preserves_link_fifo() {
-        let plan = ParallelFaultPlan::default().all_links(ParallelLinkFault {
-            drop: 0.0,
-            duplicate: 0.0,
-            delay: 1.0,
+        let plan = FaultPlan::none().all_links(LinkFault {
+            jitter: 2,
+            ..LinkFault::default()
         });
-        let t: FaultyTransport<u64> = FaultyTransport::new(2, plan, 11);
+        let t = transport(2, plan, 11);
         for i in 0..10 {
             t.send_env(env(0, 1, i + 1, MsgClass::Dsm, i));
         }
-        assert_eq!(t.try_recv(NodeId(1)).map(|e| e.payload), None);
-        assert_eq!(t.in_flight(), 10, "held envelopes are still in flight");
+        // Whatever was drawn 0 before the first held envelope went straight
+        // through; everything behind the first held one waits with it.
+        let mut got = drain(&t, 1);
+        let held = 10 - got.len() as u64;
+        assert!(held > 0, "jitter held something back");
+        assert_eq!(t.in_flight(), held, "held envelopes are still in flight");
         t.pulse();
-        assert_eq!(drain(&t, 1), (0..10).collect::<Vec<_>>(), "FIFO intact");
+        t.pulse();
+        got.extend(drain(&t, 1));
+        assert_eq!(got, (0..10).collect::<Vec<_>>(), "FIFO intact");
         assert_eq!(t.in_flight(), 0);
     }
 
     #[test]
     fn partitions_hold_reliable_traffic_and_heal_on_schedule() {
-        let plan = ParallelFaultPlan::default().partition(vec![NodeId(0)], vec![NodeId(1)], 0, 3);
-        let t: FaultyTransport<u64> = FaultyTransport::new(2, plan, 3);
+        let plan = FaultPlan::none().partition(vec![NodeId(0)], vec![NodeId(1)], 0, 3);
+        let t = transport(2, plan, 3);
         t.send_env(env(0, 1, 1, MsgClass::Dsm, 42));
         t.send_env(env(0, 1, 2, MsgClass::StubTable, 43)); // severed: lost
         assert_eq!(t.try_recv(NodeId(1)).map(|e| e.payload), None);
@@ -492,37 +348,75 @@ mod tests {
         assert_eq!(drain(&t, 1), vec![42], "DSM survived the cut");
         assert_eq!(t.dropped(MsgClass::StubTable), 1);
         assert_eq!(t.in_flight(), 0);
+        let stats = t.stats();
+        assert_eq!(
+            (
+                stats.partition_held,
+                stats.partition_dropped,
+                stats.partitions_healed
+            ),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn an_amnesia_outage_drops_every_class_and_ends_on_schedule() {
+        let plan = FaultPlan::none().crash_amnesia(NodeId(1), 1, 3);
+        let t = transport(2, plan, 3);
+        t.send_env(env(0, 1, 1, MsgClass::Dsm, 1)); // pulse 0: before the crash
+        t.pulse(); // 1: down
+        t.send_env(env(0, 1, 2, MsgClass::Dsm, 2));
+        t.send_env(env(1, 0, 1, MsgClass::StubTable, 3));
+        t.pulse(); // 2
+        t.pulse(); // 3: back
+        t.send_env(env(0, 1, 3, MsgClass::Dsm, 4));
+        assert_eq!(drain(&t, 1), vec![1, 4]);
+        assert_eq!(drain(&t, 0), Vec::<u64>::new());
+        let stats = t.stats();
+        assert_eq!((stats.amnesia_dropped, stats.crash_dropped), (1, 1));
+        assert_eq!(t.dropped(MsgClass::Dsm), 1);
+        assert_eq!(t.in_flight(), 0);
     }
 
     #[test]
     fn heal_all_flushes_everything_for_shutdown() {
-        let plan =
-            ParallelFaultPlan::default().partition(vec![NodeId(0)], vec![NodeId(1)], 0, u64::MAX);
-        let t: FaultyTransport<u64> = FaultyTransport::new(2, plan, 5);
+        let plan = FaultPlan::none()
+            .all_links(LinkFault {
+                jitter: 5,
+                ..LinkFault::default()
+            })
+            .partition(vec![NodeId(0)], vec![NodeId(1)], 0, u64::MAX);
+        let t = transport(2, plan, 5);
         t.send_env(env(0, 1, 1, MsgClass::Dsm, 9));
         assert_eq!(t.try_recv(NodeId(1)).map(|e| e.payload), None);
         t.heal_all();
         assert_eq!(drain(&t, 1), vec![9]);
-        assert_eq!(t.stats().held_now, 0);
+        // Nothing waits any more, whatever the plan still says.
+        for i in 0..20 {
+            t.send_env(env(0, 1, i + 2, MsgClass::Dsm, i));
+        }
+        assert_eq!(drain(&t, 1), (0..20).collect::<Vec<_>>());
+        assert_eq!(t.in_flight(), 0);
     }
 
     #[test]
     fn conservation_holds_under_heavy_faults() {
-        let plan = ParallelFaultPlan::default().all_links(ParallelLinkFault {
+        let plan = FaultPlan::none().all_links(LinkFault {
             drop: 0.4,
             duplicate: 0.4,
-            delay: 0.4,
+            jitter: 2,
         });
-        let t: FaultyTransport<u64> = FaultyTransport::new(3, plan, 0xC0FFEE);
-        let classes = [
-            MsgClass::Dsm,
-            MsgClass::ScionMessage,
-            MsgClass::StubTable,
-            MsgClass::GcBackground,
-        ];
+        let mut cfg = NetworkConfig::lossless(1)
+            .with_fault(plan)
+            .with_drop(MsgClass::GcBackground, 0.5);
+        cfg.seed = 0xC0FFEE;
+        let t: FaultyTransport<u64> = FaultyTransport::try_new(3, cfg).expect("valid");
         for i in 0..400u64 {
-            let class = classes[(i % 4) as usize];
+            let class = MsgClass::ALL[(i % 4) as usize];
             t.send_env(env((i % 3) as u32, ((i + 1) % 3) as u32, i, class, i));
+            if i % 50 == 49 {
+                t.pulse();
+            }
         }
         t.heal_all();
         let mut delivered = 0u64;
@@ -530,6 +424,8 @@ mod tests {
             delivered += drain(&t, d).len() as u64;
         }
         assert_eq!(delivered + t.dropped_total(), t.sent_total());
+        assert_eq!(t.dropped(MsgClass::Dsm), 0, "reliable traffic survives");
+        assert_eq!(t.sent(MsgClass::Dsm), 100, "and is never doubled");
         assert_eq!(t.in_flight(), 0);
     }
 }

@@ -52,11 +52,10 @@ pub mod piggyback;
 pub mod transport;
 
 pub use fault::{
-    CrashEvent, FaultConfigError, FaultEvent, FaultPlan, FaultStats, LinkFault, Partition,
+    CrashEvent, DropCause, Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats, LinkFault,
+    Outage, Partition,
 };
-pub use fault_transport::{
-    FaultyTransport, ParallelFaultPlan, ParallelFaultStats, ParallelLinkFault, ParallelPartition,
-};
+pub use fault_transport::FaultyTransport;
 pub use network::{ClassStats, Envelope, MsgClass, Network, NetworkConfig, WireSize};
 pub use piggyback::PiggybackBuffer;
 pub use transport::{ChannelTransport, Transport};

@@ -8,7 +8,7 @@ use bmx_metrics::{Ctr, Gge, LinkCtr};
 use bmx_profile as profile;
 use bmx_trace as trace;
 
-use crate::fault::{FaultConfigError, FaultEvent, FaultPlan, FaultStats};
+use crate::fault::{Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats};
 
 /// Classes of traffic, with distinct reliability and accounting.
 ///
@@ -172,6 +172,16 @@ impl NetworkConfig {
         }
         self.fault.validate()
     }
+
+    /// The class-level drop probability of `class` (0 when none is set).
+    pub fn class_loss(&self, class: MsgClass) -> f64 {
+        self.drop_rate.get(&class).copied().unwrap_or(0.0)
+    }
+
+    /// Whether the configuration names no fault at all.
+    pub fn is_quiet(&self) -> bool {
+        self.fault.is_quiet() && self.drop_rate.is_empty()
+    }
 }
 
 fn validate_drop(class: MsgClass, p: f64) -> Result<(), FaultConfigError> {
@@ -272,89 +282,44 @@ impl<M: WireSize + Clone> Network<M> {
     /// Returns the sequence number the message was stamped with, whether or
     /// not loss injection subsequently discarded it (the sender cannot know).
     ///
-    /// Fault handling, in draw order (so runs replay bit-exactly from the
-    /// seed): class-level loss, per-link loss, per-link duplication (only
-    /// for idempotent classes), per-link latency jitter, then outage
-    /// handling — a crashed endpoint or severing partition discards
-    /// loss-tolerant traffic and holds reliable traffic until the outage
-    /// ends. Per-channel FIFO is preserved throughout by clamping each
-    /// delivery time against the channel's scheduled tail.
+    /// What the fault plane does to the message is [`FaultPlan::fate`]'s
+    /// verdict, drawn from the network's one stream so runs replay bit-exactly
+    /// from the seed. The network's own part is the schedule: a held message
+    /// lands one latency after its outage ends, and per-channel FIFO is
+    /// preserved throughout by clamping each delivery time against the
+    /// channel's scheduled tail.
     pub fn send(&mut self, src: NodeId, dst: NodeId, class: MsgClass, payload: M) -> MsgSeq {
         let seq = self.seqs.entry((src, dst)).or_default().bump();
-        let drop_event = trace::TraceEvent::MsgDrop {
-            dst,
-            seq: seq.0,
-            lane: class.lane(),
-        };
-        let class_dropped = match self.cfg.drop_rate.get(&class) {
-            Some(&p) => self.rng.chance(p),
-            None => false,
-        };
-        if class_dropped {
-            self.stats.entry(class).or_default().dropped += 1;
-            metrics::link(src, dst, LinkCtr::Drop, 1);
-            trace::emit(src, drop_event);
-            return seq;
-        }
-        let fault = self.cfg.fault.link_fault(src, dst);
-        if !class.requires_reliability() && fault.drop > 0.0 && self.rng.chance(fault.drop) {
-            self.stats.entry(class).or_default().dropped += 1;
-            self.fault_stats.link_dropped += 1;
-            metrics::link(src, dst, LinkCtr::Drop, 1);
-            trace::emit(src, drop_event);
-            return seq;
-        }
-        let duplicate =
-            class.is_idempotent() && fault.duplicate > 0.0 && self.rng.chance(fault.duplicate);
-        let jitter = if fault.jitter > 0 {
-            self.rng.next_below(fault.jitter + 1)
-        } else {
-            0
-        };
-        let mut deliver_at = self.now + self.cfg.latency + jitter;
-
-        // Outages. A crash dominates a concurrent partition for accounting;
-        // a held reliable message waits out whichever outage ends last.
-        let crashed = self
+        let class_loss = self.cfg.class_loss(class);
+        let fate = self
             .cfg
             .fault
-            .crashed_until(src, self.now)
-            .max(self.cfg.fault.crashed_until(dst, self.now));
-        let severed = self.cfg.fault.severed_until(src, dst, self.now);
-        if crashed.is_some() || severed.is_some() {
-            if class.requires_reliability() {
-                // An amnesia crash drops reliable traffic instead of holding
-                // it: the crashed endpoint has no state for a retransmission
-                // protocol to resume against.
-                if crashed.is_some()
-                    && (self.cfg.fault.amnesia_at(src, self.now)
-                        || self.cfg.fault.amnesia_at(dst, self.now))
-                {
-                    self.fault_stats.amnesia_dropped += 1;
-                    self.stats.entry(class).or_default().dropped += 1;
-                    metrics::link(src, dst, LinkCtr::Drop, 1);
-                    trace::emit(src, drop_event);
-                    return seq;
-                }
-                if crashed.is_some() {
-                    self.fault_stats.crash_held += 1;
-                } else {
-                    self.fault_stats.partition_held += 1;
-                }
-                let outage_end = crashed.max(severed).expect("one outage checked");
-                deliver_at = deliver_at.max(outage_end + self.cfg.latency);
-            } else {
-                if crashed.is_some() {
-                    self.fault_stats.crash_dropped += 1;
-                } else {
-                    self.fault_stats.partition_dropped += 1;
-                }
+            .fate(&mut self.rng, class_loss, src, dst, class, self.now);
+        self.fault_stats.note(&fate);
+        let (duplicate, mut deliver_at) = match fate {
+            Fate::Drop(_) => {
                 self.stats.entry(class).or_default().dropped += 1;
                 metrics::link(src, dst, LinkCtr::Drop, 1);
-                trace::emit(src, drop_event);
+                trace::emit(
+                    src,
+                    trace::TraceEvent::MsgDrop {
+                        dst,
+                        seq: seq.0,
+                        lane: class.lane(),
+                    },
+                );
                 return seq;
             }
-        }
+            Fate::Deliver {
+                copies,
+                extra_delay,
+                not_before,
+            } => {
+                let outage_end = not_before.map_or(0, |(_, end)| end);
+                let at = (self.now + extra_delay).max(outage_end) + self.cfg.latency;
+                (copies > 1, at)
+            }
+        };
 
         let wire = payload.wire_size();
         let stats = self.stats.entry(class).or_default();
@@ -392,7 +357,6 @@ impl<M: WireSize + Clone> Network<M> {
         };
         if duplicate {
             stats.duplicated += 1;
-            self.fault_stats.duplicates_injected += 1;
             metrics::link(src, dst, LinkCtr::Duplicate, 1);
             metrics::gauge_add(src, Gge::InflightBytes, wire);
             queue.push_back(InFlight {
@@ -639,11 +603,6 @@ impl<M: WireSize + Clone> Network<M> {
     pub fn set_drop(&mut self, class: MsgClass, p: f64) {
         self.try_set_drop(class, p)
             .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// The fault schedule in force.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.cfg.fault
     }
 
     /// Counters for every fault injected so far.

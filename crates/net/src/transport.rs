@@ -30,7 +30,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::network::{Envelope, MsgClass};
 
-fn class_idx(class: MsgClass) -> usize {
+/// Index of `class` in per-class counter arrays ([`MsgClass::ALL`] order).
+pub(crate) fn class_idx(class: MsgClass) -> usize {
     match class {
         MsgClass::Dsm => 0,
         MsgClass::ScionMessage => 1,

@@ -1,6 +1,7 @@
 //! Chrome/Perfetto export for wall-clock spans.
 //!
-//! Same hand-rolled JSON writer idiom as `bmx_trace::chrome`, but where
+//! Same hand-rolled writer idiom as `bmx_trace::chrome`, on the same codec
+//! ([`bmx_common::json`]), but where
 //! the causal export emits instant events at Lamport positions, this one
 //! emits *duration* events (`"ph":"X"`) at real microseconds since the
 //! profiler epoch: `pid` = node, `tid` = OS thread (named via `"M"`
@@ -11,7 +12,8 @@
 //! Load via <https://ui.perfetto.dev> or `chrome://tracing`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use bmx_common::json::quoted;
 
 use crate::ThreadSpans;
 
@@ -21,24 +23,6 @@ struct FlowPoint {
     pid: u32,
     tid: usize,
     ts: u64,
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders thread snapshots (from [`crate::snapshot_all`]) as a Chrome
@@ -57,9 +41,9 @@ pub fn export(threads: &[ThreadSpans]) -> String {
         for rec in &t.spans {
             tracks.entry((rec.node, tid)).or_insert(&t.name);
             events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
+                "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
                  \"ts\":{},\"dur\":{},\"args\":{{\"flow\":{}}}}}",
-                escape(rec.kind.name()),
+                quoted(rec.kind.name()),
                 rec.node,
                 tid,
                 rec.start_us,
@@ -86,8 +70,8 @@ pub fn export(threads: &[ThreadSpans]) -> String {
         }
         events.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+             \"args\":{{\"name\":{}}}}}",
+            quoted(name)
         ));
     }
 

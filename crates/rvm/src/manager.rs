@@ -273,11 +273,6 @@ impl Rvm {
         self.log.len_bytes()
     }
 
-    /// Records appended by this manager instance.
-    pub fn log_records_written(&self) -> u64 {
-        self.log.records_written()
-    }
-
     /// Directory backing this store.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -3,12 +3,15 @@
 //! The output is the "JSON array format" understood by `chrome://tracing`
 //! and Perfetto (<https://ui.perfetto.dev>): one process per node, one
 //! thread per subsystem, every record an instant event (`"ph": "i"`) with
-//! its causal stamps in `args`. The writer is hand-rolled (the workspace
-//! takes no serialization dependency), and a deliberately small JSON
-//! reader lives alongside it so tests can prove the export round-trips
-//! through a real parse.
+//! its causal stamps in `args`. The writer is hand-rolled on the
+//! workspace's one JSON codec ([`bmx_common::json`]), whose reader is
+//! re-exported here so tests can prove the export round-trips through a
+//! real parse.
 
 use std::fmt::Write as _;
+
+use bmx_common::json::escape;
+pub use bmx_common::json::{parse, validate_chrome_trace as validate, Json};
 
 use crate::event::TraceRecord;
 
@@ -16,22 +19,6 @@ use crate::event::TraceRecord;
 /// within one tick are spread a microsecond apart (in merged causal
 /// order) so viewers don't stack them on a single instant.
 const US_PER_TICK: u64 = 1_000;
-
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn push_str_field(out: &mut String, key: &str, val: &str) {
     let _ = write!(out, "\"{key}\":\"");
@@ -122,272 +109,6 @@ fn tid_index(subsystem: &str) -> u32 {
     }
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough to prove the export parses.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (only what the round-trip check needs to inspect).
-#[derive(Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64; trace output only emits integers).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The f64 payload of a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The str payload of a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("JSON parse error at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn lit(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected , or ]")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            members.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected , or }")),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document. Used by tests to prove [`export`] emits valid
-/// JSON; not a general-purpose parser (no duplicate-key or depth checks).
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(v)
-}
-
-/// Parse an exported trace and count its non-metadata events, verifying
-/// the envelope shape every viewer relies on (`name`/`ph`/`pid`/`ts`).
-pub fn validate(text: &str) -> Result<usize, String> {
-    let Json::Arr(items) = parse(text)? else {
-        return Err("top level must be an array".into());
-    };
-    let mut events = 0;
-    for item in &items {
-        let ph = item
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or("event missing \"ph\"")?;
-        item.get("name")
-            .and_then(Json::as_str)
-            .ok_or("event missing \"name\"")?;
-        item.get("pid")
-            .and_then(Json::as_num)
-            .ok_or("event missing \"pid\"")?;
-        if ph == "M" {
-            continue;
-        }
-        item.get("ts")
-            .and_then(Json::as_num)
-            .ok_or("event missing \"ts\"")?;
-        events += 1;
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,21 +139,5 @@ mod tests {
     #[test]
     fn export_of_nothing_is_an_empty_array() {
         assert_eq!(validate(&export(&[])).unwrap(), 0);
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = parse(r#"{"a":[1,-2.5,"x\"\nA"],"b":{"c":null,"d":true}}"#).unwrap();
-        assert_eq!(
-            v.get("a"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(-2.5),
-                Json::Str("x\"\nA".into())
-            ]))
-        );
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Null));
-        assert!(parse("[1,2").is_err());
-        assert!(parse("[] trailing").is_err());
     }
 }

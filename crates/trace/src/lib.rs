@@ -69,10 +69,11 @@ thread_local! {
 // thread-local recorder installed. The parallel runtime (`bmx::parallel`)
 // emits protocol events from per-node driver threads and any number of
 // mutator threads; a shared recorder is the only way those emissions merge
-// into one causally-ordered stream. All protocol emissions there happen
-// under the cluster's protocol lock, so the mutex below is essentially
-// uncontended. The deterministic simulation never installs it, keeping
-// the single-threaded hot path free of atomics beyond one relaxed load.
+// into one causally-ordered stream. Emissions there happen under the
+// emitting node's own lock, one per node, so threads working for
+// different nodes do contend on the mutex below. The deterministic
+// simulation never installs it, keeping the single-threaded hot path free
+// of atomics beyond one relaxed load.
 static GLOBAL_ON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 static GLOBAL: std::sync::Mutex<Option<Recorder>> = std::sync::Mutex::new(None);
 

@@ -30,18 +30,6 @@ pub fn build_inter_bunch_ring(
     Ok((bunches, objs))
 }
 
-/// Builds `count` disjoint inter-bunch rings of length `len` at `node`.
-pub fn build_rings(
-    cluster: &mut Cluster,
-    node: NodeId,
-    count: usize,
-    len: usize,
-) -> Result<Vec<(Vec<BunchId>, Vec<Addr>)>> {
-    (0..count)
-        .map(|_| build_inter_bunch_ring(cluster, node, len))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -151,25 +151,22 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
     use std::time::{Duration, Instant};
 
     let reg = metrics::install();
-    // A modest chaos plan so the dashboard has failure-domain state to
-    // show: small delays on every link, plus a supervisor that restarts
-    // crashed drivers live (an injected crash below demos the
-    // down -> recovering -> alive arc).
-    let chaos = bmx::ChaosConfig {
-        seed: 0xB070_5EED,
-        plan: ParallelFaultPlan::default().all_links(ParallelLinkFault {
-            delay: 0.05,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
     // Crash-amnesia recovery replays the RVM store; without it a revived
     // node comes back knowing nothing (its bunches unmapped, every op an
     // error). Give the cluster a store and cut a checkpoint after setup.
     let persist_dir = std::env::temp_dir().join(format!("bmx-top-parallel-{}", std::process::id()));
     let mut cfg = ClusterConfig::with_nodes(NODES);
     cfg.persist = Some(PersistConfig::at(&persist_dir));
-    let pc = bmx::ParallelCluster::spawn_with_chaos(cfg, chaos);
+    // A modest fault plan so the dashboard has failure-domain state to
+    // show: up to a pulse of jitter on every link, plus a supervisor that
+    // restarts crashed drivers live (an injected crash below demos the
+    // down -> recovering -> alive arc).
+    cfg.net = NetworkConfig::lossless(1).with_fault(FaultPlan::none().all_links(LinkFault {
+        jitter: 1,
+        ..Default::default()
+    }));
+    cfg.net.seed = 0xB070_5EED;
+    let pc = bmx::ParallelCluster::spawn_with_chaos(cfg, bmx::ChaosConfig::default());
     let h0 = pc.handle(NodeId(0));
     let bunch = h0.create_bunch()?;
     let objs: Vec<Addr> = (0..4)

@@ -50,8 +50,5 @@ pub mod prelude {
     pub use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, StatKind};
     pub use bmx_dsm::Token;
     pub use bmx_gc::RelocMode;
-    pub use bmx_net::{
-        FaultPlan, FaultStats, FaultyTransport, LinkFault, MsgClass, NetworkConfig,
-        ParallelFaultPlan, ParallelFaultStats, ParallelLinkFault, ParallelPartition,
-    };
+    pub use bmx_net::{FaultPlan, FaultStats, FaultyTransport, LinkFault, MsgClass, NetworkConfig};
 }

@@ -6,8 +6,9 @@
 //! `tests/chaos_amnesia.rs`) prove the protocol survives loss,
 //! duplication, partitions, and crash-amnesia *under the tick clock*.
 //! This suite re-proves the same properties where the adversary is real
-//! hardware concurrency: a seeded [`FaultyTransport`] drops, duplicates,
-//! delays, and partitions the channel links between genuinely parallel
+//! hardware concurrency: the same [`FaultPlan`] vocabulary, read in
+//! supervisor pulses by a seeded [`FaultyTransport`], drops, duplicates,
+//! jitters, and partitions the channel links between genuinely parallel
 //! node threads, and the supervisor restarts crashed failure domains
 //! live — without stopping the cluster.
 //!
@@ -276,17 +277,25 @@ fn write_metrics_snapshot(tag: &str, seed: u64, snap: &metrics::Snapshot) {
 }
 
 /// The fault plan for the soak: every link drops loss-tolerant traffic,
-/// duplicates idempotent traffic, and delays everything with the given
-/// probabilities; one timed partition splits N0 from {N1, N2} early in
-/// the run and heals on the supervisor's pulse clock.
-fn soak_plan() -> ParallelFaultPlan {
-    ParallelFaultPlan::default()
-        .all_links(ParallelLinkFault {
+/// duplicates idempotent traffic, and jitters everything by up to a pulse;
+/// one timed partition splits N0 from {N1, N2} early in the run and heals
+/// on the supervisor's pulse clock.
+fn soak_plan() -> FaultPlan {
+    FaultPlan::none()
+        .all_links(LinkFault {
             drop: 0.15,
             duplicate: 0.15,
-            delay: 0.10,
+            jitter: 1,
         })
         .partition(vec![n(0)], vec![n(1), n(2)], 40, 120)
+}
+
+/// `NODES` nodes under `fault`, every verdict drawn from `seed`.
+fn chaos_config(fault: FaultPlan, seed: u64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::with_nodes(NODES).with_acquire_timeout(Duration::from_secs(30));
+    cfg.net = NetworkConfig::lossless(1).with_fault(fault);
+    cfg.net.seed = seed;
+    cfg
 }
 
 /// One full soak run: seeded faults on every link, no crash. Everything
@@ -305,15 +314,7 @@ fn run_fault_soak(seed: u64) {
     // below, so a green run leaves the directory absent (the CI gate).
     blackbox::arm(&format!("soak-seed-{seed:#x}"));
 
-    let cfg = ClusterConfig::with_nodes(NODES).with_acquire_timeout(Duration::from_secs(30));
-    let pc = ParallelCluster::spawn_with_chaos(
-        cfg,
-        ChaosConfig {
-            seed,
-            plan: soak_plan(),
-            ..ChaosConfig::default()
-        },
-    );
+    let pc = ParallelCluster::spawn(chaos_config(soak_plan(), seed));
     let s = pc
         .handle(n(0))
         .with(|c| Ok(setup_workload(c)))
@@ -338,6 +339,7 @@ fn run_fault_soak(seed: u64) {
         "failed to quiesce under faults (seed {seed:#x})"
     );
     let stats = pc.fault_stats().expect("chaos stats");
+    assert_eq!(pc.in_flight(), 0, "nothing left held (seed {seed:#x})");
     let snap = pc.metrics_snapshot().expect("registry installed");
     let (mut cluster, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
     write_report("soak", seed, &report);
@@ -360,10 +362,9 @@ fn run_fault_soak(seed: u64) {
         "the fault plane must never drop the reliable DSM class (seed {seed:#x})"
     );
     assert!(
-        stats.injected_drops + stats.duplicates > 0 && stats.delayed > 0,
+        stats.link_dropped + stats.partition_dropped + stats.duplicates_injected > 0,
         "the plan actually injected faults (seed {seed:#x}): {stats:?}"
     );
-    assert_eq!(stats.held_now, 0, "nothing left held (seed {seed:#x})");
 
     settle_and_check(&mut cluster, &s, seed, true);
 
@@ -404,10 +405,10 @@ fn run_fault_soak(seed: u64) {
     trace::disable_global();
 }
 
-/// Headline A: with chaos *configured but empty* (zero probabilities, no
-/// partitions), the chaos runtime is exactly the conformance runtime —
-/// same digest-bearing final state as a fault-free run, full
-/// conservation, total watchdog silence.
+/// Headline A: with a supervisor but a quiet fault plan, the chaos runtime
+/// is exactly the conformance runtime — no fault plane at all, same
+/// digest-bearing final state as a fault-free run, full conservation,
+/// total watchdog silence.
 #[test]
 fn chaos_with_zero_plan_is_conformant() {
     let _serial = serial();
@@ -416,13 +417,8 @@ fn chaos_with_zero_plan_is_conformant() {
         interval: 50,
         ..WatchdogConfig::default()
     });
-    let pc = ParallelCluster::spawn_with_chaos(
-        ClusterConfig::with_nodes(NODES),
-        ChaosConfig {
-            seed,
-            ..ChaosConfig::default()
-        },
-    );
+    let pc =
+        ParallelCluster::spawn_with_chaos(ClusterConfig::with_nodes(NODES), ChaosConfig::default());
     let s = pc
         .handle(n(0))
         .with(|c| Ok(setup_workload(c)))
@@ -433,12 +429,7 @@ fn chaos_with_zero_plan_is_conformant() {
     assert!(completed.iter().all(|&c| c == STEPS));
     assert_eq!(typed, 0);
     assert!(pc.quiesce(Duration::from_secs(10)), "quiesce");
-    let stats = pc.fault_stats().expect("chaos stats");
-    assert_eq!(
-        (stats.injected_drops, stats.duplicates, stats.delayed),
-        (0, 0, 0),
-        "a zero plan injects nothing"
-    );
+    assert_eq!(pc.fault_stats(), None, "a quiet plan builds no fault plane");
     let (mut cluster, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
     assert_eq!(report.dropped, 0, "zero plan + drain drops nothing");
     assert_eq!(report.delivered, report.sent);
@@ -472,6 +463,69 @@ fn fault_soak_eight_seeds() {
     }
 }
 
+/// `spawn` reads `cfg.net` as the simulator does: a fault plan set there
+/// reaches the channel links (it used to be overwritten, silently).
+#[test]
+fn spawn_honours_the_fault_plan_in_the_cluster_config() {
+    let _serial = serial();
+    let pc = ParallelCluster::spawn(chaos_config(
+        FaultPlan::none().all_links(LinkFault::dropping(0.5)),
+        0xD209_0001,
+    ));
+    let s = pc
+        .handle(n(0))
+        .with(|c| Ok(setup_workload(c)))
+        .expect("setup");
+    // Shared-bunch collections broadcast reachability tables to the other
+    // mappers: 48 loss-tolerant envelopes, each dropped with probability ½.
+    for _ in 0..8 {
+        for i in 0..NODES {
+            pc.handle(n(i)).run_bgc(s.shared_bunch).expect("bgc");
+        }
+    }
+    assert!(pc.quiesce(Duration::from_secs(10)), "quiesce");
+    let stats = pc
+        .fault_stats()
+        .expect("a non-quiet plan builds the fault plane");
+    assert!(
+        stats.link_dropped > 0,
+        "injected drops are reported: {stats:?}"
+    );
+    let (_cluster, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    assert_eq!(report.dropped, stats.link_dropped, "{report:?}");
+    assert_eq!(report.dropped_by_class[0], 0, "never the DSM class");
+    assert_eq!(report.delivered + report.dropped, report.sent);
+}
+
+/// `spawn` validates with the simulator's `validate()` and panics with the
+/// typed error's wording, as `Network::new` does (the thread plane used to
+/// accept anything) — and refuses the one event it cannot honour.
+#[test]
+fn spawn_rejects_an_invalid_fault_plan_with_the_typed_wording() {
+    let bad = [
+        (
+            FaultPlan::none().all_links(LinkFault::dropping(1.5)),
+            "probability out of range",
+        ),
+        (
+            FaultPlan::none().partition(vec![n(1)], vec![n(1), n(2)], 0, 5),
+            "appears on both sides of a partition",
+        ),
+        (
+            FaultPlan::none().crash(n(1), 2, 9),
+            "cannot be honoured on real threads",
+        ),
+    ];
+    for (fault, wording) in bad {
+        let mut cfg = ClusterConfig::with_nodes(NODES);
+        cfg.net.fault = fault; // past `with_fault`'s own check
+        let panic = std::panic::catch_unwind(|| ParallelCluster::spawn(cfg).nodes())
+            .expect_err("an invalid plan must not spawn");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains(wording), "{msg:?} lacks {wording:?}");
+    }
+}
+
 /// Headline C: a mid-run injected crash fails *one* failure domain; the
 /// supervisor restarts it live through the crash-amnesia recovery
 /// pipeline (RVM replay, epoch rejoin, scion regeneration) while the
@@ -486,17 +540,15 @@ fn injected_crash_restarts_live_and_rejoins() {
     // bunches at all (exactly the sim's amnesia model).
     let dir = std::env::temp_dir().join(format!("bmx-parallel-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = ClusterConfig::with_nodes(NODES).with_acquire_timeout(Duration::from_secs(30));
+    let jitter = FaultPlan::none().all_links(LinkFault {
+        jitter: 1,
+        ..LinkFault::default()
+    });
+    let mut cfg = chaos_config(jitter, seed);
     cfg.persist = Some(PersistConfig::at(&dir));
     let pc = ParallelCluster::spawn_with_chaos(
         cfg,
         ChaosConfig {
-            seed,
-            plan: ParallelFaultPlan::default().all_links(ParallelLinkFault {
-                drop: 0.0,
-                duplicate: 0.0,
-                delay: 0.05,
-            }),
             restart_delay_pulses: 8,
             ..ChaosConfig::default()
         },

@@ -469,3 +469,277 @@ fn schedule_fuzzer_preserves_safety_and_digest() {
     }
     trace::disable_global();
 }
+
+// ---------------------------------------------------------------------
+// One fault plane: the same `ClusterConfig`, faults and all, on both
+// execution modes.
+// ---------------------------------------------------------------------
+
+const VICTIM: u32 = 2;
+/// The cut between N0 and {N1, N2} is in force from the start, so the
+/// first cross-node acquire of either run meets it.
+const CUT_END: u64 = 100;
+/// The victim's amnesia outage: late enough that the racing phase is over
+/// in the simulator (asserted) and, on any reasonable host, on threads.
+const CRASH: (u64, u64) = (400, 440);
+const STEPS_BEFORE: u64 = 12;
+const STEPS_AFTER: u64 = 8;
+
+/// Drop, duplicate and jitter on every link, one healing partition, one
+/// `crash_amnesia`, one seed — ticks to the simulator, pulses to the
+/// thread plane.
+fn chaos_cfg(seed: u64, dir: &std::path::Path) -> ClusterConfig {
+    let mut cfg = ClusterConfig::with_nodes(NODES).with_acquire_timeout(Duration::from_secs(30));
+    cfg.net = NetworkConfig::lossless(1).with_fault(
+        FaultPlan::none()
+            .all_links(LinkFault {
+                drop: 0.4,
+                duplicate: 0.4,
+                jitter: 1,
+            })
+            .partition(vec![n(0)], vec![n(1), n(2)], 0, CUT_END)
+            .crash_amnesia(n(VICTIM), CRASH.0, CRASH.1),
+    );
+    cfg.net.seed = seed;
+    // The simulator's retry daemon would put traffic in flight on its own
+    // clock; the thread plane has none.
+    cfg.retry = None;
+    cfg.persist = Some(PersistConfig::at(dir));
+    cfg
+}
+
+/// The shared objects `node` increments before the outage and after it.
+/// The victim increments only once it has rejoined: what an amnesia crash
+/// may lose is the victim's own unpersisted writes, and the runs compare
+/// totals.
+fn chaos_steps(seed: u64, node: u32) -> (Vec<usize>, Vec<usize>) {
+    let mut rng = per_node_rng(seed, node);
+    let before = if node == VICTIM { 0 } else { STEPS_BEFORE };
+    let before = (0..before).map(|_| step_plan(&mut rng)).collect();
+    let after = (0..STEPS_AFTER).map(|_| step_plan(&mut rng)).collect();
+    (before, after)
+}
+
+/// What both modes must agree on, up to the schedule: the payloads, and
+/// which `FaultStats` fields the plan moved.
+struct ChaosOutcome {
+    payloads: Vec<u64>,
+    fault: FaultStats,
+    /// Per class, [`MsgClass::ALL`] order: copies handed to the message
+    /// plane, copies applied, copies discarded.
+    sent: [u64; 4],
+    delivered: [u64; 4],
+    dropped: [u64; 4],
+}
+
+/// The settle phase and the safety gates, on the final cluster of either
+/// mode; returns the payloads read at node 0.
+fn settle_and_gate(c: &mut Cluster, s: &Setup) -> Vec<u64> {
+    let n0 = n(0);
+    c.settle(50_000).unwrap();
+    let payloads = s
+        .shared
+        .iter()
+        .map(|&o| {
+            c.acquire_write(n0, o).unwrap();
+            let v = c.read_data(n0, o, 1).unwrap();
+            c.release(n0, o).unwrap();
+            v
+        })
+        .collect();
+    for i in 0..NODES {
+        c.run_bgc(n(i), s.shared_bunch).unwrap();
+        c.run_bgc(n(i), s.priv_bunch[i as usize]).unwrap();
+    }
+    c.settle(50_000).unwrap();
+    c.assert_gc_acquired_no_tokens();
+    let live: Vec<(NodeId, Addr)> = s
+        .shared
+        .iter()
+        .map(|&o| (n0, o))
+        .chain((0..NODES).map(|i| (n(i), s.keep[i as usize])))
+        .collect();
+    audit::assert_no_premature_reclamation(c, &live);
+    assert!(!c.in_recovery(n(VICTIM)), "the rejoin completed");
+    assert!(
+        c.recovery_log.iter().any(|r| r.node == n(VICTIM)),
+        "the victim recovered through the pipeline: {:?}",
+        c.recovery_log
+    );
+    payloads
+}
+
+fn chaos_on_sim(cfg: ClusterConfig, seed: u64) -> ChaosOutcome {
+    let victim = n(VICTIM);
+    trace::install_vec();
+    let mut c = Cluster::new(cfg);
+    let s = setup_workload(&mut c);
+    for i in 0..NODES {
+        c.run_bgc(n(i), s.priv_bunch[i as usize]).unwrap();
+        c.run_bgc(n(i), s.shared_bunch).unwrap();
+    }
+    let incr = |c: &mut Cluster, node: NodeId, o: Addr| {
+        c.acquire_write(node, o).unwrap();
+        let v = c.read_data(node, o, 1).unwrap();
+        c.write_data(node, o, 1, v + 1).unwrap();
+        c.release(node, o).unwrap();
+    };
+    let plans: Vec<_> = (0..NODES).map(|i| chaos_steps(seed, i)).collect();
+    for step in 0..STEPS_BEFORE as usize {
+        for i in 0..NODES {
+            if let Some(&k) = plans[i as usize].0.get(step) {
+                incr(&mut c, n(i), s.shared[k]);
+            }
+            if step % 2 == 1 {
+                c.run_bgc(n(i), s.shared_bunch).unwrap();
+            }
+        }
+        c.step(2).unwrap();
+    }
+    // Idle into the outage: with nothing in flight the crash purges
+    // nothing, so every copy the network accepted is delivered.
+    c.settle(50_000).unwrap();
+    assert!(c.net.now() < CRASH.0, "the racing phase ran into the crash");
+    while c.net.now() < CRASH.1 || c.in_recovery(victim) {
+        assert!(c.net.now() < 50_000, "the victim never rejoined");
+        c.step(1).unwrap();
+    }
+    for step in 0..STEPS_AFTER as usize {
+        for i in 0..NODES {
+            incr(&mut c, n(i), s.shared[plans[i as usize].1[step]]);
+            if step % 2 == 1 {
+                c.run_bgc(n(i), s.shared_bunch).unwrap();
+            }
+        }
+        c.step(2).unwrap();
+    }
+    let payloads = settle_and_gate(&mut c, &s);
+    let records = trace::take();
+    trace::disable();
+    let stats = MsgClass::ALL.map(|class| c.net.class_stats(class));
+    ChaosOutcome {
+        payloads,
+        fault: c.net.fault_stats(),
+        sent: stats.map(|s| s.sent + s.duplicated + s.dropped),
+        delivered: MsgClass::ALL.map(|class| {
+            records
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::MsgDeliver { lane, .. } if lane == class.lane()))
+                .count() as u64
+        }),
+        dropped: stats.map(|s| s.dropped),
+    }
+}
+
+fn chaos_on_threads(cfg: ClusterConfig, seed: u64) -> ChaosOutcome {
+    let pc = ParallelCluster::spawn(cfg);
+    let s = pc
+        .handle(n(0))
+        .with(|c| Ok(setup_workload(c)))
+        .expect("setup");
+    for i in 0..NODES {
+        let h = pc.handle(n(i));
+        h.run_bgc(s.priv_bunch[i as usize]).expect("checkpoint bgc");
+        h.run_bgc(s.shared_bunch).expect("checkpoint bgc");
+    }
+    // One phase on one thread per node. A node that goes down under its
+    // mutator takes the mutator with it — that is the victim, if the host
+    // is slow enough for the racing phase to reach the outage.
+    let phase = |after: bool| {
+        std::thread::scope(|sc| {
+            for i in 0..NODES {
+                let (h, s) = (pc.handle(n(i)), &s);
+                sc.spawn(move || {
+                    let (before, later) = chaos_steps(seed, i);
+                    let steps = if after { later } else { before };
+                    let rounds = if after { STEPS_AFTER } else { STEPS_BEFORE } as usize;
+                    let work = || -> Result<()> {
+                        for step in 0..rounds {
+                            if let Some(&k) = steps.get(step) {
+                                let o = s.shared[k];
+                                h.acquire_write(o)?;
+                                let v = h.read_data(o, 1)?;
+                                h.write_data(o, 1, v + 1)?;
+                                h.release(o)?;
+                            }
+                            if step % 2 == 1 {
+                                h.run_bgc(s.shared_bunch)?;
+                            }
+                        }
+                        Ok(())
+                    };
+                    match work() {
+                        Err(BmxError::NodeDown { node }) if node.0 == VICTIM && i == VICTIM => {}
+                        r => r.unwrap_or_else(|e| panic!("node {i}: {e}")),
+                    }
+                });
+            }
+        });
+    };
+    phase(false);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while pc.now_pulse().expect("fault plane") < CRASH.1
+        || pc.node_status(n(VICTIM)) != NodeStatus::Alive
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "victim never rejoined"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    phase(true);
+    assert!(pc.quiesce(Duration::from_secs(30)), "failed to quiesce");
+    let fault = pc.fault_stats().expect("fault plane");
+    let (mut cluster, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    ChaosOutcome {
+        payloads: settle_and_gate(&mut cluster, &s),
+        fault,
+        sent: report.sent_by_class,
+        delivered: report.delivered_by_class,
+        dropped: report.dropped_by_class,
+    }
+}
+
+/// One `ClusterConfig` — link faults, a healing partition, an amnesia
+/// crash, one seed — means the same thing to both planes: each run keeps
+/// every increment, passes the audits without the collector touching a
+/// token, conserves messages per class, and reports what it injected in
+/// the same `FaultStats` fields.
+#[test]
+fn one_fault_plan_drives_both_execution_modes() {
+    let _serial = serial();
+    let seed = 0xFA17_0001u64;
+    let dir = std::env::temp_dir().join(format!("bmx-one-fault-plane-{}", std::process::id()));
+    let cfg = chaos_cfg(seed, &dir);
+    let mut expected = vec![0u64; SHARED];
+    for i in 0..NODES {
+        let (before, after) = chaos_steps(seed, i);
+        for k in before.into_iter().chain(after) {
+            expected[k] += 1;
+        }
+    }
+    type Run = fn(ClusterConfig, u64) -> ChaosOutcome;
+    for (mode, run) in [("sim", chaos_on_sim as Run), ("threads", chaos_on_threads)] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = run(cfg.clone(), seed);
+        assert_eq!(out.payloads, expected, "{mode}: increments conserved");
+        for (idx, class) in MsgClass::ALL.into_iter().enumerate() {
+            assert_eq!(
+                out.delivered[idx] + out.dropped[idx],
+                out.sent[idx],
+                "{mode}: conservation for {class:?}"
+            );
+        }
+        let f = out.fault;
+        assert!(
+            f.link_dropped > 0 && f.duplicates_injected > 0 && f.partition_held > 0,
+            "{mode}: drop, duplicate and held counters moved: {f:?}"
+        );
+        assert_eq!(
+            (f.partitions_healed, f.restarts, f.crash_held),
+            (1, 1, 0),
+            "{mode}: {f:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
