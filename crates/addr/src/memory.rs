@@ -10,7 +10,7 @@
 //! at this word) and the *reference-map* (set bit = this word holds a
 //! pointer), plus the local bump-allocation cursor.
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
 
 use bmx_common::{Addr, Bitmap, BmxError, NodeId, Result, SegmentId};
 
@@ -84,12 +84,18 @@ impl SegmentImage {
 }
 
 /// The set of segments mapped on one node.
+///
+/// `Send`, and deliberately `!Sync`: address resolution remembers where it
+/// last hit in a [`Cell`], which a node's one owner (its site lock, or the
+/// single-threaded sim) may do through `&self` and two threads may not.
 pub struct NodeMemory {
     node: NodeId,
-    /// Keyed by base address for O(log n) address resolution.
-    by_base: BTreeMap<u64, MappedSegment>,
-    /// Segment id → base address.
-    bases: BTreeMap<SegmentId, u64>,
+    /// Ascending by base address (ranges never overlap).
+    segs: Vec<MappedSegment>,
+    /// Index of the segment the last lookup answered from. A hint only:
+    /// every use re-checks the entry it names, so a stale or out-of-range
+    /// value after a map or unmap costs one miss, never a wrong answer.
+    last: Cell<usize>,
 }
 
 impl NodeMemory {
@@ -97,8 +103,8 @@ impl NodeMemory {
     pub fn new(node: NodeId) -> Self {
         NodeMemory {
             node,
-            by_base: BTreeMap::new(),
-            bases: BTreeMap::new(),
+            segs: Vec::new(),
+            last: Cell::new(0),
         }
     }
 
@@ -112,52 +118,74 @@ impl NodeMemory {
         self.install_segment(MappedSegment::new(info));
     }
 
-    /// Installs a pre-populated segment replica (e.g. a received image).
+    /// Installs a pre-populated segment replica (e.g. a received image),
+    /// replacing any existing mapping of the segment.
     pub fn install_segment(&mut self, seg: MappedSegment) {
-        self.bases.insert(seg.info.id, seg.info.base.0);
-        self.by_base.insert(seg.info.base.0, seg);
+        let at = self.segs.partition_point(|s| s.info.base < seg.info.base);
+        match self.segs.get_mut(at) {
+            Some(old) if old.info.base == seg.info.base => *old = seg,
+            _ => self.segs.insert(at, seg),
+        }
     }
 
     /// Unmaps a segment, dropping the local replica.
     pub fn unmap_segment(&mut self, id: SegmentId) -> Result<MappedSegment> {
-        let base = self.bases.remove(&id).ok_or(BmxError::NoSuchSegment(id))?;
-        Ok(self.by_base.remove(&base).expect("bases/by_base in sync"))
+        let i = self.index_of(id)?;
+        Ok(self.segs.remove(i))
+    }
+
+    /// Index in [`NodeMemory::segments`] of the mapped segment `id`.
+    fn index_of(&self, id: SegmentId) -> Result<usize> {
+        let hint = self.last.get();
+        if self.segs.get(hint).is_some_and(|s| s.info.id == id) {
+            return Ok(hint);
+        }
+        let found = self.segs.iter().position(|s| s.info.id == id);
+        let i = found.ok_or(BmxError::NoSuchSegment(id))?;
+        self.last.set(i);
+        Ok(i)
     }
 
     /// Returns `true` if the segment is mapped locally.
     pub fn has_segment(&self, id: SegmentId) -> bool {
-        self.bases.contains_key(&id)
+        self.index_of(id).is_ok()
     }
 
     /// Returns `true` if `addr` falls in a locally mapped segment.
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        self.resolve(addr).is_ok()
+        self.position(addr).is_ok()
     }
 
     /// Borrows the mapped segment with the given id.
     pub fn segment(&self, id: SegmentId) -> Result<&MappedSegment> {
-        let base = self.bases.get(&id).ok_or(BmxError::NoSuchSegment(id))?;
-        Ok(&self.by_base[base])
+        Ok(&self.segs[self.index_of(id)?])
     }
 
     /// Mutably borrows the mapped segment with the given id.
     pub fn segment_mut(&mut self, id: SegmentId) -> Result<&mut MappedSegment> {
-        let base = *self.bases.get(&id).ok_or(BmxError::NoSuchSegment(id))?;
-        Ok(self.by_base.get_mut(&base).expect("bases/by_base in sync"))
+        let i = self.index_of(id)?;
+        Ok(&mut self.segs[i])
     }
 
     /// Ids of all locally mapped segments, ascending by base address.
     pub fn mapped_segments(&self) -> Vec<SegmentId> {
-        self.by_base.values().map(|s| s.info.id).collect()
+        self.segs.iter().map(|s| s.info.id).collect()
+    }
+
+    /// The locally mapped segments, ascending by base address.
+    pub fn segments(&self) -> &[MappedSegment] {
+        &self.segs
     }
 
     /// The locally mapped segments, mutably, ascending by base address.
-    pub fn segments_mut(&mut self) -> impl Iterator<Item = &mut MappedSegment> {
-        self.by_base.values_mut()
+    pub fn segments_mut(&mut self) -> &mut [MappedSegment] {
+        &mut self.segs
     }
 
-    /// Resolves an address to its mapped segment and word offset.
-    pub fn resolve(&self, addr: Addr) -> Result<(&MappedSegment, u64)> {
+    /// Resolves an address to the index in [`NodeMemory::segments`] of the
+    /// segment mapping it and the word offset in that segment. The index
+    /// is good until the next map or unmap.
+    pub fn position(&self, addr: Addr) -> Result<(usize, usize)> {
         let unmapped = || BmxError::Unmapped {
             node: self.node,
             addr,
@@ -165,34 +193,29 @@ impl NodeMemory {
         if addr.is_null() || !addr.is_aligned() {
             return Err(unmapped());
         }
-        let (_, seg) = self
-            .by_base
-            .range(..=addr.0)
-            .next_back()
-            .ok_or_else(unmapped)?;
-        if !seg.info.contains(addr) {
-            return Err(unmapped());
+        let mut i = self.last.get();
+        if !self.segs.get(i).is_some_and(|s| s.info.contains(addr)) {
+            i = self
+                .segs
+                .partition_point(|s| s.info.base <= addr)
+                .checked_sub(1)
+                .filter(|&i| self.segs[i].info.contains(addr))
+                .ok_or_else(unmapped)?;
+            self.last.set(i);
         }
-        Ok((seg, addr.words_from(seg.info.base)))
+        Ok((i, addr.words_from(self.segs[i].info.base) as usize))
+    }
+
+    /// Resolves an address to its mapped segment and word offset.
+    pub fn resolve(&self, addr: Addr) -> Result<(&MappedSegment, u64)> {
+        let (i, off) = self.position(addr)?;
+        Ok((&self.segs[i], off as u64))
     }
 
     /// Resolves an address to its mapped segment (mutably) and word offset.
     pub fn resolve_mut(&mut self, addr: Addr) -> Result<(&mut MappedSegment, u64)> {
-        let node = self.node;
-        let unmapped = || BmxError::Unmapped { node, addr };
-        if addr.is_null() || !addr.is_aligned() {
-            return Err(unmapped());
-        }
-        let (_, seg) = self
-            .by_base
-            .range_mut(..=addr.0)
-            .next_back()
-            .ok_or_else(unmapped)?;
-        if !seg.info.contains(addr) {
-            return Err(unmapped());
-        }
-        let off = addr.words_from(seg.info.base);
-        Ok((seg, off))
+        let (i, off) = self.position(addr)?;
+        Ok((&mut self.segs[i], off as u64))
     }
 
     /// Reads the word at `addr`.
@@ -220,7 +243,6 @@ impl NodeMemory {
 mod tests {
     use super::*;
     use crate::server::{Protection, SegmentServer};
-    use bmx_common::NodeId;
 
     fn setup() -> (SegmentServer, NodeMemory, SegmentInfo) {
         let mut srv = SegmentServer::new(64);
@@ -304,6 +326,95 @@ mod tests {
         assert!(mem.read_word(s1.base.add_words(15)).is_ok());
         assert!(mem.read_word(s3.base).is_ok());
         assert_eq!(mem.mapped_segments(), vec![s1.id, s3.id]);
+    }
+
+    /// `NodeMemory` against the `BTreeMap` it replaced, over seeded random
+    /// map / install / unmap / resolve / `segment(id)` sequences. The
+    /// last-hit index is exercised on purpose: lookups repeat the previous
+    /// address and id half the time, and every map or unmap in between
+    /// shifts positions under it.
+    #[test]
+    fn matches_a_btreemap_model_over_random_sequences() {
+        use bmx_common::SplitMix64;
+        use std::collections::BTreeMap;
+
+        const WORDS: u64 = 16;
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut srv = SegmentServer::new(WORDS);
+            let b = srv.create_bunch(NodeId(0), Protection::default());
+            let pool: Vec<SegmentInfo> = (0..12).map(|_| srv.alloc_segment(b).unwrap()).collect();
+            let mut mem = NodeMemory::new(NodeId(0));
+            // base -> (id, word 0), the shape of the old `by_base`.
+            let mut model: BTreeMap<u64, (SegmentId, u64)> = BTreeMap::new();
+            let (mut last_addr, mut last_id) = (pool[0].base, pool[0].id);
+            for step in 0..400u64 {
+                let info = pool[rng.next_below(pool.len() as u64) as usize];
+                match rng.next_below(8) {
+                    0 => {
+                        mem.map_segment(info);
+                        model.insert(info.base.0, (info.id, 0));
+                    }
+                    1 => {
+                        let mut seg = MappedSegment::new(info);
+                        seg.words[0] = step;
+                        mem.install_segment(seg);
+                        model.insert(info.base.0, (info.id, step));
+                    }
+                    2 => {
+                        let want = model.remove(&info.base.0);
+                        let got = mem.unmap_segment(info.id).ok();
+                        assert_eq!(got.map(|s| (s.info.id, s.words[0])), want);
+                    }
+                    3..=5 => {
+                        // An address in, between, before or past the pool,
+                        // sometimes unaligned or null; or the last one again.
+                        let addr = match rng.next_below(8) {
+                            0..=3 => last_addr,
+                            4 => Addr(rng.next_below(8)),
+                            5 => Addr(info.base.0 + rng.next_below(WORDS * 8)),
+                            _ => Addr(pool[0].base.0 - 64 + 8 * rng.next_below(14 * WORDS)),
+                        };
+                        last_addr = addr;
+                        let want = model
+                            .range(..=addr.0)
+                            .next_back()
+                            .filter(|(&base, _)| {
+                                !addr.is_null()
+                                    && addr.is_aligned()
+                                    && addr.in_range(Addr(base), WORDS)
+                            })
+                            .map(|(&base, &(id, w))| (id, w, (addr.0 - base) / 8));
+                        let got = mem.resolve(addr).ok();
+                        assert_eq!(got.map(|(s, off)| (s.info.id, s.words[0], off)), want);
+                        assert_eq!(mem.is_mapped(addr), want.is_some());
+                        let at = mem.position(addr).ok();
+                        assert_eq!(
+                            at.map(|(i, off)| (mem.segments()[i].info.id, off as u64)),
+                            want.map(|(id, _, off)| (id, off))
+                        );
+                    }
+                    _ => {
+                        let id = if rng.next_below(2) == 0 {
+                            last_id
+                        } else {
+                            info.id
+                        };
+                        last_id = id;
+                        let want = model
+                            .values()
+                            .find(|&&(i, _)| i == id)
+                            .map(|&(i, w)| (i, w));
+                        let got = mem.segment(id).ok().map(|s| (s.info.id, s.words[0]));
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                        assert_eq!(mem.has_segment(id), want.is_some());
+                        assert_eq!(mem.segment_mut(id).is_ok(), want.is_some());
+                    }
+                }
+                let ids: Vec<SegmentId> = model.values().map(|&(id, _)| id).collect();
+                assert_eq!(mem.mapped_segments(), ids, "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -104,13 +104,29 @@ pub fn view(mem: &NodeMemory, addr: Addr) -> Result<ObjectView> {
     Ok(header_at(mem, addr)?.1)
 }
 
-/// The mapped segment holding the object at `addr`, with its decoded header.
-fn header_at(mem: &NodeMemory, addr: Addr) -> Result<(&MappedSegment, ObjectView)> {
+/// The mapped segment holding the object at `addr` and the word offset of
+/// its header: the one address resolution of every accessor below.
+fn object_at(mem: &NodeMemory, addr: Addr) -> Result<(&MappedSegment, usize)> {
     let (seg, off) = mem.resolve(addr)?;
     if !seg.object_map.get(off as usize) {
         return Err(BmxError::NotAnObject { addr });
     }
-    Ok((seg, view_at(seg, off as usize)))
+    Ok((seg, off as usize))
+}
+
+/// [`object_at`], mutably.
+fn object_at_mut(mem: &mut NodeMemory, addr: Addr) -> Result<(&mut MappedSegment, usize)> {
+    let (seg, off) = mem.resolve_mut(addr)?;
+    if !seg.object_map.get(off as usize) {
+        return Err(BmxError::NotAnObject { addr });
+    }
+    Ok((seg, off as usize))
+}
+
+/// The mapped segment holding the object at `addr`, with its decoded header.
+fn header_at(mem: &NodeMemory, addr: Addr) -> Result<(&MappedSegment, ObjectView)> {
+    let (seg, off) = object_at(mem, addr)?;
+    Ok((seg, view_at(seg, off)))
 }
 
 /// Decodes the header starting at word offset `off` of `seg`. The caller
@@ -182,11 +198,8 @@ pub fn rewrite_refs(
     addr: Addr,
     mut f: impl FnMut(Addr) -> Addr,
 ) -> Result<()> {
-    let (seg, off) = mem.resolve_mut(addr)?;
-    if !seg.object_map.get(off as usize) {
-        return Err(BmxError::NotAnObject { addr });
-    }
-    rewrite_refs_at(&mut seg.words, &seg.ref_map, off as usize, &mut f);
+    let (seg, off) = object_at_mut(mem, addr)?;
+    rewrite_refs_at(&mut seg.words, &seg.ref_map, off, &mut f);
     Ok(())
 }
 
@@ -200,67 +213,98 @@ pub fn rewrite_refs_in(seg: &mut MappedSegment, mut f: impl FnMut(Addr) -> Addr)
     }
 }
 
-fn field_slot(mem: &NodeMemory, addr: Addr, field: u64) -> Result<(ObjectView, Addr, bool)> {
-    let v = view(mem, addr)?;
-    if field >= v.size {
-        return Err(BmxError::FieldOutOfBounds {
-            addr,
-            field,
-            size: v.size,
-        });
+/// Index in `seg.words` of data word `field` of the object whose header
+/// starts at word offset `off` (the caller vouches for the header bit).
+/// `want_ref` says whether the reference-map must (`Some(true)`) or must
+/// not (`Some(false)`) mark it a pointer slot.
+fn slot_at(seg: &MappedSegment, off: usize, field: u64, want_ref: Option<bool>) -> Result<usize> {
+    let addr = seg.info.base.add_words(off as u64);
+    let size = layout::header0_size(seg.words[off]);
+    if field >= size {
+        return Err(BmxError::FieldOutOfBounds { addr, field, size });
     }
-    let slot = v.field_addr(field);
-    let (seg, off) = mem.resolve(slot)?;
-    Ok((v, slot, seg.ref_map.get(off as usize)))
-}
-
-/// Reads data word `field` of the object at `addr` (pointer or not).
-pub fn read_field(mem: &NodeMemory, addr: Addr, field: u64) -> Result<u64> {
-    let (_, slot, _) = field_slot(mem, addr, field)?;
-    mem.read_word(slot)
-}
-
-/// Reads pointer field `field` of the object at `addr`.
-///
-/// Fails with [`BmxError::RefMapMismatch`] if the slot is not a pointer slot.
-pub fn read_ref_field(mem: &NodeMemory, addr: Addr, field: u64) -> Result<Addr> {
-    let (_, slot, is_ref) = field_slot(mem, addr, field)?;
-    if !is_ref {
+    let slot = off + (HEADER_WORDS + field) as usize;
+    if want_ref.is_some_and(|want| want != seg.ref_map.get(slot)) {
         return Err(BmxError::RefMapMismatch { addr, field });
     }
-    Ok(Addr(mem.read_word(slot)?))
+    Ok(slot)
 }
 
-/// Writes a non-pointer value into data word `field`.
-///
-/// Fails with [`BmxError::RefMapMismatch`] if the slot is a pointer slot.
-pub fn write_data_field(mem: &mut NodeMemory, addr: Addr, field: u64, value: u64) -> Result<()> {
-    let (_, slot, is_ref) = field_slot(mem, addr, field)?;
-    if is_ref {
-        return Err(BmxError::RefMapMismatch { addr, field });
-    }
-    mem.write_word(slot, value)
+/// Reads data word `field` (pointer or not) of the object whose header
+/// starts at word offset `off` of `seg`. This and the three `_at` accessors
+/// below are the segment-relative forms: for a caller that has already
+/// resolved the object (and checked its header bit), they cost the bounds
+/// check, the map test and the word access — nothing is looked up again.
+pub fn read_field_at(seg: &MappedSegment, off: usize, field: u64) -> Result<u64> {
+    Ok(seg.words[slot_at(seg, off, field, None)?])
+}
+
+/// Reads pointer field `field`; [`BmxError::RefMapMismatch`] if the slot is
+/// not a pointer slot.
+pub fn read_ref_field_at(seg: &MappedSegment, off: usize, field: u64) -> Result<Addr> {
+    Ok(Addr(seg.words[slot_at(seg, off, field, Some(true))?]))
+}
+
+/// Writes a non-pointer value into data word `field`;
+/// [`BmxError::RefMapMismatch`] if the slot is a pointer slot.
+pub fn write_data_field_at(
+    seg: &mut MappedSegment,
+    off: usize,
+    field: u64,
+    value: u64,
+) -> Result<()> {
+    let slot = slot_at(seg, off, field, Some(false))?;
+    seg.words[slot] = value;
+    Ok(())
 }
 
 /// Writes a pointer into pointer slot `field` (no barrier — the write
-/// barrier lives in the platform layer, which calls this after its
-/// bookkeeping).
-///
-/// Fails with [`BmxError::RefMapMismatch`] if the slot is not a pointer slot.
+/// barrier calls this after resolving the addresses);
+/// [`BmxError::RefMapMismatch`] if the slot is not a pointer slot.
+pub fn write_ref_field_at(
+    seg: &mut MappedSegment,
+    off: usize,
+    field: u64,
+    target: Addr,
+) -> Result<()> {
+    let slot = slot_at(seg, off, field, Some(true))?;
+    seg.words[slot] = target.0;
+    Ok(())
+}
+
+/// [`read_field_at`] on the object at `addr`.
+pub fn read_field(mem: &NodeMemory, addr: Addr, field: u64) -> Result<u64> {
+    let (seg, off) = object_at(mem, addr)?;
+    read_field_at(seg, off, field)
+}
+
+/// [`read_ref_field_at`] on the object at `addr`.
+pub fn read_ref_field(mem: &NodeMemory, addr: Addr, field: u64) -> Result<Addr> {
+    let (seg, off) = object_at(mem, addr)?;
+    read_ref_field_at(seg, off, field)
+}
+
+/// [`write_data_field_at`] on the object at `addr`.
+pub fn write_data_field(mem: &mut NodeMemory, addr: Addr, field: u64, value: u64) -> Result<()> {
+    let (seg, off) = object_at_mut(mem, addr)?;
+    write_data_field_at(seg, off, field, value)
+}
+
+/// [`write_ref_field_at`] on the object at `addr`.
 pub fn write_ref_field(mem: &mut NodeMemory, addr: Addr, field: u64, target: Addr) -> Result<()> {
-    let (_, slot, is_ref) = field_slot(mem, addr, field)?;
-    if !is_ref {
-        return Err(BmxError::RefMapMismatch { addr, field });
-    }
-    mem.write_word(slot, target.0)
+    let (seg, off) = object_at_mut(mem, addr)?;
+    write_ref_field_at(seg, off, field, target)
 }
 
 /// Marks the object at `addr` as forwarded to `to` (collector use).
 pub fn set_forwarding(mem: &mut NodeMemory, addr: Addr, to: Addr) -> Result<()> {
-    let v = view(mem, addr)?;
-    let (seg, off) = mem.resolve_mut(addr)?;
-    seg.words[off as usize] = layout::pack_header0(v.size, v.flags.with(ObjFlags::FORWARDED));
-    seg.words[off as usize + 2] = to.0;
+    let (seg, off) = object_at_mut(mem, addr)?;
+    let h0 = seg.words[off];
+    seg.words[off] = layout::pack_header0(
+        layout::header0_size(h0),
+        layout::header0_flags(h0).with(ObjFlags::FORWARDED),
+    );
+    seg.words[off + 2] = to.0;
     Ok(())
 }
 
@@ -286,16 +330,16 @@ pub fn data_words(mem: &NodeMemory, addr: Addr) -> Result<Vec<u64>> {
 /// Overwrites the data words of the object at `addr` (DSM install of a
 /// received consistent copy).
 pub fn install_data_words(mem: &mut NodeMemory, addr: Addr, data: &[u64]) -> Result<()> {
-    let v = view(mem, addr)?;
-    if data.len() as u64 != v.size {
+    let (seg, off) = object_at_mut(mem, addr)?;
+    let size = layout::header0_size(seg.words[off]);
+    if data.len() as u64 != size {
         return Err(BmxError::FieldOutOfBounds {
             addr,
             field: data.len() as u64,
-            size: v.size,
+            size,
         });
     }
-    let (seg, off) = mem.resolve_mut(addr)?;
-    let start = (off + HEADER_WORDS) as usize;
+    let start = off + HEADER_WORDS as usize;
     seg.words[start..start + data.len()].copy_from_slice(data);
     Ok(())
 }

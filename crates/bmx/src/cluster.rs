@@ -302,6 +302,32 @@ impl Cluster {
     // Message plumbing.
     // ------------------------------------------------------------------
 
+    /// Runs `f` on the DSM engine, with the rest of the cluster lent as the
+    /// state the engine shares with the collector and its sends staged on
+    /// the network as DSM-class messages.
+    pub(crate) fn with_engine<R>(
+        &mut self,
+        f: impl FnOnce(
+            &mut DsmEngine,
+            &mut DsmShared<'_>,
+            &mut dyn FnMut(NodeId, NodeId, DsmPacket),
+        ) -> R,
+    ) -> R {
+        let Cluster {
+            engine,
+            gc,
+            mems,
+            stats,
+            net,
+            ..
+        } = self;
+        let mut sh = DsmShared { mems, stats, gc };
+        let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
+            net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
+        };
+        f(engine, &mut sh, &mut send)
+    }
+
     /// Sends a GC message, classing and counting it.
     pub fn send_gc(&mut self, src: NodeId, dst: NodeId, msg: GcMsg) {
         let class = match &msg {
@@ -674,21 +700,7 @@ impl Cluster {
         epoch: u64,
         recovered: Vec<(Oid, BunchId)>,
     ) -> Result<()> {
-        {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.purge_peer(dst, src, &mut sh, &mut send)?;
-        }
+        self.with_engine(|e, sh, send| e.purge_peer(dst, src, sh, send))?;
         let recovered_set: BTreeSet<Oid> = recovered.iter().map(|&(o, _)| o).collect();
         let views: Vec<ObjView> = recovered
             .iter()
@@ -839,19 +851,9 @@ impl Cluster {
                 // the crash): the recovered image is just a stale replica.
                 // Demotion cannot violate the Section-5 acquire invariants —
                 // no token moves, and the next acquire synchronizes.
-                let Cluster {
-                    engine,
-                    gc,
-                    mems,
-                    stats,
-                    net,
-                    ..
-                } = self;
-                let mut sh = DsmShared { mems, stats, gc };
-                let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                    net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-                };
-                engine.register_mapped_replica(node, oid, bunch, owner, &mut sh, &mut send);
+                self.with_engine(|e, sh, send| {
+                    e.register_mapped_replica(node, oid, bunch, owner, sh, send)
+                });
             } else {
                 let holders: Vec<NodeId> = views
                     .iter()
@@ -1079,22 +1081,7 @@ impl Cluster {
     }
 
     fn dispatch_dsm(&mut self, src: NodeId, dst: NodeId, pkt: DsmPacket) -> Result<()> {
-        let Cluster {
-            engine,
-            gc,
-            mems,
-            stats,
-            net,
-            ..
-        } = self;
-        let mut sh = DsmShared { mems, stats, gc };
-        let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-            net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-        };
-        engine.handle(src, dst, pkt, &mut sh, &mut send)?;
-        // `emit` inside the engine counts DsmProtocolMessages; mirror the
-        // transport-level count here.
-        Ok(())
+        self.with_engine(|e, sh, send| e.handle(src, dst, pkt, sh, send))
     }
 
     fn dispatch_gc(&mut self, _src: NodeId, dst: NodeId, msg: GcMsg) -> Result<()> {
@@ -1371,19 +1358,9 @@ impl Cluster {
                 Some(st) => st.owner_hint,
                 None => from,
             };
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.register_mapped_replica(node, oid, bunch, hint, &mut sh, &mut send);
+            self.with_engine(|e, sh, send| {
+                e.register_mapped_replica(node, oid, bunch, hint, sh, send)
+            });
         }
         self.pump()
     }
@@ -1830,12 +1807,5 @@ impl Cluster {
     pub fn token_at(&self, node: NodeId, addr: Addr) -> Result<Token> {
         let oid = self.oid_at_local(node, addr)?;
         Ok(self.engine.token(node, oid))
-    }
-
-    /// Local-only address-to-OID resolution (header read through local
-    /// forwarding).
-    pub fn oid_at_local(&self, node: NodeId, addr: Addr) -> Result<Oid> {
-        let cur = self.mutator_resolve(node, addr);
-        Ok(object::view(&self.mems[node.0 as usize], cur)?.oid)
     }
 }

@@ -5,15 +5,13 @@
 //! explicit stack roots. They never send messages themselves — communication
 //! happens purely through the DSM (paper, Section 2.2).
 
-use bmx_addr::object;
+use bmx_addr::{object, Protection};
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, StatKind};
-use bmx_dsm::{AcquireStart, DsmPacket, DsmShared, Token};
+use bmx_dsm::{AcquireStart, Token};
 use bmx_metrics::{self as metrics, Ctr, Hst};
-use bmx_net::MsgClass;
 use bmx_trace::{self as trace, TraceEvent};
 
 use crate::cluster::Cluster;
-use crate::msg::ClusterMsg;
 
 /// Shape of an object to allocate.
 #[derive(Clone, Debug)]
@@ -42,30 +40,28 @@ impl ObjSpec {
     }
 }
 
-impl Cluster {
-    /// Enforces the bunch protection attributes (paper, Section 2.1) for a
-    /// mutator access to the object at `addr`.
-    fn check_protection(&self, node: NodeId, addr: Addr, write: bool) -> Result<()> {
-        // No forwarding resolution needed: to-space segments belong to the
-        // same bunch, so any name of the object identifies it. A mapped
-        // address is answered by the node's own segment descriptor; only a
-        // held address in a range the node no longer maps asks the server.
-        let (bunch, prot) = match self.mems[node.0 as usize].resolve(addr) {
-            Ok((seg, _)) => (seg.info.bunch, seg.info.protection),
-            Err(_) => {
-                let srv = self.server.borrow();
-                let Some(bunch) = srv.bunch_of_held(addr) else {
-                    return Ok(()); // unmapped: the access will fail with Unmapped
-                };
-                (bunch, srv.bunch(bunch)?.protection)
-            }
-        };
-        if (write && !prot.write) || (!write && !prot.read) {
+/// What a mutator call wants of the object it names.
+#[derive(Clone, Copy, PartialEq)]
+enum Access {
+    Read,
+    Write,
+    /// The header only (`oid_at_local`, `release`): protection does not
+    /// apply and no access is traced.
+    Header,
+}
+
+impl Access {
+    /// Enforces the bunch protection attributes (paper, Section 2.1).
+    fn allowed_by(self, bunch: BunchId, prot: Protection) -> Result<()> {
+        let write = self == Access::Write;
+        if (write && !prot.write) || (self == Access::Read && !prot.read) {
             return Err(BmxError::AccessDenied { bunch, write });
         }
         Ok(())
     }
+}
 
+impl Cluster {
     // ------------------------------------------------------------------
     // Allocation.
     // ------------------------------------------------------------------
@@ -144,47 +140,75 @@ impl Cluster {
     // Field access (through local forwarding).
     // ------------------------------------------------------------------
 
-    /// Resolves `addr` to the current local copy for a mutator access:
-    /// local forwarding first; if that dead-ends at an address holding no
+    /// The one address resolution of a mutator call. Follows local
+    /// forwarding from `addr`, finds the segment holding the current copy
+    /// once, judges the access by the protection on that segment's own
+    /// descriptor (to-space belongs to the same bunch, so every name of an
+    /// object is judged alike), checks the header bit and traces the
+    /// access. Answers like [`bmx_addr::NodeMemory::position`]: the
+    /// segment's index and the word offset of the object's header, which
+    /// the accessor hands to the segment-relative form of its operation.
+    ///
+    /// The cold tail: forwarding may dead-end at an address holding no
     /// object (the range was released by from-space reuse and the edges
-    /// dropped with it, Section 4.5), the segment server's retired-range
-    /// routing supplies the object identity and the node's own replica of
-    /// it is preferred.
-    pub(crate) fn mutator_resolve(&self, node: NodeId, addr: Addr) -> Addr {
-        let (cur, hops) = self.gc.node(node).directory.resolve_hops(addr);
+    /// dropped with it, Section 4.5). The segment server's retired-range
+    /// routing then supplies the object identity, and the node's own
+    /// replica of it is preferred.
+    fn locate(&self, node: NodeId, addr: Addr, access: Access) -> Result<(usize, usize)> {
+        let mem = &self.mems[node.0 as usize];
+        let dir = &self.gc.node(node).directory;
+        let (mut cur, hops) = dir.resolve_hops(addr);
         metrics::observe(node, Hst::ForwardingChainLen, hops as u64);
-        if object::view(&self.mems[node.0 as usize], cur).is_ok() {
-            return cur;
-        }
-        let Some((oid, to)) = self.server.borrow().resolve_retired(addr) else {
-            return cur;
-        };
-        metrics::bump(node, Ctr::RetiredRouteHits);
-        match self.gc.node(node).directory.addr_of(oid) {
-            Some(a) if object::view(&self.mems[node.0 as usize], a).is_ok_and(|v| v.oid == oid) => {
-                a
+        let is_header = |&(seg, off): &(usize, usize)| mem.segments()[seg].object_map.get(off);
+        let mut at = mem.position(cur);
+        match at {
+            Ok((seg, _)) => {
+                let info = &mem.segments()[seg].info;
+                access.allowed_by(info.bunch, info.protection)?;
             }
-            _ => self.gc.node(node).directory.resolve(to),
+            // Nothing is mapped where forwarding ends: what the server
+            // knows of the held address decides, and an address it does
+            // not know either fails as unmapped below.
+            Err(_) if access != Access::Header => {
+                let srv = self.server.borrow();
+                if let Some(bunch) = srv.bunch_of_held(addr) {
+                    access.allowed_by(bunch, srv.bunch(bunch)?.protection)?;
+                }
+            }
+            Err(_) => {}
         }
+        let mut found = at.as_ref().is_ok_and(is_header);
+        if !found {
+            if let Some((oid, to)) = self.server.borrow().resolve_retired(addr) {
+                metrics::bump(node, Ctr::RetiredRouteHits);
+                cur = match dir.addr_of(oid) {
+                    Some(a) if object::view(mem, a).is_ok_and(|v| v.oid == oid) => a,
+                    _ => dir.resolve(to),
+                };
+                at = mem.position(cur);
+                found = at.as_ref().is_ok_and(is_header);
+            }
+        }
+        if access != Access::Header {
+            trace::emit(
+                node,
+                TraceEvent::MutatorAccess {
+                    requested: addr,
+                    resolved: cur,
+                    write: access == Access::Write,
+                },
+            );
+        }
+        let at = at?;
+        if !found {
+            return Err(BmxError::NotAnObject { addr: cur });
+        }
+        Ok(at)
     }
 
     /// Barriered pointer store: `(*obj).field = target`.
     pub fn write_ref(&mut self, node: NodeId, obj: Addr, field: u64, target: Addr) -> Result<()> {
-        self.check_protection(node, obj, true)?;
-        let obj = self.mutator_resolve(node, obj);
-        if trace::enabled() {
-            // The barrier resolves internally; re-resolve here only when a
-            // recorder wants the (requested, resolved) pair.
-            let cur = self.gc.node(node).directory.resolve(obj);
-            trace::emit(
-                node,
-                TraceEvent::MutatorAccess {
-                    requested: obj,
-                    resolved: cur,
-                    write: true,
-                },
-            );
-        }
+        let src = self.locate(node, obj, Access::Write)?;
         let out = {
             let Cluster {
                 gc, mems, stats, ..
@@ -194,7 +218,7 @@ impl Cluster {
                 node,
                 &mut mems[node.0 as usize],
                 &mut stats[node.0 as usize],
-                obj,
+                src,
                 field,
                 target,
             )?
@@ -208,47 +232,28 @@ impl Cluster {
 
     /// Non-pointer store: `(*obj).field = value`.
     pub fn write_data(&mut self, node: NodeId, obj: Addr, field: u64, value: u64) -> Result<()> {
-        self.check_protection(node, obj, true)?;
-        let cur = self.mutator_resolve(node, obj);
-        trace::emit(
-            node,
-            TraceEvent::MutatorAccess {
-                requested: obj,
-                resolved: cur,
-                write: true,
-            },
-        );
-        object::write_data_field(&mut self.mems[node.0 as usize], cur, field, value)
+        let (seg, off) = self.locate(node, obj, Access::Write)?;
+        let seg = &mut self.mems[node.0 as usize].segments_mut()[seg];
+        object::write_data_field_at(seg, off, field, value)
     }
 
     /// Non-pointer load.
     pub fn read_data(&self, node: NodeId, obj: Addr, field: u64) -> Result<u64> {
-        self.check_protection(node, obj, false)?;
-        let cur = self.mutator_resolve(node, obj);
-        trace::emit(
-            node,
-            TraceEvent::MutatorAccess {
-                requested: obj,
-                resolved: cur,
-                write: false,
-            },
-        );
-        object::read_field(&self.mems[node.0 as usize], cur, field)
+        let (seg, off) = self.locate(node, obj, Access::Read)?;
+        object::read_field_at(&self.mems[node.0 as usize].segments()[seg], off, field)
     }
 
     /// Pointer load.
     pub fn read_ref(&self, node: NodeId, obj: Addr, field: u64) -> Result<Addr> {
-        self.check_protection(node, obj, false)?;
-        let cur = self.mutator_resolve(node, obj);
-        trace::emit(
-            node,
-            TraceEvent::MutatorAccess {
-                requested: obj,
-                resolved: cur,
-                write: false,
-            },
-        );
-        object::read_ref_field(&self.mems[node.0 as usize], cur, field)
+        let (seg, off) = self.locate(node, obj, Access::Read)?;
+        object::read_ref_field_at(&self.mems[node.0 as usize].segments()[seg], off, field)
+    }
+
+    /// Local-only address-to-OID resolution (header read through local
+    /// forwarding).
+    pub fn oid_at_local(&self, node: NodeId, addr: Addr) -> Result<Oid> {
+        let (seg, off) = self.locate(node, addr, Access::Header)?;
+        Ok(object::view_at(&self.mems[node.0 as usize].segments()[seg], off).oid)
     }
 
     /// The pointer-comparison operation (Section 4.2): are `a` and `b` the
@@ -327,24 +332,14 @@ impl Cluster {
             }
         }
         if self.engine.obj_state(node, oid).is_none() {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            let hint = match engine.obj_state(creator, oid) {
+            let hint = match self.engine.obj_state(creator, oid) {
                 Some(st) if st.is_owner => creator,
                 Some(st) => st.owner_hint,
                 None => creator,
             };
-            engine.register_mapped_replica(node, oid, bunch, hint, &mut sh, &mut send);
+            self.with_engine(|e, sh, send| {
+                e.register_mapped_replica(node, oid, bunch, hint, sh, send)
+            });
             self.pump()?;
         }
         Ok(oid)
@@ -355,21 +350,7 @@ impl Cluster {
     pub fn acquire_read(&mut self, node: NodeId, addr: Addr) -> Result<()> {
         let oid = self.oid_at(node, addr)?;
         let t0 = self.net.now();
-        let started = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.start_read(node, oid, &mut sh, &mut send)?
-        };
+        let started = self.with_engine(|e, sh, send| e.start_read(node, oid, sh, send))?;
         if started == AcquireStart::Requested {
             self.pump()?;
             if self.engine.token(node, oid) == Token::None {
@@ -389,21 +370,7 @@ impl Cluster {
     pub fn acquire_write(&mut self, node: NodeId, addr: Addr) -> Result<()> {
         let oid = self.oid_at(node, addr)?;
         let t0 = self.net.now();
-        let started = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.start_write(node, oid, &mut sh, &mut send)?
-        };
+        let started = self.with_engine(|e, sh, send| e.start_write(node, oid, sh, send))?;
         if started == AcquireStart::Requested {
             self.pump()?;
             if self.engine.token(node, oid) != Token::Write {
@@ -431,61 +398,25 @@ impl Cluster {
     /// [`Cluster::nudge_acquire`].
     pub fn poll_acquire(&mut self, node: NodeId, addr: Addr, write: bool) -> Result<bool> {
         let oid = self.oid_at(node, addr)?;
-        if self.engine.is_waiting(node, oid) {
-            // The grant clears `waiting_for` when it lands.
-            return Ok(false);
-        }
-        let tok = self.engine.token(node, oid);
-        let held = if write {
-            tok == Token::Write
-        } else {
-            tok != Token::None
-        };
-        if held {
-            self.engine.lock(node, oid)?;
+        if self.engine.try_lock(node, oid, write) {
             return Ok(true);
         }
-        let started = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
+        if self.engine.is_waiting(node, oid) {
+            return Ok(false);
+        }
+        let started = self.with_engine(|e, sh, send| {
             if write {
-                engine.start_write(node, oid, &mut sh, &mut send)?
+                e.start_write(node, oid, sh, send)
             } else {
-                engine.start_read(node, oid, &mut sh, &mut send)?
+                e.start_read(node, oid, sh, send)
             }
-        };
+        })?;
         self.pump()?;
         match started {
-            AcquireStart::Satisfied => {
-                self.engine.lock(node, oid)?;
-                Ok(true)
-            }
-            AcquireStart::Requested => {
-                // In sim mode the pump above completed the exchange; in
-                // parallel mode the request is now in the transport.
-                let tok = self.engine.token(node, oid);
-                let held = if write {
-                    tok == Token::Write
-                } else {
-                    tok != Token::None
-                };
-                if held && !self.engine.is_waiting(node, oid) {
-                    self.engine.lock(node, oid)?;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
+            AcquireStart::Satisfied => self.engine.lock(node, oid).map(|()| true),
+            // In sim mode the pump above completed the exchange; in
+            // parallel mode the request is now in the transport.
+            AcquireStart::Requested => Ok(self.engine.try_lock(node, oid, write)),
         }
     }
 
@@ -498,21 +429,7 @@ impl Cluster {
     /// duplicate request cannot double-grant.
     pub fn nudge_acquire(&mut self, node: NodeId, addr: Addr) -> Result<()> {
         let oid = self.oid_at(node, addr)?;
-        {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.nudge_wait(node, oid, &mut sh, &mut send);
-        }
+        self.with_engine(|e, sh, send| e.nudge_wait(node, oid, sh, send));
         self.pump()
     }
 
@@ -521,42 +438,14 @@ impl Cluster {
     /// grant may already have placed so parked remote requests proceed.
     pub fn cancel_acquire(&mut self, node: NodeId, addr: Addr) -> Result<()> {
         let oid = self.oid_at(node, addr)?;
-        {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.cancel_wait(node, oid, &mut sh, &mut send)?;
-        }
+        self.with_engine(|e, sh, send| e.cancel_wait(node, oid, sh, send))?;
         self.pump()
     }
 
     /// Releases the token bracket for the object at `addr`.
     pub fn release(&mut self, node: NodeId, addr: Addr) -> Result<()> {
         let oid = self.oid_at_local(node, addr)?;
-        {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                net,
-                ..
-            } = self;
-            let mut sh = DsmShared { mems, stats, gc };
-            let mut send = |s: NodeId, d: NodeId, p: DsmPacket| {
-                net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
-            };
-            engine.unlock(node, oid, &mut sh, &mut send)?;
-        }
+        self.with_engine(|e, sh, send| e.unlock(node, oid, sh, send))?;
         self.pump()
     }
 
@@ -588,20 +477,11 @@ impl Cluster {
     // Roots.
     // ------------------------------------------------------------------
 
-    /// The bunch holding `addr`: read off `node`'s own mapping of the
-    /// segment when it has one, asked of the server otherwise.
-    fn bunch_at(&self, node: NodeId, addr: Addr) -> Option<BunchId> {
-        match self.mems[node.0 as usize].resolve(addr) {
-            Ok((seg, _)) => Some(seg.info.bunch),
-            Err(_) => self.gc.bunch_of(addr),
-        }
-    }
-
     /// Registers a mutator stack root at `node`.
     pub fn add_root(&mut self, node: NodeId, addr: Addr) -> u64 {
         // A root created during an incremental collection makes its target
         // reachable: gray it.
-        let bunch = self.bunch_at(node, addr);
+        let bunch = self.gc.local_bunch_of(&self.mems[node.0 as usize], addr);
         self.gc.node_mut(node).gray_if_active(bunch, addr);
         self.gc.node_mut(node).add_root(addr)
     }
@@ -613,7 +493,7 @@ impl Cluster {
 
     /// Re-points a root slot.
     pub fn set_root(&mut self, node: NodeId, id: u64, addr: Addr) {
-        let bunch = self.bunch_at(node, addr);
+        let bunch = self.gc.local_bunch_of(&self.mems[node.0 as usize], addr);
         self.gc.node_mut(node).gray_if_active(bunch, addr);
         self.gc.node_mut(node).set_root(id, addr);
     }

@@ -1501,9 +1501,12 @@ impl NodeHandle {
 }
 
 // The parallel runtime is only sound if the protocol core can cross
-// threads; keep that property pinned at compile time.
+// threads; keep that property pinned at compile time. (`NodeMemory` is
+// `Send` and not `Sync`: its last-hit index is a `Cell`, touched only by
+// whoever holds the node's site lock.)
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Cluster>();
     assert_send::<NodeHandle>();
+    assert_send::<bmx_addr::NodeMemory>();
 };

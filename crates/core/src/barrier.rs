@@ -18,8 +18,14 @@ use crate::msg::GcMsg;
 use crate::ssp::{InterScion, InterStub, SspId};
 use crate::state::GcState;
 
-/// Performs the barriered pointer store `(*src_obj).field = target` at
-/// `node`.
+/// Performs the barriered pointer store `(*src).field = target` at `node`.
+///
+/// `(src_seg, src_off)` is where the caller located the current copy of
+/// the source object: the index in [`NodeMemory::segments`] of its segment
+/// and the word offset of its header there. The target goes through local
+/// forwarding, so the stored pointer names the current copy. Both bunch
+/// ids come off the node's own segment descriptors: a store between
+/// mapped objects touches no shared state.
 ///
 /// Returns the scion-message to transmit, if the store created a cross-node
 /// inter-bunch reference. The caller (the cluster driver) owns transmission;
@@ -29,20 +35,21 @@ pub fn write_ref(
     node: NodeId,
     mem: &mut NodeMemory,
     stats: &mut NodeStats,
-    src_obj: Addr,
+    (src_seg, src_off): (usize, usize),
     field: u64,
     target: Addr,
 ) -> Result<Option<(NodeId, GcMsg)>> {
-    // The store itself (through local forwarding, so a mutator holding a
-    // stale from-space pointer still writes the current copy).
-    let src_cur = gc.node(node).directory.resolve(src_obj);
     let target_cur = gc.node(node).directory.resolve(target);
-    object::write_ref_field(mem, src_cur, field, target_cur)?;
-    if target_cur.is_null() {
-        stats.bump(StatKind::BarrierFastPaths);
-        return Ok(None);
-    }
-    let (Some(src_bunch), Some(tgt_bunch)) = (gc.bunch_of(src_cur), gc.bunch_of(target_cur)) else {
+    let src_seg = &mut mem.segments_mut()[src_seg];
+    object::write_ref_field_at(src_seg, src_off, field, target_cur)?;
+    let src_bunch = src_seg.info.bunch;
+    let source_oid = object::view_at(src_seg, src_off).oid;
+    let tgt_bunch = if target_cur.is_null() {
+        None
+    } else {
+        gc.local_bunch_of(mem, target_cur)
+    };
+    let Some(tgt_bunch) = tgt_bunch else {
         stats.bump(StatKind::BarrierFastPaths);
         return Ok(None);
     };
@@ -57,7 +64,6 @@ pub fn write_ref(
     }
     stats.bump(StatKind::BarrierSlowPaths);
 
-    let source_oid = object::view(mem, src_cur)?.oid;
     let target_oid = object::view(mem, target_cur).ok().map(|v| v.oid);
     let seq = gc.node_mut(node).next_ssp_seq();
     let id = SspId { node, seq };
@@ -204,19 +210,21 @@ mod tests {
         }
     }
 
+    impl Fix {
+        /// The store as the cluster makes it: the source located through
+        /// local forwarding first.
+        fn store(&mut self, src: Addr, field: u64, target: Addr) -> Option<(NodeId, GcMsg)> {
+            let cur = self.gc.node(NodeId(0)).directory.resolve(src);
+            let at = self.mem.position(cur).unwrap();
+            let Fix { gc, mem, stats, .. } = self;
+            write_ref(gc, NodeId(0), mem, stats, at, field, target).unwrap()
+        }
+    }
+
     #[test]
     fn intra_bunch_store_is_fast_path() {
         let mut f = fixture(true);
-        let out = write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            0,
-            f.o2,
-        )
-        .unwrap();
+        let out = f.store(f.o1, 0, f.o2);
         assert!(out.is_none());
         assert_eq!(f.stats.get(StatKind::BarrierFastPaths), 1);
         assert_eq!(f.stats.get(StatKind::BarrierSlowPaths), 0);
@@ -233,16 +241,7 @@ mod tests {
     #[test]
     fn null_store_is_fast_path() {
         let mut f = fixture(true);
-        let out = write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            0,
-            Addr::NULL,
-        )
-        .unwrap();
+        let out = f.store(f.o1, 0, Addr::NULL);
         assert!(out.is_none());
         assert_eq!(f.stats.get(StatKind::BarrierFastPaths), 1);
     }
@@ -250,16 +249,7 @@ mod tests {
     #[test]
     fn inter_bunch_store_creates_local_ssp_when_target_mapped() {
         let mut f = fixture(true);
-        let out = write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            1,
-            f.o3,
-        )
-        .unwrap();
+        let out = f.store(f.o1, 1, f.o3);
         assert!(
             out.is_none(),
             "target bunch mapped locally: no scion-message"
@@ -277,16 +267,7 @@ mod tests {
     #[test]
     fn inter_bunch_store_to_unmapped_bunch_emits_scion_message() {
         let mut f = fixture(false);
-        let out = write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            1,
-            f.o3,
-        )
-        .unwrap();
+        let out = f.store(f.o1, 1, f.o3);
         let (dest, msg) = out.expect("scion-message required");
         assert_eq!(dest, NodeId(1), "routed to the target bunch's creator");
         assert_eq!(f.stats.get(StatKind::ScionMessages), 1);
@@ -323,27 +304,9 @@ mod tests {
     #[test]
     fn duplicate_reference_creates_single_ssp() {
         let mut f = fixture(true);
-        write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            1,
-            f.o3,
-        )
-        .unwrap();
+        f.store(f.o1, 1, f.o3);
         // Store the same target again (same field or another field).
-        write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            0,
-            f.o3,
-        )
-        .unwrap();
+        f.store(f.o1, 0, f.o3);
         assert_eq!(
             f.gc.node(NodeId(0))
                 .bunch(f.b1)
@@ -365,16 +328,7 @@ mod tests {
         f.gc.node_mut(NodeId(0))
             .directory
             .record_move(Oid(1), f.o1, to);
-        write_ref(
-            &mut f.gc,
-            NodeId(0),
-            &mut f.mem,
-            &mut f.stats,
-            f.o1,
-            0,
-            f.o2,
-        )
-        .unwrap();
+        f.store(f.o1, 0, f.o2);
         assert_eq!(
             object::read_ref_field(&f.mem, to, 0).unwrap(),
             f.o2,

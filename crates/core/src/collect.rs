@@ -223,16 +223,6 @@ pub fn refresh_node_gauges(gc: &GcState, node: NodeId) {
     metrics::gauge_set(node, Gge::StubTableSize, stubs);
 }
 
-/// The bunch holding `addr`, read off the locally mapped segment's own
-/// descriptor; the shared segment server (a mutex and a range lookup) is
-/// asked only about addresses this node has not mapped.
-fn bunch_at(gc: &GcState, mem: &NodeMemory, addr: Addr) -> Option<BunchId> {
-    match mem.resolve(addr) {
-        Ok((seg, _)) => Some(seg.info.bunch),
-        Err(_) => gc.bunch_of(addr),
-    }
-}
-
 /// Whether the collection in progress already found the object at `addr`
 /// live.
 pub(crate) fn is_marked(mem: &NodeMemory, addr: Addr) -> bool {
@@ -315,7 +305,9 @@ impl Ctx<'_> {
     }
 
     fn in_group(&self, addr: Addr) -> Option<BunchId> {
-        bunch_at(self.gc, self.mem, addr).filter(|b| self.core.group.contains(b))
+        self.gc
+            .local_bunch_of(self.mem, addr)
+            .filter(|b| self.core.group.contains(b))
     }
 
     /// Clears the mark bits a previous collection left in the group's
@@ -448,7 +440,7 @@ impl Ctx<'_> {
                     continue;
                 }
                 let tr = dir.resolve(t);
-                match bunch_at(gc, mem, tr) {
+                match gc.local_bunch_of(mem, tr) {
                     Some(tb) if core.group.contains(&tb) => stack.push(tr),
                     Some(_) => {
                         core.inter_refs.push(InterRef {

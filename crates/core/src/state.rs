@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bmx_addr::SegmentServer;
+use bmx_addr::{NodeMemory, SegmentServer};
 use bmx_common::{Addr, BunchId, Epoch, NodeId, Oid, SegmentId};
 use bmx_dsm::Relocation;
 use bmx_net::PiggybackBuffer;
@@ -285,6 +285,17 @@ impl GcState {
     /// The bunch containing `addr`, from the shared server.
     pub fn bunch_of(&self, addr: Addr) -> Option<BunchId> {
         self.server.borrow().bunch_of(addr)
+    }
+
+    /// The bunch containing `addr`, read off the descriptor of the segment
+    /// a node has mapped there (`mem` is that node's memory); the shared
+    /// server (a mutex and a range lookup) is asked only about addresses
+    /// the node has not mapped.
+    pub fn local_bunch_of(&self, mem: &NodeMemory, addr: Addr) -> Option<BunchId> {
+        match mem.resolve(addr) {
+            Ok((seg, _)) => Some(seg.info.bunch),
+            Err(_) => self.bunch_of(addr),
+        }
     }
 }
 

@@ -606,13 +606,35 @@ impl DsmEngine {
     /// and invalidations arriving while locked are deferred to
     /// [`DsmEngine::unlock`].
     pub fn lock(&mut self, node: NodeId, oid: Oid) -> Result<()> {
-        let st = self
-            .ns_mut(node)
-            .get_mut(oid)
-            .ok_or(BmxError::NoToken { node, oid })?;
-        if st.token == Token::None {
-            return Err(BmxError::NoToken { node, oid });
+        match self.ns_mut(node).get_mut(oid) {
+            Some(st) if st.token != Token::None => {
+                Self::enter(st, node);
+                Ok(())
+            }
+            _ => Err(BmxError::NoToken { node, oid }),
         }
+    }
+
+    /// One poll of a split-phase acquire, in one lookup of the replica's
+    /// state: enters the critical section if no acquire of `oid` is
+    /// outstanding at `node` and the token it holds covers the access.
+    pub fn try_lock(&mut self, node: NodeId, oid: Oid, write: bool) -> bool {
+        let ns = self.ns_mut(node);
+        if ns.waiting_for.contains_key(&oid) {
+            // The grant clears `waiting_for` when it lands.
+            return false;
+        }
+        let want = if write { Token::Write } else { Token::Read };
+        match ns.get_mut(oid) {
+            Some(st) if st.token == Token::Write || st.token == want => {
+                Self::enter(st, node);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn enter(st: &mut ObjState, node: NodeId) {
         let claimed_reservation = st.reserved;
         st.locked = true;
         // The waiter claims its grant: the reservation's job is done.
@@ -623,7 +645,6 @@ impl DsmEngine {
             // profiler's stitched track ends on something visible.
             profile::mark(profile::SpanKind::ReserveClaim, node);
         }
-        Ok(())
     }
 
     /// Abandons an outstanding acquire at `node` (timeout, target down).

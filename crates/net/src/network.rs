@@ -228,6 +228,9 @@ pub struct Network<M> {
     rng: SplitMix64,
     /// Per-(src, dst) FIFO of in-flight messages.
     channels: BTreeMap<(NodeId, NodeId), VecDeque<InFlight<M>>>,
+    /// Messages queued across all channels, kept where envelopes enter and
+    /// leave the queues: `pump` asks after every release and delivery.
+    queued: usize,
     /// Per-(src, dst) next sequence number.
     seqs: BTreeMap<(NodeId, NodeId), MsgSeq>,
     stats: BTreeMap<MsgClass, ClassStats>,
@@ -263,6 +266,7 @@ impl<M: WireSize + Clone> Network<M> {
             now: 0,
             rng,
             channels: BTreeMap::new(),
+            queued: 0,
             seqs: BTreeMap::new(),
             stats: BTreeMap::new(),
             fault_stats: FaultStats::default(),
@@ -365,6 +369,7 @@ impl<M: WireSize + Clone> Network<M> {
             });
         }
         queue.push_back(InFlight { deliver_at, env });
+        self.queued += 1 + usize::from(duplicate);
         seq
     }
 
@@ -456,6 +461,7 @@ impl<M: WireSize + Clone> Network<M> {
                 continue;
             }
             if amnesia {
+                self.queued -= queue.len();
                 for m in queue.drain(..) {
                     if m.env.class.requires_reliability() {
                         self.fault_stats.amnesia_dropped += 1;
@@ -474,6 +480,7 @@ impl<M: WireSize + Clone> Network<M> {
                     floor = m.deliver_at;
                     kept.push_back(m);
                 } else {
+                    self.queued -= 1;
                     self.fault_stats.crash_dropped += 1;
                     metrics::gauge_sub(m.env.src, Gge::InflightBytes, m.env.payload.wire_size());
                 }
@@ -489,6 +496,7 @@ impl<M: WireSize + Clone> Network<M> {
         for queue in self.channels.values_mut() {
             while queue.front().is_some_and(|m| m.deliver_at <= now) {
                 let env = queue.pop_front().expect("front checked").env;
+                self.queued -= 1;
                 if metrics::enabled() {
                     metrics::gauge_sub(env.src, Gge::InflightBytes, env.payload.wire_size());
                 }
@@ -530,7 +538,11 @@ impl<M: WireSize + Clone> Network<M> {
 
     /// Number of messages currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.channels.values().map(VecDeque::len).sum()
+        debug_assert_eq!(
+            self.queued,
+            self.channels.values().map(VecDeque::len).sum::<usize>()
+        );
+        self.queued
     }
 
     /// Traffic counters for one class.

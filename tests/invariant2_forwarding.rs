@@ -105,3 +105,45 @@ fn relocations_fan_out_through_copy_sets() {
     c.assert_gc_acquired_no_tokens();
     bmx_repro::bmx::audit::assert_clean(&c);
 }
+
+/// A held pre-collection address gains one forwarding edge per collection
+/// until a reuse round drops them: a hundred collections with no
+/// `reuse_from_space` leave a hundred-hop chain, which is legitimate and
+/// must resolve — the walk is bounded by the directory's edge count, not
+/// by a constant.
+#[test]
+fn a_hundred_collections_without_reuse_still_resolve() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(1));
+    let n0 = n(0);
+    let b = c.create_bunch(n0).unwrap();
+    let o = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    c.write_data(n0, o, 0, 55).unwrap();
+    c.add_root(n0, o);
+    for _ in 0..100 {
+        c.run_bgc(n0, b).unwrap();
+    }
+    let (cur, hops) = c.gc.node(n0).directory.resolve_hops(o);
+    assert_eq!(hops, 100, "one edge per collection");
+    assert_ne!(cur, o);
+    assert_eq!(c.read_data(n0, o, 0).unwrap(), 55);
+    c.write_data(n0, o, 0, 56).unwrap();
+    assert_eq!(c.read_data(n0, cur, 0).unwrap(), 56);
+    bmx_repro::bmx::audit::assert_clean(&c);
+}
+
+/// The bound that replaced the constant still catches what it was there
+/// for: a walk longer than the directory has edges is a cycle.
+#[test]
+#[should_panic(expected = "forwarding cycle")]
+fn a_forged_forwarding_cycle_still_panics() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(1));
+    let n0 = n(0);
+    let b = c.create_bunch(n0).unwrap();
+    let o = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    let oid = c.oid_at_local(n0, o).unwrap();
+    let elsewhere = o.add_words(64);
+    let dir = &mut c.gc.node_mut(n0).directory;
+    dir.record_move(oid, o, elsewhere);
+    dir.record_move(oid, elsewhere, o);
+    let _ = c.read_data(n0, o, 0);
+}

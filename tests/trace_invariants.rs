@@ -120,6 +120,55 @@ fn invariant_queries_hold_on_a_real_run() {
     assert!(acq.is_empty(), "acquire invariant violations: {acq:?}");
 }
 
+/// A pointer store through a stale from-space address is recorded as what
+/// it is — `requested` the address the caller held, `resolved` the current
+/// copy two collections on — so the address-update query has a forwarded
+/// store to check, and it passes: both hops were learned (`Relocate`)
+/// before the access.
+#[test]
+fn a_forwarded_pointer_store_is_traced_with_the_callers_address() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(1));
+    let n0 = n(0);
+    let b = c.create_bunch(n0).unwrap();
+    let src = c.alloc(n0, b, &ObjSpec::with_refs(1, &[0])).unwrap();
+    let target = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    c.add_root(n0, src);
+    c.add_root(n0, target);
+    trace::install_vec();
+    c.run_bgc(n0, b).unwrap();
+    c.run_bgc(n0, b).unwrap();
+    c.write_ref(n0, src, 0, target).unwrap();
+    let records = trace::take();
+    trace::disable();
+
+    let cur = c.gc.node(n0).directory.resolve(src);
+    assert_ne!(cur, src, "the source moved");
+    let stores: Vec<&TraceRecord> = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::MutatorAccess { write: true, .. }))
+        .collect();
+    assert_eq!(stores.len(), 1, "one pointer store was traced");
+    assert_eq!(
+        stores[0].event,
+        TraceEvent::MutatorAccess {
+            requested: src,
+            resolved: cur,
+            write: true,
+        }
+    );
+    let addr = trace::query::address_update_violations(&records);
+    assert!(addr.is_empty(), "address update violations: {addr:?}");
+    // Not vacuous: without the second collection's `Relocate` the same
+    // store has no path to where it landed.
+    let second_hop = records
+        .iter()
+        .rposition(|r| matches!(r.event, TraceEvent::Relocate { to, .. } if to == cur))
+        .expect("the second collection relocated the source");
+    let mut missing = records.clone();
+    missing.remove(second_hop);
+    assert_eq!(trace::query::address_update_violations(&missing).len(), 1);
+}
+
 /// A run through an amnesia crash on an otherwise lossless network: the
 /// victim loses its volatile state mid-workload, replays its RVM
 /// checkpoint, and rejoins under a fresh epoch. Returns the victim so the
