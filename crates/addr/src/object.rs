@@ -37,11 +37,6 @@ impl ObjectView {
     pub fn is_forwarded(&self) -> bool {
         self.flags.contains(ObjFlags::FORWARDED)
     }
-
-    /// Address of data word `field`.
-    pub fn field_addr(&self, field: u64) -> Addr {
-        self.addr.add_words(HEADER_WORDS + field)
-    }
 }
 
 /// Bump-allocates an object with `data_words` data words inside `seg`.

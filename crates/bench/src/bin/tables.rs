@@ -7,12 +7,6 @@
 //! directory — run it from the repository root; a partial run only prints.
 //! `cargo test -p bmx-bench` fails when the committed `BENCH_tables.json`
 //! is not byte for byte what this binary would write.
-//!
-//! Set `BMX_METRICS=1` to run with the metrics plane installed: the run
-//! then also dumps a metrics snapshot to `target/bench_metrics.json` and
-//! a Prometheus rendering to `target/bench_metrics.prom`. The E4 pause
-//! tables are the overhead canary — they must reproduce within noise
-//! whether or not metrics are enabled (see DESIGN.md §9).
 
 #![forbid(unsafe_code)]
 
@@ -20,11 +14,6 @@ use bmx_bench::{experiments, table};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let metered = std::env::var("BMX_METRICS").is_ok_and(|v| v == "1");
-    if metered {
-        bmx_metrics::install();
-    }
-
     let tables = experiments::run(|name| args.is_empty() || args.iter().any(|a| a == name));
 
     let mut text = String::new();
@@ -39,22 +28,5 @@ fn main() {
         std::fs::write("tables_output.txt", &text).expect("write tables_output.txt");
         std::fs::write("BENCH_tables.json", table::document_json(&tables))
             .expect("write BENCH_tables.json");
-    }
-
-    if metered {
-        let snap = bmx_metrics::snapshot();
-        std::fs::create_dir_all("target").ok();
-        std::fs::write(
-            "target/bench_metrics.json",
-            bmx_metrics::json::to_json(&snap),
-        )
-        .expect("write bench metrics snapshot");
-        if let Some(reg) = bmx_metrics::registry() {
-            std::fs::write(
-                "target/bench_metrics.prom",
-                bmx_metrics::prometheus::render(&reg),
-            )
-            .expect("write bench metrics exposition");
-        }
     }
 }

@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use bmx_addr::object;
 use bmx_addr::server::Protection;
@@ -38,6 +37,7 @@ fn same_request(a: &DsmMsg, b: &DsmMsg) -> bool {
         _ => false,
     }
 }
+use bmx_gc::collect::CollectOutcome;
 use bmx_gc::{barrier, cleaner, collect, fromspace, CollectStats, GcMsg, GcState, RelocMode};
 use bmx_metrics::{self as metrics, Ctr, Gge, Hst, LinkCtr};
 use bmx_net::{Envelope, FaultEvent, MsgClass, Network, NetworkConfig};
@@ -168,21 +168,12 @@ pub struct Cluster {
     rejoin_epochs: Vec<u64>,
     /// Every completed recovery, for the E9 experiment and the chaos suite.
     pub recovery_log: Vec<RecoveryOutcome>,
-    /// Parallel-mode egress hook. When set, [`Cluster::pump`] *exports*
-    /// in-flight envelopes to the hook (a real [`bmx_net::Transport`])
-    /// instead of dispatching them inline; per-node driver threads deliver
-    /// them back through [`Cluster::deliver`]. `None` in the deterministic
-    /// simulation, which keeps the tick loop bit-exact.
-    uplink: Option<Uplink>,
     /// Which node slots hold live state here: all of them in the
     /// deterministic simulation; in the parallel runtime each node's state
     /// lives in a cluster of its own (its *site*) and visits another only
     /// while lent ([`Cluster::swap_slot`]).
     resident: Vec<bool>,
 }
-
-/// The egress half of the transport seam (see [`Cluster::set_uplink`]).
-pub type Uplink = Arc<dyn Fn(Envelope<ClusterMsg>) + Send + Sync>;
 
 impl Cluster {
     /// Builds a cluster.
@@ -222,7 +213,6 @@ impl Cluster {
             recoveries: (0..cfg.nodes).map(|_| None).collect(),
             rejoin_epochs: vec![0; cfg.nodes as usize],
             recovery_log: Vec::new(),
-            uplink: None,
             resident: (0..cfg.nodes)
                 .map(|i| only.is_none() || only == Some(NodeId(i)))
                 .collect(),
@@ -269,8 +259,8 @@ impl Cluster {
     }
 
     /// Binds every node's live simulation-counter cells to the installed
-    /// metrics registry (the single-counting-mechanism rule: snapshots and
-    /// Prometheus dumps read the very cells the cluster bumps). Run at
+    /// metrics registry (the single-counting-mechanism rule: snapshots
+    /// read the very cells the cluster bumps). Run at
     /// construction; call again if a registry is installed afterwards.
     /// No-op while metrics are disabled.
     pub fn bind_metrics(&self) {
@@ -328,6 +318,25 @@ impl Cluster {
         f(engine, &mut sh, &mut send)
     }
 
+    /// Runs `f` on the collector state, with every node's memory and
+    /// `node`'s counters lent beside it. The engine is lent immutably — the
+    /// collector cannot drive the protocol — and nothing here sends: what
+    /// the collector wants sent it returns.
+    fn with_gc<R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut GcState, &DsmEngine, &mut [NodeMemory], &mut NodeStats) -> R,
+    ) -> R {
+        let Cluster {
+            engine,
+            gc,
+            mems,
+            stats,
+            ..
+        } = self;
+        f(gc, engine, mems, &mut stats[node.0 as usize])
+    }
+
     /// Sends a GC message, classing and counting it.
     pub fn send_gc(&mut self, src: NodeId, dst: NodeId, msg: GcMsg) {
         let class = match &msg {
@@ -343,14 +352,11 @@ impl Cluster {
     ///
     /// Note that pumping spins the clock only while traffic is in flight; it
     /// does not fire the retry daemon's timers. Chaos runs drive time with
-    /// [`Cluster::step`] instead.
+    /// [`Cluster::step`] instead. A parallel-runtime site has nothing in
+    /// flight here — its sends left through the network's egress as they
+    /// were made and come back through [`Cluster::deliver`] — so there this
+    /// returns at once.
     pub fn pump(&mut self) -> Result<()> {
-        if self.uplink.is_some() {
-            // Parallel mode: messages leave through the transport and come
-            // back through per-node drivers; nothing is dispatched inline.
-            self.export_outbox();
-            return Ok(());
-        }
         while self.net.in_flight() > 0 {
             let due = self.net.tick();
             for env in due {
@@ -361,53 +367,21 @@ impl Cluster {
         Ok(())
     }
 
-    /// Routes every protocol send through the uplink instead of the
-    /// deterministic tick loop. All send sites keep writing into the
-    /// staging [`Network`]; [`Cluster::export_outbox`] moves the staged
-    /// envelopes out. Parallel-runtime use only.
-    pub fn set_uplink(&mut self, uplink: Uplink) {
-        self.uplink = Some(uplink);
-    }
-
-    /// Detaches the uplink (returning the cluster to inline dispatch), for
-    /// post-shutdown inspection of a parallel run's final state.
-    pub fn clear_uplink(&mut self) {
-        self.uplink = None;
-    }
-
-    /// Drains every staged envelope out of the simulated network and hands
-    /// it to the uplink. No-op without an uplink. The staging network is
-    /// configured lossless in parallel mode, so the tick here only rolls
-    /// messages to their due time — nothing is dropped or reordered beyond
-    /// per-link FIFO.
-    pub fn export_outbox(&mut self) {
-        // Borrowed, not cloned: the uplink is one `Arc` for the whole
-        // runtime, and its count must stay off every node's operation path.
-        let Some(uplink) = &self.uplink else {
-            return;
-        };
-        while self.net.in_flight() > 0 {
-            for env in self.net.tick() {
-                uplink(env);
-            }
-        }
-    }
-
-    /// Applies one transport-delivered envelope under the caller's lock on
-    /// the receiving node, then exports whatever the dispatch itself sent.
-    /// This is the per-node driver's entry point in parallel mode; an envelope
-    /// is either fully applied (including its cascading sends reaching the
-    /// transport) or — if the dispatch errors — not applied at all past
-    /// the error point, with the error surfaced to the driver.
+    /// The way back in for an envelope that left through the network's
+    /// egress: stamps its arrival and applies it, under the caller's lock on
+    /// the receiving node. This is the per-node driver's entry point in
+    /// parallel mode; an envelope is either fully applied (its cascading
+    /// sends have reached the transport by then) or — if the dispatch
+    /// errors — not applied at all past the error point, with the error
+    /// surfaced to the driver.
     pub fn deliver(&mut self, env: Envelope<ClusterMsg>) -> Result<()> {
         // Apply under the envelope's profiler flow: cascading sends the
-        // dispatch stages (a grant answering this request) inherit it,
+        // dispatch makes (a grant answering this request) inherit it,
         // and an *unstamped* envelope (span 0) clears whatever flow the
         // calling thread saw last rather than mis-attributing to it.
         let _flow = profile::flow_scope(env.span);
-        let r = self.dispatch(env);
-        self.export_outbox();
-        r
+        Network::note_delivery(&env);
+        self.dispatch(env)
     }
 
     /// Advances the cluster's background clock by `ticks`: each tick
@@ -416,10 +390,6 @@ impl Cluster {
     /// [`Cluster::pump`] — drives chaos runs, where time must pass for
     /// partitions to heal and backoff timers to fire.
     pub fn step(&mut self, ticks: u64) -> Result<()> {
-        if self.uplink.is_some() {
-            self.export_outbox();
-            return Ok(());
-        }
         for _ in 0..ticks {
             let due = self.net.tick();
             for env in due {
@@ -552,9 +522,8 @@ impl Cluster {
     /// pipeline, exactly as a [`bmx_net::FaultEvent`] crash/restart pair
     /// would. The parallel runtime's supervisor calls this (holding every
     /// site, all slots lent to this cluster) to revive a node whose driver
-    /// crashed; staged
-    /// `Rejoin` requests are exported through the uplink immediately, so
-    /// surviving drivers can answer them.
+    /// crashed; the `Rejoin` requests leave through the egress as they are
+    /// sent, so surviving drivers can answer them.
     pub fn restart_with_amnesia(&mut self, node: NodeId) -> Result<()> {
         // A crash *during* recovery simply starts over: the wipe clears the
         // partial recovery and the epoch bump makes stale replies inert.
@@ -562,9 +531,7 @@ impl Cluster {
         if let Some(s) = self.stats.get_mut(node.0 as usize) {
             s.bump(StatKind::NodeRestarts);
         }
-        self.begin_recovery(node)?;
-        self.export_outbox();
-        Ok(())
+        self.begin_recovery(node)
     }
 
     /// Launches the recovery pipeline of an amnesia-restarted node:
@@ -1085,146 +1052,90 @@ impl Cluster {
     }
 
     fn dispatch_gc(&mut self, _src: NodeId, dst: NodeId, msg: GcMsg) -> Result<()> {
-        match msg {
+        let at = dst.0 as usize;
+        let replies = match msg {
             GcMsg::ScionCreate { scion } => {
                 barrier::install_scion(&mut self.gc, dst, scion);
-                Ok(())
+                return Ok(());
             }
             GcMsg::Report(report) => {
                 let outcome = cleaner::process_report(
                     &mut self.gc,
                     &mut self.engine,
-                    &mut self.stats[dst.0 as usize],
+                    &mut self.stats[at],
                     dst,
                     &report,
                 );
                 if outcome.applied {
                     self.ack_report(&report, dst);
                 }
-                Ok(())
+                return Ok(());
             }
             GcMsg::AddressChange {
                 bunch: _,
                 relocations,
             } => {
-                let Cluster { gc, mems, .. } = self;
-                bmx_gc::integration::apply_relocations_at(gc, dst, &relocations, mems);
-                Ok(())
+                self.with_gc(dst, |gc, _, mems, _| {
+                    bmx_gc::integration::apply_relocations_at(gc, dst, &relocations, mems)
+                });
+                return Ok(());
             }
             GcMsg::Retire {
                 bunch,
                 segments,
                 relocations,
                 reply_to,
-            } => {
-                let msgs = {
-                    let Cluster {
-                        engine,
-                        gc,
-                        mems,
-                        stats,
-                        ..
-                    } = self;
-                    fromspace::handle_retire(
-                        gc,
-                        engine,
-                        mems,
-                        &mut stats[dst.0 as usize],
-                        dst,
-                        bunch,
-                        &segments,
-                        &relocations,
-                        reply_to,
-                    )?
-                };
-                for (to, m) in msgs {
-                    self.send_gc(dst, to, m);
-                }
-                Ok(())
-            }
-            GcMsg::RetireAck { bunch, from } => {
-                let Cluster {
-                    engine,
+            } => self.with_gc(dst, |gc, engine, mems, stats| {
+                fromspace::handle_retire(
                     gc,
+                    engine,
                     mems,
                     stats,
-                    ..
-                } = self;
-                fromspace::handle_retire_ack(
-                    gc,
-                    engine,
-                    &mut mems[dst.0 as usize],
-                    &mut stats[dst.0 as usize],
                     dst,
                     bunch,
-                    from,
-                )?;
-                Ok(())
+                    &segments,
+                    &relocations,
+                    reply_to,
+                )
+            })?,
+            GcMsg::RetireAck { bunch, from } => {
+                return self.with_gc(dst, |gc, engine, mems, stats| {
+                    fromspace::handle_retire_ack(gc, engine, &mut mems[at], stats, dst, bunch, from)
+                });
             }
+            // The owner's fresh relocations must reach the requester and
+            // all other replica holders lazily too; the copy reply carries
+            // them to the requester directly.
             GcMsg::CopyRequest {
                 bunch,
                 oids,
                 avoid,
                 reply_to,
-            } => {
-                let msgs = {
-                    let Cluster {
-                        engine,
-                        gc,
-                        mems,
-                        stats,
-                        ..
-                    } = self;
-                    fromspace::handle_copy_request(
-                        gc,
-                        engine,
-                        &mut mems[dst.0 as usize],
-                        &mut stats[dst.0 as usize],
-                        dst,
-                        bunch,
-                        &oids,
-                        &avoid,
-                        reply_to,
-                    )?
-                };
-                // The owner's fresh relocations must reach the requester and
-                // all other replica holders lazily too; the copy reply
-                // carries them to the requester directly.
-                for (to, m) in msgs {
-                    self.send_gc(dst, to, m);
-                }
-                Ok(())
-            }
+            } => self.with_gc(dst, |gc, engine, mems, stats| {
+                fromspace::handle_copy_request(
+                    gc,
+                    engine,
+                    &mut mems[at],
+                    stats,
+                    dst,
+                    bunch,
+                    &oids,
+                    &avoid,
+                    reply_to,
+                )
+            })?,
             GcMsg::CopyReply {
                 bunch,
                 relocations,
                 from: _,
-            } => {
-                let msgs = {
-                    let Cluster {
-                        engine,
-                        gc,
-                        mems,
-                        stats,
-                        ..
-                    } = self;
-                    fromspace::handle_copy_reply(
-                        gc,
-                        engine,
-                        mems,
-                        &mut stats[dst.0 as usize],
-                        dst,
-                        bunch,
-                        &relocations,
-                    )?
-                };
-                for (to, m) in msgs {
-                    self.send_gc(dst, to, m);
-                }
-                Ok(())
-            }
+            } => self.with_gc(dst, |gc, engine, mems, stats| {
+                fromspace::handle_copy_reply(gc, engine, mems, stats, dst, bunch, &relocations)
+            })?,
+        };
+        for (to, m) in replies {
+            self.send_gc(dst, to, m);
         }
-        .map(|_: ()| ())
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1411,52 +1322,47 @@ impl Cluster {
 
     /// Runs a collection over an explicit group of bunches at `node`.
     pub fn run_collection(&mut self, node: NodeId, group: &[BunchId]) -> Result<CollectStats> {
-        // A node mid-recovery defers collection: its scion tables are still
-        // regenerating, so tracing now could miss remote justifications —
-        // i.e. premature reclamation. The caller's next attempt (after the
-        // handshake completes) collects normally.
-        if self.recoveries[node.0 as usize].is_some() {
+        if self.collection_deferred(node) {
             return Ok(CollectStats::default());
         }
-        if let Some(&b) = group
-            .iter()
-            .find(|b| self.gc.node(node).active_groups.contains(b))
-        {
-            return Err(BmxError::CollectorBusy { bunch: b });
-        }
-        let outcome = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                ..
-            } = self;
-            collect(
-                gc,
-                engine,
-                &mut mems[node.0 as usize],
-                &mut stats[node.0 as usize],
-                node,
-                group,
-            )?
-        };
+        let at = node.0 as usize;
+        let outcome = self.with_gc(node, |gc, engine, mems, stats| {
+            collect(gc, engine, &mut mems[at], stats, node, group)
+        })?;
+        self.finish_collection(node, outcome)
+    }
+
+    /// Whether `node` must put off a collection it was asked to start. A
+    /// node mid-recovery defers: its scion tables are still regenerating,
+    /// so tracing now could miss remote justifications — i.e. premature
+    /// reclamation. The caller's next attempt (after the handshake
+    /// completes) collects normally. A group that overlaps a collection
+    /// already running is refused where every collection starts
+    /// ([`bmx_gc::IncrementalBgc::start`], `CollectorBusy`).
+    fn collection_deferred(&self, node: NodeId) -> bool {
+        self.in_recovery(node)
+    }
+
+    /// What follows every collection, run in one call or flipped: drop the
+    /// dead replicas' protocol records, let the local cleaner consume each
+    /// report (scions for locally mapped target bunches live on this very
+    /// node), publish it, and checkpoint.
+    fn finish_collection(&mut self, node: NodeId, outcome: CollectOutcome) -> Result<CollectStats> {
+        let at = node.0 as usize;
         for oid in &outcome.dead {
             self.engine.drop_replica(node, *oid);
         }
         for (dests, report) in outcome.reports {
-            // The local cleaner consumes the report too: scions for locally
-            // mapped target bunches live on this very node.
             cleaner::process_report(
                 &mut self.gc,
                 &mut self.engine,
-                &mut self.stats[node.0 as usize],
+                &mut self.stats[at],
                 node,
                 &report,
             );
             self.track_report(node, &report, &dests);
             for dst in dests {
-                self.stats[node.0 as usize].bump(StatKind::StubTableMessages);
+                self.stats[at].bump(StatKind::StubTableMessages);
                 self.send_gc(node, dst, GcMsg::Report(report.clone()));
             }
         }
@@ -1559,105 +1465,55 @@ impl Cluster {
 
     /// Starts an incremental collection of `group` at `node`: snapshots
     /// the roots and arms the graying write barrier. Mutator work may
-    /// proceed between [`Cluster::incremental_step`] calls.
+    /// proceed between [`Cluster::incremental_step`] calls. Deferred like
+    /// any collection while the node is mid-recovery: nothing starts and
+    /// [`Cluster::incremental_active`] stays false.
     pub fn start_incremental(&mut self, node: NodeId, group: &[BunchId]) -> Result<()> {
-        if self.incrementals[node.0 as usize].is_some() {
+        if self.collection_deferred(node) {
+            return Ok(());
+        }
+        let at = node.0 as usize;
+        if self.incrementals[at].is_some() {
             return Err(BmxError::CollectorBusy {
                 bunch: group.first().copied().unwrap_or(BunchId(0)),
             });
         }
-        let inc = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                ..
-            } = self;
-            bmx_gc::IncrementalBgc::start(
-                gc,
-                engine,
-                &mut mems[node.0 as usize],
-                &mut stats[node.0 as usize],
-                node,
-                group,
-            )?
-        };
-        self.incrementals[node.0 as usize] = Some(inc);
+        let inc = self.with_gc(node, |gc, engine, mems, stats| {
+            bmx_gc::IncrementalBgc::start(gc, engine, &mut mems[at], stats, node, group)
+        })?;
+        self.incrementals[at] = Some(inc);
         Ok(())
+    }
+
+    fn take_incremental(&mut self, node: NodeId) -> Result<bmx_gc::IncrementalBgc> {
+        self.incrementals[node.0 as usize]
+            .take()
+            .ok_or(BmxError::Protocol(
+                "no incremental collection active".into(),
+            ))
     }
 
     /// Performs up to `budget` objects' worth of collection work at `node`.
     /// Returns `true` when the collection is ready to flip.
     pub fn incremental_step(&mut self, node: NodeId, budget: usize) -> Result<bool> {
-        let mut inc = self.incrementals[node.0 as usize]
-            .take()
-            .ok_or(BmxError::Protocol(
-                "no incremental collection active".into(),
-            ))?;
-        let ready = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                ..
-            } = self;
-            inc.step(
-                gc,
-                engine,
-                &mut mems[node.0 as usize],
-                &mut stats[node.0 as usize],
-                budget,
-            )?
-        };
-        self.incrementals[node.0 as usize] = Some(inc);
+        let at = node.0 as usize;
+        let mut inc = self.take_incremental(node)?;
+        let ready = self.with_gc(node, |gc, engine, mems, stats| {
+            inc.step(gc, engine, &mut mems[at], stats, budget)
+        })?;
+        self.incrementals[at] = Some(inc);
         Ok(ready)
     }
 
     /// Flips the incremental collection at `node`: the only mutator-visible
-    /// pause. Publishes reports like a normal collection.
+    /// pause. Publishes reports and checkpoints like any collection.
     pub fn incremental_flip(&mut self, node: NodeId) -> Result<CollectStats> {
-        let inc = self.incrementals[node.0 as usize]
-            .take()
-            .ok_or(BmxError::Protocol(
-                "no incremental collection active".into(),
-            ))?;
-        let outcome = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                ..
-            } = self;
-            inc.flip(
-                gc,
-                engine,
-                &mut mems[node.0 as usize],
-                &mut stats[node.0 as usize],
-            )?
-        };
-        for oid in &outcome.dead {
-            self.engine.drop_replica(node, *oid);
-        }
-        for (dests, report) in outcome.reports {
-            cleaner::process_report(
-                &mut self.gc,
-                &mut self.engine,
-                &mut self.stats[node.0 as usize],
-                node,
-                &report,
-            );
-            self.track_report(node, &report, &dests);
-            for dst in dests {
-                self.stats[node.0 as usize].bump(StatKind::StubTableMessages);
-                self.send_gc(node, dst, GcMsg::Report(report.clone()));
-            }
-        }
-        self.flush_explicit_relocations();
-        self.pump()?;
-        Ok(outcome.stats)
+        let at = node.0 as usize;
+        let inc = self.take_incremental(node)?;
+        let outcome = self.with_gc(node, |gc, engine, mems, stats| {
+            inc.flip(gc, engine, &mut mems[at], stats)
+        })?;
+        self.finish_collection(node, outcome)
     }
 
     /// Whether an incremental collection is active at `node`.
@@ -1729,23 +1585,9 @@ impl Cluster {
     /// Starts the from-space reuse protocol for `bunch` at `node` and runs
     /// it to completion. Returns `true` if the segments were reclaimed.
     pub fn reuse_from_space(&mut self, node: NodeId, bunch: BunchId) -> Result<bool> {
-        let msgs = {
-            let Cluster {
-                engine,
-                gc,
-                mems,
-                stats,
-                ..
-            } = self;
-            fromspace::start_reuse(
-                gc,
-                engine,
-                &mut mems[node.0 as usize],
-                &mut stats[node.0 as usize],
-                node,
-                bunch,
-            )?
-        };
+        let msgs = self.with_gc(node, |gc, engine, mems, stats| {
+            fromspace::start_reuse(gc, engine, &mut mems[node.0 as usize], stats, node, bunch)
+        })?;
         for (dst, m) in msgs {
             self.send_gc(node, dst, m);
         }

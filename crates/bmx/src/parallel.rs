@@ -12,10 +12,12 @@
 //!   serializing closures. An acquire whose token is remote parks the
 //!   *calling thread only*; driver threads keep delivering, so the grant
 //!   makes progress while the mutator waits.
-//! * **The transport seam**: the cluster's sends are exported through
-//!   [`Cluster::set_uplink`] into the channels; nothing is dispatched
-//!   inline. Per-link FIFO holds; cross-link order is whatever the
-//!   hardware does — exactly the loosely-coupled model of the paper.
+//! * **The transport seam**: each site's network has the channels as its
+//!   egress ([`bmx_net::Network::set_egress`]), so a send leaves as it is
+//!   made and comes back through [`Cluster::deliver`]; nothing is
+//!   dispatched inline and no site's network ever ticks. Per-link FIFO
+//!   holds; cross-link order is whatever the hardware does — exactly the
+//!   loosely-coupled model of the paper.
 //!
 //! Concurrency model: **one lock per node, nothing shared on the local
 //! path.** Each node's protocol state (engine, collector state, heap,
@@ -50,8 +52,10 @@
 //! pending submitters get [`BmxError::NodeDown`], and every other node
 //! keeps serving. Under a fault plan ([`ClusterConfig::net`], the same one
 //! the simulator reads), a [`ChaosConfig`] or an installed metrics registry
-//! a **supervisor thread** beats a pulse clock (the [`FaultyTransport`]'s
-//! clock: partitions, jitter and the plan's crashes are timed in pulses),
+//! a **supervisor thread** beats a pulse clock, the runtime's one clock
+//! (the [`FaultyTransport`] times partitions, jitter and the plan's crashes
+//! in pulses, trace records carry the pulse as their tick, and the
+//! watchdogs are evaluated on it and nowhere else),
 //! pumps the metrics watchdogs with real pending-work readings, and — for
 //! the plan's crashes, and under [`ChaosConfig::restart`] for any other —
 //! revives downed nodes live through the crash-amnesia recovery pipeline
@@ -78,11 +82,13 @@ use bmx_addr::SegmentServer;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SplitMix64};
 use bmx_gc::SharedServer;
 use bmx_metrics::{self as metrics, Ctr, Hst, Registry};
-use bmx_net::{ChannelTransport, FaultStats, FaultyTransport, MsgClass, NetworkConfig, Transport};
+use bmx_net::{
+    ChannelTransport, Egress, FaultStats, FaultyTransport, MsgClass, NetworkConfig, Transport,
+};
 use bmx_profile::{self as profile, SpanKind};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::cluster::{Cluster, ClusterConfig, Uplink};
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::msg::ClusterMsg;
 use crate::mutator::ObjSpec;
 
@@ -274,8 +280,8 @@ struct Site {
 struct Shared {
     sites: Vec<Site>,
     /// Driver doorbells, one per node: rung by every send to the node (the
-    /// uplink holds the other reference), by its crash and by the phase
-    /// flip. An idle driver parks here.
+    /// sites' egress holds the other reference), by its crash and by the
+    /// phase flip. An idle driver parks here.
     bells: Arc<Vec<Signal>>,
     /// Rung by the ack that takes `in_flight` to zero and by each exiting
     /// driver: what `quiesce` and shutdown park on.
@@ -596,8 +602,9 @@ impl ParallelCluster {
     ///
     /// `cfg.net` means what it means to the simulator, read in pulses: its
     /// fault plan, class drop rates and seed go to a [`FaultyTransport`]
-    /// over the channels (each site's own network only stages its sends,
-    /// lossless), and a supervisor thread beats the pulse clock and fires
+    /// over the channels (each site's own network only numbers, stamps and
+    /// counts its sends on their way out), and a supervisor thread beats
+    /// the pulse clock and fires
     /// and restarts the plan's `crash_amnesia` events. A configuration that
     /// injects nothing gets a plain [`ChannelTransport`], and a supervisor
     /// only if the calling thread has a metrics registry installed (it
@@ -636,7 +643,7 @@ impl ParallelCluster {
             None => Arc::new(ChannelTransport::<ClusterMsg>::new(nodes as usize)),
         };
         let bells: Arc<Vec<Signal>> = Arc::new((0..nodes).map(|_| Signal::default()).collect());
-        let uplink: Uplink = {
+        let egress: Egress<ClusterMsg> = {
             let (transport, bells) = (Arc::clone(&transport), Arc::clone(&bells));
             Arc::new(move |env| {
                 let dst = env.dst.0 as usize;
@@ -648,7 +655,7 @@ impl ParallelCluster {
         let sites = (0..nodes)
             .map(|i| {
                 let mut site = Cluster::site(cfg.clone(), server.clone(), NodeId(i));
-                site.set_uplink(Arc::clone(&uplink));
+                site.net.set_egress(Some(Arc::clone(&egress)));
                 Site {
                     core: Mutex::new(site),
                     status: AtomicU8::new(NODE_ALIVE),
@@ -827,8 +834,8 @@ impl ParallelCluster {
     }
 
     /// Stops the drivers under `mode`, joins them, and returns the final
-    /// cluster — every node's slot gathered into one [`Cluster`], uplink
-    /// detached, so it dispatches inline again and tests can keep using it
+    /// cluster — every node's slot gathered into one [`Cluster`], egress
+    /// removed, so it dispatches inline again and tests can keep using it
     /// deterministically — plus the transport report.
     ///
     /// Errors if any node is still down or mid-recovery at shutdown — a
@@ -907,7 +914,7 @@ impl ParallelCluster {
         let mut cluster = shared
             .gather(NodeId(0), &shared.all_nodes())?
             .into_cluster(Cluster::new(ClusterConfig::with_nodes(0)));
-        cluster.clear_uplink();
+        cluster.net.set_egress(None);
         if !failures.is_empty() {
             // A failed shutdown is the chaos soak's "the run died": grab
             // the post-mortem while the rings still hold the death.
@@ -1065,6 +1072,7 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
         std::thread::sleep(cfg.pulse);
         let _pulse_span = profile::span(SpanKind::SupervisorPulse, NodeId(0));
         pulse = shared.pulse().unwrap_or(pulse + 1);
+        bmx_trace::set_now(pulse);
         for (c, fired) in crashes.iter().zip(&mut fired) {
             if !*fired && pulse >= c.at {
                 *fired = true;
@@ -1122,7 +1130,7 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
 /// every site locked (the wipe reaches into each receiver's duplicate
 /// tracking) bump the driver generation and run
 /// [`Cluster::restart_with_amnesia`] (wipe, RVM replay, rejoin-request
-/// broadcast through the uplink), then respawn a fresh driver. Stage 2/3
+/// broadcast), then respawn a fresh driver. Stage 2/3
 /// of recovery complete asynchronously as surviving drivers answer; the
 /// supervisor flips the node back to alive when `in_recovery` clears.
 fn restart_node(shared: &Arc<Shared>, node: NodeId) {
@@ -1190,12 +1198,10 @@ impl NodeHandle {
     pub fn with<R>(&self, f: impl FnOnce(&mut Cluster) -> Result<R>) -> Result<R> {
         self.shared.check(self.node)?;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sites = self.shared.gather(self.node, &self.shared.all_nodes())?;
-            let r = f(sites.cluster());
-            // Whatever `f` staged without pumping leaves before the slots
-            // go home, or a later send of the same node could overtake it.
-            sites.cluster().export_outbox();
-            r
+            f(self
+                .shared
+                .gather(self.node, &self.shared.all_nodes())?
+                .cluster())
         }));
         match outcome {
             Ok(r) => {

@@ -222,7 +222,9 @@ pub struct Recovery {
 
 /// One completed recovery, recorded for the E9 experiment and the chaos
 /// suite: latency is `complete_tick - restart_tick` of simulated time plus
-/// the measured RVM replay wall time.
+/// the measured RVM replay wall time. (Both ticks are 0 on the parallel
+/// runtime, whose networks have no clock; `Ctr::RecoveryTotalMicros` is
+/// the reading there.)
 #[derive(Clone, Debug)]
 pub struct RecoveryOutcome {
     /// The recovered node.

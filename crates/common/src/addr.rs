@@ -47,36 +47,25 @@ impl Addr {
         )
     }
 
-    /// Returns the address `n` words before `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on underflow (corrupted pointer).
-    #[inline]
-    pub fn sub_words(self, n: u64) -> Addr {
-        Addr(
-            self.0
-                .checked_sub(n * WORD_BYTES)
-                .expect("address underflow"),
-        )
-    }
-
     /// Distance from `base` to `self` in whole words.
     ///
     /// # Panics
     ///
     /// Panics if `self < base` or if the distance is not word-aligned.
     #[inline]
+    // `u64::is_multiple_of` needs Rust 1.87; the workspace MSRV is 1.75.
+    #[allow(clippy::manual_is_multiple_of)]
     pub fn words_from(self, base: Addr) -> u64 {
         let delta = self.0.checked_sub(base.0).expect("address before base");
-        assert!(delta.is_multiple_of(WORD_BYTES), "unaligned address delta");
+        assert!(delta % WORD_BYTES == 0, "unaligned address delta");
         delta / WORD_BYTES
     }
 
     /// Returns `true` if the address is word-aligned.
     #[inline]
+    #[allow(clippy::manual_is_multiple_of)] // MSRV, as above
     pub fn is_aligned(self) -> bool {
-        self.0.is_multiple_of(WORD_BYTES)
+        self.0 % WORD_BYTES == 0
     }
 
     /// Returns `true` if `self` lies in `[start, start + len_words)`.
@@ -120,7 +109,6 @@ mod tests {
         let a = base.add_words(5);
         assert_eq!(a, Addr(0x1000 + 40));
         assert_eq!(a.words_from(base), 5);
-        assert_eq!(a.sub_words(5), base);
     }
 
     #[test]

@@ -28,4 +28,4 @@ pub use error::{BmxError, Result};
 pub use ids::{BunchId, Epoch, MsgSeq, NodeId, Oid, SegmentId};
 pub use rng::SplitMix64;
 pub use shared::SharedWords;
-pub use stats::{Counter, NodeStats, StatKind};
+pub use stats::{NodeStats, StatKind};

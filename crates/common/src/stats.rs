@@ -162,24 +162,6 @@ impl StatKind {
     const COUNT: usize = Self::ALL.len();
 }
 
-/// A single monotonically increasing counter.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Increments the counter by one.
-    #[inline]
-    pub fn bump(&mut self) {
-        self.0 += 1;
-    }
-}
-
 /// The shared cell block behind a [`NodeStats`]. All accesses are relaxed:
 /// the cells carry no synchronization duties, they are observational only.
 struct StatCells {

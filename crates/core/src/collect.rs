@@ -2,7 +2,9 @@
 //!
 //! One invocation of [`collect`] collects the local replica of every bunch
 //! in `group` at one node, independently of every other node (paper,
-//! Sections 4 and 7). The algorithm:
+//! Sections 4 and 7). It is [`IncrementalBgc`] run to completion in one
+//! call; the steps below are that collector's, and this module holds the
+//! work each does. The algorithm:
 //!
 //! 1. **Roots** — the mutator stack, the inter-bunch scions whose source
 //!    bunch lies *outside* the group (this exclusion is what lets the group
@@ -40,8 +42,9 @@ use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, Segmen
 use bmx_dsm::{DsmEngine, GcIntegration, Relocation};
 use bmx_metrics::{self as metrics, Ctr, Gge, Hst};
 use bmx_profile::{self as profile, SpanKind};
-use bmx_trace::{self as trace, GcPhase, SspKind, TraceEvent};
+use bmx_trace::{self as trace, SspKind, TraceEvent};
 
+use crate::incremental::IncrementalBgc;
 use crate::msg::ReachabilityReport;
 use crate::ssp::InterStub;
 use crate::state::GcState;
@@ -141,7 +144,9 @@ impl TraceCore {
 /// disabled; the readings feed only observability, never the
 /// simulation, so determinism is untouched.
 pub(crate) struct PhaseClock {
-    start: Option<std::time::Instant>,
+    /// Since when the mutator has been stopped, if this call ends in the
+    /// flip.
+    pause_from: Option<std::time::Instant>,
     last: Option<std::time::Instant>,
     /// The previous lap's end on the profiler clock, µs since its epoch.
     last_us: u64,
@@ -165,10 +170,25 @@ impl PhaseClock {
     pub(crate) fn start() -> PhaseClock {
         let now = (metrics::enabled() || profile::enabled()).then(std::time::Instant::now);
         PhaseClock {
-            start: now,
+            pause_from: now,
             last: now,
             last_us: profile::now_us(),
         }
+    }
+
+    /// The collector is entered again after the mutator ran: the time since
+    /// the previous lap is no phase's.
+    pub(crate) fn resume(&mut self) {
+        if self.last.is_some() {
+            self.last = Some(std::time::Instant::now());
+            self.last_us = profile::now_us();
+        }
+    }
+
+    /// [`PhaseClock::resume`], and whatever pause follows starts here too.
+    pub(crate) fn pause_from_now(&mut self) {
+        self.resume();
+        self.pause_from = self.last;
     }
 
     /// Credits the time since the previous lap to `ctr` (and, when
@@ -188,9 +208,10 @@ impl PhaseClock {
         }
     }
 
-    /// Records the whole elapsed span as one collection pause.
-    pub(crate) fn finish(self, node: NodeId) {
-        if let Some(start) = self.start {
+    /// Records the time the mutator was stopped as one collection pause:
+    /// the whole collection if it ran in one call, else its flip.
+    pub(crate) fn finish(&self, node: NodeId) {
+        if let Some(start) = self.pause_from {
             metrics::observe(
                 node,
                 Hst::BgcPauseMicros,
@@ -244,6 +265,8 @@ pub(crate) struct Ctx<'a> {
 /// With a single-bunch group this is the paper's BGC; with the set of all
 /// locally mapped bunches it is the GGC under the locality heuristic.
 /// The collector never acquires a token: it takes the DSM engine immutably.
+/// This is the incremental collector with no mutator between its steps,
+/// so the whole call is the pause.
 pub fn collect(
     gc: &mut GcState,
     engine: &DsmEngine,
@@ -252,54 +275,15 @@ pub fn collect(
     node: NodeId,
     group: &[BunchId],
 ) -> Result<CollectOutcome> {
-    for &b in group {
-        if !gc.node(node).bunches.contains_key(&b) {
-            return Err(BmxError::BunchUnmapped { node, bunch: b });
-        }
+    let mut inc = IncrementalBgc::start(gc, engine, mem, stats, node, group)?;
+    if let Err(e) = inc.step(gc, engine, mem, stats, usize::MAX) {
+        inc.abort(gc);
+        return Err(e);
     }
-    let mut core = TraceCore::new(group);
-    let mut ctx = Ctx {
-        gc,
-        engine,
-        mem,
-        stats,
-        node,
-        core: &mut core,
-    };
-
-    let lead = group[0];
-    let mut clock = PhaseClock::start();
-    ctx.phase(lead, GcPhase::Roots);
-    ctx.clear_marks();
-    let (strong_roots, intra_roots) = ctx.gather_roots();
-    clock.lap(node, Ctr::BgcRootsMicros);
-    ctx.phase(lead, GcPhase::Trace);
-    ctx.trace(strong_roots, true)?;
-    ctx.trace(intra_roots, false)?;
-    clock.lap(node, Ctr::BgcTraceMicros);
-    ctx.phase(lead, GcPhase::Update);
-    ctx.update_references()?;
-    clock.lap(node, Ctr::BgcUpdateMicros);
-    ctx.phase(lead, GcPhase::Sweep);
-    ctx.sweep()?;
-    clock.lap(node, Ctr::BgcSweepMicros);
-    ctx.phase(lead, GcPhase::Publish);
-    let reports = ctx.regenerate_and_publish()?;
-    clock.lap(node, Ctr::BgcPublishMicros);
-    clock.finish(node);
-    refresh_node_gauges(gc, node);
-    Ok(CollectOutcome {
-        reports,
-        dead: core.dead_oids,
-        stats: core.out,
-    })
+    inc.finish(gc, engine, mem, stats)
 }
 
 impl Ctx<'_> {
-    pub(crate) fn phase(&self, bunch: BunchId, phase: GcPhase) {
-        trace::emit(self.node, TraceEvent::BgcPhase { bunch, phase });
-    }
-
     fn resolve(&self, addr: Addr) -> Addr {
         self.gc.node(self.node).directory.resolve(addr)
     }
@@ -353,12 +337,6 @@ impl Ctx<'_> {
             }
         }
         (strong, intra)
-    }
-
-    pub(crate) fn trace(&mut self, roots: Vec<Addr>, strong: bool) -> Result<()> {
-        let mut stack = roots;
-        self.trace_bounded(&mut stack, strong, None)?;
-        Ok(())
     }
 
     /// Traces at most `budget` objects from `stack` (all of them when

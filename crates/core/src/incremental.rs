@@ -3,9 +3,10 @@
 //!
 //! The paper bases its BGC on O'Toole et al. explicitly because "the time
 //! to flip is very small and therefore not disruptive to applications"
-//! (Section 4.1, reason (i)). [`crate::collect()`] runs a whole collection in
-//! one call; this module splits the same algorithm into bounded increments
-//! that interleave with mutator work:
+//! (Section 4.1, reason (i)). This module is the collector's one driver:
+//! the phase sequence of a collection, in bounded increments that
+//! interleave with mutator work ([`crate::collect()`] is the same three
+//! calls with nothing in between):
 //!
 //! * [`IncrementalBgc::start`] snapshots the roots;
 //! * [`IncrementalBgc::step`] traces (and copies) a bounded number of
@@ -29,8 +30,10 @@ use bmx_addr::object;
 use bmx_addr::NodeMemory;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Result};
 use bmx_dsm::DsmEngine;
+use bmx_metrics::Ctr;
+use bmx_trace::{GcPhase, TraceEvent};
 
-use crate::collect::{is_marked, CollectOutcome, Ctx, TraceCore};
+use crate::collect::{is_marked, refresh_node_gauges, CollectOutcome, Ctx, PhaseClock, TraceCore};
 use crate::state::GcState;
 
 /// Phase of an in-flight incremental collection.
@@ -42,6 +45,10 @@ enum Phase {
     Intra,
 }
 
+fn emit_phase(node: NodeId, lead: BunchId, phase: GcPhase) {
+    bmx_trace::emit(node, TraceEvent::BgcPhase { bunch: lead, phase });
+}
+
 /// An in-flight incremental collection of a bunch group at one node.
 pub struct IncrementalBgc {
     node: NodeId,
@@ -50,6 +57,7 @@ pub struct IncrementalBgc {
     strong_stack: Vec<Addr>,
     intra_stack: Vec<Addr>,
     phase: Phase,
+    clock: PhaseClock,
 }
 
 impl IncrementalBgc {
@@ -72,6 +80,8 @@ impl IncrementalBgc {
             }
         }
         let mut core = TraceCore::new(group);
+        let mut clock = PhaseClock::start();
+        emit_phase(node, group[0], GcPhase::Roots);
         let (strong_stack, intra_stack) = {
             let mut ctx = Ctx {
                 gc,
@@ -84,6 +94,7 @@ impl IncrementalBgc {
             ctx.clear_marks();
             ctx.gather_roots()
         };
+        clock.lap(node, Ctr::BgcRootsMicros);
         for &b in group {
             gc.node_mut(node).active_groups.insert(b);
         }
@@ -94,6 +105,7 @@ impl IncrementalBgc {
             strong_stack,
             intra_stack,
             phase: Phase::Strong,
+            clock,
         })
     }
 
@@ -107,11 +119,17 @@ impl IncrementalBgc {
         &self.group
     }
 
-    /// Moves the barrier's gray backlog into the strong work stack,
-    /// upgrading the strength of anything previously found intra-only.
+    /// Moves this group's share of the barrier's gray backlog into the
+    /// strong work stack, upgrading the strength of anything previously
+    /// found intra-only. What was grayed for another group's collection on
+    /// this node stays for that one.
     fn absorb_grayed(&mut self, gc: &mut GcState, mem: &NodeMemory) -> Result<()> {
-        let grayed = std::mem::take(&mut gc.node_mut(self.node).grayed);
-        for g in grayed {
+        let backlog = std::mem::take(&mut gc.node_mut(self.node).grayed);
+        let (mine, others) = backlog
+            .into_iter()
+            .partition(|(b, _)| self.core.group.contains(b));
+        gc.node_mut(self.node).grayed = others;
+        for (_, g) in mine {
             self.upgrade_or_push(gc, mem, g)?;
         }
         Ok(())
@@ -148,6 +166,8 @@ impl IncrementalBgc {
         stats: &mut NodeStats,
         budget: usize,
     ) -> Result<bool> {
+        self.clock.resume();
+        emit_phase(self.node, self.group[0], GcPhase::Trace);
         self.absorb_grayed(gc, mem)?;
         let mut remaining = budget.max(1);
         while remaining > 0 {
@@ -179,13 +199,8 @@ impl IncrementalBgc {
                 break;
             }
         }
-        Ok(self.is_quiescent(gc))
-    }
-
-    fn is_quiescent(&self, gc: &GcState) -> bool {
-        self.strong_stack.is_empty()
-            && self.intra_stack.is_empty()
-            && gc.node(self.node).grayed.is_empty()
+        self.clock.lap(self.node, Ctr::BgcTraceMicros);
+        Ok(self.strong_stack.is_empty() && self.intra_stack.is_empty())
     }
 
     /// The flip: drains the residual gray backlog, then runs the terminal
@@ -197,6 +212,28 @@ impl IncrementalBgc {
         mem: &mut NodeMemory,
         stats: &mut NodeStats,
     ) -> Result<CollectOutcome> {
+        self.clock.pause_from_now();
+        emit_phase(self.node, self.group[0], GcPhase::Flip);
+        self.finish(gc, engine, mem, stats)
+    }
+
+    /// The flip's work. The pause it records runs from where the clock
+    /// says the mutator stopped: [`IncrementalBgc::flip`]'s entry, or — for
+    /// [`crate::collect()`], which lets no mutator in — the collection's
+    /// start.
+    pub(crate) fn finish(
+        mut self,
+        gc: &mut GcState,
+        engine: &DsmEngine,
+        mem: &mut NodeMemory,
+        stats: &mut NodeStats,
+    ) -> Result<CollectOutcome> {
+        let (node, lead) = (self.node, self.group[0]);
+        // No mutator runs inside this call, so the barrier is disarmed
+        // first: an error below leaves no collection latched as running.
+        for &b in &self.group {
+            gc.node_mut(node).active_groups.remove(&b);
+        }
         // Drain everything: mutations may gray during nothing here (the
         // mutator is not running inside this call), but backlog from the
         // last inter-step window remains.
@@ -216,23 +253,27 @@ impl IncrementalBgc {
             ctx.trace_bounded(&mut self.strong_stack, true, None)?;
             ctx.trace_bounded(&mut self.intra_stack, false, None)?;
         }
-        let reports = {
-            let mut ctx = Ctx {
-                gc,
-                engine,
-                mem,
-                stats,
-                node: self.node,
-                core: &mut self.core,
-            };
-            ctx.phase(self.group[0], bmx_trace::GcPhase::Flip);
-            ctx.update_references()?;
-            ctx.sweep()?;
-            ctx.regenerate_and_publish()?
+        let clock = &mut self.clock;
+        clock.lap(node, Ctr::BgcTraceMicros);
+        let mut ctx = Ctx {
+            gc,
+            engine,
+            mem,
+            stats,
+            node,
+            core: &mut self.core,
         };
-        for &b in &self.group {
-            gc.node_mut(self.node).active_groups.remove(&b);
-        }
+        emit_phase(node, lead, GcPhase::Update);
+        ctx.update_references()?;
+        clock.lap(node, Ctr::BgcUpdateMicros);
+        emit_phase(node, lead, GcPhase::Sweep);
+        ctx.sweep()?;
+        clock.lap(node, Ctr::BgcSweepMicros);
+        emit_phase(node, lead, GcPhase::Publish);
+        let reports = ctx.regenerate_and_publish()?;
+        clock.lap(node, Ctr::BgcPublishMicros);
+        clock.finish(node);
+        refresh_node_gauges(gc, node);
         Ok(CollectOutcome {
             reports,
             dead: std::mem::take(&mut self.core.dead_oids),
@@ -244,9 +285,10 @@ impl IncrementalBgc {
     /// keep their forwarding state (harmless: the next collection resolves
     /// through it), but no space is swapped and no report is produced.
     pub fn abort(self, gc: &mut GcState) {
+        let ns = gc.node_mut(self.node);
         for &b in &self.group {
-            gc.node_mut(self.node).active_groups.remove(&b);
+            ns.active_groups.remove(&b);
         }
-        gc.node_mut(self.node).grayed.clear();
+        ns.grayed.retain(|(b, _)| !self.core.group.contains(b));
     }
 }

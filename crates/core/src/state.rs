@@ -157,9 +157,10 @@ pub struct GcNodeState {
     /// Bunches currently under an incremental collection at this node: the
     /// write barrier grays pointer-store targets in these bunches.
     pub active_groups: BTreeSet<BunchId>,
-    /// Gray backlog: addresses the mutator made reachable while an
-    /// incremental collection was running; absorbed by its next step/flip.
-    pub grayed: Vec<Addr>,
+    /// Gray backlog: addresses the mutator made reachable while a
+    /// collection of their bunch was running; that collection's next
+    /// step or flip absorbs them.
+    pub grayed: Vec<(BunchId, Addr)>,
 }
 
 impl GcNodeState {
@@ -185,7 +186,7 @@ impl GcNodeState {
     pub fn gray_if_active(&mut self, bunch: Option<BunchId>, addr: Addr) {
         if let Some(b) = bunch {
             if self.active_groups.contains(&b) {
-                self.grayed.push(addr);
+                self.grayed.push((b, addr));
             }
         }
     }

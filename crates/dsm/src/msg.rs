@@ -1,7 +1,5 @@
 //! DSM protocol messages and the piggy-back wrapper.
 
-use std::collections::BTreeSet;
-
 use bmx_addr::object::ObjectImage;
 use bmx_common::{Addr, BunchId, NodeId, Oid};
 use bmx_net::WireSize;
@@ -202,9 +200,6 @@ impl WireSize for DsmPacket {
             + 24 * self.piggyback.len() as u64
     }
 }
-
-/// Set of node ids — alias used for copy-set fan-out in handler signatures.
-pub type NodeSet = BTreeSet<NodeId>;
 
 #[cfg(test)]
 mod tests {

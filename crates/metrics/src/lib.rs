@@ -11,17 +11,19 @@
 //!   live-bytes table. Metric identity is an enum index; recording is a
 //!   relaxed atomic op — no strings, hashing, or allocation on the hot
 //!   path.
-//! * **Exposition**: a hand-rolled Prometheus text renderer
-//!   ([`prometheus::render`]) and a flat JSON [`Snapshot`] codec with
-//!   lossless round-trip and signed diffs ([`json`]).
+//! * **Exposition**: a flat JSON [`Snapshot`] codec with lossless
+//!   round-trip and signed diffs ([`json`]) — what the blackbox and the
+//!   chaos soaks write.
 //! * **Watchdogs** ([`watchdog`]): drain-based leak detectors (from-space
 //!   retention that never drains, monotone scion backlog, retry storms,
-//!   stalled Lamport clocks) evaluated on the network tick, emitting
+//!   stalled Lamport clocks) evaluated on the mode's one clock (the
+//!   network tick in the simulation, the supervisor's pulse on real
+//!   threads), emitting
 //!   [`bmx_trace::TraceEvent::MetricAlarm`] with a causal witness.
 //! * **One counting mechanism**: the pre-existing `NodeStats` simulation
 //!   counters are atomic cells that the registry binds live
-//!   ([`bind_stats`]), so snapshots and Prometheus dumps include them
-//!   without double counting.
+//!   ([`bind_stats`]), so snapshots include them without double
+//!   counting.
 //!
 //! Like tracing, metrics are observational only: no simulation state,
 //! RNG draw, or wire byte depends on whether a registry is installed, so
@@ -37,7 +39,6 @@
 
 mod histogram;
 pub mod json;
-pub mod prometheus;
 mod registry;
 pub mod watchdog;
 
@@ -192,7 +193,12 @@ pub fn tick(now: u64) {
         return;
     }
     with_registry(|reg| {
-        if now.is_multiple_of(reg.cfg.interval) {
+        // Not `u64::is_multiple_of` (Rust 1.87; the workspace MSRV is
+        // 1.75). A zero interval evaluates at tick 0 only, as it did.
+        let due = now
+            .checked_rem(reg.cfg.interval)
+            .map_or(now == 0, |r| r == 0);
+        if due {
             watchdog::evaluate(reg, now);
         }
     });

@@ -56,6 +56,6 @@ pub use fault::{
     Outage, Partition,
 };
 pub use fault_transport::FaultyTransport;
-pub use network::{ClassStats, Envelope, MsgClass, Network, NetworkConfig, WireSize};
+pub use network::{ClassStats, Egress, Envelope, MsgClass, Network, NetworkConfig, WireSize};
 pub use piggyback::PiggybackBuffer;
 pub use transport::{ChannelTransport, Transport};

@@ -215,6 +215,10 @@ struct InFlight<M> {
     env: Envelope<M>,
 }
 
+/// Where a network with an egress hands its envelopes (see
+/// [`Network::set_egress`]).
+pub type Egress<M> = std::sync::Arc<dyn Fn(Envelope<M>) + Send + Sync>;
+
 /// The simulated network.
 ///
 /// Time is a logical tick counter advanced by [`Network::tick`]. Messages
@@ -241,6 +245,9 @@ pub struct Network<M> {
     partition_healed: Vec<bool>,
     /// Per-crash-event phase: 0 = pending, 1 = down, 2 = restarted.
     crash_phase: Vec<u8>,
+    /// The way out to a real message plane, if this network is a
+    /// parallel-runtime site's.
+    egress: Option<Egress<M>>,
 }
 
 impl<M: WireSize + Clone> Network<M> {
@@ -273,12 +280,33 @@ impl<M: WireSize + Clone> Network<M> {
             events: Vec::new(),
             partition_healed,
             crash_phase,
+            egress: None,
         })
     }
 
     /// Current logical time.
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// Sets (or, with `None`, removes) the egress. With one,
+    /// [`Network::send`] numbers, stamps and counts a message as ever and
+    /// then hands the envelope over instead of queueing it: nothing is in
+    /// flight here, the clock never moves, and delivery is the receiver's
+    /// [`Network::note_delivery`]. This is how a parallel-runtime site
+    /// sends; what a real message plane does to the envelope (faults
+    /// included) is that plane's business.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration injects faults: an envelope that leaves
+    /// at once cannot be delayed, held or duplicated here.
+    pub fn set_egress(&mut self, egress: Option<Egress<M>>) {
+        assert!(
+            egress.is_none() || self.cfg.is_quiet(),
+            "a network with an egress must be lossless"
+        );
+        self.egress = egress;
     }
 
     /// Sends `payload` from `src` to `dst` under `class`.
@@ -331,12 +359,6 @@ impl<M: WireSize + Clone> Network<M> {
         stats.bytes += wire;
         metrics::link(src, dst, LinkCtr::Send, 1);
         metrics::link(src, dst, LinkCtr::Bytes, wire);
-        metrics::gauge_add(src, Gge::InflightBytes, wire);
-        let queue = self.channels.entry((src, dst)).or_default();
-        if let Some(tail) = queue.back() {
-            // FIFO under jitter: never schedule before the channel's tail.
-            deliver_at = deliver_at.max(tail.deliver_at);
-        }
         // The send event's Lamport stamp rides on the envelope; a fault
         // duplicate clones it, which is right — one send, two arrivals.
         let lamport = trace::emit(
@@ -359,6 +381,16 @@ impl<M: WireSize + Clone> Network<M> {
             span: profile::current_flow(),
             payload,
         };
+        if let Some(egress) = &self.egress {
+            egress(env);
+            return seq;
+        }
+        metrics::gauge_add(src, Gge::InflightBytes, wire);
+        let queue = self.channels.entry((src, dst)).or_default();
+        if let Some(tail) = queue.back() {
+            // FIFO under jitter: never schedule before the channel's tail.
+            deliver_at = deliver_at.max(tail.deliver_at);
+        }
         if duplicate {
             stats.duplicated += 1;
             metrics::link(src, dst, LinkCtr::Duplicate, 1);
@@ -500,40 +532,32 @@ impl<M: WireSize + Clone> Network<M> {
                 if metrics::enabled() {
                     metrics::gauge_sub(env.src, Gge::InflightBytes, env.payload.wire_size());
                 }
-                if trace::enabled() {
-                    // Merge the piggy-backed sender clock first so the
-                    // delivery event is stamped after the send.
-                    trace::observe(env.dst, env.lamport);
-                    trace::emit(
-                        env.dst,
-                        trace::TraceEvent::MsgDeliver {
-                            src: env.src,
-                            seq: env.seq.0,
-                            lane: env.class.lane(),
-                            sent_lamport: env.lamport,
-                        },
-                    );
-                }
+                Self::note_delivery(&env);
                 out.push(env);
             }
         }
         out
     }
 
-    /// Runs ticks until no message is in flight, invoking `handler` for each
-    /// delivery; the handler may send further messages through the network it
-    /// is given. Returns the number of ticks executed.
-    ///
-    /// This is the main pump used by the cluster simulation: deliveries and
-    /// their cascading replies run to quiescence deterministically.
-    pub fn run_to_quiescence(&mut self, mut handler: impl FnMut(&mut Self, Envelope<M>)) -> u64 {
-        let start = self.now;
-        while self.in_flight() > 0 {
-            for env in self.tick() {
-                handler(self, env);
-            }
+    /// Stamps the arrival of `env` at its destination: merges the
+    /// piggy-backed sender clock first, so that the delivery event is
+    /// stamped after the send. The tick loop calls this as a message comes
+    /// due; the receiver of an envelope that left through an egress calls
+    /// it when the envelope comes back in, so a message that never arrives
+    /// is never recorded as delivered.
+    pub fn note_delivery(env: &Envelope<M>) {
+        if trace::enabled() {
+            trace::observe(env.dst, env.lamport);
+            trace::emit(
+                env.dst,
+                trace::TraceEvent::MsgDeliver {
+                    src: env.src,
+                    seq: env.seq.0,
+                    lane: env.class.lane(),
+                    sent_lamport: env.lamport,
+                },
+            );
         }
-        self.now - start
     }
 
     /// Number of messages currently in flight.
@@ -586,11 +610,6 @@ impl<M: WireSize + Clone> Network<M> {
             mine.duplicated += s.duplicated;
             mine.bytes += s.bytes;
         }
-    }
-
-    /// Resets traffic counters (in-flight messages are unaffected).
-    pub fn reset_stats(&mut self) {
-        self.stats.clear();
     }
 
     /// Changes the drop probability of a loss-tolerant class at runtime,
@@ -724,31 +743,56 @@ mod tests {
     }
 
     #[test]
-    fn run_to_quiescence_handles_cascades() {
-        let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
-        net.send(n(0), n(1), MsgClass::Dsm, P(3));
-        let mut deliveries = 0;
-        net.run_to_quiescence(|net, env| {
-            deliveries += 1;
-            // Each delivery of P(k>0) triggers a reply P(k-1).
-            if env.payload.0 > 0 {
-                net.send(env.dst, env.src, MsgClass::Dsm, P(env.payload.0 - 1));
-            }
-        });
-        assert_eq!(deliveries, 4, "3 -> 2 -> 1 -> 0");
-        assert_eq!(net.in_flight(), 0);
-    }
-
-    #[test]
     fn byte_accounting() {
         let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
         net.send(n(0), n(1), MsgClass::Dsm, P(1));
         net.send(n(0), n(1), MsgClass::Dsm, P(2));
         assert_eq!(net.class_stats(MsgClass::Dsm).bytes, 16);
         assert_eq!(net.total_sent(), 2);
-        net.reset_stats();
-        assert_eq!(net.total_sent(), 0);
-        assert_eq!(net.in_flight(), 2, "reset_stats leaves traffic alone");
+    }
+
+    #[test]
+    fn an_egress_takes_the_envelope_at_once_and_delivery_is_stamped_on_return() {
+        use std::sync::{Arc, Mutex};
+        trace::install_vec();
+        let out: Arc<Mutex<Vec<Envelope<P>>>> = Arc::default();
+        let sink = Arc::clone(&out);
+        let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
+        net.set_egress(Some(Arc::new(move |env| sink.lock().unwrap().push(env))));
+        assert_eq!(net.send(n(0), n(1), MsgClass::Dsm, P(5)), MsgSeq(1));
+        assert_eq!(net.send(n(0), n(1), MsgClass::StubTable, P(6)), MsgSeq(2));
+        assert_eq!(net.in_flight(), 0, "nothing is queued here");
+        assert_eq!(net.now(), 0, "and no clock moved");
+        assert_eq!(net.class_stats(MsgClass::Dsm).sent, 1);
+        assert_eq!(net.class_stats(MsgClass::StubTable).bytes, 8);
+        let envs = std::mem::take(&mut *out.lock().unwrap());
+        assert_eq!(envs.len(), 2);
+        let recs = trace::take();
+        assert!(
+            recs.iter()
+                .all(|r| matches!(r.event, trace::TraceEvent::MsgSend { .. })),
+            "a send is not a delivery: {recs:?}"
+        );
+        assert_eq!(recs.len(), 2);
+        // The second envelope never arrives; the first is stamped at the
+        // receiver, after its send.
+        Network::note_delivery(&envs[0]);
+        let recs = trace::take();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].node, n(1));
+        assert!(matches!(
+            recs[0].event,
+            trace::TraceEvent::MsgDeliver { seq: 1, .. }
+        ));
+        assert!(recs[0].lamport > envs[0].lamport);
+        trace::disable();
+    }
+
+    #[test]
+    #[should_panic(expected = "must be lossless")]
+    fn an_egress_refuses_a_faulty_configuration() {
+        let cfg = NetworkConfig::lossless(1).with_drop(MsgClass::StubTable, 0.5);
+        Network::<P>::new(cfg).set_egress(Some(std::sync::Arc::new(|_| {})));
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl Frame {
         out.put_u64(crc);
     }
 
-    /// Byte length of the encoded frame.
-    pub fn encoded_len(&self) -> usize {
-        4 + 1 + 8 * 4 + self.data.len() + 8
-    }
-
     /// Decodes one frame from the front of `buf`, advancing it.
     ///
     /// Returns `None` (without advancing) if the buffer holds no complete,
@@ -117,7 +112,7 @@ mod tests {
         };
         let mut bytes = Vec::new();
         f.encode(&mut bytes);
-        assert_eq!(bytes.len(), f.encoded_len());
+        assert_eq!(bytes.len(), 4 + 1 + 8 * 4 + 3 + 8);
         let mut slice = bytes.as_slice();
         let g = Frame::decode(&mut slice).expect("decodes");
         assert_eq!(f, g);

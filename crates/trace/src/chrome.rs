@@ -8,6 +8,7 @@
 //! re-exported here so tests can prove the export round-trips through a
 //! real parse.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bmx_common::json::escape;
@@ -15,9 +16,11 @@ pub use bmx_common::json::{parse, validate_chrome_trace as validate, Json};
 
 use crate::event::TraceRecord;
 
-/// Microseconds per simulated tick in the exported timestamps. Events
-/// within one tick are spread a microsecond apart (in merged causal
-/// order) so viewers don't stack them on a single instant.
+/// Microseconds per tick in the exported timestamps (a tick is a
+/// simulated tick, or a supervisor pulse on the parallel runtime). The
+/// events of one tick are spread evenly across it, in merged causal
+/// order, so viewers don't stack them on a single instant however many
+/// there are.
 const US_PER_TICK: u64 = 1_000;
 
 fn push_str_field(out: &mut String, key: &str, val: &str) {
@@ -68,17 +71,16 @@ pub fn export(records: &[TraceRecord]) -> String {
         }
     }
 
-    // Events: ts = tick in µs plus a within-tick offset in merged order.
-    let mut last_tick = u64::MAX;
-    let mut intra = 0u64;
+    // Events: ts = tick in µs plus the record's share of the tick, by its
+    // rank among the tick's records in merged order.
+    let mut per_tick: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // (records, next rank)
     for rec in &ordered {
-        if rec.tick != last_tick {
-            last_tick = rec.tick;
-            intra = 0;
-        } else {
-            intra = (intra + 1).min(US_PER_TICK - 1);
-        }
-        let ts = rec.tick * US_PER_TICK + intra;
+        per_tick.entry(rec.tick).or_default().0 += 1;
+    }
+    for rec in &ordered {
+        let (count, rank) = per_tick.get_mut(&rec.tick).expect("counted above");
+        let ts = rec.tick * US_PER_TICK + *rank * US_PER_TICK / *count;
+        *rank += 1;
         sep(&mut out);
         let _ = write!(
             out,
@@ -134,6 +136,17 @@ mod tests {
         let json = export(&records);
         let n = validate(&json).expect("export must be valid JSON");
         assert_eq!(n, 3, "every record becomes one instant event");
+    }
+
+    #[test]
+    fn a_crowded_tick_is_spread_not_piled_at_its_end() {
+        // 3 000 records in one tick: more than the tick has microseconds.
+        let records: Vec<_> = (1..=3_000).map(|i| rec(0, 7, i, i)).collect();
+        let json = export(&records);
+        let at = |ts: u64| json.matches(&format!("\"ts\":{ts},")).count();
+        assert_eq!(at(7_000), 3, "three records share each microsecond");
+        assert_eq!(at(7_999), 3, "the last one included");
+        assert_eq!(at(8_000), 0, "and none spills into the next tick");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   happens-before.
 //! * **Sinks** ([`TraceSink`]): a bounded [`RingSink`] flight recorder
 //!   (production default — fixed memory, newest-N window), an unbounded
-//!   [`VecSink`] for tests and exports, a [`DiscardSink`] that keeps
-//!   nothing (for measuring emission cost), or nothing at all (tracing
+//!   [`VecSink`] for tests and exports, or nothing at all (tracing
 //!   disabled).
 //! * **Exporters** ([`chrome`]): Chrome `trace_event` JSON — load it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> — and a merged
@@ -44,7 +43,7 @@ mod sink;
 pub use event::{
     AccessMode, AlarmKind, FaultKind, GcPhase, MsgLane, ReuseStep, SspKind, TraceEvent, TraceRecord,
 };
-pub use sink::{DiscardSink, RingSink, TraceSink, VecSink};
+pub use sink::{RingSink, TraceSink, VecSink};
 
 use std::cell::{Cell, RefCell};
 

@@ -106,16 +106,3 @@ impl TraceSink for VecSink {
         std::mem::take(&mut self.buf)
     }
 }
-
-/// Drops every record. Useful for measuring the cost of the emission path
-/// itself (clock ticks and stamping) with no retention at all.
-#[derive(Default)]
-pub struct DiscardSink;
-
-impl TraceSink for DiscardSink {
-    fn record(&mut self, _rec: TraceRecord) {}
-
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        Vec::new()
-    }
-}

@@ -5,8 +5,8 @@
 //! restart), and redraws a `top`-style screen every few simulation rounds:
 //! per-node GC and DSM health, the link traffic matrix, and any watchdog
 //! alarms. Everything on screen is read back from the same
-//! [`bmx_repro::metrics`] registry a production deployment would scrape
-//! via the Prometheus endpoint (see DESIGN.md §9).
+//! [`bmx_repro::metrics`] registry the blackbox and the chaos soaks
+//! snapshot as JSON (see DESIGN.md §9).
 //!
 //! Run with: `cargo run --example bmx_top [frames]`
 //! (default 12 frames; set `BMX_TOP_FAST=1` to skip the inter-frame sleep,
@@ -386,11 +386,5 @@ fn main() -> Result<()> {
     {
         println!("  {k} = {v}");
     }
-    println!("\nPrometheus exposition is one call away:");
-    let prom = metrics::prometheus::render(&reg);
-    for line in prom.lines().take(8) {
-        println!("  {line}");
-    }
-    println!("  … ({} lines total)", prom.lines().count());
     Ok(())
 }

@@ -17,7 +17,7 @@
 //!   distributed flow stitching, Perfetto export, post-mortem blackbox
 //!   source (see DESIGN.md §13);
 //! * [`metrics`] — the cluster-wide metrics plane: allocation-free
-//!   counters/gauges/histograms, leak watchdogs, Prometheus and JSON
+//!   counters/gauges/histograms, leak watchdogs, JSON
 //!   exposition (see DESIGN.md §9);
 //! * [`baselines`] — the comparison systems the paper argues against;
 //! * [`workloads`] — synthetic object-graph generators.

@@ -192,3 +192,123 @@ fn flip_after_quiescent_steps_is_cheap() {
     assert_eq!(stats.copied, 300);
     assert_eq!(stats.live, 300);
 }
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("bmx-incremental-it-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+/// A flipped collection ends the way a monolithic one does: it
+/// checkpoints, so an amnesia restart comes back with the post-flip roots
+/// and heap, and it is counted and its pause recorded.
+#[test]
+fn a_flip_checkpoints_and_is_metered_like_any_collection() {
+    use bmx_repro::metrics::{self, Ctr, Hst};
+    let reg = metrics::install();
+    let dir = fresh_dir("flip");
+    let n0 = n(0);
+    let mut cfg = ClusterConfig::with_nodes(1);
+    cfg.persist = Some(PersistConfig::at(&dir));
+    let mut c = Cluster::new(cfg);
+    let b = c.create_bunch(n0).unwrap();
+    let list = lists::build_list(&mut c, n0, b, 12, 40).unwrap();
+    let root = c.add_root(n0, list.head);
+    lists::truncate_list(&mut c, n0, &list, 8).unwrap();
+
+    let logged = c.total_stat(StatKind::RvmLogRecords);
+    c.start_incremental(n0, &[b]).unwrap();
+    while !c.incremental_step(n0, 3).unwrap() {}
+    // The mutator's turn: not part of the pause the flip records.
+    let mutator_turn = std::time::Duration::from_millis(50);
+    std::thread::sleep(mutator_turn);
+    let stats = c.incremental_flip(n0).unwrap();
+    assert_eq!((stats.copied, stats.reclaimed), (8, 4));
+    assert!(
+        c.total_stat(StatKind::RvmLogRecords) > logged,
+        "the flip wrote no checkpoint"
+    );
+    let metered = reg.node(0);
+    assert_eq!(metered.ctr(Ctr::BgcCollections), 1);
+    let pauses = metered.hist(Hst::BgcPauseMicros);
+    assert_eq!(pauses.count(), 1);
+    assert!(
+        u128::from(pauses.sum()) < mutator_turn.as_micros(),
+        "the pause is the flip alone: {} us",
+        pauses.sum()
+    );
+    let head = c.root(n0, root).unwrap();
+    assert_ne!(head, list.head, "the flip moved the list");
+
+    c.restart_with_amnesia(n0).unwrap();
+    assert!(!c.in_recovery(n0), "no peer to wait for");
+    assert_eq!(c.root(n0, root), Some(head), "the root as the flip left it");
+    assert_eq!(
+        lists::read_payloads(&c, n0, head).unwrap(),
+        (40..48).collect::<Vec<_>>()
+    );
+    metrics::disable();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A node mid-recovery puts an incremental collection off exactly as it
+/// does a monolithic one: its scion tables are still regenerating, so
+/// nothing is started and nothing is collected until the rejoin completes.
+#[test]
+fn a_recovering_node_defers_incremental_collection_too() {
+    let dir = fresh_dir("defer");
+    let (n0, n1) = (n(0), n(1));
+    let mut cfg = ClusterConfig::with_nodes(2);
+    cfg.persist = Some(PersistConfig::at(&dir));
+    let mut c = Cluster::new(cfg);
+    let b = c.create_bunch(n0).unwrap();
+    let x = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    c.add_root(n0, x);
+    c.map_bunch(n1, b, n0).unwrap();
+    c.add_root(n1, x);
+    c.run_bgc(n1, b).unwrap(); // N1's checkpoint holds the bunch
+
+    c.restart_with_amnesia(n1).unwrap(); // rejoin request sent, not answered
+    assert!(c.in_recovery(n1));
+    assert_eq!(c.run_bgc(n1, b).unwrap(), Default::default());
+    c.start_incremental(n1, &[b]).unwrap();
+    assert!(!c.incremental_active(n1), "deferred, not started");
+    assert!(c.gc.node(n1).active_groups.is_empty());
+
+    c.settle(10_000).unwrap();
+    assert!(!c.in_recovery(n1), "rejoin completed");
+    c.start_incremental(n1, &[b]).unwrap();
+    assert!(c.incremental_active(n1));
+    while !c.incremental_step(n1, 4).unwrap() {}
+    assert_eq!(c.incremental_flip(n1).unwrap().live, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two collections of disjoint groups may overlap on one node. What the
+/// barrier grayed for the incremental one is its own: a monolithic
+/// collection of the other bunch, run between two of its steps, must not
+/// absorb (and so lose) it.
+#[test]
+fn a_collection_of_another_bunch_leaves_the_gray_backlog_alone() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(1));
+    let n0 = n(0);
+    let (b, other) = (c.create_bunch(n0).unwrap(), c.create_bunch(n0).unwrap());
+    let a = c.alloc(n0, b, &ObjSpec::with_refs(2, &[0, 1])).unwrap();
+    let h = c.alloc(n0, b, &ObjSpec::with_refs(1, &[0])).unwrap();
+    let hidden = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+    c.write_data(n0, hidden, 0, 424242).unwrap();
+    c.write_ref(n0, a, 1, hidden).unwrap();
+    c.add_root(n0, a);
+    c.add_root(n0, h);
+    let bystander = c.alloc(n0, other, &ObjSpec::data(1)).unwrap();
+    c.add_root(n0, bystander);
+
+    c.start_incremental(n0, &[b]).unwrap();
+    c.incremental_step(n0, 2).unwrap(); // `a` and `h` are scanned
+    c.write_ref(n0, h, 0, hidden).unwrap(); // grays `hidden`
+    c.write_ref(n0, a, 1, Addr::NULL).unwrap();
+    assert_eq!(c.run_bgc(n0, other).unwrap().live, 1);
+    while !c.incremental_step(n0, 2).unwrap() {}
+    assert_eq!(c.incremental_flip(n0).unwrap().reclaimed, 0);
+    assert_eq!(c.read_data(n0, hidden, 0).unwrap(), 424242);
+}

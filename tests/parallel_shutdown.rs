@@ -27,6 +27,18 @@ fn n(i: u32) -> NodeId {
 
 const NODES: u32 = 3;
 
+/// Serializes the tests in this binary: one of them installs the
+/// *process-global* trace recorder and counts what one run records.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Takes [`SERIAL`]. The mutex guards no data, so a test that panicked while
+/// holding it left nothing inconsistent: ignore the poison.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 struct Outcome {
     cluster: Cluster,
     report: ShutdownReport,
@@ -119,6 +131,7 @@ fn run(seed: u64, mode: Shutdown) -> Outcome {
 /// conserves exactly, and the final state passes the full audit set.
 #[test]
 fn drain_applies_everything_in_flight() {
+    let _serial = serial();
     for seed in [
         0xD7A1_0001u64,
         0xD7A1_0002,
@@ -152,6 +165,7 @@ fn drain_applies_everything_in_flight() {
 /// this loss (the paper's loss model).
 #[test]
 fn drop_discards_only_loss_tolerant_classes_whole() {
+    let _serial = serial();
     for seed in [
         0xD0_0001u64,
         0xD0_0002,
@@ -184,6 +198,43 @@ fn drop_discards_only_loss_tolerant_classes_whole() {
     }
 }
 
+/// The trace says what happened to an envelope, not what was meant to: a
+/// send is recorded where it is made, a delivery only when the envelope is
+/// applied at its receiver. So under Drop the `MsgDeliver` records per class
+/// are the report's `delivered_by_class` — fewer than the sends — and every
+/// one is stamped after its send.
+#[test]
+fn a_delivery_is_recorded_only_for_an_envelope_that_was_applied() {
+    use bmx_repro::trace::{self, TraceEvent};
+    let _serial = serial();
+    trace::install_global_vec();
+    let o = run(0xD0_7ACE, Shutdown::Drop);
+    let records = trace::take_global();
+    trace::disable_global();
+    assert!(o.report.dropped > 0, "vacuous run: {:?}", o.report);
+    let (mut sends, mut deliveries) = ([0u64; 4], [0u64; 4]);
+    for r in &records {
+        let at = |lane| {
+            MsgClass::ALL
+                .iter()
+                .position(|c| c.lane() == lane)
+                .expect("lane of a class")
+        };
+        match r.event {
+            TraceEvent::MsgSend { lane, .. } => sends[at(lane)] += 1,
+            TraceEvent::MsgDeliver {
+                lane, sent_lamport, ..
+            } => {
+                deliveries[at(lane)] += 1;
+                assert!(r.lamport > sent_lamport, "delivered before sent: {r:?}");
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(sends, o.report.sent_by_class, "{:?}", o.report);
+    assert_eq!(deliveries, o.report.delivered_by_class, "{:?}", o.report);
+}
+
 /// A failed quiesce is advisory, not corrupting: when the backlog cannot
 /// drain inside the deadline, `quiesce` reports `false` and a subsequent
 /// `shutdown(Drain)` still gives every in-flight envelope its legal fate —
@@ -192,6 +243,7 @@ fn drop_discards_only_loss_tolerant_classes_whole() {
 /// passes the same audit set as a clean run.
 #[test]
 fn failed_quiesce_then_drain_conserves_per_class() {
+    let _serial = serial();
     for seed in [0xBAD_0001u64, 0xBAD_0002, 0xBAD_0003, 0xBAD_0004] {
         let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(NODES));
         let h0 = pc.handle(n(0));
