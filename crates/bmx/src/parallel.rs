@@ -265,7 +265,9 @@ struct Site {
     /// lock; a driver holding a stale generation discards instead of
     /// applying.
     generation: AtomicU64,
-    /// Mutator operations completed through this node's handles.
+    /// Mutator operations completed through this node's handles. Written
+    /// only under `core`'s lock (see [`NodeHandle::count_op`]), read by
+    /// anyone.
     ops: AtomicU64,
     /// Envelopes fully applied by this node's driver, per class.
     delivered_by_class: [AtomicU64; 4],
@@ -1198,18 +1200,13 @@ impl NodeHandle {
     pub fn with<R>(&self, f: impl FnOnce(&mut Cluster) -> Result<R>) -> Result<R> {
         self.shared.check(self.node)?;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            f(self
-                .shared
-                .gather(self.node, &self.shared.all_nodes())?
-                .cluster())
+            let mut sites = self.shared.gather(self.node, &self.shared.all_nodes())?;
+            let r = f(sites.cluster())?;
+            self.count_op();
+            Ok(r)
         }));
         match outcome {
-            Ok(r) => {
-                if r.is_ok() {
-                    self.count_op();
-                }
-                r
-            }
+            Ok(r) => r,
             Err(p) => Err(BmxError::Protocol(format!(
                 "user closure at {:?} panicked: {}",
                 self.node,
@@ -1219,26 +1216,26 @@ impl NodeHandle {
     }
 
     /// One completed mutator operation, for [`ParallelCluster::ops`] and
-    /// the [`Ctr::ParallelOps`] counter. Acquire *polls* are not ops —
-    /// only the completed acquire is, so the count stays
-    /// schedule-independent.
+    /// the [`Ctr::ParallelOps`] counter, counted by the call that completed
+    /// it while it still holds this node's site lock. The lock makes the
+    /// cell single-writer, so the count is a load and a store, not a locked
+    /// read-modify-write. Acquire *polls* are not ops — only the poll that
+    /// enters is, so the count stays schedule-independent.
     fn count_op(&self) {
-        self.shared
-            .site(self.node)
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
+        let ops = &self.shared.site(self.node).ops;
+        ops.store(ops.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         metrics::bump(self.node, Ctr::ParallelOps);
     }
 
     /// The *protocol* domain behind the typed methods: a panic here is a
     /// protocol bug, so it crashes this node's failure domain (the node
-    /// goes down; other nodes keep serving).
+    /// goes down; other nodes keep serving). A call that succeeds is one op.
     fn with_protocol<R>(&self, f: impl Fn(&mut Cluster) -> Result<R>) -> Result<R> {
-        let r = self.with_protocol_uncounted(f);
-        if r.is_ok() {
+        self.with_protocol_uncounted(|c| {
+            let r = f(c)?;
             self.count_op();
-        }
-        r
+            Ok(r)
+        })
     }
 
     /// Runs `f` under this node's lock alone. If the protocol finds it
@@ -1295,11 +1292,11 @@ impl NodeHandle {
     /// Maps `bunch` (created at `from`) onto this node.
     pub fn map_bunch(&self, bunch: BunchId, from: NodeId) -> Result<()> {
         let n = self.node;
-        let r = self.with_sites(&[from], |c| c.map_bunch(n, bunch, from));
-        if r.is_ok() {
+        self.with_sites(&[from], |c| {
+            c.map_bunch(n, bunch, from)?;
             self.count_op();
-        }
-        r
+            Ok(())
+        })
     }
 
     /// Allocates an object in `bunch`.
@@ -1369,9 +1366,10 @@ impl NodeHandle {
     }
 
     /// One poll of a blocking acquire. Returns whether the critical
-    /// section was entered and, if not, whose grant the node is waiting
-    /// for — so a dead owner surfaces as a typed error instead of burning
-    /// the whole acquire timeout.
+    /// section was entered — the poll that enters counts the acquire as an
+    /// op — and, if not, whose grant the node is waiting for, so a dead
+    /// owner surfaces as a typed error instead of burning the whole acquire
+    /// timeout.
     fn poll_acquire(&self, obj: Addr, write: bool, nudge: bool) -> Result<(bool, Option<NodeId>)> {
         let n = self.node;
         self.with_protocol_uncounted(|c| {
@@ -1380,6 +1378,7 @@ impl NodeHandle {
             }
             let entered = c.poll_acquire(n, obj, write)?;
             let owner = if entered {
+                self.count_op();
                 None
             } else {
                 c.oid_at(n, obj)
@@ -1485,7 +1484,6 @@ impl NodeHandle {
                 drop(wake_span);
             }
         }
-        self.count_op();
         if let Some(t0) = t0 {
             let h = if write {
                 Hst::AcquireWriteMicros

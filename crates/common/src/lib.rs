@@ -4,7 +4,8 @@
 //! workspace: typed identifiers ([`ids`]), 64-bit single-address-space
 //! addresses ([`addr`]), the bit arrays backing object-maps and
 //! reference-maps ([`bitmap`]), instrumentation counters ([`stats`]), the
-//! common error type ([`error`]), a small deterministic RNG ([`rng`]) and the
+//! common error type ([`error`]), a small deterministic RNG ([`rng`]), a
+//! seedless hasher for id-keyed maps built on its mixer ([`hash`]) and the
 //! one JSON codec ([`json`]).
 //!
 //! Nothing here knows about the network, the DSM protocol or the collector;
@@ -16,6 +17,7 @@
 pub mod addr;
 pub mod bitmap;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod rng;
@@ -25,6 +27,7 @@ pub mod stats;
 pub use addr::{Addr, WORD_BYTES};
 pub use bitmap::Bitmap;
 pub use error::{BmxError, Result};
+pub use hash::IdHashMap;
 pub use ids::{BunchId, Epoch, MsgSeq, NodeId, Oid, SegmentId};
 pub use rng::SplitMix64;
 pub use shared::SharedWords;

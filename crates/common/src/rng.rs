@@ -6,6 +6,16 @@
 //! Workload generation (which benefits from distributions) uses the `rand`
 //! crate instead, at the `bmx-workloads` layer.
 
+/// SplitMix64's state increment: 2^64 / φ, rounded to odd.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One xorshift-multiply round, the step SplitMix64's output mixer is built
+/// from (and, with a short shift, the whole of [`crate::hash::IdHasher`]).
+#[inline]
+pub(crate) const fn xorshift_mul(z: u64, shift: u32, k: u64) -> u64 {
+    (z ^ (z >> shift)).wrapping_mul(k)
+}
+
 /// SplitMix64 pseudo-random generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -20,10 +30,9 @@ impl SplitMix64 {
 
     /// Returns the next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        let z = xorshift_mul(self.state, 30, 0xBF58_476D_1CE4_E5B9);
+        let z = xorshift_mul(z, 27, 0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
 

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bmx_common::{BunchId, NodeId, Oid};
+use bmx_common::{BunchId, IdHashMap, NodeId, Oid};
 
 /// Token held by a node for one object.
 ///
@@ -146,7 +146,9 @@ impl ObjState {
 #[derive(Default)]
 pub struct DsmNodeState {
     /// Per-object replica state. Presence of a key = a replica exists here.
-    pub objects: BTreeMap<Oid, ObjState>,
+    /// Hashed, because every acquire and release looks its object up here;
+    /// [`DsmNodeState::replicas`] is the ordered view.
+    pub(crate) objects: IdHashMap<Oid, ObjState>,
     /// Requests parked behind critical sections, per object.
     pub queued: BTreeMap<Oid, Vec<QueuedReq>>,
     /// Outstanding write-transfer invalidations at this (owner) node.
@@ -182,7 +184,9 @@ impl DsmNodeState {
 
     /// Oids of every replica this node holds, in `Oid` order.
     pub fn replicas(&self) -> impl Iterator<Item = (Oid, &ObjState)> {
-        self.objects.iter().map(|(&o, s)| (o, s))
+        let mut all: Vec<(Oid, &ObjState)> = self.objects.iter().map(|(&o, s)| (o, s)).collect();
+        all.sort_unstable_by_key(|&(o, _)| o);
+        all.into_iter()
     }
 
     /// Records that a replica of `oid` exists here, with state `st`.
@@ -243,6 +247,64 @@ mod tests {
         assert_eq!(ns.departed.get(&Oid(2)), Some(&(NodeId(1), 0)));
         ns.insert(Oid(2), ObjState::new_owner(BunchId(1), NodeId(0)));
         assert!(ns.departed.is_empty());
+    }
+
+    /// The hashed replica table against a `BTreeMap` model: random
+    /// registrations, drops and in-place updates over three nodes' OIDs.
+    /// After every step the same replicas are present in the same state and
+    /// `replicas()` lists them in ascending `Oid` order.
+    #[test]
+    fn matches_a_btreemap_model_over_random_sequences() {
+        use bmx_common::SplitMix64;
+
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut ns = DsmNodeState::default();
+            // oid -> (handoffs, is_owner): enough to tell records apart.
+            let mut model: BTreeMap<Oid, (u32, bool)> = BTreeMap::new();
+            let seen = |st: &ObjState| (st.handoffs, st.is_owner);
+            for step in 0..400u32 {
+                // Numbered like `Cluster::mint_oid`: node in the high bits.
+                let oid = Oid(((rng.next_below(3) + 1) << 40) | rng.next_below(48));
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        let owner = rng.chance(0.5);
+                        let mut st = if owner {
+                            ObjState::new_owner(BunchId(1), NodeId(0))
+                        } else {
+                            ObjState::new_replica(BunchId(1), Token::None, NodeId(1))
+                        };
+                        st.handoffs = step;
+                        ns.insert(oid, st);
+                        model.insert(oid, (step, owner));
+                        assert!(!ns.departed.contains_key(&oid));
+                    }
+                    2 => {
+                        let want = model.remove(&oid);
+                        assert_eq!(ns.drop_replica(oid).as_ref().map(seen), want);
+                        if let Some((handoffs, false)) = want {
+                            assert_eq!(ns.departed.get(&oid), Some(&(NodeId(1), handoffs)));
+                        }
+                    }
+                    _ => {
+                        let got = ns.get_mut(oid).map(|st| {
+                            st.handoffs += 1_000;
+                            seen(st)
+                        });
+                        let want = model.get_mut(&oid).map(|m| {
+                            m.0 += 1_000;
+                            *m
+                        });
+                        assert_eq!(got, want);
+                    }
+                }
+                assert_eq!(ns.get(oid).map(seen), model.get(&oid).copied());
+                let listed: Vec<(Oid, (u32, bool))> =
+                    ns.replicas().map(|(o, st)| (o, seen(st))).collect();
+                let want: Vec<(Oid, (u32, bool))> = model.iter().map(|(&o, &m)| (o, m)).collect();
+                assert_eq!(listed, want, "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

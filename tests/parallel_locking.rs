@@ -7,6 +7,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
+use bmx_repro::metrics::{self, Ctr};
 use bmx_repro::prelude::*;
 
 fn n(i: u32) -> NodeId {
@@ -268,6 +269,97 @@ fn sends_on_behalf_of_a_lent_node_are_not_counted_as_duplicates() {
     let (c, report) = pc.shutdown(Shutdown::Drain).expect("shutdown");
     assert!(report.sent > 1_000, "the acquires were remote: {report:?}");
     assert_eq!(c.total_stat(StatKind::DuplicateDeliveries), 0);
+}
+
+/// What `ParallelCluster::ops` and the `ParallelOps` counter count: one per
+/// completed typed call, `with` or acquire, whichever path completed it
+/// (one site, the gather of `map_bunch` and `with`, a remote grant) — never
+/// one per acquire poll, and none for a call that fails.
+#[test]
+fn ops_count_each_completed_call_once() {
+    const K: u64 = 8;
+    let reg = metrics::install();
+    let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
+    let (h0, h1) = (pc.handle(n(0)), pc.handle(n(1)));
+    let counted = |pc: &ParallelCluster| {
+        let ctr: u64 = (0..2).map(|i| reg.node(i).ctr(Ctr::ParallelOps)).sum();
+        (pc.ops(), ctr)
+    };
+    let mut expected = 0;
+
+    // Typed calls.
+    let bunch = h0.create_bunch().expect("bunch");
+    let objs: Vec<Addr> = (0..K)
+        .map(|_| h0.alloc(bunch, &counter_spec()).expect("alloc"))
+        .collect();
+    expected += 1 + K;
+    assert_eq!(counted(&pc), (expected, expected), "typed calls");
+
+    // Local acquires, each satisfied by its first poll, then their releases.
+    for &o in &objs {
+        h0.acquire_write(o).expect("local acquire");
+    }
+    expected += K;
+    assert_eq!(counted(&pc), (expected, expected), "local acquires");
+    for &o in &objs {
+        h0.release(o).expect("release");
+    }
+    expected += K;
+    assert_eq!(counted(&pc), (expected, expected), "releases");
+
+    // `map_bunch` locks both sites.
+    h1.map_bunch(bunch, n(0)).expect("map");
+    expected += 1;
+    assert_eq!(counted(&pc), (expected, expected), "map_bunch");
+
+    // A remote acquire held up behind node 0's bracket: its first poll sends
+    // the request, it polls on while the request waits in node 0's queue,
+    // and a later poll claims the grant node 0's release sends. Each look at
+    // node 1's wait is a `with`, one op apiece.
+    let obj = objs[0];
+    h0.acquire_write(obj).expect("owner enters");
+    expected += 1;
+    let (tx, rx) = mpsc::channel();
+    let remote = {
+        let h1 = h1.clone();
+        std::thread::spawn(move || {
+            h1.bind_metrics();
+            let _ = tx.send(h1.acquire_write(obj));
+        })
+    };
+    let waiting = |c: &mut Cluster| {
+        let oid = c.oid_at(n(0), obj)?;
+        Ok(c.engine.is_waiting(n(1), oid))
+    };
+    loop {
+        expected += 1;
+        if h0.with(waiting).expect("with") {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    assert_eq!(counted(&pc), (expected, expected), "polls are not ops");
+    assert!(rx.try_recv().is_err(), "node 0 still holds the token");
+    h0.release(obj).expect("owner leaves");
+    expected += 1;
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the remote acquire returns")
+        .expect("and enters");
+    remote.join().expect("remote thread");
+    expected += 1;
+    assert_eq!(counted(&pc), (expected, expected), "a remote acquire");
+    h1.release(obj).expect("release at 1");
+    expected += 1;
+
+    // A failed call counts nothing.
+    assert!(
+        h0.read_data(Addr(0x10), 1).is_err(),
+        "nothing is mapped there"
+    );
+    assert_eq!(counted(&pc), (expected, expected), "a failed call");
+
+    pc.shutdown(Shutdown::Drain).expect("shutdown");
+    metrics::disable();
 }
 
 /// Handles may outlive the runtime. After `shutdown` has gathered every
