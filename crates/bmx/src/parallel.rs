@@ -4,13 +4,19 @@
 //! the paper's protocol properties can be audited bit-exactly. This module
 //! runs the *same* protocol state machines on real hardware concurrency:
 //!
-//! * **One OS driver thread per node**, each polling only its own inboxes
-//!   on a shared lock-free-facade [`ChannelTransport`] and applying
-//!   envelopes under its node's lock.
+//! * **Whoever holds a node's lock applies its inbox.** One delivery step
+//!   (`Shared::apply`) pops the node's next envelope from the shared
+//!   lock-free-facade [`ChannelTransport`] *under the node's lock*, applies
+//!   it, counts it, wakes the node's parked acquires and acks it. Popping
+//!   under the lock keeps per-link FIFO however many threads apply. A
+//!   blocking acquire runs the step at every poll, so a grant is applied
+//!   by the thread waiting for it; **one OS driver thread per node** runs
+//!   it for everything else: a node no mutator is waiting at, recovery
+//!   and shutdown.
 //! * **Real per-node handles** ([`NodeHandle`]): application mutator
 //!   threads call `acquire/read/write/release` directly — no global actor
-//!   serializing closures. An acquire whose token is remote parks the
-//!   *calling thread only*; driver threads keep delivering, so the grant
+//!   serializing closures. An acquire whose token is remote blocks the
+//!   *calling thread only*; the other nodes keep delivering, so the grant
 //!   makes progress while the mutator waits.
 //! * **The transport seam**: each site's network has the channels as its
 //!   egress ([`bmx_net::Network::set_egress`]), so a send leaves as it is
@@ -37,9 +43,10 @@
 //! hand them back; `with` and shutdown take every site, so their closure
 //! and the returned cluster see the whole system, traffic counters and
 //! recovery log included. Nothing polls on a sleep quantum: a driver with
-//! an empty inbox parks on its node's doorbell, rung by every send to the
-//! node and by the phase flip; `quiesce` and shutdown park on a signal rung
-//! by the ack that takes `in_flight` to zero and by each exiting driver.
+//! an empty inbox parks on its node's doorbell, rung by the phase flip and
+//! by every send to the node that no waiting mutator will apply (see
+//! [`Attending`]); `quiesce` and shutdown park on a signal rung by the ack
+//! that takes `in_flight` to zero and by each exiting driver.
 //! The conformance suite (`tests/parallel_conformance.rs`) proves this runtime
 //! and the deterministic simulator reach equivalent quiesced protocol
 //! state on the same seeded workloads; `tests/parallel_locking.rs` pins
@@ -61,15 +68,15 @@
 //! revives downed nodes live through the crash-amnesia recovery pipeline
 //! ([`Cluster::restart_with_amnesia`]): purge the dead incarnation's
 //! inbox, wipe + rejoin with every site locked, respawn a fresh driver
-//! generation. The generation check under the node's lock makes a
-//! straggler delivery from the dead thread impossible.
+//! generation. A driver checks its generation under the node's lock
+//! before it pops, so a dead incarnation never takes an envelope.
 //!
 //! Shutdown has two modes with deterministic per-class fate
 //! ([`Shutdown`]): **Drain** applies every in-flight envelope before
 //! stopping; **Drop** applies the classes the design requires reliable
 //! (DSM) and discards loss-tolerant collector traffic *whole* — an
-//! envelope is never half-applied, because application happens under the
-//! receiving node's lock after the envelope was popped intact.
+//! envelope is never half-applied, because it is popped intact and
+//! applied under the receiving node's lock.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -247,6 +254,19 @@ impl Signal {
     }
 }
 
+/// A node's driver doorbell, and the count that silences it.
+#[derive(Default)]
+struct Door {
+    /// Rung by every send to the node that no waiting mutator will apply,
+    /// by the node's crash and by the phase flip. An idle driver parks
+    /// here.
+    bell: Signal,
+    /// Mutators at the node spinning in a blocking acquire ([`Attending`]).
+    /// On a line of its own (`Signal` is aligned): every send to the node
+    /// reads it.
+    attended: AtomicUsize,
+}
+
 /// Everything the runtime keeps per node, on cache lines no other node's
 /// local path writes.
 #[repr(align(128))]
@@ -262,17 +282,17 @@ struct Site {
     /// episode (`u64::MAX` = not stamped, or never).
     restart_due: AtomicU64,
     /// Driver-thread incarnation. A restart bumps this under the node's
-    /// lock; a driver holding a stale generation discards instead of
-    /// applying.
+    /// lock; a driver holding a stale generation exits without popping.
     generation: AtomicU64,
     /// Mutator operations completed through this node's handles. Written
     /// only under `core`'s lock (see [`NodeHandle::count_op`]), read by
     /// anyone.
     ops: AtomicU64,
-    /// Envelopes fully applied by this node's driver, per class.
+    /// Envelopes fully applied at this node, per class. Written only under
+    /// `core`'s lock, like `ops`.
     delivered_by_class: [AtomicU64; 4],
     /// Grant wakeup: blocking acquires park here instead of sleeping
-    /// blind, and the node's driver rings after every applied envelope.
+    /// blind, and it rings after every envelope applied at the node.
     /// Without this, a grant that lands mid-backoff sits
     /// reserved-but-unclaimed for the rest of the sleep — dead time the
     /// whole cluster queues behind.
@@ -281,16 +301,18 @@ struct Site {
 
 struct Shared {
     sites: Vec<Site>,
-    /// Driver doorbells, one per node: rung by every send to the node (the
-    /// sites' egress holds the other reference), by its crash and by the
-    /// phase flip. An idle driver parks here.
-    bells: Arc<Vec<Signal>>,
+    /// One per node; the sites' egress holds the other reference.
+    doors: Arc<Vec<Door>>,
     /// Rung by the ack that takes `in_flight` to zero and by each exiting
     /// driver: what `quiesce` and shutdown park on.
     idle: Signal,
     /// Driver threads that have not left [`drive`] yet.
     running: AtomicUsize,
     transport: Arc<dyn Transport<ClusterMsg>>,
+    /// The channels envelopes are popped from (`transport` itself, or the
+    /// ones under the fault plane), concretely typed so that reading a
+    /// node's queued count is a load, not a call.
+    channels: Arc<ChannelTransport<ClusterMsg>>,
     /// The fault-injecting wrapper, under a fault plan (same object as
     /// `transport`, kept concretely typed for pulse/heal/stats access).
     chaos: Option<Arc<FaultyTransport<ClusterMsg>>>,
@@ -433,7 +455,7 @@ impl Shared {
         st.restart_due.store(u64::MAX, Ordering::Release);
         st.status.store(NODE_DOWN, Ordering::Release);
         // A parked driver is the node's process: it must notice its death.
-        self.bells[node.0 as usize].ring();
+        self.door(node).bell.ring();
     }
 
     /// Crashes `node`'s failure domain on purpose.
@@ -451,8 +473,15 @@ impl Shared {
         Ok(())
     }
 
+    fn door(&self, node: NodeId) -> &Door {
+        &self.doors[node.0 as usize]
+    }
+
+    /// Under `node`'s site lock, which makes the cell single-writer (see
+    /// [`NodeHandle::count_op`]).
     fn count_delivery(&self, node: NodeId, class: MsgClass) {
-        self.site(node).delivered_by_class[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+        let cell = &self.site(node).delivered_by_class[class_idx(class)];
+        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         metrics::bump(node, Ctr::ParallelDeliveries);
     }
 
@@ -518,6 +547,59 @@ impl Shared {
             .collect()
     }
 
+    /// The one delivery step, taken by whoever holds `node`'s site lock as
+    /// `core` — the node's driver, or a mutator polling there for a grant.
+    /// Pops the node's next envelope (under the lock, so per-link FIFO
+    /// holds however many threads apply), applies it, counts it, wakes the
+    /// node's parked acquires and acks it. Returns whether there was one.
+    fn apply(&self, node: NodeId, core: &mut Cluster) -> bool {
+        let Some(env) = self.transport.try_recv(node) else {
+            return false;
+        };
+        let class = env.class;
+        if self.phase.load(Ordering::Acquire) == PHASE_DROP && !class.requires_reliability() {
+            self.transport.note_dropped(class);
+        } else {
+            let span = profile::span_with_flow(SpanKind::Apply, node, env.span);
+            let t0 = metrics::enabled().then(Instant::now);
+            let outcome = catch_unwind(AssertUnwindSafe(|| core.deliver(env)));
+            drop(span);
+            if let Some(t0) = t0 {
+                let us = t0.elapsed().as_micros() as u64;
+                metrics::observe(node, Hst::ApplyMicros, us);
+            }
+            match outcome {
+                Ok(Ok(())) => {
+                    self.count_delivery(node, class);
+                    // The envelope may have been a parked acquire's grant.
+                    self.site(node).wake.ring();
+                }
+                Ok(Err(e)) => self.fail_node(node, format!("apply at {node:?}: {e}")),
+                Err(p) => {
+                    let note = format!("apply at {node:?} panicked: {}", panic_note(p));
+                    self.fail_node(node, note);
+                }
+            }
+        }
+        // Last, so that a quiescence seen through `in_flight` finds the
+        // delivery counted and the waiters woken.
+        self.ack();
+        true
+    }
+
+    /// A polling mutator's share of delivery: what `node`'s inbox held when
+    /// the poll looked (`queued` envelopes, fewer if the driver takes some
+    /// first). Only while the node serves: a recovering or shutting-down
+    /// node's inbox is its driver's.
+    #[inline(never)]
+    fn apply_queued(&self, node: NodeId, core: &mut Cluster, queued: u64) {
+        for _ in 0..queued {
+            if self.check(node).is_err() || !self.apply(node, core) {
+                break;
+            }
+        }
+    }
+
     /// Accounts one popped envelope as fully applied or discarded whole,
     /// and tells whoever waits for the transport to run dry when it has.
     fn ack(&self) {
@@ -532,8 +614,8 @@ impl Shared {
     }
 
     fn ring_drivers(&self) {
-        for bell in self.bells.iter() {
-            bell.ring();
+        for door in self.doors.iter() {
+            door.bell.ring();
         }
     }
 
@@ -640,17 +722,26 @@ impl ParallelCluster {
             let ft = FaultyTransport::<ClusterMsg>::try_new(nodes as usize, net);
             Arc::new(ft.unwrap_or_else(|e| panic!("{e}")))
         });
-        let transport: Arc<dyn Transport<ClusterMsg>> = match &faulty {
-            Some(ft) => Arc::clone(ft) as Arc<dyn Transport<ClusterMsg>>,
-            None => Arc::new(ChannelTransport::<ClusterMsg>::new(nodes as usize)),
+        let (transport, channels): (Arc<dyn Transport<ClusterMsg>>, _) = match &faulty {
+            Some(ft) => (Arc::clone(ft) as _, Arc::clone(ft.channels())),
+            None => {
+                let ch = Arc::new(ChannelTransport::<ClusterMsg>::new(nodes as usize));
+                (Arc::clone(&ch) as _, ch)
+            }
         };
-        let bells: Arc<Vec<Signal>> = Arc::new((0..nodes).map(|_| Signal::default()).collect());
+        let doors: Arc<Vec<Door>> = Arc::new((0..nodes).map(|_| Door::default()).collect());
         let egress: Egress<ClusterMsg> = {
-            let (transport, bells) = (Arc::clone(&transport), Arc::clone(&bells));
+            let (transport, doors) = (Arc::clone(&transport), Arc::clone(&doors));
             Arc::new(move |env| {
-                let dst = env.dst.0 as usize;
+                let door = &doors[env.dst.0 as usize];
                 transport.send_env(env);
-                bells[dst].ring();
+                // The sender's half of the handshake in `Attending::drop`:
+                // the push's SeqCst count increment, then this SeqCst load.
+                // A waiter counted here applies the envelope at its next
+                // poll, or sees it counted when it leaves and rings.
+                if door.attended.load(Ordering::SeqCst) == 0 {
+                    door.bell.ring();
+                }
             })
         };
         let server = SharedServer::new(SegmentServer::new(cfg.segment_words));
@@ -674,10 +765,11 @@ impl ParallelCluster {
 
         let shared = Arc::new(Shared {
             sites,
-            bells,
+            doors,
             idle: Signal::default(),
             running: AtomicUsize::new(0),
             transport,
+            channels,
             chaos: faulty,
             phase: AtomicU8::new(PHASE_RUN),
             revived: Mutex::new(Vec::new()),
@@ -950,102 +1042,46 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
         metrics::install_registry(Arc::clone(reg));
     }
     let me = shared.site(node);
-    let bell = &shared.bells[node.0 as usize];
+    let bell = &shared.door(node).bell;
+    // This incarnation crashed, or a restart superseded it: the driver is
+    // the node's process and dies with it.
+    let dead = || {
+        me.status.load(Ordering::Acquire) == NODE_DOWN
+            || me.generation.load(Ordering::Acquire) != generation
+    };
     let mut idle_rounds: u32 = 0;
     loop {
         // Sampled before the inbox is looked at: a send after this line
         // moves the epoch, so the park below falls through.
         let seen = bell.epoch();
         let phase = shared.phase.load(Ordering::Acquire);
-        if me.status.load(Ordering::Acquire) == NODE_DOWN
-            || me.generation.load(Ordering::Acquire) != generation
-        {
-            // This incarnation crashed (or was superseded by a restart):
-            // the driver is the node's process; it dies with it.
+        if dead() {
             break;
         }
-        match shared.transport.try_recv(node) {
-            Some(env) => {
+        if shared.channels.queued(node) != 0 {
+            let mut core = shared.lock_site(node, node);
+            // Again under the lock, before the pop: a restart bumps the
+            // generation holding every site's lock, so an envelope never
+            // reaches the recovered state through the pre-crash thread.
+            if dead() {
+                break;
+            }
+            if shared.apply(node, &mut core) {
                 idle_rounds = 0;
-                if phase == PHASE_DROP && !env.class.requires_reliability() {
-                    shared.transport.note_dropped(env.class);
-                    shared.ack();
-                    continue;
-                }
-                let class = env.class;
-                // Work on behalf of the envelope's flow for the whole
-                // apply: the mutex wait/hold spans, the apply span, and
-                // any sends the delivery stages (a grant answering a
-                // request) all join the originating acquire's track.
-                let _flow = profile::flow_scope(env.span);
-                let apply_span = profile::span_with_flow(SpanKind::DriverApply, node, env.span);
-                let apply_t0 = if metrics::enabled() {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut core = shared.lock_site(node, node);
-                    // Crash check *under the node's lock*: a restart
-                    // bumps the generation while holding it, so a popped
-                    // envelope can never leak into the recovered state
-                    // through the pre-crash thread.
-                    if me.status.load(Ordering::Acquire) == NODE_DOWN
-                        || me.generation.load(Ordering::Acquire) != generation
-                    {
-                        return None;
-                    }
-                    Some(core.deliver(env))
-                }));
-                drop(apply_span);
-                if let Some(t0) = apply_t0 {
-                    metrics::observe(
-                        node,
-                        Hst::DriverApplyMicros,
-                        t0.elapsed().as_micros() as u64,
-                    );
-                }
-                match outcome {
-                    Ok(None) => {
-                        // Popped by a dead incarnation: lost with it.
-                        shared.transport.note_dropped(class);
-                        shared.ack();
-                        break;
-                    }
-                    Ok(Some(Ok(()))) => {
-                        shared.count_delivery(node, class);
-                        // Wake parked acquires: the envelope may have been
-                        // their grant.
-                        me.wake.ring();
-                    }
-                    Ok(Some(Err(e))) => {
-                        shared.fail_node(node, format!("driver {node:?}: {e}"));
-                    }
-                    Err(p) => {
-                        shared.fail_node(
-                            node,
-                            format!("driver {node:?} panicked: {}", panic_note(p)),
-                        );
-                    }
-                }
-                // Last, so that a quiescence seen through `in_flight`
-                // finds the delivery counted and the waiters woken.
-                shared.ack();
+                continue;
             }
-            None => {
-                if phase != PHASE_RUN && shared.transport.in_flight() == 0 {
-                    break;
-                }
-                // Spin briefly for back-to-back traffic, then park on the
-                // doorbell: an idle node costs no CPU, and the next send
-                // to it wakes it at once.
-                idle_rounds = idle_rounds.saturating_add(1);
-                if idle_rounds < SPINS_BEFORE_PARK {
-                    std::thread::yield_now();
-                } else {
-                    bell.wait(seen, DRIVER_BACKSTOP);
-                }
-            }
+        }
+        if phase != PHASE_RUN && shared.transport.in_flight() == 0 {
+            break;
+        }
+        // Spin briefly for back-to-back traffic, then park on the
+        // doorbell: an idle node costs no CPU, and the next send to it
+        // that no waiting mutator will apply wakes it at once.
+        idle_rounds = idle_rounds.saturating_add(1);
+        if idle_rounds < SPINS_BEFORE_PARK {
+            std::thread::yield_now();
+        } else {
+            bell.wait(seen, DRIVER_BACKSTOP);
         }
     }
 }
@@ -1162,11 +1198,45 @@ fn restart_node(shared: &Arc<Shared>, node: NodeId) {
     shared.revived.lock().push(handle);
 }
 
+/// A blocking acquire's turn at its node's inbox, held while the waiter
+/// spins: it is counted in [`Door::attended`], the egress stops ringing
+/// the node's driver, and the waiter's polls apply what arrives — the
+/// grant it waits for among it. Dropped before the waiter parks and on
+/// every way out of the acquire.
+struct Attending<'a> {
+    shared: &'a Shared,
+    node: NodeId,
+}
+
+impl<'a> Attending<'a> {
+    fn new(shared: &'a Shared, node: NodeId) -> Self {
+        shared.door(node).attended.fetch_add(1, Ordering::SeqCst);
+        Attending { shared, node }
+    }
+}
+
+impl Drop for Attending<'_> {
+    /// Leaves the count, then hands whatever is queued to the driver. With
+    /// the egress this is a Dekker handshake: each side writes its own
+    /// variable (here the count, there the queued increment after the
+    /// push), then reads the other's, all four SeqCst. In their single
+    /// total order, either the sender's load follows this decrement and it
+    /// rings, or this load follows its increment and this rings — an
+    /// envelope is never left with nobody to apply it.
+    fn drop(&mut self) {
+        let door = self.shared.door(self.node);
+        door.attended.fetch_sub(1, Ordering::SeqCst);
+        if self.shared.channels.queued(self.node) != 0 {
+            door.bell.ring();
+        }
+    }
+}
+
 /// A mutator's door into one node of a running [`ParallelCluster`].
 ///
 /// Operations take the node's lock for their own duration only; an
 /// acquire that must wait for a remote grant releases the lock between
-/// polls so the node's driver can deliver it.
+/// polls, and applies the node's inbox at each.
 #[derive(Clone)]
 pub struct NodeHandle {
     node: NodeId,
@@ -1365,14 +1435,19 @@ impl NodeHandle {
         self.with_protocol(|c| c.release(n, obj))
     }
 
-    /// One poll of a blocking acquire. Returns whether the critical
-    /// section was entered — the poll that enters counts the acquire as an
-    /// op — and, if not, whose grant the node is waiting for, so a dead
-    /// owner surfaces as a typed error instead of burning the whole acquire
-    /// timeout.
+    /// One poll of a blocking acquire: applies what the node's inbox holds,
+    /// then tries to enter. Returns whether the critical section was
+    /// entered — the poll that enters counts the acquire as an op — and, if
+    /// not, whose grant the node is waiting for, so a dead owner surfaces
+    /// as a typed error instead of burning the whole acquire timeout.
     fn poll_acquire(&self, obj: Addr, write: bool, nudge: bool) -> Result<(bool, Option<NodeId>)> {
         let n = self.node;
+        let shared = &*self.shared;
         self.with_protocol_uncounted(|c| {
+            let queued = shared.channels.queued(n);
+            if queued != 0 {
+                shared.apply_queued(n, c, queued);
+            }
             if nudge {
                 c.nudge_acquire(n, obj)?;
             }
@@ -1395,7 +1470,7 @@ impl NodeHandle {
         let t0 = metrics::enabled().then(Instant::now);
         // One acquire = one distributed flow. Every protocol send this
         // thread stages while polling carries the id on its envelope,
-        // remote drivers restore it while applying (and park it with a
+        // whoever applies it restores it (and parks it with a
         // queued request, for a grant deferred behind a critical
         // section), so the request -> grant -> apply -> wake chain
         // stitches into one track in the exported Perfetto trace.
@@ -1421,6 +1496,7 @@ impl NodeHandle {
             let mut spins: u32 = 0;
             let mut backoff_us: u64 = 20;
             let mut seen = wake.epoch();
+            let mut attending = Some(Attending::new(&self.shared, n));
             while !entered {
                 let late = Instant::now() >= deadline;
                 if let Some(owner) = owner.filter(|&o| o != n) {
@@ -1451,12 +1527,15 @@ impl NodeHandle {
                     std::thread::yield_now();
                 } else {
                     // Park on the node's wake signal rather than sleeping
-                    // blind: the driver rings it after every applied
-                    // envelope, so a landing grant is claimed in
-                    // microseconds instead of idling reserved for the rest
-                    // of the backoff. `seen` was sampled before the last
-                    // poll, which makes the poll-then-park window safe, and
-                    // the backoff is still the timeout of last resort.
+                    // blind: it rings after every envelope applied at the
+                    // node, so a landing grant is claimed in microseconds
+                    // instead of idling reserved for the rest of the
+                    // backoff. A parked waiter applies nothing, so first
+                    // the driver takes over the inbox. `seen` was sampled
+                    // before the last poll, which makes the poll-then-park
+                    // window safe, and the backoff is still the timeout of
+                    // last resort.
+                    drop(attending.take());
                     let jitter = rng.next_below(backoff_us / 2 + 1);
                     {
                         let _park = profile::span_with_flow(SpanKind::AcquirePark, n, flow);

@@ -342,19 +342,7 @@ impl DsmEngine {
             }
         }
         for oid in xfer_done {
-            let pw = self.ns_mut(at).pending_write.remove(&oid).expect("present");
-            {
-                let _flow = profile::flow_scope(pw.flow);
-                self.complete_write_transfer(at, oid, pw.requester, sh, send)?;
-            }
-            let queued = self.ns_mut(at).queued.remove(&oid).unwrap_or_default();
-            for q in queued {
-                let _flow = profile::flow_scope(q.flow);
-                match q.kind {
-                    ReqKind::Read => self.handle_read_req(at, oid, q.requester, sh, send)?,
-                    ReqKind::Write => self.handle_write_req(at, oid, q.requester, sh, send)?,
-                }
-            }
+            self.finish_write_transfer(at, oid, sh, send)?;
         }
         Ok(())
     }
@@ -583,8 +571,18 @@ impl DsmEngine {
         }
         self.ns_mut(node).waiting_for.insert(oid, ReqKind::Write);
         if is_owner {
-            // Owner promoting read -> write: invalidate readers locally.
-            self.owner_start_write_transfer(node, oid, node, sh, send)?;
+            match self.ns(node).pending_write.get(&oid).map(|pw| pw.requester) {
+                // Already promoting: the last ack completes it and
+                // reserves the token for this waiter.
+                Some(r) if r == node => {}
+                // Invalidating for a remote writer: promoting now would
+                // let that transfer ship an image from under this
+                // bracket. Queue behind it instead; the replay forwards the
+                // request to the new owner.
+                Some(_) => self.queue_request(node, oid, node, ReqKind::Write),
+                // Owner promoting read -> write: invalidate readers locally.
+                None => self.owner_start_write_transfer(node, oid, node, sh, send)?,
+            }
         } else {
             self.emit(
                 sh,
@@ -727,15 +725,31 @@ impl DsmEngine {
         for parent in parents {
             self.handle_invalidate(node, oid, parent, sh, send)?;
         }
-        let queued = self.ns_mut(node).queued.remove(&oid).unwrap_or_default();
+        let acked = self.ns(node).pending_write.get(&oid);
+        if acked.is_some_and(|pw| pw.awaiting.is_empty()) {
+            // A transfer whose last ack landed inside the bracket.
+            return self.finish_write_transfer(node, oid, sh, send);
+        }
+        self.replay_queued(node, oid, sh, send)
+    }
+
+    /// Serves the requests queued for `oid` at `at`, in arrival order.
+    fn replay_queued(
+        &mut self,
+        at: NodeId,
+        oid: Oid,
+        sh: &mut DsmShared<'_>,
+        send: &mut SendFn<'_>,
+    ) -> Result<()> {
+        let queued = self.ns_mut(at).queued.remove(&oid).unwrap_or_default();
         for q in queued {
-            // The grant leaves from the *holder's* release, long after
-            // the request envelope was applied; restoring the stored
-            // flow keeps it on the requester's track.
+            // The grant leaves long after the request envelope was
+            // applied; restoring the stored flow keeps it on the
+            // requester's track.
             let _flow = profile::flow_scope(q.flow);
             match q.kind {
-                ReqKind::Read => self.handle_read_req(node, oid, q.requester, sh, send)?,
-                ReqKind::Write => self.handle_write_req(node, oid, q.requester, sh, send)?,
+                ReqKind::Read => self.handle_read_req(at, oid, q.requester, sh, send)?,
+                ReqKind::Write => self.handle_write_req(at, oid, q.requester, sh, send)?,
             }
         }
         Ok(())
@@ -1198,25 +1212,38 @@ impl DsmEngine {
             pw.awaiting.is_empty()
         };
         if done {
-            let pw = self.ns_mut(at).pending_write.remove(&oid).expect("present");
-            {
-                // The final ack completes someone else's acquire; the
-                // grant belongs on the original requester's track.
-                let _flow = profile::flow_scope(pw.flow);
-                self.complete_write_transfer(at, oid, pw.requester, sh, send)?;
-            }
-            // Requests queued behind the transfer can now be served (they
-            // will be forwarded to the new owner).
-            let queued = self.ns_mut(at).queued.remove(&oid).unwrap_or_default();
-            for q in queued {
-                let _flow = profile::flow_scope(q.flow);
-                match q.kind {
-                    ReqKind::Read => self.handle_read_req(at, oid, q.requester, sh, send)?,
-                    ReqKind::Write => self.handle_write_req(at, oid, q.requester, sh, send)?,
-                }
-            }
+            self.finish_write_transfer(at, oid, sh, send)?;
         }
         Ok(())
+    }
+
+    /// Every reader of `oid` has acknowledged the owner's invalidation:
+    /// completes the pending transfer, then serves the requests queued
+    /// behind it (forwarded to the new owner). A transfer to a remote
+    /// writer waits while the owner's replica is locked or reserved, read
+    /// brackets included — the writer must not overlap them — and
+    /// completes at their release ([`DsmEngine::unlock`] or the reserving
+    /// waiter's cancellation).
+    fn finish_write_transfer(
+        &mut self,
+        at: NodeId,
+        oid: Oid,
+        sh: &mut DsmShared<'_>,
+        send: &mut SendFn<'_>,
+    ) -> Result<()> {
+        let requester = self.ns(at).pending_write[&oid].requester;
+        let parked = self.ns(at).get(oid).is_some_and(|s| s.locked || s.reserved);
+        if requester != at && parked {
+            return Ok(());
+        }
+        let pw = self.ns_mut(at).pending_write.remove(&oid).expect("present");
+        {
+            // The final ack completes someone else's acquire; the grant
+            // belongs on the original requester's track.
+            let _flow = profile::flow_scope(pw.flow);
+            self.complete_write_transfer(at, oid, requester, sh, send)?;
+        }
+        self.replay_queued(at, oid, sh, send)
     }
 
     /// All readers are invalid; hand the write token to `requester`.
@@ -1238,6 +1265,13 @@ impl DsmEngine {
             st.reserved = reserve;
             self.ns_mut(owner).waiting_for.remove(&oid);
             return Ok(());
+        }
+        if self.ns(owner).get(oid).is_some_and(|s| s.locked) {
+            // The image would predate the bracket's stores, and the new
+            // writer would overlap it. Every caller defers instead.
+            return Err(BmxError::Protocol(format!(
+                "write grant of {oid} to {requester} shipped inside a bracket at {owner}"
+            )));
         }
         // Invariant 3: intra-bunch SSPs are prepared (scion side) before the
         // grant is sent; the stub-creation requests ride on the grant.

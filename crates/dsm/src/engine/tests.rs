@@ -81,24 +81,38 @@ impl Harness {
 
     fn pump(&mut self) {
         while self.net.in_flight() > 0 {
-            let due = self.net.tick();
-            for env in due {
-                let (engine, mems, stats, gc, net) = (
-                    &mut self.engine,
-                    &mut self.mems,
-                    &mut self.stats,
-                    &mut self.gc,
-                    &mut self.net,
-                );
-                let mut sh = DsmShared { mems, stats, gc };
-                let mut send = |src: NodeId, dst: NodeId, pkt: DsmPacket| {
-                    net.send(src, dst, MsgClass::Dsm, pkt);
-                };
-                engine
-                    .handle(env.src, env.dst, env.payload, &mut sh, &mut send)
-                    .unwrap();
-            }
+            self.step();
         }
+    }
+
+    /// One network tick: delivers what is due now, one hop of every
+    /// exchange in flight.
+    fn step(&mut self) {
+        let due = self.net.tick();
+        for env in due {
+            let (engine, mems, stats, gc, net) = (
+                &mut self.engine,
+                &mut self.mems,
+                &mut self.stats,
+                &mut self.gc,
+                &mut self.net,
+            );
+            let mut sh = DsmShared { mems, stats, gc };
+            let mut send = |src: NodeId, dst: NodeId, pkt: DsmPacket| {
+                net.send(src, dst, MsgClass::Dsm, pkt);
+            };
+            engine
+                .handle(env.src, env.dst, env.payload, &mut sh, &mut send)
+                .unwrap();
+        }
+    }
+
+    /// Adds one to field 0 of the object at `a`, as read in `node`'s
+    /// replica — what a mutator does inside its write bracket.
+    fn increment(&mut self, node: NodeId, a: Addr) {
+        let mem = &mut self.mems[node.0 as usize];
+        let v = object::read_field(mem, a, 0).unwrap();
+        object::write_data_field(mem, a, 0, v + 1).unwrap();
     }
 
     fn start(&mut self, node: NodeId, oid: Oid, write: bool) -> AcquireStart {
@@ -468,6 +482,59 @@ fn locked_reader_defers_invalidation() {
     h.unlock(n(1), Oid(1));
     assert_eq!(h.engine.token(n(1), Oid(1)), Token::None);
     assert_eq!(h.engine.token(n(2), Oid(1)), Token::Write);
+}
+
+/// Two writers, one of them the owner. Node 2's write request reaches the
+/// owner while it holds a read token with node 1 in its copy-set, so the
+/// owner starts invalidating for node 2. Its own mutator then asks for the
+/// write token, and the last `InvalidateAck` lands between that acquire
+/// and the owner's release. The owner must not promote itself past the
+/// pending transfer: its request queues behind it and is forwarded to the
+/// new owner, and both increments survive.
+#[test]
+fn owner_write_behind_a_pending_remote_transfer_loses_no_update() {
+    let mut h = Harness::new(3);
+    let a = h.alloc(1, 1, &[]);
+    let oid = Oid(1);
+    h.acquire_read(n(1), oid);
+    h.start(n(2), oid, true);
+    h.step(); // the WriteReq at the owner: Invalidate -> node 1 in flight
+    h.start(n(0), oid, true);
+    let entered = h.engine.try_lock(n(0), oid, true);
+    h.pump(); // the last InvalidateAck, inside the owner's bracket if any
+    if entered {
+        h.increment(n(0), a);
+        h.unlock(n(0), oid);
+    }
+    h.engine.lock(n(2), oid).unwrap();
+    h.increment(n(2), a);
+    h.unlock(n(2), oid);
+    if !entered {
+        h.engine.lock(n(0), oid).unwrap();
+        h.increment(n(0), a);
+        h.unlock(n(0), oid);
+    }
+    h.acquire_read(n(1), oid);
+    assert_eq!(object::read_field(&h.mems[1], a, 0).unwrap(), 2);
+}
+
+/// A transfer whose last ack arrives while the owner is inside a read
+/// bracket on its still-valid copy waits for the bracket's release: the
+/// writer must not overlap the reader.
+#[test]
+fn a_write_transfer_waits_for_the_owners_read_bracket() {
+    let mut h = Harness::new(3);
+    h.alloc(1, 1, &[]);
+    let oid = Oid(1);
+    h.acquire_read(n(1), oid);
+    h.start(n(2), oid, true);
+    h.step(); // the transfer starts at the owner
+    assert!(h.engine.try_lock(n(0), oid, false), "the owner still reads");
+    h.pump();
+    assert_eq!(h.engine.token(n(2), oid), Token::None, "shipped mid-read");
+    h.unlock(n(0), oid);
+    assert_eq!(h.engine.token(n(2), oid), Token::Write);
+    assert!(h.engine.is_owner(n(2), oid));
 }
 
 #[test]

@@ -112,9 +112,9 @@ pub enum Hst {
     /// Wall-clock microseconds the protocol mutex was held per critical
     /// section, same attribution as [`Hst::MutexWaitMicros`].
     MutexHoldMicros,
-    /// Wall-clock microseconds a driver thread spent applying one
-    /// delivered envelope (dispatch + staged-send export, lock held).
-    DriverApplyMicros,
+    /// Wall-clock microseconds spent applying one delivered envelope
+    /// (dispatch and its sends, lock held), whichever thread applied it.
+    ApplyMicros,
 }
 
 /// Per-(src, dst) link counters.
@@ -181,7 +181,7 @@ impl Hst {
         Hst::AcquireWriteMicros,
         Hst::MutexWaitMicros,
         Hst::MutexHoldMicros,
-        Hst::DriverApplyMicros,
+        Hst::ApplyMicros,
     ];
 }
 

@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use bmx_common::{NodeId, SplitMix64};
 
@@ -46,7 +46,7 @@ struct LinkState<M> {
 /// A fault-injecting wrapper over [`ChannelTransport`]. See the module
 /// docs for what it shares with the simulator and what it does not.
 pub struct FaultyTransport<M> {
-    inner: ChannelTransport<M>,
+    inner: Arc<ChannelTransport<M>>,
     cfg: NetworkConfig,
     /// Flattened `src * nodes + dst` per-link fault state.
     links: Vec<Mutex<LinkState<M>>>,
@@ -88,7 +88,7 @@ impl<M: Send + Clone> FaultyTransport<M> {
             })
             .collect();
         Ok(FaultyTransport {
-            inner: ChannelTransport::new(n),
+            inner: Arc::new(ChannelTransport::new(n)),
             cfg,
             links,
             pulse: AtomicU64::new(0),
@@ -104,6 +104,12 @@ impl<M: Send + Clone> FaultyTransport<M> {
     /// schedule from it).
     pub fn config(&self) -> &NetworkConfig {
         &self.cfg
+    }
+
+    /// The channels under the fault plane: what a delivered envelope is
+    /// popped from.
+    pub fn channels(&self) -> &Arc<ChannelTransport<M>> {
+        &self.inner
     }
 
     /// The current pulse (the plane's clock reading).
@@ -210,6 +216,12 @@ impl<M: Send + Clone> Transport<M> for FaultyTransport<M> {
 
     fn in_flight(&self) -> u64 {
         self.inner.in_flight() + self.held.load(Ordering::SeqCst)
+    }
+
+    /// The channels' count: a held envelope is not poppable yet, and is
+    /// counted when its release pushes it.
+    fn queued(&self, dst: NodeId) -> u64 {
+        self.inner.queued(dst)
     }
 
     fn sent(&self, class: MsgClass) -> u64 {
@@ -396,6 +408,71 @@ mod tests {
             t.send_env(env(0, 1, i + 2, MsgClass::Dsm, i));
         }
         assert_eq!(drain(&t, 1), (0..20).collect::<Vec<_>>());
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    /// `queued(dst)` is what `try_recv(dst)` can still pop, whatever the
+    /// fault plane did to the sends: a dropped send never counts, a
+    /// duplicate counts twice, a held envelope counts from the pulse that
+    /// releases it, and a purge (pops discarded unapplied) counts down like
+    /// a delivery.
+    #[test]
+    fn queued_is_exactly_what_can_still_be_popped() {
+        let plan = FaultPlan::none().all_links(LinkFault {
+            drop: 0.3,
+            duplicate: 0.3,
+            jitter: 2,
+        });
+        let t = transport(3, plan, 0xD00D);
+        // Pops everything `dst` has, discarding it, and checks the count
+        // before each pop; returns how many there were.
+        let purge = |dst: u32| {
+            let d = NodeId(dst);
+            let mut popped = 0;
+            loop {
+                let before = t.queued(d);
+                let Some(e) = t.try_recv(d) else {
+                    assert_eq!(before, 0, "counted at {dst}, but nothing to pop");
+                    return popped;
+                };
+                assert!(before >= 1, "popped at {dst} what was not counted");
+                t.note_dropped(e.class);
+                t.ack_delivered();
+                popped += 1;
+            }
+        };
+        let mut held_seen = false;
+        for i in 0..600u64 {
+            let class = MsgClass::ALL[(i % 4) as usize];
+            t.send_env(env((i % 3) as u32, ((i + 1) % 3) as u32, i + 1, class, i));
+            if i % 5 == 0 {
+                t.pulse();
+            }
+            let counted: u64 = (0..3).map(|d| t.queued(NodeId(d))).sum();
+            held_seen |= t.in_flight() > counted;
+            if i % 7 == 0 {
+                // One delivery, as an applier pops one envelope.
+                let d = NodeId((i % 3) as u32);
+                let before = t.queued(d);
+                if t.try_recv(d).is_some() {
+                    t.ack_delivered();
+                    assert_eq!(t.queued(d), before - 1);
+                }
+            }
+            if i % 50 == 49 {
+                let dst = (i % 3) as u32;
+                let before = t.queued(NodeId(dst));
+                assert_eq!(purge(dst), before);
+            }
+        }
+        let stats = t.stats();
+        assert!(stats.duplicates_injected > 0 && stats.link_dropped > 0);
+        assert!(held_seen, "jitter held something back");
+        t.heal_all();
+        for d in 0..3 {
+            let before = t.queued(NodeId(d));
+            assert_eq!(purge(d), before);
+        }
         assert_eq!(t.in_flight(), 0);
     }
 

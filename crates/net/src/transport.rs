@@ -14,15 +14,19 @@
 //! * [`ChannelTransport`] is the real-parallelism implementation: one
 //!   lock-free-facade channel per `(src, dst)` link (FIFO per link, no
 //!   global order — exactly the loosely-coupled model), shared by any
-//!   number of sending threads, polled by one driver thread per node.
+//!   number of sending threads, and polled by whichever thread applies the
+//!   destination node's inbox — its driver, or a mutator waiting there for
+//!   a grant. Appliers must serialize the pop with the apply (the parallel
+//!   runtime pops under the node's lock), or per-link FIFO is lost between
+//!   pop and apply.
 //!
 //! Quiescence is race-free by construction: [`Transport::in_flight`]
-//! counts *send → fully-applied* (not send → received), and a driver only
-//! calls [`Transport::ack_delivered`] after the dispatch completed under
+//! counts *send → fully-applied* (not send → received), and an applier
+//! only calls [`Transport::ack_delivered`] after the dispatch completed under
 //! the receiving node's lock. `in_flight() == 0` therefore means "no
 //! message exists that could still change protocol state".
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bmx_common::NodeId;
@@ -60,6 +64,15 @@ pub trait Transport<M>: Send + Sync {
     /// Envelopes sent and not yet fully applied.
     fn in_flight(&self) -> u64;
 
+    /// Envelopes [`Transport::try_recv`] can pop for `dst` right now:
+    /// exact whenever no send or pop is mid-call. A sequentially
+    /// consistent load, so a poller can pair it with a store of its own in
+    /// a handshake against the sender's increment, which lands after the
+    /// push and is sequentially consistent too. While a pop races the push
+    /// of the same envelope the count can read one high, or wrap below
+    /// zero; both read as "look again".
+    fn queued(&self, dst: NodeId) -> u64;
+
     /// Envelopes accepted so far for `class`.
     fn sent(&self, class: MsgClass) -> u64;
 
@@ -86,22 +99,31 @@ pub trait Transport<M>: Send + Sync {
 struct Inbox<M> {
     /// One receiver per sending node, same index as `links[src]`.
     from: Vec<Receiver<Envelope<M>>>,
+    /// Round-robin cursor, for fair link polling.
+    cursor: usize,
 }
 
+/// A counter on a cache line of its own.
+#[repr(align(128))]
+#[derive(Default)]
+struct Padded(AtomicU64);
+
 /// Crossbeam-channel message plane for the parallel runtime: `n*n`
-/// unbounded FIFO links. Senders are lock-free from any thread; each
-/// node's inbox is polled by its driver (the mutex around it is
-/// uncontended in the one-driver-per-node regime and exists only to keep
-/// the API `&self`).
+/// unbounded FIFO links. Senders are lock-free from any thread. Each
+/// node's inbox sits behind a mutex that keeps the API `&self`; its
+/// appliers already hold the node's own lock when they pop, so it is
+/// never contended.
 pub struct ChannelTransport<M> {
     /// `links[src][dst]`: the sending half of each directed link.
     links: Vec<Vec<Sender<Envelope<M>>>>,
     /// `inboxes[dst]`: the receiving halves, per source.
     inboxes: Vec<Mutex<Inbox<M>>>,
-    /// Round-robin cursor per destination, for fair link polling.
-    cursors: Vec<AtomicUsize>,
     /// Per-(src,dst) FIFO sequence counters (flattened `src * n + dst`).
     seqs: Vec<AtomicU64>,
+    /// `queued[dst]`: envelopes on the links into `dst`, counted at the
+    /// channel push and pop ([`Transport::queued`]). One line per node:
+    /// senders to one node never write another's.
+    queued: Box<[Padded]>,
     in_flight: AtomicU64,
     sent: [AtomicU64; 4],
     dropped: [AtomicU64; 4],
@@ -125,13 +147,13 @@ impl<M: Send> ChannelTransport<M> {
             links.push(row);
         }
         for from in rx_grid {
-            inboxes.push(Mutex::new(Inbox { from }));
+            inboxes.push(Mutex::new(Inbox { from, cursor: 0 }));
         }
         ChannelTransport {
             links,
             inboxes,
-            cursors: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             seqs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
+            queued: (0..n).map(|_| Padded::default()).collect(),
             in_flight: AtomicU64::new(0),
             sent: Default::default(),
             dropped: Default::default(),
@@ -163,21 +185,26 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
             // Receiver side already torn down (shutdown race): the message
             // can never be applied; account it as dropped whole.
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            return;
         }
+        // After the push: a poller that reads the count can pop what it
+        // counts.
+        self.queued[dst].0.fetch_add(1, Ordering::SeqCst);
     }
 
     fn try_recv(&self, dst: NodeId) -> Option<Envelope<M>> {
         let d = dst.0 as usize;
-        let inbox = self.inboxes[d].lock().expect("inbox mutex");
+        let mut inbox = self.inboxes[d].lock().expect("inbox mutex");
         let n = inbox.from.len();
-        let start = self.cursors[d].fetch_add(1, Ordering::Relaxed);
-        for i in 0..n {
-            let src = (start + i) % n;
-            if let Some(env) = inbox.from[src].try_recv() {
-                return Some(env);
-            }
-        }
-        None
+        let start = inbox.cursor;
+        inbox.cursor = start.wrapping_add(1);
+        let env = (0..n).find_map(|i| inbox.from[(start + i) % n].try_recv())?;
+        self.queued[d].0.fetch_sub(1, Ordering::SeqCst);
+        Some(env)
+    }
+
+    fn queued(&self, dst: NodeId) -> u64 {
+        self.queued[dst.0 as usize].0.load(Ordering::SeqCst)
     }
 
     fn ack_delivered(&self) {

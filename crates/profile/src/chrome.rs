@@ -137,7 +137,7 @@ mod tests {
             },
             ThreadSpans {
                 name: "bmx-driver-0-g0".into(),
-                spans: vec![rec(SpanKind::DriverApply, 0, 400, 50, 7)],
+                spans: vec![rec(SpanKind::Apply, 0, 400, 50, 7)],
             },
         ]
     }

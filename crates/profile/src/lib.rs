@@ -57,8 +57,9 @@ pub enum SpanKind {
     MutexWait,
     /// Holding the coarse protocol mutex (holder attribution: `node`).
     MutexHold,
-    /// A driver thread applying one delivered envelope.
-    DriverApply,
+    /// Applying one delivered envelope, on whichever thread holds the
+    /// node's lock: its driver, or a mutator polling for a grant.
+    Apply,
     /// One supervisor pulse (chaos, liveness, watchdog evaluation).
     SupervisorPulse,
     /// RVM replay while restarting a crashed node.
@@ -89,7 +90,7 @@ impl SpanKind {
             SpanKind::ReserveClaim => "acquire/reserve-claim",
             SpanKind::MutexWait => "mutex/wait",
             SpanKind::MutexHold => "mutex/hold",
-            SpanKind::DriverApply => "driver/apply",
+            SpanKind::Apply => "apply",
             SpanKind::SupervisorPulse => "supervisor/pulse",
             SpanKind::RecoveryReplay => "recovery/replay",
             SpanKind::RecoveryRestart => "recovery/restart",
@@ -515,7 +516,7 @@ mod tests {
     fn span_guard_cancel_records_nothing() {
         let _serial = lock();
         enable(64);
-        let mut g = span(SpanKind::DriverApply, NodeId(0));
+        let mut g = span(SpanKind::Apply, NodeId(0));
         g.cancel();
         drop(g);
         let total: usize = snapshot_all().iter().map(|t| t.spans.len()).sum();

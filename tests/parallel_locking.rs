@@ -4,9 +4,13 @@
 //! every site must still see whole: traffic totals, and sequence numbers
 //! that follow a lent node.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
+use bmx_repro::bmx::ClusterMsg;
+use bmx_repro::dsm::DsmPacket;
+use bmx_repro::gc::GcMsg;
 use bmx_repro::metrics::{self, Ctr};
 use bmx_repro::prelude::*;
 
@@ -269,6 +273,87 @@ fn sends_on_behalf_of_a_lent_node_are_not_counted_as_duplicates() {
     let (c, report) = pc.shutdown(Shutdown::Drain).expect("shutdown");
     assert!(report.sent > 1_000, "the acquires were remote: {report:?}");
     assert_eq!(c.total_stat(StatKind::DuplicateDeliveries), 0);
+}
+
+/// Two appliers on one link. Node 1's mutator keeps blocking in acquires
+/// behind node 0's brackets, so it polls — and applies node 1's inbox —
+/// while node 0 sends bursts on the link 0 → 1. A burst outlasts a waiter's
+/// spin, and a waiter that parks hands the inbox to node 1's driver, so
+/// both threads apply from the same link. Whoever applies, the link's
+/// envelopes are applied in sequence order (the receiver counts one that
+/// comes at or below the last sequence number it applied as a duplicate),
+/// and every envelope sent is applied once.
+#[test]
+fn two_appliers_on_one_link_keep_its_order() {
+    const ROUNDS: u64 = 200;
+    const BURST: u64 = 64;
+
+    within(Duration::from_secs(60), "the two-applier run", || {
+        let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
+        let (h0, h1) = (pc.handle(n(0)), pc.handle(n(1)));
+        let bunch = h0.create_bunch().expect("bunch");
+        let obj = h0.alloc(bunch, &counter_spec()).expect("alloc");
+        h0.add_root(obj).expect("root");
+        h1.map_bunch(bunch, n(0)).expect("map");
+        h1.add_root(obj).expect("root");
+
+        let done = AtomicBool::new(false);
+        let theirs = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut k = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    increment(&h1, obj)?;
+                    k += 1;
+                }
+                Ok::<u64, BmxError>(k)
+            });
+            for _ in 0..ROUNDS {
+                h0.acquire_write(obj).expect("owner enters");
+                h0.with(|c| {
+                    for i in 0..BURST {
+                        // Empty envelopes: they change nothing but the
+                        // link's sequence numbers.
+                        let msg = if i % 2 == 0 {
+                            let pkt = DsmPacket {
+                                msgs: Vec::new(),
+                                piggyback: Vec::new(),
+                            };
+                            (MsgClass::Dsm, ClusterMsg::Dsm(pkt))
+                        } else {
+                            let gc = GcMsg::AddressChange {
+                                bunch,
+                                relocations: Vec::new(),
+                            };
+                            (MsgClass::GcBackground, ClusterMsg::Gc(gc))
+                        };
+                        c.net.send(n(0), n(1), msg.0, msg.1);
+                    }
+                    Ok(())
+                })
+                .expect("burst");
+                let v = h0.read_data(obj, 1).expect("read");
+                h0.write_data(obj, 1, v + 1).expect("write");
+                h0.release(obj).expect("owner leaves");
+            }
+            done.store(true, Ordering::Relaxed);
+            waiter.join().expect("waiter thread").expect("waiter")
+        });
+
+        assert!(pc.quiesce(Duration::from_secs(10)), "quiesce");
+        let (mut c, report) = pc.shutdown(Shutdown::Drain).expect("shutdown");
+        assert_eq!(
+            c.total_stat(StatKind::DuplicateDeliveries),
+            0,
+            "an envelope was applied after a later one on its link"
+        );
+        assert_eq!(report.dropped, 0, "{report:?}");
+        assert_eq!(
+            report.delivered_by_class, report.sent_by_class,
+            "{report:?}"
+        );
+        c.acquire_read(n(0), obj).expect("acquire");
+        assert_eq!(c.read_data(n(0), obj, 1).expect("read"), ROUNDS + theirs);
+    });
 }
 
 /// What `ParallelCluster::ops` and the `ParallelOps` counter count: one per

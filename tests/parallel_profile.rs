@@ -4,7 +4,8 @@
 //! the exported Perfetto trace as ONE stitched flow that crosses node
 //! (pid) boundaries and contains the whole anatomy of the wait:
 //! submit, park, poke-wake, reserve-claim, protocol-mutex wait/hold, and
-//! the driver applies on both ends.
+//! the applies on both ends — whichever thread ran them: a node's driver,
+//! or the mutator polling there for its grant.
 //!
 //! The profiler is process-global, so this binary's tests serialize on a
 //! local mutex (each integration-test *file* is its own process, so no
@@ -124,7 +125,7 @@ fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
         "acquire/reserve-claim",
         "mutex/wait",
         "mutex/hold",
-        "driver/apply",
+        "apply",
     ] {
         assert!(
             names.contains(required),
@@ -132,8 +133,9 @@ fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
         );
     }
 
-    // The flow crosses the node boundary: the request is applied by node
-    // 0's driver, the grant by node 1's, so spans land on both pids.
+    // The flow crosses the node boundary: the request is applied at node
+    // 0 and the grant at node 1, so spans land on both pids, whichever
+    // thread applied them.
     let pids: BTreeSet<u64> = in_flow
         .iter()
         .filter_map(|e| e.get("pid").and_then(Json::as_num))

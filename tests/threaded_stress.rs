@@ -144,13 +144,13 @@ fn parallel_runtime_mixed_hammer() {
 /// the last write bracket before it, so a reader never sees an object go
 /// backwards and every increment issued is in the final value.
 ///
-/// It does not hold yet, here or before the egress moved into `Network`
-/// (where a send reaches the wire sooner, so the window is hit more often);
-/// the defect is the DSM's and is ROADMAP item 1(a)(i). Run it with
-/// `cargo test --test threaded_stress -- --ignored`.
+/// It catches an owner that, while invalidating readers for a remote
+/// writer, promotes itself to write as well, so that the transfer ships an
+/// image from under its bracket (1–2 lost increments in about one run in
+/// eight). The same schedule, deterministic:
+/// `owner_write_behind_a_pending_remote_transfer_loses_no_update` in
+/// `bmx-dsm`.
 #[test]
-#[ignore = "loses updates: seed 0x257a7e, 1-2 of ~12 500 increments on one or two objects \
-            (e.g. object 15: 198 of 199) in 2 of 80 runs at 631898a and 7 of 55 after it"]
 fn two_writers_on_a_read_mostly_set_lose_no_update() {
     use std::time::Duration;
 
