@@ -348,40 +348,69 @@ impl Cluster {
         self.net.send(src, dst, class, ClusterMsg::Gc(msg));
     }
 
-    /// Delivers every in-flight message (and the cascades it triggers).
-    ///
-    /// Note that pumping spins the clock only while traffic is in flight; it
-    /// does not fire the retry daemon's timers. Chaos runs drive time with
-    /// [`Cluster::step`] instead. A parallel-runtime site has nothing in
-    /// flight here — its sends left through the network's egress as they
-    /// were made and come back through [`Cluster::deliver`] — so there this
-    /// returns at once.
+    /// Delivers every in-flight message (and the cascades it triggers), tick
+    /// by tick. It does not fire the retry daemon's timers: chaos runs drive
+    /// time with [`Cluster::step`]. A parallel-runtime site has nothing in
+    /// flight here (its sends leave through the network's egress), so there
+    /// this returns at once. On an error, what was not yet applied stays in
+    /// flight for the next call.
     pub fn pump(&mut self) -> Result<()> {
         while self.net.in_flight() > 0 {
-            let due = self.net.tick();
-            for env in due {
-                self.dispatch(env)?;
-            }
-            self.note_fault_events()?;
+            self.tick()?;
         }
         Ok(())
     }
 
-    /// The way back in for an envelope that left through the network's
-    /// egress: stamps its arrival and applies it, under the caller's lock on
-    /// the receiving node. This is the per-node driver's entry point in
-    /// parallel mode; an envelope is either fully applied (its cascading
-    /// sends have reached the transport by then) or — if the dispatch
-    /// errors — not applied at all past the error point, with the error
-    /// surfaced to the driver.
+    /// The one way in for an envelope, in both modes (the simulator's tick;
+    /// on threads, whoever holds the receiving node's site lock): stamps its
+    /// arrival ([`Network::note_delivery`]) and applies it. An envelope that
+    /// errors is not applied past the error point, and the error surfaces.
     pub fn deliver(&mut self, env: Envelope<ClusterMsg>) -> Result<()> {
-        // Apply under the envelope's profiler flow: cascading sends the
-        // dispatch makes (a grant answering this request) inherit it,
-        // and an *unstamped* envelope (span 0) clears whatever flow the
-        // calling thread saw last rather than mis-attributing to it.
+        // Cascading sends inherit the envelope's profiler flow; an
+        // unstamped envelope (span 0) clears the thread's last one.
         let _flow = profile::flow_scope(env.span);
         Network::note_delivery(&env);
-        self.dispatch(env)
+        let at = env.dst.0 as usize;
+        let last = &mut self.last_seq[at][env.src.0 as usize];
+        if env.seq.0 <= *last {
+            // A duplication fault: deliver anyway (the loss-tolerant
+            // handlers are idempotent by design) but account it.
+            self.stats[at].bump(StatKind::DuplicateDeliveries);
+        } else {
+            *last = env.seq.0;
+        }
+        // A node mid-recovery has no protocol state to serve from. Rejoin
+        // traffic always lands; reports and scion-creates are idempotent
+        // and exactly what regeneration wants; token requests are deferred
+        // and replayed at completion (the requester's `waiting_for` latch
+        // is only cleared by a grant, and its one rejoin-purge reprieve is
+        // already spent by the time a re-sent request can land here);
+        // everything else is dropped as if lost — senders recover the way
+        // they recover from loss (the retry daemon, lazy relocation).
+        if let Some(rec) = self.recoveries[at].as_mut() {
+            match &env.payload {
+                ClusterMsg::Rejoin(_)
+                | ClusterMsg::Gc(GcMsg::Report(_))
+                | ClusterMsg::Gc(GcMsg::ScionCreate { .. }) => {}
+                ClusterMsg::Dsm(pkt) => {
+                    for m in &pkt.msgs {
+                        let (DsmMsg::ReadReq { .. } | DsmMsg::WriteReq { .. }) = m else {
+                            continue;
+                        };
+                        if !rec.deferred.iter().any(|(_, d)| same_request(d, m)) {
+                            rec.deferred.push((env.src, m.clone()));
+                        }
+                    }
+                    return Ok(());
+                }
+                _ => return Ok(()),
+            }
+        }
+        match env.payload {
+            ClusterMsg::Dsm(pkt) => self.dispatch_dsm(env.src, env.dst, pkt),
+            ClusterMsg::Gc(msg) => self.dispatch_gc(env.src, env.dst, msg),
+            ClusterMsg::Rejoin(msg) => self.dispatch_rejoin(env.src, env.dst, msg),
+        }
     }
 
     /// Advances the cluster's background clock by `ticks`: each tick
@@ -391,14 +420,21 @@ impl Cluster {
     /// partitions to heal and backoff timers to fire.
     pub fn step(&mut self, ticks: u64) -> Result<()> {
         for _ in 0..ticks {
-            let due = self.net.tick();
-            for env in due {
-                self.dispatch(env)?;
-            }
-            self.note_fault_events()?;
+            self.tick()?;
             self.poll_retries()?;
         }
         Ok(())
+    }
+
+    /// One simulator tick: advance the clock, [`Cluster::deliver`] each due
+    /// envelope as it is popped (latency ≥ 1 keeps this tick's sends out of
+    /// it), then account the tick's fault transitions.
+    fn tick(&mut self) -> Result<()> {
+        self.net.advance();
+        while let Some(env) = self.net.pop_due() {
+            self.deliver(env)?;
+        }
+        self.note_fault_events()
     }
 
     /// Steps until the network is idle and no retried report is outstanding,
@@ -1000,51 +1036,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    fn dispatch(&mut self, env: Envelope<ClusterMsg>) -> Result<()> {
-        let last = &mut self.last_seq[env.dst.0 as usize][env.src.0 as usize];
-        if env.seq.0 <= *last {
-            // A duplication fault: deliver anyway (the loss-tolerant
-            // handlers are idempotent by design) but account it.
-            self.stats[env.dst.0 as usize].bump(StatKind::DuplicateDeliveries);
-        } else {
-            *last = env.seq.0;
-        }
-        // A node mid-recovery has no protocol state to serve from. Rejoin
-        // traffic always lands; reports and scion-creates are idempotent
-        // and exactly what regeneration wants; token requests are deferred
-        // and replayed at completion (the requester's `waiting_for` latch
-        // is only cleared by a grant, and its one rejoin-purge reprieve is
-        // already spent by the time a re-sent request can land here);
-        // everything else is dropped as if lost — senders recover the way
-        // they recover from loss (the retry daemon, lazy relocation).
-        if self.recoveries[env.dst.0 as usize].is_some() {
-            match &env.payload {
-                ClusterMsg::Rejoin(_)
-                | ClusterMsg::Gc(GcMsg::Report(_))
-                | ClusterMsg::Gc(GcMsg::ScionCreate { .. }) => {}
-                ClusterMsg::Dsm(pkt) => {
-                    let src = env.src;
-                    let rec = self.recoveries[env.dst.0 as usize].as_mut().unwrap();
-                    for m in &pkt.msgs {
-                        let (DsmMsg::ReadReq { .. } | DsmMsg::WriteReq { .. }) = m else {
-                            continue;
-                        };
-                        if !rec.deferred.iter().any(|(_, d)| same_request(d, m)) {
-                            rec.deferred.push((src, m.clone()));
-                        }
-                    }
-                    return Ok(());
-                }
-                _ => return Ok(()),
-            }
-        }
-        match env.payload {
-            ClusterMsg::Dsm(pkt) => self.dispatch_dsm(env.src, env.dst, pkt),
-            ClusterMsg::Gc(msg) => self.dispatch_gc(env.src, env.dst, msg),
-            ClusterMsg::Rejoin(msg) => self.dispatch_rejoin(env.src, env.dst, msg),
-        }
     }
 
     fn dispatch_dsm(&mut self, src: NodeId, dst: NodeId, pkt: DsmPacket) -> Result<()> {

@@ -20,8 +20,8 @@
 //!   makes progress while the mutator waits.
 //! * **The transport seam**: each site's network has the channels as its
 //!   egress ([`bmx_net::Network::set_egress`]), so a send leaves as it is
-//!   made and comes back through [`Cluster::deliver`]; nothing is
-//!   dispatched inline and no site's network ever ticks. Per-link FIFO
+//!   made and comes back through [`Cluster::deliver`], the simulator's
+//!   entry point too; no site's network ever ticks. Per-link FIFO
 //!   holds; cross-link order is whatever the hardware does — exactly the
 //!   loosely-coupled model of the paper.
 //!
@@ -929,7 +929,7 @@ impl ParallelCluster {
 
     /// Stops the drivers under `mode`, joins them, and returns the final
     /// cluster — every node's slot gathered into one [`Cluster`], egress
-    /// removed, so it dispatches inline again and tests can keep using it
+    /// removed, so it queues its sends again and tests can keep using it
     /// deterministically — plus the transport report.
     ///
     /// Errors if any node is still down or mid-recovery at shutdown — a

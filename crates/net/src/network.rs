@@ -221,7 +221,7 @@ pub type Egress<M> = std::sync::Arc<dyn Fn(Envelope<M>) + Send + Sync>;
 
 /// The simulated network.
 ///
-/// Time is a logical tick counter advanced by [`Network::tick`]. Messages
+/// Time is a logical tick counter advanced by [`Network::advance`]. Messages
 /// sent at time `t` become deliverable at `t + latency`, in per-channel FIFO
 /// order. Loss injection happens at send time, which preserves FIFO of the
 /// surviving messages (exactly the guarantee of numbering messages on a lossy
@@ -405,14 +405,42 @@ impl<M: WireSize + Clone> Network<M> {
         seq
     }
 
-    /// Advances time by one tick and returns every message that became
-    /// deliverable, in deterministic (channel, FIFO) order.
+    /// [`Network::advance`], then [`Network::pop_due`] until `None`, each
+    /// message stamped ([`Network::note_delivery`]) as it is taken: every
+    /// message that came due, in (channel, FIFO) order.
     pub fn tick(&mut self) -> Vec<Envelope<M>> {
+        self.advance();
+        std::iter::from_fn(|| self.pop_due())
+            .inspect(Self::note_delivery)
+            .collect()
+    }
+
+    /// Advances time by one tick: the fault transitions due then, and the
+    /// metrics plane's tick. Delivers nothing (see [`Network::pop_due`]).
+    pub fn advance(&mut self) {
         self.now += 1;
         trace::set_now(self.now);
         self.apply_fault_transitions();
         metrics::tick(self.now);
-        self.drain_due()
+    }
+
+    /// Pops the head of the first channel, in `(src, dst)` order, whose head
+    /// is due, without stamping it: its applier calls
+    /// [`Network::note_delivery`]. With latency ≥ 1 a message sent while due
+    /// ones are applied is not due this tick, so popping until `None` yields
+    /// the (channel, FIFO) order of what was due when the tick began.
+    pub fn pop_due(&mut self) -> Option<Envelope<M>> {
+        let now = self.now;
+        let queue = self
+            .channels
+            .values_mut()
+            .find(|q| q.front().is_some_and(|m| m.deliver_at <= now))?;
+        let env = queue.pop_front().expect("front checked").env;
+        self.queued -= 1;
+        if metrics::enabled() {
+            metrics::gauge_sub(env.src, Gge::InflightBytes, env.payload.wire_size());
+        }
+        Some(env)
     }
 
     /// Processes partition heals and crash/restart transitions due at `now`.
@@ -521,30 +549,10 @@ impl<M: WireSize + Clone> Network<M> {
         }
     }
 
-    /// Returns messages already due without advancing time.
-    pub fn drain_due(&mut self) -> Vec<Envelope<M>> {
-        let now = self.now;
-        let mut out = Vec::new();
-        for queue in self.channels.values_mut() {
-            while queue.front().is_some_and(|m| m.deliver_at <= now) {
-                let env = queue.pop_front().expect("front checked").env;
-                self.queued -= 1;
-                if metrics::enabled() {
-                    metrics::gauge_sub(env.src, Gge::InflightBytes, env.payload.wire_size());
-                }
-                Self::note_delivery(&env);
-                out.push(env);
-            }
-        }
-        out
-    }
-
-    /// Stamps the arrival of `env` at its destination: merges the
-    /// piggy-backed sender clock first, so that the delivery event is
-    /// stamped after the send. The tick loop calls this as a message comes
-    /// due; the receiver of an envelope that left through an egress calls
-    /// it when the envelope comes back in, so a message that never arrives
-    /// is never recorded as delivered.
+    /// Stamps the arrival of `env` at its destination, merging the
+    /// piggy-backed sender clock first so the delivery follows the send.
+    /// The receiver calls it just before applying `env` (popped here or back
+    /// from an egress), so an envelope never applied is never recorded.
     pub fn note_delivery(env: &Envelope<M>) {
         if trace::enabled() {
             trace::observe(env.dst, env.lamport);
@@ -796,11 +804,38 @@ mod tests {
     }
 
     #[test]
-    fn drain_due_does_not_advance_time() {
-        let mut net: Network<P> = Network::new(NetworkConfig::lossless(0));
+    fn pop_due_takes_one_due_head_at_a_time_in_channel_order() {
+        trace::install_vec();
+        let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
+        net.send(n(1), n(0), MsgClass::Dsm, P(10));
         net.send(n(0), n(1), MsgClass::Dsm, P(1));
-        assert_eq!(net.drain_due().len(), 1);
-        assert_eq!(net.now(), 0);
+        net.send(n(1), n(0), MsgClass::StubTable, P(11));
+        net.send(n(0), n(1), MsgClass::Dsm, P(2));
+        assert!(net.pop_due().is_none(), "nothing is due before the tick");
+        net.advance();
+        let first = net.pop_due().expect("due");
+        assert_eq!((first.src, first.payload.0), (n(0), 1));
+        assert_eq!(net.in_flight(), 3, "what has not been popped");
+        // Sent between two pops: due one latency on, not in this tick.
+        net.send(n(0), n(1), MsgClass::Dsm, P(3));
+        assert_eq!(net.in_flight(), 4);
+        let mut rest = Vec::new();
+        while let Some(env) = net.pop_due() {
+            rest.push(env.payload.0);
+            assert_eq!(net.in_flight(), 4 - rest.len());
+        }
+        assert_eq!(rest, vec![2, 10, 11], "(channel, FIFO) order");
+        assert_eq!(net.now(), 1, "popping does not move time");
+        assert!(
+            trace::take()
+                .iter()
+                .all(|r| matches!(r.event, trace::TraceEvent::MsgSend { .. })),
+            "a pop is not a delivery"
+        );
+        trace::disable();
+        net.advance();
+        assert_eq!(net.pop_due().map(|e| e.payload.0), Some(3));
+        assert_eq!(net.in_flight(), 0);
     }
 
     #[test]

@@ -133,6 +133,55 @@ fn token_retention_makes_reacquires_free() {
     assert_eq!(c.net.total_sent(), before, "50 re-reads, zero messages");
 }
 
+/// An envelope that errors mid-tick costs only itself: the next envelope
+/// due in the same tick stays in flight, unstamped, and the next pump
+/// applies it.
+#[test]
+fn an_error_mid_tick_loses_nothing_else() {
+    use bmx_repro::bmx::ClusterMsg;
+    use bmx_repro::dsm::{DsmMsg, DsmPacket};
+    use bmx_repro::trace::{self, TraceEvent};
+
+    let mut c = Cluster::new(ClusterConfig::with_nodes(2));
+    let (n0, n1) = (n(0), n(1));
+    let stray = || {
+        let ack = DsmMsg::InvalidateAck {
+            oid: Oid(u64::MAX),
+            child: n0,
+        };
+        ClusterMsg::Dsm(DsmPacket::single(ack))
+    };
+    c.net.send(n0, n1, MsgClass::Dsm, stray());
+    c.net.send(n0, n1, MsgClass::Dsm, stray());
+    trace::install_vec();
+    let err = c.pump().unwrap_err();
+    let first = trace::take();
+    assert!(
+        matches!(&err, BmxError::Protocol(m) if m.starts_with("stray InvalidateAck")),
+        "{err:?}"
+    );
+    assert_eq!(
+        c.net.in_flight(),
+        1,
+        "the second envelope is still in flight"
+    );
+    let delivered = |recs: &[trace::TraceRecord]| -> Vec<u64> {
+        recs.iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::MsgDeliver { seq, .. } => Some(seq),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(delivered(&first), vec![1], "only the first was stamped");
+    // The next pump reaches it, and it fails the same way.
+    assert!(c.pump().is_err());
+    let second = trace::take();
+    trace::disable();
+    assert_eq!(delivered(&second), vec![2]);
+    assert_eq!(c.net.in_flight(), 0);
+}
+
 /// The collector runs while tokens are parked in every state (read-shared,
 /// exclusive, inconsistent) without changing any of them.
 #[test]

@@ -169,6 +169,36 @@ fn a_forwarded_pointer_store_is_traced_with_the_callers_address() {
     assert_eq!(trace::query::address_update_violations(&missing).len(), 1);
 }
 
+/// A delivery is stamped when it is applied, not when its tick begins:
+/// two reports due at N1 in the same tick trace as deliver, apply,
+/// deliver, apply — never both deliveries ahead of both applies.
+#[test]
+fn each_delivery_is_stamped_when_it_is_applied() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(2));
+    let (n0, n1) = (n(0), n(1));
+    for _ in 0..2 {
+        let b = c.create_bunch(n0).unwrap();
+        let o = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+        c.add_root(n0, o);
+        c.map_bunch(n1, b, n0).unwrap();
+    }
+    trace::install_vec();
+    // One report per bunch on link 0→1, both sent before the next tick.
+    c.run_ggc(n0).unwrap();
+    let records = trace::take();
+    trace::disable();
+    let at_n1: String = records
+        .iter()
+        .filter(|r| r.node == n1)
+        .filter_map(|r| match r.event {
+            TraceEvent::MsgDeliver { .. } => Some('D'),
+            TraceEvent::ReportApply { .. } => Some('A'),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(at_n1, "DADA", "N1's deliveries (D) and report applies (A)");
+}
+
 /// A run through an amnesia crash on an otherwise lossless network: the
 /// victim loses its volatile state mid-workload, replays its RVM
 /// checkpoint, and rejoins under a fresh epoch. Returns the victim so the
