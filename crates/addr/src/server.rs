@@ -76,6 +76,13 @@ pub struct BunchInfo {
     pub protection: Protection,
 }
 
+/// The routing of one released range.
+struct RetiredRange {
+    base: Addr,
+    /// `(from, oid, to)`, sorted by `from`, one per from-address.
+    routes: Vec<(Addr, Oid, Addr)>,
+}
+
 /// Authoritative allocator of bunches and non-overlapping segment ranges.
 pub struct SegmentServer {
     segment_words: u64,
@@ -88,11 +95,14 @@ pub struct SegmentServer {
     bunches: BTreeMap<BunchId, BunchInfo>,
     /// Address-keyed routing for *retired* ranges: `from -> (oid, to)` for
     /// every relocation whose from-space was reclaimed by the reuse
-    /// protocol. Nodes drop their forwarding knowledge when a range is
-    /// released (Section 4.5); a mutator still holding a pre-collection
-    /// pointer resolves it here (the stand-in for the original system's
-    /// address-keyed routing, like the header fetch in `oid_at`).
-    retired: BTreeMap<Addr, (Oid, Addr)>,
+    /// protocol, one table per released range, sorted by base. Nodes drop
+    /// their forwarding knowledge when a range is released (Section 4.5); a
+    /// mutator still holding a pre-collection pointer resolves it here (the
+    /// stand-in for the original system's address-keyed routing, like the
+    /// header fetch in `oid_at`).
+    retired: Vec<RetiredRange>,
+    /// Routes in all of `retired`.
+    retired_routes: usize,
     /// Which nodes have each bunch mapped: where a collection's
     /// reachability reports and retire requests go. Kept here because the
     /// server is what every node can ask (paper, Section 8).
@@ -119,7 +129,8 @@ impl SegmentServer {
             segments: BTreeMap::new(),
             by_base: BTreeMap::new(),
             bunches: BTreeMap::new(),
-            retired: BTreeMap::new(),
+            retired: Vec::new(),
+            retired_routes: 0,
             mappings: BTreeMap::new(),
         }
     }
@@ -264,15 +275,46 @@ impl SegmentServer {
             .or_else(|| self.bunch_of(self.resolve_retired(addr)?.1))
     }
 
-    /// Registers the relocation set of a retiring range (called by every
-    /// reuse participant just before it unmaps its replica). Later
-    /// registrations win per from-address: they carry newer knowledge.
-    pub fn note_retired(&mut self, relocs: impl IntoIterator<Item = (Oid, Addr, Addr)>) {
-        for (oid, from, to) in relocs {
-            if from != to {
-                self.retired.insert(from, (oid, to));
+    /// Registers the relocation set `(oid, from, to)` of the retiring range
+    /// `[base, base + words)` (called by every reuse participant just
+    /// before it unmaps its replica); records from outside the range are
+    /// ignored. A range registered again merges, and the later record wins
+    /// per from-address: it carries newer knowledge.
+    pub fn note_retired(
+        &mut self,
+        base: Addr,
+        words: u64,
+        relocs: impl IntoIterator<Item = (Oid, Addr, Addr)>,
+    ) {
+        let mut routes: Vec<(Addr, Oid, Addr)> = relocs
+            .into_iter()
+            .filter(|&(_, from, to)| from != to && from.in_range(base, words))
+            .map(|(oid, from, to)| (from, oid, to))
+            .collect();
+        // Latest first, then the older registration: the stable sort keeps
+        // that order per from-address, and `dedup` keeps the first.
+        routes.reverse();
+        let at = self.retired.partition_point(|r| r.base < base);
+        match self.retired.get_mut(at) {
+            Some(known) if known.base == base => {
+                self.retired_routes -= known.routes.len();
+                routes.append(&mut known.routes);
             }
+            _ => self.retired.insert(
+                at,
+                RetiredRange {
+                    base,
+                    routes: Vec::new(),
+                },
+            ),
         }
+        routes.sort_by_key(|&(from, ..)| from);
+        routes.dedup_by_key(|&mut (from, ..)| from);
+        // Every participant registers the range, mostly with the same
+        // records: without this the table would keep their sum's capacity.
+        routes.shrink_to_fit();
+        self.retired_routes += routes.len();
+        self.retired[at].routes = routes;
     }
 
     /// Releases segments the from-space reuse protocol reclaimed
@@ -325,19 +367,35 @@ impl SegmentServer {
     /// `(oid, address)` — chains span multiple generations of reuse when
     /// a to-space was itself later retired. Returns `None` for an address
     /// no retirement ever recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a routing cycle: a chain follows each route at most once.
     pub fn resolve_retired(&self, addr: Addr) -> Option<(Oid, Addr)> {
         let mut cur = addr;
         let mut found = None;
-        for _ in 0..64 {
-            match self.retired.get(&cur) {
-                Some(&(oid, to)) if to != addr => {
-                    found = Some((oid, to));
-                    cur = to;
-                }
-                _ => break,
-            }
+        let mut hops = 0;
+        while let Some((oid, to)) = self.route_from(cur) {
+            found = Some((oid, to));
+            cur = to;
+            hops += 1;
+            assert!(
+                hops <= self.retired_routes,
+                "retired-range routing cycle at {addr}"
+            );
         }
         found
+    }
+
+    /// The route out of `from`, if a released range holds one.
+    fn route_from(&self, from: Addr) -> Option<(Oid, Addr)> {
+        let at = self
+            .retired
+            .partition_point(|r| r.base <= from)
+            .checked_sub(1)?;
+        let routes = &self.retired[at].routes;
+        let i = routes.binary_search_by_key(&from, |&(f, ..)| f).ok()?;
+        Some((routes[i].1, routes[i].2))
     }
 }
 
@@ -401,6 +459,96 @@ mod tests {
     fn alloc_for_unknown_bunch_fails() {
         let mut srv = SegmentServer::new(32);
         assert!(srv.alloc_segment(BunchId(77)).is_err());
+    }
+
+    /// One route per released generation: generation `g`'s range holds
+    /// one object moved to the next generation's range. The address held
+    /// from the first generation resolves to the last, not to a hop in
+    /// between that lies in a released range.
+    #[test]
+    fn routing_follows_a_chain_of_a_hundred_generations() {
+        let mut srv = SegmentServer::new(64);
+        let b = srv.create_bunch(NodeId(0), Protection::default());
+        let gens: Vec<SegmentInfo> = (0..=100).map(|_| srv.alloc_segment(b).unwrap()).collect();
+        for w in gens.windows(2) {
+            srv.note_retired(w[0].base, 64, [(Oid(7), w[0].base, w[1].base)]);
+            srv.release_segments(&[w[0].id]);
+        }
+        assert_eq!(
+            srv.resolve_retired(gens[0].base),
+            Some((Oid(7), gens[100].base))
+        );
+        assert_eq!(srv.bunch_of_held(gens[0].base), Some(b));
+    }
+
+    #[test]
+    #[should_panic(expected = "retired-range routing cycle")]
+    fn a_routing_cycle_is_detected() {
+        let mut srv = SegmentServer::new(64);
+        let (a, b) = (Addr(FIRST_BASE), Addr(FIRST_BASE + 64 * 8));
+        srv.note_retired(a, 64, [(Oid(1), a, b)]);
+        srv.note_retired(b, 64, [(Oid(1), b, a)]);
+        srv.resolve_retired(a);
+    }
+
+    /// The per-range routing against a `BTreeMap<Addr, (Oid, Addr)>` model:
+    /// random registrations over eight ranges, a range often registered
+    /// again by another participant (the later record wins per
+    /// from-address), now and then a record from outside the range. Every
+    /// route leads to a later range, so chains span generations. After each
+    /// registration every address resolves alike.
+    #[test]
+    fn routing_matches_a_btreemap_model_over_random_registrations() {
+        use bmx_common::SplitMix64;
+
+        const WORDS: u64 = 16;
+        let base = |k: u64| Addr(FIRST_BASE + k * WORDS * 8);
+        let in_range = |rng: &mut SplitMix64, k: u64| base(k).add_words(rng.next_below(WORDS));
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut srv = SegmentServer::new(WORDS);
+            let mut model: BTreeMap<Addr, (Oid, Addr)> = BTreeMap::new();
+            for step in 0..400 {
+                let k = rng.next_below(7);
+                let relocs: Vec<(Oid, Addr, Addr)> = (0..rng.next_below(6))
+                    .map(|_| {
+                        let oid = Oid(rng.next_below(16));
+                        // Now and then a record from outside the range.
+                        let at = if rng.chance(0.1) {
+                            rng.next_below(8)
+                        } else {
+                            k
+                        };
+                        let from = in_range(&mut rng, at);
+                        let later = k + 1 + rng.next_below(7 - k);
+                        (oid, from, in_range(&mut rng, later))
+                    })
+                    .collect();
+                for &(oid, from, to) in &relocs {
+                    if from != to && from.in_range(base(k), WORDS) {
+                        model.insert(from, (oid, to));
+                    }
+                }
+                srv.note_retired(base(k), WORDS, relocs);
+                let model_resolve = |a: Addr| {
+                    let mut found = None;
+                    let mut cur = a;
+                    while let Some(&(oid, to)) = model.get(&cur) {
+                        found = Some((oid, to));
+                        cur = to;
+                    }
+                    found
+                };
+                for a in (0..8 * WORDS).map(|w| base(0).add_words(w)) {
+                    assert_eq!(
+                        srv.resolve_retired(a),
+                        model_resolve(a),
+                        "seed {seed} step {step} at {a}"
+                    );
+                }
+                assert_eq!(srv.retired_routes, model.len(), "seed {seed} step {step}");
+            }
+        }
     }
 
     proptest! {

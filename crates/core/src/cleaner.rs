@@ -149,18 +149,19 @@ pub fn process_report(
 
     // Entering ownerPtrs from the reporter: remove those the exiting list
     // no longer justifies, add those it newly asserts.
+    let justified: std::collections::BTreeSet<bmx_common::Oid> = report
+        .exiting
+        .iter()
+        .filter(|&&(_, tgt)| tgt == at)
+        .map(|&(oid, _)| oid)
+        .collect();
     let stale: Vec<_> = engine
-        .replicas(at)
-        .into_iter()
-        .filter(|(oid, st)| {
-            st.bunch == report.bunch
-                && st.entering.contains(&report.from)
-                && !report
-                    .exiting
-                    .iter()
-                    .any(|&(o, tgt)| o == *oid && tgt == at)
+        .replicas_where(at, |st| {
+            st.bunch == report.bunch && st.entering.contains(&report.from)
         })
+        .into_iter()
         .map(|(oid, _)| oid)
+        .filter(|oid| !justified.contains(oid))
         .collect();
     for oid in stale {
         engine.remove_entering(at, oid, report.from);

@@ -329,11 +329,12 @@ impl Ctx<'_> {
                 }
             }
         }
-        for (oid, st) in self.engine.replicas(self.node) {
-            if self.core.group.contains(&st.bunch) && !st.entering.is_empty() {
-                if let Some(a) = ns.directory.addr_of(oid) {
-                    strong.push(a);
-                }
+        let entering = self.engine.replicas_where(self.node, |st| {
+            self.core.group.contains(&st.bunch) && !st.entering.is_empty()
+        });
+        for (oid, _) in entering {
+            if let Some(a) = ns.directory.addr_of(oid) {
+                strong.push(a);
             }
         }
         (strong, intra)

@@ -29,21 +29,67 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use bmx_common::{Addr, Oid};
 use bmx_dsm::Relocation;
 
+/// Width in address bits of the block a forwarding edge is grouped by:
+/// 32 KiB, the default segment size, of which every segment base is then a
+/// multiple — so under the default layout a group is one from-space
+/// segment. Any other size is as correct: a group holds several segments or
+/// part of one.
+const GROUP_SHIFT: u32 = 15;
+
 /// Node-local knowledge of object locations and forwarding edges.
+///
+/// Edges are grouped by the from-space block they start in, because that
+/// is how they die: [`forget_range`](Directory::forget_range) drops a
+/// released range's groups whole, and a lookup is one binary search for
+/// the group and one inside it.
 #[derive(Default, Clone)]
 pub struct Directory {
     addr_of: BTreeMap<Oid, Addr>,
-    /// Forwarding edges (`from → to`, possibly chained over multiple
-    /// collections), each with the relocation record that made it.
-    reloc_by_from: BTreeMap<Addr, Relocation>,
-    /// Reverse lookups for building grant relocations: the latest record
-    /// per object, and the record ending at an address.
+    /// The latest retained relocation record per object.
     reloc_by_oid: BTreeMap<Oid, Relocation>,
-    reloc_by_to: BTreeMap<Addr, Relocation>,
+    /// Forwarding edges (`from → to`, possibly chained over multiple
+    /// collections), each the relocation record that made it, grouped by
+    /// block and sorted by it.
+    groups: Vec<EdgeGroup>,
+    /// Edges in all groups.
+    edges: usize,
+    /// No edge ends above this address: a move to a fresh to-space address
+    /// needs no search for an older edge ending there.
+    max_to: Addr,
+}
+
+/// The edges starting in one block.
+#[derive(Clone, Default)]
+struct EdgeGroup {
+    block: u64,
+    /// Sorted by `from`.
+    by_from: Vec<Relocation>,
+    /// Reverse index, `(to, from)` sorted by `to`: where several edges end
+    /// at one address, only the latest recorded is indexed, wherever it
+    /// starts.
+    by_to: Vec<(Addr, Addr)>,
+}
+
+impl EdgeGroup {
+    fn edge_from(&self, from: Addr) -> Option<&Relocation> {
+        let i = self.by_from.binary_search_by_key(&from, |r| r.from).ok()?;
+        Some(&self.by_from[i])
+    }
+
+    /// Positions in `by_from` of the edges starting in `[start, end)`.
+    fn span(&self, start: Addr, end: Addr) -> Range<usize> {
+        self.by_from.partition_point(|r| r.from < start)
+            ..self.by_from.partition_point(|r| r.from < end)
+    }
+}
+
+fn block_of(addr: Addr) -> u64 {
+    addr.0 >> GROUP_SHIFT
 }
 
 impl Directory {
@@ -62,13 +108,11 @@ impl Directory {
         self.addr_of.insert(oid, addr);
     }
 
-    /// Forgets `oid` (its local replica was reclaimed).
+    /// Forgets `oid` (its local replica was reclaimed). Its forwarding
+    /// edges stay: stale pointers may still need them; they die with the
+    /// from-space reuse protocol.
     pub fn drop_oid(&mut self, oid: Oid) {
-        if let Some(a) = self.addr_of.remove(&oid) {
-            // Keep forwarding edges: they may still be needed by stale
-            // pointers; they die with the from-space reuse protocol.
-            let _ = a;
-        }
+        self.addr_of.remove(&oid);
         self.reloc_by_oid.remove(&oid);
     }
 
@@ -90,13 +134,10 @@ impl Directory {
     pub fn resolve_hops(&self, addr: Addr) -> (Addr, u32) {
         let mut cur = addr;
         let mut hops = 0;
-        while let Some(r) = self.reloc_by_from.get(&cur) {
+        while let Some(r) = self.edge_from(cur) {
             cur = r.to;
             hops += 1;
-            assert!(
-                hops as usize <= self.reloc_by_from.len(),
-                "forwarding cycle at {addr}"
-            );
+            assert!(hops as usize <= self.edges, "forwarding cycle at {addr}");
         }
         (cur, hops)
     }
@@ -124,14 +165,37 @@ impl Directory {
     /// followed, and replacing it would dead-end local resolution mid-chain
     /// at an address this replica never populated.
     pub fn record_move(&mut self, oid: Oid, from: Addr, to: Addr) -> bool {
-        if self.reloc_by_from.contains_key(&from) {
-            return false;
+        let block = block_of(from);
+        let found = self.groups.binary_search_by_key(&block, |g| g.block);
+        if let Ok(g) = found {
+            if self.groups[g].edge_from(from).is_some() {
+                return false;
+            }
         }
         assert_ne!(from, to, "degenerate relocation for {oid}");
         let r = Relocation { oid, from, to };
+        // The reverse index names the latest edge ending at `to`.
+        if to <= self.max_to {
+            if let Some((g, i)) = self.to_slot(to) {
+                self.groups[g].by_to.remove(i);
+            }
+        }
+        self.max_to = self.max_to.max(to);
+        let g = found.unwrap_or_else(|g| {
+            let group = EdgeGroup {
+                block,
+                ..EdgeGroup::default()
+            };
+            self.groups.insert(g, group);
+            g
+        });
+        let group = &mut self.groups[g];
+        let i = group.by_from.partition_point(|e| e.from < from);
+        group.by_from.insert(i, r);
+        let i = group.by_to.partition_point(|&(t, _)| t < to);
+        group.by_to.insert(i, (to, from));
+        self.edges += 1;
         self.reloc_by_oid.insert(oid, r);
-        self.reloc_by_from.insert(from, r);
-        self.reloc_by_to.insert(to, r);
         if self.addr_of.get(&oid) == Some(&from) {
             let cur = self.resolve(to);
             self.addr_of.insert(oid, cur);
@@ -139,9 +203,23 @@ impl Directory {
         true
     }
 
+    fn edge_from(&self, from: Addr) -> Option<&Relocation> {
+        let block = block_of(from);
+        let g = self.groups.binary_search_by_key(&block, |g| g.block).ok()?;
+        self.groups[g].edge_from(from)
+    }
+
+    /// Where the reverse index holds `to`: (group, position in `by_to`).
+    fn to_slot(&self, to: Addr) -> Option<(usize, usize)> {
+        self.groups.iter().enumerate().find_map(|(g, group)| {
+            let i = group.by_to.binary_search_by_key(&to, |&(t, _)| t).ok()?;
+            Some((g, i))
+        })
+    }
+
     /// Whether a forwarding edge from `addr` exists.
     pub fn is_forwarded_from(&self, addr: Addr) -> bool {
-        self.reloc_by_from.contains_key(&addr)
+        self.edge_from(addr).is_some()
     }
 
     /// The relocation record that moved `oid`, if any is still retained.
@@ -151,48 +229,59 @@ impl Directory {
 
     /// The relocation record involving `addr` as either end, if any.
     pub fn reloc_touching(&self, addr: Addr) -> Option<Relocation> {
-        self.reloc_by_from
-            .get(&addr)
-            .or_else(|| self.reloc_by_to.get(&addr))
-            .copied()
+        if let Some(r) = self.edge_from(addr) {
+            return Some(*r);
+        }
+        let (g, i) = self.to_slot(addr)?;
+        let group = &self.groups[g];
+        group.edge_from(group.by_to[i].1).copied()
+    }
+
+    /// Positions in `groups` of the groups whose block overlaps
+    /// `[start, end)`.
+    fn groups_in(&self, start: Addr, end: Addr) -> Range<usize> {
+        self.groups.partition_point(|g| g.block < block_of(start))
+            ..self
+                .groups
+                .partition_point(|g| g.block << GROUP_SHIFT < end.0)
     }
 
     /// Every retained relocation record whose from-address lies in
-    /// `[start, start + len_words)` — the final address-change payload of
-    /// the from-space reuse protocol.
+    /// `[start, start + len_words)`, by from-address — the final
+    /// address-change payload of the from-space reuse protocol.
     pub fn relocs_from_range(&self, start: Addr, len_words: u64) -> Vec<Relocation> {
-        self.reloc_by_from
-            .range(start..start.add_words(len_words))
-            .map(|(_, r)| *r)
+        let end = start.add_words(len_words);
+        self.groups[self.groups_in(start, end)]
+            .iter()
+            .flat_map(|g| &g.by_from[g.span(start, end)])
+            .copied()
             .collect()
     }
 
     /// Drops forwarding edges and relocation records whose *from* address
     /// lies in `[start, start + len_words)` — called when that from-space
     /// range is released and the edges are guaranteed unnecessary
-    /// (Section 4.5). The reverse indexes lose a record only if it is the
+    /// (Section 4.5). The per-object index loses a record only if it is the
     /// one dropped: an object moved again since keeps its younger record.
     pub fn forget_range(&mut self, start: Addr, len_words: u64) {
-        for r in self.relocs_from_range(start, len_words) {
-            self.reloc_by_from.remove(&r.from);
-            // The reverse indexes may have moved on to a younger record.
-            if self.reloc_by_to.get(&r.to) == Some(&r) {
-                self.reloc_by_to.remove(&r.to);
+        let end = start.add_words(len_words);
+        let range = self.groups_in(start, end);
+        for g in &mut self.groups[range] {
+            let span = g.span(start, end);
+            self.edges -= span.len();
+            for r in g.by_from.drain(span) {
+                if self.reloc_by_oid.get(&r.oid) == Some(&r) {
+                    self.reloc_by_oid.remove(&r.oid);
+                }
             }
-            if self.reloc_by_oid.get(&r.oid) == Some(&r) {
-                self.reloc_by_oid.remove(&r.oid);
-            }
+            g.by_to.retain(|&(_, from)| from < start || from >= end);
         }
+        self.groups.retain(|g| !g.by_from.is_empty());
     }
 
-    /// Number of known objects.
-    pub fn len(&self) -> usize {
-        self.addr_of.len()
-    }
-
-    /// Whether the directory knows no objects.
-    pub fn is_empty(&self) -> bool {
-        self.addr_of.is_empty()
+    /// Number of forwarding edges retained.
+    pub fn edge_count(&self) -> usize {
+        self.edges
     }
 
     /// All `(oid, current address)` pairs, for table rebuilding.
@@ -321,5 +410,136 @@ mod tests {
         d.record_move(Oid(1), Addr(0x100), Addr(0x200));
         d.record_move(Oid(1), Addr(0x200), Addr(0x100));
         d.resolve(Addr(0x100));
+    }
+
+    /// The model: one ordered map per query, each record kept in the
+    /// reverse indexes until it is replaced or forgotten.
+    #[derive(Default)]
+    struct Model {
+        addr_of: BTreeMap<Oid, Addr>,
+        by_from: BTreeMap<Addr, Relocation>,
+        by_oid: BTreeMap<Oid, Relocation>,
+        by_to: BTreeMap<Addr, Relocation>,
+    }
+
+    impl Model {
+        fn resolve_hops(&self, addr: Addr) -> (Addr, u32) {
+            let mut cur = addr;
+            let mut hops = 0;
+            while let Some(r) = self.by_from.get(&cur) {
+                cur = r.to;
+                hops += 1;
+            }
+            (cur, hops)
+        }
+
+        fn record_move(&mut self, oid: Oid, from: Addr, to: Addr) -> bool {
+            if self.by_from.contains_key(&from) {
+                return false;
+            }
+            let r = Relocation { oid, from, to };
+            self.by_oid.insert(oid, r);
+            self.by_from.insert(from, r);
+            self.by_to.insert(to, r);
+            if self.addr_of.get(&oid) == Some(&from) {
+                let cur = self.resolve_hops(to).0;
+                self.addr_of.insert(oid, cur);
+            }
+            true
+        }
+
+        fn forget_range(&mut self, start: Addr, len_words: u64) {
+            let doomed: Vec<Relocation> = self
+                .by_from
+                .range(start..start.add_words(len_words))
+                .map(|(_, r)| *r)
+                .collect();
+            for r in doomed {
+                self.by_from.remove(&r.from);
+                if self.by_to.get(&r.to) == Some(&r) {
+                    self.by_to.remove(&r.to);
+                }
+                if self.by_oid.get(&r.oid) == Some(&r) {
+                    self.by_oid.remove(&r.oid);
+                }
+            }
+        }
+    }
+
+    /// The grouped layout against the model under random `set_addr`,
+    /// `record_move`, `drop_oid` and `forget_range` calls over four blocks,
+    /// with ranges from a few words to several blocks. After every step
+    /// each query agrees on every address and object.
+    #[test]
+    fn matches_a_btreemap_model_over_random_sequences() {
+        use bmx_common::SplitMix64;
+
+        const BLOCK: u64 = 1 << GROUP_SHIFT;
+        let addr = |rng: &mut SplitMix64| {
+            Addr(0x1_0000 + rng.next_below(4) * BLOCK + 8 * rng.next_below(24))
+        };
+        let probes: Vec<Addr> = (0..4)
+            .flat_map(|b| (0..25).map(move |w| Addr(0x1_0000 + b * BLOCK + 8 * w)))
+            .collect();
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut d = Directory::new();
+            let mut m = Model::default();
+            for step in 0..400 {
+                let oid = Oid(rng.next_below(12));
+                match rng.next_below(8) {
+                    0 => {
+                        let a = addr(&mut rng);
+                        d.set_addr(oid, a);
+                        m.addr_of.insert(oid, a);
+                    }
+                    1 => {
+                        d.drop_oid(oid);
+                        m.addr_of.remove(&oid);
+                        m.by_oid.remove(&oid);
+                    }
+                    2 => {
+                        let start = addr(&mut rng);
+                        let len = match rng.next_below(3) {
+                            0 => rng.next_below(16),
+                            1 => BLOCK / 8,
+                            _ => rng.next_below(3 * BLOCK / 8),
+                        };
+                        d.forget_range(start, len);
+                        m.forget_range(start, len);
+                    }
+                    _ => {
+                        let (from, to) = (addr(&mut rng), addr(&mut rng));
+                        // Skip a self-edge and an edge that would close a
+                        // cycle: both are refused by assertion.
+                        if from != to && m.resolve_hops(to).0 != from {
+                            let want = m.record_move(oid, from, to);
+                            assert_eq!(d.record_move(oid, from, to), want, "seed {seed}");
+                        }
+                    }
+                }
+                let ctx = format!("seed {seed} step {step}");
+                for &a in &probes {
+                    assert_eq!(d.resolve_hops(a), m.resolve_hops(a), "{ctx} at {a}");
+                    let want = m.by_from.get(&a).or_else(|| m.by_to.get(&a)).copied();
+                    assert_eq!(d.reloc_touching(a), want, "{ctx} at {a}");
+                }
+                for o in 0..12 {
+                    assert_eq!(d.reloc_of(Oid(o)), m.by_oid.get(&Oid(o)).copied(), "{ctx}");
+                }
+                let (start, len) = (addr(&mut rng), rng.next_below(3 * BLOCK / 8));
+                let want: Vec<Relocation> = m
+                    .by_from
+                    .range(start..start.add_words(len))
+                    .map(|(_, r)| *r)
+                    .collect();
+                assert_eq!(d.relocs_from_range(start, len), want, "{ctx}");
+                assert!(
+                    d.entries().eq(m.addr_of.iter().map(|(&o, &a)| (o, a))),
+                    "{ctx}"
+                );
+                assert_eq!(d.edge_count(), m.by_from.len(), "{ctx}");
+            }
+        }
     }
 }

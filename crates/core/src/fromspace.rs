@@ -670,10 +670,12 @@ fn release_segments(
     // holds a pre-collection pointer (a register-resident root, in the
     // paper's terms) resolves it there once every replica has let go.
     {
-        let relocs = relocs_out_of(gc, mem, at, segments);
-        gc.server
-            .borrow_mut()
-            .note_retired(relocs.into_iter().map(|r| (r.oid, r.from, r.to)));
+        let dir = &gc.node(at).directory;
+        let mut srv = gc.server.borrow_mut();
+        for &(base, words) in &ranges {
+            let relocs = dir.relocs_from_range(base, words);
+            srv.note_retired(base, words, relocs.iter().map(|r| (r.oid, r.from, r.to)));
+        }
     }
     // Drop the replicas, the forwarding knowledge and the pool entries.
     for &sid in segments {

@@ -172,15 +172,23 @@ impl DsmEngine {
 
     /// Every replica `node` holds, in `Oid` order.
     pub fn replicas(&self, node: NodeId) -> Vec<(Oid, &ObjState)> {
-        self.ns(node).replicas().collect()
+        self.replicas_where(node, |_| true)
+    }
+
+    /// The replicas `node` holds whose state passes `keep`, in `Oid` order.
+    pub fn replicas_where(
+        &self,
+        node: NodeId,
+        keep: impl Fn(&ObjState) -> bool,
+    ) -> Vec<(Oid, &ObjState)> {
+        self.ns(node).replicas_where(keep)
     }
 
     /// The exiting ownerPtrs of `bunch` at `node`: one per non-owned
     /// replica, pointing at the node's current hint of the owner.
     pub fn exiting_owner_ptrs(&self, node: NodeId, bunch: BunchId) -> Vec<(Oid, NodeId)> {
-        self.ns(node)
-            .replicas()
-            .filter(|(_, s)| s.bunch == bunch && !s.is_owner)
+        self.replicas_where(node, |s| s.bunch == bunch && !s.is_owner)
+            .into_iter()
             .map(|(o, s)| (o, s.owner_hint))
             .collect()
     }
@@ -188,9 +196,8 @@ impl DsmEngine {
     /// The entering ownerPtrs of `bunch` at `node`: per owned replica, the
     /// nodes registered as holding replicas that point here.
     pub fn entering_owner_ptrs(&self, node: NodeId, bunch: BunchId) -> Vec<(Oid, Vec<NodeId>)> {
-        self.ns(node)
-            .replicas()
-            .filter(|(_, s)| s.bunch == bunch && !s.entering.is_empty())
+        self.replicas_where(node, |s| s.bunch == bunch && !s.entering.is_empty())
+            .into_iter()
             .map(|(o, s)| (o, s.entering.iter().copied().collect()))
             .collect()
     }

@@ -147,7 +147,7 @@ impl ObjState {
 pub struct DsmNodeState {
     /// Per-object replica state. Presence of a key = a replica exists here.
     /// Hashed, because every acquire and release looks its object up here;
-    /// [`DsmNodeState::replicas`] is the ordered view.
+    /// [`DsmNodeState::replicas_where`] is the ordered view.
     pub(crate) objects: IdHashMap<Oid, ObjState>,
     /// Requests parked behind critical sections, per object.
     pub queued: BTreeMap<Oid, Vec<QueuedReq>>,
@@ -182,11 +182,17 @@ impl DsmNodeState {
         self.objects.get_mut(&oid)
     }
 
-    /// Oids of every replica this node holds, in `Oid` order.
-    pub fn replicas(&self) -> impl Iterator<Item = (Oid, &ObjState)> {
-        let mut all: Vec<(Oid, &ObjState)> = self.objects.iter().map(|(&o, s)| (o, s)).collect();
-        all.sort_unstable_by_key(|&(o, _)| o);
-        all.into_iter()
+    /// The replicas this node holds whose state passes `keep`, in `Oid`
+    /// order: only what is kept is sorted.
+    pub fn replicas_where(&self, keep: impl Fn(&ObjState) -> bool) -> Vec<(Oid, &ObjState)> {
+        let mut kept: Vec<(Oid, &ObjState)> = self
+            .objects
+            .iter()
+            .filter(|(_, s)| keep(s))
+            .map(|(&o, s)| (o, s))
+            .collect();
+        kept.sort_unstable_by_key(|&(o, _)| o);
+        kept
     }
 
     /// Records that a replica of `oid` exists here, with state `st`.
@@ -235,11 +241,11 @@ mod tests {
             Oid(2),
             ObjState::new_replica(BunchId(1), Token::None, NodeId(1)),
         );
-        assert_eq!(ns.replicas().count(), 2);
+        assert_eq!(ns.replicas_where(|_| true).len(), 2);
         assert!(ns.get(Oid(1)).unwrap().is_owner);
         ns.drop_replica(Oid(1));
         assert!(ns.get(Oid(1)).is_none());
-        assert_eq!(ns.replicas().count(), 1);
+        assert_eq!(ns.replicas_where(|_| true).len(), 1);
         assert!(ns.departed.is_empty(), "an owner leaves no ownerPtr");
         // A dropped non-owned replica leaves its ownerPtr behind until a
         // replica is registered again.
@@ -252,7 +258,8 @@ mod tests {
     /// The hashed replica table against a `BTreeMap` model: random
     /// registrations, drops and in-place updates over three nodes' OIDs.
     /// After every step the same replicas are present in the same state and
-    /// `replicas()` lists them in ascending `Oid` order.
+    /// `replicas_where` lists them, or the owned ones, in ascending `Oid`
+    /// order.
     #[test]
     fn matches_a_btreemap_model_over_random_sequences() {
         use bmx_common::SplitMix64;
@@ -299,10 +306,20 @@ mod tests {
                     }
                 }
                 assert_eq!(ns.get(oid).map(seen), model.get(&oid).copied());
-                let listed: Vec<(Oid, (u32, bool))> =
-                    ns.replicas().map(|(o, st)| (o, seen(st))).collect();
+                let listed: Vec<(Oid, (u32, bool))> = ns
+                    .replicas_where(|_| true)
+                    .into_iter()
+                    .map(|(o, st)| (o, seen(st)))
+                    .collect();
                 let want: Vec<(Oid, (u32, bool))> = model.iter().map(|(&o, &m)| (o, m)).collect();
                 assert_eq!(listed, want, "seed {seed} step {step}");
+                let owned: Vec<Oid> = ns
+                    .replicas_where(|st| st.is_owner)
+                    .into_iter()
+                    .map(|(o, _)| o)
+                    .collect();
+                let want: Vec<Oid> = model.iter().filter(|(_, m)| m.1).map(|(&o, _)| o).collect();
+                assert_eq!(owned, want, "seed {seed} step {step}");
             }
         }
     }

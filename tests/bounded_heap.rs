@@ -18,6 +18,9 @@
 //! record arriving after the retire round forwarded the *new* occupant of
 //! its from-address; with nothing ever refilled it finds no segment and is
 //! dropped.
+//!
+//! The same loop with reuse one round behind each collection — the shape
+//! `gc_churn_sim` settled on — also bounds every node's forwarding edges.
 
 use bmx_repro::bmx::audit;
 use bmx_repro::common::SplitMix64;
@@ -38,13 +41,25 @@ const PAYLOAD_FIELD: u64 = 1;
 /// after the reuse, when no from-space is pending. By the bound above that
 /// is, for the shared bunch, the node's own current space and one to-space
 /// per other node (3), and the scratch bunch's current space (1); one spill
-/// segment per bunch is allowed on top. (Observed over seeds 1–40: 4.)
+/// segment per bunch is allowed on top. (Observed over seeds 1–40: 4. With
+/// reuse a round behind, the from-spaces of the round's collections are
+/// still mapped too; observed over seeds 1–8: 6.)
 const MAPPED_SEGMENTS_MAX: usize = 6;
 /// Segments the server may have registered: the three scratch spaces and
 /// the three nodes' spaces of the shared bunch, with the same allowance.
 /// (Observed: 6. The parent commit ends this loop with 184–243 segments
 /// mapped per node, every one of them still registered.)
 const SERVER_SEGMENTS_MAX: usize = 9;
+/// Forwarding edges one node may keep when reuse runs a round after the
+/// collection: those out of the from-spaces still pending, plus the few
+/// learned since. (Observed over seeds 1–8: 169.)
+///
+/// With reuse straight after the collection the count is not bounded: a
+/// relocation record that arrives after its from-range was released still
+/// records its edge, and no `forget_range` runs for that range again
+/// (ROADMAP 1(a)(iii)). Over seeds 1–8 that loop's count grows by about 30
+/// per node per round, to 781 at round 20 and 4 689 at round 149.
+const EDGES_MAX: usize = 256;
 
 fn nodes() -> impl Iterator<Item = NodeId> {
     (0..NODES).map(NodeId)
@@ -58,10 +73,13 @@ struct World {
     registry_root: Vec<u64>,
     /// What each part's counter must read, indexed `assembly * PARTS + part`.
     expected: Vec<u64>,
+    /// With reuse a round behind: what this round's collections left to
+    /// reuse in the next one.
+    lagging: Option<Vec<(NodeId, BunchId)>>,
 }
 
 impl World {
-    fn build() -> Result<World> {
+    fn build(lag: bool) -> Result<World> {
         let mut c = Cluster::new(ClusterConfig::with_nodes(NODES));
         let n0 = NodeId(0);
         let shared = c.create_bunch(n0)?;
@@ -73,6 +91,7 @@ impl World {
             module_root: Vec::new(),
             registry_root: Vec::new(),
             expected: (0..(ASSEMBLIES * PARTS) as u64).collect(),
+            lagging: lag.then(Vec::new),
         };
         for node in nodes() {
             if node != n0 {
@@ -114,14 +133,23 @@ impl World {
         Ok(())
     }
 
-    /// Collects, then reuses the from-space at once.
+    fn reuse(&mut self, node: NodeId, bunch: BunchId) -> Result<()> {
+        assert!(
+            self.c.reuse_from_space(node, bunch)?,
+            "reuse of {bunch} at {node} did not complete"
+        );
+        Ok(())
+    }
+
+    /// Collects, then reuses the from-space at once, or in the next round
+    /// when lagging.
     fn collect_and_reuse(&mut self, node: NodeId, bunches: &[BunchId]) -> Result<()> {
         self.c.run_collection(node, bunches)?;
         for &b in bunches {
-            assert!(
-                self.c.reuse_from_space(node, b)?,
-                "reuse of {b} at {node} did not complete"
-            );
+            match self.lagging.as_mut() {
+                Some(next) => next.push((node, b)),
+                None => self.reuse(node, b)?,
+            }
         }
         Ok(())
     }
@@ -144,6 +172,10 @@ impl World {
             self.c.write_data(churn_node, obj, 0, i as u64)?;
             // Detaches the previous one.
             self.c.write_ref(churn_node, registry, 0, obj)?;
+        }
+        let due = self.lagging.as_mut().map(std::mem::take);
+        for (node, bunch) in due.unwrap_or_default() {
+            self.reuse(node, bunch)?;
         }
         let replica_node = NodeId((r % 3) as u32);
         if r % 3 == 2 {
@@ -182,6 +214,11 @@ impl World {
                 pooled <= mapped,
                 "seed {seed} round {r}: {node} pools {pooled} segments but maps {mapped}"
             );
+            let edges = self.c.gc.node(node).directory.edge_count();
+            assert!(
+                self.lagging.is_none() || edges <= EDGES_MAX,
+                "seed {seed} round {r}: {node} keeps {edges} forwarding edges"
+            );
         }
         let registered = self.c.server.borrow().segment_count();
         assert!(
@@ -191,8 +228,8 @@ impl World {
     }
 }
 
-fn run(seed: u64) -> Result<()> {
-    let mut w = World::build()?;
+fn run(seed: u64, lag: bool) -> Result<()> {
+    let mut w = World::build(lag)?;
     let mut rng = SplitMix64::new(seed);
     for r in 0..ROUNDS {
         w.round(r, &mut rng)?;
@@ -265,6 +302,13 @@ fn run(seed: u64) -> Result<()> {
 #[test]
 fn mapped_and_registered_segments_stay_bounded_with_immediate_reuse() {
     for seed in 1..=8 {
-        run(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        run(seed, false).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+#[test]
+fn forwarding_edges_stay_bounded_with_reuse_a_round_behind() {
+    for seed in 1..=8 {
+        run(seed, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
