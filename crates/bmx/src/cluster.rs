@@ -6,7 +6,9 @@ use std::path::PathBuf;
 use bmx_addr::object;
 use bmx_addr::server::Protection;
 use bmx_addr::{NodeMemory, SegmentServer};
-use bmx_common::{Addr, BmxError, BunchId, Epoch, NodeId, NodeStats, Oid, Result, StatKind};
+use bmx_common::{
+    Addr, BmxError, BunchId, Epoch, NodeId, NodeSet, NodeStats, Oid, Result, StatKind,
+};
 use bmx_dsm::{DsmEngine, DsmMsg, DsmPacket, DsmShared, Token};
 
 /// Equality over the deferrable token-request messages, used to dedupe the
@@ -53,7 +55,7 @@ use crate::retry::{AckOutcome, RetryDaemon, RetryPolicy};
 /// Construction parameters for a simulated cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Number of nodes.
+    /// Number of nodes, at most [`NodeSet::CAPACITY`].
     pub nodes: u32,
     /// Constant segment size, in 8-byte words.
     pub segment_words: u64,
@@ -193,6 +195,13 @@ impl Cluster {
     }
 
     fn build(cfg: ClusterConfig, server: bmx_gc::SharedServer, only: Option<NodeId>) -> Self {
+        // The DSM keeps its per-replica node sets in one word.
+        assert!(
+            cfg.nodes as usize <= NodeSet::CAPACITY,
+            "a cluster has at most {} nodes, got {}",
+            NodeSet::CAPACITY,
+            cfg.nodes
+        );
         let mut gc = GcState::new(cfg.nodes as usize, server.clone());
         gc.reloc_mode = cfg.reloc_mode;
         let mut engine = DsmEngine::new(cfg.nodes as usize);

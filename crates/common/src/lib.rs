@@ -5,8 +5,8 @@
 //! addresses ([`addr`]), the bit arrays backing object-maps and
 //! reference-maps ([`bitmap`]), instrumentation counters ([`stats`]), the
 //! common error type ([`error`]), a small deterministic RNG ([`rng`]), a
-//! seedless hasher for id-keyed maps built on its mixer ([`hash`]) and the
-//! one JSON codec ([`json`]).
+//! seedless hasher for id-keyed maps built on its mixer ([`hash`]), a
+//! one-word set of nodes ([`nodeset`]) and the one JSON codec ([`json`]).
 //!
 //! Nothing here knows about the network, the DSM protocol or the collector;
 //! keeping these types dependency-free lets the substrate crates share them
@@ -20,6 +20,7 @@ pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod json;
+pub mod nodeset;
 pub mod rng;
 pub mod shared;
 pub mod stats;
@@ -29,6 +30,7 @@ pub use bitmap::Bitmap;
 pub use error::{BmxError, Result};
 pub use hash::IdHashMap;
 pub use ids::{BunchId, Epoch, MsgSeq, NodeId, Oid, SegmentId};
+pub use nodeset::NodeSet;
 pub use rng::SplitMix64;
 pub use shared::SharedWords;
 pub use stats::{NodeStats, StatKind};

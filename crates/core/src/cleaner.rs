@@ -157,7 +157,7 @@ pub fn process_report(
         .collect();
     let stale: Vec<_> = engine
         .replicas_where(at, |st| {
-            st.bunch == report.bunch && st.entering.contains(&report.from)
+            st.bunch == report.bunch && st.entering.contains(report.from)
         })
         .into_iter()
         .map(|(oid, _)| oid)
@@ -468,7 +468,7 @@ mod tests {
             .obj_state(NodeId(1), Oid(7))
             .unwrap()
             .entering
-            .contains(&NodeId(0)));
+            .contains(NodeId(0)));
     }
 
     #[test]

@@ -38,18 +38,19 @@ pub fn apply_relocations_at(
                 None => continue, // unknown address: drop the record
             }
         }
+        let dir = &gc.node(node).directory;
+        if dir.is_forwarded_from(r.from) {
+            continue; // already known
+        }
         // Whether `r.from` is this node's *current* address for the object
         // — decided before the record advances it. Bytes at any other
         // address are a ghost of an older generation; carrying those along
         // the chain would resurrect stale state over the live copy.
         let was_current = {
-            let dir = &gc.node(node).directory;
             let a0 = dir.addr_of(r.oid);
             a0 == Some(r.from) || a0.map(|a| dir.resolve(a)) == Some(r.from)
         };
-        if !gc.node_mut(node).directory.record_move(r.oid, r.from, r.to) {
-            continue; // already known
-        }
+        gc.node_mut(node).directory.record_move(r.oid, r.from, r.to);
         // A fresh record: this node just learned the object moved. The
         // event happens-after the collector's `Relocate` because the
         // record rode a message from (a node causally after) the

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use bmx_addr::object::{self, ObjectImage};
 use bmx_addr::NodeMemory;
-use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, StatKind};
+use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeSet, NodeStats, Oid, Result, StatKind};
 use bmx_metrics::{self as metrics, Hst};
 use bmx_profile as profile;
 use bmx_trace::{self as trace, AccessMode, TraceEvent};
@@ -198,7 +198,7 @@ impl DsmEngine {
     pub fn entering_owner_ptrs(&self, node: NodeId, bunch: BunchId) -> Vec<(Oid, Vec<NodeId>)> {
         self.replicas_where(node, |s| s.bunch == bunch && !s.entering.is_empty())
             .into_iter()
-            .map(|(o, s)| (o, s.entering.iter().copied().collect()))
+            .map(|(o, s)| (o, s.entering.iter().collect()))
             .collect()
     }
 
@@ -231,7 +231,7 @@ impl DsmEngine {
     /// (the scion cleaner learned the remote replica is gone).
     pub fn remove_entering(&mut self, node: NodeId, oid: Oid, from: NodeId) {
         if let Some(s) = self.ns_mut(node).get_mut(oid) {
-            s.entering.remove(&from);
+            s.entering.remove(from);
         }
     }
 
@@ -306,7 +306,7 @@ impl DsmEngine {
         // clear the wait so the mutator's retry re-sends after rejoin.
         let mut stale_waits = Vec::new();
         for (&oid, st) in ns.objects.iter_mut() {
-            st.copy_set.remove(&gone);
+            st.copy_set.remove(gone);
             if !st.is_owner && st.owner_hint == gone {
                 stale_waits.push(oid);
             }
@@ -317,7 +317,7 @@ impl DsmEngine {
         // Transitive invalidation rounds awaiting the crashed node.
         let mut inval_done = Vec::new();
         for (&oid, pi) in ns.pending_inval.iter_mut() {
-            pi.awaiting.remove(&gone);
+            pi.awaiting.remove(gone);
             if pi.awaiting.is_empty() {
                 inval_done.push((oid, pi.parent));
             }
@@ -332,7 +332,7 @@ impl DsmEngine {
             if pw.requester == gone {
                 pw.requester = at;
             }
-            pw.awaiting.remove(&gone);
+            pw.awaiting.remove(gone);
             if pw.awaiting.is_empty() {
                 xfer_done.push(oid);
             }
@@ -911,7 +911,7 @@ impl DsmEngine {
         for r in relocs {
             if let Some(st) = self.ns(node).get(r.oid) {
                 if !st.copy_set.is_empty() {
-                    let cs: Vec<NodeId> = st.copy_set.iter().copied().collect();
+                    let cs: Vec<NodeId> = st.copy_set.iter().collect();
                     sh.gc.queue_forward(node, &cs, std::slice::from_ref(r));
                 }
             }
@@ -1091,11 +1091,9 @@ impl DsmEngine {
         sh: &mut DsmShared<'_>,
         send: &mut SendFn<'_>,
     ) -> Result<()> {
-        let targets: Vec<NodeId> = {
+        let targets = {
             let st = self.ns_mut(owner).get_mut(oid).expect("owner state exists");
-            let t = st.copy_set.iter().copied().collect();
-            st.copy_set.clear();
-            t
+            std::mem::take(&mut st.copy_set)
         };
         metrics::observe(owner, Hst::InvalidationFanout, targets.len() as u64);
         if targets.is_empty() {
@@ -1105,7 +1103,7 @@ impl DsmEngine {
             oid,
             PendingWrite {
                 requester,
-                awaiting: targets.iter().copied().collect(),
+                awaiting: targets,
                 flow: profile::current_flow(),
             },
         );
@@ -1149,19 +1147,17 @@ impl DsmEngine {
         sh: &mut DsmShared<'_>,
         send: &mut SendFn<'_>,
     ) -> Result<()> {
-        let children: Vec<NodeId> = match self.ns_mut(at).get_mut(oid) {
+        let children = match self.ns_mut(at).get_mut(oid) {
             Some(st) => {
                 if st.token != Token::None {
                     st.token = Token::None;
                     sh.stats[at.0 as usize].bump(StatKind::Invalidations);
                     trace::emit(at, TraceEvent::TokenInvalidated { oid, by: parent });
                 }
-                let c = st.copy_set.iter().copied().collect();
-                st.copy_set.clear();
-                c
+                std::mem::take(&mut st.copy_set)
             }
             // Replica already reclaimed locally: nothing to invalidate.
-            None => Vec::new(),
+            None => NodeSet::new(),
         };
         if children.is_empty() {
             self.emit(
@@ -1177,7 +1173,7 @@ impl DsmEngine {
             oid,
             PendingInval {
                 parent,
-                awaiting: children.iter().copied().collect(),
+                awaiting: children,
             },
         );
         for c in children {
@@ -1196,7 +1192,7 @@ impl DsmEngine {
     ) -> Result<()> {
         // Aggregating a transitive invalidation?
         if let Some(pi) = self.ns_mut(at).pending_inval.get_mut(&oid) {
-            pi.awaiting.remove(&child);
+            pi.awaiting.remove(child);
             if pi.awaiting.is_empty() {
                 let parent = pi.parent;
                 self.ns_mut(at).pending_inval.remove(&oid);
@@ -1215,7 +1211,7 @@ impl DsmEngine {
             let pw = self.ns_mut(at).pending_write.get_mut(&oid).ok_or_else(|| {
                 BmxError::Protocol(format!("stray InvalidateAck for {oid} at {at}"))
             })?;
-            pw.awaiting.remove(&child);
+            pw.awaiting.remove(child);
             pw.awaiting.is_empty()
         };
         if done {
@@ -1300,7 +1296,7 @@ impl DsmEngine {
             st.is_owner = false;
             st.owner_hint = requester;
             st.handoffs += 1;
-            st.entering.remove(&requester);
+            st.entering.remove(requester);
             (st.bunch, st.handoffs)
         };
         trace::emit(

@@ -216,8 +216,8 @@ fn read_acquire_from_owner_ships_data() {
     assert!(h.engine.is_owner(n(0), Oid(1)));
     // Owner registered the new replica holder.
     let st = h.engine.obj_state(n(0), Oid(1)).unwrap();
-    assert!(st.entering.contains(&n(1)));
-    assert!(st.copy_set.contains(&n(1)));
+    assert!(st.entering.contains(n(1)));
+    assert!(st.copy_set.contains(n(1)));
 }
 
 #[test]
@@ -246,14 +246,14 @@ fn read_token_obtainable_from_non_owner_holder() {
         .obj_state(n(1), Oid(1))
         .unwrap()
         .copy_set
-        .contains(&n(2)));
+        .contains(n(2)));
     // ...and the owner learned about the replica via RegisterReplica.
     assert!(h
         .engine
         .obj_state(n(0), Oid(1))
         .unwrap()
         .entering
-        .contains(&n(2)));
+        .contains(n(2)));
 }
 
 #[test]

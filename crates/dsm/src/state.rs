@@ -1,8 +1,8 @@
 //! Per-node, per-object DSM protocol state.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use bmx_common::{BunchId, IdHashMap, NodeId, Oid};
+use bmx_common::{BunchId, IdHashMap, NodeId, NodeSet, Oid};
 
 /// Token held by a node for one object.
 ///
@@ -50,7 +50,7 @@ pub struct PendingWrite {
     /// Node the write token will be granted to.
     pub requester: NodeId,
     /// Direct copy-set members whose (aggregated) acks are still missing.
-    pub awaiting: BTreeSet<NodeId>,
+    pub awaiting: NodeSet,
     /// Profiler flow of the write request (same observational contract
     /// as [`QueuedReq::flow`]): restored when the last ack completes the
     /// transfer, so the grant joins the requester's track.
@@ -63,7 +63,7 @@ pub struct PendingInval {
     /// Where to send the aggregated ack.
     pub parent: NodeId,
     /// Direct grantees whose acks are still missing.
-    pub awaiting: BTreeSet<NodeId>,
+    pub awaiting: NodeSet,
 }
 
 /// Protocol state one node keeps for one object replica.
@@ -83,10 +83,10 @@ pub struct ObjState {
     /// while `is_owner`.
     pub owner_hint: NodeId,
     /// Direct read grantees (the local share of the distributed copy-set).
-    pub copy_set: BTreeSet<NodeId>,
+    pub copy_set: NodeSet,
     /// Nodes whose ownerPtr enters here (GC roots at the owner; maintained
     /// from grants and scion-cleaner reports).
-    pub entering: BTreeSet<NodeId>,
+    pub entering: NodeSet,
     /// Mutator is inside an acquire/release critical section.
     pub locked: bool,
     /// A grant landed for a still-outstanding local acquire, and the
@@ -109,6 +109,10 @@ pub struct ObjState {
     pub handoffs: u32,
 }
 
+// One record per replica a node holds: its two node sets are words in
+// place, not heap-allocated trees.
+const _: () = assert!(std::mem::size_of::<ObjState>() <= 32);
+
 impl ObjState {
     /// Fresh state for the allocating node: owner with the write token.
     pub fn new_owner(bunch: BunchId, node: NodeId) -> Self {
@@ -117,8 +121,8 @@ impl ObjState {
             token: Token::Write,
             is_owner: true,
             owner_hint: node,
-            copy_set: BTreeSet::new(),
-            entering: BTreeSet::new(),
+            copy_set: NodeSet::new(),
+            entering: NodeSet::new(),
             locked: false,
             reserved: false,
             handoffs: 0,
@@ -133,8 +137,8 @@ impl ObjState {
             token,
             is_owner: false,
             owner_hint,
-            copy_set: BTreeSet::new(),
-            entering: BTreeSet::new(),
+            copy_set: NodeSet::new(),
+            entering: NodeSet::new(),
             locked: false,
             reserved: false,
             handoffs: 0,

@@ -436,6 +436,12 @@ impl<M: WireSize + Clone> Network<M> {
             .values_mut()
             .find(|q| q.front().is_some_and(|m| m.deliver_at <= now))?;
         let env = queue.pop_front().expect("front checked").env;
+        if queue.is_empty() {
+            // Give a burst's buffer back: a link that once carried
+            // hundreds of envelopes (a bunch mapped at set-up) would keep
+            // room for them for the network's life.
+            *queue = VecDeque::new();
+        }
         self.queued -= 1;
         if metrics::enabled() {
             metrics::gauge_sub(env.src, Gge::InflightBytes, env.payload.wire_size());
@@ -836,6 +842,29 @@ mod tests {
         net.advance();
         assert_eq!(net.pop_due().map(|e| e.payload.0), Some(3));
         assert_eq!(net.in_flight(), 0);
+    }
+
+    /// Mapping an 821-object bunch puts one envelope per object on one
+    /// link at once. Once `pop_due` has drained the link, the room the
+    /// burst needed is given back rather than kept for the network's life.
+    #[test]
+    fn a_drained_burst_leaves_no_buffer_behind() {
+        let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
+        for i in 0..821 {
+            net.send(n(0), n(1), MsgClass::Dsm, P(i));
+        }
+        let link = (n(0), n(1));
+        assert!(net.channels[&link].capacity() >= 821);
+        net.advance();
+        let got: Vec<u64> = std::iter::from_fn(|| net.pop_due())
+            .map(|e| e.payload.0)
+            .collect();
+        assert_eq!(got, (0..821).collect::<Vec<_>>());
+        assert_eq!(net.channels[&link].capacity(), 0, "burst buffer kept");
+        // The link still works, from an empty buffer.
+        net.send(n(0), n(1), MsgClass::Dsm, P(7));
+        net.advance();
+        assert_eq!(net.pop_due().map(|e| e.payload.0), Some(7));
     }
 
     #[test]

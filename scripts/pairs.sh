@@ -11,10 +11,14 @@
 # parent first in odd pairs and the change first in even ones. Each side's
 # result lines are kept in <scratch-dir>/<workload>.<side>.jsonl. Printed per
 # side: median and quartiles of setup_s, ops_per_s and peak_rss_mb, the pairs
-# the change won on each, failed ops and how many runs were correct.
+# the change won on each, failed ops and how many runs were correct. On a sim
+# workload also the median of measured repetitions each side ran (from the
+# benchmark's "# <workload>: N measured repetitions" line, kept in
+# <scratch-dir>/<workload>.<side>.reps): a faster side keeps more repetition
+# records, which is how its peak_rss_mb can rise.
 set -eu
 if [ $# -lt 2 ]; then
-    sed -n '4p' "$0" >&2
+    sed -n '5p' "$0" >&2
     exit 2
 fi
 sha=$1 workload=$2 pairs=${3:-10} seconds=${4:-20}
@@ -35,6 +39,8 @@ cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 runs=$scratch/$workload
 : >"$runs.parent.jsonl"
 : >"$runs.change.jsonl"
+: >"$runs.parent.reps"
+: >"$runs.change.reps"
 i=1
 while [ "$i" -le "$pairs" ]; do
     order="parent change"
@@ -43,7 +49,9 @@ while [ "$i" -le "$pairs" ]; do
         dir=$root
         [ "$side" = parent ] && dir=$parent
         "$dir/$bin" --workload "$workload" --seed $((seed + i - 1)) \
-            --seconds "$seconds" --trace 0 | tail -n 1 >>"$runs.$side.jsonl"
+            --seconds "$seconds" --trace 0 >"$runs.out"
+        tail -n 1 "$runs.out" >>"$runs.$side.jsonl"
+        sed -n "s/^# $workload: \([0-9]*\) measured repetitions.*/\1/p" "$runs.out" >>"$runs.$side.reps"
     done
     echo "pair $i/$pairs done" >&2
     i=$((i + 1))
@@ -77,7 +85,11 @@ for m in setup_s:lower ops_per_s:higher peak_rss_mb:lower; do
     printf '%-12s %-7s %s\n' "$name" parent "$p"
     printf '%-12s %-7s %s %s/%s, x%s\n' "$name" change "$c" "$won" "$pairs" "$ratio"
 done
-rm -f "$runs.p" "$runs.c"
+if [ -s "$runs.parent.reps" ]; then
+    printf '%-12s %-7s %s\n' repetitions parent "$(quartiles <"$runs.parent.reps")"
+    printf '%-12s %-7s %s\n' repetitions change "$(quartiles <"$runs.change.reps")"
+fi
+rm -f "$runs.p" "$runs.c" "$runs.out"
 for side in parent change; do
     failed=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' "$runs.$side.jsonl" | awk '{ s += $1 } END { print s + 0 }')
     correct=$(grep -c '"correct":true' "$runs.$side.jsonl" || true)

@@ -133,6 +133,32 @@ fn token_retention_makes_reacquires_free() {
     assert_eq!(c.net.total_sent(), before, "50 re-reads, zero messages");
 }
 
+/// A node set is one word: the highest node id it holds reads, and the
+/// node that a copy-set could not name is refused where the cluster is
+/// built, with the limit in the message.
+#[test]
+fn a_cluster_holds_at_most_64_nodes() {
+    let mut c = Cluster::new(ClusterConfig::with_nodes(64));
+    let b = c.create_bunch(n(0)).unwrap();
+    let o = c.alloc(n(0), b, &ObjSpec::with_refs(2, &[0])).unwrap();
+    c.add_root(n(0), o);
+    c.map_bunch(n(63), b, n(0)).unwrap();
+    c.acquire_read(n(63), o).unwrap();
+    c.release(n(63), o).unwrap();
+    let oid = c.oid_at(n(0), o).unwrap();
+    assert!(c
+        .engine
+        .obj_state(n(0), oid)
+        .unwrap()
+        .copy_set
+        .contains(n(63)));
+
+    let refused = std::panic::catch_unwind(|| Cluster::new(ClusterConfig::with_nodes(65)));
+    let msg = refused.err().expect("65 nodes refused");
+    let msg = msg.downcast_ref::<String>().expect("a formatted message");
+    assert_eq!(msg, "a cluster has at most 64 nodes, got 65");
+}
+
 /// An envelope that errors mid-tick costs only itself: the next envelope
 /// due in the same tick stays in flight, unstamped, and the next pump
 /// applies it.

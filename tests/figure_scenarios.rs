@@ -282,7 +282,7 @@ fn figure4_intra_ssp_cascade_deletion() {
     // N2 (the owner), so the cleaner at N3 drops N1's entering pointer.
     c.run_bgc(n1, b1).unwrap();
     assert!(
-        !c.engine.obj_state(n3, oid1).unwrap().entering.contains(&n1),
+        !c.engine.obj_state(n3, oid1).unwrap().entering.contains(n1),
         "N1's ownerPtr no longer enters N3"
     );
 
@@ -293,9 +293,9 @@ fn figure4_intra_ssp_cascade_deletion() {
     let s = c.run_bgc(n3, b1).unwrap();
     assert_eq!(s.reclaimed, 0, "O1 must survive at N3 (intra scion)");
     let entering_n2 = &c.engine.obj_state(n2, oid1).unwrap().entering;
-    assert!(entering_n2.contains(&n1), "N1 still enters N2");
+    assert!(entering_n2.contains(n1), "N1 still enters N2");
     assert!(
-        !entering_n2.contains(&n3),
+        !entering_n2.contains(n3),
         "N3's ownerPtr was omitted and cleaned"
     );
 

@@ -73,7 +73,7 @@ fn relocations_fan_out_through_copy_sets() {
         let oid = c.oid_at_local(n0, o).unwrap();
         c.engine
             .obj_state(n1, oid)
-            .map(|s| s.copy_set.contains(&n2))
+            .map(|s| s.copy_set.contains(n2))
             .unwrap_or(false)
     };
     // Trigger an n1 -> n2 protocol message: n2 takes the carrier from n1.
