@@ -1095,10 +1095,6 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
-    let wd_interval = shared
-        .registry
-        .as_ref()
-        .map_or(0, |r| r.watchdog_config().interval.max(1));
     let crashes = shared
         .chaos
         .as_ref()
@@ -1141,23 +1137,19 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
                 _ => {}
             }
         }
-        // `u64::is_multiple_of` needs Rust 1.87; the workspace MSRV is 1.75.
-        #[allow(clippy::manual_is_multiple_of)]
-        if wd_interval > 0 && pulse % wd_interval == 0 {
-            if let Some(reg) = &shared.registry {
-                metrics::evaluate_parallel(reg, pulse, shared.transport.in_flight());
-                // A watchdog alarm is a blackbox trigger: the runtime is
-                // telling us it is wedged or leaking, and the spans that
-                // explain it are still in the rings right now.
-                let total = reg.total_alarms();
-                if total > alarms_seen {
-                    alarms_seen = total;
-                    crate::blackbox::dump_if_armed(
-                        &format!("watchdog alarm (total {total}) at pulse {pulse}"),
-                        Some(reg),
-                        &shared.generations(),
-                    );
-                }
+        metrics::tick(pulse, shared.transport.in_flight());
+        if let Some(reg) = &shared.registry {
+            // A watchdog alarm is a blackbox trigger: the runtime is
+            // telling us it is wedged or leaking, and the spans that
+            // explain it are still in the rings right now.
+            let total = reg.total_alarms();
+            if total > alarms_seen {
+                alarms_seen = total;
+                crate::blackbox::dump_if_armed(
+                    &format!("watchdog alarm (total {total}) at pulse {pulse}"),
+                    Some(reg),
+                    &shared.generations(),
+                );
             }
         }
     }

@@ -1,12 +1,14 @@
-//! The workspace's one JSON codec: a string escaper for the hand-rolled
-//! writers and a deliberately small reader, so tests and tools can prove an
-//! export round-trips through a real parse. (The workspace takes no
-//! serialization dependency.)
+//! The workspace's one JSON codec: a string quoter for the hand-rolled
+//! writers, the one Chrome-trace writer ([`ChromeTrace`]) and a deliberately
+//! small reader, so tests and tools can prove an export round-trips through
+//! a real parse. (The workspace takes no serialization dependency.)
 
 use std::fmt::Write as _;
 
-/// Appends `s` to `out` with JSON string escaping (no surrounding quotes).
-pub fn escape(s: &str, out: &mut String) {
+/// `s` as a JSON string literal, quotes and escapes included.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,13 +22,6 @@ pub fn escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// `s` as a JSON string literal, quotes included.
-pub fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape(s, &mut out);
     out.push('"');
     out
 }
@@ -312,6 +307,103 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     Ok(events)
 }
 
+/// Where a Chrome-trace event is drawn: thread track `tid`, named
+/// `thread`, of process `pid` (node `pid`).
+#[derive(Clone, Copy, Debug)]
+pub struct Track<'a> {
+    pub pid: u32,
+    pub tid: u64,
+    pub thread: &'a str,
+}
+
+/// A value in a Chrome-trace event.
+#[derive(Clone, Copy, Debug)]
+pub enum Arg<'a> {
+    Num(u64),
+    Str(&'a str),
+}
+
+/// A Chrome-trace event's `"key":value` pairs.
+pub type Fields<'a> = [(&'a str, Arg<'a>)];
+
+/// `pairs` as `,"key":value` each.
+fn members(pairs: &Fields) -> String {
+    let each = pairs.iter().map(|(key, val)| match val {
+        Arg::Num(n) => format!(",\"{key}\":{n}"),
+        Arg::Str(s) => format!(",\"{key}\":{}", quoted(s)),
+    });
+    each.collect()
+}
+
+/// The one Chrome `trace_event` writer: the JSON array format that
+/// `chrome://tracing` and Perfetto load and [`validate_chrome_trace`]
+/// checks. The first event on a track also names it: `process_name` once
+/// per pid, `thread_name` once per `(pid, tid)`.
+#[derive(Debug, Default)]
+pub struct ChromeTrace {
+    out: String,
+    named: std::collections::BTreeSet<(u32, u64)>,
+}
+
+impl ChromeTrace {
+    fn write(&mut self, name: &str, ph: &str, at: (u32, u64), fields: &Fields, args: &Fields) {
+        let (pid, tid) = at;
+        let sep = if self.out.is_empty() { "" } else { "," };
+        let (name, fields, args) = (quoted(name), members(fields), members(args));
+        // `args` without the comma before its first member.
+        let args = args.get(1..).unwrap_or_default();
+        let _ = write!(
+            self.out,
+            "{sep}\n{{\"name\":{name},\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid}{fields},\"args\":{{{args}}}}}"
+        );
+    }
+
+    fn event(&mut self, at: Track, name: &str, ph: &str, fields: &Fields, args: &Fields) {
+        let track = (at.pid, at.tid);
+        if !self.named.contains(&track) {
+            if !self.named.iter().any(|&(pid, _)| pid == at.pid) {
+                let node = format!("node {}", at.pid);
+                let args = [("name", Arg::Str(&node))];
+                self.write("process_name", "M", (at.pid, 0), &[], &args);
+            }
+            let args = [("name", Arg::Str(at.thread))];
+            self.write("thread_name", "M", track, &[], &args);
+            self.named.insert(track);
+        }
+        self.write(name, ph, track, fields, args);
+    }
+
+    /// An instant event at `ts` µs.
+    pub fn instant(&mut self, at: Track, name: &str, ts: u64, args: &Fields) {
+        let fields = [("ts", Arg::Num(ts)), ("s", Arg::Str("t"))];
+        self.event(at, name, "i", &fields, args);
+    }
+
+    /// A duration event of category `cat` from `ts` for `dur` µs.
+    pub fn duration(&mut self, at: Track, name: &str, cat: &str, ts: u64, dur: u64, args: &Fields) {
+        let fields = [
+            ("cat", Arg::Str(cat)),
+            ("ts", Arg::Num(ts)),
+            ("dur", Arg::Num(dur)),
+        ];
+        self.event(at, name, "X", &fields, args);
+    }
+
+    /// An event of flow `id` at `ts` µs: `ph` is `s` (start), `t` (step)
+    /// or `f` (finish, which binds to its enclosing slice).
+    pub fn flow(&mut self, at: Track, name: &str, id: u64, ph: &str, ts: u64) {
+        let (cat, id, ts) = (Arg::Str("flow"), Arg::Num(id), Arg::Num(ts));
+        let fields = [("cat", cat), ("id", id), ("ts", ts), ("bp", Arg::Str("e"))];
+        let fields = if ph == "f" { &fields[..] } else { &fields[..3] };
+        self.event(at, name, ph, fields, &[]);
+    }
+
+    /// The finished JSON document.
+    pub fn finish(self) -> String {
+        format!("[{}\n]\n", self.out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,5 +436,45 @@ mod tests {
         assert_eq!(Json::Num(7.0).as_u64(), None);
         let nasty = "q\"uote \\ \n\r\t \u{1} é";
         assert_eq!(parse(&quoted(nasty)).unwrap(), Json::Str(nasty.into()));
+    }
+
+    #[test]
+    fn a_chrome_trace_names_each_track_once_and_reads_back() {
+        let t = |pid, tid, thread| Track { pid, tid, thread };
+        let mut doc = ChromeTrace::default();
+        doc.instant(t(0, 1, "net"), "MsgSend", 5, &[("lamport", Arg::Num(1))]);
+        doc.instant(t(0, 1, "net"), "MsgDrop", 6, &[]);
+        doc.duration(
+            t(1, 2, "w\"eird\n"),
+            "apply",
+            "span",
+            7,
+            3,
+            &[("who", Arg::Str("x\"y"))],
+        );
+        doc.flow(t(0, 1, "net"), "f", 9, "s", 5);
+        doc.flow(t(1, 2, "w\"eird\n"), "f", 9, "f", 7);
+        let text = doc.finish();
+        assert_eq!(validate_chrome_trace(&text), Ok(5));
+        let Json::Arr(evs) = parse(&text).unwrap() else {
+            panic!("not an array");
+        };
+        let meta = |what: &str| {
+            evs.iter()
+                .filter(|e| e.get("name") == Some(&Json::Str(what.into())))
+                .count()
+        };
+        assert_eq!(meta("process_name"), 2, "one per pid");
+        assert_eq!(meta("thread_name"), 2, "one per (pid, tid)");
+        let apply = evs
+            .iter()
+            .find(|e| e.get("ph") == Some(&Json::Str("X".into())))
+            .unwrap();
+        assert_eq!(apply.get("dur"), Some(&Json::Int(3)));
+        assert_eq!(
+            apply.get("args").unwrap().get("who"),
+            Some(&Json::Str("x\"y".into()))
+        );
+        assert_eq!(ChromeTrace::default().finish(), "[\n]\n");
     }
 }

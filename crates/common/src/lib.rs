@@ -6,7 +6,9 @@
 //! reference-maps ([`bitmap`]), instrumentation counters ([`stats`]), the
 //! common error type ([`error`]), a small deterministic RNG ([`rng`]), a
 //! seedless hasher for id-keyed maps built on its mixer ([`hash`]), a
-//! one-word set of nodes ([`nodeset`]) and the one JSON codec ([`json`]).
+//! one-word set of nodes ([`nodeset`]), the one JSON codec and Chrome-trace
+//! writer ([`json`]) and the one recorder of the trace and profile planes
+//! ([`recorder`]).
 //!
 //! Nothing here knows about the network, the DSM protocol or the collector;
 //! keeping these types dependency-free lets the substrate crates share them
@@ -21,6 +23,7 @@ pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod nodeset;
+pub mod recorder;
 pub mod rng;
 pub mod shared;
 pub mod stats;

@@ -44,7 +44,7 @@ pub mod watchdog;
 
 pub use histogram::{Histogram, BUCKETS};
 pub use registry::{Ctr, Gge, Hst, LinkCtr, LinkScope, NodeScope, Registry, Snapshot};
-pub use watchdog::{evaluate_parallel, inject_alarm, WatchdogConfig};
+pub use watchdog::{inject_alarm, WatchdogConfig};
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -97,8 +97,16 @@ pub fn registry() -> Option<Arc<Registry>> {
     REGISTRY.with(|r| r.borrow().clone())
 }
 
-#[cold]
+/// Runs `f` on this thread's registry: one flag check when disabled.
+#[inline]
 fn with_registry(f: impl FnOnce(&Registry)) {
+    if enabled() {
+        with_installed(f);
+    }
+}
+
+#[cold]
+fn with_installed(f: impl FnOnce(&Registry)) {
     REGISTRY.with(|r| {
         if let Some(reg) = r.borrow().as_ref() {
             f(reg);
@@ -115,27 +123,18 @@ pub fn bump(node: NodeId, c: Ctr) {
 /// Adds `n` to `node`'s counter `c`. No-op when disabled.
 #[inline]
 pub fn add(node: NodeId, c: Ctr, n: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.node(node.0).add(c, n));
 }
 
 /// Sets `node`'s gauge `g` to `v`. No-op when disabled.
 #[inline]
 pub fn gauge_set(node: NodeId, g: Gge, v: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.node(node.0).set(g, v));
 }
 
 /// Adds `n` to `node`'s gauge `g`. No-op when disabled.
 #[inline]
 pub fn gauge_add(node: NodeId, g: Gge, n: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.node(node.0).gauge_add(g, n));
 }
 
@@ -143,55 +142,38 @@ pub fn gauge_add(node: NodeId, g: Gge, n: u64) {
 /// disabled.
 #[inline]
 pub fn gauge_sub(node: NodeId, g: Gge, n: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.node(node.0).gauge_sub(g, n));
 }
 
 /// Records `v` into `node`'s histogram `h`. No-op when disabled.
 #[inline]
 pub fn observe(node: NodeId, h: Hst, v: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.node(node.0).observe(h, v));
 }
 
 /// Adds `n` to the `(src, dst)` link counter `c`. No-op when disabled.
 #[inline]
 pub fn link(src: NodeId, dst: NodeId, c: LinkCtr, n: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.link(src.0, dst.0).add(c, n));
 }
 
 /// Binds `node`'s live simulation-counter cells to the registry (see
 /// `NodeStats::handle`). No-op when disabled.
 pub fn bind_stats(node: NodeId, stats: NodeStats) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.bind_stats(node.0, stats));
 }
 
 /// Records `bunch`'s live bytes as accounted at `node`'s last collection
 /// of it. No-op when disabled.
 pub fn set_bunch_live_bytes(node: NodeId, bunch: u64, bytes: u64) {
-    if !enabled() {
-        return;
-    }
     with_registry(|reg| reg.set_bunch_live_bytes(node.0, bunch, bytes));
 }
 
-/// Clock pulse from the network's `tick()`: runs the watchdogs every
-/// [`WatchdogConfig::interval`] ticks. No-op when disabled.
+/// The mode's one clock pulse (`Network::advance`, or the supervisor's on
+/// threads) with the messages in flight as `pending_work` (0 in the
+/// simulation): runs the watchdogs every [`WatchdogConfig::interval`] ticks.
 #[inline]
-pub fn tick(now: u64) {
-    if !enabled() {
-        return;
-    }
+pub fn tick(now: u64, pending_work: u64) {
     with_registry(|reg| {
         // Not `u64::is_multiple_of` (Rust 1.87; the workspace MSRV is
         // 1.75). A zero interval evaluates at tick 0 only, as it did.
@@ -199,7 +181,7 @@ pub fn tick(now: u64) {
             .checked_rem(reg.cfg.interval)
             .map_or(now == 0, |r| r == 0);
         if due {
-            watchdog::evaluate(reg, now);
+            watchdog::evaluate(reg, now, pending_work);
         }
     });
 }
@@ -226,7 +208,7 @@ mod tests {
         gauge_set(n(0), Gge::ScionTableSize, 9);
         observe(n(0), Hst::BgcPauseMicros, 5);
         link(n(0), n(1), LinkCtr::Send, 1);
-        tick(0);
+        tick(0, 0);
         assert!(registry().is_none());
         assert!(snapshot().entries.is_empty());
     }
@@ -258,11 +240,11 @@ mod tests {
             retry_window: 0,
             ..WatchdogConfig::default()
         });
-        tick(0); // primes baselines (queue still empty)
+        tick(0, 0); // primes baselines (queue still empty)
         gauge_set(n(0), Gge::RetryQueueDepth, 5);
-        tick(5); // off-interval: ignored
+        tick(5, 0); // off-interval: ignored
         assert_eq!(reg.alarms(bmx_trace::AlarmKind::RetryStorm), 0);
-        tick(10); // evaluates: depth 5 >= 1 sustained >= 0 ticks
+        tick(10, 0); // evaluates: depth 5 >= 1 sustained >= 0 ticks
         assert_eq!(reg.alarms(bmx_trace::AlarmKind::RetryStorm), 1);
         disable();
     }

@@ -349,11 +349,6 @@ impl Registry {
         }
     }
 
-    /// The watchdog tuning in force.
-    pub fn watchdog_config(&self) -> &WatchdogConfig {
-        &self.cfg
-    }
-
     /// This node's scope, created on demand.
     pub fn node(&self, node: u32) -> Arc<NodeScope> {
         let idx = node as usize;

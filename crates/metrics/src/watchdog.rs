@@ -57,9 +57,8 @@ pub struct WatchdogConfig {
     /// progress total ([`Ctr::ParallelOps`] + [`Ctr::ParallelDeliveries`])
     /// may sit frozen *while messages are in flight* before
     /// [`AlarmKind::ProgressStall`] fires. Quiet clusters (no pending
-    /// work) never alarm, so idle time is fine; the detector is only run
-    /// from [`evaluate_parallel`], so the deterministic simulation is
-    /// untouched.
+    /// work) never alarm, so idle time is fine; the simulation passes no
+    /// pending work, so it never alarms either.
     pub progress_window: u64,
 }
 
@@ -138,60 +137,23 @@ pub fn inject_alarm(reg: &Registry, node: u32, kind: AlarmKind) {
     fire(reg, node, kind, 0, 0);
 }
 
-/// Runs every detector against the registry's current readings, plus the
-/// parallel-only progress-stall detector: `pending_work` is the
-/// transport's `in_flight()` reading. While it stays nonzero and the
-/// cluster-wide progress total (completed ops + applied deliveries)
-/// never advances for [`WatchdogConfig::progress_window`] ticks, the
-/// runtime is livelocked or deadlocked — [`AlarmKind::ProgressStall`]
-/// fires once (at node 0, as the cluster-wide designee) and latches
-/// until progress resumes. The parallel runtime's supervisor calls this;
-/// the tick simulation keeps calling [`evaluate`], which never runs this
-/// detector.
-pub fn evaluate_parallel(reg: &Registry, now: u64, pending_work: u64) {
-    evaluate(reg, now);
-    let cfg = reg.cfg;
-    let n = reg.node_count();
-    if n == 0 {
-        return;
-    }
-    let progress: u64 = (0..n as u32)
-        .map(|i| {
-            let scope = reg.node(i);
-            scope.ctr(Ctr::ParallelOps) + scope.ctr(Ctr::ParallelDeliveries)
-        })
-        .sum();
-    let mut wd = reg.watchdog.lock().expect("watchdog lock");
-    if progress != wd.pg_last || pending_work == 0 {
-        wd.pg_last = progress;
-        wd.pg_since = None;
-        wd.pg_latched = false;
-        return;
-    }
-    let since = *wd.pg_since.get_or_insert(now);
-    if !wd.pg_latched && now.saturating_sub(since) >= cfg.progress_window {
-        wd.pg_latched = true;
-        drop(wd);
-        fire(reg, 0, AlarmKind::ProgressStall, pending_work, since);
-    }
-}
-
 /// Runs every detector against the registry's current readings.
-pub(crate) fn evaluate(reg: &Registry, now: u64) {
+/// `pending_work` is the messages in flight: the transport's
+/// `in_flight()` on threads, 0 in the tick simulation. While it stays
+/// nonzero and the cluster-wide progress total (completed ops + applied
+/// deliveries) never advances for [`WatchdogConfig::progress_window`]
+/// ticks, the runtime is livelocked or deadlocked —
+/// [`AlarmKind::ProgressStall`] fires once (at node 0, as the
+/// cluster-wide designee) and latches until progress resumes.
+pub(crate) fn evaluate(reg: &Registry, now: u64, pending_work: u64) {
     let cfg = reg.cfg;
     let n = reg.node_count();
     if n == 0 {
         return;
     }
     let trace_on = bmx_trace::enabled();
-    let global_clock = if trace_on {
-        (0..n as u32)
-            .map(|i| bmx_trace::clock(NodeId(i)))
-            .max()
-            .unwrap_or(0)
-    } else {
-        0
-    };
+    let clocks = (0..n as u32).map(|i| bmx_trace::clock(NodeId(i)));
+    let global_clock = clocks.max().unwrap_or(0);
 
     let mut wd = reg.watchdog.lock().expect("watchdog lock");
     if wd.nodes.len() < n {
@@ -280,6 +242,26 @@ pub(crate) fn evaluate(reg: &Registry, now: u64) {
             }
         }
     }
+
+    // --- Progress stall: work in flight, nothing completing. ---
+    let progress: u64 = (0..n as u32)
+        .map(|i| {
+            let scope = reg.node(i);
+            scope.ctr(Ctr::ParallelOps) + scope.ctr(Ctr::ParallelDeliveries)
+        })
+        .sum();
+    if progress != wd.pg_last || pending_work == 0 {
+        wd.pg_last = progress;
+        wd.pg_since = None;
+        wd.pg_latched = false;
+        return;
+    }
+    let since = *wd.pg_since.get_or_insert(now);
+    if !wd.pg_latched && now.saturating_sub(since) >= cfg.progress_window {
+        wd.pg_latched = true;
+        drop(wd);
+        fire(reg, 0, AlarmKind::ProgressStall, pending_work, since);
+    }
 }
 
 #[cfg(test)]
@@ -304,17 +286,17 @@ mod tests {
         let r = reg();
         let n0 = r.node(0);
         n0.set(Gge::FromSpaceRetainedWords, 512);
-        evaluate(&r, 0); // primes baselines
+        evaluate(&r, 0, 0); // primes baselines
         for t in 1..=90 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.alarms(AlarmKind::FromSpaceLeak), 0, "window not elapsed");
         // One drain resets the episode...
         n0.set(Gge::FromSpaceRetainedWords, 500);
-        evaluate(&r, 95);
+        evaluate(&r, 95, 0);
         assert_eq!(n0.ctr(Ctr::FromSpaceDrains), 1);
         for t in 96..=190 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(
             r.alarms(AlarmKind::FromSpaceLeak),
@@ -323,10 +305,10 @@ mod tests {
         );
         // ...but stuck-nonzero retention eventually fires, exactly once.
         for t in 191..=300 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.alarms(AlarmKind::FromSpaceLeak), 1);
-        evaluate(&r, 301);
+        evaluate(&r, 301, 0);
         assert_eq!(r.alarms(AlarmKind::FromSpaceLeak), 1, "latched");
     }
 
@@ -335,7 +317,7 @@ mod tests {
         let r = reg();
         r.node(0);
         for t in 0..500 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.total_alarms(), 0);
     }
@@ -347,7 +329,7 @@ mod tests {
         let mut t = 0;
         let feed = |r: &Registry, v: u64, t: &mut u64| {
             n0.set(Gge::ScionTableSize, v);
-            evaluate(r, *t);
+            evaluate(r, *t, 0);
             *t += 1;
         };
         feed(&r, 10, &mut t); // baseline
@@ -369,27 +351,27 @@ mod tests {
         let n0 = r.node(0);
         n0.set(Gge::RetryQueueDepth, 6);
         for t in 0..30 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         n0.set(Gge::RetryQueueDepth, 1); // drained before the window
-        evaluate(&r, 30);
+        evaluate(&r, 30, 0);
         n0.set(Gge::RetryQueueDepth, 6);
         for t in 31..100 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.alarms(AlarmKind::RetryStorm), 1);
     }
 
     #[test]
     fn clock_stall_ignores_global_quiescence() {
-        bmx_trace::install_vec();
+        bmx_trace::install(bmx_trace::UNBOUNDED);
         let r = reg();
         r.node(0);
         r.node(1);
-        evaluate(&r, 0); // primes
-                         // Nobody emits anything: both clocks frozen, no alarm.
+        evaluate(&r, 0, 0); // primes
+                            // Nobody emits anything: both clocks frozen, no alarm.
         for t in 1..200 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.alarms(AlarmKind::ClockStall), 0, "quiescence is fine");
         // Node 1 races ahead while node 0 stays frozen.
@@ -400,7 +382,7 @@ mod tests {
                     oid: bmx_common::Oid(1),
                 },
             );
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.alarms(AlarmKind::ClockStall), 1);
         bmx_trace::disable();
@@ -411,39 +393,39 @@ mod tests {
         let r = reg();
         let n0 = r.node(0);
         n0.add(Ctr::ParallelOps, 10);
-        evaluate_parallel(&r, 0, 5); // primes
-                                     // Pending work but progress keeps advancing: no alarm.
+        evaluate(&r, 0, 5); // primes
+                            // Pending work but progress keeps advancing: no alarm.
         for t in 1..100 {
             n0.add(Ctr::ParallelDeliveries, 1);
-            evaluate_parallel(&r, t, 5);
+            evaluate(&r, t, 5);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 0, "progress is fine");
         // Idle cluster (nothing pending) with frozen progress: no alarm.
         for t in 100..200 {
-            evaluate_parallel(&r, t, 0);
+            evaluate(&r, t, 0);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 0, "idle is fine");
         // Frozen progress while messages are in flight: fires, once.
         for t in 200..300 {
-            evaluate_parallel(&r, t, 5);
+            evaluate(&r, t, 5);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 1);
         assert_eq!(r.last_alarm(0), Some(AlarmKind::ProgressStall));
         for t in 300..350 {
-            evaluate_parallel(&r, t, 5);
+            evaluate(&r, t, 5);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 1, "latched");
         // Progress resumes: the latch clears, a fresh stall re-fires.
         n0.add(Ctr::ParallelOps, 1);
         for t in 350..450 {
-            evaluate_parallel(&r, t, 5);
+            evaluate(&r, t, 5);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 2);
     }
 
     #[test]
     fn alarm_event_carries_a_witness_from_the_node_clock() {
-        bmx_trace::install_vec();
+        bmx_trace::install(bmx_trace::UNBOUNDED);
         let r = reg();
         let n0 = r.node(0);
         // Give node 0 some causal history to witness.
@@ -455,7 +437,7 @@ mod tests {
         );
         n0.set(Gge::RetryQueueDepth, 100);
         for t in 0..=60 {
-            evaluate(&r, t);
+            evaluate(&r, t, 0);
         }
         let recs = bmx_trace::take();
         let alarm = recs

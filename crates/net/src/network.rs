@@ -421,7 +421,7 @@ impl<M: WireSize + Clone> Network<M> {
         self.now += 1;
         trace::set_now(self.now);
         self.apply_fault_transitions();
-        metrics::tick(self.now);
+        metrics::tick(self.now, 0);
     }
 
     /// Pops the head of the first channel, in `(src, dst)` order, whose head
@@ -768,7 +768,7 @@ mod tests {
     #[test]
     fn an_egress_takes_the_envelope_at_once_and_delivery_is_stamped_on_return() {
         use std::sync::{Arc, Mutex};
-        trace::install_vec();
+        trace::install(trace::UNBOUNDED);
         let out: Arc<Mutex<Vec<Envelope<P>>>> = Arc::default();
         let sink = Arc::clone(&out);
         let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
@@ -811,7 +811,7 @@ mod tests {
 
     #[test]
     fn pop_due_takes_one_due_head_at_a_time_in_channel_order() {
-        trace::install_vec();
+        trace::install(trace::UNBOUNDED);
         let mut net: Network<P> = Network::new(NetworkConfig::lossless(1));
         net.send(n(1), n(0), MsgClass::Dsm, P(10));
         net.send(n(0), n(1), MsgClass::Dsm, P(1));

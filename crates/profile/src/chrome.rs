@@ -1,112 +1,60 @@
 //! Chrome/Perfetto export for wall-clock spans.
 //!
-//! Same hand-rolled writer idiom as `bmx_trace::chrome`, on the same codec
-//! ([`bmx_common::json`]), but where
-//! the causal export emits instant events at Lamport positions, this one
-//! emits *duration* events (`"ph":"X"`) at real microseconds since the
-//! profiler epoch: `pid` = node, `tid` = OS thread (named via `"M"`
-//! metadata events). Spans sharing a nonzero flow id are stitched with
-//! flow events (`"ph":"s"/"t"/"f"`), so a cross-node acquire renders as
-//! one connected track in the Perfetto UI ("Flow events" toggle).
+//! Where the causal export (`bmx_trace::chrome`) emits instant events at
+//! Lamport positions, this one emits *duration* events (`"ph":"X"`) at
+//! real microseconds since the profiler epoch: `pid` = node, `tid` = OS
+//! thread. Spans sharing a nonzero flow id are stitched with flow events
+//! (`"ph":"s"/"t"/"f"`), so a cross-node acquire renders as one connected
+//! track in the Perfetto UI ("Flow events" toggle). Both are written by
+//! the workspace's one Chrome writer ([`ChromeTrace`]).
 //!
 //! Load via <https://ui.perfetto.dev> or `chrome://tracing`.
 
 use std::collections::BTreeMap;
 
-use bmx_common::json::quoted;
+use bmx_common::json::{Arg, ChromeTrace, Track};
 
 use crate::ThreadSpans;
 
-/// A span's coordinates in the exported trace, for flow stitching.
-#[derive(Clone, Copy)]
-struct FlowPoint {
-    pid: u32,
-    tid: usize,
-    ts: u64,
-}
-
 /// Renders thread snapshots (from [`crate::snapshot_all`]) as a Chrome
 /// trace JSON string. `tid` is the 1-based index into `threads`; every
-/// `(pid, tid)` pair that appears gets `process_name`/`thread_name`
-/// metadata so the Perfetto UI shows "node N" / the OS thread name.
+/// `(pid, tid)` pair that appears is named "node N" / the OS thread name.
 pub fn export(threads: &[ThreadSpans]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    // (pid, tid) -> thread name; pid set for process_name metadata.
-    let mut tracks: BTreeMap<(u32, usize), &str> = BTreeMap::new();
-    // flow id -> points, in encounter order (sorted by ts before emit).
-    let mut flows: BTreeMap<u64, Vec<FlowPoint>> = BTreeMap::new();
-
+    let mut doc = ChromeTrace::default();
+    // flow id -> (ts, track) of its spans, in encounter order.
+    let mut flows: BTreeMap<u64, Vec<(u64, Track)>> = BTreeMap::new();
     for (idx, t) in threads.iter().enumerate() {
-        let tid = idx + 1;
         for rec in &t.spans {
-            tracks.entry((rec.node, tid)).or_insert(&t.name);
-            events.push(format!(
-                "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"flow\":{}}}}}",
-                quoted(rec.kind.name()),
-                rec.node,
-                tid,
-                rec.start_us,
-                rec.dur_us,
-                rec.flow
-            ));
+            let at = Track {
+                pid: rec.node,
+                tid: idx as u64 + 1,
+                thread: &t.name,
+            };
+            let args = [("flow", Arg::Num(rec.flow))];
+            doc.duration(at, rec.kind.name(), "span", rec.start_us, rec.dur_us, &args);
             if rec.flow != 0 {
-                flows.entry(rec.flow).or_default().push(FlowPoint {
-                    pid: rec.node,
-                    tid,
-                    ts: rec.start_us,
-                });
+                flows.entry(rec.flow).or_default().push((rec.start_us, at));
             }
         }
     }
-
-    let mut pids_named = std::collections::BTreeSet::new();
-    for (&(pid, tid), name) in &tracks {
-        if pids_named.insert(pid) {
-            events.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"node {pid}\"}}}}"
-            ));
-        }
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":{}}}}}",
-            quoted(name)
-        ));
-    }
-
     // Flow stitching: start at the earliest span, step through the rest,
     // finish at the last. Singleton flows have nothing to connect.
     for (&flow, points) in flows.iter_mut() {
         if points.len() < 2 {
             continue;
         }
-        points.sort_by_key(|p| p.ts);
+        points.sort_by_key(|&(ts, _)| ts);
         let last = points.len() - 1;
-        for (i, p) in points.iter().enumerate() {
-            let ph = if i == 0 {
-                "s"
-            } else if i == last {
-                "f"
-            } else {
-                "t"
+        for (i, &(ts, at)) in points.iter().enumerate() {
+            let ph = match i {
+                0 => "s",
+                i if i == last => "f",
+                _ => "t",
             };
-            let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-            events.push(format!(
-                "{{\"name\":\"acquire-flow\",\"cat\":\"flow\",\"ph\":\"{ph}\",\"id\":{flow},\
-                 \"pid\":{},\"tid\":{},\"ts\":{}{bp}}}",
-                p.pid, p.tid, p.ts
-            ));
+            doc.flow(at, "acquire-flow", flow, ph, ts);
         }
     }
-
-    // Bare-array trace form, same as the causal export: both Perfetto
-    // and chrome://tracing accept it, and `bmx_trace::chrome::validate`
-    // checks it.
-    let mut out = String::from("[");
-    out.push_str(&events.join(",\n"));
-    out.push_str("]\n");
-    out
+    doc.finish()
 }
 
 #[cfg(test)]

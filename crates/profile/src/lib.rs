@@ -5,8 +5,8 @@
 //! *microseconds* of a blocking acquire went: parked on the wake cell,
 //! waiting on the protocol mutex, or stalled behind a slow driver apply.
 //! This crate records typed wall-clock spans into bounded per-thread
-//! rings so the parallel runtime can be profiled end to end without
-//! perturbing it:
+//! rings — the workspace's one recorder, [`bmx_common::recorder`] — so
+//! the parallel runtime can be profiled end to end without perturbing it:
 //!
 //! * **Allocation-free hot path.** Recording a span is a monotonic
 //!   [`Instant`] read plus a write into a pre-sized ring slot; the ring
@@ -28,10 +28,11 @@
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use bmx_common::recorder::{LocalRing, Registry};
 use bmx_common::NodeId;
 
 pub mod chrome;
@@ -39,7 +40,6 @@ pub mod chrome;
 /// What a span measured. Names are the stable strings that reach the
 /// Perfetto export and the blackbox dump.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
 pub enum SpanKind {
     /// A whole mutator-side acquire, submit to locked (or failure).
     Acquire,
@@ -129,61 +129,14 @@ pub struct ThreadSpans {
     pub spans: Vec<SpanRec>,
 }
 
-/// Bounded overwrite-oldest span buffer.
-struct Ring {
-    buf: Vec<SpanRec>,
-    /// Total pushes ever; `written % cap` is the next slot once full.
-    written: u64,
-    cap: usize,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Self {
-        Ring {
-            buf: Vec::with_capacity(cap),
-            written: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn push(&mut self, rec: SpanRec) {
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else {
-            let slot = (self.written % self.cap as u64) as usize;
-            self.buf[slot] = rec;
-        }
-        self.written += 1;
-    }
-
-    /// Oldest-first copy of the live contents.
-    fn drain_ordered(&self) -> Vec<SpanRec> {
-        if self.buf.len() < self.cap {
-            return self.buf.clone();
-        }
-        let split = (self.written % self.cap as u64) as usize;
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[split..]);
-        out.extend_from_slice(&self.buf[..split]);
-        out
-    }
-}
-
-struct ThreadRing {
-    name: String,
-    ring: Mutex<Ring>,
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SESSION: AtomicU64 = AtomicU64::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(4096);
 static NEXT_FLOW: AtomicU64 = AtomicU64::new(1);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static THREADS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+static SPANS: Registry<SpanRec> = Registry::new();
 
 thread_local! {
-    /// (session the ring was registered under, the ring itself).
-    static LOCAL: RefCell<Option<(u64, Arc<ThreadRing>)>> = const { RefCell::new(None) };
+    /// This thread's ring in [`SPANS`].
+    static LOCAL: LocalRing<SpanRec> = const { RefCell::new(None) };
     /// The distributed flow the current thread is working for.
     static FLOW: Cell<u64> = const { Cell::new(0) };
 }
@@ -193,16 +146,14 @@ thread_local! {
 /// dropped, flow ids keep climbing (they must stay unique per process).
 pub fn enable(per_thread_capacity: usize) {
     let _ = EPOCH.set(Instant::now());
-    CAPACITY.store(per_thread_capacity.max(16), Ordering::Relaxed);
-    THREADS.lock().unwrap().clear();
-    SESSION.fetch_add(1, Ordering::Relaxed);
+    SPANS.start(per_thread_capacity.max(16));
     ENABLED.store(true, Ordering::Release);
 }
 
 /// Turns the profiler off and drops all recorded spans.
 pub fn disable() {
     ENABLED.store(false, Ordering::Release);
-    THREADS.lock().unwrap().clear();
+    SPANS.clear();
 }
 
 /// Whether spans are being recorded. One relaxed atomic load.
@@ -220,63 +171,27 @@ pub fn now_us() -> u64 {
         .unwrap_or(0)
 }
 
-#[cold]
-fn register_thread() -> Arc<ThreadRing> {
-    let name = std::thread::current().name().unwrap_or("?").to_string();
-    let tr = Arc::new(ThreadRing {
-        name,
-        ring: Mutex::new(Ring::new(CAPACITY.load(Ordering::Relaxed))),
-    });
-    THREADS.lock().unwrap().push(Arc::clone(&tr));
-    tr
-}
-
-/// Pushes `rec` into the calling thread's ring (registering the thread
-/// under the current session first if needed).
-fn push(rec: SpanRec) {
-    let session = SESSION.load(Ordering::Relaxed);
-    LOCAL.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let stale = match &*slot {
-            Some((s, _)) => *s != session,
-            None => true,
-        };
-        if stale {
-            *slot = Some((session, register_thread()));
-        }
-        let (_, tr) = slot.as_ref().expect("just registered");
-        tr.ring.lock().unwrap().push(rec);
-    });
-}
-
 /// Records a closed span directly (used by callers that already hold
 /// both endpoints, e.g. the BGC phase clock).
 pub fn record(kind: SpanKind, node: NodeId, start_us: u64, dur_us: u64) {
     if !enabled() {
         return;
     }
-    push(SpanRec {
+    let rec = SpanRec {
         kind,
         node: node.0,
         start_us,
         dur_us,
         flow: current_flow(),
-    });
+    };
+    SPANS.record(&LOCAL, rec);
 }
 
 /// Records a zero-duration mark at now (e.g. the reserve-claim instant).
 pub fn mark(kind: SpanKind, node: NodeId) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record(kind, node, now_us(), 0);
     }
-    let now = now_us();
-    push(SpanRec {
-        kind,
-        node: node.0,
-        start_us: now,
-        dur_us: 0,
-        flow: current_flow(),
-    });
 }
 
 /// An in-flight span; records on drop. Inert (all-`None`) when the
@@ -305,14 +220,14 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(s) = self.armed.take() {
-            let end = now_us();
-            push(SpanRec {
+            let rec = SpanRec {
                 kind: s.kind,
                 node: s.node,
                 start_us: s.start_us,
-                dur_us: end.saturating_sub(s.start_us),
+                dur_us: now_us().saturating_sub(s.start_us),
                 flow: s.flow.unwrap_or_else(current_flow),
-            });
+            };
+            SPANS.record(&LOCAL, rec);
         }
     }
 }
@@ -400,13 +315,9 @@ pub fn flow_scope(flow: u64) -> FlowScope {
 /// thread) without draining the rings. Thread order is registration
 /// order; names repeat if two threads share one.
 pub fn snapshot_all() -> Vec<ThreadSpans> {
-    let threads = THREADS.lock().unwrap();
+    let threads = SPANS.snapshot().into_iter();
     threads
-        .iter()
-        .map(|tr| ThreadSpans {
-            name: tr.name.clone(),
-            spans: tr.ring.lock().unwrap().drain_ordered(),
-        })
+        .map(|(name, spans)| ThreadSpans { name, spans })
         .collect()
 }
 
@@ -415,7 +326,7 @@ mod tests {
     use super::*;
 
     /// Profiler state is process-global; tests in this crate share it.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(|p| p.into_inner())
@@ -455,18 +366,19 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let mut r = Ring::new(4);
-        for i in 0..7u64 {
-            r.push(SpanRec {
-                kind: SpanKind::AcquirePoll,
-                node: 0,
-                start_us: i,
-                dur_us: 0,
-                flow: 0,
-            });
+        let _serial = lock();
+        enable(16);
+        for i in 0..20u64 {
+            record(SpanKind::AcquirePoll, NodeId(0), i, 0);
         }
-        let got: Vec<u64> = r.drain_ordered().iter().map(|s| s.start_us).collect();
-        assert_eq!(got, vec![3, 4, 5, 6], "last-N, oldest first");
+        let snap = snapshot_all();
+        let got: Vec<u64> = snap
+            .iter()
+            .flat_map(|t| t.spans.iter())
+            .map(|s| s.start_us)
+            .collect();
+        assert_eq!(got, (4..20).collect::<Vec<_>>(), "last-N, oldest first");
+        disable();
     }
 
     #[test]

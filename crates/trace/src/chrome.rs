@@ -3,16 +3,14 @@
 //! The output is the "JSON array format" understood by `chrome://tracing`
 //! and Perfetto (<https://ui.perfetto.dev>): one process per node, one
 //! thread per subsystem, every record an instant event (`"ph": "i"`) with
-//! its causal stamps in `args`. The writer is hand-rolled on the
-//! workspace's one JSON codec ([`bmx_common::json`]), whose reader is
-//! re-exported here so tests can prove the export round-trips through a
-//! real parse.
+//! its causal stamps in `args`. It is written by the workspace's one
+//! Chrome writer ([`ChromeTrace`]), whose reader is re-exported here so
+//! tests can prove the export round-trips through a real parse.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use bmx_common::json::escape;
 pub use bmx_common::json::{parse, validate_chrome_trace as validate, Json};
+use bmx_common::json::{Arg, ChromeTrace, Track};
 
 use crate::event::TraceRecord;
 
@@ -23,92 +21,48 @@ use crate::event::TraceRecord;
 /// there are.
 const US_PER_TICK: u64 = 1_000;
 
-fn push_str_field(out: &mut String, key: &str, val: &str) {
-    let _ = write!(out, "\"{key}\":\"");
-    escape(val, out);
-    out.push('"');
-}
+/// Every subsystem's track, in tid order (tid = index + 1): each
+/// [`TraceEvent::subsystem`](crate::TraceEvent::subsystem) has its own.
+const TRACKS: [&str; 8] = [
+    "net", "dsm", "gc", "cleaner", "mutator", "fault", "recovery", "metrics",
+];
 
 /// Render `records` as a Chrome-trace JSON array. The records are sorted
 /// into the merged happens-before order first, so timestamps within a
 /// tick respect causality.
 pub fn export(records: &[TraceRecord]) -> String {
     let ordered = crate::query::merged_order(records);
-    let mut out = String::with_capacity(ordered.len() * 160 + 256);
-    out.push('[');
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-    };
-
-    // Metadata: name each pid after its node and each tid after its
-    // subsystem track.
-    let mut named: Vec<(u32, &'static str)> = Vec::new();
-    for rec in &ordered {
-        let pid = rec.node.0;
-        let tid_name = rec.event.subsystem();
-        if !named.iter().any(|&(p, t)| p == pid && t == tid_name) {
-            if !named.iter().any(|&(p, _)| p == pid) {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"node {pid}\"}}}}"
-                );
-            }
-            let tid = tid_index(tid_name);
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{tid_name}\"}}}}"
-            );
-            named.push((pid, tid_name));
-        }
-    }
-
-    // Events: ts = tick in µs plus the record's share of the tick, by its
-    // rank among the tick's records in merged order.
+    // ts = tick in µs plus the record's share of the tick, by its rank
+    // among the tick's records in merged order.
     let mut per_tick: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // (records, next rank)
     for rec in &ordered {
         per_tick.entry(rec.tick).or_default().0 += 1;
     }
+    let mut doc = ChromeTrace::default();
     for rec in &ordered {
         let (count, rank) = per_tick.get_mut(&rec.tick).expect("counted above");
         let ts = rec.tick * US_PER_TICK + *rank * US_PER_TICK / *count;
         *rank += 1;
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\"ts\":{ts},\
-             \"args\":{{\"lamport\":{},\"tick\":{},",
-            rec.event.name(),
-            rec.node.0,
-            tid_index(rec.event.subsystem()),
-            rec.lamport,
-            rec.tick,
-        );
-        push_str_field(&mut out, "detail", &rec.event.to_string());
-        out.push_str("}}");
+        let thread = rec.event.subsystem();
+        let track = TRACKS.iter().position(|&t| t == thread);
+        let tid = track.expect("every subsystem has a track") as u64 + 1;
+        let at = Track {
+            pid: rec.node.0,
+            tid,
+            thread,
+        };
+        let detail = rec.event.to_string();
+        // A derived `Debug` starts with the variant's name.
+        let debug = format!("{:?}", rec.event);
+        let name = debug.split(' ').next().unwrap_or_default();
+        let args = [
+            ("lamport", Arg::Num(rec.lamport)),
+            ("tick", Arg::Num(rec.tick)),
+            ("detail", Arg::Str(&detail)),
+        ];
+        doc.instant(at, name, ts, &args);
     }
-    out.push_str("\n]\n");
-    out
-}
-
-fn tid_index(subsystem: &str) -> u32 {
-    match subsystem {
-        "net" => 1,
-        "dsm" => 2,
-        "gc" => 3,
-        "cleaner" => 4,
-        "mutator" => 5,
-        "fault" => 6,
-        _ => 7,
-    }
+    doc.finish()
 }
 
 #[cfg(test)]
@@ -147,6 +101,46 @@ mod tests {
         assert_eq!(at(7_000), 3, "three records share each microsecond");
         assert_eq!(at(7_999), 3, "the last one included");
         assert_eq!(at(8_000), 0, "and none spills into the next tick");
+    }
+
+    /// `recovery` and `metrics` once shared tid 7, which then carried two
+    /// `thread_name` records and drew one subsystem's events under the
+    /// other's label.
+    #[test]
+    fn each_subsystem_has_its_own_named_track() {
+        use crate::event::AlarmKind;
+        let mut alarm = rec(0, 2, 2, 2);
+        alarm.event = TraceEvent::MetricAlarm {
+            kind: AlarmKind::RetryStorm,
+            value: 1,
+            since_tick: 0,
+            witness_lamport: 1,
+        };
+        let mut begin = rec(0, 1, 1, 1);
+        begin.event = TraceEvent::RecoveryBegin { epoch: 1 };
+        let Json::Arr(evs) = parse(&export(&[begin, alarm])).unwrap() else {
+            panic!("not an array");
+        };
+        let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_u64);
+        let text = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_string);
+        let mut names = BTreeMap::new();
+        for e in evs
+            .iter()
+            .filter(|e| text(e, "name").as_deref() == Some("thread_name"))
+        {
+            let label = e.get("args").and_then(|a| text(a, "name"));
+            let key = (num(e, "pid"), num(e, "tid"));
+            assert!(names.insert(key, label).is_none(), "{key:?} named twice");
+        }
+        let track_of = |event: &str| {
+            let e = evs
+                .iter()
+                .find(|e| text(e, "name").as_deref() == Some(event));
+            let e = e.expect("event exported");
+            names[&(num(e, "pid"), num(e, "tid"))].clone()
+        };
+        assert_eq!(track_of("RecoveryBegin").as_deref(), Some("recovery"));
+        assert_eq!(track_of("MetricAlarm").as_deref(), Some("metrics"));
     }
 
     #[test]

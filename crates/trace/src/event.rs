@@ -412,41 +412,6 @@ impl TraceEvent {
             MutatorAccess { .. } => "mutator",
         }
     }
-
-    /// A short name for timelines and Chrome-trace event labels.
-    pub fn name(&self) -> &'static str {
-        use TraceEvent::*;
-        match self {
-            MsgSend { .. } => "MsgSend",
-            MsgDrop { .. } => "MsgDrop",
-            MsgDeliver { .. } => "MsgDeliver",
-            Fault { .. } => "Fault",
-            AcquireStart { .. } => "AcquireStart",
-            AcquireComplete { .. } => "AcquireComplete",
-            TokenGrant { .. } => "TokenGrant",
-            TokenRelease { .. } => "TokenRelease",
-            TokenInvalidated { .. } => "TokenInvalidated",
-            OwnershipMigrate { .. } => "OwnershipMigrate",
-            ReplicaRegister { .. } => "ReplicaRegister",
-            ReplicaDrop { .. } => "ReplicaDrop",
-            BgcPhase { .. } => "BgcPhase",
-            Relocate { .. } => "Relocate",
-            AddrUpdate { .. } => "AddrUpdate",
-            SspCreate { .. } => "SspCreate",
-            SspCut { .. } => "SspCut",
-            ReportPublish { .. } => "ReportPublish",
-            ReportApply { .. } => "ReportApply",
-            ScionRetired { .. } => "ScionRetired",
-            OwnerPtrRetired { .. } => "OwnerPtrRetired",
-            ReportRetry { .. } => "ReportRetry",
-            Reuse { .. } => "Reuse",
-            RecoveryBegin { .. } => "RecoveryBegin",
-            RecoveryComplete { .. } => "RecoveryComplete",
-            RejoinEpoch { .. } => "RejoinEpoch",
-            MetricAlarm { .. } => "MetricAlarm",
-            MutatorAccess { .. } => "MutatorAccess",
-        }
-    }
 }
 
 impl fmt::Display for TraceEvent {

@@ -14,10 +14,12 @@
 //!   piggy-backed on every `Envelope`. Sorting the merged stream by
 //!   `(lamport, node, seq)` yields a total order consistent with
 //!   happens-before.
-//! * **Sinks** ([`TraceSink`]): a bounded [`RingSink`] flight recorder
-//!   (production default — fixed memory, newest-N window), an unbounded
-//!   [`VecSink`] for tests and exports, or nothing at all (tracing
-//!   disabled).
+//! * **Recording** goes through the workspace's one recorder
+//!   ([`bmx_common::recorder`]). A simulator run installs a recorder
+//!   private to its thread ([`install`]), so concurrently running tests
+//!   keep their captures apart. The parallel runtime turns on the
+//!   process-wide mode ([`install_global`]): every emitting thread writes
+//!   its own ring, and each node's Lamport clock is one atomic.
 //! * **Exporters** ([`chrome`]): Chrome `trace_event` JSON — load it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> — and a merged
 //!   human-readable timeline.
@@ -28,171 +30,86 @@
 //! Tracing is observational only: no simulation state, RNG draw, or wire
 //! size depends on whether a recorder is installed, so a traced run is
 //! bit-identical to an untraced run with the same seed (tier-1 enforces
-//! this).
-//!
-//! The recorder is thread-local because the whole simulated cluster lives
-//! on one thread, which keeps the hot path free of atomics and locks.
+//! this). Disabled, an emit costs a thread-local flag read and one relaxed
+//! load.
 
 #![forbid(unsafe_code)]
 
 pub mod chrome;
 mod event;
 pub mod query;
-mod sink;
 
+pub use bmx_common::recorder::UNBOUNDED;
 pub use event::{
     AccessMode, AlarmKind, FaultKind, GcPhase, MsgLane, ReuseStep, SspKind, TraceEvent, TraceRecord,
 };
-pub use sink::{RingSink, TraceSink, VecSink};
 
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use bmx_common::NodeId;
+use bmx_common::recorder::{LocalRing, Registry, Ring};
+use bmx_common::{NodeId, NodeSet};
 
+/// A recorder private to the one thread that runs a simulated cluster.
 struct Recorder {
-    /// Per-node Lamport clocks, indexed by `NodeId.0`; grows on demand.
-    clocks: Vec<u64>,
-    /// Current simulated tick, pushed in by the network's `tick()`.
+    /// Lamport clocks by `NodeId.0`: a cluster has at most 64 nodes.
+    clocks: [u64; NodeSet::CAPACITY],
+    /// Current simulated tick, pushed in by the network clock.
     now: u64,
-    /// Thread-wide emission counter (merge tie-breaker).
-    seq: u64,
-    sink: Box<dyn TraceSink>,
+    ring: Ring<TraceRecord>,
 }
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// This thread's emission counter (the merge tie-breaker).
+    static SEQ: Cell<u64> = const { Cell::new(0) };
+    /// This thread's ring in [`GLOBAL`].
+    static LOCAL_RING: LocalRing<TraceRecord> = const { RefCell::new(None) };
 }
 
-// Process-global recorder, used only when the current thread has no
-// thread-local recorder installed. The parallel runtime (`bmx::parallel`)
-// emits protocol events from per-node driver threads and any number of
-// mutator threads; a shared recorder is the only way those emissions merge
-// into one causally-ordered stream. Emissions there happen under the
-// emitting node's own lock, one per node, so threads working for
-// different nodes do contend on the mutex below. The deterministic
-// simulation never installs it, keeping the single-threaded hot path free
-// of atomics beyond one relaxed load.
-static GLOBAL_ON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-static GLOBAL: std::sync::Mutex<Option<Recorder>> = std::sync::Mutex::new(None);
+// The process-wide mode, for threads without a private recorder. A node's
+// events are emitted under that node's lock, so its one atomic clock still
+// counts in the node's program order.
+static GLOBAL_ON: AtomicBool = AtomicBool::new(false);
+static GLOBAL: Registry<TraceRecord> = Registry::new();
+static GLOBAL_NOW: AtomicU64 = AtomicU64::new(0);
+#[allow(clippy::declare_interior_mutable_const)] // only copied into `GLOBAL_CLOCKS`
+const ZERO: AtomicU64 = AtomicU64::new(0);
+static GLOBAL_CLOCKS: [AtomicU64; NodeSet::CAPACITY] = [ZERO; NodeSet::CAPACITY];
 
-/// Runs `f` against the active recorder: the thread-local one if present,
-/// else the process-global one, else returns `R::default()`.
-fn with_recorder<R: Default>(f: impl FnOnce(&mut Recorder) -> R) -> R {
-    let mut f = Some(f);
-    let local = RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        r.as_mut().map(|rec| (f.take().expect("unused"))(rec))
-    });
-    if let Some(out) = local {
-        return out;
-    }
-    if GLOBAL_ON.load(std::sync::atomic::Ordering::Acquire) {
-        let mut g = GLOBAL.lock().expect("trace global recorder");
-        if let Some(rec) = g.as_mut() {
-            if let Some(f) = f.take() {
-                return f(rec);
-            }
-        }
-    }
-    R::default()
+/// Runs `f` on this thread's private recorder; `None` if it has none.
+fn with_local<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
+    RECORDER.with(|r| r.borrow_mut().as_mut().map(f))
 }
 
-/// Install `sink` as the process-global trace destination, shared by all
-/// threads that have no thread-local recorder of their own. Used by the
-/// parallel runtime; the deterministic simulation uses [`install`].
-pub fn install_global(sink: Box<dyn TraceSink>) {
-    let mut g = GLOBAL.lock().expect("trace global recorder");
-    *g = Some(Recorder {
-        clocks: Vec::new(),
-        now: 0,
-        seq: 0,
-        sink,
-    });
-    GLOBAL_ON.store(true, std::sync::atomic::Ordering::Release);
+/// `node`'s clock in the process-wide mode, if that mode is on.
+fn global_clock(node: NodeId) -> Option<&'static AtomicU64> {
+    let on = GLOBAL_ON.load(Ordering::Acquire);
+    on.then(|| &GLOBAL_CLOCKS[node.0 as usize])
 }
 
-/// Convenience: a process-global unbounded capture buffer.
-pub fn install_global_vec() {
-    install_global(Box::new(VecSink::new()));
-}
-
-/// Disable and drop the process-global recorder.
-pub fn disable_global() {
-    GLOBAL_ON.store(false, std::sync::atomic::Ordering::Release);
-    *GLOBAL.lock().expect("trace global recorder") = None;
-}
-
-/// Drain the process-global sink (oldest first), leaving it installed.
-pub fn take_global() -> Vec<TraceRecord> {
-    let mut g = GLOBAL.lock().expect("trace global recorder");
-    match g.as_mut() {
-        Some(rec) => rec.sink.drain(),
-        None => Vec::new(),
-    }
-}
-
-/// Copy the process-global sink's retained records (oldest first)
-/// without disturbing them: the flight recorder keeps flying. Used by
-/// the post-mortem blackbox, which must not consume the trace a later
-/// test assertion (or a second dump) still wants. Implemented as a
-/// drain-then-re-record under the global lock, so concurrent emitters
-/// never observe a half-empty recorder.
-pub fn snapshot_global() -> Vec<TraceRecord> {
-    let mut g = GLOBAL.lock().expect("trace global recorder");
-    match g.as_mut() {
-        Some(rec) => {
-            let records = rec.sink.drain();
-            for r in &records {
-                rec.sink.record(*r);
-            }
-            records
-        }
-        None => Vec::new(),
-    }
-}
-
-impl Recorder {
-    fn clock(&mut self, node: NodeId) -> &mut u64 {
-        let idx = node.0 as usize;
-        if idx >= self.clocks.len() {
-            self.clocks.resize(idx + 1, 0);
-        }
-        &mut self.clocks[idx]
-    }
-}
-
-/// Is a recorder installed on this thread? Instrumentation sites that need
-/// more than constructing a fixed-size event (e.g. a table lookup for an
-/// event field) should guard on this.
+/// Is a recorder installed on this thread, or the process-wide mode on?
+/// Instrumentation sites that need more than constructing a fixed-size
+/// event (e.g. a table lookup for an event field) should guard on this.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get()) || GLOBAL_ON.load(std::sync::atomic::Ordering::Relaxed)
+    ENABLED.with(|e| e.get()) || GLOBAL_ON.load(Ordering::Relaxed)
 }
 
-/// Install `sink` as this thread's trace destination and enable tracing.
-/// Replaces (and drops) any previously installed sink.
-pub fn install(sink: Box<dyn TraceSink>) {
+/// Install a recorder private to this thread that keeps the newest
+/// `capacity` records ([`UNBOUNDED`]: all of them), and enable tracing.
+/// Replaces (and drops) any previously installed recorder.
+pub fn install(capacity: usize) {
+    let ring = Ring::new(capacity);
     RECORDER.with(|r| {
         *r.borrow_mut() = Some(Recorder {
-            clocks: Vec::new(),
+            clocks: [0; NodeSet::CAPACITY],
             now: 0,
-            seq: 0,
-            sink,
-        });
+            ring,
+        })
     });
     ENABLED.with(|e| e.set(true));
-}
-
-/// Convenience: install a bounded flight recorder keeping the newest
-/// `capacity` records.
-pub fn install_ring(capacity: usize) {
-    install(Box::new(RingSink::new(capacity)));
-}
-
-/// Convenience: install an unbounded capture buffer.
-pub fn install_vec() {
-    install(Box::new(VecSink::new()));
 }
 
 /// Disable tracing and drop the installed recorder (clocks included).
@@ -201,22 +118,63 @@ pub fn disable() {
     RECORDER.with(|r| *r.borrow_mut() = None);
 }
 
-/// Update the recorder's notion of the current simulated tick. Called by
-/// the network clock; a no-op when tracing is disabled.
-#[inline]
-pub fn set_now(tick: u64) {
-    if !enabled() {
-        return;
+/// Turn on the process-wide mode for every thread without a private
+/// recorder: each records into a ring of its own of `capacity` records,
+/// and every node's clock restarts at 0.
+pub fn install_global(capacity: usize) {
+    GLOBAL.start(capacity);
+    for clock in &GLOBAL_CLOCKS {
+        clock.store(0, Ordering::Relaxed);
     }
-    with_recorder(|rec| {
-        rec.now = tick;
-    });
+    GLOBAL_NOW.store(0, Ordering::Relaxed);
+    GLOBAL_ON.store(true, Ordering::Release);
 }
 
-/// Emit `event` at `node`: tick the node's Lamport clock and hand the
-/// stamped record to the sink. Returns the Lamport stamp — senders
-/// piggy-back it on the outgoing `Envelope` — or 0 when tracing is
-/// disabled (the stamp is then never read, so the constant is harmless).
+/// Turn off the process-wide mode and drop its rings.
+pub fn disable_global() {
+    GLOBAL_ON.store(false, Ordering::Release);
+    GLOBAL.clear();
+}
+
+/// Take the records of every process-wide ring, those of exited threads
+/// included, leaving the mode on. They come thread by thread, each oldest
+/// first; [`query::merged_order`] merges them.
+pub fn take_global() -> Vec<TraceRecord> {
+    GLOBAL.take().into_iter().flat_map(|(_, r)| r).collect()
+}
+
+/// [`take_global`] without taking: the flight recorder keeps flying. The
+/// post-mortem blackbox reads it so, and must not consume what a later
+/// test assertion (or a second dump) still wants.
+pub fn snapshot_global() -> Vec<TraceRecord> {
+    GLOBAL.snapshot().into_iter().flat_map(|(_, r)| r).collect()
+}
+
+/// Copy out everything this thread's private recorder retains (oldest
+/// first) without disturbing it. Empty when none is installed.
+pub fn snapshot() -> Vec<TraceRecord> {
+    with_local(|rec| rec.ring.contents()).unwrap_or_default()
+}
+
+/// Take everything this thread's private recorder retains (oldest
+/// first), leaving it installed and its clocks intact.
+pub fn take() -> Vec<TraceRecord> {
+    with_local(|rec| rec.ring.take()).unwrap_or_default()
+}
+
+/// Update the recorder's notion of the current tick (a simulated tick, or
+/// a supervisor pulse on threads). A no-op when tracing is disabled.
+#[inline]
+pub fn set_now(tick: u64) {
+    if enabled() && with_local(|rec| rec.now = tick).is_none() {
+        GLOBAL_NOW.store(tick, Ordering::Relaxed);
+    }
+}
+
+/// Emit `event` at `node`: tick the node's Lamport clock and record the
+/// stamped event. Returns the Lamport stamp — senders piggy-back it on
+/// the outgoing `Envelope` — or 0 when tracing is disabled (the stamp is
+/// then never read, so the constant is harmless).
 #[inline]
 pub fn emit(node: NodeId, event: TraceEvent) -> u64 {
     if !enabled() {
@@ -227,21 +185,29 @@ pub fn emit(node: NodeId, event: TraceEvent) -> u64 {
 
 #[cold]
 fn emit_slow(node: NodeId, event: TraceEvent) -> u64 {
-    with_recorder(|rec| {
-        let clk = rec.clock(node);
-        *clk += 1;
-        let lamport = *clk;
-        rec.seq += 1;
-        let record = TraceRecord {
-            node,
-            tick: rec.now,
-            lamport,
-            seq: rec.seq,
-            event,
-        };
-        rec.sink.record(record);
-        lamport
-    })
+    let seq = SEQ.with(|s| s.replace(s.get() + 1) + 1);
+    let stamped = |lamport, tick| TraceRecord {
+        node,
+        tick,
+        lamport,
+        seq,
+        event,
+    };
+    if let Some(lamport) = with_local(|rec| {
+        let clock = &mut rec.clocks[node.0 as usize];
+        *clock += 1;
+        rec.ring.push(stamped(*clock, rec.now));
+        *clock
+    }) {
+        return lamport;
+    }
+    let Some(clock) = global_clock(node) else {
+        return 0;
+    };
+    let lamport = clock.fetch_add(1, Ordering::Relaxed) + 1;
+    let now = GLOBAL_NOW.load(Ordering::Relaxed);
+    GLOBAL.record(&LOCAL_RING, stamped(lamport, now));
+    lamport
 }
 
 /// Read `node`'s current Lamport clock without advancing it. Returns 0
@@ -253,7 +219,9 @@ pub fn clock(node: NodeId) -> u64 {
     if !enabled() {
         return 0;
     }
-    with_recorder(|rec| *rec.clock(node))
+    with_local(|rec| rec.clocks[node.0 as usize])
+        .or_else(|| global_clock(node).map(|c| c.load(Ordering::Relaxed)))
+        .unwrap_or(0)
 }
 
 /// Merge a remote Lamport stamp into `node`'s clock (message delivery):
@@ -264,37 +232,12 @@ pub fn observe(node: NodeId, remote_lamport: u64) {
     if !enabled() || remote_lamport == 0 {
         return;
     }
-    with_recorder(|rec| {
-        let clk = rec.clock(node);
-        *clk = (*clk).max(remote_lamport);
-    });
-}
-
-/// Copy out everything the sink currently retains (oldest first) without
-/// disturbing the recorder. Empty when tracing is disabled.
-pub fn snapshot() -> Vec<TraceRecord> {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        match r.as_mut() {
-            Some(rec) => {
-                let out = rec.sink.drain();
-                for item in &out {
-                    rec.sink.record(*item);
-                }
-                out
-            }
-            None => Vec::new(),
+    let merge = |clock: &mut u64| *clock = (*clock).max(remote_lamport);
+    if with_local(|rec| merge(&mut rec.clocks[node.0 as usize])).is_none() {
+        if let Some(clock) = global_clock(node) {
+            clock.fetch_max(remote_lamport, Ordering::Relaxed);
         }
-    })
-}
-
-/// Drain the sink: take everything retained (oldest first), leaving the
-/// recorder installed and its clocks intact.
-pub fn take() -> Vec<TraceRecord> {
-    RECORDER.with(|r| match r.borrow_mut().as_mut() {
-        Some(rec) => rec.sink.drain(),
-        None => Vec::new(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -312,8 +255,17 @@ mod tests {
         }
     }
 
+    /// The process-wide mode is seen by every thread without a private
+    /// recorder; the tests that use it or assert it is off take turns.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn disabled_tracing_is_a_no_op() {
+        let _serial = serial();
         disable();
         assert!(!enabled());
         assert_eq!(emit(n(0), ev()), 0);
@@ -322,7 +274,7 @@ mod tests {
 
     #[test]
     fn emit_ticks_the_per_node_clock() {
-        install_vec();
+        install(UNBOUNDED);
         assert_eq!(emit(n(0), ev()), 1);
         assert_eq!(emit(n(0), ev()), 2);
         assert_eq!(emit(n(1), ev()), 1, "clocks are per node");
@@ -336,7 +288,7 @@ mod tests {
 
     #[test]
     fn observe_merges_remote_clock() {
-        install_vec();
+        install(UNBOUNDED);
         let sent = emit(n(0), ev());
         assert_eq!(sent, 1);
         observe(n(1), sent);
@@ -350,7 +302,7 @@ mod tests {
 
     #[test]
     fn snapshot_does_not_consume() {
-        install_ring(8);
+        install(8);
         emit(n(0), ev());
         emit(n(0), ev());
         assert_eq!(snapshot().len(), 2);
@@ -362,19 +314,60 @@ mod tests {
 
     #[test]
     fn ring_sink_wraparound_keeps_newest() {
-        let mut ring = RingSink::new(4);
+        install(4);
         for i in 0..10u64 {
-            ring.record(TraceRecord {
-                node: n(0),
-                tick: i,
-                lamport: i + 1,
-                seq: i + 1,
-                event: ev(),
-            });
+            set_now(i);
+            emit(n(0), ev());
         }
-        assert_eq!(ring.len(), 4);
-        let kept: Vec<u64> = ring.drain().iter().map(|r| r.tick).collect();
+        assert_eq!(snapshot().len(), 4);
+        let kept: Vec<u64> = take().iter().map(|r| r.tick).collect();
         assert_eq!(kept, vec![6, 7, 8, 9], "newest N, oldest first");
-        assert!(ring.is_empty());
+        assert!(take().is_empty());
+        disable();
+    }
+
+    /// Four threads send to their neighbour in the process-wide mode, so
+    /// two threads stamp each node's clock at once.
+    #[test]
+    fn global_mode_stamps_each_node_once_per_event_from_many_threads() {
+        const SENDS: u64 = 300;
+        let _serial = serial();
+        install_global(UNBOUNDED);
+        let lane = MsgLane::Dsm;
+        let threads: Vec<_> = (0..4u32)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let (src, dst) = (n(t), n((t + 1) % 4));
+                    for seq in 0..SENDS {
+                        let sent = emit(src, TraceEvent::MsgSend { dst, seq, lane });
+                        observe(dst, sent);
+                        let deliver = TraceEvent::MsgDeliver {
+                            src,
+                            seq,
+                            lane,
+                            sent_lamport: sent,
+                        };
+                        emit(dst, deliver);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("emitter");
+        }
+        let records = take_global();
+        disable_global();
+        assert_eq!(
+            records.len() as u64,
+            4 * SENDS * 2,
+            "the rings of exited threads are taken too"
+        );
+        let mut stamps = std::collections::BTreeSet::new();
+        for r in &records {
+            assert!(stamps.insert((r.node, r.lamport)), "stamp reused: {r:?}");
+            if let TraceEvent::MsgDeliver { sent_lamport, .. } = r.event {
+                assert!(r.lamport > sent_lamport, "delivered before sent: {r:?}");
+            }
+        }
     }
 }

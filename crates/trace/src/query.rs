@@ -40,12 +40,10 @@ pub fn node_order(records: &[TraceRecord], node: NodeId) -> Vec<TraceRecord> {
 
 /// Render the merged happens-before timeline, one record per line.
 pub fn human_timeline(records: &[TraceRecord]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for rec in merged_order(records) {
-        let _ = writeln!(out, "{rec}");
-    }
-    out
+    let lines = merged_order(records)
+        .into_iter()
+        .map(|rec| format!("{rec}\n"));
+    lines.collect()
 }
 
 /// **Scion-retirement ordering** (the paper's central safety rule): the
@@ -348,7 +346,7 @@ mod tests {
     /// the send precedes the delivery.
     #[test]
     fn lamport_merge_orders_send_before_delivery_under_reordering() {
-        crate::install_vec();
+        crate::install(crate::UNBOUNDED);
         let n0 = NodeId(0);
         let n1 = NodeId(1);
         // n1 does some local work first so its raw clock runs ahead.

@@ -324,7 +324,7 @@ fn main() -> Result<()> {
     }
 
     let reg = metrics::install();
-    trace::install_ring(4096);
+    trace::install(4096);
 
     let plan = FaultPlan::none()
         .all_links(LinkFault {

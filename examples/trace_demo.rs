@@ -13,8 +13,8 @@ use bmx_repro::trace;
 
 fn main() {
     // Unbounded capture: this run is short. Long-lived runs use
-    // `trace::install_ring(n)` — a bounded flight recorder.
-    trace::install_vec();
+    // `trace::install(n)` — a bounded flight recorder.
+    trace::install(trace::UNBOUNDED);
 
     let mut c = Cluster::new(ClusterConfig::with_nodes(2));
     let (n0, n1) = (NodeId(0), NodeId(1));

@@ -62,7 +62,7 @@ fn run_chaos(seed: u64) -> ChaosSummary {
     // Tracing is observational only — the replay test in this file compares
     // summaries produced with the recorder installed both times, and the
     // traced-vs-untraced identity is pinned by `tests/trace_invariants.rs`.
-    trace::install_ring(FLIGHT_RECORDER_CAP);
+    trace::install(FLIGHT_RECORDER_CAP);
     // Metrics ride along on every chaos run: the watchdogs must stay silent
     // on a green soak (a firing leak detector fails the run even when the
     // safety gate passes), and each seed leaves a queryable snapshot next

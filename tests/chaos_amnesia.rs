@@ -127,7 +127,7 @@ struct AmnesiaSummary {
 }
 
 fn run_amnesia(seed: u64) -> AmnesiaSummary {
-    trace::install_ring(FLIGHT_RECORDER_CAP);
+    trace::install(FLIGHT_RECORDER_CAP);
     // Same policy as tests/chaos.rs: watchdogs must stay silent on a green
     // amnesia soak, and each seed leaves a metrics snapshot artifact.
     let mreg = metrics::install();

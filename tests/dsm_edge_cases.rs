@@ -179,7 +179,7 @@ fn an_error_mid_tick_loses_nothing_else() {
     };
     c.net.send(n0, n1, MsgClass::Dsm, stray());
     c.net.send(n0, n1, MsgClass::Dsm, stray());
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     let err = c.pump().unwrap_err();
     let first = trace::take();
     assert!(

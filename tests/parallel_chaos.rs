@@ -302,7 +302,7 @@ fn chaos_config(fault: FaultPlan, seed: u64) -> ClusterConfig {
 /// must complete without a single surfaced error, conserve per class,
 /// match the replayed totals, and keep the leak watchdogs silent.
 fn run_fault_soak(seed: u64) {
-    trace::install_global_vec();
+    trace::install_global(trace::UNBOUNDED);
     let _ = trace::take_global();
     let mreg = metrics::install_with(WatchdogConfig {
         interval: 50,
@@ -743,7 +743,7 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
     let dir = std::path::Path::new("target/blackbox").join(&label);
     let _ = std::fs::remove_dir_all(&dir);
 
-    trace::install_global_vec();
+    trace::install_global(trace::UNBOUNDED);
     let _ = trace::take_global();
     let mreg = metrics::install_with(WatchdogConfig {
         interval: 10,

@@ -442,7 +442,7 @@ fn schedule_fuzzer_preserves_safety_and_digest() {
     let _serial = serial();
     let seed = 0xF0CC_ACC1A_u64;
     let reference = run_sim(seed);
-    trace::install_global_vec();
+    trace::install_global(trace::UNBOUNDED);
     for fuzz in [
         0xF2_0001u64,
         0xF2_0002,
@@ -571,7 +571,7 @@ fn settle_and_gate(c: &mut Cluster, s: &Setup) -> Vec<u64> {
 
 fn chaos_on_sim(cfg: ClusterConfig, seed: u64) -> ChaosOutcome {
     let victim = n(VICTIM);
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     let mut c = Cluster::new(cfg);
     let s = setup_workload(&mut c);
     for i in 0..NODES {

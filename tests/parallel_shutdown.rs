@@ -207,7 +207,7 @@ fn drop_discards_only_loss_tolerant_classes_whole() {
 fn a_delivery_is_recorded_only_for_an_envelope_that_was_applied() {
     use bmx_repro::trace::{self, TraceEvent};
     let _serial = serial();
-    trace::install_global_vec();
+    trace::install_global(trace::UNBOUNDED);
     let o = run(0xD0_7ACE, Shutdown::Drop);
     let records = trace::take_global();
     trace::disable_global();

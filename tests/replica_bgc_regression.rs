@@ -57,7 +57,7 @@ fn dump_flight_recorders(tag: &str) {
 
 #[test]
 fn rotating_replica_bgc_under_migration_survives_reacquire() {
-    trace::install_ring(16_384);
+    trace::install(16_384);
     // The chaos workload on a LOSSLESS network: the rotation alone is what
     // trips the open item, not the fault plane.
     let cfg = ClusterConfig::with_nodes(3);

@@ -93,7 +93,7 @@ fn migration_scenario(seed: u64) -> Vec<u64> {
 /// green).
 #[test]
 fn invariant_queries_hold_on_a_real_run() {
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     migration_scenario(7);
     let records = trace::take();
     trace::disable();
@@ -134,7 +134,7 @@ fn a_forwarded_pointer_store_is_traced_with_the_callers_address() {
     let target = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
     c.add_root(n0, src);
     c.add_root(n0, target);
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     c.run_bgc(n0, b).unwrap();
     c.run_bgc(n0, b).unwrap();
     c.write_ref(n0, src, 0, target).unwrap();
@@ -182,7 +182,7 @@ fn each_delivery_is_stamped_when_it_is_applied() {
         c.add_root(n0, o);
         c.map_bunch(n1, b, n0).unwrap();
     }
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     // One report per bunch on link 0→1, both sent before the next tick.
     c.run_ggc(n0).unwrap();
     let records = trace::take();
@@ -319,7 +319,7 @@ fn recovery_scenario(seed: u64) -> NodeId {
 /// flagged by the checker.
 #[test]
 fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     let victim = recovery_scenario(11);
     let records = trace::take();
     trace::disable();
@@ -415,7 +415,7 @@ fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
 fn traced_run_is_bit_identical_to_untraced() {
     trace::disable();
     let untraced = migration_scenario(42);
-    trace::install_ring(4096);
+    trace::install(4096);
     let traced = migration_scenario(42);
     let records = trace::take();
     trace::disable();
@@ -434,7 +434,7 @@ fn traced_run_is_bit_identical_to_untraced() {
 fn metric_alarm_events_satisfy_the_happens_before_rule() {
     use bmx_repro::metrics::{self, watchdog::WatchdogConfig};
 
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     metrics::install_with(WatchdogConfig {
         fromspace_window: 200,
         ..WatchdogConfig::default()
@@ -485,7 +485,7 @@ fn metric_alarm_events_satisfy_the_happens_before_rule() {
 /// and carries well-formed trace_event entries.
 #[test]
 fn chrome_export_of_a_real_run_validates() {
-    trace::install_vec();
+    trace::install(trace::UNBOUNDED);
     migration_scenario(3);
     let records = trace::take();
     trace::disable();
