@@ -470,9 +470,9 @@ impl Cluster {
     }
 
     /// Turns fault transitions observed by the network into per-node
-    /// counters, pulls retry timers forward for restarted nodes, wipes the
-    /// volatile state of amnesia-crashed nodes, and launches the recovery
-    /// pipeline when they restart.
+    /// counters, wipes the volatile state of crashed nodes, and when they
+    /// restart pulls retry timers forward and launches the recovery
+    /// pipeline.
     fn note_fault_events(&mut self) -> Result<()> {
         let now = self.net.now();
         let mut recovering = Vec::new();
@@ -485,21 +485,15 @@ impl Cluster {
                         }
                     }
                 }
-                FaultEvent::NodeCrashed { node, amnesia } => {
-                    if amnesia {
-                        self.amnesia_wipe(node);
-                    }
-                }
-                FaultEvent::NodeRestarted { node, amnesia } => {
+                FaultEvent::NodeCrashed { node } => self.amnesia_wipe(node),
+                FaultEvent::NodeRestarted { node } => {
                     if let Some(s) = self.stats.get_mut(node.0 as usize) {
                         s.bump(StatKind::NodeRestarts);
                     }
                     if let Some(d) = &mut self.retry {
                         d.hasten(node, now);
                     }
-                    if amnesia {
-                        recovering.push(node);
-                    }
+                    recovering.push(node);
                 }
             }
         }

@@ -63,9 +63,10 @@
 //! (the [`FaultyTransport`] times partitions, jitter and the plan's crashes
 //! in pulses, trace records carry the pulse as their tick, and the
 //! watchdogs are evaluated on it and nowhere else),
-//! pumps the metrics watchdogs with real pending-work readings, and — for
-//! the plan's crashes, and under [`ChaosConfig::restart`] for any other —
-//! revives downed nodes live through the crash-amnesia recovery pipeline
+//! pumps the metrics watchdogs with real pending-work readings, crashes
+//! and restarts nodes on the plan's [`FaultEvent`]s, and — under
+//! [`ChaosConfig::restart`] — revives nodes that went down outside the plan,
+//! both live through the crash-amnesia recovery pipeline
 //! ([`Cluster::restart_with_amnesia`]): purge the dead incarnation's
 //! inbox, wipe + rejoin with every site locked, respawn a fresh driver
 //! generation. A driver checks its generation under the node's lock
@@ -90,7 +91,8 @@ use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SplitMix64};
 use bmx_gc::SharedServer;
 use bmx_metrics::{self as metrics, Ctr, Hst, Registry};
 use bmx_net::{
-    ChannelTransport, Egress, FaultStats, FaultyTransport, MsgClass, NetworkConfig, Transport,
+    ChannelTransport, Egress, FaultEvent, FaultStats, FaultyTransport, MsgClass, NetworkConfig,
+    Transport,
 };
 use bmx_profile::{self as profile, SpanKind};
 use parking_lot::{Mutex, MutexGuard};
@@ -115,6 +117,9 @@ const DRIVER_BACKSTOP: Duration = Duration::from_millis(10);
 /// The same for `quiesce` and the shutdown janitor, which also cover what
 /// has no bell to ring: a downed node's inbox filling during a drain.
 const IDLE_BACKSTOP: Duration = Duration::from_micros(500);
+/// Supervisor beats between observing a node down outside the fault plan
+/// and restarting it (under [`ChaosConfig::restart`]).
+const RESTART_DELAY_PULSES: u64 = 16;
 
 /// What happens to in-flight messages at shutdown.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -162,11 +167,10 @@ pub struct ChaosConfig {
     pub pulse: Duration,
     /// Whether the supervisor restarts nodes that went down outside the
     /// fault plan (a protocol panic, [`ParallelCluster::inject_crash`])
-    /// through the crash-amnesia recovery pipeline. The plan's own crashes
-    /// restart when the plan says.
+    /// through the crash-amnesia recovery pipeline, 16 beats after the
+    /// supervisor sees it down. The plan's own crashes restart when the
+    /// plan says.
     pub restart: bool,
-    /// Beats between observing such a node down and restarting it.
-    pub restart_delay_pulses: u64,
 }
 
 impl Default for ChaosConfig {
@@ -174,7 +178,6 @@ impl Default for ChaosConfig {
         ChaosConfig {
             pulse: Duration::from_micros(500),
             restart: true,
-            restart_delay_pulses: 16,
         }
     }
 }
@@ -420,13 +423,6 @@ impl Drop for Gathered<'_> {
     }
 }
 
-fn class_idx(class: MsgClass) -> usize {
-    MsgClass::ALL
-        .iter()
-        .position(|&c| c == class)
-        .expect("class")
-}
-
 impl Shared {
     fn site(&self, node: NodeId) -> &Site {
         &self.sites[node.0 as usize]
@@ -480,13 +476,13 @@ impl Shared {
     /// Under `node`'s site lock, which makes the cell single-writer (see
     /// [`NodeHandle::count_op`]).
     fn count_delivery(&self, node: NodeId, class: MsgClass) {
-        let cell = &self.site(node).delivered_by_class[class_idx(class)];
+        let cell = &self.site(node).delivered_by_class[class.index()];
         cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         metrics::bump(node, Ctr::ParallelDeliveries);
     }
 
     fn delivered(&self, class: MsgClass) -> u64 {
-        let idx = class_idx(class);
+        let idx = class.index();
         self.sites
             .iter()
             .map(|st| st.delivered_by_class[idx].load(Ordering::Relaxed))
@@ -620,8 +616,9 @@ impl Shared {
     }
 
     /// Advances the fault plane's clock (when there is one) and wakes the
-    /// drivers for whatever traffic the pulse released.
-    fn pulse(&self) -> Option<u64> {
+    /// drivers for whatever traffic the pulse released. Returns the new
+    /// pulse and the plan's transitions due at it.
+    fn pulse(&self) -> Option<(u64, Vec<FaultEvent>)> {
         let pulse = self.chaos.as_ref()?.pulse();
         self.ring_drivers();
         Some(pulse)
@@ -688,8 +685,8 @@ impl ParallelCluster {
     /// fault plan, class drop rates and seed go to a [`FaultyTransport`]
     /// over the channels (each site's own network only numbers, stamps and
     /// counts its sends on their way out), and a supervisor thread beats
-    /// the pulse clock and fires
-    /// and restarts the plan's `crash_amnesia` events. A configuration that
+    /// the pulse clock and crashes and restarts nodes on the plan's
+    /// [`FaultEvent`]s. A configuration that
     /// injects nothing gets a plain [`ChannelTransport`], and a supervisor
     /// only if the calling thread has a metrics registry installed (it
     /// pumps the watchdogs). Nothing restarts a node that fails outside the
@@ -700,7 +697,7 @@ impl ParallelCluster {
     /// # Panics
     ///
     /// Panics, with the typed error's wording, on a configuration
-    /// [`NetworkConfig::validate`] rejects and on a fail-buffered `crash`.
+    /// [`NetworkConfig::validate`] rejects.
     pub fn spawn(cfg: ClusterConfig) -> ParallelCluster {
         Self::spawn_inner(cfg, None)
     }
@@ -858,8 +855,8 @@ impl ParallelCluster {
     /// driver thread exits, pending and future submitters at that node
     /// get [`BmxError::NodeDown`], and — under a chaos config with
     /// restarts — the supervisor revives it through the recovery
-    /// pipeline after [`ChaosConfig::restart_delay_pulses`]. A
-    /// `crash_amnesia` in the fault plan takes this path at its pulse.
+    /// pipeline 16 pulses later. A crash in the fault plan takes this path
+    /// at its pulse.
     pub fn inject_crash(&self, node: NodeId) {
         assert!(node.0 < self.nodes, "no such node {node:?}");
         self.shared.inject_crash(node);
@@ -1087,36 +1084,34 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
 }
 
 /// The supervisor thread body: beats the pulse clock (releasing what the
-/// fault plane holds on schedule), fires the plan's crashes, stamps and
-/// revives downed nodes, flips recovered nodes back to alive, and pumps the
-/// metrics watchdogs with a real pending-work reading so stalls latch
-/// alarms instead of being waited out.
+/// fault plane holds on schedule), crashes and restarts nodes on the plan's
+/// transitions, stamps and revives nodes downed outside the plan, flips
+/// recovered nodes back to alive, and pumps the metrics watchdogs with a
+/// real pending-work reading so stalls latch alarms instead of being
+/// waited out.
 fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
-    let crashes = shared
-        .chaos
-        .as_ref()
-        .map_or(&[][..], |ch| &ch.config().fault.crashes);
-    let mut fired = vec![false; crashes.len()];
     let mut pulse: u64 = 0;
     let mut alarms_seen = shared.registry.as_ref().map_or(0, |r| r.total_alarms());
     while shared.phase.load(Ordering::Acquire) == PHASE_RUN {
         std::thread::sleep(cfg.pulse);
         let _pulse_span = profile::span(SpanKind::SupervisorPulse, NodeId(0));
-        pulse = shared.pulse().unwrap_or(pulse + 1);
+        let (now, events) = shared.pulse().unwrap_or((pulse + 1, Vec::new()));
+        pulse = now;
         bmx_trace::set_now(pulse);
-        for (c, fired) in crashes.iter().zip(&mut fired) {
-            if !*fired && pulse >= c.at {
-                *fired = true;
-                shared.inject_crash(c.node);
-                shared
-                    .site(c.node)
-                    .restart_due
-                    .store(c.restart_at, Ordering::Release);
+        for event in events {
+            match event {
+                FaultEvent::NodeCrashed { node } => shared.inject_crash(node),
+                FaultEvent::NodeRestarted { node } if shared.status_of(node) == NODE_DOWN => {
+                    restart_node(&shared, node);
+                }
+                _ => {}
             }
         }
+        // A node the plan holds down restarts on the plan's transition.
+        let planned = |node| shared.chaos.as_ref().is_some_and(|ch| ch.is_down(node));
         for (i, st) in shared.sites.iter().enumerate() {
             let node = NodeId(i as u32);
             match st.status.load(Ordering::Acquire) {
@@ -1126,9 +1121,9 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
                         if pulse >= due {
                             restart_node(&shared, node);
                         }
-                    } else if cfg.restart {
+                    } else if cfg.restart && !planned(node) {
                         st.restart_due
-                            .store(pulse + cfg.restart_delay_pulses, Ordering::Release);
+                            .store(pulse + RESTART_DELAY_PULSES, Ordering::Release);
                     }
                 }
                 NODE_RECOVERING if !st.core.lock().in_recovery(node) => {

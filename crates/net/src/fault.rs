@@ -23,16 +23,26 @@
 //! * **FIFO survives jitter.** Per-link latency jitter delays a message but
 //!   never reorders a channel: delivery times are clamped monotonically
 //!   against the channel's previously scheduled tail.
-//! * **Partitions and crashes hold reliable traffic and drop lossy
-//!   traffic.** A severed or crashed endpoint buffers `Dsm` messages until
-//!   the partition heals / the node restarts (modelling the reliable
-//!   transport's retransmission), while loss-tolerant GC traffic is simply
-//!   discarded — exactly the failure the cleaner's resend path must absorb.
+//! * **Partitions hold reliable traffic and drop lossy traffic.** A severed
+//!   link buffers `Dsm` messages until the partition heals (modelling the
+//!   reliable transport's retransmission), while loss-tolerant GC traffic is
+//!   simply discarded — exactly the failure the cleaner's resend path must
+//!   absorb.
+//! * **A crash drops everything.** A crashed node has lost its volatile
+//!   state, so there is nothing to retransmit to or from it: every message
+//!   to or from it during the outage is discarded, whatever its class.
+//!
+//! The plan's timeline — heals, crashes, restarts — is read by one
+//! `Timeline` on both planes, so each transition is the same
+//! [`FaultEvent`], trace record and `FaultActivations` bump in ticks or in
+//! pulses.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use bmx_common::{NodeId, SplitMix64};
+use bmx_metrics::{self as metrics, Ctr};
+use bmx_trace as trace;
 
 use crate::network::MsgClass;
 
@@ -71,11 +81,13 @@ pub enum FaultConfigError {
         /// The offending node.
         node: NodeId,
     },
-    /// A fail-buffered crash was scheduled on the thread plane, which cannot
-    /// stall a node while keeping its volatile state.
-    BufferedCrashOnThreads {
-        /// The node the plan would crash.
+    /// Two crash windows of one node overlap or touch: the node would be
+    /// wiped again while down, or restart and crash in the same instant.
+    OverlappingCrashes {
+        /// The node crashed twice.
         node: NodeId,
+        /// The two windows, `[at, restart_at)` each, in plan order.
+        windows: [(u64, u64); 2],
     },
 }
 
@@ -97,11 +109,12 @@ impl fmt::Display for FaultConfigError {
             FaultConfigError::NodeOnBothSides { node } => {
                 write!(f, "{node:?} appears on both sides of a partition")
             }
-            FaultConfigError::BufferedCrashOnThreads { node } => {
+            FaultConfigError::OverlappingCrashes { node, windows } => {
+                let [(a0, a1), (b0, b1)] = windows;
                 write!(
                     f,
-                    "fail-buffered crash of {node:?} cannot be honoured on real threads \
-                     (schedule a crash_amnesia instead)"
+                    "overlapping crash windows [{a0}, {a1}) and [{b0}, {b1}) of {node:?}: \
+                     a node must be up between two crashes"
                 )
             }
         }
@@ -202,21 +215,15 @@ impl Partition {
 /// A node crash at `at` followed by a restart at `restart_at`, both read in
 /// the plane's clock.
 ///
-/// In the default (fail-buffered) mode the node neither sends nor receives
-/// while crashed: lossy traffic to or from it is discarded, reliable traffic
-/// addressed to it is held and delivered after the restart, and the node
-/// keeps its volatile state — modelling a transient stall behind a reliable
-/// transport.
-///
-/// With [`CrashEvent::amnesia`] set the crash is a real power failure: the
-/// node loses every byte of volatile state, so there is nothing for a
-/// reliable transport to retransmit *to* and no send buffer to drain *from*.
-/// All in-flight traffic touching the node — reliable classes included — is
-/// dropped at crash time, and traffic addressed to or from it during the
-/// outage is dropped rather than held. The layer above is expected to wipe
-/// the node's state on [`FaultEvent::NodeCrashed`] and run a recovery
-/// pipeline on [`FaultEvent::NodeRestarted`]. The thread plane honours only
-/// this kind: a crashed driver thread takes its node's state with it.
+/// The crash is the power failure the paper's RVM substrate recovers from:
+/// the node loses every byte of volatile state and keeps its store, so there
+/// is nothing for a reliable transport to retransmit *to* and no send buffer
+/// to drain *from*. All in-flight traffic touching the node — reliable
+/// classes included — is dropped at crash time, and traffic addressed to or
+/// from it during the outage is dropped rather than held. The layer above
+/// wipes the node's state on [`FaultEvent::NodeCrashed`] and runs its
+/// recovery pipeline on [`FaultEvent::NodeRestarted`]. A node that stalls
+/// but keeps its state is a [`Partition`] that isolates it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The crashing node.
@@ -225,17 +232,9 @@ pub struct CrashEvent {
     pub at: u64,
     /// Restart tick (exclusive end of the outage).
     pub restart_at: u64,
-    /// Whether the crash discards volatile state and in-flight reliable
-    /// traffic (power failure) instead of buffering (transient stall).
-    pub amnesia: bool,
 }
 
 impl CrashEvent {
-    /// Whether `node` is down at `t` under this event.
-    pub fn down(&self, node: NodeId, t: u64) -> bool {
-        self.node == node && (self.at..self.restart_at).contains(&t)
-    }
-
     fn validate(&self) -> Result<(), FaultConfigError> {
         if self.at >= self.restart_at {
             return Err(FaultConfigError::EmptyWindow {
@@ -296,25 +295,13 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a fail-buffered crash of `node` during `[at, restart_at)`.
-    pub fn crash(mut self, node: NodeId, at: u64, restart_at: u64) -> Self {
-        self.crashes.push(CrashEvent {
-            node,
-            at,
-            restart_at,
-            amnesia: false,
-        });
-        self
-    }
-
-    /// Adds an amnesia crash of `node` during `[at, restart_at)`: volatile
-    /// state is lost and in-flight reliable traffic is dropped, not held.
+    /// Adds a crash of `node` during `[at, restart_at)`: volatile state is
+    /// lost and in-flight traffic is dropped, reliable classes included.
     pub fn crash_amnesia(mut self, node: NodeId, at: u64, restart_at: u64) -> Self {
         self.crashes.push(CrashEvent {
             node,
             at,
             restart_at,
-            amnesia: true,
         });
         self
     }
@@ -328,8 +315,18 @@ impl FaultPlan {
         for p in &self.partitions {
             p.validate()?;
         }
-        for c in &self.crashes {
+        for (i, c) in self.crashes.iter().enumerate() {
             c.validate()?;
+            let earlier = &self.crashes[..i];
+            if let Some(e) = earlier
+                .iter()
+                .find(|e| e.node == c.node && e.at <= c.restart_at && c.at <= e.restart_at)
+            {
+                return Err(FaultConfigError::OverlappingCrashes {
+                    node: c.node,
+                    windows: [(e.at, e.restart_at), (c.at, c.restart_at)],
+                });
+            }
         }
         Ok(())
     }
@@ -352,21 +349,11 @@ impl FaultPlan {
             .max()
     }
 
-    /// If `node` is crashed at `t`, the tick it restarts (max over
-    /// overlapping crash events).
-    pub fn crashed_until(&self, node: NodeId, t: u64) -> Option<u64> {
+    /// Whether `node` is crashed at `t`.
+    pub fn is_down(&self, node: NodeId, t: u64) -> bool {
         self.crashes
             .iter()
-            .filter(|c| c.down(node, t))
-            .map(|c| c.restart_at)
-            .max()
-    }
-
-    /// Whether any crash event covering `node` at `t` is an amnesia crash.
-    /// Amnesia dominates: if a buffered and an amnesia outage overlap, the
-    /// volatile state is gone either way.
-    pub fn amnesia_at(&self, node: NodeId, t: u64) -> bool {
-        self.crashes.iter().any(|c| c.amnesia && c.down(node, t))
+            .any(|c| c.node == node && (c.at..c.restart_at).contains(&t))
     }
 
     /// Decides what happens to one `class` message sent `src -> dst` at
@@ -377,13 +364,11 @@ impl FaultPlan {
     /// of 0 or 1 draws nothing), so a run replays bit-exactly from `rng`'s
     /// seed: class-level loss, per-link loss (loss-tolerant classes only),
     /// per-link duplication (idempotent classes only), per-link jitter.
-    /// Outages come last and draw nothing: a crashed endpoint or severing
-    /// partition discards loss-tolerant traffic and holds reliable traffic
-    /// until the outage ends — except that an amnesia crash discards reliable
-    /// traffic too, because the crashed endpoint has no state for a
-    /// retransmission protocol to resume against. A crash dominates a
-    /// concurrent partition for accounting; a held message waits out
-    /// whichever outage ends last.
+    /// Outages come last and draw nothing: a crashed endpoint discards every
+    /// class, because it has no state for a retransmission protocol to
+    /// resume against; a severing partition discards loss-tolerant traffic
+    /// and holds reliable traffic until it heals. A crash dominates a
+    /// concurrent partition.
     pub fn fate(
         &self,
         rng: &mut SplitMix64,
@@ -406,39 +391,23 @@ impl FaultPlan {
             0 => 0,
             jitter => rng.next_below(jitter + 1),
         };
-        let crashed = self
-            .crashed_until(src, now)
-            .max(self.crashed_until(dst, now));
-        let outage = match crashed {
-            Some(_) => Outage::Crash,
-            None => Outage::Partition,
-        };
-        let not_before = match crashed.max(self.severed_until(src, dst, now)) {
-            None => None,
-            Some(_) if !reliable => return Fate::Drop(DropCause::Outage(outage)),
-            Some(_)
-                if crashed.is_some()
-                    && (self.amnesia_at(src, now) || self.amnesia_at(dst, now)) =>
-            {
-                return Fate::Drop(DropCause::Amnesia)
-            }
-            Some(end) => Some((outage, end)),
-        };
+        if self.is_down(src, now) || self.is_down(dst, now) {
+            return Fate::Drop(if reliable {
+                DropCause::Amnesia
+            } else {
+                DropCause::Crash
+            });
+        }
+        let not_before = self.severed_until(src, dst, now);
+        if not_before.is_some() && !reliable {
+            return Fate::Drop(DropCause::Partition);
+        }
         Fate::Deliver {
             copies,
             extra_delay,
             not_before,
         }
     }
-}
-
-/// The kind of outage a send ran into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outage {
-    /// A partition severs the link.
-    Partition,
-    /// An endpoint is crashed.
-    Crash,
 }
 
 /// Why [`FaultPlan::fate`] discarded a message.
@@ -448,9 +417,11 @@ pub enum DropCause {
     ClassLoss,
     /// The link's drop fault.
     Link,
-    /// A loss-tolerant message met an outage.
-    Outage(Outage),
-    /// A reliable message met an amnesia crash.
+    /// A loss-tolerant message met a partition.
+    Partition,
+    /// A loss-tolerant message met a crash.
+    Crash,
+    /// A reliable message met a crash.
     Amnesia,
 }
 
@@ -465,9 +436,9 @@ pub enum Fate {
         copies: u64,
         /// Jitter to add to the plane's own delivery latency.
         extra_delay: u64,
-        /// The outage holding the message back and the time it ends; the
-        /// message must not arrive before then.
-        not_before: Option<(Outage, u64)>,
+        /// The heal of the partition holding the message back; the message
+        /// must not arrive before then.
+        not_before: Option<u64>,
     },
 }
 
@@ -489,10 +460,8 @@ pub struct FaultStats {
     /// Messages discarded because an endpoint was crashed (lossy classes),
     /// plus lossy in-flight messages purged at crash time.
     pub crash_dropped: u64,
-    /// Reliable messages held for delivery after a node restart.
-    pub crash_held: u64,
-    /// Reliable messages dropped — not held — because the crashed endpoint
-    /// was in an amnesia outage (in-flight purges included).
+    /// Reliable messages dropped — not held — because an endpoint was
+    /// crashed (in-flight purges included).
     pub amnesia_dropped: u64,
     /// Nodes that came back up.
     pub restarts: u64,
@@ -504,8 +473,8 @@ impl FaultStats {
         let counter = match fate {
             Fate::Drop(DropCause::ClassLoss) => return,
             Fate::Drop(DropCause::Link) => &mut self.link_dropped,
-            Fate::Drop(DropCause::Outage(Outage::Partition)) => &mut self.partition_dropped,
-            Fate::Drop(DropCause::Outage(Outage::Crash)) => &mut self.crash_dropped,
+            Fate::Drop(DropCause::Partition) => &mut self.partition_dropped,
+            Fate::Drop(DropCause::Crash) => &mut self.crash_dropped,
             Fate::Drop(DropCause::Amnesia) => &mut self.amnesia_dropped,
             Fate::Deliver {
                 copies, not_before, ..
@@ -513,8 +482,7 @@ impl FaultStats {
                 self.duplicates_injected += copies - 1;
                 match not_before {
                     None => return,
-                    Some((Outage::Partition, _)) => &mut self.partition_held,
-                    Some((Outage::Crash, _)) => &mut self.crash_held,
+                    Some(_) => &mut self.partition_held,
                 }
             }
         };
@@ -522,8 +490,8 @@ impl FaultStats {
     }
 }
 
-/// A fault transition observed by [`crate::Network::tick`], reported so the
-/// layer above (the cluster) can account per-node recovery statistics.
+/// A fault transition of the plan's timeline, reported so the layer
+/// above (the cluster, or the thread plane's supervisor) can act on it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultEvent {
     /// A partition reached its heal tick; `members` is both sides.
@@ -531,22 +499,82 @@ pub enum FaultEvent {
         /// Every node that was on either side of the cut.
         members: Vec<NodeId>,
     },
-    /// A node went down.
+    /// A node went down: the layer above wipes its volatile state.
     NodeCrashed {
         /// The crashed node.
         node: NodeId,
-        /// Whether the crash discards volatile state (the layer above must
-        /// wipe the node) instead of merely stalling it.
-        amnesia: bool,
     },
-    /// A node came back up; held reliable traffic is now deliverable.
+    /// A node came back up empty: the layer above runs its recovery
+    /// pipeline before it serves.
     NodeRestarted {
         /// The restarted node.
         node: NodeId,
-        /// Whether the outage was an amnesia crash — the node restarts
-        /// empty and must run the recovery pipeline before serving.
-        amnesia: bool,
     },
+}
+
+/// How far a plane has read its plan's timeline: which partitions have
+/// healed and which crashes have begun and ended. Both planes advance one
+/// with their clock — [`crate::Network::advance`] per tick,
+/// [`crate::FaultyTransport::pulse`] per pulse — so a transition is the same
+/// [`FaultEvent`], `Fault` trace record and [`Ctr::FaultActivations`] bump
+/// on either.
+#[derive(Debug)]
+pub(crate) struct Timeline {
+    /// Per-partition "already healed" latch (index-aligned with the plan).
+    healed: Vec<bool>,
+    /// Per-crash phase: 0 = pending, 1 = down, 2 = restarted.
+    crash_phase: Vec<u8>,
+}
+
+impl Timeline {
+    /// The start of `plan`'s timeline: nothing healed, nothing crashed.
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
+        Timeline {
+            healed: vec![false; plan.partitions.len()],
+            crash_phase: vec![0; plan.crashes.len()],
+        }
+    }
+
+    /// The transitions of `plan` due by `now` and not yet taken, in plan
+    /// order (heals, then each crash's down and up): each is traced and
+    /// counted at its nodes, and heals and restarts in `stats`.
+    pub(crate) fn advance(
+        &mut self,
+        plan: &FaultPlan,
+        now: u64,
+        stats: &mut FaultStats,
+    ) -> Vec<FaultEvent> {
+        let activate = |node, kind| {
+            trace::emit(node, trace::TraceEvent::Fault { kind });
+            metrics::bump(node, Ctr::FaultActivations);
+        };
+        let mut events = Vec::new();
+        for (p, healed) in plan.partitions.iter().zip(&mut self.healed) {
+            if !*healed && now >= p.end {
+                *healed = true;
+                stats.partitions_healed += 1;
+                let members: Vec<NodeId> = p.a.iter().chain(&p.b).copied().collect();
+                for &m in &members {
+                    activate(m, trace::FaultKind::PartitionHeal);
+                }
+                events.push(FaultEvent::PartitionHealed { members });
+            }
+        }
+        for (c, phase) in plan.crashes.iter().zip(&mut self.crash_phase) {
+            if *phase == 0 && now >= c.at {
+                *phase = 1;
+                activate(c.node, trace::FaultKind::Crash);
+                events.push(FaultEvent::NodeCrashed { node: c.node });
+            }
+            if *phase == 1 && now >= c.restart_at {
+                *phase = 2;
+                stats.restarts += 1;
+                activate(c.node, trace::FaultKind::Restart);
+                events.push(FaultEvent::NodeRestarted { node: c.node });
+            }
+        }
+        events
+    }
 }
 
 #[cfg(test)]
@@ -567,7 +595,7 @@ mod tests {
             })
             .link(n(0), n(1), LinkFault::dropping(0.5))
             .partition(vec![n(0)], vec![n(1), n(2)], 10, 20)
-            .crash(n(2), 5, 8);
+            .crash_amnesia(n(2), 5, 8);
         assert!(plan.validate().is_ok());
         assert!(!plan.is_quiet());
         assert_eq!(plan.link_fault(n(0), n(1)).drop, 0.5);
@@ -587,8 +615,8 @@ mod tests {
             None,
             "same side unaffected"
         );
-        assert_eq!(plan.crashed_until(n(2), 5), Some(8));
-        assert_eq!(plan.crashed_until(n(2), 8), None);
+        assert!(plan.is_down(n(2), 5));
+        assert!(!plan.is_down(n(2), 8), "restart tick is exclusive");
     }
 
     #[test]
@@ -624,38 +652,60 @@ mod tests {
     }
 
     #[test]
-    fn amnesia_crash_is_flagged_and_queryable() {
-        let plan = FaultPlan::none()
-            .crash(n(1), 5, 8)
-            .crash_amnesia(n(2), 10, 20);
-        assert!(plan.validate().is_ok());
-        assert!(!plan.amnesia_at(n(1), 6), "buffered crash is not amnesia");
-        assert!(plan.amnesia_at(n(2), 10));
-        assert!(plan.amnesia_at(n(2), 19));
-        assert!(!plan.amnesia_at(n(2), 20), "restart tick is exclusive");
-        assert_eq!(plan.crashed_until(n(2), 12), Some(20));
-    }
-
-    #[test]
-    fn overlapping_amnesia_dominates_buffered_crash() {
-        let plan = FaultPlan::none()
-            .crash(n(0), 0, 30)
-            .crash_amnesia(n(0), 10, 20);
-        assert!(!plan.amnesia_at(n(0), 5));
-        assert!(
-            plan.amnesia_at(n(0), 15),
-            "amnesia window wins inside overlap"
-        );
-        assert!(!plan.amnesia_at(n(0), 25));
-    }
-
-    #[test]
     fn validate_rejects_empty_crash_window() {
-        let plan = FaultPlan::none().crash(n(0), 9, 3);
+        let plan = FaultPlan::none().crash_amnesia(n(0), 9, 3);
         assert_eq!(
             plan.validate(),
             Err(FaultConfigError::EmptyWindow { start: 9, end: 3 })
         );
+    }
+
+    /// A second crash window of a node that starts before the node is up
+    /// again would wipe it twice and begin recovery while it is still down.
+    #[test]
+    fn validate_rejects_overlapping_crash_windows() {
+        for (second, overlaps) in [((10, 30), true), ((20, 30), true), ((21, 30), false)] {
+            let plan = FaultPlan::none()
+                .crash_amnesia(n(1), 5, 20)
+                .crash_amnesia(n(2), 10, 30)
+                .crash_amnesia(n(1), second.0, second.1);
+            let err = FaultConfigError::OverlappingCrashes {
+                node: n(1),
+                windows: [(5, 20), second],
+            };
+            assert_eq!(plan.validate(), if overlaps { Err(err) } else { Ok(()) });
+        }
+        let err = FaultPlan::none()
+            .crash_amnesia(n(1), 5, 20)
+            .crash_amnesia(n(1), 10, 30)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("overlapping crash windows"));
+    }
+
+    /// The timeline takes each transition once, at the first reading at or
+    /// past its time, and counts heals and restarts.
+    #[test]
+    fn timeline_takes_each_transition_once() {
+        let plan = FaultPlan::none()
+            .partition(vec![n(0)], vec![n(1)], 0, 4)
+            .crash_amnesia(n(2), 2, 6);
+        let mut timeline = Timeline::new(&plan);
+        let mut stats = FaultStats::default();
+        let mut read = |now| timeline.advance(&plan, now, &mut stats);
+        assert_eq!(read(1), vec![]);
+        assert_eq!(read(3), vec![FaultEvent::NodeCrashed { node: n(2) }]);
+        assert_eq!(
+            read(9),
+            vec![
+                FaultEvent::PartitionHealed {
+                    members: vec![n(0), n(1)]
+                },
+                FaultEvent::NodeRestarted { node: n(2) },
+            ]
+        );
+        assert_eq!(read(10), vec![]);
+        assert_eq!((stats.partitions_healed, stats.restarts), (1, 1));
     }
 
     #[test]
@@ -687,10 +737,9 @@ mod tests {
             ..LinkFault::default()
         };
         let cut = FaultPlan::none().partition(vec![n(0)], vec![n(1)], 5, 9);
-        let stall = FaultPlan::none().crash(n(1), 5, 12);
-        let power_cut = FaultPlan::none().crash_amnesia(n(0), 5, 12);
-        let in_cut = DropCause::Outage(Outage::Partition);
-        let in_crash = DropCause::Outage(Outage::Crash);
+        let power_cut = FaultPlan::none().crash_amnesia(n(1), 5, 12);
+        let in_cut = DropCause::Partition;
+        let in_crash = DropCause::Crash;
         // (plan, class loss, now, [Dsm, ScionMessage, StubTable, GcBackground])
         let table = [
             (
@@ -720,7 +769,7 @@ mod tests {
                 0.0,
                 5,
                 [
-                    deliver(1, Some((Outage::Partition, 9))),
+                    deliver(1, Some(9)),
                     dropped(in_cut),
                     dropped(in_cut),
                     dropped(in_cut),
@@ -738,32 +787,26 @@ mod tests {
                 ],
             ),
             (
-                stall.clone(),
+                power_cut,
                 0.0,
                 11,
                 [
-                    deliver(1, Some((Outage::Crash, 12))),
+                    dropped(DropCause::Amnesia),
                     dropped(in_crash),
                     dropped(in_crash),
                     dropped(in_crash),
                 ],
             ),
             (
-                // A crash dominates the accounting; the later end wins.
-                stall.partition(vec![n(0)], vec![n(1)], 0, 20),
+                // A crashed sender; a crash dominates a concurrent partition.
+                FaultPlan::none().crash_amnesia(n(0), 5, 12).partition(
+                    vec![n(0)],
+                    vec![n(1)],
+                    0,
+                    20,
+                ),
                 0.0,
                 6,
-                [
-                    deliver(1, Some((Outage::Crash, 20))),
-                    dropped(in_crash),
-                    dropped(in_crash),
-                    dropped(in_crash),
-                ],
-            ),
-            (
-                power_cut,
-                0.0,
-                5,
                 [
                     dropped(DropCause::Amnesia),
                     dropped(in_crash),
@@ -846,18 +889,13 @@ mod tests {
         for fate in [
             Fate::Drop(DropCause::ClassLoss),
             Fate::Drop(DropCause::Link),
-            Fate::Drop(DropCause::Outage(Outage::Partition)),
-            Fate::Drop(DropCause::Outage(Outage::Crash)),
+            Fate::Drop(DropCause::Partition),
+            Fate::Drop(DropCause::Crash),
             Fate::Drop(DropCause::Amnesia),
             Fate::Deliver {
                 copies: 2,
                 extra_delay: 1,
-                not_before: Some((Outage::Partition, 4)),
-            },
-            Fate::Deliver {
-                copies: 1,
-                extra_delay: 0,
-                not_before: Some((Outage::Crash, 4)),
+                not_before: Some(4),
             },
         ] {
             stats.note(&fate);
@@ -870,7 +908,6 @@ mod tests {
                 partition_dropped: 1,
                 partition_held: 1,
                 crash_dropped: 1,
-                crash_held: 1,
                 amnesia_dropped: 1,
                 ..FaultStats::default()
             }

@@ -7,7 +7,10 @@
 //!
 //! * **The clock is a pulse counter** advanced by the runtime's supervisor
 //!   ([`FaultyTransport::pulse`]), not wall clock: the plan's partition and
-//!   crash windows and its jitter are counted in pulses.
+//!   crash windows and its jitter are counted in pulses. Each pulse reads
+//!   the plan's timeline as a tick does in the simulator and returns its
+//!   [`FaultEvent`]s; crashing and restarting a node's thread is the
+//!   supervisor's part.
 //! * **One verdict stream per directed link**, seeded from the
 //!   configuration's seed plus the link identity and drawn in `fate`'s
 //!   order, so the fate of the k-th envelope on link `(s, d)` is a function
@@ -31,10 +34,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bmx_common::{NodeId, SplitMix64};
+use bmx_trace as trace;
 
-use crate::fault::{Fate, FaultConfigError, FaultStats};
+use crate::fault::{Fate, FaultConfigError, FaultEvent, FaultStats, Timeline};
 use crate::network::{Envelope, MsgClass, NetworkConfig};
-use crate::transport::{class_idx, ChannelTransport, Transport};
+use crate::transport::{ChannelTransport, Transport};
 
 struct LinkState<M> {
     rng: SplitMix64,
@@ -52,6 +56,8 @@ pub struct FaultyTransport<M> {
     links: Vec<Mutex<LinkState<M>>>,
     /// The plane's clock: advanced by [`FaultyTransport::pulse`].
     pulse: AtomicU64,
+    /// How far the clock has read the plan's heals, crashes and restarts.
+    timeline: Mutex<Timeline>,
     /// Envelopes currently held back across all links. Counted into
     /// [`Transport::in_flight`] so quiescence waits for them.
     held: AtomicU64,
@@ -69,12 +75,9 @@ impl<M: Send + Clone> FaultyTransport<M> {
     /// Wraps a fresh full mesh for `n` nodes under `cfg`'s fault plan, class
     /// drop rates and seed (its latency belongs to the simulator: a channel
     /// delivers as fast as the hardware does). Rejects what
-    /// [`NetworkConfig::validate`] rejects, and fail-buffered crashes.
+    /// [`NetworkConfig::validate`] rejects.
     pub fn try_new(n: usize, cfg: NetworkConfig) -> Result<Self, FaultConfigError> {
         cfg.validate()?;
-        if let Some(c) = cfg.fault.crashes.iter().find(|c| !c.amnesia) {
-            return Err(FaultConfigError::BufferedCrashOnThreads { node: c.node });
-        }
         let links = (0..n * n)
             .map(|i| {
                 let (src, dst) = (i / n, i % n);
@@ -89,6 +92,7 @@ impl<M: Send + Clone> FaultyTransport<M> {
             .collect();
         Ok(FaultyTransport {
             inner: Arc::new(ChannelTransport::new(n)),
+            timeline: Mutex::new(Timeline::new(&cfg.fault)),
             cfg,
             links,
             pulse: AtomicU64::new(0),
@@ -98,12 +102,6 @@ impl<M: Send + Clone> FaultyTransport<M> {
             fault_dropped: Default::default(),
             stats: Mutex::new(FaultStats::default()),
         })
-    }
-
-    /// The configuration in force (the supervisor reads the plan's crash
-    /// schedule from it).
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
     }
 
     /// The channels under the fault plane: what a delivered envelope is
@@ -117,20 +115,33 @@ impl<M: Send + Clone> FaultyTransport<M> {
         self.pulse.load(Ordering::SeqCst)
     }
 
-    /// Advances the clock one pulse and releases every held envelope due
-    /// at the new pulse. Returns the new pulse. The runtime's supervisor
-    /// calls this periodically; tests may call it directly to drive
-    /// partitions deterministically.
-    pub fn pulse(&self) -> u64 {
+    /// Advances the clock one pulse, takes the plan's transitions due then
+    /// (as [`crate::Network::advance`] does) and releases every held envelope due at the
+    /// new pulse. Returns the new pulse and the transitions; after
+    /// [`FaultyTransport::heal_all`] there are none. The runtime's
+    /// supervisor calls this periodically; tests may call it directly to
+    /// drive partitions deterministically.
+    pub fn pulse(&self) -> (u64, Vec<FaultEvent>) {
         let p = self.pulse.fetch_add(1, Ordering::SeqCst) + 1;
-        let heals = self.cfg.fault.partitions.iter().filter(|x| x.end == p);
-        self.stats.lock().expect("stats").partitions_healed += heals.count() as u64;
+        trace::set_now(p);
+        let events = if self.healed.load(Ordering::SeqCst) {
+            Vec::new()
+        } else {
+            let mut timeline = self.timeline.lock().expect("timeline");
+            timeline.advance(&self.cfg.fault, p, &mut self.stats.lock().expect("stats"))
+        };
         self.flush(p);
-        p
+        (p, events)
+    }
+
+    /// Whether `node` is crashed under the plan at the current pulse.
+    pub fn is_down(&self, node: NodeId) -> bool {
+        self.cfg.fault.is_down(node, self.now_pulse())
     }
 
     /// Ends every outage for good and releases all held traffic. Shutdown
-    /// calls this so `Drain` cannot hang on a never-healing cut.
+    /// calls this so `Drain` cannot hang on a never-healing cut; the plan's
+    /// timeline stops with it.
     pub fn heal_all(&self) {
         self.healed.store(true, Ordering::SeqCst);
         self.flush(u64::MAX);
@@ -175,22 +186,22 @@ impl<M: Send + Clone> Transport<M> for FaultyTransport<M> {
             .fault
             .fate(&mut st.rng, class_loss, src, dst, class, now);
         self.stats.lock().expect("stats").note(&fate);
-        self.sent[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+        self.sent[class.index()].fetch_add(1, Ordering::Relaxed);
         let (copies, mut release) = match fate {
             Fate::Drop(_) => {
-                self.fault_dropped[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+                self.fault_dropped[class.index()].fetch_add(1, Ordering::Relaxed);
                 return;
             }
             Fate::Deliver {
                 copies,
                 extra_delay,
                 not_before,
-            } => {
-                let outage_end = not_before.map_or(0, |(_, end)| end);
-                (copies, now.saturating_add(extra_delay).max(outage_end))
-            }
+            } => (
+                copies,
+                now.saturating_add(extra_delay).max(not_before.unwrap_or(0)),
+            ),
         };
-        self.sent[class_idx(class)].fetch_add(copies - 1, Ordering::Relaxed);
+        self.sent[class.index()].fetch_add(copies - 1, Ordering::Relaxed);
         let copies = (copies > 1).then(|| env.clone()).into_iter().chain([env]);
         // FIFO: behind whatever the link already holds (a racing `pulse` or
         // `heal_all` that has not reached this link yet releases both).
@@ -225,11 +236,11 @@ impl<M: Send + Clone> Transport<M> for FaultyTransport<M> {
     }
 
     fn sent(&self, class: MsgClass) -> u64 {
-        self.sent[class_idx(class)].load(Ordering::Relaxed)
+        self.sent[class.index()].load(Ordering::Relaxed)
     }
 
     fn dropped(&self, class: MsgClass) -> u64 {
-        self.fault_dropped[class_idx(class)].load(Ordering::Relaxed) + self.inner.dropped(class)
+        self.fault_dropped[class.index()].load(Ordering::Relaxed) + self.inner.dropped(class)
     }
 
     fn note_dropped(&self, class: MsgClass) {
@@ -304,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_what_the_simulator_rejects_and_buffered_crashes() {
+    fn try_new_rejects_what_the_simulator_rejects() {
         let mut cfg = NetworkConfig::lossless(1);
         cfg.fault = FaultPlan::none().all_links(LinkFault::dropping(1.5));
         let err = FaultyTransport::<u64>::try_new(2, cfg).err().expect("drop");
@@ -315,10 +326,16 @@ mod tests {
         let err = FaultyTransport::<u64>::try_new(2, cfg).err().expect("dsm");
         assert!(err.to_string().contains("assumed reliable"));
 
-        let cfg = NetworkConfig::lossless(1).with_fault(FaultPlan::none().crash(NodeId(1), 2, 9));
+        let mut cfg = NetworkConfig::lossless(1);
+        cfg.fault = FaultPlan::none()
+            .crash_amnesia(NodeId(1), 5, 20)
+            .crash_amnesia(NodeId(1), 10, 30);
         assert_eq!(
             FaultyTransport::<u64>::try_new(2, cfg).err(),
-            Some(FaultConfigError::BufferedCrashOnThreads { node: NodeId(1) })
+            Some(FaultConfigError::OverlappingCrashes {
+                node: NodeId(1),
+                windows: [(5, 20), (10, 30)]
+            })
         );
     }
 
@@ -376,16 +393,21 @@ mod tests {
         let plan = FaultPlan::none().crash_amnesia(NodeId(1), 1, 3);
         let t = transport(2, plan, 3);
         t.send_env(env(0, 1, 1, MsgClass::Dsm, 1)); // pulse 0: before the crash
-        t.pulse(); // 1: down
+        let down = FaultEvent::NodeCrashed { node: NodeId(1) };
+        assert_eq!(t.pulse(), (1, vec![down]));
+        assert!(t.is_down(NodeId(1)));
         t.send_env(env(0, 1, 2, MsgClass::Dsm, 2));
         t.send_env(env(1, 0, 1, MsgClass::StubTable, 3));
-        t.pulse(); // 2
-        t.pulse(); // 3: back
+        assert_eq!(t.pulse(), (2, vec![]));
+        let up = FaultEvent::NodeRestarted { node: NodeId(1) };
+        assert_eq!(t.pulse(), (3, vec![up]));
+        assert!(!t.is_down(NodeId(1)));
         t.send_env(env(0, 1, 3, MsgClass::Dsm, 4));
         assert_eq!(drain(&t, 1), vec![1, 4]);
         assert_eq!(drain(&t, 0), Vec::<u64>::new());
         let stats = t.stats();
         assert_eq!((stats.amnesia_dropped, stats.crash_dropped), (1, 1));
+        assert_eq!(stats.restarts, 1);
         assert_eq!(t.dropped(MsgClass::Dsm), 1);
         assert_eq!(t.in_flight(), 0);
     }

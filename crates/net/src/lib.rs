@@ -53,7 +53,7 @@ pub mod transport;
 
 pub use fault::{
     CrashEvent, DropCause, Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats, LinkFault,
-    Outage, Partition,
+    Partition,
 };
 pub use fault_transport::FaultyTransport;
 pub use network::{ClassStats, Egress, Envelope, MsgClass, Network, NetworkConfig, WireSize};

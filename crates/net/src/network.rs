@@ -4,11 +4,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bmx_common::{MsgSeq, NodeId, SplitMix64};
 use bmx_metrics as metrics;
-use bmx_metrics::{Ctr, Gge, LinkCtr};
+use bmx_metrics::{Gge, LinkCtr};
 use bmx_profile as profile;
 use bmx_trace as trace;
 
-use crate::fault::{Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats};
+use crate::fault::{Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats, Timeline};
 
 /// Classes of traffic, with distinct reliability and accounting.
 ///
@@ -40,6 +40,12 @@ impl MsgClass {
         MsgClass::StubTable,
         MsgClass::GcBackground,
     ];
+
+    /// Position in [`MsgClass::ALL`] (declaration order), for per-class
+    /// counter arrays.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 
     /// Whether the collector design *requires* this class to be delivered
     /// reliably. Only the DSM protocol itself does.
@@ -241,10 +247,8 @@ pub struct Network<M> {
     fault_stats: FaultStats,
     /// Fault transitions since the last [`Network::drain_fault_events`].
     events: Vec<FaultEvent>,
-    /// Per-partition "already healed" latch (index-aligned with the plan).
-    partition_healed: Vec<bool>,
-    /// Per-crash-event phase: 0 = pending, 1 = down, 2 = restarted.
-    crash_phase: Vec<u8>,
+    /// How far the clock has read the plan's heals, crashes and restarts.
+    timeline: Timeline,
     /// The way out to a real message plane, if this network is a
     /// parallel-runtime site's.
     egress: Option<Egress<M>>,
@@ -266,8 +270,7 @@ impl<M: WireSize + Clone> Network<M> {
     pub fn try_new(cfg: NetworkConfig) -> Result<Self, FaultConfigError> {
         cfg.validate()?;
         let rng = SplitMix64::new(cfg.seed);
-        let partition_healed = vec![false; cfg.fault.partitions.len()];
-        let crash_phase = vec![0; cfg.fault.crashes.len()];
+        let timeline = Timeline::new(&cfg.fault);
         Ok(Network {
             cfg,
             now: 0,
@@ -278,8 +281,7 @@ impl<M: WireSize + Clone> Network<M> {
             stats: BTreeMap::new(),
             fault_stats: FaultStats::default(),
             events: Vec::new(),
-            partition_healed,
-            crash_phase,
+            timeline,
             egress: None,
         })
     }
@@ -347,8 +349,7 @@ impl<M: WireSize + Clone> Network<M> {
                 extra_delay,
                 not_before,
             } => {
-                let outage_end = not_before.map_or(0, |(_, end)| end);
-                let at = (self.now + extra_delay).max(outage_end) + self.cfg.latency;
+                let at = (self.now + extra_delay).max(not_before.unwrap_or(0)) + self.cfg.latency;
                 (copies > 1, at)
             }
         };
@@ -449,109 +450,37 @@ impl<M: WireSize + Clone> Network<M> {
         Some(env)
     }
 
-    /// Processes partition heals and crash/restart transitions due at `now`.
-    /// Crashing a node purges its lossy in-flight traffic and reschedules
-    /// reliable traffic to after the restart.
+    /// Takes the plan's transitions due at `now` (`Timeline::advance`);
+    /// a crash drops everything in flight to or from the node.
     fn apply_fault_transitions(&mut self) {
-        let now = self.now;
-        for (i, p) in self.cfg.fault.partitions.iter().enumerate() {
-            if !self.partition_healed[i] && now >= p.end {
-                self.partition_healed[i] = true;
-                self.fault_stats.partitions_healed += 1;
-                let mut members = p.a.clone();
-                members.extend(p.b.iter().copied());
-                if trace::enabled() {
-                    for &m in &members {
-                        trace::emit(
-                            m,
-                            trace::TraceEvent::Fault {
-                                kind: trace::FaultKind::PartitionHeal,
-                            },
-                        );
-                    }
-                }
-                for &m in &members {
-                    metrics::bump(m, Ctr::FaultActivations);
-                }
-                self.events.push(FaultEvent::PartitionHealed { members });
+        let events = self
+            .timeline
+            .advance(&self.cfg.fault, self.now, &mut self.fault_stats);
+        for ev in &events {
+            if let FaultEvent::NodeCrashed { node } = *ev {
+                self.purge_in_flight_for(node);
             }
         }
-        let mut purges: Vec<(NodeId, u64, bool)> = Vec::new();
-        for (i, c) in self.cfg.fault.crashes.iter().enumerate() {
-            if self.crash_phase[i] == 0 && now >= c.at {
-                self.crash_phase[i] = 1;
-                trace::emit(
-                    c.node,
-                    trace::TraceEvent::Fault {
-                        kind: trace::FaultKind::Crash,
-                    },
-                );
-                metrics::bump(c.node, Ctr::FaultActivations);
-                self.events.push(FaultEvent::NodeCrashed {
-                    node: c.node,
-                    amnesia: c.amnesia,
-                });
-                purges.push((c.node, c.restart_at, c.amnesia));
-            }
-            if self.crash_phase[i] == 1 && now >= c.restart_at {
-                self.crash_phase[i] = 2;
-                self.fault_stats.restarts += 1;
-                trace::emit(
-                    c.node,
-                    trace::TraceEvent::Fault {
-                        kind: trace::FaultKind::Restart,
-                    },
-                );
-                metrics::bump(c.node, Ctr::FaultActivations);
-                self.events.push(FaultEvent::NodeRestarted {
-                    node: c.node,
-                    amnesia: c.amnesia,
-                });
-            }
-        }
-        for (node, restart_at, amnesia) in purges {
-            self.purge_in_flight_for(node, restart_at, amnesia);
-        }
+        self.events.extend(events);
     }
 
-    /// Applies a crash of `node` to in-flight traffic: lossy messages on any
-    /// link touching the node are discarded; reliable ones are pushed back to
-    /// land after `restart_at`, keeping each channel's FIFO order. An amnesia
-    /// crash discards *everything* touching the node — the send buffers died
-    /// with the sender, and the receiver that would have acknowledged the
-    /// retransmission no longer exists.
-    fn purge_in_flight_for(&mut self, node: NodeId, restart_at: u64, amnesia: bool) {
-        let latency = self.cfg.latency;
+    /// Discards every message in flight on a link touching `node`: the send
+    /// buffers died with the sender, and the receiver that would have
+    /// acknowledged a retransmission no longer exists.
+    fn purge_in_flight_for(&mut self, node: NodeId) {
         for (&(src, dst), queue) in self.channels.iter_mut() {
             if src != node && dst != node {
                 continue;
             }
-            if amnesia {
-                self.queued -= queue.len();
-                for m in queue.drain(..) {
-                    if m.env.class.requires_reliability() {
-                        self.fault_stats.amnesia_dropped += 1;
-                    } else {
-                        self.fault_stats.crash_dropped += 1;
-                    }
-                    metrics::gauge_sub(m.env.src, Gge::InflightBytes, m.env.payload.wire_size());
-                }
-                continue;
-            }
-            let mut kept = VecDeque::with_capacity(queue.len());
-            let mut floor = 0;
-            while let Some(mut m) = queue.pop_front() {
+            self.queued -= queue.len();
+            for m in queue.drain(..) {
                 if m.env.class.requires_reliability() {
-                    m.deliver_at = m.deliver_at.max(restart_at + latency).max(floor);
-                    floor = m.deliver_at;
-                    kept.push_back(m);
+                    self.fault_stats.amnesia_dropped += 1;
                 } else {
-                    self.queued -= 1;
                     self.fault_stats.crash_dropped += 1;
-                    metrics::gauge_sub(m.env.src, Gge::InflightBytes, m.env.payload.wire_size());
                 }
+                metrics::gauge_sub(m.env.src, Gge::InflightBytes, m.env.payload.wire_size());
             }
-            *queue = kept;
         }
     }
 
@@ -663,7 +592,7 @@ impl<M: WireSize + Clone> Network<M> {
 
     /// Whether `node` is currently crashed under the fault schedule.
     pub fn is_down(&self, node: NodeId) -> bool {
-        self.cfg.fault.crashed_until(node, self.now).is_some()
+        self.cfg.fault.is_down(node, self.now)
     }
 }
 
@@ -682,6 +611,13 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    #[test]
+    fn class_index_is_the_position_in_all() {
+        for (i, class) in MsgClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
     }
 
     #[test]
@@ -989,37 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_purges_lossy_and_postpones_reliable_in_flight() {
-        let fault = FaultPlan::none().crash(n(1), 2, 20);
-        let mut net: Network<P> = Network::new(NetworkConfig::lossless(5).with_fault(fault));
-        // In flight before the crash: due at tick 5, but node 1 dies at 2.
-        net.send(n(0), n(1), MsgClass::Dsm, P(1));
-        net.send(n(0), n(1), MsgClass::GcBackground, P(2));
-        let mut arrivals: Vec<(u64, u64)> = Vec::new();
-        while net.in_flight() > 0 {
-            let now_after = net.now() + 1;
-            arrivals.extend(net.tick().into_iter().map(|e| (now_after, e.payload.0)));
-        }
-        assert_eq!(
-            arrivals,
-            vec![(25, 1)],
-            "reliable lands restart + latency; lossy purged"
-        );
-        let fs = net.fault_stats();
-        assert_eq!(fs.crash_dropped, 1);
-        assert_eq!(fs.restarts, 1);
-        let events = net.drain_fault_events();
-        assert!(events.contains(&FaultEvent::NodeCrashed {
-            node: n(1),
-            amnesia: false
-        }));
-        assert!(events.contains(&FaultEvent::NodeRestarted {
-            node: n(1),
-            amnesia: false
-        }));
-    }
-
-    #[test]
     fn amnesia_crash_drops_reliable_in_flight() {
         let fault = FaultPlan::none().crash_amnesia(n(1), 2, 20);
         let mut net: Network<P> = Network::new(NetworkConfig::lossless(5).with_fault(fault));
@@ -1037,20 +942,13 @@ mod tests {
         let fs = net.fault_stats();
         assert_eq!(fs.amnesia_dropped, 2, "both reliable messages dropped");
         assert_eq!(fs.crash_dropped, 1, "the lossy message dropped");
-        assert_eq!(fs.crash_held, 0, "nothing is buffered");
         // Drain the remaining outage so both transitions are observed.
         while net.now() < 20 {
             let _ = net.tick();
         }
         let events = net.drain_fault_events();
-        assert!(events.contains(&FaultEvent::NodeCrashed {
-            node: n(1),
-            amnesia: true
-        }));
-        assert!(events.contains(&FaultEvent::NodeRestarted {
-            node: n(1),
-            amnesia: true
-        }));
+        assert!(events.contains(&FaultEvent::NodeCrashed { node: n(1) }));
+        assert!(events.contains(&FaultEvent::NodeRestarted { node: n(1) }));
     }
 
     #[test]
@@ -1063,7 +961,6 @@ mod tests {
         net.send(n(1), n(0), MsgClass::StubTable, P(2));
         assert_eq!(net.fault_stats().amnesia_dropped, 1);
         assert_eq!(net.fault_stats().crash_dropped, 1);
-        assert_eq!(net.fault_stats().crash_held, 0);
         assert_eq!(net.in_flight(), 0, "nothing buffered for the restart");
         // After the restart traffic flows normally again.
         while net.now() < 6 {
@@ -1076,24 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn sends_while_crashed_are_held_or_dropped() {
-        let fault = FaultPlan::none().crash(n(1), 1, 6);
-        let mut net: Network<P> = Network::new(NetworkConfig::lossless(1).with_fault(fault));
-        let _ = net.tick(); // advance into the outage window
-        assert!(net.is_down(n(1)));
-        net.send(n(0), n(1), MsgClass::Dsm, P(1));
-        net.send(n(1), n(0), MsgClass::StubTable, P(2)); // a crashed sender
-        assert_eq!(net.fault_stats().crash_held, 1);
-        assert_eq!(net.fault_stats().crash_dropped, 1);
-        let mut arrivals = Vec::new();
-        while net.in_flight() > 0 {
-            let now_after = net.now() + 1;
-            arrivals.extend(net.tick().into_iter().map(|e| (now_after, e.payload.0)));
-        }
-        assert_eq!(arrivals, vec![(7, 1)]);
-    }
-
-    #[test]
     fn chaos_runs_replay_bit_exact_from_the_seed() {
         let run = |seed: u64| {
             let fault = FaultPlan::none()
@@ -1103,7 +982,7 @@ mod tests {
                     jitter: 3,
                 })
                 .partition(vec![n(0)], vec![n(1)], 4, 9)
-                .crash(n(2), 3, 12);
+                .crash_amnesia(n(2), 3, 12);
             let mut cfg = NetworkConfig::lossless(1).with_fault(fault);
             cfg.seed = seed;
             let mut net: Network<P> = Network::new(cfg);

@@ -34,16 +34,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::network::{Envelope, MsgClass};
 
-/// Index of `class` in per-class counter arrays ([`MsgClass::ALL`] order).
-pub(crate) fn class_idx(class: MsgClass) -> usize {
-    match class {
-        MsgClass::Dsm => 0,
-        MsgClass::ScionMessage => 1,
-        MsgClass::StubTable => 2,
-        MsgClass::GcBackground => 3,
-    }
-}
-
 /// What a message plane owes a running cluster. Object-safe and `&self`
 /// throughout: transports are shared across node driver threads.
 pub trait Transport<M>: Send + Sync {
@@ -176,7 +166,7 @@ impl<M: Send> ChannelTransport<M> {
 
 impl<M: Send> Transport<M> for ChannelTransport<M> {
     fn send_env(&self, env: Envelope<M>) {
-        self.sent[class_idx(env.class)].fetch_add(1, Ordering::Relaxed);
+        self.sent[env.class.index()].fetch_add(1, Ordering::Relaxed);
         // Increment before the channel push: a receiver that pops the
         // envelope must always observe in_flight >= 1 until it acks.
         self.in_flight.fetch_add(1, Ordering::SeqCst);
@@ -216,15 +206,15 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
     }
 
     fn sent(&self, class: MsgClass) -> u64 {
-        self.sent[class_idx(class)].load(Ordering::Relaxed)
+        self.sent[class.index()].load(Ordering::Relaxed)
     }
 
     fn dropped(&self, class: MsgClass) -> u64 {
-        self.dropped[class_idx(class)].load(Ordering::Relaxed)
+        self.dropped[class.index()].load(Ordering::Relaxed)
     }
 
     fn note_dropped(&self, class: MsgClass) {
-        self.dropped[class_idx(class)].fetch_add(1, Ordering::Relaxed);
+        self.dropped[class.index()].fetch_add(1, Ordering::Relaxed);
     }
 }
 

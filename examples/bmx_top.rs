@@ -1,8 +1,8 @@
 //! `bmx-top`: a live terminal dashboard over the metrics plane.
 //!
 //! Installs the metrics registry, drives a 3-node churning cluster through
-//! a mildly faulty network (drops, duplicates, a timed partition, a crash/
-//! restart), and redraws a `top`-style screen every few simulation rounds:
+//! a mildly faulty network (drops, duplicates, two timed partitions, the
+//! second isolating one node), and redraws a `top`-style screen every few simulation rounds:
 //! per-node GC and DSM health, the link traffic matrix, and any watchdog
 //! alarms. Everything on screen is read back from the same
 //! [`bmx_repro::metrics`] registry the blackbox and the chaos soaks
@@ -333,7 +333,7 @@ fn main() -> Result<()> {
             jitter: 2,
         })
         .partition(vec![NodeId(0)], vec![NodeId(1), NodeId(2)], 400, 650)
-        .crash(NodeId(2), 900, 1080);
+        .partition(vec![NodeId(2)], vec![NodeId(0), NodeId(1)], 900, 1080);
     let mut net = NetworkConfig::lossless(1).with_fault(plan);
     net.seed = 0x70_D0;
     let mut c = Cluster::new(ClusterConfig {

@@ -2,10 +2,9 @@
 //! must come back through the RVM store and the epoch-based rejoin
 //! handshake.
 //!
-//! This extends `tests/chaos.rs` with the harsher crash model: where a
-//! buffered crash holds reliable traffic for replay after restart, an
-//! amnesia crash drops it — the node restarts with only its last post-BGC
-//! checkpoint and must (1) replay the RVM store, (2) reconcile DSM
+//! This extends `tests/chaos.rs`, whose partitions hold reliable traffic
+//! for replay after the heal, with the fault plane's crash, which drops
+//! it — the node restarts with only its last post-BGC checkpoint and must (1) replay the RVM store, (2) reconcile DSM
 //! ownership with the surviving peers, and (3) regenerate its scion/stub
 //! state from fresh idempotent reachability reports. The acceptance gate is
 //! the same as the chaos suite's — no premature reclamation, zero collector

@@ -197,7 +197,6 @@ fn parallel_watchdogs_run_on_the_pulse_clock_alone() {
         ChaosConfig {
             pulse,
             restart: false,
-            ..ChaosConfig::default()
         },
     );
     let handles = [pc.handle(n(0)), pc.handle(n(1))];

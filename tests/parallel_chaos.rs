@@ -499,7 +499,7 @@ fn spawn_honours_the_fault_plan_in_the_cluster_config() {
 
 /// `spawn` validates with the simulator's `validate()` and panics with the
 /// typed error's wording, as `Network::new` does (the thread plane used to
-/// accept anything) — and refuses the one event it cannot honour.
+/// accept anything).
 #[test]
 fn spawn_rejects_an_invalid_fault_plan_with_the_typed_wording() {
     let bad = [
@@ -512,8 +512,10 @@ fn spawn_rejects_an_invalid_fault_plan_with_the_typed_wording() {
             "appears on both sides of a partition",
         ),
         (
-            FaultPlan::none().crash(n(1), 2, 9),
-            "cannot be honoured on real threads",
+            FaultPlan::none()
+                .crash_amnesia(n(1), 5, 20)
+                .crash_amnesia(n(1), 10, 30),
+            "overlapping crash windows [5, 20) and [10, 30)",
         ),
     ];
     for (fault, wording) in bad {
@@ -546,13 +548,7 @@ fn injected_crash_restarts_live_and_rejoins() {
     });
     let mut cfg = chaos_config(jitter, seed);
     cfg.persist = Some(PersistConfig::at(&dir));
-    let pc = ParallelCluster::spawn_with_chaos(
-        cfg,
-        ChaosConfig {
-            restart_delay_pulses: 8,
-            ..ChaosConfig::default()
-        },
-    );
+    let pc = ParallelCluster::spawn_with_chaos(cfg, ChaosConfig::default());
     let s = pc
         .handle(n(0))
         .with(|c| Ok(setup_workload(c)))

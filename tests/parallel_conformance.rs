@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use bmx_common::SplitMix64;
 use bmx_repro::bmx::audit;
+use bmx_repro::metrics;
 use bmx_repro::prelude::*;
 use bmx_repro::profile;
 use bmx_repro::trace::{self, TraceEvent};
@@ -735,11 +736,69 @@ fn one_fault_plan_drives_both_execution_modes() {
             f.link_dropped > 0 && f.duplicates_injected > 0 && f.partition_held > 0,
             "{mode}: drop, duplicate and held counters moved: {f:?}"
         );
-        assert_eq!(
-            (f.partitions_healed, f.restarts, f.crash_held),
-            (1, 1, 0),
-            "{mode}: {f:?}"
-        );
+        assert_eq!((f.partitions_healed, f.restarts), (1, 1), "{mode}: {f:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A plan crash is one fault-plane event on both planes: the victim
+/// records `Fault{Crash}` then `Fault{Restart}` in its trace and counts one
+/// `FaultActivations` for each, whether the plan is read in ticks or in
+/// supervisor pulses.
+#[test]
+fn a_plan_crash_is_traced_and_counted_alike_on_both_planes() {
+    let _serial = serial();
+    const DOWN: (u64, u64) = (5, 12);
+    let mut cfg = ClusterConfig::with_nodes(NODES);
+    cfg.net = NetworkConfig::lossless(1).with_fault(FaultPlan::none().crash_amnesia(
+        n(VICTIM),
+        DOWN.0,
+        DOWN.1,
+    ));
+    cfg.retry = None;
+    let victim_faults = |records: Vec<trace::TraceRecord>| -> Vec<trace::FaultKind> {
+        trace::query::merged_order(&records)
+            .into_iter()
+            .filter(|r| r.node == n(VICTIM))
+            .filter_map(|r| match r.event {
+                TraceEvent::Fault { kind } => Some(kind),
+                _ => None,
+            })
+            .collect()
+    };
+    let activations = format!("node{VICTIM}/ctr/fault_activations");
+
+    trace::install(trace::UNBOUNDED);
+    let reg = metrics::install();
+    let mut sim = Cluster::new(cfg.clone());
+    sim.step(DOWN.1 + 1).expect("sim steps");
+    let sim_faults = victim_faults(trace::take());
+    let sim_count = reg.snapshot().get(&activations);
+    trace::disable();
+
+    trace::install_global(trace::UNBOUNDED);
+    let _ = trace::take_global();
+    let reg = metrics::install();
+    let pc = ParallelCluster::spawn(cfg);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while pc.now_pulse().expect("fault plane") <= DOWN.1
+        || pc.node_status(n(VICTIM)) != NodeStatus::Alive
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "victim never rejoined"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    let thread_faults = victim_faults(trace::take_global());
+    let thread_count = reg.snapshot().get(&activations);
+    trace::disable_global();
+    metrics::disable();
+
+    use trace::FaultKind::{Crash, Restart};
+    assert_eq!(sim_faults, vec![Crash, Restart], "sim");
+    assert_eq!(sim_count, 2, "sim");
+    assert_eq!(thread_faults, sim_faults, "threads");
+    assert_eq!(thread_count, sim_count, "threads");
 }

@@ -37,7 +37,7 @@ fn policy() -> RetryPolicy {
 fn restart_resets_the_recovery_latency_baseline() {
     let cfg = ClusterConfig {
         nodes: 2,
-        net: NetworkConfig::lossless(1).with_fault(FaultPlan::none().crash(
+        net: NetworkConfig::lossless(1).with_fault(FaultPlan::none().crash_amnesia(
             n(1),
             CRASH_START,
             CRASH_END,
@@ -67,7 +67,7 @@ fn restart_resets_the_recovery_latency_baseline() {
         "the report is tracked as undelivered"
     );
 
-    // Run to just past the restart: the held/re-sent report lands, the ack
+    // Run to just past the restart: the re-sent report lands, the ack
     // drains the entry within a handful of ticks — no residual backed-off
     // wait.
     c.step(CRASH_END + 20 - c.net.now()).unwrap();
