@@ -11,13 +11,14 @@
 //!
 //! * `reason.txt` — why the dump happened (appended, wall-clock
 //!   stamped, so repeated triggers in one episode stay readable);
-//! * `spans.trace.json` — the wall-clock profiler's last-N spans per
-//!   thread as a Perfetto trace ([`bmx_profile::chrome`]);
 //! * `metrics.json` — a registry snapshot stamped with capture time and
 //!   node generations ([`bmx_metrics::Snapshot::stamp_meta`]), so dumps
 //!   from different threads/nodes are orderable after the fact;
-//! * `flight.trace.json` — the causal flight recorder's retained events
-//!   as a Chrome trace (non-draining: [`bmx_trace::snapshot_global`]).
+//! * `trace.json` — the flight recorder: every process-wide ring's
+//!   last-N records, spans and causal events on one wall-clock base, as
+//!   one Chrome/Perfetto trace ([`bmx_trace::chrome::export`];
+//!   non-draining: [`bmx_trace::snapshot_global`]). It is written last,
+//!   by rename, so its presence means the whole dump is on disk.
 //!
 //! Arming is process-global (the parallel runtime's failure paths have
 //! no harness context to thread a handle through) and **off by
@@ -32,7 +33,6 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use bmx_metrics::Registry;
-use bmx_profile as profile;
 use bmx_trace as trace;
 
 static ARMED: Mutex<Option<String>> = Mutex::new(None);
@@ -99,8 +99,8 @@ pub fn dump_if_armed(
 
 /// Writes one blackbox dump to `target/blackbox/<label>/`, regardless of
 /// the armed state (test harnesses dump explicitly on their own failure
-/// paths). Repeated dumps under one label overwrite the span/metric/
-/// flight files — last writer wins, which is the incarnation closest to
+/// paths). Repeated dumps under one label overwrite the metric and
+/// trace files — last writer wins, which is the incarnation closest to
 /// the death — while `reason.txt` appends, keeping the full trigger
 /// history.
 pub fn dump(
@@ -120,21 +120,15 @@ pub fn dump(
         .open(dir.join("reason.txt"))?;
     writeln!(f, "[{} ms unix] {reason}", unix_ms())?;
 
-    fs::write(
-        dir.join("spans.trace.json"),
-        profile::chrome::export(&profile::snapshot_all()),
-    )?;
-
     if let Some(reg) = reg {
         let mut snap = reg.snapshot();
         snap.stamp_meta(generations);
         fs::write(dir.join("metrics.json"), bmx_metrics::json::to_json(&snap))?;
     }
 
-    fs::write(
-        dir.join("flight.trace.json"),
-        trace::chrome::export(&trace::snapshot_global()),
-    )?;
+    let partial = dir.join("trace.json.partial");
+    fs::write(&partial, trace::chrome::export(&trace::snapshot_global()))?;
+    fs::rename(partial, dir.join("trace.json"))?;
     Ok(dir)
 }
 

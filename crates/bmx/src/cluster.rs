@@ -43,9 +43,8 @@ use bmx_gc::collect::CollectOutcome;
 use bmx_gc::{barrier, cleaner, collect, fromspace, CollectStats, GcMsg, GcState, RelocMode};
 use bmx_metrics::{self as metrics, Ctr, Gge, Hst, LinkCtr};
 use bmx_net::{Envelope, FaultEvent, MsgClass, Network, NetworkConfig};
-use bmx_profile::{self as profile, SpanKind};
 use bmx_rvm::{Rvm, RvmOptions};
-use bmx_trace::{self as trace, TraceEvent};
+use bmx_trace::{self as trace, SpanKind, TraceEvent};
 
 use crate::msg::ClusterMsg;
 use crate::persist::{self, NodeMeta};
@@ -375,9 +374,9 @@ impl Cluster {
     /// arrival ([`Network::note_delivery`]) and applies it. An envelope that
     /// errors is not applied past the error point, and the error surfaces.
     pub fn deliver(&mut self, env: Envelope<ClusterMsg>) -> Result<()> {
-        // Cascading sends inherit the envelope's profiler flow; an
-        // unstamped envelope (span 0) clears the thread's last one.
-        let _flow = profile::flow_scope(env.span);
+        // Cascading sends inherit the envelope's span flow; an unstamped
+        // envelope (span 0) clears the thread's last one.
+        let _flow = trace::flow_scope(env.span);
         Network::note_delivery(&env);
         let at = env.dst.0 as usize;
         let last = &mut self.last_seq[at][env.src.0 as usize];
@@ -584,8 +583,7 @@ impl Cluster {
         let n = node.0 as usize;
         self.rejoin_epochs[n] += 1;
         let started_at = self.net.now();
-        let replay_span = profile::span(SpanKind::RecoveryReplay, node);
-        let replay_start = std::time::Instant::now();
+        let replay_start = trace::now_us();
         let mut recovered: Vec<(Oid, BunchId)> = Vec::new();
         if self.persist.is_some() {
             self.open_rvm(node)?;
@@ -609,9 +607,8 @@ impl Cluster {
             }
         }
         let epoch = self.rejoin_epochs[n];
-        drop(replay_span);
-        let replay_micros = replay_start.elapsed().as_micros() as u64;
-        metrics::add(node, Ctr::RecoveryReplayMicros, replay_micros);
+        let replay_micros = trace::now_us().saturating_sub(replay_start);
+        trace::record(SpanKind::RecoveryReplay, node, replay_start, replay_micros);
         trace::emit(node, TraceEvent::RecoveryBegin { epoch });
         let peers: BTreeSet<NodeId> = (0..self.nodes())
             .map(NodeId)

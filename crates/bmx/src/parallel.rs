@@ -94,7 +94,7 @@ use bmx_net::{
     ChannelTransport, Egress, FaultEvent, FaultStats, FaultyTransport, MsgClass, NetworkConfig,
     Transport,
 };
-use bmx_profile::{self as profile, SpanKind};
+use bmx_trace::{self as trace, SpanKind};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::cluster::{Cluster, ClusterConfig};
@@ -332,19 +332,18 @@ struct Shared {
     backoff_seed: u64,
 }
 
-/// A site's mutex, taken with wait/hold attribution: wall-clock wait and
-/// hold time land in [`Hst::MutexWaitMicros`] / [`Hst::MutexHoldMicros`]
-/// under `node` — the node the locking thread was working *for* — and as
-/// `mutex/wait` / `mutex/hold` profiler spans carrying the thread's
-/// current flow. Zero-cost when both planes are off: the clock reads are
-/// gated behind their enabled checks.
+/// A site's mutex, taken with wait/hold attribution under `node` — the
+/// node the locking thread was working *for*: the wait lands in
+/// [`Hst::MutexWaitMicros`], and wait and hold as `mutex/wait` /
+/// `mutex/hold` spans carrying the thread's current flow. Zero-cost when
+/// metrics and spans are off: the clock reads are gated behind their
+/// enabled checks.
 struct CoreGuard<'a> {
     guard: MutexGuard<'a, Cluster>,
     node: NodeId,
-    /// `Some` only when a plane is recording (the enabled check at lock
-    /// time is the gate for the whole guard): the hold's start, and the
-    /// same instant on the profiler clock, µs since its epoch.
-    hold_start: Option<(Instant, u64)>,
+    /// The hold's start (µs on the trace clock), `Some` only when spans
+    /// are on at lock time.
+    hold_start: Option<u64>,
 }
 
 impl std::ops::Deref for CoreGuard<'_> {
@@ -364,12 +363,9 @@ impl Drop for CoreGuard<'_> {
     fn drop(&mut self) {
         // Runs *before* the mutex guard field drops, so the measured
         // hold ends while the lock is still held — never short.
-        if let Some((t0, start_us)) = self.hold_start.take() {
-            let us = t0.elapsed().as_micros() as u64;
-            metrics::observe(self.node, Hst::MutexHoldMicros, us);
-            if profile::enabled() {
-                profile::record(SpanKind::MutexHold, self.node, start_us, us);
-            }
+        if let Some(start_us) = self.hold_start.take() {
+            let us = trace::now_us().saturating_sub(start_us);
+            trace::record(SpanKind::MutexHold, self.node, start_us, us);
         }
     }
 }
@@ -491,20 +487,21 @@ impl Shared {
 
     /// Takes `site`'s mutex attributed to `node`; see [`CoreGuard`].
     fn lock_site(&self, site: NodeId, node: NodeId) -> CoreGuard<'_> {
-        let timed = metrics::enabled() || profile::enabled();
-        let wait_start = timed.then(|| (Instant::now(), profile::now_us()));
+        let spans = trace::spans_enabled();
+        let wait_start = (spans || metrics::enabled()).then(trace::now_us);
         let guard = self.site(site).core.lock();
-        if let Some((t0, start_us)) = wait_start {
-            let us = t0.elapsed().as_micros() as u64;
+        // The wait's end is the hold's start: one clock read for both.
+        let locked = wait_start.map(|start_us| {
+            let now = trace::now_us();
+            let us = now.saturating_sub(start_us);
             metrics::observe(node, Hst::MutexWaitMicros, us);
-            if profile::enabled() {
-                profile::record(SpanKind::MutexWait, node, start_us, us);
-            }
-        }
+            trace::record(SpanKind::MutexWait, node, start_us, us);
+            now
+        });
         CoreGuard {
             guard,
             node,
-            hold_start: timed.then(|| (Instant::now(), profile::now_us())),
+            hold_start: locked.filter(|_| spans),
         }
     }
 
@@ -556,14 +553,9 @@ impl Shared {
         if self.phase.load(Ordering::Acquire) == PHASE_DROP && !class.requires_reliability() {
             self.transport.note_dropped(class);
         } else {
-            let span = profile::span_with_flow(SpanKind::Apply, node, env.span);
-            let t0 = metrics::enabled().then(Instant::now);
+            let span = trace::span_with_flow(SpanKind::Apply, node, env.span);
             let outcome = catch_unwind(AssertUnwindSafe(|| core.deliver(env)));
             drop(span);
-            if let Some(t0) = t0 {
-                let us = t0.elapsed().as_micros() as u64;
-                metrics::observe(node, Hst::ApplyMicros, us);
-            }
             match outcome {
                 Ok(Ok(())) => {
                     self.count_delivery(node, class);
@@ -1097,10 +1089,10 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
     let mut alarms_seen = shared.registry.as_ref().map_or(0, |r| r.total_alarms());
     while shared.phase.load(Ordering::Acquire) == PHASE_RUN {
         std::thread::sleep(cfg.pulse);
-        let _pulse_span = profile::span(SpanKind::SupervisorPulse, NodeId(0));
+        let _pulse_span = trace::span(SpanKind::SupervisorPulse, NodeId(0));
         let (now, events) = shared.pulse().unwrap_or((pulse + 1, Vec::new()));
         pulse = now;
-        bmx_trace::set_now(pulse);
+        trace::set_now(pulse);
         for event in events {
             match event {
                 FaultEvent::NodeCrashed { node } => shared.inject_crash(node),
@@ -1159,7 +1151,7 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
 /// of recovery complete asynchronously as surviving drivers answer; the
 /// supervisor flips the node back to alive when `in_recovery` clears.
 fn restart_node(shared: &Arc<Shared>, node: NodeId) {
-    let _span = profile::span(SpanKind::RecoveryRestart, node);
+    let _span = trace::span(SpanKind::RecoveryRestart, node);
     let st = shared.site(node);
     shared.purge_inbox(node);
     let generation = {
@@ -1461,10 +1453,10 @@ impl NodeHandle {
         // queued request, for a grant deferred behind a critical
         // section), so the request -> grant -> apply -> wake chain
         // stitches into one track in the exported Perfetto trace.
-        let flow = profile::new_flow();
-        let _flow_scope = profile::flow_scope(flow);
-        let _acquire_span = profile::span_with_flow(SpanKind::Acquire, n, flow);
-        let submit_span = profile::span_with_flow(SpanKind::AcquireSubmit, n, flow);
+        let flow = trace::new_flow();
+        let _flow_scope = trace::flow_scope(flow);
+        let _acquire_span = trace::span_with_flow(SpanKind::Acquire, n, flow);
+        let submit_span = trace::span_with_flow(SpanKind::AcquireSubmit, n, flow);
         let (mut entered, mut owner) = self.poll_acquire(obj, write, false)?;
         drop(submit_span);
         if !entered {
@@ -1525,10 +1517,10 @@ impl NodeHandle {
                     drop(attending.take());
                     let jitter = rng.next_below(backoff_us / 2 + 1);
                     {
-                        let _park = profile::span_with_flow(SpanKind::AcquirePark, n, flow);
+                        let _park = trace::span_with_flow(SpanKind::AcquirePark, n, flow);
                         wake.wait(seen, Duration::from_micros(backoff_us + jitter));
                     }
-                    wake_span = Some(profile::span_with_flow(SpanKind::AcquireWake, n, flow));
+                    wake_span = Some(trace::span_with_flow(SpanKind::AcquireWake, n, flow));
                     backoff_us = (backoff_us * 2).min(2_000);
                 }
                 // Once the backoff has hit its ceiling the grant is overdue
@@ -1542,7 +1534,7 @@ impl NodeHandle {
                 // after this line moves the epoch, so the next `wait` falls
                 // through instead of sleeping past it (no lost wakeup).
                 seen = wake.epoch();
-                let poll_span = profile::span_with_flow(SpanKind::AcquirePoll, n, flow);
+                let poll_span = trace::span_with_flow(SpanKind::AcquirePoll, n, flow);
                 (entered, owner) = self.poll_acquire(obj, write, nudge)?;
                 drop(poll_span);
                 // If we were parked, the wake "ends" once the poll it

@@ -7,7 +7,7 @@
 //! common error type ([`error`]), a small deterministic RNG ([`rng`]), a
 //! seedless hasher for id-keyed maps built on its mixer ([`hash`]), a
 //! one-word set of nodes ([`nodeset`]), the one JSON codec and Chrome-trace
-//! writer ([`json`]) and the one recorder of the trace and profile planes
+//! writer ([`json`]) and the one recorder of the trace plane
 //! ([`recorder`]).
 //!
 //! Nothing here knows about the network, the DSM protocol or the collector;

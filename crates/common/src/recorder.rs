@@ -1,4 +1,4 @@
-//! The one recording mechanism of the trace and profile planes: a bounded
+//! The one recording mechanism of the trace plane: a bounded
 //! overwrite-oldest [`Ring`], and a [`Registry`] holding one ring per
 //! recording thread. A thread registers on its first record and writes
 //! only its own ring; [`Registry::snapshot`] and [`Registry::take`] also

@@ -41,8 +41,7 @@ use bmx_common::WORD_BYTES;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, SegmentId, StatKind};
 use bmx_dsm::{DsmEngine, GcIntegration, Relocation};
 use bmx_metrics::{self as metrics, Ctr, Gge, Hst};
-use bmx_profile::{self as profile, SpanKind};
-use bmx_trace::{self as trace, SspKind, TraceEvent};
+use bmx_trace::{self as trace, GcPhase, SpanKind, SspKind, TraceEvent};
 
 use crate::incremental::IncrementalBgc;
 use crate::msg::ReachabilityReport;
@@ -139,40 +138,24 @@ impl TraceCore {
     }
 }
 
-/// Stopwatch for the per-phase / whole-pause metrics and the profiler's
-/// BGC phase spans. Inert (no clock reads at all) when both planes are
-/// disabled; the readings feed only observability, never the
-/// simulation, so determinism is untouched.
+/// Stopwatch for the BGC phase spans and the whole-pause metric: one
+/// clock read per lap ([`trace::now_us`]). Inert (no clock reads at all)
+/// when spans and metrics are both off; the readings feed only
+/// observability, never the simulation, so determinism is untouched.
 pub(crate) struct PhaseClock {
     /// Since when the mutator has been stopped, if this call ends in the
-    /// flip.
-    pause_from: Option<std::time::Instant>,
-    last: Option<std::time::Instant>,
-    /// The previous lap's end on the profiler clock, µs since its epoch.
-    last_us: u64,
-}
-
-/// The profiler span a phase counter corresponds to, for runs profiled
-/// under real threads (the counters alone cannot show *when* a phase
-/// ran relative to the acquires it paused).
-fn phase_span(ctr: Ctr) -> Option<SpanKind> {
-    match ctr {
-        Ctr::BgcRootsMicros => Some(SpanKind::BgcRoots),
-        Ctr::BgcTraceMicros => Some(SpanKind::BgcTrace),
-        Ctr::BgcUpdateMicros => Some(SpanKind::BgcUpdate),
-        Ctr::BgcSweepMicros => Some(SpanKind::BgcSweep),
-        Ctr::BgcPublishMicros => Some(SpanKind::BgcPublish),
-        _ => None,
-    }
+    /// flip; µs on the trace clock.
+    pause_from: Option<u64>,
+    /// The previous lap's end.
+    last: Option<u64>,
 }
 
 impl PhaseClock {
     pub(crate) fn start() -> PhaseClock {
-        let now = (metrics::enabled() || profile::enabled()).then(std::time::Instant::now);
+        let now = (metrics::enabled() || trace::spans_enabled()).then(trace::now_us);
         PhaseClock {
             pause_from: now,
             last: now,
-            last_us: profile::now_us(),
         }
     }
 
@@ -180,8 +163,7 @@ impl PhaseClock {
     /// the previous lap is no phase's.
     pub(crate) fn resume(&mut self) {
         if self.last.is_some() {
-            self.last = Some(std::time::Instant::now());
-            self.last_us = profile::now_us();
+            self.last = Some(trace::now_us());
         }
     }
 
@@ -191,19 +173,12 @@ impl PhaseClock {
         self.pause_from = self.last;
     }
 
-    /// Credits the time since the previous lap to `ctr` (and, when
-    /// profiling, records the lap as that phase's span).
-    pub(crate) fn lap(&mut self, node: NodeId, ctr: Ctr) {
+    /// Records the time since the previous lap as `phase`'s span.
+    pub(crate) fn lap(&mut self, node: NodeId, phase: GcPhase) {
         if let Some(prev) = self.last {
-            let now = std::time::Instant::now();
-            let us = now.duration_since(prev).as_micros() as u64;
-            metrics::add(node, ctr, us);
-            if profile::enabled() {
-                if let Some(kind) = phase_span(ctr) {
-                    profile::record(kind, node, self.last_us, us);
-                }
-                self.last_us = profile::now_us();
-            }
+            let now = trace::now_us();
+            let kind = SpanKind::Bgc(phase);
+            trace::record(kind, node, prev, now.saturating_sub(prev));
             self.last = Some(now);
         }
     }
@@ -212,11 +187,8 @@ impl PhaseClock {
     /// the whole collection if it ran in one call, else its flip.
     pub(crate) fn finish(&self, node: NodeId) {
         if let Some(start) = self.pause_from {
-            metrics::observe(
-                node,
-                Hst::BgcPauseMicros,
-                start.elapsed().as_micros() as u64,
-            );
+            let us = trace::now_us().saturating_sub(start);
+            metrics::observe(node, Hst::BgcPauseMicros, us);
             metrics::bump(node, Ctr::BgcCollections);
         }
     }

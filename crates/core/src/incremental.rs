@@ -30,7 +30,6 @@ use bmx_addr::object;
 use bmx_addr::NodeMemory;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Result};
 use bmx_dsm::DsmEngine;
-use bmx_metrics::Ctr;
 use bmx_trace::{GcPhase, TraceEvent};
 
 use crate::collect::{is_marked, refresh_node_gauges, CollectOutcome, Ctx, PhaseClock, TraceCore};
@@ -94,7 +93,7 @@ impl IncrementalBgc {
             ctx.clear_marks();
             ctx.gather_roots()
         };
-        clock.lap(node, Ctr::BgcRootsMicros);
+        clock.lap(node, GcPhase::Roots);
         for &b in group {
             gc.node_mut(node).active_groups.insert(b);
         }
@@ -199,7 +198,7 @@ impl IncrementalBgc {
                 break;
             }
         }
-        self.clock.lap(self.node, Ctr::BgcTraceMicros);
+        self.clock.lap(self.node, GcPhase::Trace);
         Ok(self.strong_stack.is_empty() && self.intra_stack.is_empty())
     }
 
@@ -254,7 +253,7 @@ impl IncrementalBgc {
             ctx.trace_bounded(&mut self.intra_stack, false, None)?;
         }
         let clock = &mut self.clock;
-        clock.lap(node, Ctr::BgcTraceMicros);
+        clock.lap(node, GcPhase::Trace);
         let mut ctx = Ctx {
             gc,
             engine,
@@ -265,13 +264,13 @@ impl IncrementalBgc {
         };
         emit_phase(node, lead, GcPhase::Update);
         ctx.update_references()?;
-        clock.lap(node, Ctr::BgcUpdateMicros);
+        clock.lap(node, GcPhase::Update);
         emit_phase(node, lead, GcPhase::Sweep);
         ctx.sweep()?;
-        clock.lap(node, Ctr::BgcSweepMicros);
+        clock.lap(node, GcPhase::Sweep);
         emit_phase(node, lead, GcPhase::Publish);
         let reports = ctx.regenerate_and_publish()?;
-        clock.lap(node, Ctr::BgcPublishMicros);
+        clock.lap(node, GcPhase::Publish);
         clock.finish(node);
         refresh_node_gauges(gc, node);
         Ok(CollectOutcome {

@@ -23,7 +23,6 @@ use bmx_addr::object::{self, ObjectImage};
 use bmx_addr::NodeMemory;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeSet, NodeStats, Oid, Result, StatKind};
 use bmx_metrics::{self as metrics, Hst};
-use bmx_profile as profile;
 use bmx_trace::{self as trace, AccessMode, TraceEvent};
 
 use crate::integration::GcIntegration;
@@ -647,8 +646,8 @@ impl DsmEngine {
         if claimed_reservation {
             // The parked-grant claim is the moment a blocking acquire
             // actually enters its critical section; mark it so the
-            // profiler's stitched track ends on something visible.
-            profile::mark(profile::SpanKind::ReserveClaim, node);
+            // stitched flow ends on something visible.
+            trace::mark(trace::SpanKind::ReserveClaim, node);
         }
     }
 
@@ -753,7 +752,7 @@ impl DsmEngine {
             // The grant leaves long after the request envelope was
             // applied; restoring the stored flow keeps it on the
             // requester's track.
-            let _flow = profile::flow_scope(q.flow);
+            let _flow = trace::flow_scope(q.flow);
             match q.kind {
                 ReqKind::Read => self.handle_read_req(at, oid, q.requester, sh, send)?,
                 ReqKind::Write => self.handle_write_req(at, oid, q.requester, sh, send)?,
@@ -936,7 +935,7 @@ impl DsmEngine {
             q.push(QueuedReq {
                 requester,
                 kind,
-                flow: profile::current_flow(),
+                flow: trace::current_flow(),
             });
         }
     }
@@ -1104,7 +1103,7 @@ impl DsmEngine {
             PendingWrite {
                 requester,
                 awaiting: targets,
-                flow: profile::current_flow(),
+                flow: trace::current_flow(),
             },
         );
         for t in targets {
@@ -1243,7 +1242,7 @@ impl DsmEngine {
         {
             // The final ack completes someone else's acquire; the grant
             // belongs on the original requester's track.
-            let _flow = profile::flow_scope(pw.flow);
+            let _flow = trace::flow_scope(pw.flow);
             self.complete_write_transfer(at, oid, requester, sh, send)?;
         }
         self.replay_queued(at, oid, sh, send)

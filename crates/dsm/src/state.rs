@@ -36,8 +36,8 @@ pub struct QueuedReq {
     pub requester: NodeId,
     /// What it asked for.
     pub kind: ReqKind,
-    /// The wall-clock profiler flow the request arrived under (0 when
-    /// profiling is off). Purely observational — never compared, never
+    /// The span flow the request arrived under (0 when spans are
+    /// off). Purely observational — never compared, never
     /// branched on — it lets the eventual grant inherit the requester's
     /// flow even though it is sent from a *later* protocol step (the
     /// holder's release), keeping the cross-node acquire stitched.
@@ -51,7 +51,7 @@ pub struct PendingWrite {
     pub requester: NodeId,
     /// Direct copy-set members whose (aggregated) acks are still missing.
     pub awaiting: NodeSet,
-    /// Profiler flow of the write request (same observational contract
+    /// Span flow of the write request (same observational contract
     /// as [`QueuedReq::flow`]): restored when the last ack completes the
     /// transfer, so the grant joins the requester's track.
     pub flow: u64,

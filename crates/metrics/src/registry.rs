@@ -25,21 +25,9 @@ pub enum Ctr {
     FaultActivations,
     /// Collections run (BGC or GGC groups) with this node as collector.
     BgcCollections,
-    /// Wall-clock microseconds spent in the Roots phase.
-    BgcRootsMicros,
-    /// Wall-clock microseconds spent in the Trace phase.
-    BgcTraceMicros,
-    /// Wall-clock microseconds spent in the Update phase.
-    BgcUpdateMicros,
-    /// Wall-clock microseconds spent in the Sweep phase.
-    BgcSweepMicros,
-    /// Wall-clock microseconds spent in the Publish phase.
-    BgcPublishMicros,
     /// Stale addresses resolved through the segment server's
     /// retired-range routing (from-space reuse aftermath).
     RetiredRouteHits,
-    /// Wall-clock microseconds of RVM replay during crash recovery.
-    RecoveryReplayMicros,
     /// Wall-clock CPU microseconds of complete recovery pipelines: RVM
     /// replay plus the rejoin-finish work (reconciliation, scion/stub
     /// regeneration). Simulated waiting between the two is measured in
@@ -105,16 +93,10 @@ pub enum Hst {
     AcquireReadMicros,
     /// Wall-clock microseconds a parallel-mode write acquire blocked.
     AcquireWriteMicros,
-    /// Wall-clock microseconds a thread waited for the coarse protocol
+    /// Wall-clock microseconds a thread waited for the node's site
     /// mutex, attributed to the node the thread was working for (holder
-    /// attribution: a hot node shows up in its *own* wait/hold rows).
+    /// attribution: a hot node shows up in its *own* row).
     MutexWaitMicros,
-    /// Wall-clock microseconds the protocol mutex was held per critical
-    /// section, same attribution as [`Hst::MutexWaitMicros`].
-    MutexHoldMicros,
-    /// Wall-clock microseconds spent applying one delivered envelope
-    /// (dispatch and its sends, lock held), whichever thread applied it.
-    ApplyMicros,
 }
 
 /// Per-(src, dst) link counters.
@@ -134,18 +116,12 @@ pub enum LinkCtr {
 }
 
 impl Ctr {
-    pub(crate) const COUNT: usize = 13;
+    pub(crate) const COUNT: usize = 7;
     /// All counters, in index order.
     pub const ALL: [Ctr; Self::COUNT] = [
         Ctr::FaultActivations,
         Ctr::BgcCollections,
-        Ctr::BgcRootsMicros,
-        Ctr::BgcTraceMicros,
-        Ctr::BgcUpdateMicros,
-        Ctr::BgcSweepMicros,
-        Ctr::BgcPublishMicros,
         Ctr::RetiredRouteHits,
-        Ctr::RecoveryReplayMicros,
         Ctr::RecoveryTotalMicros,
         Ctr::FromSpaceDrains,
         Ctr::ParallelOps,
@@ -166,7 +142,7 @@ impl Gge {
 }
 
 impl Hst {
-    pub(crate) const COUNT: usize = 13;
+    pub(crate) const COUNT: usize = 11;
     /// All histograms, in index order.
     pub const ALL: [Hst; Self::COUNT] = [
         Hst::AcquireReadTicks,
@@ -180,8 +156,6 @@ impl Hst {
         Hst::AcquireReadMicros,
         Hst::AcquireWriteMicros,
         Hst::MutexWaitMicros,
-        Hst::MutexHoldMicros,
-        Hst::ApplyMicros,
     ];
 }
 

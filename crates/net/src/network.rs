@@ -5,7 +5,6 @@ use std::collections::{BTreeMap, VecDeque};
 use bmx_common::{MsgSeq, NodeId, SplitMix64};
 use bmx_metrics as metrics;
 use bmx_metrics::{Gge, LinkCtr};
-use bmx_profile as profile;
 use bmx_trace as trace;
 
 use crate::fault::{Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats, Timeline};
@@ -87,8 +86,8 @@ pub struct Envelope<M> {
     /// nothing in the simulation reads it, so traced and untraced runs
     /// are bit-identical.
     pub lamport: u64,
-    /// The sender's wall-clock profiler flow id (0 when profiling is
-    /// disabled or the send belongs to no flow). Same contract as
+    /// The sender's span flow id (0 when spans are off or the send
+    /// belongs to no flow). Same contract as
     /// `lamport`: purely observational, no protocol meaning — it lets a
     /// driver thread attribute the apply of this envelope (and any sends
     /// it stages) to the mutator operation that caused it, stitching a
@@ -376,10 +375,10 @@ impl<M: WireSize + Clone> Network<M> {
             seq,
             class,
             lamport,
-            // Like the Lamport stamp: the profiler flow of the thread
+            // Like the Lamport stamp: the span flow of the thread
             // staging this send (a mutator mid-acquire, or a driver
             // applying an envelope that itself carried a flow).
-            span: profile::current_flow(),
+            span: trace::current_flow(),
             payload,
         };
         if let Some(egress) = &self.egress {

@@ -1,37 +1,44 @@
 //! Chrome `trace_event` JSON export.
 //!
 //! The output is the "JSON array format" understood by `chrome://tracing`
-//! and Perfetto (<https://ui.perfetto.dev>): one process per node, one
-//! thread per subsystem, every record an instant event (`"ph": "i"`) with
-//! its causal stamps in `args`. It is written by the workspace's one
-//! Chrome writer ([`ChromeTrace`]), whose reader is re-exported here so
-//! tests can prove the export round-trips through a real parse.
+//! and Perfetto (<https://ui.perfetto.dev>): one process per node. A
+//! causal event is an instant (`"ph": "i"`) on its subsystem's track,
+//! with its causal stamps in `args`; a span is a duration (`"ph": "X"`)
+//! on its recording thread's track, and spans sharing a nonzero flow id
+//! are stitched with flow events (`"ph": "s"/"t"/"f"`), so a cross-node
+//! acquire renders as one connected flow ("Flow events" toggle). It is
+//! written by the workspace's one Chrome writer ([`ChromeTrace`]), whose
+//! reader is re-exported here so tests can prove the export round-trips
+//! through a real parse.
 
 use std::collections::BTreeMap;
 
 pub use bmx_common::json::{parse, validate_chrome_trace as validate, Json};
 use bmx_common::json::{Arg, ChromeTrace, Track};
 
-use crate::event::TraceRecord;
+use crate::event::{TraceEvent, TraceRecord};
 
-/// Microseconds per tick in the exported timestamps (a tick is a
-/// simulated tick, or a supervisor pulse on the parallel runtime). The
-/// events of one tick are spread evenly across it, in merged causal
-/// order, so viewers don't stack them on a single instant however many
-/// there are.
+/// Microseconds per tick in the exported timestamps of a capture without
+/// wall-clock stamps (a tick is a simulated tick, or a supervisor pulse
+/// on the parallel runtime). The events of one tick are spread evenly
+/// across it, in merged causal order, so viewers don't stack them on a
+/// single instant however many there are.
 const US_PER_TICK: u64 = 1_000;
 
 /// Every subsystem's track, in tid order (tid = index + 1): each
-/// [`TraceEvent::subsystem`](crate::TraceEvent::subsystem) has its own.
+/// [`TraceEvent::subsystem`](crate::TraceEvent::subsystem) but `span` has
+/// its own. A span goes on its recording thread's track, after them.
 const TRACKS: [&str; 8] = [
     "net", "dsm", "gc", "cleaner", "mutator", "fault", "recovery", "metrics",
 ];
 
-/// Render `records` as a Chrome-trace JSON array. The records are sorted
-/// into the merged happens-before order first, so timestamps within a
-/// tick respect causality.
+/// Render `records` as a Chrome-trace JSON array, sorted into the merged
+/// happens-before order first. The time base is the wall clock when every
+/// record carries a stamp (the process-wide mode); otherwise the tick,
+/// with a tick's records in causal order.
 pub fn export(records: &[TraceRecord]) -> String {
     let ordered = crate::query::merged_order(records);
+    let wall = ordered.iter().all(|r| r.wall_us.is_some());
     // ts = tick in µs plus the record's share of the tick, by its rank
     // among the tick's records in merged order.
     let mut per_tick: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // (records, next rank)
@@ -39,18 +46,43 @@ pub fn export(records: &[TraceRecord]) -> String {
         per_tick.entry(rec.tick).or_default().0 += 1;
     }
     let mut doc = ChromeTrace::default();
+    // Track names by tid − 1: the subsystems', then recording threads'.
+    let mut tracks: Vec<&str> = TRACKS.to_vec();
+    // flow id -> (ts, track) of its spans, in encounter order.
+    let mut flows: BTreeMap<u64, Vec<(u64, Track)>> = BTreeMap::new();
     for rec in &ordered {
         let (count, rank) = per_tick.get_mut(&rec.tick).expect("counted above");
-        let ts = rec.tick * US_PER_TICK + *rank * US_PER_TICK / *count;
+        let ts = match rec.wall_us {
+            Some(us) if wall => us,
+            _ => rec.tick * US_PER_TICK + *rank * US_PER_TICK / *count,
+        };
         *rank += 1;
-        let thread = rec.event.subsystem();
-        let track = TRACKS.iter().position(|&t| t == thread);
-        let tid = track.expect("every subsystem has a track") as u64 + 1;
+        // A span's track is its thread's; a thread's name may repeat a
+        // subsystem's, so it is looked up past them.
+        let (first, thread) = match rec.event {
+            TraceEvent::Span { .. } => (TRACKS.len(), rec.thread),
+            _ => (0, rec.event.subsystem()),
+        };
+        let tid = match tracks[first..].iter().position(|&t| t == thread) {
+            Some(i) => first + i + 1,
+            None => {
+                tracks.push(thread);
+                tracks.len()
+            }
+        };
         let at = Track {
             pid: rec.node.0,
-            tid,
+            tid: tid as u64,
             thread,
         };
+        if let TraceEvent::Span { kind, dur_us, flow } = rec.event {
+            let args = [("flow", Arg::Num(flow))];
+            doc.duration(at, kind.name(), "span", ts, dur_us, &args);
+            if flow != 0 {
+                flows.entry(flow).or_default().push((ts, at));
+            }
+            continue;
+        }
         let detail = rec.event.to_string();
         // A derived `Debug` starts with the variant's name.
         let debug = format!("{:?}", rec.event);
@@ -61,6 +93,23 @@ pub fn export(records: &[TraceRecord]) -> String {
             ("detail", Arg::Str(&detail)),
         ];
         doc.instant(at, name, ts, &args);
+    }
+    // Flow stitching: start at the earliest span, step through the rest,
+    // finish at the last. Singleton flows have nothing to connect.
+    for (&flow, points) in flows.iter_mut() {
+        if points.len() < 2 {
+            continue;
+        }
+        points.sort_by_key(|&(ts, _)| ts);
+        let last = points.len() - 1;
+        for (i, &(ts, at)) in points.iter().enumerate() {
+            let ph = match i {
+                0 => "s",
+                i if i == last => "f",
+                _ => "t",
+            };
+            doc.flow(at, "acquire-flow", flow, ph, ts);
+        }
     }
     doc.finish()
 }
@@ -74,9 +123,11 @@ mod tests {
     fn rec(node: u32, tick: u64, lamport: u64, seq: u64) -> TraceRecord {
         TraceRecord {
             node: NodeId(node),
+            thread: "",
             tick,
             lamport,
             seq,
+            wall_us: None,
             event: TraceEvent::AcquireStart {
                 oid: Oid(9),
                 mode: AccessMode::Write,
@@ -146,5 +197,172 @@ mod tests {
     #[test]
     fn export_of_nothing_is_an_empty_array() {
         assert_eq!(validate(&export(&[])).unwrap(), 0);
+    }
+
+    fn events(text: &str) -> Vec<Json> {
+        match parse(text).expect("parses") {
+            Json::Arr(evs) => evs,
+            other => panic!("top-level array missing: {other:?}"),
+        }
+    }
+
+    fn field<'a>(e: &'a Json, key: &str) -> Option<&'a str> {
+        e.get(key).and_then(Json::as_str)
+    }
+
+    /// A process-wide session in which two named threads record causal
+    /// events and spans of one flow for two nodes; returns its export,
+    /// the wall-clock window it was recorded in, and the flow.
+    fn session_export() -> (String, std::ops::RangeInclusive<u64>, u64) {
+        use crate::{SpanKind, UNBOUNDED};
+        let _serial = crate::tests::serial();
+        crate::install_global(UNBOUNDED);
+        crate::enable_spans(UNBOUNDED);
+        // A tick far beyond the test's wall-clock span: a tick-based ts
+        // would fall outside the window.
+        crate::set_now(1_000_000);
+        let before = crate::now_us();
+        let flow = crate::new_flow();
+        for (name, node) in [("bmx-mutator-1", 1), ("bmx-driver-0-g0", 0)] {
+            let work = move || {
+                let node = NodeId(node);
+                let _flow = crate::flow_scope(flow);
+                {
+                    let _apply = crate::span(SpanKind::Apply, node);
+                    let mode = AccessMode::Write;
+                    crate::emit(node, TraceEvent::AcquireStart { oid: Oid(9), mode });
+                }
+                crate::mark(SpanKind::ReserveClaim, node);
+                crate::emit(node, TraceEvent::TokenRelease { oid: Oid(9) });
+            };
+            let t = std::thread::Builder::new().name(name.into()).spawn(work);
+            t.expect("spawn").join().expect("recorder thread");
+        }
+        let after = crate::now_us();
+        let records = crate::take_global();
+        crate::disable_spans();
+        crate::disable_global();
+        assert_eq!(records.len(), 8, "two spans and two events per thread");
+        (export(&records), before..=after, flow)
+    }
+
+    #[test]
+    fn export_round_trips_through_the_trace_parser() {
+        let (text, window, _) = session_export();
+        assert_eq!(validate(&text), Ok(8 + 4), "eight events, four flow steps");
+        let evs = events(&text);
+        let xs = evs.iter().filter(|e| field(e, "ph") == Some("X"));
+        let names: Vec<_> = xs.filter_map(|e| field(e, "name")).collect();
+        assert_eq!(names.len(), 4, "{names:?}");
+        assert!(names.contains(&"apply") && names.contains(&"acquire/reserve-claim"));
+        for e in evs.iter().filter(|e| field(e, "ph") != Some("M")) {
+            let ts = e.get("ts").and_then(Json::as_u64).expect("ts");
+            assert!(
+                window.contains(&ts),
+                "ts {ts} off the wall clock {window:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn threads_and_processes_are_named() {
+        let evs = events(&session_export().0);
+        let key = |e: &Json| {
+            let num = |k| e.get(k).and_then(Json::as_u64);
+            (num("pid"), num("tid"))
+        };
+        let mut named = std::collections::BTreeSet::new();
+        let mut names = Vec::new();
+        for e in evs.iter().filter(|e| field(e, "ph") == Some("M")) {
+            let name = e.get("args").and_then(|a| field(a, "name"));
+            names.push(name.expect("metadata names its track"));
+            if field(e, "name") == Some("thread_name") {
+                assert!(named.insert(key(e)), "{:?} named twice", key(e));
+            }
+        }
+        for want in [
+            "node 0",
+            "node 1",
+            "bmx-mutator-1",
+            "bmx-driver-0-g0",
+            "dsm",
+        ] {
+            assert!(names.contains(&want), "{want:?} not named: {names:?}");
+        }
+        for e in evs.iter().filter(|e| field(e, "ph") != Some("M")) {
+            assert!(named.contains(&key(e)), "unnamed track: {e:?}");
+        }
+    }
+
+    #[test]
+    fn flow_ids_stitch_across_pids() {
+        let (text, _, flow) = session_export();
+        let evs = events(&text);
+        let flow_evs: Vec<&Json> = evs
+            .iter()
+            .filter(|e| field(e, "cat") == Some("flow"))
+            .collect();
+        let count = |ph: &str| {
+            flow_evs
+                .iter()
+                .filter(|e| field(e, "ph") == Some(ph))
+                .count()
+        };
+        // Four spans share the flow -> one "s", two "t", one "f".
+        assert_eq!((count("s"), count("t"), count("f")), (1, 2, 1));
+        assert!(flow_evs
+            .iter()
+            .all(|e| e.get("id").and_then(Json::as_u64) == Some(flow)));
+        // Node 1's thread ran first, so its first span opens the flow.
+        let start = flow_evs.iter().find(|e| field(e, "ph") == Some("s"));
+        let start_pid = start.and_then(|e| e.get("pid")).and_then(Json::as_u64);
+        assert_eq!(start_pid, Some(1));
+        let pids: std::collections::BTreeSet<_> = flow_evs
+            .iter()
+            .filter_map(|e| e.get("pid").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(pids.len(), 2, "the flow crosses pids: {pids:?}");
+    }
+
+    fn span(node: u32, start: u64, flow: u64) -> TraceRecord {
+        TraceRecord {
+            wall_us: Some(start),
+            event: TraceEvent::Span {
+                kind: crate::SpanKind::Acquire,
+                dur_us: 5,
+                flow,
+            },
+            ..rec(node, 0, 0, 0)
+        }
+    }
+
+    #[test]
+    fn singleton_flows_are_not_stitched() {
+        let evs = events(&export(&[span(0, 10, 99), span(1, 20, 0)]));
+        assert!(evs.iter().all(|e| field(e, "cat") != Some("flow")));
+        let xs = evs.iter().filter(|e| field(e, "ph") == Some("X"));
+        let starts: Vec<_> = xs
+            .filter_map(|e| e.get("ts").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(starts, [10, 20], "spans start at their wall-clock stamp");
+    }
+
+    #[test]
+    fn names_are_escaped() {
+        let _serial = crate::tests::serial();
+        crate::enable_spans(16);
+        let records = std::thread::Builder::new()
+            .name("weird\"name\\with\njunk".into())
+            .spawn(|| {
+                crate::install(16);
+                crate::record(crate::SpanKind::MutexHold, NodeId(0), 1, 1);
+                crate::take()
+            })
+            .expect("spawn")
+            .join()
+            .expect("recorder thread");
+        crate::disable_spans();
+        assert_eq!(records.len(), 1);
+        validate(&export(&records)).expect("escaped name still parses");
     }
 }

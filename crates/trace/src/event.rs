@@ -120,6 +120,65 @@ pub enum FaultKind {
     PartitionHeal,
 }
 
+/// What a wall-clock span measured. Names are the stable strings that
+/// reach the Perfetto export and the blackbox dump.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanKind {
+    /// A whole mutator-side acquire, submit to locked (or failure).
+    Acquire,
+    /// The first protocol poll of an acquire: request submission.
+    AcquireSubmit,
+    /// A re-poll of an outstanding acquire.
+    AcquirePoll,
+    /// Parked on the node's wake cell (condvar wait, epoch-guarded).
+    AcquirePark,
+    /// From poke-wake (or park timeout) to the end of the next poll.
+    AcquireWake,
+    /// The reserved-token claim inside the DSM engine (`lock`).
+    ReserveClaim,
+    /// Waiting for the node's site mutex.
+    MutexWait,
+    /// Holding the node's site mutex (holder attribution: `node`).
+    MutexHold,
+    /// Applying one delivered envelope, on whichever thread holds the
+    /// node's lock: its driver, or a mutator polling for a grant.
+    Apply,
+    /// One supervisor pulse (chaos, liveness, watchdog evaluation).
+    SupervisorPulse,
+    /// RVM replay while restarting a crashed node.
+    RecoveryReplay,
+    /// The whole amnesia restart (wipe, replay, rejoin broadcast).
+    RecoveryRestart,
+    /// A collection phase, named as in [`TraceEvent::BgcPhase`].
+    Bgc(GcPhase),
+}
+
+impl SpanKind {
+    /// Stable display name (Perfetto event name).
+    pub fn name(self) -> &'static str {
+        match self {
+            SpanKind::Acquire => "acquire",
+            SpanKind::AcquireSubmit => "acquire/submit",
+            SpanKind::AcquirePoll => "acquire/poll",
+            SpanKind::AcquirePark => "acquire/park",
+            SpanKind::AcquireWake => "acquire/wake",
+            SpanKind::ReserveClaim => "acquire/reserve-claim",
+            SpanKind::MutexWait => "mutex/wait",
+            SpanKind::MutexHold => "mutex/hold",
+            SpanKind::Apply => "apply",
+            SpanKind::SupervisorPulse => "supervisor/pulse",
+            SpanKind::RecoveryReplay => "recovery/replay",
+            SpanKind::RecoveryRestart => "recovery/restart",
+            SpanKind::Bgc(GcPhase::Roots) => "bgc/roots",
+            SpanKind::Bgc(GcPhase::Trace) => "bgc/trace",
+            SpanKind::Bgc(GcPhase::Update) => "bgc/update",
+            SpanKind::Bgc(GcPhase::Sweep) => "bgc/sweep",
+            SpanKind::Bgc(GcPhase::Publish) => "bgc/publish",
+            SpanKind::Bgc(GcPhase::Flip) => "bgc/flip",
+        }
+    }
+}
+
 /// One causally-stamped thing that happened.
 ///
 /// Events are attributed to the node whose clock stamped them; cross-node
@@ -367,6 +426,19 @@ pub enum TraceEvent {
         witness_lamport: u64,
     },
 
+    // ---------------- wall clock ----------------
+    /// A wall-clock interval of work done for this node, `dur_us` long
+    /// from the record's [`TraceRecord::wall_us`] (0 for a mark). It takes
+    /// the node's current Lamport value without advancing it.
+    Span {
+        /// What was measured.
+        kind: SpanKind,
+        /// Duration, µs.
+        dur_us: u64,
+        /// Distributed flow id (0: not part of a flow).
+        flow: u64,
+    },
+
     // ---------------- mutator plane ----------------
     /// A mutator data/pointer access at this node; `resolved` differs from
     /// `requested` when the access went through forwarding knowledge.
@@ -410,6 +482,7 @@ impl TraceEvent {
             RecoveryBegin { .. } | RecoveryComplete { .. } | RejoinEpoch { .. } => "recovery",
             MetricAlarm { .. } => "metrics",
             MutatorAccess { .. } => "mutator",
+            Span { .. } => "span",
         }
     }
 }
@@ -490,6 +563,9 @@ impl fmt::Display for TraceEvent {
                 f,
                 "MetricAlarm {kind:?} value={value} since-t={since_tick} L(witness)={witness_lamport}"
             ),
+            Span { kind, dur_us, flow } => {
+                write!(f, "Span {} {dur_us}us flow={flow}", kind.name())
+            }
             MutatorAccess {
                 requested,
                 resolved,
@@ -511,15 +587,23 @@ impl fmt::Display for TraceEvent {
 pub struct TraceRecord {
     /// The node whose clock stamped the event.
     pub node: NodeId,
+    /// The recording thread's name (its id if unnamed).
+    pub thread: &'static str,
     /// Simulated network tick at emission time.
     pub tick: u64,
     /// The node's Lamport clock value for this event. Strictly increasing
-    /// per node; merged with the piggy-backed sender clock at delivery, so
-    /// `a` happens-before `b` implies `a.lamport < b.lamport`.
+    /// per node over causal events (a span repeats the current value);
+    /// merged with the piggy-backed sender clock at delivery, so `a`
+    /// happens-before `b` implies `a.lamport < b.lamport`.
     pub lamport: u64,
     /// Emission order on the capturing thread (a tie-breaker for stable
-    /// merges; not causally meaningful across nodes).
+    /// merges; not causally meaningful across nodes). A span shares the
+    /// number of the thread's previous event.
     pub seq: u64,
+    /// Wall-clock µs since the trace epoch ([`crate::now_us`]): a span's
+    /// start, and the emission instant of every record in the
+    /// process-wide mode. `None` for an event of a private recorder.
+    pub wall_us: Option<u64>,
     /// What happened.
     pub event: TraceEvent,
 }

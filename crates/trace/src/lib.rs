@@ -14,12 +14,17 @@
 //!   piggy-backed on every `Envelope`. Sorting the merged stream by
 //!   `(lamport, node, seq)` yields a total order consistent with
 //!   happens-before.
+//! * **Spans** ([`span`], [`record`], [`mark`]) are wall-clock intervals
+//!   recorded as [`TraceEvent::Span`], taking their node's Lamport value
+//!   without advancing it. A *flow id* per acquire ([`new_flow`]) rides
+//!   on every envelope its sends produce, stitching a cross-node acquire.
 //! * **Recording** goes through the workspace's one recorder
 //!   ([`bmx_common::recorder`]). A simulator run installs a recorder
 //!   private to its thread ([`install`]), so concurrently running tests
-//!   keep their captures apart. The parallel runtime turns on the
-//!   process-wide mode ([`install_global`]): every emitting thread writes
-//!   its own ring, and each node's Lamport clock is one atomic.
+//!   keep their captures apart. Otherwise records go to the process-wide
+//!   rings, one per thread, wall-clock stamped: [`install_global`] turns
+//!   on their causal events (each node's clock is then one atomic),
+//!   [`enable_spans`] their spans.
 //! * **Exporters** ([`chrome`]): Chrome `trace_event` JSON — load it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> — and a merged
 //!   human-readable timeline.
@@ -31,17 +36,23 @@
 //! size depends on whether a recorder is installed, so a traced run is
 //! bit-identical to an untraced run with the same seed (tier-1 enforces
 //! this). Disabled, an emit costs a thread-local flag read and one relaxed
-//! load.
+//! load, and a span entry point one relaxed load.
 
 #![forbid(unsafe_code)]
 
 pub mod chrome;
 mod event;
 pub mod query;
+mod span;
 
 pub use bmx_common::recorder::UNBOUNDED;
 pub use event::{
-    AccessMode, AlarmKind, FaultKind, GcPhase, MsgLane, ReuseStep, SspKind, TraceEvent, TraceRecord,
+    AccessMode, AlarmKind, FaultKind, GcPhase, MsgLane, ReuseStep, SpanKind, SspKind, TraceEvent,
+    TraceRecord,
+};
+pub use span::{
+    current_flow, flow_scope, mark, new_flow, now_us, record, span, span_with_flow, FlowScope,
+    SpanGuard,
 };
 
 use std::cell::{Cell, RefCell};
@@ -66,6 +77,13 @@ thread_local! {
     static SEQ: Cell<u64> = const { Cell::new(0) };
     /// This thread's ring in [`GLOBAL`].
     static LOCAL_RING: LocalRing<TraceRecord> = const { RefCell::new(None) };
+    /// This thread's name (its id if unnamed), leaked once on its first
+    /// record: a record stays `Copy` and names its thread after it exits.
+    static THREAD: &'static str = {
+        let t = std::thread::current();
+        let name = t.name().map_or_else(|| format!("{:?}", t.id()), str::to_string);
+        Box::leak(name.into_boxed_str())
+    };
 }
 
 // The process-wide mode, for threads without a private recorder. A node's
@@ -77,6 +95,8 @@ static GLOBAL_NOW: AtomicU64 = AtomicU64::new(0);
 #[allow(clippy::declare_interior_mutable_const)] // only copied into `GLOBAL_CLOCKS`
 const ZERO: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_CLOCKS: [AtomicU64; NodeSet::CAPACITY] = [ZERO; NodeSet::CAPACITY];
+/// The span switch.
+static SPANS_ON: AtomicBool = AtomicBool::new(false);
 
 /// Runs `f` on this thread's private recorder; `None` if it has none.
 fn with_local<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
@@ -130,10 +150,37 @@ pub fn install_global(capacity: usize) {
     GLOBAL_ON.store(true, Ordering::Release);
 }
 
-/// Turn off the process-wide mode and drop its rings.
+/// Turn off the process-wide causal events; the rings go too unless
+/// spans still record into them.
 pub fn disable_global() {
     GLOBAL_ON.store(false, Ordering::Release);
-    GLOBAL.clear();
+    if !spans_enabled() {
+        GLOBAL.clear();
+    }
+}
+
+/// Turn spans on, joining the process-wide session or else starting one
+/// with rings of `capacity` records per thread.
+pub fn enable_spans(capacity: usize) {
+    if !GLOBAL_ON.load(Ordering::Acquire) {
+        GLOBAL.start(capacity);
+    }
+    SPANS_ON.store(true, Ordering::Release);
+}
+
+/// Turn spans off; the process-wide rings go too unless causal events
+/// still record into them.
+pub fn disable_spans() {
+    SPANS_ON.store(false, Ordering::Release);
+    if !GLOBAL_ON.load(Ordering::Acquire) {
+        GLOBAL.clear();
+    }
+}
+
+/// Whether spans are recorded. One relaxed load.
+#[inline]
+pub fn spans_enabled() -> bool {
+    SPANS_ON.load(Ordering::Relaxed)
 }
 
 /// Take the records of every process-wide ring, those of exited threads
@@ -186,27 +233,46 @@ pub fn emit(node: NodeId, event: TraceEvent) -> u64 {
 #[cold]
 fn emit_slow(node: NodeId, event: TraceEvent) -> u64 {
     let seq = SEQ.with(|s| s.replace(s.get() + 1) + 1);
-    let stamped = |lamport, tick| TraceRecord {
+    stamp(node, seq, true, None, event)
+}
+
+/// Records a span; see [`span::record`].
+fn record_span(node: NodeId, start_us: u64, event: TraceEvent) {
+    stamp(node, SEQ.with(Cell::get), false, Some(start_us), event);
+}
+
+/// Records `event` at `node` under `seq` with the node's Lamport value,
+/// advanced by one or as it stands (a span), and returns that value.
+/// Without a private recorder it goes to the process-wide rings,
+/// wall-clock stamped; a causal event only while those record them.
+fn stamp(node: NodeId, seq: u64, advance: bool, wall_us: Option<u64>, event: TraceEvent) -> u64 {
+    let thread = THREAD.with(|t| *t);
+    let stamped = |lamport, tick, wall_us| TraceRecord {
         node,
+        thread,
         tick,
         lamport,
         seq,
+        wall_us,
         event,
     };
     if let Some(lamport) = with_local(|rec| {
         let clock = &mut rec.clocks[node.0 as usize];
-        *clock += 1;
-        rec.ring.push(stamped(*clock, rec.now));
+        *clock += u64::from(advance);
+        rec.ring.push(stamped(*clock, rec.now, wall_us));
         *clock
     }) {
         return lamport;
     }
-    let Some(clock) = global_clock(node) else {
-        return 0;
+    let lamport = match global_clock(node) {
+        Some(clock) if advance => clock.fetch_add(1, Ordering::Relaxed) + 1,
+        Some(clock) => clock.load(Ordering::Relaxed),
+        None if advance => return 0,
+        None => 0,
     };
-    let lamport = clock.fetch_add(1, Ordering::Relaxed) + 1;
     let now = GLOBAL_NOW.load(Ordering::Relaxed);
-    GLOBAL.record(&LOCAL_RING, stamped(lamport, now));
+    let wall_us = wall_us.unwrap_or_else(now_us);
+    GLOBAL.record(&LOCAL_RING, stamped(lamport, now, Some(wall_us)));
     lamport
 }
 
@@ -256,10 +322,11 @@ mod tests {
     }
 
     /// The process-wide mode is seen by every thread without a private
-    /// recorder; the tests that use it or assert it is off take turns.
+    /// recorder; the tests that use it (spans too) or assert it is off
+    /// take turns.
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -369,5 +436,110 @@ mod tests {
                 assert!(r.lamport > sent_lamport, "delivered before sent: {r:?}");
             }
         }
+    }
+
+    // ---------------- spans ----------------
+
+    fn spans() -> Vec<TraceRecord> {
+        snapshot_global()
+    }
+
+    #[test]
+    fn disabled_is_inert() {
+        let _serial = serial();
+        disable_spans();
+        assert_eq!(new_flow(), 0);
+        assert_eq!(current_flow(), 0);
+        let _g = span(SpanKind::Acquire, NodeId(0));
+        mark(SpanKind::ReserveClaim, NodeId(0));
+        record(SpanKind::MutexWait, NodeId(0), 1, 2);
+        drop(_g);
+        assert!(spans().is_empty());
+    }
+
+    #[test]
+    fn spans_record_and_snapshot() {
+        let _serial = serial();
+        enable_spans(64);
+        {
+            let _g = span(SpanKind::MutexWait, NodeId(3));
+        }
+        mark(SpanKind::ReserveClaim, NodeId(3));
+        let mine = spans();
+        assert!(mine.iter().any(|r| r.node == NodeId(3)
+            && matches!(r.event, TraceEvent::Span { kind, .. } if kind == SpanKind::MutexWait)));
+        assert!(mine.iter().any(|r| matches!(
+            r.event,
+            TraceEvent::Span {
+                kind: SpanKind::ReserveClaim,
+                dur_us: 0,
+                ..
+            }
+        )));
+        disable_spans();
+    }
+
+    #[test]
+    fn ring_overwrites_oldest() {
+        let _serial = serial();
+        enable_spans(16);
+        for i in 0..20u64 {
+            record(SpanKind::AcquirePoll, NodeId(0), i, 0);
+        }
+        let got: Vec<u64> = spans().iter().filter_map(|s| s.wall_us).collect();
+        assert_eq!(got, (4..20).collect::<Vec<_>>(), "last-N, oldest first");
+        disable_spans();
+    }
+
+    #[test]
+    fn flow_scope_nests_and_restores() {
+        let _serial = serial();
+        enable_spans(64);
+        let f1 = new_flow();
+        let f2 = new_flow();
+        assert_ne!(f1, 0);
+        assert_ne!(f1, f2);
+        assert_eq!(current_flow(), 0);
+        {
+            let _a = flow_scope(f1);
+            assert_eq!(current_flow(), f1);
+            {
+                let _b = flow_scope(f2);
+                assert_eq!(current_flow(), f2);
+            }
+            assert_eq!(current_flow(), f1);
+            // Zero clears for the scope (unstamped envelope).
+            {
+                let _c = flow_scope(0);
+                assert_eq!(current_flow(), 0);
+            }
+            assert_eq!(current_flow(), f1);
+        }
+        assert_eq!(current_flow(), 0);
+        disable_spans();
+    }
+
+    #[test]
+    fn reenable_starts_fresh_session() {
+        let _serial = serial();
+        enable_spans(64);
+        mark(SpanKind::AcquireSubmit, NodeId(1));
+        assert!(!spans().is_empty());
+        enable_spans(64);
+        assert_eq!(spans().len(), 0, "re-enable must drop the previous session");
+        mark(SpanKind::AcquireSubmit, NodeId(1));
+        assert_eq!(spans().len(), 1);
+        disable_spans();
+    }
+
+    #[test]
+    fn span_guard_cancel_records_nothing() {
+        let _serial = serial();
+        enable_spans(64);
+        let mut g = span(SpanKind::Apply, NodeId(0));
+        g.cancel();
+        drop(g);
+        assert_eq!(spans().len(), 0);
+        disable_spans();
     }
 }

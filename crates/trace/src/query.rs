@@ -334,9 +334,11 @@ mod tests {
     fn r(node: u32, lamport: u64, seq: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
             node: NodeId(node),
+            thread: "",
             tick: lamport,
             lamport,
             seq,
+            wall_us: None,
             event,
         }
     }

@@ -11,11 +11,9 @@
 //! * [`addr`] — the single-address-space memory substrate;
 //! * [`net`] — the deterministic simulated network;
 //! * [`rvm`] — recoverable virtual memory;
-//! * [`trace`] — causal event tracing: flight recorder, Chrome-trace
-//!   export, trace-backed invariant checking;
-//! * [`profile`] — wall-clock span profiler: per-thread bounded rings,
-//!   distributed flow stitching, Perfetto export, post-mortem blackbox
-//!   source (see DESIGN.md §13);
+//! * [`trace`] — causal events and wall-clock spans in one record:
+//!   flight recorder, distributed flow stitching, Chrome/Perfetto export,
+//!   trace-backed invariant checking (see DESIGN.md §7, §13);
 //! * [`metrics`] — the cluster-wide metrics plane: allocation-free
 //!   counters/gauges/histograms, leak watchdogs, JSON
 //!   exposition (see DESIGN.md §9);
@@ -35,7 +33,6 @@ pub use bmx_dsm as dsm;
 pub use bmx_gc as gc;
 pub use bmx_metrics as metrics;
 pub use bmx_net as net;
-pub use bmx_profile as profile;
 pub use bmx_rvm as rvm;
 pub use bmx_trace as trace;
 pub use bmx_workloads as workloads;

@@ -27,7 +27,6 @@ use bmx_common::SplitMix64;
 use bmx_repro::bmx::{audit, blackbox};
 use bmx_repro::metrics::{self, WatchdogConfig};
 use bmx_repro::prelude::*;
-use bmx_repro::profile;
 use bmx_repro::trace::{self, AlarmKind, TraceEvent};
 use parking_lot::Mutex;
 
@@ -727,9 +726,9 @@ fn user_closure_panic_does_not_crash_the_node() {
 
 /// Acceptance for the post-mortem blackbox (DESIGN.md §13): an injected
 /// watchdog alarm on an armed runtime must make the *supervisor* write
-/// `target/blackbox/<label>/` containing the span trace, a stamped
-/// metrics snapshot, and the flight recorder — and every file must parse
-/// with the repo's own readers. The dump directory is removed on the way
+/// `target/blackbox/<label>/` containing a stamped metrics snapshot and
+/// the flight recorder, spans included — and every file must parse with
+/// the repo's own readers. The dump directory is removed on the way
 /// out: this dump is expected, and the nightly gate treats any surviving
 /// `target/blackbox/` entry on a green run as a bug.
 #[test]
@@ -745,7 +744,7 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
         interval: 10,
         ..WatchdogConfig::default()
     });
-    profile::enable(2048);
+    trace::enable_spans(2048);
     blackbox::arm(&label);
 
     // A little real traffic first, so the dump has spans, counters, and
@@ -766,10 +765,10 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
     // watchdog pulse sees the alarm total move and writes the dump.
     metrics::inject_alarm(&mreg, 0, AlarmKind::FromSpaceLeak);
 
-    // `flight.trace.json` is written last, so its existence means the
-    // whole dump is on disk.
+    // `trace.json` is written last, so its existence means the whole
+    // dump is on disk.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !dir.join("flight.trace.json").exists() {
+    while !dir.join("trace.json").exists() {
         assert!(
             Instant::now() < deadline,
             "supervisor never wrote the blackbox dump to {}",
@@ -784,7 +783,7 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
         "reason names the trigger: {reason:?}"
     );
 
-    let spans = std::fs::read_to_string(dir.join("spans.trace.json")).expect("spans.trace.json");
+    let spans = std::fs::read_to_string(dir.join("trace.json")).expect("trace.json");
     trace::chrome::validate(&spans).expect("span trace parses");
     assert!(
         spans.contains("\"acquire\"") && spans.contains("mutex/hold"),
@@ -809,8 +808,6 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
         "the injected alarm is in the dumped snapshot"
     );
 
-    let flight = std::fs::read_to_string(dir.join("flight.trace.json")).expect("flight");
-    trace::chrome::validate(&flight).expect("flight trace parses");
     // The snapshot is non-draining: the recorder still holds its events
     // for the run's own checkers.
     assert!(
@@ -819,7 +816,7 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
     );
 
     blackbox::disarm();
-    profile::disable();
+    trace::disable_spans();
     let (_cluster, report) = pc.shutdown(Shutdown::Drain).expect("shutdown");
     assert_eq!(report.dropped, 0);
     metrics::disable();

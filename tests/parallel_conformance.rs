@@ -28,7 +28,6 @@ use bmx_common::SplitMix64;
 use bmx_repro::bmx::audit;
 use bmx_repro::metrics;
 use bmx_repro::prelude::*;
-use bmx_repro::profile;
 use bmx_repro::trace::{self, TraceEvent};
 use parking_lot::Mutex;
 
@@ -419,12 +418,16 @@ fn profiled_run_digest_is_identical_to_unprofiled() {
     let _serial = serial();
     let seed = 0x0F11_ED00u64;
     let sim = run_sim(seed);
-    profile::disable();
+    trace::disable_spans();
     let unprofiled = run_parallel(seed, None);
-    profile::enable(4096);
+    trace::enable_spans(4096);
     let profiled = run_parallel(seed, None);
-    let spans: usize = profile::snapshot_all().iter().map(|t| t.spans.len()).sum();
-    profile::disable();
+    let records = trace::snapshot_global();
+    let spans = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::Span { .. }))
+        .count();
+    trace::disable_spans();
     assert!(
         spans > 0,
         "profiler on but no spans recorded — check vacuous"

@@ -1,21 +1,21 @@
-//! Acceptance tests for the wall-clock span profiler on the parallel
-//! runtime (DESIGN.md §13): a *blocking* cross-node acquire — requester
-//! parks, the remote owner's release triggers the grant — must render in
-//! the exported Perfetto trace as ONE stitched flow that crosses node
-//! (pid) boundaries and contains the whole anatomy of the wait:
-//! submit, park, poke-wake, reserve-claim, protocol-mutex wait/hold, and
-//! the applies on both ends — whichever thread ran them: a node's driver,
-//! or the mutator polling there for its grant.
+//! Acceptance tests for the wall-clock spans on the parallel runtime
+//! (DESIGN.md §13): a *blocking* cross-node acquire — requester parks,
+//! the remote owner's release triggers the grant — must render in the
+//! exported Perfetto trace as ONE stitched flow that crosses node (pid)
+//! boundaries and contains the whole anatomy of the wait: submit, park,
+//! poke-wake, reserve-claim, wait/hold of the node's site mutex, and the
+//! applies on both ends — whichever thread ran them: a node's driver, or
+//! the mutator polling there for its grant.
 //!
-//! The profiler is process-global, so this binary's tests serialize on a
-//! local mutex (each integration-test *file* is its own process, so no
-//! cross-binary interference).
+//! The span switch is process-global, so this binary's tests serialize
+//! on a local mutex (each integration-test *file* is its own process, so
+//! no cross-binary interference).
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use bmx_repro::prelude::*;
-use bmx_repro::profile;
+use bmx_repro::trace;
 use bmx_repro::trace::chrome::{parse, validate, Json};
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -48,7 +48,7 @@ fn blocking_acquire_trace() -> String {
     h1.add_root(obj).expect("root");
     assert!(pc.quiesce(Duration::from_secs(10)), "setup quiesce");
 
-    profile::enable(4096);
+    trace::enable_spans(4096);
 
     // Node 0 enters the critical section first, so node 1's request is
     // queued at the owner and node 1 parks waiting for the grant.
@@ -65,8 +65,8 @@ fn blocking_acquire_trace() -> String {
     waiter.join().expect("waiter thread");
     assert!(pc.quiesce(Duration::from_secs(10)), "quiesce");
 
-    let text = profile::chrome::export(&profile::snapshot_all());
-    profile::disable();
+    let text = trace::chrome::export(&trace::snapshot_global());
+    trace::disable_spans();
     let (cluster, report) = pc.shutdown(Shutdown::Drain).expect("shutdown");
     assert_eq!(report.dropped, 0, "drain dropped traffic");
     drop(cluster);
@@ -191,7 +191,7 @@ fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
 #[test]
 fn disabled_profiler_records_nothing() {
     let _serial = serial();
-    profile::disable();
+    trace::disable_spans();
     let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
     let h0 = pc.handle(n(0));
     let bunch = h0.create_bunch().expect("bunch");
@@ -205,7 +205,7 @@ fn disabled_profiler_records_nothing() {
     let (cluster, _) = pc.shutdown(Shutdown::Drain).expect("shutdown");
     drop(cluster);
     assert!(
-        profile::snapshot_all().is_empty(),
+        trace::snapshot_global().is_empty(),
         "spans recorded while disabled"
     );
 }

@@ -391,9 +391,11 @@ fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
     let mut tampered = records.clone();
     tampered.push(TraceRecord {
         node: n(0),
+        thread: "",
         tick: last.0 + 1,
         lamport: last.0 + 1,
         seq: last.1 + 1,
+        wall_us: None,
         event: TraceEvent::ScionRetired {
             source: victim,
             bunch,
