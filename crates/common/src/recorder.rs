@@ -64,13 +64,12 @@ pub type SharedRing<T> = Arc<Mutex<Ring<T>>>;
 /// `thread_local!` and hand it to [`Registry::record`].
 pub type LocalRing<T> = RefCell<Option<(u64, SharedRing<T>)>>;
 
-/// One ring per recording thread, with the thread's name; see the module
-/// documentation.
+/// One ring per recording thread; see the module documentation.
 #[derive(Debug)]
 pub struct Registry<T> {
     session: AtomicU64,
     capacity: AtomicUsize,
-    threads: Mutex<Vec<(String, SharedRing<T>)>>,
+    threads: Mutex<Vec<SharedRing<T>>>,
 }
 
 impl<T: Clone> Registry<T> {
@@ -100,9 +99,8 @@ impl<T: Clone> Registry<T> {
     #[cold]
     fn register(&self) -> SharedRing<T> {
         let ring = Arc::new(Mutex::new(Ring::new(self.capacity.load(Ordering::Relaxed))));
-        let name = std::thread::current().name().unwrap_or("?").to_string();
         let mut threads = self.threads.lock().expect("registry lock");
-        threads.push((name, Arc::clone(&ring)));
+        threads.push(Arc::clone(&ring));
         ring
     }
 
@@ -121,22 +119,22 @@ impl<T: Clone> Registry<T> {
         });
     }
 
-    /// Every registered thread's name and items (oldest first), in
-    /// registration order.
-    pub fn snapshot(&self) -> Vec<(String, Vec<T>)> {
+    /// Every registered thread's items (oldest first), in registration
+    /// order.
+    pub fn snapshot(&self) -> Vec<Vec<T>> {
         self.each(|ring| ring.contents())
     }
 
     /// [`Registry::snapshot`], taking the items: every ring is left empty.
-    pub fn take(&self) -> Vec<(String, Vec<T>)> {
+    pub fn take(&self) -> Vec<Vec<T>> {
         self.each(Ring::take)
     }
 
-    fn each(&self, f: impl Fn(&mut Ring<T>) -> Vec<T>) -> Vec<(String, Vec<T>)> {
+    fn each(&self, f: impl Fn(&mut Ring<T>) -> Vec<T>) -> Vec<Vec<T>> {
         let threads = self.threads.lock().expect("registry lock");
         threads
             .iter()
-            .map(|(name, ring)| (name.clone(), f(&mut ring.lock().expect("ring lock"))))
+            .map(|ring| f(&mut ring.lock().expect("ring lock")))
             .collect()
     }
 }
@@ -198,18 +196,14 @@ mod tests {
     fn a_thread_that_exited_is_still_seen() {
         let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         REG.start(4);
-        std::thread::Builder::new()
-            .name("gone".into())
-            .spawn(|| (0..6).for_each(|i| REG.record(&LOCAL, i)))
-            .unwrap()
+        std::thread::spawn(|| (0..6).for_each(|i| REG.record(&LOCAL, i)))
             .join()
             .unwrap();
         REG.record(&LOCAL, 9);
         let snap = REG.snapshot();
-        assert_eq!(snap[0], ("gone".to_string(), vec![2, 3, 4, 5]));
-        assert_eq!(snap[1].1, vec![9]);
+        assert_eq!(snap, [vec![2, 3, 4, 5], vec![9]]);
         assert_eq!(REG.take(), snap, "take sees what snapshot saw");
-        assert!(REG.snapshot().iter().all(|(_, items)| items.is_empty()));
+        assert!(REG.snapshot().iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -221,7 +215,7 @@ mod tests {
         assert!(REG.snapshot().is_empty(), "old rings dropped");
         REG.record(&LOCAL, 2);
         assert_eq!(REG.snapshot().len(), 1, "the thread registered afresh");
-        assert_eq!(REG.snapshot()[0].1, vec![2]);
+        assert_eq!(REG.snapshot()[0], vec![2]);
         REG.clear();
         assert!(REG.snapshot().is_empty());
     }

@@ -138,15 +138,16 @@ impl TraceCore {
     }
 }
 
-/// Stopwatch for the BGC phase spans and the whole-pause metric: one
-/// clock read per lap ([`trace::now_us`]). Inert (no clock reads at all)
-/// when spans and metrics are both off; the readings feed only
-/// observability, never the simulation, so determinism is untouched.
+/// Stopwatch for the BGC phase spans and the whole-pause metric, on the
+/// trace clock ([`trace::now_us`]): one read per lap while spans are on,
+/// and one at the pause's start and end while either spans or metrics
+/// are. The readings feed only observability, never the simulation, so
+/// determinism is untouched.
 pub(crate) struct PhaseClock {
     /// Since when the mutator has been stopped, if this call ends in the
     /// flip; µs on the trace clock.
     pause_from: Option<u64>,
-    /// The previous lap's end.
+    /// The previous lap's end, while spans are on.
     last: Option<u64>,
 }
 
@@ -155,7 +156,7 @@ impl PhaseClock {
         let now = (metrics::enabled() || trace::spans_enabled()).then(trace::now_us);
         PhaseClock {
             pause_from: now,
-            last: now,
+            last: now.filter(|_| trace::spans_enabled()),
         }
     }
 
@@ -169,8 +170,11 @@ impl PhaseClock {
 
     /// [`PhaseClock::resume`], and whatever pause follows starts here too.
     pub(crate) fn pause_from_now(&mut self) {
-        self.resume();
-        self.pause_from = self.last;
+        if self.pause_from.is_some() {
+            let now = trace::now_us();
+            self.pause_from = Some(now);
+            self.last = self.last.and(Some(now));
+        }
     }
 
     /// Records the time since the previous lap as `phase`'s span.

@@ -117,7 +117,7 @@ pub fn export(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AccessMode, TraceEvent, TraceRecord};
+    use crate::event::{AccessMode, SpanKind, TraceEvent, TraceRecord};
     use bmx_common::{NodeId, Oid};
 
     fn rec(node: u32, tick: u64, lamport: u64, seq: u64) -> TraceRecord {
@@ -210,14 +210,122 @@ mod tests {
         e.get(key).and_then(Json::as_str)
     }
 
+    fn span(
+        thread: &'static str,
+        kind: SpanKind,
+        node: u32,
+        ts: u64,
+        dur: u64,
+        flow: u64,
+    ) -> TraceRecord {
+        TraceRecord {
+            thread,
+            wall_us: Some(ts),
+            event: TraceEvent::Span {
+                kind,
+                dur_us: dur,
+                flow,
+            },
+            ..rec(node, 0, 0, 0)
+        }
+    }
+
+    /// Two threads' spans of flow 7, on two nodes.
+    fn sample() -> Vec<TraceRecord> {
+        let mutator = "bmx-mutator-1";
+        vec![
+            span(mutator, SpanKind::Acquire, 1, 100, 900, 7),
+            span(mutator, SpanKind::AcquirePark, 1, 150, 600, 7),
+            span(mutator, SpanKind::ReserveClaim, 1, 990, 0, 7),
+            span("bmx-driver-0-g0", SpanKind::Apply, 0, 400, 50, 7),
+        ]
+    }
+
+    #[test]
+    fn export_round_trips_through_the_trace_parser() {
+        let text = export(&sample());
+        let n = validate(&text).expect("well-formed trace JSON");
+        assert!(n >= 4, "at least the four duration events: {n}");
+        let evs = events(&text);
+        // All four spans present as "ph":"X" with real ts/dur.
+        let xs: Vec<_> = evs.iter().filter(|e| field(e, "ph") == Some("X")).collect();
+        assert_eq!(xs.len(), 4);
+        let park = xs
+            .iter()
+            .find(|e| field(e, "name") == Some("acquire/park"))
+            .expect("park span exported");
+        assert_eq!(park.get("ts").and_then(Json::as_num), Some(150.0));
+        assert_eq!(park.get("dur").and_then(Json::as_num), Some(600.0));
+        assert_eq!(park.get("pid").and_then(Json::as_num), Some(1.0));
+    }
+
+    #[test]
+    fn threads_and_processes_are_named() {
+        let evs = events(&export(&sample()));
+        let names: Vec<&str> = evs
+            .iter()
+            .filter(|e| field(e, "ph") == Some("M"))
+            .filter_map(|e| e.get("args").and_then(|a| field(a, "name")))
+            .collect();
+        for want in ["node 0", "node 1", "bmx-mutator-1", "bmx-driver-0-g0"] {
+            assert!(names.contains(&want), "{want:?} not named: {names:?}");
+        }
+    }
+
+    #[test]
+    fn flow_ids_stitch_across_pids() {
+        let evs = events(&export(&sample()));
+        let flow_evs: Vec<_> = evs
+            .iter()
+            .filter(|e| matches!(field(e, "ph"), Some("s") | Some("t") | Some("f")))
+            .collect();
+        // Four spans share flow 7 -> one "s", two "t", one "f".
+        assert_eq!(flow_evs.len(), 4, "{flow_evs:?}");
+        assert!(flow_evs
+            .iter()
+            .all(|e| e.get("id").and_then(Json::as_num) == Some(7.0)));
+        let start = flow_evs
+            .iter()
+            .find(|e| field(e, "ph") == Some("s"))
+            .expect("flow start");
+        // Earliest span (ts 100, node 1) opens the flow.
+        assert_eq!(start.get("ts").and_then(Json::as_num), Some(100.0));
+        assert_eq!(start.get("pid").and_then(Json::as_num), Some(1.0));
+        let finish = flow_evs
+            .iter()
+            .find(|e| field(e, "ph") == Some("f"))
+            .expect("flow finish");
+        assert_eq!(finish.get("ts").and_then(Json::as_num), Some(990.0));
+        // Both pids participate: the flow crosses node boundaries.
+        let pids: std::collections::BTreeSet<u64> = flow_evs
+            .iter()
+            .filter_map(|e| e.get("pid").and_then(Json::as_num))
+            .map(|p| p as u64)
+            .collect();
+        assert!(pids.contains(&0) && pids.contains(&1), "{pids:?}");
+    }
+
+    #[test]
+    fn singleton_flows_are_not_stitched() {
+        let lone = span("t", SpanKind::Acquire, 0, 10, 5, 99);
+        let evs = events(&export(&[lone]));
+        assert!(evs.iter().all(|e| field(e, "ph") != Some("s")));
+    }
+
+    #[test]
+    fn names_are_escaped() {
+        let weird = span("weird\"name\\with\njunk", SpanKind::MutexHold, 0, 1, 1, 0);
+        let text = export(&[weird]);
+        validate(&text).expect("escaped name still parses");
+    }
+
     /// A process-wide session in which two named threads record causal
     /// events and spans of one flow for two nodes; returns its export,
     /// the wall-clock window it was recorded in, and the flow.
     fn session_export() -> (String, std::ops::RangeInclusive<u64>, u64) {
-        use crate::{SpanKind, UNBOUNDED};
         let _serial = crate::tests::serial();
-        crate::install_global(UNBOUNDED);
-        crate::enable_spans(UNBOUNDED);
+        crate::install_global(crate::UNBOUNDED);
+        crate::enable_spans(crate::UNBOUNDED);
         // A tick far beyond the test's wall-clock span: a tick-based ts
         // would fall outside the window.
         crate::set_now(1_000_000);
@@ -247,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn export_round_trips_through_the_trace_parser() {
+    fn a_session_export_validates_on_the_wall_clock() {
         let (text, window, _) = session_export();
         assert_eq!(validate(&text), Ok(8 + 4), "eight events, four flow steps");
         let evs = events(&text);
@@ -265,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_processes_are_named() {
+    fn a_session_export_names_each_track_once() {
         let evs = events(&session_export().0);
         let key = |e: &Json| {
             let num = |k| e.get(k).and_then(Json::as_u64);
@@ -295,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_ids_stitch_across_pids() {
+    fn a_session_flow_stitches_across_pids() {
         let (text, _, flow) = session_export();
         let evs = events(&text);
         let flow_evs: Vec<&Json> = evs
@@ -322,47 +430,5 @@ mod tests {
             .filter_map(|e| e.get("pid").and_then(Json::as_u64))
             .collect();
         assert_eq!(pids.len(), 2, "the flow crosses pids: {pids:?}");
-    }
-
-    fn span(node: u32, start: u64, flow: u64) -> TraceRecord {
-        TraceRecord {
-            wall_us: Some(start),
-            event: TraceEvent::Span {
-                kind: crate::SpanKind::Acquire,
-                dur_us: 5,
-                flow,
-            },
-            ..rec(node, 0, 0, 0)
-        }
-    }
-
-    #[test]
-    fn singleton_flows_are_not_stitched() {
-        let evs = events(&export(&[span(0, 10, 99), span(1, 20, 0)]));
-        assert!(evs.iter().all(|e| field(e, "cat") != Some("flow")));
-        let xs = evs.iter().filter(|e| field(e, "ph") == Some("X"));
-        let starts: Vec<_> = xs
-            .filter_map(|e| e.get("ts").and_then(Json::as_u64))
-            .collect();
-        assert_eq!(starts, [10, 20], "spans start at their wall-clock stamp");
-    }
-
-    #[test]
-    fn names_are_escaped() {
-        let _serial = crate::tests::serial();
-        crate::enable_spans(16);
-        let records = std::thread::Builder::new()
-            .name("weird\"name\\with\njunk".into())
-            .spawn(|| {
-                crate::install(16);
-                crate::record(crate::SpanKind::MutexHold, NodeId(0), 1, 1);
-                crate::take()
-            })
-            .expect("spawn")
-            .join()
-            .expect("recorder thread");
-        crate::disable_spans();
-        assert_eq!(records.len(), 1);
-        validate(&export(&records)).expect("escaped name still parses");
     }
 }

@@ -187,14 +187,14 @@ pub fn spans_enabled() -> bool {
 /// included, leaving the mode on. They come thread by thread, each oldest
 /// first; [`query::merged_order`] merges them.
 pub fn take_global() -> Vec<TraceRecord> {
-    GLOBAL.take().into_iter().flat_map(|(_, r)| r).collect()
+    GLOBAL.take().concat()
 }
 
 /// [`take_global`] without taking: the flight recorder keeps flying. The
 /// post-mortem blackbox reads it so, and must not consume what a later
 /// test assertion (or a second dump) still wants.
 pub fn snapshot_global() -> Vec<TraceRecord> {
-    GLOBAL.snapshot().into_iter().flat_map(|(_, r)| r).collect()
+    GLOBAL.snapshot().concat()
 }
 
 /// Copy out everything this thread's private recorder retains (oldest

@@ -42,38 +42,34 @@ pub fn mark(kind: SpanKind, node: NodeId) {
     }
 }
 
-/// An in-flight span; records on drop. Inert (all-`None`) when spans are
+/// An in-flight span; records on drop. Inert (no start) when spans are
 /// off, so guards can sit on hot paths unconditionally.
 #[must_use = "the span is recorded when the guard drops"]
 pub struct SpanGuard {
-    armed: Option<SpanStart>,
-}
-
-struct SpanStart {
     kind: SpanKind,
     node: NodeId,
-    start_us: u64,
     /// `Some(f)` pins the flow at creation; `None` reads the thread's
     /// current flow when the guard drops.
     flow: Option<u64>,
+    start_us: Option<u64>,
 }
 
 impl SpanGuard {
     /// Drops the guard without recording anything.
     pub fn cancel(&mut self) {
-        self.armed = None;
+        self.start_us = None;
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(s) = self.armed.take() {
+        if let Some(start_us) = self.start_us.take() {
             let event = TraceEvent::Span {
-                kind: s.kind,
-                dur_us: now_us().saturating_sub(s.start_us),
-                flow: s.flow.unwrap_or_else(current_flow),
+                kind: self.kind,
+                dur_us: now_us().saturating_sub(start_us),
+                flow: self.flow.unwrap_or_else(current_flow),
             };
-            record_span(s.node, s.start_us, event);
+            record_span(self.node, start_us, event);
         }
     }
 }
@@ -93,14 +89,13 @@ pub fn span_with_flow(kind: SpanKind, node: NodeId, flow: u64) -> SpanGuard {
 
 #[inline]
 fn open(kind: SpanKind, node: NodeId, flow: Option<u64>) -> SpanGuard {
-    let start = spans_enabled().then(now_us);
-    let armed = start.map(|start_us| SpanStart {
+    let start_us = spans_enabled().then(now_us);
+    SpanGuard {
         kind,
         node,
-        start_us,
         flow,
-    });
-    SpanGuard { armed }
+        start_us,
+    }
 }
 
 /// Mints a fresh nonzero flow id (0 when spans are off, so such runs
