@@ -41,7 +41,7 @@ fn same_request(a: &DsmMsg, b: &DsmMsg) -> bool {
 }
 use bmx_gc::collect::CollectOutcome;
 use bmx_gc::{barrier, cleaner, collect, fromspace, CollectStats, GcMsg, GcState, RelocMode};
-use bmx_metrics::{self as metrics, Ctr, Gge, Hst, LinkCtr};
+use bmx_metrics::{self as metrics, Gge, Hst, LinkCtr};
 use bmx_net::{Envelope, FaultEvent, MsgClass, Network, NetworkConfig};
 use bmx_rvm::{Rvm, RvmOptions};
 use bmx_trace::{self as trace, SpanKind, TraceEvent};
@@ -621,7 +621,6 @@ impl Cluster {
             }
             trace::emit(node, TraceEvent::RecoveryComplete { epoch });
             self.stats[n].bump(StatKind::RecoveriesCompleted);
-            metrics::add(node, Ctr::RecoveryTotalMicros, replay_micros);
             self.recovery_log.push(RecoveryOutcome {
                 node,
                 epoch,
@@ -828,7 +827,6 @@ impl Cluster {
         let Some(rec) = self.recoveries[n].take() else {
             return Ok(());
         };
-        let finish_start = metrics::enabled().then(std::time::Instant::now);
         let mut assignments: Vec<Assignment> = Vec::new();
         let no_views: Vec<(NodeId, ObjView)> = Vec::new();
         for &(oid, bunch) in &rec.recovered {
@@ -966,13 +964,6 @@ impl Cluster {
         }
         trace::emit(node, TraceEvent::RecoveryComplete { epoch: rec.epoch });
         self.stats[n].bump(StatKind::RecoveriesCompleted);
-        if let Some(start) = finish_start {
-            metrics::add(
-                node,
-                Ctr::RecoveryTotalMicros,
-                rec.replay_micros + start.elapsed().as_micros() as u64,
-            );
-        }
         self.recovery_log.push(RecoveryOutcome {
             node,
             epoch: rec.epoch,

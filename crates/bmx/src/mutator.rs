@@ -8,7 +8,7 @@
 use bmx_addr::{object, Protection};
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, StatKind};
 use bmx_dsm::{AcquireStart, Token};
-use bmx_metrics::{self as metrics, Ctr, Hst};
+use bmx_metrics::{self as metrics, Hst};
 use bmx_trace::{self as trace, TraceEvent};
 
 use crate::cluster::Cluster;
@@ -180,7 +180,7 @@ impl Cluster {
         let mut found = at.as_ref().is_ok_and(is_header);
         if !found {
             if let Some((oid, to)) = self.server.borrow().resolve_retired(addr) {
-                metrics::bump(node, Ctr::RetiredRouteHits);
+                self.stats[node.0 as usize].bump(StatKind::RetiredRouteHits);
                 cur = match dir.addr_of(oid) {
                     Some(a) if object::view(mem, a).is_ok_and(|v| v.oid == oid) => a,
                     _ => dir.resolve(to),
@@ -296,7 +296,7 @@ impl Cluster {
                 let Some((oid, cur)) = self.server.borrow().resolve_retired(addr) else {
                     return Err(err);
                 };
-                metrics::bump(node, Ctr::RetiredRouteHits);
+                self.stats[node.0 as usize].bump(StatKind::RetiredRouteHits);
                 // Prefer an address some replica demonstrably populated:
                 // this node's own copy first, then the creator's; the
                 // routing target is only a last resort (the data lands

@@ -89,7 +89,7 @@ use std::time::{Duration, Instant};
 use bmx_addr::SegmentServer;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SplitMix64};
 use bmx_gc::SharedServer;
-use bmx_metrics::{self as metrics, Ctr, Hst, Registry};
+use bmx_metrics::{self as metrics, Hst, Registry};
 use bmx_net::{
     ChannelTransport, Egress, FaultEvent, FaultStats, FaultyTransport, MsgClass, NetworkConfig,
     Transport,
@@ -205,6 +205,10 @@ pub struct NodeLiveness {
     /// The most recent failure note (survives a successful restart, as
     /// the record of *why* the node last went down).
     pub note: Option<String>,
+    /// Mutator operations completed through this node's handles.
+    pub ops: u64,
+    /// Envelopes fully applied at this node.
+    pub delivered: u64,
 }
 
 /// A wake-up that cannot be lost and costs its ringer two atomic
@@ -419,6 +423,13 @@ impl Drop for Gathered<'_> {
     }
 }
 
+impl Site {
+    fn delivered(&self) -> u64 {
+        let cells = self.delivered_by_class.iter();
+        cells.map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+}
+
 impl Shared {
     fn site(&self, node: NodeId) -> &Site {
         &self.sites[node.0 as usize]
@@ -434,12 +445,12 @@ impl Shared {
 
     /// Marks `node`'s failure domain down. Later calls in the same down
     /// episode update the note (the last crash reason is the useful one).
-    fn fail_node(&self, node: NodeId, note: String) {
-        // Genuine deaths (protocol errors, panics) trigger the post-
-        // mortem blackbox; *injected* crashes are routine traffic in a
-        // green chaos-recovery soak and must not produce dumps — the
-        // nightly gate treats any dump on a passing run as a failure.
-        if !note.starts_with("injected crash") {
+    /// `dump` writes the post-mortem blackbox: genuine deaths (protocol
+    /// errors, panics) pass `true`; injected crashes are routine traffic
+    /// in a green chaos-recovery soak and pass `false` — the nightly gate
+    /// treats any dump on a passing run as a failure.
+    fn fail_node(&self, node: NodeId, note: String, dump: bool) {
+        if dump {
             crate::blackbox::dump_if_armed(&note, self.registry.as_deref(), &self.generations());
         }
         let st = self.site(node);
@@ -452,7 +463,7 @@ impl Shared {
 
     /// Crashes `node`'s failure domain on purpose.
     fn inject_crash(&self, node: NodeId) {
-        self.fail_node(node, format!("injected crash at {node:?}"));
+        self.fail_node(node, format!("injected crash at {node:?}"), false);
     }
 
     fn check(&self, node: NodeId) -> Result<()> {
@@ -474,7 +485,6 @@ impl Shared {
     fn count_delivery(&self, node: NodeId, class: MsgClass) {
         let cell = &self.site(node).delivered_by_class[class.index()];
         cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        metrics::bump(node, Ctr::ParallelDeliveries);
     }
 
     fn delivered(&self, class: MsgClass) -> u64 {
@@ -562,10 +572,10 @@ impl Shared {
                     // The envelope may have been a parked acquire's grant.
                     self.site(node).wake.ring();
                 }
-                Ok(Err(e)) => self.fail_node(node, format!("apply at {node:?}: {e}")),
+                Ok(Err(e)) => self.fail_node(node, format!("apply at {node:?}: {e}"), true),
                 Err(p) => {
                     let note = format!("apply at {node:?} panicked: {}", panic_note(p));
-                    self.fail_node(node, note);
+                    self.fail_node(node, note, true);
                 }
             }
         }
@@ -878,6 +888,8 @@ impl ParallelCluster {
                     status: status_from(st.status.load(Ordering::Acquire)),
                     restarts: st.restarts.load(Ordering::Relaxed),
                     note: st.note.lock().clone(),
+                    ops: st.ops.load(Ordering::Relaxed),
+                    delivered: st.delivered(),
                 }
             })
             .collect()
@@ -1124,7 +1136,13 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
                 _ => {}
             }
         }
-        metrics::tick(pulse, shared.transport.in_flight());
+        // Progress is completed ops plus applied envelopes.
+        let progress = shared
+            .sites
+            .iter()
+            .map(|st| st.ops.load(Ordering::Relaxed) + st.delivered())
+            .sum();
+        metrics::tick(pulse, shared.transport.in_flight(), progress);
         if let Some(reg) = &shared.registry {
             // A watchdog alarm is a blackbox trigger: the runtime is
             // telling us it is wedged or leaking, and the spans that
@@ -1265,7 +1283,7 @@ impl NodeHandle {
     }
 
     /// One completed mutator operation, for [`ParallelCluster::ops`] and
-    /// the [`Ctr::ParallelOps`] counter, counted by the call that completed
+    /// the progress-stall watchdog, counted by the call that completed
     /// it while it still holds this node's site lock. The lock makes the
     /// cell single-writer, so the count is a load and a store, not a locked
     /// read-modify-write. Acquire *polls* are not ops — only the poll that
@@ -1273,7 +1291,6 @@ impl NodeHandle {
     fn count_op(&self) {
         let ops = &self.shared.site(self.node).ops;
         ops.store(ops.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        metrics::bump(self.node, Ctr::ParallelOps);
     }
 
     /// The *protocol* domain behind the typed methods: a panic here is a
@@ -1326,7 +1343,7 @@ impl NodeHandle {
             Ok(r) => r,
             Err(p) => {
                 let note = format!("handle op at {:?} panicked: {}", self.node, panic_note(p));
-                self.shared.fail_node(self.node, note.clone());
+                self.shared.fail_node(self.node, note.clone(), true);
                 Err(BmxError::Protocol(note))
             }
         }

@@ -223,8 +223,8 @@ pub struct Recovery {
 /// One completed recovery, recorded for the E9 experiment and the chaos
 /// suite: latency is `complete_tick - restart_tick` of simulated time plus
 /// the measured RVM replay wall time. (Both ticks are 0 on the parallel
-/// runtime, whose networks have no clock; `Ctr::RecoveryTotalMicros` is
-/// the reading there.)
+/// runtime, whose networks have no clock; `replay_micros` and the
+/// `recovery/replay` span are the readings there.)
 #[derive(Clone, Debug)]
 pub struct RecoveryOutcome {
     /// The recovered node.

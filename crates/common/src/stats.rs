@@ -8,7 +8,8 @@
 //!
 //! Storage is a shared block of relaxed atomics ([`NodeStats`] is a thin
 //! shim over it): the cluster's counters and the `bmx-metrics` registry
-//! observe the *same* cells, so there is exactly one counting mechanism.
+//! observe the *same* cells. These are the only per-node counters; the
+//! registry adds gauges, histograms and per-link counters beside them.
 //! [`NodeStats::clone`] deliberately produces a **detached** value copy —
 //! the `let base = stats.clone(); …; stats.since(&base)` baseline pattern
 //! used throughout the experiments keeps its value semantics — while
@@ -115,11 +116,14 @@ pub enum StatKind {
     /// Objects whose ownership was orphaned by an amnesia crash and
     /// reassigned to a surviving replica holder during the rejoin handshake.
     RejoinOrphansAdopted,
+    /// Stale addresses resolved through the segment server's retired-range
+    /// routing (from-space reuse aftermath).
+    RetiredRouteHits,
 }
 
 impl StatKind {
     /// All counter kinds, for iteration in reports.
-    pub const ALL: [StatKind; 37] = [
+    pub const ALL: [StatKind; 38] = [
         StatKind::MessagesSent,
         StatKind::MessagesDropped,
         StatKind::BytesSent,
@@ -157,6 +161,7 @@ impl StatKind {
         StatKind::AmnesiaWipes,
         StatKind::RecoveriesCompleted,
         StatKind::RejoinOrphansAdopted,
+        StatKind::RetiredRouteHits,
     ];
 
     const COUNT: usize = Self::ALL.len();
@@ -225,13 +230,13 @@ impl NodeStats {
 
     /// Adds `n` to the counter of the given kind.
     #[inline]
-    pub fn add(&mut self, kind: StatKind, n: u64) {
+    pub fn add(&self, kind: StatKind, n: u64) {
         self.cells.cells[kind as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increments the counter of the given kind by one.
     #[inline]
-    pub fn bump(&mut self, kind: StatKind) {
+    pub fn bump(&self, kind: StatKind) {
         self.cells.cells[kind as usize].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -303,7 +308,7 @@ mod tests {
 
     #[test]
     fn bump_and_add() {
-        let mut s = NodeStats::new();
+        let s = NodeStats::new();
         s.bump(StatKind::MessagesSent);
         s.add(StatKind::BytesSent, 120);
         assert_eq!(s.get(StatKind::MessagesSent), 1);
@@ -313,8 +318,8 @@ mod tests {
 
     #[test]
     fn merged_sums_elementwise() {
-        let mut a = NodeStats::new();
-        let mut b = NodeStats::new();
+        let a = NodeStats::new();
+        let b = NodeStats::new();
         a.add(StatKind::ObjectsCopied, 3);
         b.add(StatKind::ObjectsCopied, 4);
         b.bump(StatKind::Invalidations);
@@ -325,9 +330,9 @@ mod tests {
 
     #[test]
     fn since_subtracts() {
-        let mut base = NodeStats::new();
+        let base = NodeStats::new();
         base.add(StatKind::MessagesSent, 10);
-        let mut now = base.clone();
+        let now = base.clone();
         now.add(StatKind::MessagesSent, 5);
         assert_eq!(now.since(&base).get(StatKind::MessagesSent), 5);
     }
@@ -335,14 +340,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "went backwards")]
     fn since_rejects_regression() {
-        let mut base = NodeStats::new();
+        let base = NodeStats::new();
         base.add(StatKind::MessagesSent, 10);
         NodeStats::new().since(&base);
     }
 
     #[test]
     fn nonzero_lists_only_touched_counters() {
-        let mut s = NodeStats::new();
+        let s = NodeStats::new();
         s.bump(StatKind::ScionMessages);
         let v: Vec<_> = s.nonzero().collect();
         assert_eq!(v, vec![(StatKind::ScionMessages, 1)]);
@@ -350,10 +355,10 @@ mod tests {
 
     #[test]
     fn clone_detaches_but_handle_aliases() {
-        let mut live = NodeStats::new();
+        let live = NodeStats::new();
         live.bump(StatKind::MessagesSent);
         let snapshot = live.clone();
-        let mut alias = live.handle();
+        let alias = live.handle();
         assert!(live.is_same_cells(&alias));
         assert!(!live.is_same_cells(&snapshot));
         alias.add(StatKind::MessagesSent, 9);

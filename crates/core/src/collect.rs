@@ -40,7 +40,7 @@ use bmx_addr::NodeMemory;
 use bmx_common::WORD_BYTES;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, SegmentId, StatKind};
 use bmx_dsm::{DsmEngine, GcIntegration, Relocation};
-use bmx_metrics::{self as metrics, Ctr, Gge, Hst};
+use bmx_metrics::{self as metrics, Gge, Hst};
 use bmx_trace::{self as trace, GcPhase, SpanKind, SspKind, TraceEvent};
 
 use crate::incremental::IncrementalBgc;
@@ -193,7 +193,6 @@ impl PhaseClock {
         if let Some(start) = self.pause_from {
             let us = trace::now_us().saturating_sub(start);
             metrics::observe(node, Hst::BgcPauseMicros, us);
-            metrics::bump(node, Ctr::BgcCollections);
         }
     }
 }

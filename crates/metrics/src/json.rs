@@ -63,12 +63,12 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Ctr, Gge, LinkCtr, Registry};
+    use crate::registry::{Gge, LinkCtr, Registry};
 
     #[test]
     fn snapshot_round_trips_through_json() {
         let reg = Registry::default();
-        reg.node(0).add(Ctr::RetiredRouteHits, 12);
+        reg.node(0).set(Gge::ScionTableSize, 12);
         reg.node(1).set(Gge::StubTableSize, 30);
         reg.node(1)
             .observe(crate::registry::Hst::InvalidationFanout, 2);
@@ -99,9 +99,9 @@ mod tests {
     fn diff_json_carries_signed_deltas() {
         let mut diff = BTreeMap::new();
         diff.insert("node0/gauge/retry_queue_depth".to_string(), -4i64);
-        diff.insert("node0/ctr/bgc_collections".to_string(), 2i64);
+        diff.insert("node0/hist/bgc_pause_micros/count".to_string(), 2i64);
         let text = diff_to_json(&diff);
         assert!(text.contains("\"node0/gauge/retry_queue_depth\": -4"));
-        assert!(text.contains("\"node0/ctr/bgc_collections\": 2"));
+        assert!(text.contains("\"node0/hist/bgc_pause_micros/count\": 2"));
     }
 }

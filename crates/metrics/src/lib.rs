@@ -5,25 +5,25 @@
 //! in?"; this crate answers "how much, how often, how long?" — and,
 //! through its watchdogs, "is something quietly leaking?". It provides:
 //!
-//! * **A per-node registry** ([`Registry`]) of fixed-identity counters,
-//!   gauges, and power-of-two-bucket histograms ([`Ctr`], [`Gge`],
-//!   [`Hst`]), plus per-link counters ([`LinkCtr`]) and a per-bunch
-//!   live-bytes table. Metric identity is an enum index; recording is a
-//!   relaxed atomic op — no strings, hashing, or allocation on the hot
-//!   path.
+//! * **A per-node registry** ([`Registry`]) of fixed-identity gauges and
+//!   power-of-two-bucket histograms ([`Gge`], [`Hst`]), plus per-link
+//!   counters ([`LinkCtr`]) and a per-bunch live-bytes table. Metric
+//!   identity is an enum index; recording is a relaxed atomic op — no
+//!   strings, hashing, or allocation on the hot path.
 //! * **Exposition**: a flat JSON [`Snapshot`] codec with lossless
 //!   round-trip and signed diffs ([`json`]) — what the blackbox and the
 //!   chaos soaks write.
 //! * **Watchdogs** ([`watchdog`]): drain-based leak detectors (from-space
 //!   retention that never drains, monotone scion backlog, retry storms,
-//!   stalled Lamport clocks) evaluated on the mode's one clock (the
-//!   network tick in the simulation, the supervisor's pulse on real
-//!   threads), emitting
+//!   stalled Lamport clocks, a runtime making no progress) evaluated on
+//!   the mode's one clock (the network tick in the simulation, the
+//!   supervisor's pulse on real threads), emitting
 //!   [`bmx_trace::TraceEvent::MetricAlarm`] with a causal witness.
-//! * **One counting mechanism**: the pre-existing `NodeStats` simulation
-//!   counters are atomic cells that the registry binds live
-//!   ([`bind_stats`]), so snapshots include them without double
-//!   counting.
+//! * **One counting mechanism**: a per-node count is a `NodeStats`
+//!   counter. Those are atomic cells that the registry binds live
+//!   ([`bind_stats`]), so snapshots include them (`node{i}/stat/*`)
+//!   without counting anything twice; the registry's own counts are
+//!   per link only.
 //!
 //! Like tracing, metrics are observational only: no simulation state,
 //! RNG draw, or wire byte depends on whether a registry is installed, so
@@ -43,7 +43,7 @@ mod registry;
 pub mod watchdog;
 
 pub use histogram::{Histogram, BUCKETS};
-pub use registry::{Ctr, Gge, Hst, LinkCtr, LinkScope, NodeScope, Registry, Snapshot};
+pub use registry::{Gge, Hst, LinkCtr, LinkScope, NodeScope, Registry, Snapshot};
 pub use watchdog::{inject_alarm, WatchdogConfig};
 
 use std::cell::{Cell, RefCell};
@@ -114,18 +114,6 @@ fn with_installed(f: impl FnOnce(&Registry)) {
     });
 }
 
-/// Adds 1 to `node`'s counter `c`. No-op when disabled.
-#[inline]
-pub fn bump(node: NodeId, c: Ctr) {
-    add(node, c, 1);
-}
-
-/// Adds `n` to `node`'s counter `c`. No-op when disabled.
-#[inline]
-pub fn add(node: NodeId, c: Ctr, n: u64) {
-    with_registry(|reg| reg.node(node.0).add(c, n));
-}
-
 /// Sets `node`'s gauge `g` to `v`. No-op when disabled.
 #[inline]
 pub fn gauge_set(node: NodeId, g: Gge, v: u64) {
@@ -170,10 +158,12 @@ pub fn set_bunch_live_bytes(node: NodeId, bunch: u64, bytes: u64) {
 }
 
 /// The mode's one clock pulse (`Network::advance`, or the supervisor's on
-/// threads) with the messages in flight as `pending_work` (0 in the
-/// simulation): runs the watchdogs every [`WatchdogConfig::interval`] ticks.
+/// threads) with the messages in flight as `pending_work` and the
+/// runtime's completed ops plus applied deliveries as `progress` (both 0
+/// in the simulation): runs the watchdogs every
+/// [`WatchdogConfig::interval`] ticks.
 #[inline]
-pub fn tick(now: u64, pending_work: u64) {
+pub fn tick(now: u64, pending_work: u64, progress: u64) {
     with_registry(|reg| {
         // Not `u64::is_multiple_of` (Rust 1.87; the workspace MSRV is
         // 1.75). A zero interval evaluates at tick 0 only, as it did.
@@ -181,7 +171,7 @@ pub fn tick(now: u64, pending_work: u64) {
             .checked_rem(reg.cfg.interval)
             .map_or(now == 0, |r| r == 0);
         if due {
-            watchdog::evaluate(reg, now, pending_work);
+            watchdog::evaluate(reg, now, pending_work, progress);
         }
     });
 }
@@ -204,11 +194,10 @@ mod tests {
     fn disabled_metrics_are_a_no_op() {
         disable();
         assert!(!enabled());
-        bump(n(0), Ctr::BgcCollections);
         gauge_set(n(0), Gge::ScionTableSize, 9);
         observe(n(0), Hst::BgcPauseMicros, 5);
         link(n(0), n(1), LinkCtr::Send, 1);
-        tick(0, 0);
+        tick(0, 0, 0);
         assert!(registry().is_none());
         assert!(snapshot().entries.is_empty());
     }
@@ -216,18 +205,23 @@ mod tests {
     #[test]
     fn install_records_and_snapshot_reads_back() {
         let reg = install();
-        bump(n(0), Ctr::BgcCollections);
-        add(n(0), Ctr::BgcCollections, 2);
+        observe(n(0), Hst::BgcPauseMicros, 3);
+        observe(n(0), Hst::BgcPauseMicros, 3);
+        observe(n(0), Hst::BgcPauseMicros, 3);
         gauge_add(n(1), Gge::InflightBytes, 100);
         gauge_sub(n(1), Gge::InflightBytes, 40);
         observe(n(2), Hst::AcquireReadTicks, 3);
         link(n(0), n(2), LinkCtr::Bytes, 64);
         let snap = snapshot();
-        assert_eq!(snap.get("node0/ctr/bgc_collections"), 3);
+        assert_eq!(snap.get("node0/hist/bgc_pause_micros/count"), 3);
         assert_eq!(snap.get("node1/gauge/inflight_bytes"), 60);
         assert_eq!(snap.get("node2/hist/acquire_read_ticks/count"), 1);
         assert_eq!(snap.get("link0-2/bytes"), 64);
-        assert_eq!(reg.node(0).ctr(Ctr::BgcCollections), 3, "shared handle");
+        assert_eq!(
+            reg.node(0).hist(Hst::BgcPauseMicros).count(),
+            3,
+            "shared handle"
+        );
         disable();
         assert!(registry().is_none());
     }
@@ -240,11 +234,11 @@ mod tests {
             retry_window: 0,
             ..WatchdogConfig::default()
         });
-        tick(0, 0); // primes baselines (queue still empty)
+        tick(0, 0, 0); // primes baselines (queue still empty)
         gauge_set(n(0), Gge::RetryQueueDepth, 5);
-        tick(5, 0); // off-interval: ignored
+        tick(5, 0, 0); // off-interval: ignored
         assert_eq!(reg.alarms(bmx_trace::AlarmKind::RetryStorm), 0);
-        tick(10, 0); // evaluates: depth 5 >= 1 sustained >= 0 ticks
+        tick(10, 0, 0); // evaluates: depth 5 >= 1 sustained >= 0 ticks
         assert_eq!(reg.alarms(bmx_trace::AlarmKind::RetryStorm), 1);
         disable();
     }

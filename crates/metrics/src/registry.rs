@@ -16,35 +16,6 @@ use bmx_trace::AlarmKind;
 use crate::histogram::Histogram;
 use crate::watchdog::{WatchdogConfig, WatchdogState};
 
-/// Per-node monotone counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Ctr {
-    /// Fault-plan transitions that activated at this node (crashes,
-    /// restarts, partition heals).
-    FaultActivations,
-    /// Collections run (BGC or GGC groups) with this node as collector.
-    BgcCollections,
-    /// Stale addresses resolved through the segment server's
-    /// retired-range routing (from-space reuse aftermath).
-    RetiredRouteHits,
-    /// Wall-clock CPU microseconds of complete recovery pipelines: RVM
-    /// replay plus the rejoin-finish work (reconciliation, scion/stub
-    /// regeneration). Simulated waiting between the two is measured in
-    /// ticks by `StatKind::RecoveryLatencyTicks`, not here.
-    RecoveryTotalMicros,
-    /// Times the from-space retention gauge decreased (a drain the leak
-    /// watchdog credits).
-    FromSpaceDrains,
-    /// Mutator operations completed through a parallel-runtime node
-    /// handle (the numerator of sustained ops/sec).
-    ParallelOps,
-    /// Envelopes fully applied by this node's parallel-runtime driver
-    /// thread. Together with [`Ctr::ParallelOps`] this is the progress
-    /// signal the parallel watchdog's stall detector watches.
-    ParallelDeliveries,
-}
-
 /// Per-node gauges (set to the current value; may go down).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
@@ -115,20 +86,6 @@ pub enum LinkCtr {
     Bytes,
 }
 
-impl Ctr {
-    pub(crate) const COUNT: usize = 7;
-    /// All counters, in index order.
-    pub const ALL: [Ctr; Self::COUNT] = [
-        Ctr::FaultActivations,
-        Ctr::BgcCollections,
-        Ctr::RetiredRouteHits,
-        Ctr::RecoveryTotalMicros,
-        Ctr::FromSpaceDrains,
-        Ctr::ParallelOps,
-        Ctr::ParallelDeliveries,
-    ];
-}
-
 impl Gge {
     pub(crate) const COUNT: usize = 5;
     /// All gauges, in index order.
@@ -192,27 +149,14 @@ pub(crate) fn snake(debug_name: impl std::fmt::Debug) -> String {
 /// One node's metric block.
 #[derive(Default)]
 pub struct NodeScope {
-    ctrs: [AtomicU64; Ctr::COUNT],
     gges: [AtomicU64; Gge::COUNT],
     hsts: [Histogram; Hst::COUNT],
     /// Live alias of the cluster's `NodeStats` cells for this node, once
-    /// bound — satellite of the single-counting-mechanism migration: the
-    /// registry exposes the very cells the simulation bumps.
+    /// bound: the node's counters are the very cells the cluster bumps.
     stats: RwLock<Option<NodeStats>>,
 }
 
 impl NodeScope {
-    /// Adds to a counter.
-    #[inline]
-    pub fn add(&self, c: Ctr, n: u64) {
-        self.ctrs[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Reads a counter.
-    pub fn ctr(&self, c: Ctr) -> u64 {
-        self.ctrs[c as usize].load(Ordering::Relaxed)
-    }
-
     /// Sets a gauge.
     #[inline]
     pub fn set(&self, g: Gge, v: u64) {
@@ -415,9 +359,6 @@ impl Registry {
         let mut entries = BTreeMap::new();
         let nodes = self.nodes.read().expect("nodes lock");
         for (i, scope) in nodes.iter().enumerate() {
-            for c in Ctr::ALL {
-                entries.insert(format!("node{i}/ctr/{}", snake(c)), scope.ctr(c));
-            }
             for g in Gge::ALL {
                 entries.insert(format!("node{i}/gauge/{}", snake(g)), scope.gauge(g));
             }
@@ -520,9 +461,6 @@ mod tests {
 
     #[test]
     fn enum_index_orders_match_all_arrays() {
-        for (i, c) in Ctr::ALL.iter().enumerate() {
-            assert_eq!(*c as usize, i, "{c:?}");
-        }
         for (i, g) in Gge::ALL.iter().enumerate() {
             assert_eq!(*g as usize, i, "{g:?}");
         }
@@ -552,17 +490,18 @@ mod tests {
     #[test]
     fn snapshot_diff_reports_only_changes() {
         let reg = Registry::default();
-        reg.node(0).add(Ctr::BgcCollections, 1);
+        reg.node(0).observe(Hst::BgcPauseMicros, 5);
         let base = reg.snapshot();
-        reg.node(0).add(Ctr::BgcCollections, 2);
+        reg.node(0).observe(Hst::BgcPauseMicros, 5);
+        reg.node(0).observe(Hst::BgcPauseMicros, 5);
         reg.node(1).set(Gge::RetryQueueDepth, 4);
         reg.link(0, 1).add(LinkCtr::Send, 7);
         let now = reg.snapshot();
         let d = now.diff(&base);
-        assert_eq!(d.get("node0/ctr/bgc_collections"), Some(&2));
+        assert_eq!(d.get("node0/hist/bgc_pause_micros/count"), Some(&2));
         assert_eq!(d.get("node1/gauge/retry_queue_depth"), Some(&4));
         assert_eq!(d.get("link0-1/send"), Some(&7));
-        assert!(!d.contains_key("node0/ctr/fault_activations"));
+        assert!(!d.contains_key("node0/gauge/inflight_bytes"));
         // Gauges can move down: signed delta.
         reg.node(1).set(Gge::RetryQueueDepth, 1);
         let later = reg.snapshot();
@@ -575,7 +514,7 @@ mod tests {
     #[test]
     fn bound_stats_surface_in_snapshots() {
         let reg = Registry::default();
-        let mut stats = NodeStats::new();
+        let stats = NodeStats::new();
         reg.bind_stats(0, stats.handle());
         stats.add(StatKind::MessagesSent, 41);
         let snap = reg.snapshot();

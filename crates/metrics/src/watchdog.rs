@@ -18,7 +18,7 @@
 use bmx_common::NodeId;
 use bmx_trace::{AlarmKind, TraceEvent};
 
-use crate::registry::{Ctr, Gge, Registry};
+use crate::registry::{Gge, Registry};
 
 /// Watchdog tuning. Defaults are calibrated so the repo's chaos soaks —
 /// thousands of ticks of faults, partitions, and collector rotation —
@@ -53,12 +53,12 @@ pub struct WatchdogConfig {
     /// Minimum advance of the cluster-wide max Lamport clock over the
     /// stall window for the stall to count as "left behind".
     pub stall_min_progress: u64,
-    /// Parallel mode only: ticks (supervisor pulses) the cluster-wide
-    /// progress total ([`Ctr::ParallelOps`] + [`Ctr::ParallelDeliveries`])
-    /// may sit frozen *while messages are in flight* before
-    /// [`AlarmKind::ProgressStall`] fires. Quiet clusters (no pending
-    /// work) never alarm, so idle time is fine; the simulation passes no
-    /// pending work, so it never alarms either.
+    /// Parallel mode only: ticks (supervisor pulses) the runtime's
+    /// progress total (completed handle ops plus applied deliveries, the
+    /// `progress` argument of [`crate::tick`]) may sit frozen *while
+    /// messages are in flight* before [`AlarmKind::ProgressStall`] fires.
+    /// Quiet clusters (no pending work) never alarm, so idle time is fine;
+    /// the simulation passes no pending work, so it never alarms either.
     pub progress_window: u64,
 }
 
@@ -140,12 +140,12 @@ pub fn inject_alarm(reg: &Registry, node: u32, kind: AlarmKind) {
 /// Runs every detector against the registry's current readings.
 /// `pending_work` is the messages in flight: the transport's
 /// `in_flight()` on threads, 0 in the tick simulation. While it stays
-/// nonzero and the cluster-wide progress total (completed ops + applied
-/// deliveries) never advances for [`WatchdogConfig::progress_window`]
+/// nonzero and `progress`, the runtime's completed ops plus applied
+/// deliveries, never advances for [`WatchdogConfig::progress_window`]
 /// ticks, the runtime is livelocked or deadlocked —
 /// [`AlarmKind::ProgressStall`] fires once (at node 0, as the
 /// cluster-wide designee) and latches until progress resumes.
-pub(crate) fn evaluate(reg: &Registry, now: u64, pending_work: u64) {
+pub(crate) fn evaluate(reg: &Registry, now: u64, pending_work: u64, progress: u64) {
     let cfg = reg.cfg;
     let n = reg.node_count();
     if n == 0 {
@@ -170,14 +170,7 @@ pub(crate) fn evaluate(reg: &Registry, now: u64, pending_work: u64) {
 
         // --- From-space leak: nonzero and never draining. ---
         let fs = scope.gauge(Gge::FromSpaceRetainedWords);
-        if fs == 0 {
-            if primed && st.fs_last > 0 {
-                scope.add(Ctr::FromSpaceDrains, 1);
-            }
-            st.fs_since = None;
-            st.fs_latched = false;
-        } else if primed && fs < st.fs_last {
-            scope.add(Ctr::FromSpaceDrains, 1);
+        if fs == 0 || (primed && fs < st.fs_last) {
             st.fs_since = None;
             st.fs_latched = false;
         } else {
@@ -244,12 +237,6 @@ pub(crate) fn evaluate(reg: &Registry, now: u64, pending_work: u64) {
     }
 
     // --- Progress stall: work in flight, nothing completing. ---
-    let progress: u64 = (0..n as u32)
-        .map(|i| {
-            let scope = reg.node(i);
-            scope.ctr(Ctr::ParallelOps) + scope.ctr(Ctr::ParallelDeliveries)
-        })
-        .sum();
     if progress != wd.pg_last || pending_work == 0 {
         wd.pg_last = progress;
         wd.pg_since = None;
@@ -286,17 +273,16 @@ mod tests {
         let r = reg();
         let n0 = r.node(0);
         n0.set(Gge::FromSpaceRetainedWords, 512);
-        evaluate(&r, 0, 0); // primes baselines
+        evaluate(&r, 0, 0, 0); // primes baselines
         for t in 1..=90 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(r.alarms(AlarmKind::FromSpaceLeak), 0, "window not elapsed");
         // One drain resets the episode...
         n0.set(Gge::FromSpaceRetainedWords, 500);
-        evaluate(&r, 95, 0);
-        assert_eq!(n0.ctr(Ctr::FromSpaceDrains), 1);
+        evaluate(&r, 95, 0, 0);
         for t in 96..=190 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(
             r.alarms(AlarmKind::FromSpaceLeak),
@@ -305,10 +291,10 @@ mod tests {
         );
         // ...but stuck-nonzero retention eventually fires, exactly once.
         for t in 191..=300 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(r.alarms(AlarmKind::FromSpaceLeak), 1);
-        evaluate(&r, 301, 0);
+        evaluate(&r, 301, 0, 0);
         assert_eq!(r.alarms(AlarmKind::FromSpaceLeak), 1, "latched");
     }
 
@@ -317,7 +303,7 @@ mod tests {
         let r = reg();
         r.node(0);
         for t in 0..500 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(r.total_alarms(), 0);
     }
@@ -329,7 +315,7 @@ mod tests {
         let mut t = 0;
         let feed = |r: &Registry, v: u64, t: &mut u64| {
             n0.set(Gge::ScionTableSize, v);
-            evaluate(r, *t, 0);
+            evaluate(r, *t, 0, 0);
             *t += 1;
         };
         feed(&r, 10, &mut t); // baseline
@@ -351,13 +337,13 @@ mod tests {
         let n0 = r.node(0);
         n0.set(Gge::RetryQueueDepth, 6);
         for t in 0..30 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         n0.set(Gge::RetryQueueDepth, 1); // drained before the window
-        evaluate(&r, 30, 0);
+        evaluate(&r, 30, 0, 0);
         n0.set(Gge::RetryQueueDepth, 6);
         for t in 31..100 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(r.alarms(AlarmKind::RetryStorm), 1);
     }
@@ -368,10 +354,10 @@ mod tests {
         let r = reg();
         r.node(0);
         r.node(1);
-        evaluate(&r, 0, 0); // primes
-                            // Nobody emits anything: both clocks frozen, no alarm.
+        evaluate(&r, 0, 0, 0); // primes
+                               // Nobody emits anything: both clocks frozen, no alarm.
         for t in 1..200 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(r.alarms(AlarmKind::ClockStall), 0, "quiescence is fine");
         // Node 1 races ahead while node 0 stays frozen.
@@ -382,7 +368,7 @@ mod tests {
                     oid: bmx_common::Oid(1),
                 },
             );
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         assert_eq!(r.alarms(AlarmKind::ClockStall), 1);
         bmx_trace::disable();
@@ -390,37 +376,40 @@ mod tests {
 
     #[test]
     fn progress_stall_needs_frozen_progress_with_pending_work() {
-        let r = reg();
-        let n0 = r.node(0);
-        n0.add(Ctr::ParallelOps, 10);
-        evaluate(&r, 0, 5); // primes
-                            // Pending work but progress keeps advancing: no alarm.
+        // Fed the way the supervisor feeds it: through `crate::tick`.
+        let r = std::sync::Arc::new(reg());
+        crate::install_registry(std::sync::Arc::clone(&r));
+        r.node(0);
+        let mut progress = 10;
+        crate::tick(0, 5, progress); // primes
+                                     // Pending work but progress keeps advancing: no alarm.
         for t in 1..100 {
-            n0.add(Ctr::ParallelDeliveries, 1);
-            evaluate(&r, t, 5);
+            progress += 1;
+            crate::tick(t, 5, progress);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 0, "progress is fine");
         // Idle cluster (nothing pending) with frozen progress: no alarm.
         for t in 100..200 {
-            evaluate(&r, t, 0);
+            crate::tick(t, 0, progress);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 0, "idle is fine");
         // Frozen progress while messages are in flight: fires, once.
         for t in 200..300 {
-            evaluate(&r, t, 5);
+            crate::tick(t, 5, progress);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 1);
         assert_eq!(r.last_alarm(0), Some(AlarmKind::ProgressStall));
         for t in 300..350 {
-            evaluate(&r, t, 5);
+            crate::tick(t, 5, progress);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 1, "latched");
         // Progress resumes: the latch clears, a fresh stall re-fires.
-        n0.add(Ctr::ParallelOps, 1);
+        progress += 1;
         for t in 350..450 {
-            evaluate(&r, t, 5);
+            crate::tick(t, 5, progress);
         }
         assert_eq!(r.alarms(AlarmKind::ProgressStall), 2);
+        crate::disable();
     }
 
     #[test]
@@ -437,7 +426,7 @@ mod tests {
         );
         n0.set(Gge::RetryQueueDepth, 100);
         for t in 0..=60 {
-            evaluate(&r, t, 0);
+            evaluate(&r, t, 0, 0);
         }
         let recs = bmx_trace::take();
         let alarm = recs

@@ -34,14 +34,12 @@
 //!
 //! The plan's timeline — heals, crashes, restarts — is read by one
 //! `Timeline` on both planes, so each transition is the same
-//! [`FaultEvent`], trace record and `FaultActivations` bump in ticks or in
-//! pulses.
+//! [`FaultEvent`] and `Fault` trace record in ticks or in pulses.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use bmx_common::{NodeId, SplitMix64};
-use bmx_metrics::{self as metrics, Ctr};
 use bmx_trace as trace;
 
 use crate::network::MsgClass;
@@ -516,8 +514,7 @@ pub enum FaultEvent {
 /// healed and which crashes have begun and ended. Both planes advance one
 /// with their clock — [`crate::Network::advance`] per tick,
 /// [`crate::FaultyTransport::pulse`] per pulse — so a transition is the same
-/// [`FaultEvent`], `Fault` trace record and [`Ctr::FaultActivations`] bump
-/// on either.
+/// [`FaultEvent`] and `Fault` trace record on either.
 #[derive(Debug)]
 pub(crate) struct Timeline {
     /// Per-partition "already healed" latch (index-aligned with the plan).
@@ -536,18 +533,15 @@ impl Timeline {
     }
 
     /// The transitions of `plan` due by `now` and not yet taken, in plan
-    /// order (heals, then each crash's down and up): each is traced and
-    /// counted at its nodes, and heals and restarts in `stats`.
+    /// order (heals, then each crash's down and up): each is traced at its
+    /// nodes, and heals and restarts are counted in `stats`.
     pub(crate) fn advance(
         &mut self,
         plan: &FaultPlan,
         now: u64,
         stats: &mut FaultStats,
     ) -> Vec<FaultEvent> {
-        let activate = |node, kind| {
-            trace::emit(node, trace::TraceEvent::Fault { kind });
-            metrics::bump(node, Ctr::FaultActivations);
-        };
+        let activate = |node, kind| trace::emit(node, trace::TraceEvent::Fault { kind });
         let mut events = Vec::new();
         for (p, healed) in plan.partitions.iter().zip(&mut self.healed) {
             if !*healed && now >= p.end {

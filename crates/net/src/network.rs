@@ -421,7 +421,7 @@ impl<M: WireSize + Clone> Network<M> {
         self.now += 1;
         trace::set_now(self.now);
         self.apply_fault_transitions();
-        metrics::tick(self.now, 0);
+        metrics::tick(self.now, 0, 0);
     }
 
     /// Pops the head of the first channel, in `(src, dst)` order, whose head

@@ -83,10 +83,9 @@ pub fn export(records: &[TraceRecord]) -> String {
             }
             continue;
         }
-        let detail = rec.event.to_string();
         // A derived `Debug` starts with the variant's name.
-        let debug = format!("{:?}", rec.event);
-        let name = debug.split(' ').next().unwrap_or_default();
+        let detail = format!("{:?}", rec.event);
+        let name = detail.split(' ').next().unwrap_or_default();
         let args = [
             ("lamport", Arg::Num(rec.lamport)),
             ("tick", Arg::Num(rec.tick)),

@@ -487,101 +487,6 @@ impl TraceEvent {
     }
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use TraceEvent::*;
-        match self {
-            MsgSend { dst, seq, lane } => write!(f, "MsgSend -> {dst} seq={seq} {lane:?}"),
-            MsgDrop { dst, seq, lane } => write!(f, "MsgDrop -> {dst} seq={seq} {lane:?}"),
-            MsgDeliver {
-                src,
-                seq,
-                lane,
-                sent_lamport,
-            } => write!(
-                f,
-                "MsgDeliver <- {src} seq={seq} {lane:?} L(send)={sent_lamport}"
-            ),
-            Fault { kind } => write!(f, "Fault {kind:?}"),
-            AcquireStart { oid, mode } => write!(f, "AcquireStart {oid} {mode:?}"),
-            AcquireComplete { oid, mode } => write!(f, "AcquireComplete {oid} {mode:?}"),
-            TokenGrant { oid, to, mode } => write!(f, "TokenGrant {oid} -> {to} {mode:?}"),
-            TokenRelease { oid } => write!(f, "TokenRelease {oid}"),
-            TokenInvalidated { oid, by } => write!(f, "TokenInvalidated {oid} by {by}"),
-            OwnershipMigrate { oid, from } => write!(f, "OwnershipMigrate {oid} from {from}"),
-            ReplicaRegister { oid, holder } => write!(f, "ReplicaRegister {oid} holder {holder}"),
-            ReplicaDrop { oid } => write!(f, "ReplicaDrop {oid}"),
-            BgcPhase { bunch, phase } => write!(f, "BgcPhase {bunch} {phase:?}"),
-            Relocate { oid, from, to } => write!(f, "Relocate {oid} {from} -> {to}"),
-            AddrUpdate { oid, from, to } => write!(f, "AddrUpdate {oid} {from} -> {to}"),
-            SspCreate { kind, oid, peer } => match oid {
-                Some(oid) => write!(f, "SspCreate {kind:?} {oid} peer {peer}"),
-                None => write!(f, "SspCreate {kind:?} peer {peer}"),
-            },
-            SspCut { kind, count } => write!(f, "SspCut {kind:?} x{count}"),
-            ReportPublish { bunch, epoch } => {
-                write!(f, "ReportPublish {bunch} epoch={}", epoch.0)
-            }
-            ReportApply {
-                source,
-                bunch,
-                epoch,
-            } => write!(f, "ReportApply from {source} {bunch} epoch={}", epoch.0),
-            ScionRetired {
-                source,
-                bunch,
-                epoch,
-                count,
-            } => write!(
-                f,
-                "ScionRetired x{count} (from {source} {bunch} epoch={})",
-                epoch.0
-            ),
-            OwnerPtrRetired {
-                source,
-                bunch,
-                epoch,
-                count,
-            } => write!(
-                f,
-                "OwnerPtrRetired x{count} (from {source} {bunch} epoch={})",
-                epoch.0
-            ),
-            ReportRetry { bunch, dest } => write!(f, "ReportRetry {bunch} -> {dest}"),
-            Reuse { bunch, step } => write!(f, "Reuse {bunch} {step:?}"),
-            RecoveryBegin { epoch } => write!(f, "RecoveryBegin rejoin-epoch={epoch}"),
-            RecoveryComplete { epoch } => write!(f, "RecoveryComplete rejoin-epoch={epoch}"),
-            RejoinEpoch { bunch, epoch } => {
-                write!(f, "RejoinEpoch {bunch} resumed-at={}", epoch.0)
-            }
-            MetricAlarm {
-                kind,
-                value,
-                since_tick,
-                witness_lamport,
-            } => write!(
-                f,
-                "MetricAlarm {kind:?} value={value} since-t={since_tick} L(witness)={witness_lamport}"
-            ),
-            Span { kind, dur_us, flow } => {
-                write!(f, "Span {} {dur_us}us flow={flow}", kind.name())
-            }
-            MutatorAccess {
-                requested,
-                resolved,
-                write,
-            } => {
-                let op = if *write { "store" } else { "load" };
-                if requested == resolved {
-                    write!(f, "MutatorAccess {op} {requested}")
-                } else {
-                    write!(f, "MutatorAccess {op} {requested} (moved to {resolved})")
-                }
-            }
-        }
-    }
-}
-
 /// One captured event with its causal stamp.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceRecord {
@@ -612,7 +517,7 @@ impl fmt::Display for TraceRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "t={:<6} L={:<6} {:<3} [{:<7}] {}",
+            "t={:<6} L={:<6} {:<3} [{:<7}] {:?}",
             self.tick,
             self.lamport,
             self.node.to_string(),

@@ -15,14 +15,15 @@
 //! Pass `--parallel` (or set `BMX_TOP_PARALLEL=1`) to watch the *real
 //! parallelism* runtime instead: a [`ParallelCluster`] with one driver
 //! thread per node and racing mutator threads. Rates (ops/sec and
-//! envelopes/sec) and the latency columns are derived by diffing
-//! consecutive [`Registry::snapshot`]s — per-interval readings, not
-//! monotonic totals — including a last-interval p99 over the wall-clock
-//! acquire and protocol-mutex histograms ([`Hst::AcquireReadMicros`],
-//! [`Hst::AcquireWriteMicros`], [`Hst::MutexWaitMicros`]) — same
-//! registry, different execution mode.
+//! envelopes/sec) are derived by diffing the runtime's per-node counts
+//! ([`bmx::ParallelCluster::liveness`]) between frames, and the latency
+//! columns by diffing consecutive [`Registry::snapshot`]s — per-interval
+//! readings, not monotonic totals — as a last-interval p99 over the
+//! wall-clock acquire and site-mutex histograms
+//! ([`Hst::AcquireReadMicros`], [`Hst::AcquireWriteMicros`],
+//! [`Hst::MutexWaitMicros`]).
 
-use bmx_repro::metrics::{self, Ctr, Gge, Hst, LinkCtr, Registry, Snapshot};
+use bmx_repro::metrics::{self, Gge, Hst, LinkCtr, Registry, Snapshot};
 use bmx_repro::prelude::*;
 use bmx_repro::trace;
 use bmx_repro::workloads::churn;
@@ -86,9 +87,9 @@ fn interval_quantile(prev: &Snapshot, cur: &Snapshot, node: u32, hist: &str, q: 
     "inf".to_string()
 }
 
-/// Per-second rate of a counter path between two snapshots.
-fn rate(prev: &Snapshot, cur: &Snapshot, path: &str, dt: f64) -> u64 {
-    (cur.get(path).saturating_sub(prev.get(path)) as f64 / dt) as u64
+/// Per-second rate of a count that went from `prev` to `cur` in `dt` s.
+fn rate(prev: u64, cur: u64, dt: f64) -> u64 {
+    (cur.saturating_sub(prev) as f64 / dt) as u64
 }
 
 fn frame(c: &Cluster, reg: &Registry, round: u64) -> String {
@@ -109,7 +110,7 @@ fn frame(c: &Cluster, reg: &Registry, round: u64) -> String {
         out.push_str(&format!(
             "{:>4}  {:>3}  {:>13}  {:>10}  {:>10}  {:>10}  {:>11}  {:>6}  {:>5}  {:>6}\n",
             i,
-            scope.ctr(Ctr::BgcCollections),
+            scope.hist(Hst::BgcPauseMicros).count(),
             quantile(reg, i, Hst::BgcPauseMicros, 0.5),
             quantile(reg, i, Hst::AcquireReadTicks, 0.5),
             quantile(reg, i, Hst::AcquireWriteTicks, 0.5),
@@ -227,10 +228,12 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
         })
         .collect();
 
-    // Rates and "just now" latency come from *snapshot diffs*: each frame
-    // takes a full registry snapshot and compares it against the previous
-    // frame's. Raw counters only ever grow; the diff is what moves.
+    // Rates and "just now" latency come from *diffs*: each frame reads the
+    // runtime's counts and a full registry snapshot and compares them
+    // against the previous frame's. Raw counts only ever grow; the diff is
+    // what moves.
     let mut last_snap = reg.snapshot();
+    let mut last_liveness = pc.liveness();
     let mut last_t = Instant::now();
     for f in 0..frames {
         if !fast {
@@ -245,27 +248,25 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
             pc.inject_crash(NodeId(NODES - 1));
         }
         let snap = reg.snapshot();
+        let liveness = pc.liveness();
         let dt = last_t.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         last_t = Instant::now();
-        let total_rate = |ctr: &str| -> u64 {
-            (0..NODES)
-                .map(|i| rate(&last_snap, &snap, &format!("node{i}/ctr/{ctr}"), dt))
-                .sum()
-        };
+        let ops_rate = |i: usize| rate(last_liveness[i].ops, liveness[i].ops, dt);
+        let env_rate = |i: usize| rate(last_liveness[i].delivered, liveness[i].delivered, dt);
+        let nodes = 0..NODES as usize;
 
         let mut out = format!(
             "bmx-top (parallel) — frame {:>3}  ops {:>9}  ops/sec {:>8}  env/sec {:>8}  in-flight {}\n\n",
             f,
             pc.ops(),
-            total_rate("parallel_ops"),
-            total_rate("parallel_deliveries"),
+            nodes.clone().map(ops_rate).sum::<u64>(),
+            nodes.clone().map(env_rate).sum::<u64>(),
             pc.in_flight(),
         );
         out.push_str(
             "node  status      restarts  last_alarm     ops/s   env/s  \
              acq_rd_p99(us)  acq_wr_p99(us)  mtx_wait_p99(us)\n",
         );
-        let liveness = pc.liveness();
         for i in 0..NODES {
             let lv = &liveness[i as usize];
             let status = match lv.status {
@@ -282,19 +283,15 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
                 status,
                 lv.restarts,
                 alarm,
-                rate(&last_snap, &snap, &format!("node{i}/ctr/parallel_ops"), dt),
-                rate(
-                    &last_snap,
-                    &snap,
-                    &format!("node{i}/ctr/parallel_deliveries"),
-                    dt
-                ),
+                ops_rate(i as usize),
+                env_rate(i as usize),
                 interval_quantile(&last_snap, &snap, i, "acquire_read_micros", 0.99),
                 interval_quantile(&last_snap, &snap, i, "acquire_write_micros", 0.99),
                 interval_quantile(&last_snap, &snap, i, "mutex_wait_micros", 0.99),
             ));
         }
         last_snap = snap;
+        last_liveness = liveness;
         print!("\x1b[2J\x1b[H{out}");
     }
 
@@ -382,7 +379,7 @@ fn main() -> Result<()> {
     for (k, v) in snap
         .diff(&metrics::Snapshot::default())
         .iter()
-        .filter(|(k, _)| k.contains("bgc_collections") || k.starts_with("alarm/"))
+        .filter(|(k, _)| k.ends_with("bgc_pause_micros/count") || k.starts_with("alarm/"))
     {
         println!("  {k} = {v}");
     }

@@ -125,7 +125,16 @@ struct AmnesiaSummary {
     recoveries: usize,
 }
 
-fn run_amnesia(seed: u64) -> AmnesiaSummary {
+/// The soak's retry daemon: every run below keeps it, except the one
+/// that shows what goes wrong without it.
+const SOAK_RETRY: Option<RetryPolicy> = Some(RetryPolicy {
+    initial_interval: 4,
+    backoff: 2,
+    max_interval: 32,
+    budget: 6,
+});
+
+fn run_amnesia(seed: u64, retry: Option<RetryPolicy>) -> AmnesiaSummary {
     trace::install(FLIGHT_RECORDER_CAP);
     // Same policy as tests/chaos.rs: watchdogs must stay silent on a green
     // amnesia soak, and each seed leaves a metrics snapshot artifact.
@@ -137,12 +146,7 @@ fn run_amnesia(seed: u64) -> AmnesiaSummary {
     let cfg = ClusterConfig {
         nodes: 3,
         net,
-        retry: Some(RetryPolicy {
-            initial_interval: 4,
-            backoff: 2,
-            max_interval: 32,
-            budget: 6,
-        }),
+        retry,
         persist: Some(PersistConfig {
             dir: dir.clone(),
             // Small bound so log truncation actually fires mid-run.
@@ -336,7 +340,7 @@ fn dump_artifacts(seed: u64) -> Vec<String> {
 /// checkpoint, rejoins under a fresh epoch, and the cluster stays safe.
 #[test]
 fn amnesia_crash_recovers_through_rvm_and_rejoin() {
-    run_amnesia(0xA3_5EED);
+    run_amnesia(0xA3_5EED, SOAK_RETRY);
 }
 
 /// Bit-exact replay of the simulated portion: one seed, two runs,
@@ -344,8 +348,8 @@ fn amnesia_crash_recovers_through_rvm_and_rejoin() {
 /// and recovery latency in ticks is part of the counters compared).
 #[test]
 fn amnesia_runs_replay_identically_from_the_seed() {
-    let a = run_amnesia(0x0D15_EA5E);
-    let b = run_amnesia(0x0D15_EA5E);
+    let a = run_amnesia(0x0D15_EA5E, SOAK_RETRY);
+    let b = run_amnesia(0x0D15_EA5E, SOAK_RETRY);
     assert_eq!(a, b, "same seed must reproduce identical counters");
 }
 
@@ -370,7 +374,7 @@ fn amnesia_seed_sweep() {
     };
     let mut failures = Vec::new();
     for seed in seeds {
-        let outcome = std::panic::catch_unwind(|| run_amnesia(seed));
+        let outcome = std::panic::catch_unwind(|| run_amnesia(seed, SOAK_RETRY));
         if let Err(panic) = outcome {
             let msg = panic
                 .downcast_ref::<String>()
@@ -401,4 +405,18 @@ fn amnesia_seed_sweep() {
         failures.is_empty(),
         "amnesia seeds failed (replay artifacts in target/chaos/): {failures:?}"
     );
+}
+
+/// A restarted node never reuses an epoch its crashed incarnation
+/// published. Without the retry daemon seed 0x8 breaks that: the rejoin
+/// resumes a bunch at the peers' floor, below what the victim had already
+/// published locally.
+#[test]
+#[ignore = "known defect (ROADMAP 1(a)(vii)), seed 0x8 without the retry daemon: \
+            N2 publishes B4 epoch 5 at t=1567 and applies it only locally, crashes at \
+            t=1600 (restart 1800), the rejoin resumes B4 at the peers' floor of 4 \
+            (RejoinEpoch, t=1802), N2 publishes a different epoch-5 report at t=2010, \
+            and N0 logs OwnerPtrRetired from it at t=2011"]
+fn a_restarted_node_never_reuses_a_published_epoch() {
+    run_amnesia(0x8, None);
 }

@@ -222,10 +222,16 @@ fn from_space_reuse_protocol_reclaims_segments() {
     assert_eq!(lists::read_payloads(&c, n2, head_n2).unwrap().len(), 8);
     // ...and from the stale head address an application may still hold:
     // every node dropped its forwarding edges with the range, the server's
-    // retired-range routing kept them.
+    // retired-range routing kept them, and each node counts the hit.
     assert!(c.server.borrow().resolve_retired(list.head).is_some());
     for node in [n1, n2] {
+        let hits = |c: &Cluster| c.stats[node.0 as usize].get(StatKind::RetiredRouteHits);
+        let before = hits(&c);
         assert_eq!(lists::read_payloads(&c, node, list.head).unwrap().len(), 8);
+        assert!(
+            hits(&c) > before,
+            "{node} resolved the stale head by routing"
+        );
     }
     // Allocation goes on, in the current space or a fresh range — never in
     // the released one.

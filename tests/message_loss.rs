@@ -197,6 +197,67 @@ fn scion_message_loss_window_is_the_known_race() {
     assert_eq!(s.reclaimed, 1, "the race window is real (and documented)");
 }
 
+/// Every unlinked remote target is reclaimed eventually, even when the
+/// stub tables that announce the unlinks are lost and nothing re-sends
+/// them. A rooted object at n0 holds 40 refs into n1's bunch; each round
+/// unlinks one and runs `run_bgc(n0)`, 20 ticks, `run_bgc(n1)`, 20 ticks,
+/// with 400 more rounds after the last unlink. The table that removes the
+/// bunch's last stub toward n1 is the last one addressed to n1, so when
+/// the network drops it no later table supersedes it.
+#[test]
+#[ignore = "known defect (ROADMAP 1(a)(vi)): the last stub table toward n1 is lost and never \
+            superseded; targets left at n1: seed 2 index 39, seed 4 index 39, seed 5 \
+            indices 38 and 39, seed 7 indices 38 and 39, seed 11 index 39, seed 16 \
+            index 39, seed 18 index 39"]
+fn the_last_unlinked_target_is_reclaimed_despite_a_lost_table() {
+    const REFS: u64 = 40;
+    const STEPS: u64 = 20;
+    let left_at = |seed: u64| -> Vec<u64> {
+        let mut net = NetworkConfig::lossless(1).with_drop(MsgClass::StubTable, 0.3);
+        net.seed = seed;
+        let mut c = Cluster::new(ClusterConfig {
+            nodes: 2,
+            net,
+            retry: None,
+            ..Default::default()
+        });
+        let (n0, n1) = (n(0), n(1));
+        let b0 = c.create_bunch(n0).unwrap();
+        let b1 = c.create_bunch(n1).unwrap();
+        let fields: Vec<u64> = (0..REFS).collect();
+        let src = c.alloc(n0, b0, &ObjSpec::with_refs(REFS, &fields)).unwrap();
+        c.add_root(n0, src);
+        let mut oids = Vec::new();
+        for i in 0..REFS {
+            let target = c.alloc(n1, b1, &ObjSpec::data(1)).unwrap();
+            oids.push(c.oid_at(n1, target).unwrap());
+            c.write_ref(n0, src, i, target).unwrap();
+        }
+        let round = |c: &mut Cluster| {
+            c.run_bgc(n0, b0).unwrap();
+            c.step(STEPS).unwrap();
+            c.run_bgc(n1, b1).unwrap();
+            c.step(STEPS).unwrap();
+        };
+        for i in 0..REFS {
+            c.write_ref(n0, src, i, Addr::NULL).unwrap();
+            round(&mut c);
+        }
+        for _ in 0..400 {
+            round(&mut c);
+        }
+        (0..REFS)
+            .filter(|&i| c.engine.obj_state(n1, oids[i as usize]).is_some())
+            .collect()
+    };
+    let left: Vec<(u64, Vec<u64>)> = [2, 4, 5, 7, 11, 16, 18]
+        .into_iter()
+        .map(|seed| (seed, left_at(seed)))
+        .filter(|(_, left)| !left.is_empty())
+        .collect();
+    assert!(left.is_empty(), "(seed, targets left at n1): {left:?}");
+}
+
 /// Duplication idempotency properties. The chaos plane duplicates messages
 /// on the classes [`MsgClass::is_idempotent`] admits — cleaner reports
 /// (stub-tables) and the relocation records that ride them — so these

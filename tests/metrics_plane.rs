@@ -13,7 +13,7 @@
 //! 3. **Exposition fidelity** — the snapshot of a live run survives the
 //!    JSON round-trip losslessly.
 
-use bmx_repro::metrics::{self, watchdog::WatchdogConfig, Ctr, Gge};
+use bmx_repro::metrics::{self, watchdog::WatchdogConfig, Gge, Hst};
 use bmx_repro::prelude::*;
 use bmx_repro::trace::AlarmKind;
 use bmx_repro::workloads::churn;
@@ -102,7 +102,7 @@ fn metered_run_is_bit_identical_to_unmetered() {
     // ... and the metered run actually measured something.
     assert!(
         (0..3)
-            .map(|i| reg.node(i).ctr(Ctr::BgcCollections))
+            .map(|i| reg.node(i).hist(Hst::BgcPauseMicros).count())
             .sum::<u64>()
             > 0,
         "the metered run recorded no collections"
@@ -254,7 +254,7 @@ fn exposition_round_trips_on_a_live_run() {
     assert!(
         delta
             .iter()
-            .any(|(k, &v)| k.ends_with("/bgc_collections") && v > 0),
+            .any(|(k, &v)| k.ends_with("/bgc_pause_micros/count") && v > 0),
         "diff should show the run's collections"
     );
     assert!(

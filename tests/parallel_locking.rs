@@ -11,7 +11,6 @@ use std::time::Duration;
 use bmx_repro::bmx::ClusterMsg;
 use bmx_repro::dsm::DsmPacket;
 use bmx_repro::gc::GcMsg;
-use bmx_repro::metrics::{self, Ctr};
 use bmx_repro::prelude::*;
 
 fn n(i: u32) -> NodeId {
@@ -356,19 +355,18 @@ fn two_appliers_on_one_link_keep_its_order() {
     });
 }
 
-/// What `ParallelCluster::ops` and the `ParallelOps` counter count: one per
+/// What `ParallelCluster::ops` and the per-node `NodeLiveness::ops` count: one per
 /// completed typed call, `with` or acquire, whichever path completed it
 /// (one site, the gather of `map_bunch` and `with`, a remote grant) — never
 /// one per acquire poll, and none for a call that fails.
 #[test]
 fn ops_count_each_completed_call_once() {
     const K: u64 = 8;
-    let reg = metrics::install();
     let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
     let (h0, h1) = (pc.handle(n(0)), pc.handle(n(1)));
     let counted = |pc: &ParallelCluster| {
-        let ctr: u64 = (0..2).map(|i| reg.node(i).ctr(Ctr::ParallelOps)).sum();
-        (pc.ops(), ctr)
+        let per_node: u64 = pc.liveness().iter().map(|lv| lv.ops).sum();
+        (pc.ops(), per_node)
     };
     let mut expected = 0;
 
@@ -408,7 +406,6 @@ fn ops_count_each_completed_call_once() {
     let remote = {
         let h1 = h1.clone();
         std::thread::spawn(move || {
-            h1.bind_metrics();
             let _ = tx.send(h1.acquire_write(obj));
         })
     };
@@ -444,7 +441,6 @@ fn ops_count_each_completed_call_once() {
     assert_eq!(counted(&pc), (expected, expected), "a failed call");
 
     pc.shutdown(Shutdown::Drain).expect("shutdown");
-    metrics::disable();
 }
 
 /// Handles may outlive the runtime. After `shutdown` has gathered every
