@@ -18,7 +18,7 @@
 //!   serializing closures. An acquire whose token is remote blocks the
 //!   *calling thread only*; the other nodes keep delivering, so the grant
 //!   makes progress while the mutator waits.
-//! * **The transport seam**: each site's network has the channels as its
+//! * **The transport seam**: each site's network has the transport as its
 //!   egress ([`bmx_net::Network::set_egress`]), so a send leaves as it is
 //!   made and comes back through [`Cluster::deliver`], the simulator's
 //!   entry point too; no site's network ever ticks. Per-link FIFO
@@ -60,8 +60,8 @@
 //! keeps serving. Under a fault plan ([`ClusterConfig::net`], the same one
 //! the simulator reads), a [`ChaosConfig`] or an installed metrics registry
 //! a **supervisor thread** beats a pulse clock, the runtime's one clock
-//! (the [`FaultyTransport`] times partitions, jitter and the plan's crashes
-//! in pulses, trace records carry the pulse as their tick, and the
+//! (the [`ChannelTransport`]'s fault stage times partitions, jitter and the
+//! plan's crashes in pulses, trace records carry the pulse as their tick, and the
 //! watchdogs are evaluated on it and nowhere else),
 //! pumps the metrics watchdogs with real pending-work readings, crashes
 //! and restarts nodes on the plan's [`FaultEvent`]s, and — under
@@ -91,8 +91,7 @@ use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, SplitMix64};
 use bmx_gc::SharedServer;
 use bmx_metrics::{self as metrics, Hst, Registry};
 use bmx_net::{
-    ChannelTransport, Egress, FaultEvent, FaultStats, FaultyTransport, MsgClass, NetworkConfig,
-    Transport,
+    ChannelTransport, Egress, FaultEvent, FaultStats, MsgClass, NetworkConfig, Transport,
 };
 use bmx_trace::{self as trace, SpanKind};
 use parking_lot::{Mutex, MutexGuard};
@@ -315,14 +314,9 @@ struct Shared {
     idle: Signal,
     /// Driver threads that have not left [`drive`] yet.
     running: AtomicUsize,
-    transport: Arc<dyn Transport<ClusterMsg>>,
-    /// The channels envelopes are popped from (`transport` itself, or the
-    /// ones under the fault plane), concretely typed so that reading a
-    /// node's queued count is a load, not a call.
-    channels: Arc<ChannelTransport<ClusterMsg>>,
-    /// The fault-injecting wrapper, under a fault plan (same object as
-    /// `transport`, kept concretely typed for pulse/heal/stats access).
-    chaos: Option<Arc<FaultyTransport<ClusterMsg>>>,
+    /// The one message plane, fault stage and pulse clock included; the
+    /// sites' egress holds the other reference.
+    transport: Arc<ChannelTransport<ClusterMsg>>,
     phase: AtomicU8,
     /// Driver threads respawned by the supervisor; joined at shutdown.
     revived: Mutex<Vec<JoinHandle<()>>>,
@@ -495,6 +489,12 @@ impl Shared {
             .sum()
     }
 
+    /// Live restarts over the run, all nodes together.
+    fn restarts(&self) -> u64 {
+        let cells = self.sites.iter().map(|st| &st.restarts);
+        cells.map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
     /// Takes `site`'s mutex attributed to `node`; see [`CoreGuard`].
     fn lock_site(&self, site: NodeId, node: NodeId) -> CoreGuard<'_> {
         let spans = trace::spans_enabled();
@@ -617,15 +617,6 @@ impl Shared {
         }
     }
 
-    /// Advances the fault plane's clock (when there is one) and wakes the
-    /// drivers for whatever traffic the pulse released. Returns the new
-    /// pulse and the plan's transitions due at it.
-    fn pulse(&self) -> Option<(u64, Vec<FaultEvent>)> {
-        let pulse = self.chaos.as_ref()?.pulse();
-        self.ring_drivers();
-        Some(pulse)
-    }
-
     /// Discards everything queued for `node` (crash semantics: the dead
     /// incarnation's inbox is lost with it).
     fn purge_inbox(&self, node: NodeId) {
@@ -684,12 +675,12 @@ impl ParallelCluster {
     /// Builds the cluster and spawns one driver thread per node.
     ///
     /// `cfg.net` means what it means to the simulator, read in pulses: its
-    /// fault plan, class drop rates and seed go to a [`FaultyTransport`]
-    /// over the channels (each site's own network only numbers, stamps and
+    /// fault plan, class drop rates and seed go to the [`ChannelTransport`]'s
+    /// fault stage (each site's own network only numbers, stamps and
     /// counts its sends on their way out), and a supervisor thread beats
     /// the pulse clock and crashes and restarts nodes on the plan's
     /// [`FaultEvent`]s. A configuration that
-    /// injects nothing gets a plain [`ChannelTransport`], and a supervisor
+    /// injects nothing gets no fault stage, and a supervisor
     /// only if the calling thread has a metrics registry installed (it
     /// pumps the watchdogs). Nothing restarts a node that fails outside the
     /// plan — a protocol panic stays a hard failure, surfaced at shutdown.
@@ -717,17 +708,9 @@ impl ParallelCluster {
         let net = std::mem::replace(&mut cfg.net, NetworkConfig::lossless(1));
         cfg.retry = None;
         let backoff_seed = net.seed;
-        let faulty = (!net.is_quiet()).then(|| {
-            let ft = FaultyTransport::<ClusterMsg>::try_new(nodes as usize, net);
-            Arc::new(ft.unwrap_or_else(|e| panic!("{e}")))
-        });
-        let (transport, channels): (Arc<dyn Transport<ClusterMsg>>, _) = match &faulty {
-            Some(ft) => (Arc::clone(ft) as _, Arc::clone(ft.channels())),
-            None => {
-                let ch = Arc::new(ChannelTransport::<ClusterMsg>::new(nodes as usize));
-                (Arc::clone(&ch) as _, ch)
-            }
-        };
+        let faulty = !net.is_quiet();
+        let transport = ChannelTransport::try_new(nodes as usize, net);
+        let transport = Arc::new(transport.unwrap_or_else(|e| panic!("{e}")));
         let doors: Arc<Vec<Door>> = Arc::new((0..nodes).map(|_| Door::default()).collect());
         let egress: Egress<ClusterMsg> = {
             let (transport, doors) = (Arc::clone(&transport), Arc::clone(&doors));
@@ -768,8 +751,6 @@ impl ParallelCluster {
             idle: Signal::default(),
             running: AtomicUsize::new(0),
             transport,
-            channels,
-            chaos: faulty,
             phase: AtomicU8::new(PHASE_RUN),
             revived: Mutex::new(Vec::new()),
             registry: metrics::registry(),
@@ -783,7 +764,7 @@ impl ParallelCluster {
         // A thread only when it has work: without a fault plane to pulse,
         // restarts to make or watchdogs to pump there is nothing to
         // supervise.
-        let supervised = shared.chaos.is_some() || chaos.is_some() || shared.registry.is_some();
+        let supervised = faulty || chaos.is_some() || shared.registry.is_some();
         let supervisor = supervised.then(|| {
             let sup = chaos.unwrap_or(ChaosConfig {
                 restart: false,
@@ -836,21 +817,16 @@ impl ParallelCluster {
     /// Injected-fault accounting, under a fault plan: the simulator's
     /// [`FaultStats`], with `restarts` counting every live restart.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        let sites = &self.shared.sites;
-        self.shared.chaos.as_ref().map(|ch| FaultStats {
-            restarts: sites
-                .iter()
-                .map(|st| st.restarts.load(Ordering::Relaxed))
-                .sum(),
-            ..ch.stats()
-        })
+        let restarts = self.shared.restarts();
+        let stats = self.shared.transport.fault_stats();
+        stats.map(|stats| FaultStats { restarts, ..stats })
     }
 
-    /// The fault plane's clock reading, under a fault plan. A stalled
-    /// pulse clock means held (jittered/partitioned) envelopes are not
-    /// being released — useful when diagnosing a stall.
-    pub fn now_pulse(&self) -> Option<u64> {
-        self.shared.chaos.as_ref().map(|ch| ch.now_pulse())
+    /// The transport's pulse clock reading: 0 for a run with no
+    /// supervisor. A stalled pulse clock means held (jittered/partitioned)
+    /// envelopes are not being released — useful when diagnosing a stall.
+    pub fn now_pulse(&self) -> u64 {
+        self.shared.transport.now_pulse()
     }
 
     /// Crashes `node`'s failure domain as if its driver panicked: the
@@ -951,18 +927,15 @@ impl ParallelCluster {
         if let Some(s) = self.supervisor.take() {
             let _ = s.join();
         }
-        if let Some(ch) = &shared.chaos {
-            ch.heal_all();
-            shared.ring_drivers();
-        }
+        // Nothing is held back after this, and nothing pulses any more.
+        shared.transport.heal_all();
+        shared.ring_drivers();
         // Janitor loop: drivers of live nodes drain to in_flight == 0,
         // which can only happen if someone keeps emptying the inboxes of
-        // downed nodes (their drivers are gone) and flushing any traffic
-        // the fault plane still holds. Each exiting driver rings `idle`;
-        // the backstop paces only those two chores.
+        // downed nodes (their drivers are gone). Each exiting driver rings
+        // `idle`; the backstop paces only that chore.
         loop {
             let seen = shared.idle.epoch();
-            shared.pulse();
             for i in 0..self.nodes {
                 if shared.status_of(NodeId(i)) == NODE_DOWN {
                     shared.purge_inbox(NodeId(i));
@@ -983,18 +956,17 @@ impl ParallelCluster {
         for i in 0..self.nodes {
             shared.purge_inbox(NodeId(i));
         }
+        let sent_by_class = MsgClass::ALL.map(|c| shared.transport.sent(c));
+        let delivered_by_class = MsgClass::ALL.map(|c| shared.delivered(c));
+        let dropped_by_class = MsgClass::ALL.map(|c| shared.transport.dropped(c));
         let report = ShutdownReport {
-            sent: shared.transport.sent_total(),
-            delivered: MsgClass::ALL.iter().map(|&c| shared.delivered(c)).sum(),
-            dropped: shared.transport.dropped_total(),
-            sent_by_class: MsgClass::ALL.map(|c| shared.transport.sent(c)),
-            delivered_by_class: MsgClass::ALL.map(|c| shared.delivered(c)),
-            dropped_by_class: MsgClass::ALL.map(|c| shared.transport.dropped(c)),
-            restarts: shared
-                .sites
-                .iter()
-                .map(|st| st.restarts.load(Ordering::Relaxed))
-                .sum(),
+            sent: sent_by_class.iter().sum(),
+            delivered: delivered_by_class.iter().sum(),
+            dropped: dropped_by_class.iter().sum(),
+            sent_by_class,
+            delivered_by_class,
+            dropped_by_class,
+            restarts: shared.restarts(),
         };
         let mut failures = Vec::new();
         for (i, st) in shared.sites.iter().enumerate() {
@@ -1059,7 +1031,7 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
         if dead() {
             break;
         }
-        if shared.channels.queued(node) != 0 {
+        if shared.transport.queued(node) != 0 {
             let mut core = shared.lock_site(node, node);
             // Again under the lock, before the pop: a restart bumps the
             // generation holding every site's lock, so an envelope never
@@ -1097,14 +1069,13 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
-    let mut pulse: u64 = 0;
     let mut alarms_seen = shared.registry.as_ref().map_or(0, |r| r.total_alarms());
     while shared.phase.load(Ordering::Acquire) == PHASE_RUN {
         std::thread::sleep(cfg.pulse);
         let _pulse_span = trace::span(SpanKind::SupervisorPulse, NodeId(0));
-        let (now, events) = shared.pulse().unwrap_or((pulse + 1, Vec::new()));
-        pulse = now;
-        trace::set_now(pulse);
+        let (pulse, events) = shared.transport.pulse();
+        // Wake the drivers for whatever traffic the pulse released.
+        shared.ring_drivers();
         for event in events {
             match event {
                 FaultEvent::NodeCrashed { node } => shared.inject_crash(node),
@@ -1114,8 +1085,6 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
                 _ => {}
             }
         }
-        // A node the plan holds down restarts on the plan's transition.
-        let planned = |node| shared.chaos.as_ref().is_some_and(|ch| ch.is_down(node));
         for (i, st) in shared.sites.iter().enumerate() {
             let node = NodeId(i as u32);
             match st.status.load(Ordering::Acquire) {
@@ -1125,7 +1094,9 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
                         if pulse >= due {
                             restart_node(&shared, node);
                         }
-                    } else if cfg.restart && !planned(node) {
+                    } else if cfg.restart && !shared.transport.is_down(node) {
+                        // A node the plan holds down restarts on the
+                        // plan's transition.
                         st.restart_due
                             .store(pulse + RESTART_DELAY_PULSES, Ordering::Release);
                     }
@@ -1223,7 +1194,7 @@ impl Drop for Attending<'_> {
     fn drop(&mut self) {
         let door = self.shared.door(self.node);
         door.attended.fetch_sub(1, Ordering::SeqCst);
-        if self.shared.channels.queued(self.node) != 0 {
+        if self.shared.transport.queued(self.node) != 0 {
             door.bell.ring();
         }
     }
@@ -1440,7 +1411,7 @@ impl NodeHandle {
         let n = self.node;
         let shared = &*self.shared;
         self.with_protocol_uncounted(|c| {
-            let queued = shared.channels.queued(n);
+            let queued = shared.transport.queued(n);
             if queued != 0 {
                 shared.apply_queued(n, c, queued);
             }

@@ -4,7 +4,7 @@
 //! loss/duplication/latency-jitter, timed partitions that heal, and node
 //! crash/restart events. Its time fields are read in the clock of the plane
 //! that interprets it — ticks in the simulated [`crate::Network`], supervisor
-//! pulses in [`crate::FaultyTransport`] — and [`FaultPlan::fate`] is the only
+//! pulses in [`crate::ChannelTransport`] — and [`FaultPlan::fate`] is the only
 //! code that turns (class, link fault, partition, crash) into a decision;
 //! each plane keeps only its own queueing. Every draw comes from a seeded
 //! [`SplitMix64`] stream (one per network in the simulator, one per directed
@@ -513,7 +513,7 @@ pub enum FaultEvent {
 /// How far a plane has read its plan's timeline: which partitions have
 /// healed and which crashes have begun and ended. Both planes advance one
 /// with their clock — [`crate::Network::advance`] per tick,
-/// [`crate::FaultyTransport::pulse`] per pulse — so a transition is the same
+/// [`crate::ChannelTransport::pulse`] per pulse — so a transition is the same
 /// [`FaultEvent`] and `Fault` trace record on either.
 #[derive(Debug)]
 pub(crate) struct Timeline {

@@ -13,10 +13,11 @@
 //!    reachability tables can ride on messages the DSM protocol sends on
 //!    behalf of applications, costing zero extra messages.
 //!
-//! This crate provides a discrete-event network with those three properties,
-//! plus the accounting the experiments need: per-class message and byte
-//! counts, and drop injection on the lossy classes. See DESIGN.md
-//! ("Substitutions") for why a simulated network is the right substrate here.
+//! This crate provides a discrete-event network ([`network`]) with those
+//! three properties and the accounting the experiments need (per-class
+//! message and byte counts), the same links on real threads ([`transport`]),
+//! and one fault plane for both ([`fault`]). See DESIGN.md ("Substitutions")
+//! for why a simulated network is the right substrate here.
 //!
 //! # Examples
 //!
@@ -46,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
-pub mod fault_transport;
 pub mod network;
 pub mod piggyback;
 pub mod transport;
@@ -55,7 +55,6 @@ pub use fault::{
     CrashEvent, DropCause, Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats, LinkFault,
     Partition,
 };
-pub use fault_transport::FaultyTransport;
 pub use network::{ClassStats, Egress, Envelope, MsgClass, Network, NetworkConfig, WireSize};
 pub use piggyback::PiggybackBuffer;
 pub use transport::{ChannelTransport, Transport};

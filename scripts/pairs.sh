@@ -9,9 +9,10 @@
 # scratch dir: ${TMPDIR:-/tmp}/bmx-pairs), outside the repository. Pair i
 # runs seed SEED+i-1 (SEED defaults to 1) on both sides with --trace 0, the
 # parent first in odd pairs and the change first in even ones. Each side's
-# result lines are kept in <scratch-dir>/<workload>.<side>.jsonl. Printed per
-# side: median and quartiles of setup_s, ops_per_s and peak_rss_mb, the pairs
-# the change won on each, failed ops and how many runs were correct. On a sim
+# result lines are kept in <scratch-dir>/<workload>.<side>.jsonl. The header
+# line names the host's online core count. Printed per side: median and
+# quartiles of setup_s, ops_per_s and peak_rss_mb, the pairs the change won
+# on each, failed ops and how many runs were correct. On a sim
 # workload also the median of measured repetitions each side ran (from the
 # benchmark's "# <workload>: N measured repetitions" line, kept in
 # <scratch-dir>/<workload>.<side>.reps): a faster side keeps more repetition
@@ -71,7 +72,7 @@ quartiles() {
         END { printf "%-12.6g %-12.6g %-12.6g", q(0.5), q(0.25), q(0.75) }'
 }
 
-echo "$workload: $pairs pairs of $seconds s, seeds $seed..$((seed + pairs - 1)), parent $sha"
+echo "$workload: $pairs pairs of $seconds s, seeds $seed..$((seed + pairs - 1)), parent $sha, $(getconf _NPROCESSORS_ONLN) cores online"
 printf '%-12s %-7s %-12s %-12s %-12s %s\n' metric side median q1 q3 "change won, median ratio"
 for m in setup_s:lower ops_per_s:higher peak_rss_mb:lower; do
     name=${m%%:*} better=${m##*:}

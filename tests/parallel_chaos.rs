@@ -7,9 +7,9 @@
 //! duplication, partitions, and crash-amnesia *under the tick clock*.
 //! This suite re-proves the same properties where the adversary is real
 //! hardware concurrency: the same [`FaultPlan`] vocabulary, read in
-//! supervisor pulses by a seeded [`FaultyTransport`], drops, duplicates,
-//! jitters, and partitions the channel links between genuinely parallel
-//! node threads, and the supervisor restarts crashed failure domains
+//! supervisor pulses by the seeded fault stage of the `ChannelTransport`,
+//! drops, duplicates, jitters, and partitions the channel links between
+//! genuinely parallel node threads, and the supervisor restarts crashed failure domains
 //! live — without stopping the cluster.
 //!
 //! Gates, per run: the Section-5 acquire invariants recovered from the

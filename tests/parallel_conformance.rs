@@ -681,9 +681,7 @@ fn chaos_on_threads(cfg: ClusterConfig, seed: u64) -> ChaosOutcome {
     };
     phase(false);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while pc.now_pulse().expect("fault plane") < CRASH.1
-        || pc.node_status(n(VICTIM)) != NodeStatus::Alive
-    {
+    while pc.now_pulse() < CRASH.1 || pc.node_status(n(VICTIM)) != NodeStatus::Alive {
         assert!(
             std::time::Instant::now() < deadline,
             "victim never rejoined"
@@ -779,9 +777,7 @@ fn a_plan_crash_is_traced_and_counted_alike_on_both_planes() {
     let _ = trace::take_global();
     let pc = ParallelCluster::spawn(cfg);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while pc.now_pulse().expect("fault plane") <= DOWN.1
-        || pc.node_status(n(VICTIM)) != NodeStatus::Alive
-    {
+    while pc.now_pulse() <= DOWN.1 || pc.node_status(n(VICTIM)) != NodeStatus::Alive {
         assert!(
             std::time::Instant::now() < deadline,
             "victim never rejoined"
@@ -795,4 +791,64 @@ fn a_plan_crash_is_traced_and_counted_alike_on_both_planes() {
     use trace::FaultKind::{Crash, Restart};
     assert_eq!(sim_faults, vec![Crash, Restart], "sim");
     assert_eq!(thread_faults, sim_faults, "threads");
+}
+
+/// A link-fault drop leaves the same record on both planes: one `MsgDrop`
+/// at the sender per verdict drop, in the dropped message's lane.
+#[test]
+fn a_link_drop_is_traced_alike_on_both_planes() {
+    let _serial = serial();
+    let mut cfg = ClusterConfig::with_nodes(NODES);
+    cfg.net = NetworkConfig::lossless(1)
+        .with_fault(FaultPlan::none().all_links(LinkFault::dropping(0.5)));
+    cfg.net.seed = 0xD209_0001;
+    cfg.retry = None;
+    let traced_drops = |records: Vec<trace::TraceRecord>| {
+        MsgClass::ALL.map(|class| {
+            let lane = class.lane();
+            let dropped = |r: &&trace::TraceRecord| {
+                matches!(r.event, TraceEvent::MsgDrop { lane: l, .. } if l == lane)
+            };
+            records.iter().filter(dropped).count() as u64
+        })
+    };
+    const ROUNDS: usize = 4;
+
+    trace::install(trace::UNBOUNDED);
+    let mut sim = Cluster::new(cfg.clone());
+    let s = setup_workload(&mut sim);
+    for _ in 0..ROUNDS {
+        for i in 0..NODES {
+            sim.run_bgc(n(i), s.priv_bunch[i as usize]).unwrap();
+            sim.run_bgc(n(i), s.shared_bunch).unwrap();
+        }
+        sim.settle(50_000).unwrap();
+    }
+    let sim_traced = traced_drops(trace::take());
+    trace::disable();
+    let sim_dropped = MsgClass::ALL.map(|class| sim.net.class_stats(class).dropped);
+
+    trace::install_global(trace::UNBOUNDED);
+    let _ = trace::take_global();
+    let pc = ParallelCluster::spawn(cfg);
+    let s = pc
+        .handle(n(0))
+        .with(|c| Ok(setup_workload(c)))
+        .expect("setup");
+    for _ in 0..ROUNDS {
+        for i in 0..NODES {
+            let h = pc.handle(n(i));
+            h.run_bgc(s.priv_bunch[i as usize]).expect("private bgc");
+            h.run_bgc(s.shared_bunch).expect("shared bgc");
+        }
+        assert!(pc.quiesce(Duration::from_secs(30)), "failed to quiesce");
+    }
+    let (_, report) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    let thread_traced = traced_drops(trace::take_global());
+    trace::disable_global();
+
+    assert!(sim_dropped.iter().sum::<u64>() > 0, "sim dropped nothing");
+    assert_eq!(sim_traced, sim_dropped, "sim");
+    assert!(report.dropped > 0, "threads dropped nothing");
+    assert_eq!(thread_traced, report.dropped_by_class, "threads");
 }
