@@ -388,9 +388,10 @@ impl Cluster {
     /// inside the protocol (the parallel runtime's per-node handles).
     ///
     /// Returns `Ok(true)` when the token is held and the critical section
-    /// entered; `Ok(false)` when a request is outstanding — the caller
-    /// should release the node's lock, let its driver thread deliver the
-    /// grant, and poll again. Unlike [`Cluster::acquire_write`], an
+    /// entered; `Ok(false)` when a request is outstanding, or another
+    /// thread at the node is inside a critical section on the object —
+    /// the caller should release the node's lock, let the grant or the
+    /// release happen, and poll again. Unlike [`Cluster::acquire_write`], an
     /// outstanding request is *not* re-sent on re-poll (channels are
     /// lossless in parallel mode, so a hot poll loop would only fan out
     /// redundant traffic); a caller that has waited long enough to suspect
@@ -401,7 +402,10 @@ impl Cluster {
         if self.engine.try_lock(node, oid, write) {
             return Ok(true);
         }
-        if self.engine.is_waiting(node, oid) {
+        // Outstanding already, or held by another thread at the node: its
+        // release decides whether this acquire needs a request at all.
+        let held = self.engine.obj_state(node, oid).is_some_and(|s| s.locked);
+        if held || self.engine.is_waiting(node, oid) {
             return Ok(false);
         }
         let started = self.with_engine(|e, sh, send| {

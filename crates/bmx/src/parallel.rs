@@ -10,14 +10,19 @@
 //!   it, counts it, wakes the node's parked acquires and acks it. Popping
 //!   under the lock keeps per-link FIFO however many threads apply. A
 //!   blocking acquire runs the step at every poll, so a grant is applied
-//!   by the thread waiting for it; **one OS driver thread per node** runs
-//!   it for everything else: a node no mutator is waiting at, recovery
-//!   and shutdown.
+//!   by the thread waiting for it: between polls it spins on the node's
+//!   inbox count and wake epoch and re-polls as soon as either moves,
+//!   yielding the core only after a few quiet microseconds
+//!   (`SPIN_WINDOW`). **One OS driver thread per node** runs the step for
+//!   everything else: a node no mutator is waiting at, recovery and
+//!   shutdown.
 //! * **Real per-node handles** ([`NodeHandle`]): application mutator
 //!   threads call `acquire/read/write/release` directly — no global actor
 //!   serializing closures. An acquire whose token is remote blocks the
 //!   *calling thread only*; the other nodes keep delivering, so the grant
-//!   makes progress while the mutator waits.
+//!   makes progress while the mutator waits. Two threads at one node
+//!   exclude each other on an object: the second waits for the first
+//!   one's release, as it would for a grant.
 //! * **The transport seam**: each site's network has the transport as its
 //!   egress ([`bmx_net::Network::set_egress`]), so a send leaves as it is
 //!   made and comes back through [`Cluster::deliver`], the simulator's
@@ -108,8 +113,16 @@ const NODE_ALIVE: u8 = 0;
 const NODE_RECOVERING: u8 = 1;
 const NODE_DOWN: u8 = 2;
 
-/// Empty polls a driver (or an acquire) spends yielding before it parks.
+/// Empty polls a driver spends yielding, or a blocked acquire spinning
+/// (see [`SPIN_WINDOW`]), before it parks.
 const SPINS_BEFORE_PARK: u32 = 64;
+/// Longest a blocked acquire spins between two polls while neither its
+/// node's inbox nor its wake epoch moves; then it yields the core once. A
+/// yield on a busy host is a context switch, often to a driver that has
+/// nothing to do: the waiter spins through the few microseconds a grant
+/// takes instead, and gives the core up only when waiting for a peer's
+/// critical section, which no push or ring announces locally.
+const SPIN_WINDOW: Duration = Duration::from_micros(4);
 /// Longest a parked driver sleeps without a ring. Every event it waits for
 /// rings its bell; this only bounds the damage of a wake-up lost to a bug.
 const DRIVER_BACKSTOP: Duration = Duration::from_millis(10);
@@ -771,9 +784,12 @@ impl ParallelCluster {
                 ..ChaosConfig::default()
             });
             let shared = Arc::clone(&shared);
+            // Sampled here, not when the thread first runs: an alarm raised
+            // in between is new, and must still reach the blackbox.
+            let alarms_seen = shared.registry.as_ref().map_or(0, |r| r.total_alarms());
             std::thread::Builder::new()
                 .name("bmx-supervisor".into())
-                .spawn(move || supervise(shared, sup))
+                .spawn(move || supervise(shared, sup, alarms_seen))
                 .expect("spawn supervisor thread")
         });
         ParallelCluster {
@@ -1064,12 +1080,12 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
 /// transitions, stamps and revives nodes downed outside the plan, flips
 /// recovered nodes back to alive, and pumps the metrics watchdogs with a
 /// real pending-work reading so stalls latch alarms instead of being
-/// waited out.
-fn supervise(shared: Arc<Shared>, cfg: ChaosConfig) {
+/// waited out. `alarms_seen` is the registry's alarm total at spawn: the
+/// first one above it writes the blackbox.
+fn supervise(shared: Arc<Shared>, cfg: ChaosConfig, mut alarms_seen: u64) {
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
-    let mut alarms_seen = shared.registry.as_ref().map_or(0, |r| r.total_alarms());
     while shared.phase.load(Ordering::Acquire) == PHASE_RUN {
         std::thread::sleep(cfg.pulse);
         let _pulse_span = trace::span(SpanKind::SupervisorPulse, NodeId(0));
@@ -1491,7 +1507,20 @@ impl NodeHandle {
                 // to minimize, measured instead of assumed.
                 let mut wake_span = None;
                 if spins < SPINS_BEFORE_PARK {
-                    std::thread::yield_now();
+                    // Spin on what lets the next poll get further: an
+                    // envelope in the inbox (the grant, for this waiter to
+                    // apply) or a moved wake epoch (a grant another thread
+                    // applied). A token freed by a local release moves
+                    // neither, so after SPIN_WINDOW the core goes to
+                    // whoever else is runnable, and the poll follows.
+                    let spun = Instant::now();
+                    while self.shared.transport.queued(n) == 0 && wake.epoch() == seen {
+                        if spun.elapsed() >= SPIN_WINDOW {
+                            std::thread::yield_now();
+                            break;
+                        }
+                        std::hint::spin_loop();
+                    }
                 } else {
                     // Park on the node's wake signal rather than sleeping
                     // blind: it rings after every envelope applied at the

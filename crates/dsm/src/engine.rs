@@ -57,8 +57,11 @@ pub struct DsmEngine {
     nodes: Vec<DsmNodeState>,
     /// Messages buffered during the current protocol round, keyed by
     /// `(src, dst)`. Drained into one envelope per pair when the round's
-    /// public entry point returns; always empty between rounds.
-    outbox: BTreeMap<(NodeId, NodeId), Vec<DsmMsg>>,
+    /// public entry point returns; always empty between rounds. Each group
+    /// keeps the span flow its first message was emitted under: a grant
+    /// replayed for a queued request leaves under the requester's flow,
+    /// which the round's own flow is not.
+    outbox: BTreeMap<(NodeId, NodeId), (u64, Vec<DsmMsg>)>,
     /// When `false`, every emission leaves immediately as its own
     /// single-message envelope (the pre-coalescing wire behaviour, kept for
     /// the equivalence tests and as a diagnostic knob).
@@ -621,7 +624,8 @@ impl DsmEngine {
 
     /// One poll of a split-phase acquire, in one lookup of the replica's
     /// state: enters the critical section if no acquire of `oid` is
-    /// outstanding at `node` and the token it holds covers the access.
+    /// outstanding at `node`, no other thread at `node` is inside one, and
+    /// the token it holds covers the access.
     pub fn try_lock(&mut self, node: NodeId, oid: Oid, write: bool) -> bool {
         let ns = self.ns_mut(node);
         if ns.waiting_for.contains_key(&oid) {
@@ -630,7 +634,7 @@ impl DsmEngine {
         }
         let want = if write { Token::Write } else { Token::Read };
         match ns.get_mut(oid) {
-            Some(st) if st.token == Token::Write || st.token == want => {
+            Some(st) if !st.locked && (st.token == Token::Write || st.token == want) => {
                 Self::enter(st, node);
                 true
             }
@@ -790,7 +794,11 @@ impl DsmEngine {
             );
             return;
         }
-        self.outbox.entry((src, dst)).or_default().push(msg);
+        let (flow, msgs) = self.outbox.entry((src, dst)).or_default();
+        if msgs.is_empty() {
+            *flow = trace::current_flow();
+        }
+        msgs.push(msg);
     }
 
     /// Ends a protocol round: every buffered `(src, dst)` message group
@@ -801,7 +809,8 @@ impl DsmEngine {
         if self.outbox.is_empty() {
             return;
         }
-        for ((src, dst), msgs) in std::mem::take(&mut self.outbox) {
+        for ((src, dst), (flow, msgs)) in std::mem::take(&mut self.outbox) {
+            let _flow = trace::flow_scope(flow);
             let piggyback = sh.gc.drain_piggyback(src, dst);
             sh.stats[src.0 as usize].bump(StatKind::DsmProtocolMessages);
             sh.stats[src.0 as usize].add(StatKind::PiggybackedRelocations, piggyback.len() as u64);

@@ -15,8 +15,12 @@
 //!   `a.lamport < b.lamport` never holding in reverse: Lamport clocks
 //!   guarantee `a → b ⇒ L(a) < L(b)`, so any `b` with no candidate `a`
 //!   at a smaller stamp provably lacks a causally-prior `a`.
+//!
+//! [`critical_path`] measures instead of checking: it stitches the
+//! wall-clock spans of each blocked acquire by flow id into contiguous
+//! segments and reports where the microseconds went.
 
-use crate::event::{SspKind, TraceEvent, TraceRecord};
+use crate::event::{SpanKind, SspKind, TraceEvent, TraceRecord};
 use bmx_common::NodeId;
 
 /// Sort a captured trace into a total order consistent with
@@ -318,6 +322,166 @@ pub fn metric_alarm_hb_violations(records: &[TraceRecord]) -> Vec<TraceRecord> {
     bad
 }
 
+/// The segments of a blocked acquire's wall-clock path, in order (see
+/// [`critical_path`]).
+pub const SEGMENTS: [&str; 5] = ["submit", "pickup", "owner", "grant-apply", "claim"];
+
+/// One quantity over the stitched acquires, µs. Spans are stamped in whole
+/// microseconds, so a segment of a microsecond or two reads coarsely in its
+/// quantiles; the mean resolves a sub-microsecond shift, and the segments'
+/// means add up to the total's.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Spread {
+    /// Median.
+    pub p50: u64,
+    /// 99th percentile.
+    pub p99: u64,
+    /// Mean.
+    pub mean: f64,
+}
+
+/// Where blocked acquires spend their wall-clock time: the result of
+/// [`critical_path`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CriticalPath {
+    /// Blocked acquires whose every segment was found.
+    pub stitched: usize,
+    /// Blocked acquires left out because a span of theirs is missing (no
+    /// submit, no apply away from the requester, no grant apply after it):
+    /// a ring overwrote it, or a capture boundary cut the flow.
+    pub skipped: usize,
+    /// Per segment, in [`SEGMENTS`] order.
+    pub segments: [Spread; 5],
+    /// The stitched acquires' whole path, submit start to acquire end.
+    pub total: Spread,
+    /// The `acquire` span over every blocked acquire, skipped ones included.
+    pub blocked: Spread,
+}
+
+/// **The critical path of a blocked acquire**, stitched from its spans by
+/// flow id. A blocked acquire is an `acquire` span whose flow also has an
+/// `acquire/poll` (its first poll did not enter). Its path is cut into
+/// contiguous segments at four instants:
+///
+/// 1. *submit*: the `acquire/submit` span;
+/// 2. *pickup*: request transit, up to the start of the flow's first
+///    `apply` at another node (the owner, or a first hop towards it);
+/// 3. *owner*: the owner's apply and hold, up to the start of the flow's
+///    last `apply` back at the requester's node (the grant);
+/// 4. *grant-apply*: that apply, by whichever thread ran it;
+/// 5. *claim*: up to the end of the `acquire` span.
+///
+/// A cut that falls before the previous one (an owner that applied the
+/// request while the submit span was still open) is moved up to it, so the
+/// segments never overlap and add up to the whole path. An acquire missing
+/// any of these spans is counted in [`CriticalPath::skipped`], never
+/// attributed from a neighbour's spans.
+pub fn critical_path(records: &[TraceRecord]) -> CriticalPath {
+    struct Interval {
+        kind: SpanKind,
+        node: NodeId,
+        start: u64,
+        end: u64,
+    }
+    let mut flows: std::collections::HashMap<u64, Vec<Interval>> = Default::default();
+    for rec in records {
+        if let (TraceEvent::Span { kind, dur_us, flow }, Some(start)) = (rec.event, rec.wall_us) {
+            if flow != 0 {
+                flows.entry(flow).or_default().push(Interval {
+                    kind,
+                    node: rec.node,
+                    start,
+                    end: start + dur_us,
+                });
+            }
+        }
+    }
+    let mut segments: [Vec<u64>; 5] = Default::default();
+    let (mut total, mut blocked) = (Vec::new(), Vec::new());
+    let mut skipped = 0;
+    for spans in flows.values() {
+        let find = |kind| spans.iter().find(|s| s.kind == kind);
+        let (Some(acquire), Some(_)) = (find(SpanKind::Acquire), find(SpanKind::AcquirePoll))
+        else {
+            continue;
+        };
+        blocked.push(acquire.end - acquire.start);
+        let applies = || spans.iter().filter(|s| s.kind == SpanKind::Apply);
+        let picked = applies()
+            .filter(|s| s.node != acquire.node)
+            .map(|s| s.start)
+            .min();
+        let grant = picked.and_then(|picked| {
+            applies()
+                .filter(|s| s.node == acquire.node && (picked..=acquire.end).contains(&s.start))
+                .max_by_key(|s| s.start)
+        });
+        let (Some(submit), Some(picked), Some(grant)) =
+            (find(SpanKind::AcquireSubmit), picked, grant)
+        else {
+            skipped += 1;
+            continue;
+        };
+        let mut cuts = [
+            submit.start,
+            submit.end,
+            picked,
+            grant.start,
+            grant.end,
+            acquire.end,
+        ];
+        for i in 1..cuts.len() {
+            cuts[i] = cuts[i].max(cuts[i - 1]);
+        }
+        for (seg, pair) in segments.iter_mut().zip(cuts.windows(2)) {
+            seg.push(pair[1] - pair[0]);
+        }
+        total.push(cuts[5] - cuts[0]);
+    }
+    CriticalPath {
+        stitched: total.len(),
+        skipped,
+        segments: segments.map(|mut s| spread(&mut s)),
+        total: spread(&mut total),
+        blocked: spread(&mut blocked),
+    }
+}
+
+impl std::fmt::Display for CriticalPath {
+    /// One line per segment, then the totals.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "critical path of {} blocked acquires ({} skipped), µs:",
+            self.stitched, self.skipped
+        )?;
+        let rows = SEGMENTS.iter().zip(&self.segments);
+        let rows = rows.chain([(&"total", &self.total), (&"acquire", &self.blocked)]);
+        for (name, q) in rows {
+            let Spread { p50, p99, mean } = q;
+            writeln!(
+                f,
+                "  {name:<12} p50 {p50:>6}  p99 {p99:>6}  mean {mean:>7.2}"
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Nearest-rank p50 and p99, and the mean (zeros for no values).
+fn spread(values: &mut [u64]) -> Spread {
+    if values.is_empty() {
+        return Spread::default();
+    }
+    values.sort_unstable();
+    let rank = |p: usize| values[(values.len() * p).div_ceil(100) - 1];
+    Spread {
+        p50: rank(50),
+        p99: rank(99),
+        mean: values.iter().sum::<u64>() as f64 / values.len() as f64,
+    }
+}
+
 fn nodes_of(records: &[TraceRecord]) -> Vec<NodeId> {
     let mut nodes: Vec<NodeId> = records.iter().map(|r| r.node).collect();
     nodes.sort_by_key(|n| n.0);
@@ -611,6 +775,63 @@ mod tests {
         // since_tick in the future of the alarm's own tick is nonsense.
         let future = vec![r(0, 3, 1, evidence), r(0, 7, 2, alarm(3, 99))];
         assert_eq!(metric_alarm_hb_violations(&future).len(), 1);
+    }
+
+    #[test]
+    fn critical_path_cuts_each_blocked_acquire_at_its_hand_offs() {
+        let sp = |node: u32, kind: SpanKind, start: u64, dur_us: u64, flow: u64| TraceRecord {
+            wall_us: Some(start),
+            ..r(node, 1, 1, TraceEvent::Span { kind, dur_us, flow })
+        };
+        use SpanKind::{Acquire, AcquirePoll, AcquireSubmit, Apply};
+        let recs = vec![
+            // Flow 7, node 1 waits on node 0: submit 100..102, node 0 picks
+            // the request up at 104 (and applies more of the flow at 110),
+            // node 1 applies the grant 120..123, the acquire ends at 130.
+            sp(1, Acquire, 100, 30, 7),
+            sp(1, AcquireSubmit, 100, 2, 7),
+            sp(1, AcquirePoll, 105, 1, 7),
+            sp(0, Apply, 104, 1, 7),
+            sp(0, Apply, 110, 1, 7),
+            sp(1, Apply, 120, 3, 7),
+            // Flow 8, node 0 waits on node 1, which applies the request at
+            // 200, before the submit span closes: pickup is cut to 0.
+            sp(0, Acquire, 200, 10, 8),
+            sp(0, AcquireSubmit, 200, 1, 8),
+            sp(0, AcquirePoll, 202, 1, 8),
+            sp(1, Apply, 200, 1, 8),
+            sp(0, Apply, 205, 1, 8),
+            // Flow 9 blocked, but the owner's apply is gone (an overwritten
+            // ring): skipped, its grant apply not read as anything else.
+            sp(1, Acquire, 300, 50, 9),
+            sp(1, AcquireSubmit, 300, 1, 9),
+            sp(1, AcquirePoll, 302, 1, 9),
+            sp(1, Apply, 340, 2, 9),
+            // Flow 10 entered on its first poll: not a blocked acquire.
+            sp(0, Acquire, 400, 3, 10),
+            sp(0, AcquireSubmit, 400, 3, 10),
+            // No flow, and a causal event: ignored.
+            sp(0, Apply, 101, 1, 0),
+            r(0, 2, 2, TraceEvent::TokenRelease { oid: Oid(1) }),
+        ];
+        let path = critical_path(&recs);
+        assert_eq!((path.stitched, path.skipped), (2, 1));
+        let q = |p50, p99, mean| Spread { p50, p99, mean };
+        // Flow 7: 2, 2, 16, 3, 7 (30 in all); flow 8: 1, 0, 4, 1, 4 (10).
+        assert_eq!(
+            path.segments,
+            [
+                q(1, 2, 1.5),
+                q(0, 2, 1.0),
+                q(4, 16, 10.0),
+                q(1, 3, 2.0),
+                q(4, 7, 5.5)
+            ]
+        );
+        assert_eq!(path.total, q(10, 30, 20.0));
+        assert_eq!(path.blocked, q(30, 50, 30.0), "the skipped flow counts");
+        assert_eq!(path.to_string().lines().count(), 1 + SEGMENTS.len() + 2);
+        assert_eq!(critical_path(&[]), CriticalPath::default());
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! readings, not monotonic totals — as a last-interval p99 over the
 //! wall-clock acquire and site-mutex histograms
 //! ([`Hst::AcquireReadMicros`], [`Hst::AcquireWriteMicros`],
-//! [`Hst::MutexWaitMicros`]).
+//! [`Hst::MutexWaitMicros`]). With spans on, each frame also stitches the
+//! interval's blocked acquires into their critical path
+//! ([`trace::query::critical_path`]) and prints each segment's p50/p99.
 
 use bmx_repro::metrics::{self, Gge, Hst, LinkCtr, Registry, Snapshot};
 use bmx_repro::prelude::*;
@@ -194,6 +196,9 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
         "setup failed to quiesce"
     );
 
+    // Each frame takes what the rings hold; a flow that straddles two
+    // frames, or outgrew its ring, is counted as skipped.
+    trace::enable_spans(1 << 14);
     let stop = Arc::new(AtomicBool::new(false));
     let mutators: Vec<_> = (0..NODES)
         .map(|i| {
@@ -290,6 +295,10 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
                 interval_quantile(&last_snap, &snap, i, "mutex_wait_micros", 0.99),
             ));
         }
+        out.push_str(&format!(
+            "\n{}",
+            trace::query::critical_path(&trace::take_global())
+        ));
         last_snap = snap;
         last_liveness = liveness;
         print!("\x1b[2J\x1b[H{out}");
@@ -299,6 +308,7 @@ fn run_parallel(frames: u64, fast: bool) -> Result<()> {
     for m in mutators {
         let _ = m.join();
     }
+    trace::disable_spans();
     assert!(pc.quiesce(Duration::from_secs(10)), "failed to quiesce");
     let (cluster, report) = pc.shutdown(Shutdown::Drain)?;
     cluster.assert_gc_acquired_no_tokens();

@@ -16,7 +16,11 @@
 # workload also the median of measured repetitions each side ran (from the
 # benchmark's "# <workload>: N measured repetitions" line, kept in
 # <scratch-dir>/<workload>.<side>.reps): a faster side keeps more repetition
-# records, which is how its peak_rss_mb can rise.
+# records, which is how its peak_rss_mb can rise. And the median and
+# quartiles of the blocking-acquire p50 (the benchmark's "# <workload>:
+# acquire_p50_us X over N blocking acquires" line, kept in
+# <scratch-dir>/<workload>.<side>.acq), so a per-layer shift shows in the
+# same pairs as the end-to-end one.
 set -eu
 if [ $# -lt 2 ]; then
     sed -n '5p' "$0" >&2
@@ -42,6 +46,8 @@ runs=$scratch/$workload
 : >"$runs.change.jsonl"
 : >"$runs.parent.reps"
 : >"$runs.change.reps"
+: >"$runs.parent.acq"
+: >"$runs.change.acq"
 i=1
 while [ "$i" -le "$pairs" ]; do
     order="parent change"
@@ -53,6 +59,8 @@ while [ "$i" -le "$pairs" ]; do
             --seconds "$seconds" --trace 0 >"$runs.out"
         tail -n 1 "$runs.out" >>"$runs.$side.jsonl"
         sed -n "s/^# $workload: \([0-9]*\) measured repetitions.*/\1/p" "$runs.out" >>"$runs.$side.reps"
+        sed -n "s/^# $workload: acquire_p50_us \([0-9.]*\) over [0-9]* blocking acquires.*/\1/p" \
+            "$runs.out" >>"$runs.$side.acq"
     done
     echo "pair $i/$pairs done" >&2
     i=$((i + 1))
@@ -89,6 +97,10 @@ done
 if [ -s "$runs.parent.reps" ]; then
     printf '%-12s %-7s %s\n' repetitions parent "$(quartiles <"$runs.parent.reps")"
     printf '%-12s %-7s %s\n' repetitions change "$(quartiles <"$runs.change.reps")"
+fi
+if [ -s "$runs.parent.acq" ]; then
+    printf '%-12s %-7s %s\n' acq_p50_us parent "$(quartiles <"$runs.parent.acq")"
+    printf '%-12s %-7s %s\n' acq_p50_us change "$(quartiles <"$runs.change.acq")"
 fi
 rm -f "$runs.p" "$runs.c" "$runs.out"
 for side in parent change; do

@@ -355,6 +355,71 @@ fn two_appliers_on_one_link_keep_its_order() {
     });
 }
 
+/// The waits no inbox push announces. Two mutators at node 0 and one at
+/// node 1 increment one object, so a blocked acquire at node 0 often waits
+/// for a token its neighbour frees by a local release, which rings
+/// nothing, or for a grant the driver or the other mutator already
+/// applied, which moves the node's wake epoch but leaves its inbox empty.
+/// A spinning waiter must leave its wait on either, through the epoch or
+/// its spin window, and enter: every increment lands once, and nothing is
+/// applied twice. First, the exclusion the count rests on: a thread at
+/// node 0 does not enter while its neighbour is inside a bracket on the
+/// object.
+#[test]
+fn waits_on_a_local_release_or_a_grant_applied_by_another_thread_end() {
+    const ROUNDS: u64 = 300;
+
+    within(Duration::from_secs(60), "the three-mutator run", || {
+        let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
+        let h0 = pc.handle(n(0));
+        let bunch = h0.create_bunch().expect("bunch");
+        let obj = h0.alloc(bunch, &counter_spec()).expect("alloc");
+        h0.add_root(obj).expect("root");
+        let h1 = pc.handle(n(1));
+        h1.map_bunch(bunch, n(0)).expect("map");
+        h1.add_root(obj).expect("root");
+
+        h0.acquire_write(obj).expect("first thread enters");
+        let (entered, rx) = mpsc::channel();
+        let second = {
+            let h0 = h0.clone();
+            std::thread::spawn(move || {
+                increment(&h0, obj).expect("second thread");
+                let _ = entered.send(());
+            })
+        };
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "the second thread entered inside its neighbour's bracket"
+        );
+        h0.release(obj).expect("first thread leaves");
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the second thread enters after the release");
+        second.join().expect("second thread");
+
+        let mutators: Vec<_> = [h0.clone(), h0, h1]
+            .into_iter()
+            .map(|h| {
+                std::thread::spawn(move || {
+                    for _ in 0..ROUNDS {
+                        increment(&h, obj).expect("increment");
+                    }
+                })
+            })
+            .collect();
+        for m in mutators {
+            m.join().expect("mutator thread");
+        }
+
+        assert!(pc.quiesce(Duration::from_secs(10)), "quiesce");
+        let (mut c, report) = pc.shutdown(Shutdown::Drain).expect("shutdown");
+        assert_eq!(c.total_stat(StatKind::DuplicateDeliveries), 0);
+        assert_eq!(report.dropped, 0, "{report:?}");
+        c.acquire_read(n(0), obj).expect("acquire");
+        assert_eq!(c.read_data(n(0), obj, 1).expect("read"), 1 + 3 * ROUNDS);
+    });
+}
+
 /// What `ParallelCluster::ops` and the per-node `NodeLiveness::ops` count: one per
 /// completed typed call, `with` or acquire, whichever path completed it
 /// (one site, the gather of `map_bunch` and `with`, a remote grant) — never

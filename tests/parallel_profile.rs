@@ -58,8 +58,9 @@ fn blocking_acquire_trace() -> String {
         h1.write_data(obj, 1, 42).expect("write");
         h1.release(obj).expect("release");
     });
-    // Long enough that the waiter burns through its spin phase (64
-    // yields) and parks on the wake cell before the grant exists.
+    // Long enough that the waiter burns through its spin phase (64 polls,
+    // a few µs of spinning and a yield apart) and parks on the wake cell
+    // before the grant exists.
     std::thread::sleep(Duration::from_millis(50));
     h0.release(obj).expect("owner release");
     waiter.join().expect("waiter thread");
@@ -182,6 +183,68 @@ fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
     assert!(
         meta_names.iter().any(|m| m.contains("driver")),
         "driver thread named: {meta_names:?}"
+    );
+}
+
+/// The critical path of a contended acquire (DESIGN.md §12): two nodes
+/// take turns writing one object, so most acquires block, and each blocked
+/// acquire's spans stitch into five contiguous segments by flow id. Pinned:
+/// nearly every blocked acquire stitches, and the median of what each
+/// one's segments add up to is at least 90 % of the median blocked
+/// acquire, skipped ones included — the path leaves no unexplained gap.
+/// (Not the sum of the segments' own medians: the segments are skewed,
+/// and that sum reads a few percent under the whole.)
+#[test]
+fn contended_acquires_stitch_into_a_critical_path_that_covers_them() {
+    const ROUNDS: u64 = 400;
+    let _serial = serial();
+    let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
+    let (h0, h1) = (pc.handle(n(0)), pc.handle(n(1)));
+    let bunch = h0.create_bunch().expect("bunch");
+    let obj = h0
+        .alloc(bunch, &ObjSpec::with_refs(2, &[0]))
+        .expect("alloc");
+    h0.add_root(obj).expect("root");
+    h1.map_bunch(bunch, n(0)).expect("map");
+    h1.add_root(obj).expect("root");
+    assert!(pc.quiesce(Duration::from_secs(10)), "setup quiesce");
+
+    trace::enable_spans(trace::UNBOUNDED);
+    // Both start together: a writer that ran its rounds before the other
+    // began would block once, not take turns.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let writers: Vec<_> = [h0, h1]
+        .into_iter()
+        .map(|h| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    h.acquire_write(obj).expect("acquire");
+                    let v = h.read_data(obj, 1).expect("read");
+                    h.write_data(obj, 1, v + 1).expect("write");
+                    h.release(obj).expect("release");
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().expect("writer thread");
+    }
+    assert!(pc.quiesce(Duration::from_secs(10)), "quiesce");
+    let path = trace::query::critical_path(&trace::take_global());
+    trace::disable_spans();
+    let (mut cluster, _) = pc.shutdown(Shutdown::Drain).expect("shutdown");
+    cluster.acquire_read(n(0), obj).expect("acquire");
+    assert_eq!(cluster.read_data(n(0), obj, 1).expect("read"), 2 * ROUNDS);
+
+    println!("{path}");
+    let blocked = path.stitched + path.skipped;
+    assert!(blocked >= 20, "too few blocked acquires to read: {path}");
+    assert!(path.skipped * 10 <= blocked, "most must stitch: {path}");
+    assert!(
+        path.total.p50 * 10 >= path.blocked.p50 * 9,
+        "the segments leave a gap in the blocked acquire: {path}"
     );
 }
 
