@@ -28,25 +28,29 @@
 //! assert_eq!(dir.addr_of(Oid(1)), Some(Addr(0x3_0000)));
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use bmx_common::{Addr, IdHashMap, Oid};
 use bmx_dsm::Relocation;
 
-/// Width in address bits of the block a forwarding edge is grouped by:
-/// 32 KiB, the default segment size, of which every segment base is then a
-/// multiple — so under the default layout a group is one from-space
-/// segment. Any other size is as correct: a group holds several segments or
-/// part of one.
+/// Width in address bits of the block whose edges share one from-address
+/// list: 32 KiB, the default segment size, of which every segment base is
+/// then a multiple — so under the default layout a block is one from-space
+/// segment, and a released range's lists are found by block number. Any
+/// other size is as correct: a block holds several segments or part of one.
 const GROUP_SHIFT: u32 = 15;
 
 /// Node-local knowledge of object locations and forwarding edges.
 ///
-/// Edges are grouped by the from-space block they start in, because that
-/// is how they die: [`forget_range`](Directory::forget_range) drops a
-/// released range's groups whole, and a lookup is one binary search for
-/// the group and one inside it.
+/// Edges are hashed by both ends, so a lookup, a new edge and a resolve
+/// step are each a hash probe. Each block keeps an unordered list of the
+/// from-addresses starting in it, because that is how edges die and how
+/// the reuse protocol asks for them:
+/// [`forget_range`](Directory::forget_range) and
+/// [`relocs_from_range`](Directory::relocs_from_range) read only the lists
+/// of the blocks a range overlaps, and the latter sorts what it returns.
 #[derive(Default, Clone)]
 pub struct Directory {
     /// Hashed: every pointer followed, record applied, sweep and copy-out
@@ -55,43 +59,22 @@ pub struct Directory {
     /// The latest retained relocation record per object.
     reloc_by_oid: BTreeMap<Oid, Relocation>,
     /// Forwarding edges (`from → to`, possibly chained over multiple
-    /// collections), each the relocation record that made it, grouped by
-    /// block and sorted by it.
-    groups: Vec<EdgeGroup>,
-    /// Edges in all groups.
-    edges: usize,
-    /// No edge ends above this address: a move to a fresh to-space address
-    /// needs no search for an older edge ending there.
-    max_to: Addr,
-}
-
-/// The edges starting in one block.
-#[derive(Clone, Default)]
-struct EdgeGroup {
-    block: u64,
-    /// Sorted by `from`.
-    by_from: Vec<Relocation>,
-    /// Reverse index, `(to, from)` sorted by `to`: where several edges end
-    /// at one address, only the latest recorded is indexed, wherever it
-    /// starts.
-    by_to: Vec<(Addr, Addr)>,
-}
-
-impl EdgeGroup {
-    fn edge_from(&self, from: Addr) -> Option<&Relocation> {
-        let i = self.by_from.binary_search_by_key(&from, |r| r.from).ok()?;
-        Some(&self.by_from[i])
-    }
-
-    /// Positions in `by_from` of the edges starting in `[start, end)`.
-    fn span(&self, start: Addr, end: Addr) -> Range<usize> {
-        self.by_from.partition_point(|r| r.from < start)
-            ..self.by_from.partition_point(|r| r.from < end)
-    }
+    /// collections), each the relocation record that made it.
+    by_from: IdHashMap<Addr, Relocation>,
+    /// Reverse index `to → from`: where several edges end at one address,
+    /// only the latest recorded is named.
+    by_to: IdHashMap<Addr, Addr>,
+    /// The from-addresses of the edges starting in each block, unordered.
+    blocks: IdHashMap<u64, Vec<Addr>>,
 }
 
 fn block_of(addr: Addr) -> u64 {
     addr.0 >> GROUP_SHIFT
+}
+
+/// The blocks that overlap `[start, end)`.
+fn blocks_in(start: Addr, end: Addr) -> Range<u64> {
+    block_of(start)..(end.0 + (1 << GROUP_SHIFT) - 1) >> GROUP_SHIFT
 }
 
 impl Directory {
@@ -136,10 +119,13 @@ impl Directory {
     pub fn resolve_hops(&self, addr: Addr) -> (Addr, u32) {
         let mut cur = addr;
         let mut hops = 0;
-        while let Some(r) = self.edge_from(cur) {
+        while let Some(r) = self.by_from.get(&cur) {
             cur = r.to;
             hops += 1;
-            assert!(hops as usize <= self.edges, "forwarding cycle at {addr}");
+            assert!(
+                hops as usize <= self.by_from.len(),
+                "forwarding cycle at {addr}"
+            );
         }
         (cur, hops)
     }
@@ -167,36 +153,13 @@ impl Directory {
     /// followed, and replacing it would dead-end local resolution mid-chain
     /// at an address this replica never populated.
     pub fn record_move(&mut self, oid: Oid, from: Addr, to: Addr) -> bool {
-        let block = block_of(from);
-        let found = self.groups.binary_search_by_key(&block, |g| g.block);
-        if let Ok(g) = found {
-            if self.groups[g].edge_from(from).is_some() {
-                return false;
-            }
-        }
+        let Entry::Vacant(slot) = self.by_from.entry(from) else {
+            return false;
+        };
         assert_ne!(from, to, "degenerate relocation for {oid}");
-        let r = Relocation { oid, from, to };
-        // The reverse index names the latest edge ending at `to`.
-        if to <= self.max_to {
-            if let Some((g, i)) = self.to_slot(to) {
-                self.groups[g].by_to.remove(i);
-            }
-        }
-        self.max_to = self.max_to.max(to);
-        let g = found.unwrap_or_else(|g| {
-            let group = EdgeGroup {
-                block,
-                ..EdgeGroup::default()
-            };
-            self.groups.insert(g, group);
-            g
-        });
-        let group = &mut self.groups[g];
-        let i = group.by_from.partition_point(|e| e.from < from);
-        group.by_from.insert(i, r);
-        let i = group.by_to.partition_point(|&(t, _)| t < to);
-        group.by_to.insert(i, (to, from));
-        self.edges += 1;
+        let r = *slot.insert(Relocation { oid, from, to });
+        self.by_to.insert(to, from);
+        self.blocks.entry(block_of(from)).or_default().push(from);
         self.reloc_by_oid.insert(oid, r);
         if self.addr_of.get(&oid) == Some(&from) {
             let cur = self.resolve(to);
@@ -205,23 +168,9 @@ impl Directory {
         true
     }
 
-    fn edge_from(&self, from: Addr) -> Option<&Relocation> {
-        let block = block_of(from);
-        let g = self.groups.binary_search_by_key(&block, |g| g.block).ok()?;
-        self.groups[g].edge_from(from)
-    }
-
-    /// Where the reverse index holds `to`: (group, position in `by_to`).
-    fn to_slot(&self, to: Addr) -> Option<(usize, usize)> {
-        self.groups.iter().enumerate().find_map(|(g, group)| {
-            let i = group.by_to.binary_search_by_key(&to, |&(t, _)| t).ok()?;
-            Some((g, i))
-        })
-    }
-
     /// Whether a forwarding edge from `addr` exists.
     pub fn is_forwarded_from(&self, addr: Addr) -> bool {
-        self.edge_from(addr).is_some()
+        self.by_from.contains_key(&addr)
     }
 
     /// The relocation record that moved `oid`, if any is still retained.
@@ -231,21 +180,10 @@ impl Directory {
 
     /// The relocation record involving `addr` as either end, if any.
     pub fn reloc_touching(&self, addr: Addr) -> Option<Relocation> {
-        if let Some(r) = self.edge_from(addr) {
-            return Some(*r);
-        }
-        let (g, i) = self.to_slot(addr)?;
-        let group = &self.groups[g];
-        group.edge_from(group.by_to[i].1).copied()
-    }
-
-    /// Positions in `groups` of the groups whose block overlaps
-    /// `[start, end)`.
-    fn groups_in(&self, start: Addr, end: Addr) -> Range<usize> {
-        self.groups.partition_point(|g| g.block < block_of(start))
-            ..self
-                .groups
-                .partition_point(|g| g.block << GROUP_SHIFT < end.0)
+        self.by_from
+            .get(&addr)
+            .or_else(|| self.by_from.get(self.by_to.get(&addr)?))
+            .copied()
     }
 
     /// Every retained relocation record whose from-address lies in
@@ -253,11 +191,14 @@ impl Directory {
     /// address-change payload of the from-space reuse protocol.
     pub fn relocs_from_range(&self, start: Addr, len_words: u64) -> Vec<Relocation> {
         let end = start.add_words(len_words);
-        self.groups[self.groups_in(start, end)]
-            .iter()
-            .flat_map(|g| &g.by_from[g.span(start, end)])
-            .copied()
-            .collect()
+        let mut out: Vec<Relocation> = blocks_in(start, end)
+            .filter_map(|b| self.blocks.get(&b))
+            .flatten()
+            .filter(|&&from| start <= from && from < end)
+            .map(|from| self.by_from[from])
+            .collect();
+        out.sort_unstable_by_key(|r| r.from);
+        out
     }
 
     /// Drops forwarding edges and relocation records whose *from* address
@@ -267,23 +208,32 @@ impl Directory {
     /// one dropped: an object moved again since keeps its younger record.
     pub fn forget_range(&mut self, start: Addr, len_words: u64) {
         let end = start.add_words(len_words);
-        let range = self.groups_in(start, end);
-        for g in &mut self.groups[range] {
-            let span = g.span(start, end);
-            self.edges -= span.len();
-            for r in g.by_from.drain(span) {
+        for b in blocks_in(start, end) {
+            let Some(froms) = self.blocks.get_mut(&b) else {
+                continue;
+            };
+            froms.retain(|&from| {
+                if from < start || from >= end {
+                    return true;
+                }
+                let r = self.by_from.remove(&from).expect("listed edge");
+                if self.by_to.get(&r.to) == Some(&from) {
+                    self.by_to.remove(&r.to);
+                }
                 if self.reloc_by_oid.get(&r.oid) == Some(&r) {
                     self.reloc_by_oid.remove(&r.oid);
                 }
+                false
+            });
+            if froms.is_empty() {
+                self.blocks.remove(&b);
             }
-            g.by_to.retain(|&(_, from)| from < start || from >= end);
         }
-        self.groups.retain(|g| !g.by_from.is_empty());
     }
 
     /// Number of forwarding edges retained.
     pub fn edge_count(&self) -> usize {
-        self.edges
+        self.by_from.len()
     }
 }
 
@@ -387,6 +337,70 @@ mod tests {
         assert_eq!(d.resolve(Addr(0x800)), Addr(0x1800));
     }
 
+    const BLOCK_WORDS: u64 = (1 << GROUP_SHIFT) / 8;
+
+    #[test]
+    fn relocs_from_range_sorts_edges_recorded_in_descending_order() {
+        // Six edges over two blocks, recorded highest from-address first:
+        // each block's list holds them in recording order.
+        let base = Addr(0x1_0000);
+        let froms: Vec<Addr> = [2 * BLOCK_WORDS - 2, BLOCK_WORDS + 4, BLOCK_WORDS, 40, 8, 0]
+            .iter()
+            .map(|&w| base.add_words(w))
+            .collect();
+        let mut d = Directory::new();
+        for (i, &from) in froms.iter().enumerate() {
+            d.record_move(Oid(i as u64), from, Addr(0x10_0000 + 8 * i as u64));
+        }
+        let got: Vec<Addr> = d
+            .relocs_from_range(base, 2 * BLOCK_WORDS)
+            .iter()
+            .map(|r| r.from)
+            .collect();
+        let mut want = froms.clone();
+        want.reverse();
+        assert_eq!(got, want);
+        // A range starting and ending mid-block cuts both lists.
+        let got: Vec<Addr> = d
+            .relocs_from_range(base.add_words(8), BLOCK_WORDS)
+            .iter()
+            .map(|r| r.from)
+            .collect();
+        assert_eq!(got, want[1..5]);
+    }
+
+    #[test]
+    fn forget_range_over_part_of_a_block_keeps_the_rest() {
+        let base = Addr(0x1_0000);
+        let mut d = Directory::new();
+        for w in 0..8 {
+            d.record_move(Oid(w), base.add_words(8 * w), Addr(0x10_0000 + 8 * w));
+        }
+        // Words 16..40 hold the edges from words 16, 24 and 32.
+        d.forget_range(base.add_words(16), 24);
+        assert_eq!(d.edge_count(), 5);
+        for w in 0..8 {
+            let forgotten = (2..5).contains(&w);
+            assert_eq!(
+                d.is_forwarded_from(base.add_words(8 * w)),
+                !forgotten,
+                "word {w}"
+            );
+        }
+        assert_eq!(d.relocs_from_range(base, BLOCK_WORDS).len(), 5);
+        d.forget_range(base, BLOCK_WORDS);
+        assert_eq!(d.edge_count(), 0);
+    }
+
+    #[test]
+    fn reloc_touching_finds_an_edge_by_its_to_in_a_block_where_none_starts() {
+        let mut d = Directory::new();
+        let (from, to) = (Addr(0x1_0000), Addr(0x1_0000 + 4 * (1 << GROUP_SHIFT)));
+        d.record_move(Oid(4), from, to);
+        assert_eq!(d.reloc_touching(to).map(|r| r.from), Some(from));
+        assert!(d.relocs_from_range(to, BLOCK_WORDS).is_empty());
+    }
+
     #[test]
     fn drop_oid_keeps_forwarding() {
         let mut d = Directory::new();
@@ -463,7 +477,7 @@ mod tests {
         }
     }
 
-    /// The grouped layout against the model under random `set_addr`,
+    /// The hashed layout against the model under random `set_addr`,
     /// `record_move`, `drop_oid` and `forget_range` calls over four blocks,
     /// with ranges from a few words to several blocks. After every step
     /// each query agrees on every address and object.

@@ -22,14 +22,23 @@ use crate::state::{GcState, RelocMode};
 ///
 /// Idempotent: re-applying a known relocation is a no-op, which is what lets
 /// relocation records ride unreliable or duplicated carriers.
+///
+/// A record out of a released range — not mapped here, unknown to the
+/// server — is dropped: its edge would outlive the range's `forget_range`
+/// and never die, and a pointer into the range resolves through the
+/// server's retired-range routing instead.
 pub fn apply_relocations_at(
     gc: &mut GcState,
     node: NodeId,
     relocs: &[Relocation],
     mems: &mut [NodeMemory],
 ) {
+    let mut buf = CopyBuf::default();
     for r in relocs {
         let mem = &mut mems[node.0 as usize];
+        if !mem.is_mapped(r.from) && gc.server.borrow().segment_of(r.from).is_none() {
+            continue;
+        }
         // Map the destination segment if this node has never seen it.
         if !mem.is_mapped(r.to) {
             let info = gc.server.borrow().segment_of(r.to);
@@ -81,7 +90,7 @@ pub fn apply_relocations_at(
             }
             let already_there = object::view(mem, dest).is_ok_and(|v| v.oid == r.oid);
             if !already_there {
-                let _ = object::copy_object(mem, r.from, dest, &mut CopyBuf::default());
+                let _ = object::copy_object(mem, r.from, dest, &mut buf);
             }
             let _ = object::set_forwarding(mem, r.from, r.to);
         }
@@ -361,6 +370,29 @@ mod tests {
             object::view(&mems[1], to_seg.base).is_err(),
             "nothing installed"
         );
+    }
+
+    #[test]
+    fn a_record_out_of_a_released_range_is_dropped() {
+        let (mut gc, mut mems, bunch, _seg) = setup();
+        let from_seg = gc.server.borrow_mut().alloc_segment(bunch).unwrap();
+        let to_seg = gc.server.borrow_mut().alloc_segment(bunch).unwrap();
+        // Node 1 still names the object by its from-space address, but the
+        // reuse protocol has released that range: no node maps it and the
+        // server no longer knows it.
+        gc.note_local_addr(NodeId(1), Oid(9), from_seg.base);
+        gc.server.borrow_mut().release_segments(&[from_seg.id]);
+        let r = Relocation {
+            oid: Oid(9),
+            from: from_seg.base,
+            to: to_seg.base,
+        };
+        apply_relocations_at(&mut gc, NodeId(1), &[r], &mut mems);
+        // No forget_range will run for the range again, so an edge recorded
+        // now would never die.
+        let dir = &gc.node(NodeId(1)).directory;
+        assert_eq!(dir.edge_count(), 0);
+        assert_eq!(dir.addr_of(Oid(9)), Some(from_seg.base));
     }
 
     #[test]

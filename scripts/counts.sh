@@ -39,8 +39,10 @@ done
 echo "$workload: traced pass, seed $seed, parent $sha"
 printf '%-24s %14s %14s\n' counter parent change
 status=0
-for name in net.envelopes net.bytes gc.copied_words gc.scanned_objs gc.reclaimed_objs \
-    gc.piggybacked_relocs gc.explicit_reloc_msgs gc.token_acquires gc.audit_findings; do
+for name in net.envelopes net.bytes net.bytes_per_op dsm.envelopes_per_op \
+    dsm.image_words_per_op gc.copied_words gc.scanned_objs gc.reclaimed_objs \
+    gc.reclaimed_words gc.piggybacked_relocs gc.explicit_reloc_msgs gc.token_acquires \
+    gc.audit_findings; do
     p=$(awk -v w="$workload" -v m="$name" '$1 == w && $2 == m { print $3 }' "$out.parent.txt")
     c=$(awk -v w="$workload" -v m="$name" '$1 == w && $2 == m { print $3 }' "$out.change.txt")
     mark=

@@ -16,11 +16,12 @@
 //! each collection, while the collection's relocation records are still
 //! queued for the other replica holders. When ranges were refilled, a
 //! record arriving after the retire round forwarded the *new* occupant of
-//! its from-address; with nothing ever refilled it finds no segment and is
-//! dropped.
+//! its from-address; with nothing ever refilled its from-range is neither
+//! mapped nor known to the server, and the record is dropped.
 //!
-//! The same loop with reuse one round behind each collection — the shape
-//! `gc_churn_sim` settled on — also bounds every node's forwarding edges.
+//! Both loops — reuse straight after each collection, and reuse one round
+//! behind it, the shape `gc_churn_sim` settled on — also bound every node's
+//! forwarding edges.
 
 use bmx_repro::bmx::audit;
 use bmx_repro::common::SplitMix64;
@@ -50,15 +51,15 @@ const MAPPED_SEGMENTS_MAX: usize = 6;
 /// (Observed: 6. The parent commit ends this loop with 184–243 segments
 /// mapped per node, every one of them still registered.)
 const SERVER_SEGMENTS_MAX: usize = 9;
-/// Forwarding edges one node may keep when reuse runs a round after the
-/// collection: those out of the from-spaces still pending, plus the few
-/// learned since. (Observed over seeds 1–8: 169.)
-///
-/// With reuse straight after the collection the count is not bounded: a
-/// relocation record that arrives after its from-range was released still
-/// records its edge, and no `forget_range` runs for that range again
-/// (ROADMAP 1(a)(iii)). Over seeds 1–8 that loop's count grows by about 30
-/// per node per round, to 781 at round 20 and 4 689 at round 149.
+/// Forwarding edges one node may keep: those out of the from-spaces still
+/// pending (none with reuse straight after the collection, one round's with
+/// reuse a round behind), plus the few learned since — O(live objects +
+/// in-flight collections), not O(rounds). A relocation record that arrives
+/// after its from-range was released records no edge, since no
+/// `forget_range` would run for that range again; kept, such edges would
+/// grow by about 30 per node per round in the immediate-reuse loop.
+/// (Observed over seeds 1–8: 14 with immediate reuse, 84 with reuse a round
+/// behind.)
 const EDGES_MAX: usize = 256;
 
 fn nodes() -> impl Iterator<Item = NodeId> {
@@ -216,7 +217,7 @@ impl World {
             );
             let edges = self.c.gc.node(node).directory.edge_count();
             assert!(
-                self.lagging.is_none() || edges <= EDGES_MAX,
+                edges <= EDGES_MAX,
                 "seed {seed} round {r}: {node} keeps {edges} forwarding edges"
             );
         }
