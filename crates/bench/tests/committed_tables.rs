@@ -2,6 +2,8 @@
 //! what the experiments produce. It holds only deterministic columns, so
 //! there is no tolerance: a counter that moves in either direction fails
 //! here, and regenerating shows it as a one-line diff of the committed file.
+//! The experiments run under the default `Schedule::Due` and read no
+//! `SCHEDULE_SEEDS`: the committed counts are that one order's.
 
 use bmx_bench::{experiments, table};
 

@@ -435,8 +435,8 @@ impl Cluster {
     }
 
     /// One simulator tick: advance the clock, [`Cluster::deliver`] each due
-    /// envelope as it is popped (latency ≥ 1 keeps this tick's sends out of
-    /// it), then account the tick's fault transitions.
+    /// envelope the network's schedule pops (latency ≥ 1 keeps this tick's
+    /// sends out of it), then account the tick's fault transitions.
     fn tick(&mut self) -> Result<()> {
         self.net.advance();
         while let Some(env) = self.net.pop_due() {

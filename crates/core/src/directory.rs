@@ -29,7 +29,6 @@
 //! ```
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use bmx_common::{Addr, IdHashMap, Oid};
@@ -44,8 +43,10 @@ const GROUP_SHIFT: u32 = 15;
 
 /// Node-local knowledge of object locations and forwarding edges.
 ///
-/// Edges are hashed by both ends, so a lookup, a new edge and a resolve
-/// step are each a hash probe. Each block keeps an unordered list of the
+/// Every index is hashed: an object's address and its latest relocation
+/// record by OID, an edge by both ends. So a lookup, a new edge, a resolve
+/// step and a record dropped with its range are each a hash probe, and no
+/// query depends on an order. Each block keeps an unordered list of the
 /// from-addresses starting in it, because that is how edges die and how
 /// the reuse protocol asks for them:
 /// [`forget_range`](Directory::forget_range) and
@@ -56,8 +57,10 @@ pub struct Directory {
     /// Hashed: every pointer followed, record applied, sweep and copy-out
     /// asks it, and nothing iterates it.
     addr_of: IdHashMap<Oid, Addr>,
-    /// The latest retained relocation record per object.
-    reloc_by_oid: BTreeMap<Oid, Relocation>,
+    /// The latest retained relocation record per object. Hashed like
+    /// `addr_of`: each record applied, copy and released range probes it
+    /// by OID, and nothing iterates it.
+    reloc_by_oid: IdHashMap<Oid, Relocation>,
     /// Forwarding edges (`from → to`, possibly chained over multiple
     /// collections), each the relocation record that made it.
     by_from: IdHashMap<Addr, Relocation>,
@@ -239,6 +242,8 @@ impl Directory {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -412,6 +417,58 @@ mod tests {
             Addr(0x200),
             "stale pointers still resolve"
         );
+    }
+
+    /// Enough objects that the per-object index grows and rehashes many
+    /// times, then loses every other block's records while some objects
+    /// gain younger ones: each object's record is the one its history
+    /// leaves, whatever the table's layout after the growth.
+    #[test]
+    #[allow(clippy::manual_is_multiple_of)] // `is_multiple_of` is newer than the MSRV
+    fn reloc_of_survives_growth_and_half_the_blocks_forgotten() {
+        const OBJECTS: u64 = 6_000;
+        let block_of_oid = |i: u64| i * 64 / (1 << GROUP_SHIFT);
+        let from = |i: u64| Addr(0x100_0000 + 64 * i);
+        let to = |i: u64| Addr(0x1000_0000 + 64 * i);
+        let younger = |i: u64| Addr(0x2000_0000 + 64 * i);
+        let mut d = Directory::new();
+        for i in 0..OBJECTS {
+            assert!(d.record_move(Oid(i), from(i), to(i)));
+        }
+        let blocks = block_of_oid(OBJECTS - 1) + 1;
+        assert!(blocks >= 8, "the objects span {blocks} blocks");
+        for b in (0..blocks).step_by(2) {
+            d.forget_range(Addr(0x100_0000 + (b << GROUP_SHIFT)), BLOCK_WORDS);
+        }
+        for i in (0..OBJECTS).filter(|i| i % 3 == 0) {
+            assert!(d.record_move(Oid(i), to(i), younger(i)));
+        }
+        let want = |i: u64, odd_blocks_kept: bool| {
+            if i % 3 == 0 {
+                Some(Relocation {
+                    oid: Oid(i),
+                    from: to(i),
+                    to: younger(i),
+                })
+            } else if odd_blocks_kept && block_of_oid(i) % 2 == 1 {
+                Some(Relocation {
+                    oid: Oid(i),
+                    from: from(i),
+                    to: to(i),
+                })
+            } else {
+                None
+            }
+        };
+        for i in 0..OBJECTS {
+            assert_eq!(d.reloc_of(Oid(i)), want(i, true), "object {i}");
+        }
+        // The rest of the from-range goes: an object moved again keeps its
+        // younger record, which starts outside it.
+        d.forget_range(Addr(0x100_0000), blocks * BLOCK_WORDS);
+        for i in 0..OBJECTS {
+            assert_eq!(d.reloc_of(Oid(i)), want(i, false), "object {i}");
+        }
     }
 
     #[test]

@@ -55,6 +55,8 @@ pub use fault::{
     CrashEvent, DropCause, Fate, FaultConfigError, FaultEvent, FaultPlan, FaultStats, LinkFault,
     Partition,
 };
-pub use network::{ClassStats, Egress, Envelope, MsgClass, Network, NetworkConfig, WireSize};
+pub use network::{
+    ClassStats, Egress, Envelope, MsgClass, Network, NetworkConfig, Schedule, WireSize,
+};
 pub use piggyback::PiggybackBuffer;
 pub use transport::{ChannelTransport, Transport};

@@ -97,6 +97,21 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
+/// The order in which a tick hands out what is due in it
+/// ([`Network::pop_due`]). Either way each link stays FIFO.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Schedule {
+    /// The head of the first due link in `(src, dst)` order, until none is
+    /// due.
+    #[default]
+    Due,
+    /// A due link head picked at random from a stream the network seeds
+    /// with this value, so a run replays bit-identically. With probability
+    /// 1/4 a tick also ends early, after a random share of what was due in
+    /// it; the rest waits a tick.
+    Seeded(u64),
+}
+
 /// Network configuration.
 #[derive(Clone, Debug)]
 pub struct NetworkConfig {
@@ -113,6 +128,9 @@ pub struct NetworkConfig {
     /// Chaos fault schedule (per-link faults, partitions, crashes). Quiet by
     /// default; see [`crate::fault`] for semantics.
     pub fault: FaultPlan,
+    /// The delivery order within a tick. Only the simulator has one: on
+    /// threads the order is the threads'.
+    pub schedule: Schedule,
 }
 
 impl Default for NetworkConfig {
@@ -122,6 +140,7 @@ impl Default for NetworkConfig {
             drop_rate: BTreeMap::new(),
             seed: 0xB_A5E,
             fault: FaultPlan::none(),
+            schedule: Schedule::Due,
         }
     }
 }
@@ -183,7 +202,8 @@ impl NetworkConfig {
         self.drop_rate.get(&class).copied().unwrap_or(0.0)
     }
 
-    /// Whether the configuration names no fault at all.
+    /// Whether the configuration names no fault at all. A schedule is not
+    /// a fault: it only orders what arrives.
     pub fn is_quiet(&self) -> bool {
         self.fault.is_quiet() && self.drop_rate.is_empty()
     }
@@ -220,6 +240,50 @@ struct InFlight<M> {
     env: Envelope<M>,
 }
 
+type Channels<M> = BTreeMap<(NodeId, NodeId), VecDeque<InFlight<M>>>;
+
+fn is_due<M>(queue: &VecDeque<InFlight<M>>, now: u64) -> bool {
+    queue.front().is_some_and(|m| m.deliver_at <= now)
+}
+
+/// A [`Schedule::Seeded`] network's state.
+struct SeededPicks {
+    rng: SplitMix64,
+    /// Envelopes this tick may still hand out (`usize::MAX`: no early end).
+    left: usize,
+}
+
+impl SeededPicks {
+    /// Draws whether the tick that just began ends early, and where.
+    fn begin_tick<M>(&mut self, channels: &Channels<M>, now: u64) {
+        self.left = usize::MAX;
+        if self.rng.next_below(4) == 0 {
+            let due: usize = channels
+                .values()
+                .map(|q| q.iter().take_while(|m| m.deliver_at <= now).count())
+                .sum();
+            if due > 0 {
+                self.left = self.rng.next_below(due as u64) as usize;
+            }
+        }
+    }
+
+    /// A random due link head, unless none is due or the tick has ended.
+    fn pick<'a, M>(
+        &mut self,
+        channels: &'a mut Channels<M>,
+        now: u64,
+    ) -> Option<&'a mut VecDeque<InFlight<M>>> {
+        let due = channels.values().filter(|q| is_due(q, now)).count();
+        if due == 0 || self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let k = self.rng.next_below(due as u64) as usize;
+        channels.values_mut().filter(|q| is_due(q, now)).nth(k)
+    }
+}
+
 /// Where a network with an egress hands its envelopes (see
 /// [`Network::set_egress`]).
 pub type Egress<M> = std::sync::Arc<dyn Fn(Envelope<M>) + Send + Sync>;
@@ -236,7 +300,10 @@ pub struct Network<M> {
     now: u64,
     rng: SplitMix64,
     /// Per-(src, dst) FIFO of in-flight messages.
-    channels: BTreeMap<(NodeId, NodeId), VecDeque<InFlight<M>>>,
+    channels: Channels<M>,
+    /// `Some` under [`Schedule::Seeded`]: its own stream, so a schedule
+    /// draws nothing from the fault plane's.
+    seeded: Option<SeededPicks>,
     /// Messages queued across all channels, kept where envelopes enter and
     /// leave the queues: `pump` asks after every release and delivery.
     queued: usize,
@@ -270,11 +337,19 @@ impl<M: WireSize + Clone> Network<M> {
         cfg.validate()?;
         let rng = SplitMix64::new(cfg.seed);
         let timeline = Timeline::new(&cfg.fault);
+        let seeded = match cfg.schedule {
+            Schedule::Due => None,
+            Schedule::Seeded(seed) => Some(SeededPicks {
+                rng: SplitMix64::new(seed),
+                left: usize::MAX,
+            }),
+        };
         Ok(Network {
             cfg,
             now: 0,
             rng,
             channels: BTreeMap::new(),
+            seeded,
             queued: 0,
             seqs: BTreeMap::new(),
             stats: BTreeMap::new(),
@@ -406,8 +481,9 @@ impl<M: WireSize + Clone> Network<M> {
     }
 
     /// [`Network::advance`], then [`Network::pop_due`] until `None`, each
-    /// message stamped ([`Network::note_delivery`]) as it is taken: every
-    /// message that came due, in (channel, FIFO) order.
+    /// message stamped ([`Network::note_delivery`]) as it is taken: what the
+    /// schedule hands out of what came due (under [`Schedule::Due`], all
+    /// of it in (channel, FIFO) order).
     pub fn tick(&mut self) -> Vec<Envelope<M>> {
         self.advance();
         std::iter::from_fn(|| self.pop_due())
@@ -421,20 +497,25 @@ impl<M: WireSize + Clone> Network<M> {
         self.now += 1;
         trace::set_now(self.now);
         self.apply_fault_transitions();
+        if let Some(seeded) = &mut self.seeded {
+            seeded.begin_tick(&self.channels, self.now);
+        }
         metrics::tick(self.now, 0, 0);
     }
 
-    /// Pops the head of the first channel, in `(src, dst)` order, whose head
-    /// is due, without stamping it: its applier calls
-    /// [`Network::note_delivery`]. With latency ≥ 1 a message sent while due
-    /// ones are applied is not due this tick, so popping until `None` yields
-    /// the (channel, FIFO) order of what was due when the tick began.
+    /// Pops a due channel head, without stamping it: its applier calls
+    /// [`Network::note_delivery`]. Under [`Schedule::Due`] it is the head of
+    /// the first channel in `(src, dst)` order whose head is due: with
+    /// latency ≥ 1 a message sent while due ones are applied is not due this
+    /// tick, so popping until `None` yields the (channel, FIFO) order of
+    /// what was due when the tick began. [`Schedule::Seeded`] picks one at
+    /// random instead, and may return `None` before the tick is drained.
     pub fn pop_due(&mut self) -> Option<Envelope<M>> {
         let now = self.now;
-        let queue = self
-            .channels
-            .values_mut()
-            .find(|q| q.front().is_some_and(|m| m.deliver_at <= now))?;
+        let queue = match &mut self.seeded {
+            None => self.channels.values_mut().find(|q| is_due(q, now))?,
+            Some(seeded) => seeded.pick(&mut self.channels, now)?,
+        };
         let env = queue.pop_front().expect("front checked").env;
         if queue.is_empty() {
             // Give a burst's buffer back: a link that once carried
@@ -744,6 +825,8 @@ mod tests {
         Network::<P>::new(cfg).set_egress(Some(std::sync::Arc::new(|_| {})));
     }
 
+    /// Pins `Schedule::Due`'s order, the default of
+    /// `NetworkConfig::lossless` (as do the latency and FIFO tests above).
     #[test]
     fn pop_due_takes_one_due_head_at_a_time_in_channel_order() {
         trace::install(trace::UNBOUNDED);
@@ -800,6 +883,68 @@ mod tests {
         net.send(n(0), n(1), MsgClass::Dsm, P(7));
         net.advance();
         assert_eq!(net.pop_due().map(|e| e.payload.0), Some(7));
+    }
+
+    /// A delivery: `(tick, link, seq)`.
+    type Delivery = (u64, (NodeId, NodeId), u64);
+
+    /// One run under `schedule`: each tick, every link gets a few
+    /// envelopes, then the tick pops what the schedule hands out. Returns
+    /// the deliveries and the ticks that ended with something due left
+    /// over.
+    fn scheduled_run(schedule: Schedule) -> (Vec<Delivery>, usize) {
+        let links = [(0, 1), (1, 0), (0, 2), (2, 1), (1, 2)];
+        let cfg = NetworkConfig {
+            schedule,
+            ..NetworkConfig::lossless(1)
+        };
+        let mut net: Network<P> = Network::new(cfg);
+        let (mut got, mut deferred) = (Vec::new(), 0);
+        for t in 0..60u64 {
+            if t < 40 {
+                for (i, &(s, d)) in links.iter().enumerate() {
+                    for k in 0..(t + i as u64) % 4 {
+                        net.send(n(s), n(d), MsgClass::Dsm, P(k));
+                    }
+                }
+            }
+            net.advance();
+            while let Some(env) = net.pop_due() {
+                got.push((net.now(), (env.src, env.dst), env.seq.0));
+            }
+            // Everything was sent a tick before it became due.
+            deferred += usize::from(net.in_flight() > 0);
+        }
+        assert_eq!(net.in_flight(), 0, "{schedule:?} drained");
+        (got, deferred)
+    }
+
+    #[test]
+    fn a_seeded_schedule_replays_and_keeps_every_link_fifo() {
+        let (due, due_deferred) = scheduled_run(Schedule::Due);
+        assert_eq!(due_deferred, 0, "Due drains every tick");
+        let (a, deferred) = scheduled_run(Schedule::Seeded(7));
+        assert_eq!((a.clone(), deferred), scheduled_run(Schedule::Seeded(7)));
+        assert_ne!(a, scheduled_run(Schedule::Seeded(8)).0);
+        // The same envelopes, in another order, and some of them late.
+        assert_eq!(a.len(), due.len());
+        assert!(deferred > 0, "no tick ended early");
+        let order = |run: &[Delivery]| -> Vec<_> {
+            run.iter().map(|&(_, link, seq)| (link, seq)).collect()
+        };
+        assert_ne!(order(&a), order(&due), "the schedule changed nothing");
+        let mut last: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+        for &(t, link, seq) in &a {
+            let prev = last.insert(link, seq).unwrap_or(0);
+            assert_eq!(seq, prev + 1, "{link:?} out of order at tick {t}");
+        }
+        // An order is not a fault: a seeded lossless network is quiet, so
+        // threads build no fault stage or supervisor for it.
+        let seeded = NetworkConfig {
+            schedule: Schedule::Seeded(7),
+            ..NetworkConfig::lossless(1)
+        };
+        assert!(seeded.is_quiet());
     }
 
     #[test]

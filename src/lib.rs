@@ -47,5 +47,5 @@ pub mod prelude {
     pub use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, StatKind};
     pub use bmx_dsm::Token;
     pub use bmx_gc::RelocMode;
-    pub use bmx_net::{FaultPlan, FaultStats, LinkFault, MsgClass, NetworkConfig};
+    pub use bmx_net::{FaultPlan, FaultStats, LinkFault, MsgClass, NetworkConfig, Schedule};
 }

@@ -20,6 +20,8 @@ use bmx_repro::prelude::*;
 use bmx_repro::trace;
 use bmx_repro::workloads::{churn, lists};
 
+mod schedule;
+
 fn n(i: u32) -> NodeId {
     NodeId(i)
 }
@@ -56,7 +58,7 @@ struct ChaosSummary {
     rounds: usize,
 }
 
-fn run_chaos(seed: u64) -> ChaosSummary {
+fn run_chaos(seed: u64, schedule: Schedule) -> ChaosSummary {
     // Always-on flight recorder: bounded, so it never grows with the run;
     // on a panic the sweep below dumps its tail next to the replay seed.
     // Tracing is observational only — the replay test in this file compares
@@ -71,6 +73,7 @@ fn run_chaos(seed: u64) -> ChaosSummary {
     let mreg = metrics::install();
     let mut net = NetworkConfig::lossless(1).with_fault(chaos_plan());
     net.seed = seed;
+    net.schedule = schedule;
     let cfg = ClusterConfig {
         nodes: 3,
         net,
@@ -230,7 +233,10 @@ fn dump_flight_recorders(seed: u64) -> Vec<std::path::PathBuf> {
 /// actually engaged.
 #[test]
 fn chaos_run_survives_every_fault_kind() {
-    let summary = run_chaos(0xC4A0_5EED);
+    schedule::each(|schedule| check_every_fault_kind(run_chaos(0xC4A0_5EED, schedule)));
+}
+
+fn check_every_fault_kind(summary: ChaosSummary) {
     let fs = summary.fault;
     assert_eq!(fs.partitions_healed, 2, "both partitions healed");
     assert_eq!(fs.restarts, 0, "no node crashed");
@@ -264,13 +270,15 @@ fn chaos_run_survives_every_fault_kind() {
 }
 
 /// Bit-exact replay: one seed, two runs, identical counters everywhere; a
-/// different seed perturbs the run.
+/// different seed perturbs the run. Under `Due`: the claim is about the
+/// fault seed, so the delivery order stays the one the suite was tuned on
+/// (`bmx_net`'s tests pin a seeded schedule's own replay).
 #[test]
 fn chaos_runs_replay_identically_from_the_seed() {
-    let a = run_chaos(0x0D15_EA5E);
-    let b = run_chaos(0x0D15_EA5E);
+    let a = run_chaos(0x0D15_EA5E, Schedule::Due);
+    let b = run_chaos(0x0D15_EA5E, Schedule::Due);
     assert_eq!(a, b, "same seed must reproduce identical counters");
-    let c = run_chaos(0x0D15_EA5F);
+    let c = run_chaos(0x0D15_EA5F, Schedule::Due);
     assert_ne!(
         a.per_class, c.per_class,
         "a different seed takes a different trace"
@@ -278,26 +286,19 @@ fn chaos_runs_replay_identically_from_the_seed() {
 }
 
 /// Seed sweep, used by the nightly chaos job: `CHAOS_SEEDS` (comma-separated,
-/// `0x`-prefixed hex or decimal) overrides the default set. A failing seed is
-/// written — with the fault plan — to `target/chaos/` as a replay artifact.
+/// `0x`-prefixed hex or decimal) overrides the default set, and each seed
+/// runs under every schedule `SCHEDULE_SEEDS` names. A failing seed is
+/// written — with the fault plan and the schedule — to `target/chaos/` as a
+/// replay artifact.
 #[test]
 fn chaos_seed_sweep() {
-    let seeds: Vec<u64> = match std::env::var("CHAOS_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| {
-                let t = t.trim();
-                match t.strip_prefix("0x") {
-                    Some(h) => u64::from_str_radix(h, 16).expect("hex seed"),
-                    None => t.parse().expect("decimal seed"),
-                }
-            })
-            .collect(),
-        Err(_) => vec![1, 2],
-    };
+    let seeds = schedule::seeds_from_env("CHAOS_SEEDS", &[1, 2]);
     let mut failures = Vec::new();
-    for seed in seeds {
-        let outcome = std::panic::catch_unwind(|| run_chaos(seed));
+    for (schedule, seed) in schedule::schedules()
+        .into_iter()
+        .flat_map(|s| seeds.iter().map(move |&seed| (s, seed)))
+    {
+        let outcome = std::panic::catch_unwind(|| run_chaos(seed, schedule));
         if let Err(panic) = outcome {
             let msg = panic
                 .downcast_ref::<String>()
@@ -321,14 +322,15 @@ fn chaos_seed_sweep() {
             let _ = std::fs::write(
                 &artifact,
                 format!(
-                    "chaos seed: {seed:#x}\nreplay: CHAOS_SEEDS={seed:#x} cargo test \
-                     --test chaos chaos_seed_sweep\nfault plan: {:#?}\npanic: {msg}\n\
+                    "chaos seed: {seed:#x}\nschedule: {schedule:?}\nreplay: {}CHAOS_SEEDS={seed:#x} \
+                     cargo test --test chaos chaos_seed_sweep\nfault plan: {:#?}\npanic: {msg}\n\
                      flight recorders: {}\n",
+                    schedule::replay_prefix(schedule),
                     chaos_plan(),
                     dump_list.join(", "),
                 ),
             );
-            failures.push((seed, msg));
+            failures.push((seed, schedule, msg));
         }
     }
     assert!(

@@ -23,6 +23,8 @@ use bmx_repro::prelude::*;
 use bmx_repro::trace;
 use bmx_repro::workloads::{churn, lists};
 
+mod schedule;
+
 fn n(i: u32) -> NodeId {
     NodeId(i)
 }
@@ -134,7 +136,7 @@ const SOAK_RETRY: Option<RetryPolicy> = Some(RetryPolicy {
     budget: 6,
 });
 
-fn run_amnesia(seed: u64, retry: Option<RetryPolicy>) -> AmnesiaSummary {
+fn run_amnesia(seed: u64, retry: Option<RetryPolicy>, schedule: Schedule) -> AmnesiaSummary {
     trace::install(FLIGHT_RECORDER_CAP);
     // Same policy as tests/chaos.rs: watchdogs must stay silent on a green
     // amnesia soak, and each seed leaves a metrics snapshot artifact.
@@ -143,6 +145,7 @@ fn run_amnesia(seed: u64, retry: Option<RetryPolicy>) -> AmnesiaSummary {
     let _ = std::fs::remove_dir_all(&dir);
     let mut net = NetworkConfig::lossless(1).with_fault(amnesia_plan());
     net.seed = seed;
+    net.schedule = schedule;
     let cfg = ClusterConfig {
         nodes: 3,
         net,
@@ -340,41 +343,37 @@ fn dump_artifacts(seed: u64) -> Vec<String> {
 /// checkpoint, rejoins under a fresh epoch, and the cluster stays safe.
 #[test]
 fn amnesia_crash_recovers_through_rvm_and_rejoin() {
-    run_amnesia(0xA3_5EED, SOAK_RETRY);
+    schedule::each(|schedule| {
+        run_amnesia(0xA3_5EED, SOAK_RETRY, schedule);
+    });
 }
 
 /// Bit-exact replay of the simulated portion: one seed, two runs,
 /// identical counters (RVM replay wall-time is measured, not simulated,
-/// and recovery latency in ticks is part of the counters compared).
+/// and recovery latency in ticks is part of the counters compared). Under
+/// `Due`, like the chaos suite's replay test: the claim is about the fault
+/// seed.
 #[test]
 fn amnesia_runs_replay_identically_from_the_seed() {
-    let a = run_amnesia(0x0D15_EA5E, SOAK_RETRY);
-    let b = run_amnesia(0x0D15_EA5E, SOAK_RETRY);
+    let a = run_amnesia(0x0D15_EA5E, SOAK_RETRY, Schedule::Due);
+    let b = run_amnesia(0x0D15_EA5E, SOAK_RETRY, Schedule::Due);
     assert_eq!(a, b, "same seed must reproduce identical counters");
 }
 
 /// Seed sweep for the nightly chaos job: `AMNESIA_SEEDS` (comma-separated,
-/// `0x`-prefixed hex or decimal) overrides the default 8-seed set. A
-/// failing seed writes the replay artifact, the per-node flight recorders,
-/// and the victim's RVM directory listing to `target/chaos/`.
+/// `0x`-prefixed hex or decimal) overrides the default 8-seed set, and each
+/// seed runs under every schedule `SCHEDULE_SEEDS` names. A failing seed
+/// writes the replay artifact, the per-node flight recorders, and the
+/// victim's RVM directory listing to `target/chaos/`.
 #[test]
 fn amnesia_seed_sweep() {
-    let seeds: Vec<u64> = match std::env::var("AMNESIA_SEEDS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| {
-                let t = t.trim();
-                match t.strip_prefix("0x") {
-                    Some(h) => u64::from_str_radix(h, 16).expect("hex seed"),
-                    None => t.parse().expect("decimal seed"),
-                }
-            })
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    };
+    let seeds = schedule::seeds_from_env("AMNESIA_SEEDS", &[1, 2, 3, 4, 5, 6, 7, 8]);
     let mut failures = Vec::new();
-    for seed in seeds {
-        let outcome = std::panic::catch_unwind(|| run_amnesia(seed, SOAK_RETRY));
+    for (schedule, seed) in schedule::schedules()
+        .into_iter()
+        .flat_map(|s| seeds.iter().map(move |&seed| (s, seed)))
+    {
+        let outcome = std::panic::catch_unwind(|| run_amnesia(seed, SOAK_RETRY, schedule));
         if let Err(panic) = outcome {
             let msg = panic
                 .downcast_ref::<String>()
@@ -388,14 +387,15 @@ fn amnesia_seed_sweep() {
             let _ = std::fs::write(
                 &artifact,
                 format!(
-                    "amnesia seed: {seed:#x}\nreplay: AMNESIA_SEEDS={seed:#x} cargo test \
-                     --test chaos_amnesia amnesia_seed_sweep\nfault plan: {:#?}\npanic: {msg}\n\
-                     artifacts: {}\n",
+                    "amnesia seed: {seed:#x}\nschedule: {schedule:?}\nreplay: \
+                     {}AMNESIA_SEEDS={seed:#x} cargo test --test chaos_amnesia \
+                     amnesia_seed_sweep\nfault plan: {:#?}\npanic: {msg}\nartifacts: {}\n",
+                    schedule::replay_prefix(schedule),
                     amnesia_plan(),
                     dumps.join(", "),
                 ),
             );
-            failures.push((seed, msg));
+            failures.push((seed, schedule, msg));
         }
         // A passing run removed its store; a failing one leaves it for the
         // artifact dump above, then it is cleared for the next seed.
@@ -410,7 +410,8 @@ fn amnesia_seed_sweep() {
 /// A restarted node never reuses an epoch its crashed incarnation
 /// published. Without the retry daemon seed 0x8 breaks that: the rejoin
 /// resumes a bunch at the peers' floor, below what the victim had already
-/// published locally.
+/// published locally. Under `Due`: the defect's ticks below are that
+/// order's.
 #[test]
 #[ignore = "known defect (ROADMAP 1(a)(vii)), seed 0x8 without the retry daemon: \
             N2 publishes B4 epoch 5 at t=1567 and applies it only locally, crashes at \
@@ -418,5 +419,5 @@ fn amnesia_seed_sweep() {
             (RejoinEpoch, t=1802), N2 publishes a different epoch-5 report at t=2010, \
             and N0 logs OwnerPtrRetired from it at t=2011"]
 fn a_restarted_node_never_reuses_a_published_epoch() {
-    run_amnesia(0x8, None);
+    run_amnesia(0x8, None, Schedule::Due);
 }

@@ -30,6 +30,8 @@ use bmx_repro::prelude::*;
 use bmx_repro::trace::{self, TraceEvent};
 use parking_lot::Mutex;
 
+mod schedule;
+
 fn n(i: u32) -> NodeId {
     NodeId(i)
 }
@@ -235,12 +237,14 @@ fn settle_and_digest(c: &mut Cluster, s: &Setup) -> Digest {
 }
 
 /// The deterministic mode: the whole workload on one thread, nodes
-/// round-robined step by step through the tick simulation.
-fn run_sim(seed: u64) -> Digest {
+/// round-robined step by step through the tick simulation, whose deliveries
+/// within a tick follow `schedule`.
+fn run_sim(seed: u64, schedule: Schedule) -> Digest {
     let mut cfg = ClusterConfig::with_nodes(NODES);
     // Match the parallel runtime's staging config so protocol behavior
     // (not transport behavior) is the only variable.
     cfg.net = NetworkConfig::lossless(1);
+    cfg.net.schedule = schedule;
     cfg.retry = None;
     let mut c = Cluster::new(cfg);
     let s = setup_workload(&mut c);
@@ -361,7 +365,7 @@ fn parallel_matches_sim_on_eight_seeds() {
         0xFEED_0007,
         0xFEED_0008,
     ] {
-        let sim = run_sim(seed);
+        let sim = run_sim(seed, Schedule::Due);
         let par = run_parallel(seed, None);
         assert_eq!(
             sim.payloads,
@@ -369,6 +373,20 @@ fn parallel_matches_sim_on_eight_seeds() {
             "sim totals (seed {seed:#x})"
         );
         assert_eq!(sim, par, "mode divergence (seed {seed:#x})");
+    }
+}
+
+/// The simulator's half on its own: the digest depends on the workload
+/// seed, not on the order a tick delivers in, so every schedule
+/// `SCHEDULE_SEEDS` names reaches `Due`'s digest and the replayed totals.
+#[test]
+fn sim_digest_is_the_same_under_every_schedule() {
+    for seed in [0xC0F0_0001u64, 0xD15C_0005, 0xFEED_0008] {
+        let due = run_sim(seed, Schedule::Due);
+        assert_eq!(due.payloads, expected_totals(seed), "seed {seed:#x}");
+        schedule::each(|schedule| {
+            assert_eq!(run_sim(seed, schedule), due, "seed {seed:#x}");
+        });
     }
 }
 
@@ -416,7 +434,7 @@ fn gathered_cluster_after_setup_matches_sim() {
 fn profiled_run_digest_is_identical_to_unprofiled() {
     let _serial = serial();
     let seed = 0x0F11_ED00u64;
-    let sim = run_sim(seed);
+    let sim = run_sim(seed, Schedule::Due);
     trace::disable_spans();
     let unprofiled = run_parallel(seed, None);
     trace::enable_spans(4096);
@@ -444,7 +462,7 @@ fn profiled_run_digest_is_identical_to_unprofiled() {
 fn schedule_fuzzer_preserves_safety_and_digest() {
     let _serial = serial();
     let seed = 0xF0CC_ACC1A_u64;
-    let reference = run_sim(seed);
+    let reference = run_sim(seed, Schedule::Due);
     trace::install_global(trace::UNBOUNDED);
     for fuzz in [
         0xF2_0001u64,

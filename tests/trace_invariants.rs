@@ -17,6 +17,8 @@ use bmx_repro::prelude::*;
 use bmx_repro::trace::{self, TraceEvent, TraceRecord};
 use bmx_repro::workloads::{churn, lists};
 
+mod schedule;
+
 fn n(i: u32) -> NodeId {
     NodeId(i)
 }
@@ -26,9 +28,10 @@ fn n(i: u32) -> NodeId {
 /// a copying collection at the root (relocations piggy-back outward), and
 /// post-collection accesses at the replicas (lazy address update on
 /// acquire). Returns a digest of everything that must be seed-determined.
-fn migration_scenario(seed: u64) -> Vec<u64> {
+fn migration_scenario(seed: u64, schedule: Schedule) -> Vec<u64> {
     let mut net = NetworkConfig::lossless(1);
     net.seed = seed;
+    net.schedule = schedule;
     let cfg = ClusterConfig {
         nodes: 3,
         net,
@@ -93,31 +96,33 @@ fn migration_scenario(seed: u64) -> Vec<u64> {
 /// green).
 #[test]
 fn invariant_queries_hold_on_a_real_run() {
-    trace::install(trace::UNBOUNDED);
-    migration_scenario(7);
-    let records = trace::take();
-    trace::disable();
-    assert!(
-        records.len() > 100,
-        "expected a substantial trace, got {} records",
-        records.len()
-    );
-    let has = |pred: &dyn Fn(&TraceEvent) -> bool| records.iter().any(|r| pred(&r.event));
-    assert!(has(&|e| matches!(e, TraceEvent::TokenGrant { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::AcquireComplete { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::OwnershipMigrate { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::Relocate { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::AddrUpdate { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::ReportPublish { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::ReportApply { .. })));
-    assert!(has(&|e| matches!(e, TraceEvent::BgcPhase { .. })));
+    schedule::each(|schedule| {
+        trace::install(trace::UNBOUNDED);
+        migration_scenario(7, schedule);
+        let records = trace::take();
+        trace::disable();
+        assert!(
+            records.len() > 100,
+            "expected a substantial trace, got {} records",
+            records.len()
+        );
+        let has = |pred: &dyn Fn(&TraceEvent) -> bool| records.iter().any(|r| pred(&r.event));
+        assert!(has(&|e| matches!(e, TraceEvent::TokenGrant { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::AcquireComplete { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::OwnershipMigrate { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::Relocate { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::AddrUpdate { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::ReportPublish { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::ReportApply { .. })));
+        assert!(has(&|e| matches!(e, TraceEvent::BgcPhase { .. })));
 
-    let scion = trace::query::scion_retirement_violations(&records);
-    assert!(scion.is_empty(), "scion retirement violations: {scion:?}");
-    let addr = trace::query::address_update_violations(&records);
-    assert!(addr.is_empty(), "address update violations: {addr:?}");
-    let acq = trace::query::acquire_invariant_violations(&records);
-    assert!(acq.is_empty(), "acquire invariant violations: {acq:?}");
+        let scion = trace::query::scion_retirement_violations(&records);
+        assert!(scion.is_empty(), "scion retirement violations: {scion:?}");
+        let addr = trace::query::address_update_violations(&records);
+        assert!(addr.is_empty(), "address update violations: {addr:?}");
+        let acq = trace::query::acquire_invariant_violations(&records);
+        assert!(acq.is_empty(), "acquire invariant violations: {acq:?}");
+    });
 }
 
 /// A pointer store through a stale from-space address is recorded as what
@@ -174,36 +179,38 @@ fn a_forwarded_pointer_store_is_traced_with_the_callers_address() {
 /// deliver, apply — never both deliveries ahead of both applies.
 #[test]
 fn each_delivery_is_stamped_when_it_is_applied() {
-    let mut c = Cluster::new(ClusterConfig::with_nodes(2));
-    let (n0, n1) = (n(0), n(1));
-    for _ in 0..2 {
-        let b = c.create_bunch(n0).unwrap();
-        let o = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
-        c.add_root(n0, o);
-        c.map_bunch(n1, b, n0).unwrap();
-    }
-    trace::install(trace::UNBOUNDED);
-    // One report per bunch on link 0→1, both sent before the next tick.
-    c.run_ggc(n0).unwrap();
-    let records = trace::take();
-    trace::disable();
-    let at_n1: String = records
-        .iter()
-        .filter(|r| r.node == n1)
-        .filter_map(|r| match r.event {
-            TraceEvent::MsgDeliver { .. } => Some('D'),
-            TraceEvent::ReportApply { .. } => Some('A'),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(at_n1, "DADA", "N1's deliveries (D) and report applies (A)");
+    schedule::each(|schedule| {
+        let mut c = schedule::cluster(2, schedule);
+        let (n0, n1) = (n(0), n(1));
+        for _ in 0..2 {
+            let b = c.create_bunch(n0).unwrap();
+            let o = c.alloc(n0, b, &ObjSpec::data(1)).unwrap();
+            c.add_root(n0, o);
+            c.map_bunch(n1, b, n0).unwrap();
+        }
+        trace::install(trace::UNBOUNDED);
+        // One report per bunch on link 0→1, both sent before the next tick.
+        c.run_ggc(n0).unwrap();
+        let records = trace::take();
+        trace::disable();
+        let at_n1: String = records
+            .iter()
+            .filter(|r| r.node == n1)
+            .filter_map(|r| match r.event {
+                TraceEvent::MsgDeliver { .. } => Some('D'),
+                TraceEvent::ReportApply { .. } => Some('A'),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(at_n1, "DADA", "N1's deliveries (D) and report applies (A)");
+    });
 }
 
 /// A run through an amnesia crash on an otherwise lossless network: the
 /// victim loses its volatile state mid-workload, replays its RVM
 /// checkpoint, and rejoins under a fresh epoch. Returns the victim so the
 /// caller can anchor its assertions.
-fn recovery_scenario(seed: u64) -> NodeId {
+fn recovery_scenario(seed: u64, schedule: Schedule) -> NodeId {
     const CRASH_START: u64 = 900;
     const CRASH_END: u64 = 1100;
     const RUN_UNTIL: u64 = 1500;
@@ -220,6 +227,7 @@ fn recovery_scenario(seed: u64) -> NodeId {
         CRASH_END,
     ));
     net.seed = seed;
+    net.schedule = schedule;
     let cfg = ClusterConfig {
         nodes: 3,
         net,
@@ -319,106 +327,109 @@ fn recovery_scenario(seed: u64) -> NodeId {
 /// flagged by the checker.
 #[test]
 fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
-    trace::install(trace::UNBOUNDED);
-    let victim = recovery_scenario(11);
-    let records = trace::take();
-    trace::disable();
+    schedule::each(|schedule| {
+        trace::install(trace::UNBOUNDED);
+        let victim = recovery_scenario(11, schedule);
+        let records = trace::take();
+        trace::disable();
 
-    // The victim's own timeline: RecoveryBegin, then every RejoinEpoch,
-    // then RecoveryComplete, all under the same rejoin epoch.
-    let mine: Vec<&TraceRecord> = records.iter().filter(|r| r.node == victim).collect();
-    let begin = mine
-        .iter()
-        .position(|r| matches!(r.event, TraceEvent::RecoveryBegin { .. }))
-        .expect("RecoveryBegin traced at the victim");
-    let complete = mine
-        .iter()
-        .position(|r| matches!(r.event, TraceEvent::RecoveryComplete { .. }))
-        .expect("RecoveryComplete traced at the victim");
-    assert!(begin < complete, "recovery completes after it begins");
-    let begin_epoch = match mine[begin].event {
-        TraceEvent::RecoveryBegin { epoch } => epoch,
-        _ => unreachable!(),
-    };
-    let complete_epoch = match mine[complete].event {
-        TraceEvent::RecoveryComplete { epoch } => epoch,
-        _ => unreachable!(),
-    };
-    assert_eq!(begin_epoch, complete_epoch, "one rejoin epoch end to end");
-    let rejoins: Vec<usize> = mine
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| matches!(r.event, TraceEvent::RejoinEpoch { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    assert!(
-        !rejoins.is_empty(),
-        "the survivors handed back at least one per-bunch epoch floor"
-    );
-    for i in rejoins {
+        // The victim's own timeline: RecoveryBegin, then every RejoinEpoch,
+        // then RecoveryComplete, all under the same rejoin epoch.
+        let mine: Vec<&TraceRecord> = records.iter().filter(|r| r.node == victim).collect();
+        let begin = mine
+            .iter()
+            .position(|r| matches!(r.event, TraceEvent::RecoveryBegin { .. }))
+            .expect("RecoveryBegin traced at the victim");
+        let complete = mine
+            .iter()
+            .position(|r| matches!(r.event, TraceEvent::RecoveryComplete { .. }))
+            .expect("RecoveryComplete traced at the victim");
+        assert!(begin < complete, "recovery completes after it begins");
+        let begin_epoch = match mine[begin].event {
+            TraceEvent::RecoveryBegin { epoch } => epoch,
+            _ => unreachable!(),
+        };
+        let complete_epoch = match mine[complete].event {
+            TraceEvent::RecoveryComplete { epoch } => epoch,
+            _ => unreachable!(),
+        };
+        assert_eq!(begin_epoch, complete_epoch, "one rejoin epoch end to end");
+        let rejoins: Vec<usize> = mine
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| matches!(r.event, TraceEvent::RejoinEpoch { .. }))
+            .map(|(i, _)| i)
+            .collect();
         assert!(
-            begin < i && i < complete,
-            "RejoinEpoch sits inside the recovery window (begin={begin}, \
-             rejoin={i}, complete={complete})"
+            !rejoins.is_empty(),
+            "the survivors handed back at least one per-bunch epoch floor"
         );
-    }
+        for i in rejoins {
+            assert!(
+                begin < i && i < complete,
+                "RejoinEpoch sits inside the recovery window (begin={begin}, \
+                 rejoin={i}, complete={complete})"
+            );
+        }
 
-    // The live stream satisfies the post-crash epoch rule…
-    let post = trace::query::post_crash_epoch_violations(&records);
-    assert!(post.is_empty(), "post-crash epoch violations: {post:?}");
+        // The live stream satisfies the post-crash epoch rule…
+        let post = trace::query::post_crash_epoch_violations(&records);
+        assert!(post.is_empty(), "post-crash epoch violations: {post:?}");
 
-    // …and the checker is not vacuously green: replaying a pre-crash report
-    // epoch as a retirement after the recovery must be flagged. The floor
-    // the checker freezes is the max epoch applied from the victim before
-    // RecoveryBegin, so any such epoch is by construction stale.
-    let begin_lamport = mine[begin].lamport;
-    let stale = records
-        .iter()
-        .filter(|r| r.lamport < begin_lamport)
-        .find_map(|r| match r.event {
-            TraceEvent::ReportApply {
-                source,
+        // …and the checker is not vacuously green: replaying a pre-crash report
+        // epoch as a retirement after the recovery must be flagged. The floor
+        // the checker freezes is the max epoch applied from the victim before
+        // RecoveryBegin, so any such epoch is by construction stale.
+        let begin_lamport = mine[begin].lamport;
+        let stale = records
+            .iter()
+            .filter(|r| r.lamport < begin_lamport)
+            .find_map(|r| match r.event {
+                TraceEvent::ReportApply {
+                    source,
+                    bunch,
+                    epoch,
+                } if source == victim => Some((bunch, epoch)),
+                _ => None,
+            });
+        let (bunch, epoch) = stale.expect(
+            "a pre-crash report from the victim was applied somewhere \
+             (otherwise the scenario never fed the checker a floor)",
+        );
+        let last = records.iter().map(|r| (r.lamport, r.seq)).max().unwrap();
+        let mut tampered = records.clone();
+        tampered.push(TraceRecord {
+            node: n(0),
+            thread: "",
+            tick: last.0 + 1,
+            lamport: last.0 + 1,
+            seq: last.1 + 1,
+            wall_us: None,
+            event: TraceEvent::ScionRetired {
+                source: victim,
                 bunch,
                 epoch,
-            } if source == victim => Some((bunch, epoch)),
-            _ => None,
+                count: 1,
+            },
         });
-    let (bunch, epoch) = stale.expect(
-        "a pre-crash report from the victim was applied somewhere \
-         (otherwise the scenario never fed the checker a floor)",
-    );
-    let last = records.iter().map(|r| (r.lamport, r.seq)).max().unwrap();
-    let mut tampered = records.clone();
-    tampered.push(TraceRecord {
-        node: n(0),
-        thread: "",
-        tick: last.0 + 1,
-        lamport: last.0 + 1,
-        seq: last.1 + 1,
-        wall_us: None,
-        event: TraceEvent::ScionRetired {
-            source: victim,
-            bunch,
-            epoch,
-            count: 1,
-        },
+        let flagged = trace::query::post_crash_epoch_violations(&tampered);
+        assert_eq!(
+            flagged.len(),
+            1,
+            "a stale post-recovery retirement must be flagged"
+        );
     });
-    let flagged = trace::query::post_crash_epoch_violations(&tampered);
-    assert_eq!(
-        flagged.len(),
-        1,
-        "a stale post-recovery retirement must be flagged"
-    );
 }
 
 /// Tier-1 smoke: the same seed produces the same run whether or not a
 /// recorder is installed — tracing reads the simulation, never steers it.
+/// Under `Due`: a bit-identity check compares against one fixed order.
 #[test]
 fn traced_run_is_bit_identical_to_untraced() {
     trace::disable();
-    let untraced = migration_scenario(42);
+    let untraced = migration_scenario(42, Schedule::Due);
     trace::install(4096);
-    let traced = migration_scenario(42);
+    let traced = migration_scenario(42, Schedule::Due);
     let records = trace::take();
     trace::disable();
     assert!(!records.is_empty(), "the traced run actually recorded");
@@ -434,66 +445,70 @@ fn traced_run_is_bit_identical_to_untraced() {
 /// alarm whose witness points at nothing.
 #[test]
 fn metric_alarm_events_satisfy_the_happens_before_rule() {
-    use bmx_repro::metrics::{self, watchdog::WatchdogConfig};
+    schedule::each(|schedule| {
+        use bmx_repro::metrics::{self, watchdog::WatchdogConfig};
 
-    trace::install(trace::UNBOUNDED);
-    metrics::install_with(WatchdogConfig {
-        fromspace_window: 200,
-        ..WatchdogConfig::default()
+        trace::install(trace::UNBOUNDED);
+        metrics::install_with(WatchdogConfig {
+            fromspace_window: 200,
+            ..WatchdogConfig::default()
+        });
+        // A collection retires a segment into from-space; nothing ever drains
+        // it, so the leak watchdog must fire within the (shortened) window.
+        let mut c = schedule::cluster(2, schedule);
+        let b = c.create_bunch(n(0)).unwrap();
+        let root = c.alloc(n(0), b, &ObjSpec::with_refs(1, &[0])).unwrap();
+        c.add_root(n(0), root);
+        let junk = c.alloc(n(0), b, &ObjSpec::data(4)).unwrap();
+        c.write_ref(n(0), root, 0, junk).unwrap();
+        c.run_bgc(n(0), b).unwrap();
+        c.step(600).unwrap();
+        metrics::disable();
+        let records = trace::take();
+        trace::disable();
+
+        let alarm = records
+            .iter()
+            .find(|r| matches!(r.event, TraceEvent::MetricAlarm { .. }))
+            .expect("the withheld drain raised an alarm event");
+        let bad = trace::query::metric_alarm_hb_violations(&records);
+        assert!(bad.is_empty(), "alarm HB violations: {bad:?}");
+
+        // Forge the same alarm with a witness stamp the node never produced:
+        // the checker must reject it.
+        let mut forged = records.clone();
+        let mut fake = *alarm;
+        if let TraceEvent::MetricAlarm {
+            ref mut witness_lamport,
+            ..
+        } = fake.event
+        {
+            *witness_lamport = u64::MAX;
+        }
+        fake.lamport += 1;
+        fake.seq += 1;
+        forged.push(fake);
+        assert_eq!(
+            trace::query::metric_alarm_hb_violations(&forged).len(),
+            1,
+            "the forged witness must be flagged"
+        );
     });
-    // A collection retires a segment into from-space; nothing ever drains
-    // it, so the leak watchdog must fire within the (shortened) window.
-    let mut c = Cluster::new(ClusterConfig::with_nodes(2));
-    let b = c.create_bunch(n(0)).unwrap();
-    let root = c.alloc(n(0), b, &ObjSpec::with_refs(1, &[0])).unwrap();
-    c.add_root(n(0), root);
-    let junk = c.alloc(n(0), b, &ObjSpec::data(4)).unwrap();
-    c.write_ref(n(0), root, 0, junk).unwrap();
-    c.run_bgc(n(0), b).unwrap();
-    c.step(600).unwrap();
-    metrics::disable();
-    let records = trace::take();
-    trace::disable();
-
-    let alarm = records
-        .iter()
-        .find(|r| matches!(r.event, TraceEvent::MetricAlarm { .. }))
-        .expect("the withheld drain raised an alarm event");
-    let bad = trace::query::metric_alarm_hb_violations(&records);
-    assert!(bad.is_empty(), "alarm HB violations: {bad:?}");
-
-    // Forge the same alarm with a witness stamp the node never produced:
-    // the checker must reject it.
-    let mut forged = records.clone();
-    let mut fake = *alarm;
-    if let TraceEvent::MetricAlarm {
-        ref mut witness_lamport,
-        ..
-    } = fake.event
-    {
-        *witness_lamport = u64::MAX;
-    }
-    fake.lamport += 1;
-    fake.seq += 1;
-    forged.push(fake);
-    assert_eq!(
-        trace::query::metric_alarm_hb_violations(&forged).len(),
-        1,
-        "the forged witness must be flagged"
-    );
 }
 
 /// The Chrome exporter output for a real run survives a strict JSON parse
 /// and carries well-formed trace_event entries.
 #[test]
 fn chrome_export_of_a_real_run_validates() {
-    trace::install(trace::UNBOUNDED);
-    migration_scenario(3);
-    let records = trace::take();
-    trace::disable();
-    let json = trace::chrome::export(&records);
-    let events = trace::chrome::validate(&json).expect("well-formed Chrome trace");
-    assert_eq!(events, records.len(), "one instant event per record");
-    let timeline = trace::query::human_timeline(&records);
-    assert_eq!(timeline.lines().count(), records.len());
+    schedule::each(|schedule| {
+        trace::install(trace::UNBOUNDED);
+        migration_scenario(3, schedule);
+        let records = trace::take();
+        trace::disable();
+        let json = trace::chrome::export(&records);
+        let events = trace::chrome::validate(&json).expect("well-formed Chrome trace");
+        assert_eq!(events, records.len(), "one instant event per record");
+        let timeline = trace::query::human_timeline(&records);
+        assert_eq!(timeline.lines().count(), records.len());
+    });
 }
