@@ -332,87 +332,110 @@ mod tests {
     /// map / install / unmap / resolve / `segment(id)` sequences. The
     /// last-hit index is exercised on purpose: lookups repeat the previous
     /// address and id half the time, and every map or unmap in between
-    /// shifts positions under it.
+    /// shifts positions under it. Two pools: 12 segments, and 64 (about
+    /// 40 mapped at a time, far more than a node maps in practice), where
+    /// every 16 steps each pool segment's first word, last word and the
+    /// word one past its end are resolved too.
     #[test]
     fn matches_a_btreemap_model_over_random_sequences() {
         use bmx_common::SplitMix64;
         use std::collections::BTreeMap;
 
         const WORDS: u64 = 16;
-        for seed in 0..32u64 {
-            let mut rng = SplitMix64::new(seed);
-            let mut srv = SegmentServer::new(WORDS);
-            let b = srv.create_bunch(NodeId(0), Protection::default());
-            let pool: Vec<SegmentInfo> = (0..12).map(|_| srv.alloc_segment(b).unwrap()).collect();
-            let mut mem = NodeMemory::new(NodeId(0));
-            // base -> (id, word 0), the shape of the old `by_base`.
-            let mut model: BTreeMap<u64, (SegmentId, u64)> = BTreeMap::new();
-            let (mut last_addr, mut last_id) = (pool[0].base, pool[0].id);
-            for step in 0..400u64 {
-                let info = pool[rng.next_below(pool.len() as u64) as usize];
-                match rng.next_below(8) {
-                    0 => {
-                        mem.map_segment(info);
-                        model.insert(info.base.0, (info.id, 0));
+        // base -> (id, word 0), the shape of the old `by_base`.
+        type Model = BTreeMap<u64, (SegmentId, u64)>;
+        // Resolves `addr` both ways and compares every answer.
+        fn check(mem: &NodeMemory, model: &Model, addr: Addr) {
+            let want = model
+                .range(..=addr.0)
+                .next_back()
+                .filter(|(&base, _)| {
+                    !addr.is_null() && addr.is_aligned() && addr.in_range(Addr(base), WORDS)
+                })
+                .map(|(&base, &(id, w))| (id, w, (addr.0 - base) / 8));
+            let got = mem.resolve(addr).ok();
+            assert_eq!(
+                got.map(|(s, off)| (s.info.id, s.words[0], off)),
+                want,
+                "{addr}"
+            );
+            assert_eq!(mem.is_mapped(addr), want.is_some());
+            let at = mem.position(addr).ok();
+            assert_eq!(
+                at.map(|(i, off)| (mem.segments()[i].info.id, off as u64)),
+                want.map(|(id, _, off)| (id, off))
+            );
+        }
+        for (pool_len, seeds) in [(12, 0..32u64), (64, 100..116)] {
+            for seed in seeds {
+                let mut rng = SplitMix64::new(seed);
+                let mut srv = SegmentServer::new(WORDS);
+                let b = srv.create_bunch(NodeId(0), Protection::default());
+                let pool: Vec<SegmentInfo> = (0..pool_len)
+                    .map(|_| srv.alloc_segment(b).unwrap())
+                    .collect();
+                let mut mem = NodeMemory::new(NodeId(0));
+                let mut model = Model::new();
+                let (mut last_addr, mut last_id) = (pool[0].base, pool[0].id);
+                for step in 0..400u64 {
+                    let info = pool[rng.next_below(pool.len() as u64) as usize];
+                    match rng.next_below(8) {
+                        0 => {
+                            mem.map_segment(info);
+                            model.insert(info.base.0, (info.id, 0));
+                        }
+                        1 => {
+                            let mut seg = MappedSegment::new(info);
+                            seg.words[0] = step;
+                            mem.install_segment(seg);
+                            model.insert(info.base.0, (info.id, step));
+                        }
+                        2 => {
+                            let want = model.remove(&info.base.0);
+                            let got = mem.unmap_segment(info.id).ok();
+                            assert_eq!(got.map(|s| (s.info.id, s.words[0])), want);
+                        }
+                        3..=5 => {
+                            // An address in, between, before or past the
+                            // pool, sometimes unaligned or null; or the last
+                            // one again.
+                            let span = pool_len as u64 + 2;
+                            let addr = match rng.next_below(8) {
+                                0..=3 => last_addr,
+                                4 => Addr(rng.next_below(8)),
+                                5 => Addr(info.base.0 + rng.next_below(WORDS * 8)),
+                                _ => Addr(pool[0].base.0 - 64 + 8 * rng.next_below(span * WORDS)),
+                            };
+                            last_addr = addr;
+                            check(&mem, &model, addr);
+                        }
+                        _ => {
+                            let id = if rng.next_below(2) == 0 {
+                                last_id
+                            } else {
+                                info.id
+                            };
+                            last_id = id;
+                            let want = model
+                                .values()
+                                .find(|&&(i, _)| i == id)
+                                .map(|&(i, w)| (i, w));
+                            let got = mem.segment(id).ok().map(|s| (s.info.id, s.words[0]));
+                            assert_eq!(got, want, "seed {seed} step {step}");
+                            assert_eq!(mem.has_segment(id), want.is_some());
+                            assert_eq!(mem.segment_mut(id).is_ok(), want.is_some());
+                        }
                     }
-                    1 => {
-                        let mut seg = MappedSegment::new(info);
-                        seg.words[0] = step;
-                        mem.install_segment(seg);
-                        model.insert(info.base.0, (info.id, step));
+                    if pool_len > 12 && step % 16 == 0 {
+                        for s in &pool {
+                            for w in [0, WORDS - 1, WORDS] {
+                                check(&mem, &model, s.base.add_words(w));
+                            }
+                        }
                     }
-                    2 => {
-                        let want = model.remove(&info.base.0);
-                        let got = mem.unmap_segment(info.id).ok();
-                        assert_eq!(got.map(|s| (s.info.id, s.words[0])), want);
-                    }
-                    3..=5 => {
-                        // An address in, between, before or past the pool,
-                        // sometimes unaligned or null; or the last one again.
-                        let addr = match rng.next_below(8) {
-                            0..=3 => last_addr,
-                            4 => Addr(rng.next_below(8)),
-                            5 => Addr(info.base.0 + rng.next_below(WORDS * 8)),
-                            _ => Addr(pool[0].base.0 - 64 + 8 * rng.next_below(14 * WORDS)),
-                        };
-                        last_addr = addr;
-                        let want = model
-                            .range(..=addr.0)
-                            .next_back()
-                            .filter(|(&base, _)| {
-                                !addr.is_null()
-                                    && addr.is_aligned()
-                                    && addr.in_range(Addr(base), WORDS)
-                            })
-                            .map(|(&base, &(id, w))| (id, w, (addr.0 - base) / 8));
-                        let got = mem.resolve(addr).ok();
-                        assert_eq!(got.map(|(s, off)| (s.info.id, s.words[0], off)), want);
-                        assert_eq!(mem.is_mapped(addr), want.is_some());
-                        let at = mem.position(addr).ok();
-                        assert_eq!(
-                            at.map(|(i, off)| (mem.segments()[i].info.id, off as u64)),
-                            want.map(|(id, _, off)| (id, off))
-                        );
-                    }
-                    _ => {
-                        let id = if rng.next_below(2) == 0 {
-                            last_id
-                        } else {
-                            info.id
-                        };
-                        last_id = id;
-                        let want = model
-                            .values()
-                            .find(|&&(i, _)| i == id)
-                            .map(|&(i, w)| (i, w));
-                        let got = mem.segment(id).ok().map(|s| (s.info.id, s.words[0]));
-                        assert_eq!(got, want, "seed {seed} step {step}");
-                        assert_eq!(mem.has_segment(id), want.is_some());
-                        assert_eq!(mem.segment_mut(id).is_ok(), want.is_some());
-                    }
+                    let ids: Vec<SegmentId> = model.values().map(|&(id, _)| id).collect();
+                    assert_eq!(mem.mapped_segments(), ids, "seed {seed} step {step}");
                 }
-                let ids: Vec<SegmentId> = model.values().map(|&(id, _)| id).collect();
-                assert_eq!(mem.mapped_segments(), ids, "seed {seed} step {step}");
             }
         }
     }

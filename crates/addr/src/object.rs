@@ -294,13 +294,18 @@ pub fn write_ref_field(mem: &mut NodeMemory, addr: Addr, field: u64, target: Add
 /// Marks the object at `addr` as forwarded to `to` (collector use).
 pub fn set_forwarding(mem: &mut NodeMemory, addr: Addr, to: Addr) -> Result<()> {
     let (seg, off) = object_at_mut(mem, addr)?;
+    forward_at(seg, off, to);
+    Ok(())
+}
+
+/// [`set_forwarding`] on the header at word offset `off` of `seg`.
+fn forward_at(seg: &mut MappedSegment, off: usize, to: Addr) {
     let h0 = seg.words[off];
     seg.words[off] = layout::pack_header0(
         layout::header0_size(h0),
         layout::header0_flags(h0).with(ObjFlags::FORWARDED),
     );
     seg.words[off + 2] = to.0;
-    Ok(())
 }
 
 /// Returns `(field index, target)` for every pointer field of the object.
@@ -382,18 +387,8 @@ impl ObjectImage {
 /// The segment's allocation cursor is advanced past the object if needed, so
 /// local bump allocation can never collide with installed replicas.
 pub fn install_object_at(mem: &mut NodeMemory, addr: Addr, image: &ObjectImage) -> Result<()> {
-    install_parts(mem, addr, image.oid, &image.data, &image.ref_fields)
-}
-
-fn install_parts(
-    mem: &mut NodeMemory,
-    addr: Addr,
-    oid: Oid,
-    data: &[u64],
-    ref_fields: &[u64],
-) -> Result<()> {
-    let size = data.len() as u64;
-    for &f in ref_fields {
+    let size = image.data.len() as u64;
+    for &f in &image.ref_fields {
         if f >= size {
             return Err(BmxError::FieldOutOfBounds {
                 addr,
@@ -403,6 +398,21 @@ fn install_parts(
         }
     }
     let (seg, off) = mem.resolve_mut(addr)?;
+    install_at(seg, off, image.oid, &image.data, &image.ref_fields)
+}
+
+/// Writes an object with a fresh header at word offset `off` of `seg`
+/// (the caller vouches that every entry of `ref_fields` is below
+/// `data.len()`): header, data words, both maps, and the allocation cursor
+/// past it.
+fn install_at(
+    seg: &mut MappedSegment,
+    off: u64,
+    oid: Oid,
+    data: &[u64],
+    ref_fields: &[u64],
+) -> Result<()> {
+    let size = data.len() as u64;
     let need = HEADER_WORDS + size;
     if off + need > seg.info.words {
         return Err(BmxError::OutOfMemory {
@@ -427,7 +437,7 @@ fn install_parts(
     Ok(())
 }
 
-/// Reusable staging buffers for [`copy_object`], so a collection's copies
+/// Reusable staging buffers for [`move_object`], so a collection's copies
 /// allocate once per run instead of once per object.
 #[derive(Default)]
 pub struct CopyBuf {
@@ -435,21 +445,39 @@ pub struct CopyBuf {
     refs: Vec<u64>,
 }
 
-/// Copies the object at `from` to `to` within one node's memory (a
-/// collector copy to to-space): same id, shape and data words, fresh
-/// unforwarded header. Returns the source's header as it was.
-pub fn copy_object(
+/// Moves the object whose header starts at `from` to `to`, both
+/// `(index in [`NodeMemory::segments`], word offset)` pairs as
+/// [`NodeMemory::position`] answers them: the copy gets the same id, shape
+/// and data words under a fresh unforwarded header, and the source's
+/// header is marked forwarded to `fwd`. Nothing is looked up. Returns the
+/// source's header as it was.
+///
+/// The collector's copy to to-space and a replica's move on learning a
+/// relocation are both this one local word move (Sections 4.2 and 4.4).
+/// The collector forwards to the copy itself; a replica forwards to the
+/// relocation record's `to`, which is not where the copy lands when a
+/// later record of the same object arrived first.
+pub fn move_object(
     mem: &mut NodeMemory,
-    from: Addr,
-    to: Addr,
+    from: (usize, usize),
+    to: (usize, usize),
+    fwd: Addr,
     buf: &mut CopyBuf,
 ) -> Result<ObjectView> {
-    let (seg, v) = header_at(mem, from)?;
+    let segs = mem.segments_mut();
+    let src = &segs[from.0];
+    if !src.object_map.get(from.1) {
+        return Err(BmxError::NotAnObject {
+            addr: src.info.base.add_words(from.1 as u64),
+        });
+    }
+    let v = view_at(src, from.1);
     buf.data.clear();
-    buf.data.extend_from_slice(data_of(seg, &v));
+    buf.data.extend_from_slice(data_of(src, &v));
     buf.refs.clear();
-    buf.refs.extend(refs_of(seg, &v).map(|(f, _)| f));
-    install_parts(mem, to, v.oid, &buf.data, &buf.refs)?;
+    buf.refs.extend(refs_of(src, &v).map(|(f, _)| f));
+    install_at(&mut segs[to.0], to.1 as u64, v.oid, &buf.data, &buf.refs)?;
+    forward_at(&mut segs[from.0], from.1, fwd);
     Ok(v)
 }
 
@@ -727,7 +755,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `views_in`/`refs_of`/`rewrite_refs_in`/`copy_object` walk a
+        /// `views_in`/`refs_of`/`rewrite_refs_in`/`move_object` walk a
         /// borrowed segment; each must see and do exactly what the
         /// `objects_in` + `view` + per-field accessors do.
         #[test]
@@ -795,14 +823,18 @@ mod tests {
                 }
                 let img = ObjectImage::capture(&reference, v.addr).unwrap();
                 install_object_at(&mut reference, dst, &img).unwrap();
-                let src = copy_object(&mut mem, v.addr, dst, &mut buf).unwrap();
-                proptest::prop_assert_eq!(src.oid, v.oid);
+                set_forwarding(&mut reference, v.addr, dst).unwrap();
+                let (from, at) = (mem.position(v.addr).unwrap(), mem.position(dst).unwrap());
+                let src = move_object(&mut mem, from, at, dst, &mut buf).unwrap();
+                proptest::prop_assert_eq!(src, *v);
                 dst = dst.add_words(v.footprint());
             }
-            let (a, b) = (mem.segment(to.id).unwrap(), reference.segment(to.id).unwrap());
-            proptest::prop_assert_eq!(&a.words, &b.words);
-            proptest::prop_assert!(a.object_map == b.object_map && a.ref_map == b.ref_map);
-            proptest::prop_assert_eq!(a.alloc_cursor, b.alloc_cursor);
+            for id in [info.id, to.id] {
+                let (a, b) = (mem.segment(id).unwrap(), reference.segment(id).unwrap());
+                proptest::prop_assert_eq!(&a.words, &b.words);
+                proptest::prop_assert!(a.object_map == b.object_map && a.ref_map == b.ref_map);
+                proptest::prop_assert_eq!(a.alloc_cursor, b.alloc_cursor);
+            }
         }
     }
 }

@@ -592,9 +592,14 @@ impl Cluster {
                     let Some(meta) = meta else { return Ok(()) };
                     self.next_oid[n] = self.next_oid[n].max(meta.next_oid);
                     self.rejoin_epochs[n] = self.rejoin_epochs[n].max(meta.rejoin_epoch + 1);
-                    for &bunch in &meta.bunches {
+                    for &(bunch, epoch) in &meta.bunches {
                         let (_, oids) = persist::recover_bunch_live(self, node, bunch, &mut rvm)?;
                         recovered.extend(oids.into_iter().map(|o| (o, bunch)));
+                        // Resume at the persisted epoch: the crashed
+                        // incarnation may have published it to no peer.
+                        if let Some(brs) = self.gc.node_mut(node).bunch_mut(bunch) {
+                            brs.epoch = brs.epoch.max(epoch);
+                        }
                     }
                     // Roots go back only after the objects they name exist.
                     for addr in meta.roots {
@@ -942,25 +947,20 @@ impl Cluster {
                 reports_applied += 1;
             }
         }
-        // Epoch rule: resume each bunch's collection epoch at the maximum
-        // any surviving peer had applied from this node, so the next report
+        // Epoch rule: resume each bunch's collection epoch at the larger of
+        // the maximum any surviving peer had applied from this node and the
+        // epoch the replay restored from the manifest, so the next report
         // published here is strictly newer than anything pre-crash (the
-        // peers' `>=` staleness gate would silently discard it otherwise).
+        // peers' `>=` staleness gate would silently discard it otherwise,
+        // and an epoch published only locally before the crash would be
+        // published twice with different contents).
         for (&bunch, &floor) in &rec.epoch_floor {
-            if !self.gc.node(node).bunches.contains_key(&bunch) {
+            let Some(brs) = self.gc.node_mut(node).bunch_mut(bunch) else {
                 continue;
-            }
-            let brs = self.gc.node_mut(node).bunch_or_default(bunch);
-            if brs.epoch.0 < floor {
-                brs.epoch = Epoch(floor);
-            }
-            trace::emit(
-                node,
-                TraceEvent::RejoinEpoch {
-                    bunch,
-                    epoch: Epoch(floor),
-                },
-            );
+            };
+            brs.epoch = brs.epoch.max(Epoch(floor));
+            let epoch = brs.epoch;
+            trace::emit(node, TraceEvent::RejoinEpoch { bunch, epoch });
         }
         trace::emit(node, TraceEvent::RecoveryComplete { epoch: rec.epoch });
         self.stats[n].bump(StatKind::RecoveriesCompleted);
@@ -1380,15 +1380,21 @@ impl Cluster {
         let res = (|| -> Result<()> {
             // The manifest accumulates every bunch ever checkpointed here.
             let prev = persist::recover_node_meta(node, &mut rvm)?.unwrap_or_default();
-            let mut bunches: BTreeSet<BunchId> = prev.bunches.iter().copied().collect();
+            let mut bunches: BTreeMap<BunchId, Epoch> = prev.bunches.into_iter().collect();
             let mapped: Vec<BunchId> = self.gc.node(node).bunches.keys().copied().collect();
             let mut wrote = false;
             for bunch in mapped {
                 // A bunch with no segment left here (e.g. fully reused) is
                 // not checkpointable; skip it rather than fail the collection.
                 if persist::checkpoint_bunch(self, node, bunch, &mut rvm).is_ok() {
-                    bunches.insert(bunch);
+                    bunches.entry(bunch).or_default();
                     wrote = true;
+                }
+            }
+            // Every listed bunch still held here carries its current epoch.
+            for (bunch, epoch) in bunches.iter_mut() {
+                if let Some(brs) = self.gc.node(node).bunch(*bunch) {
+                    *epoch = (*epoch).max(brs.epoch);
                 }
             }
             if wrote {

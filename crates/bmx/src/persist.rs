@@ -16,7 +16,7 @@
 
 use bmx_addr::object;
 use bmx_addr::MappedSegment;
-use bmx_common::{Addr, BmxError, BunchId, NodeId, Result, SegmentId, StatKind};
+use bmx_common::{Addr, BmxError, BunchId, Epoch, NodeId, Result, SegmentId, StatKind};
 use bmx_rvm::{RegionId, Rvm};
 
 use crate::cluster::Cluster;
@@ -143,13 +143,14 @@ const NODE_META_ROOTS_CAP: usize = 4096;
 const NODE_META_BUNCH_CAP: usize = 1024;
 
 fn node_meta_bytes() -> usize {
-    8 * (5 + NODE_META_ROOTS_CAP + NODE_META_BUNCH_CAP)
+    8 * (5 + NODE_META_ROOTS_CAP + 2 * NODE_META_BUNCH_CAP)
 }
 
 /// Everything a node needs besides the bunch images to come back: the OID
 /// mint cursor (so post-restart allocations cannot collide with surviving
 /// pre-crash objects), the rejoin epoch, the mutator roots, and the list of
-/// checkpointed bunches to replay.
+/// checkpointed bunches to replay with each one's collection epoch (so a
+/// restart never publishes an epoch it already published).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeMeta {
     /// The node's OID mint counter at checkpoint time.
@@ -159,14 +160,15 @@ pub struct NodeMeta {
     pub rejoin_epoch: u64,
     /// The node's mutator roots (re-registered after replay).
     pub roots: Vec<Addr>,
-    /// Every bunch with a checkpoint in this store.
-    pub bunches: Vec<BunchId>,
+    /// Every bunch with a checkpoint in this store, with the collection
+    /// epoch its replica here had reached when the manifest was written.
+    pub bunches: Vec<(BunchId, Epoch)>,
 }
 
 fn encode_node_meta(meta: &NodeMeta) -> Vec<u8> {
     let roots = &meta.roots[..meta.roots.len().min(NODE_META_ROOTS_CAP)];
     let bunches = &meta.bunches[..meta.bunches.len().min(NODE_META_BUNCH_CAP)];
-    let mut out = Vec::with_capacity(8 * (5 + roots.len() + bunches.len()));
+    let mut out = Vec::with_capacity(8 * (5 + roots.len() + 2 * bunches.len()));
     out.extend_from_slice(&NODE_META_MAGIC.to_le_bytes());
     out.extend_from_slice(&meta.next_oid.to_le_bytes());
     out.extend_from_slice(&meta.rejoin_epoch.to_le_bytes());
@@ -175,8 +177,9 @@ fn encode_node_meta(meta: &NodeMeta) -> Vec<u8> {
         out.extend_from_slice(&r.0.to_le_bytes());
     }
     out.extend_from_slice(&(bunches.len() as u64).to_le_bytes());
-    for b in bunches {
+    for (b, epoch) in bunches {
         out.extend_from_slice(&(b.0 as u64).to_le_bytes());
+        out.extend_from_slice(&epoch.0.to_le_bytes());
     }
     out
 }
@@ -202,11 +205,13 @@ fn decode_node_meta(bytes: &[u8]) -> Option<NodeMeta> {
         meta.roots.push(Addr(rd(4 + i)));
     }
     let bunch_count = rd(4 + root_count) as usize;
-    if bytes.len() < 8 * (5 + root_count + bunch_count) {
+    if bytes.len() < 8 * (5 + root_count + 2 * bunch_count) {
         return None;
     }
     for i in 0..bunch_count {
-        meta.bunches.push(BunchId(rd(5 + root_count + i) as u32));
+        let at = 5 + root_count + 2 * i;
+        meta.bunches
+            .push((BunchId(rd(at) as u32), Epoch(rd(at + 1))));
     }
     Some(meta)
 }

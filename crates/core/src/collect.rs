@@ -335,10 +335,10 @@ impl Ctx<'_> {
             // materialized (e.g. a scion for an object allocated remotely
             // after mapping). Treat as opaque: conservative, nothing to do
             // locally — the owner's replica keeps it alive there.
-            let Ok((seg, off)) = self.mem.resolve(addr) else {
+            let Ok((i, off)) = self.mem.position(addr) else {
                 continue;
             };
-            let off = off as usize;
+            let seg = &self.mem.segments()[i];
             if seg.mark_map.get(off) || !seg.object_map.get(off) {
                 continue;
             }
@@ -356,17 +356,18 @@ impl Ctx<'_> {
             }
             done += 1;
             let owned = self.engine.is_owner(self.node, view.oid);
-            let final_addr = if owned {
-                let dst = self.copy_object(bunch, addr, view.footprint())?;
+            // Where the live object ends up: its to-space copy, or here.
+            let (at, final_addr) = if owned {
+                let to = self.copy_object(bunch, addr, (i, off), view.footprint())?;
                 self.core.out.copied += 1;
                 self.core.out.copied_words += view.footprint();
                 self.stats.bump(StatKind::ObjectsCopied);
                 self.stats.add(StatKind::WordsCopied, view.footprint());
-                dst
+                to
             } else {
                 self.core.out.scanned += 1;
                 self.stats.bump(StatKind::ObjectsScanned);
-                addr
+                ((i, off), addr)
             };
             self.core.out.live += 1;
             if metrics::enabled() {
@@ -383,12 +384,11 @@ impl Ctx<'_> {
                 strong,
             });
             // Mark the final copy, then scan its pointer fields in place.
-            let (seg, off) = self.mem.resolve_mut(final_addr)?;
-            seg.mark_map.set(off as usize);
+            self.mem.segments_mut()[at.0].mark_map.set(at.1);
             let (gc, mem, core) = (&*self.gc, &*self.mem, &mut *self.core);
             let dir = &gc.node(self.node).directory;
-            let (seg, off) = mem.resolve(final_addr)?;
-            let copy = object::view_at(seg, off as usize);
+            let seg = &mem.segments()[at.0];
+            let copy = object::view_at(seg, at.1);
             for (_, t) in object::refs_of(seg, &copy) {
                 if t.is_null() {
                     continue;
@@ -412,18 +412,32 @@ impl Ctx<'_> {
         Ok(done)
     }
 
-    /// Copies one locally owned object (`need` words, header included) to
-    /// to-space and leaves a forwarding header. Strictly local: "this
-    /// header modification ... does not imply acquiring the object's write
-    /// token" (Section 4.2).
-    fn copy_object(&mut self, bunch: BunchId, from: Addr, need: u64) -> Result<Addr> {
+    /// Copies one locally owned object (`need` words, header included),
+    /// found at `at` ([`NodeMemory::position`] of `from`), to to-space and
+    /// leaves a forwarding header. Strictly local: "this header
+    /// modification ... does not imply acquiring the object's write token"
+    /// (Section 4.2). Returns the copy's position and address.
+    fn copy_object(
+        &mut self,
+        bunch: BunchId,
+        from: Addr,
+        at: (usize, usize),
+        need: u64,
+    ) -> Result<((usize, usize), Addr)> {
+        let mapped = self.mem.segments().len();
         let seg_id = self.target_seg_with_space(bunch, need)?;
         let dst = {
             let seg = self.mem.segment(seg_id)?;
             seg.info.base.add_words(seg.alloc_cursor)
         };
-        let oid = object::copy_object(self.mem, from, dst, &mut self.core.copy_buf)?.oid;
-        object::set_forwarding(self.mem, from, dst)?;
+        let to = self.mem.position(dst)?;
+        // Mapping a fresh to-space segment may have shifted `at`.
+        let at = if self.mem.segments().len() == mapped {
+            at
+        } else {
+            self.mem.position(from)?
+        };
+        let oid = object::move_object(self.mem, at, to, dst, &mut self.core.copy_buf)?.oid;
         self.gc
             .node_mut(self.node)
             .directory
@@ -432,7 +446,7 @@ impl Ctx<'_> {
         self.core
             .new_relocs
             .push((bunch, Relocation { oid, from, to: dst }));
-        Ok(dst)
+        Ok((to, dst))
     }
 
     fn target_seg_with_space(&mut self, bunch: BunchId, need: u64) -> Result<SegmentId> {

@@ -187,8 +187,8 @@ fn copy_out_locally(
         let seg = mem.segment(seg_id)?;
         seg.info.base.add_words(seg.alloc_cursor)
     };
-    let oid = object::copy_object(mem, from, dst, &mut CopyBuf::default())?.oid;
-    object::set_forwarding(mem, from, dst)?;
+    let (at, to) = (mem.position(from)?, mem.position(dst)?);
+    let oid = object::move_object(mem, at, to, dst, &mut CopyBuf::default())?.oid;
     gc.node_mut(node).directory.record_move(oid, from, dst);
     let r = Relocation { oid, from, to: dst };
     if let Some(brs) = gc.node_mut(node).bunch_mut(bunch) {

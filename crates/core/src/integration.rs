@@ -34,23 +34,22 @@ pub fn apply_relocations_at(
     mems: &mut [NodeMemory],
 ) {
     let mut buf = CopyBuf::default();
+    let mem = &mut mems[node.0 as usize];
     for r in relocs {
-        let mem = &mut mems[node.0 as usize];
-        if !mem.is_mapped(r.from) && gc.server.borrow().segment_of(r.from).is_none() {
+        if gc.node(node).directory.is_forwarded_from(r.from) {
+            continue; // already known
+        }
+        // `r.from`'s position, good until `place` maps a segment.
+        let mut from_at = mem.position(r.from).ok();
+        if from_at.is_none() && gc.server.borrow().segment_of(r.from).is_none() {
             continue;
         }
         // Map the destination segment if this node has never seen it.
-        if !mem.is_mapped(r.to) {
-            let info = gc.server.borrow().segment_of(r.to);
-            match info {
-                Some(info) => mem.map_segment(info),
-                None => continue, // unknown address: drop the record
-            }
-        }
+        let mut remapped = false;
+        let Some(to_at) = place(gc, mem, r.to, &mut remapped) else {
+            continue; // unknown address: drop the record
+        };
         let dir = &gc.node(node).directory;
-        if dir.is_forwarded_from(r.from) {
-            continue; // already known
-        }
         // Whether `r.from` is this node's *current* address for the object
         // — decided before the record advances it. Bytes at any other
         // address are a ghost of an older generation; carrying those along
@@ -72,29 +71,69 @@ pub fn apply_relocations_at(
                 to: r.to,
             },
         );
+        if !was_current {
+            continue;
+        }
+        if remapped {
+            from_at = mem.position(r.from).ok();
+        }
         // Copy the local replica to its new current address, if one sits at
         // the vacated spot and has not already been moved. Records can
         // arrive out of order across source nodes, so the copy target is
         // the *resolved* end of the chain, not necessarily `r.to`.
-        let movable = was_current
-            && object::view(mem, r.from)
-                .ok()
-                .filter(|v| v.oid == r.oid && !v.is_forwarded())
-                .is_some();
-        if movable {
-            let dest = gc.node(node).directory.resolve(r.to);
-            if !mem.is_mapped(dest) {
-                if let Some(info) = gc.server.borrow().segment_of(dest) {
-                    mem.map_segment(info);
-                }
+        let movable = from_at.filter(|&(i, off)| {
+            let seg = &mem.segments()[i];
+            seg.object_map.get(off) && {
+                let v = object::view_at(seg, off);
+                v.oid == r.oid && !v.is_forwarded()
             }
-            let already_there = object::view(mem, dest).is_ok_and(|v| v.oid == r.oid);
-            if !already_there {
-                let _ = object::copy_object(mem, r.from, dest, &mut buf);
+        });
+        let Some(mut from_at) = movable else {
+            continue;
+        };
+        let dest = gc.node(node).directory.resolve(r.to);
+        let dest_at = if dest == r.to {
+            Some(to_at)
+        } else {
+            remapped = false;
+            let at = place(gc, mem, dest, &mut remapped);
+            if remapped {
+                from_at = mem
+                    .position(r.from)
+                    .expect("mapping keeps a mapped address");
             }
+            at
+        };
+        let fresh = dest_at.filter(|&(i, off)| {
+            let seg = &mem.segments()[i];
+            !(seg.object_map.get(off) && object::view_at(seg, off).oid == r.oid)
+        });
+        // The header at `r.from` names `r.to`, the edge this record
+        // published, whichever address the copy lands at.
+        let moved =
+            fresh.is_some_and(|to| object::move_object(mem, from_at, to, r.to, &mut buf).is_ok());
+        if !moved {
             let _ = object::set_forwarding(mem, r.from, r.to);
         }
     }
+}
+
+/// `addr`'s position in `mem`, mapping its segment first if this node has
+/// never seen it (and setting `remapped`: earlier positions may have
+/// shifted); `None` for an address the server does not know either.
+fn place(
+    gc: &GcState,
+    mem: &mut NodeMemory,
+    addr: Addr,
+    remapped: &mut bool,
+) -> Option<(usize, usize)> {
+    if let Ok(at) = mem.position(addr) {
+        return Some(at);
+    }
+    let info = gc.server.borrow().segment_of(addr)?;
+    mem.map_segment(info);
+    *remapped = true;
+    mem.position(addr).ok()
 }
 
 impl GcIntegration for GcState {
@@ -347,6 +386,51 @@ mod tests {
         // Idempotent re-application.
         apply_relocations_at(&mut gc, NodeId(1), &[r], &mut mems);
         assert_eq!(object::read_field(&mems[1], to, 0).unwrap(), 55);
+    }
+
+    /// Two collections moved the object `a -> mid -> end` and their records
+    /// arrive in the opposite order. The replica lands at `end`, the chain's
+    /// resolved end, but the header at `a` forwards to `mid`: the edge the
+    /// first collection published, not one no collector relocated.
+    #[test]
+    fn out_of_order_records_copy_to_the_chain_end_and_forward_as_published() {
+        let (mut gc, mut mems, bunch, seg) = setup();
+        let a = {
+            let s = mems[1].segment_mut(seg.id).unwrap();
+            object::alloc_in_segment(s, Oid(7), 2, &[]).unwrap()
+        };
+        object::write_data_field(&mut mems[1], a, 0, 55).unwrap();
+        gc.note_local_addr(NodeId(1), Oid(7), a);
+        let mid = gc.server.borrow_mut().alloc_segment(bunch).unwrap().base;
+        let end = gc.server.borrow_mut().alloc_segment(bunch).unwrap().base;
+        let first = Relocation {
+            oid: Oid(7),
+            from: a,
+            to: mid,
+        };
+        let second = Relocation {
+            oid: Oid(7),
+            from: mid,
+            to: end,
+        };
+        apply_relocations_at(&mut gc, NodeId(1), &[second], &mut mems);
+        assert_eq!(
+            object::view(&mems[1], a).unwrap().oid,
+            Oid(7),
+            "not moved yet"
+        );
+        apply_relocations_at(&mut gc, NodeId(1), &[first], &mut mems);
+        assert_eq!(object::read_field(&mems[1], end, 0).unwrap(), 55);
+        let old = object::view(&mems[1], a).unwrap();
+        assert!(old.is_forwarded());
+        assert_eq!(old.forwarding, mid);
+        assert!(
+            object::view(&mems[1], mid).is_err(),
+            "nothing copied to mid"
+        );
+        let dir = &gc.node(NodeId(1)).directory;
+        assert_eq!(dir.addr_of(Oid(7)), Some(end));
+        assert_eq!(dir.resolve(a), end);
     }
 
     #[test]

@@ -398,12 +398,13 @@ pub enum TraceEvent {
         epoch: u64,
     },
     /// During rejoin the node resumed `bunch`'s collection-epoch counter
-    /// at `epoch` (the max any surviving peer had applied), so every
-    /// post-restart report is strictly newer than anything pre-crash.
+    /// at `epoch` (the larger of the max any surviving peer had applied
+    /// and the epoch the node's checkpoint carried), so every post-restart
+    /// report is strictly newer than anything pre-crash.
     RejoinEpoch {
         /// The bunch whose epoch counter was resumed.
         bunch: BunchId,
-        /// The resumed (floor) epoch.
+        /// The resumed epoch.
         epoch: Epoch,
     },
 

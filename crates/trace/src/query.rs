@@ -218,8 +218,9 @@ pub fn acquire_invariant_violations(records: &[TraceRecord]) -> Vec<TraceRecord>
 /// every later scion/ownerPtr retirement justified by one of `X`'s reports
 /// must carry an epoch *strictly greater* than the highest epoch any node
 /// had applied from `X` for that bunch before the recovery. The rejoin
-/// handshake resumes `X`'s per-bunch epoch counters at the surviving
-/// cluster-wide maximum, so a retirement under a pre-crash epoch after a
+/// handshake resumes `X`'s per-bunch epoch counters at the larger of the
+/// surviving cluster-wide maximum and the epoch `X`'s checkpoint carried,
+/// so a retirement under a pre-crash epoch after a
 /// restart means a stale (possibly amnesia-forgotten) report was replayed
 /// as if fresh — exactly the confusion the idempotent cleaner design is
 /// supposed to rule out. Returns the offending retirement records.

@@ -408,16 +408,14 @@ fn amnesia_seed_sweep() {
 }
 
 /// A restarted node never reuses an epoch its crashed incarnation
-/// published. Without the retry daemon seed 0x8 breaks that: the rejoin
-/// resumes a bunch at the peers' floor, below what the victim had already
-/// published locally. Under `Due`: the defect's ticks below are that
-/// order's.
+/// published. Without the retry daemon seed 0x8 used to break that (under
+/// `Due`, whose order these ticks are): N2 published B4 epoch 5 at t=1567
+/// and applied it only locally, crashed at t=1600 (restart 1800), the
+/// rejoin resumed B4 at the peers' floor of 4 (t=1802), N2 published a
+/// different epoch-5 report at t=2010, and N0 logged `OwnerPtrRetired` from
+/// it at t=2011. The manifest now carries each bunch's epoch, and the
+/// rejoin resumes at the larger of it and the peers' floor.
 #[test]
-#[ignore = "known defect (ROADMAP 1(a)(vii)), seed 0x8 without the retry daemon: \
-            N2 publishes B4 epoch 5 at t=1567 and applies it only locally, crashes at \
-            t=1600 (restart 1800), the rejoin resumes B4 at the peers' floor of 4 \
-            (RejoinEpoch, t=1802), N2 publishes a different epoch-5 report at t=2010, \
-            and N0 logs OwnerPtrRetired from it at t=2011"]
 fn a_restarted_node_never_reuses_a_published_epoch() {
     run_amnesia(0x8, None, Schedule::Due);
 }

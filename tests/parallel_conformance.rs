@@ -381,6 +381,7 @@ fn parallel_matches_sim_on_eight_seeds() {
 /// `SCHEDULE_SEEDS` names reaches `Due`'s digest and the replayed totals.
 #[test]
 fn sim_digest_is_the_same_under_every_schedule() {
+    let _serial = serial();
     for seed in [0xC0F0_0001u64, 0xD15C_0005, 0xFEED_0008] {
         let due = run_sim(seed, Schedule::Due);
         assert_eq!(due.payloads, expected_totals(seed), "seed {seed:#x}");
