@@ -2,8 +2,9 @@
 //! tables versus Bevan-style increment/decrement counting.
 //!
 //! For each drop rate, the BMX side runs a churn workload whose tables are
-//! lost with that probability, then re-sends the (idempotent) tables once
-//! and measures: live objects lost (safety — must be zero) and garbage
+//! lost with that probability, then heals the channel and lets the clock
+//! run until the target asks for the (idempotent) table again, and
+//! measures: live objects lost (safety — must be zero) and garbage
 //! still uncollected (liveness after recovery — must be zero). The
 //! reference-counting baseline runs an equivalent event volume; its lost
 //! inc/dec messages are unrecoverable, so counts corrupt.
@@ -25,7 +26,7 @@ pub struct Row {
     pub bmx_tables_dropped: u64,
     /// BMX: live objects erroneously reclaimed (safety; must be 0).
     pub bmx_live_lost: u64,
-    /// BMX: garbage still uncollected after one table re-send round.
+    /// BMX: garbage still uncollected once the target asked again.
     pub bmx_garbage_left: u64,
     /// Refcount baseline: messages dropped.
     pub rc_dropped: u64,
@@ -81,9 +82,11 @@ fn run_one(p: f64) -> Row {
     c.run_bgc(n0, b_src).expect("bgc src");
     c.run_bgc(n1, b_tgt).expect("bgc tgt");
     let dropped = c.net.class_stats(MsgClass::StubTable).dropped;
-    // Recovery: one verbatim re-send over a healed channel, then collect.
+    // Recovery over a healed channel: the target's cleaner, hearing no
+    // table, asks the source for its current one; then collect.
     c.net.set_drop(MsgClass::StubTable, 0.0);
-    c.resend_report(n0, b_src, &[n1]).expect("resend");
+    c.step(2 * bmx_gc::cleaner::PULL_SILENCE).expect("step");
+    c.settle(100).expect("settle");
     c.run_bgc(n1, b_tgt).expect("bgc tgt after recovery");
 
     let mut live_lost = 0;

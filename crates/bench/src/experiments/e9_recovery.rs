@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use bmx::persist;
-use bmx::{Cluster, ClusterConfig, PersistConfig, RetryPolicy};
+use bmx::{Cluster, ClusterConfig, PersistConfig};
 use bmx_common::{Addr, BmxError, NodeId};
 use bmx_net::{FaultPlan, NetworkConfig};
 use bmx_rvm::{Rvm, RvmOptions};
@@ -167,12 +167,6 @@ pub fn run_rejoin(sizes: &[(usize, usize)]) -> Vec<RejoinRow> {
             let mut c = Cluster::new(ClusterConfig {
                 nodes: 3,
                 net,
-                retry: Some(RetryPolicy {
-                    initial_interval: 4,
-                    backoff: 2,
-                    max_interval: 32,
-                    budget: 6,
-                }),
                 persist: Some(PersistConfig {
                     dir: dir.clone(),
                     truncate_log_bytes: Some(1 << 18),

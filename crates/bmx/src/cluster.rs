@@ -41,7 +41,7 @@ fn same_request(a: &DsmMsg, b: &DsmMsg) -> bool {
 }
 use bmx_gc::collect::CollectOutcome;
 use bmx_gc::{barrier, cleaner, collect, fromspace, CollectStats, GcMsg, GcState, RelocMode};
-use bmx_metrics::{self as metrics, Gge, Hst, LinkCtr};
+use bmx_metrics as metrics;
 use bmx_net::{Envelope, FaultEvent, MsgClass, Network, NetworkConfig};
 use bmx_rvm::{Rvm, RvmOptions};
 use bmx_trace::{self as trace, SpanKind, TraceEvent};
@@ -49,7 +49,6 @@ use bmx_trace::{self as trace, SpanKind, TraceEvent};
 use crate::msg::ClusterMsg;
 use crate::persist::{self, NodeMeta};
 use crate::recovery::{Assignment, ObjView, OrphanView, Recovery, RecoveryOutcome, RejoinMsg};
-use crate::retry::{AckOutcome, RetryDaemon, RetryPolicy};
 
 /// Construction parameters for a simulated cluster.
 #[derive(Clone, Debug)]
@@ -62,9 +61,6 @@ pub struct ClusterConfig {
     pub net: NetworkConfig,
     /// How relocation records propagate (experiment E3 knob).
     pub reloc_mode: RelocMode,
-    /// Automatic report-retry daemon, driven by [`Cluster::step`]. `None`
-    /// restores the seed behaviour (manual [`Cluster::resend_report`] only).
-    pub retry: Option<RetryPolicy>,
     /// RVM-backed persistence. When set, every BGC is followed by a
     /// background checkpoint of the collected bunches and an amnesia
     /// restart runs the full recovery pipeline against the store. `None`
@@ -110,7 +106,6 @@ impl Default for ClusterConfig {
             segment_words: 4096,
             net: NetworkConfig::lossless(1),
             reloc_mode: RelocMode::Piggyback,
-            retry: Some(RetryPolicy::default()),
             persist: None,
             coalesce_dsm: true,
             acquire_timeout: std::time::Duration::from_secs(10),
@@ -151,8 +146,6 @@ pub struct Cluster {
     next_oid: Vec<u64>,
     /// In-flight incremental collections, one slot per node.
     incrementals: Vec<Option<bmx_gc::IncrementalBgc>>,
-    /// The automatic report-retry daemon, if enabled.
-    retry: Option<RetryDaemon>,
     /// Highest sequence number delivered per channel, `last_seq[dst][src]`,
     /// for duplicate-delivery accounting (duplicates are delivered anyway —
     /// the loss-tolerant handlers are idempotent).
@@ -214,7 +207,6 @@ impl Cluster {
             net: Network::new(cfg.net),
             next_oid: vec![0; cfg.nodes as usize],
             incrementals: (0..cfg.nodes).map(|_| None).collect(),
-            retry: cfg.retry.map(RetryDaemon::new),
             last_seq: vec![vec![0; cfg.nodes as usize]; cfg.nodes as usize],
             persist: cfg.persist,
             rvms: (0..cfg.nodes).map(|_| None).collect(),
@@ -349,7 +341,7 @@ impl Cluster {
     pub fn send_gc(&mut self, src: NodeId, dst: NodeId, msg: GcMsg) {
         let class = match &msg {
             GcMsg::ScionCreate { .. } => MsgClass::ScionMessage,
-            GcMsg::Report(_) => MsgClass::StubTable,
+            GcMsg::Report(_) | GcMsg::TableReq { .. } => MsgClass::StubTable,
             _ => MsgClass::GcBackground,
         };
         self.stats[src.0 as usize].bump(StatKind::MessagesSent);
@@ -357,8 +349,8 @@ impl Cluster {
     }
 
     /// Delivers every in-flight message (and the cascades it triggers), tick
-    /// by tick. It does not fire the retry daemon's timers: chaos runs drive
-    /// time with [`Cluster::step`]. A parallel-runtime site has nothing in
+    /// by tick. No cleaner asks for a table here: chaos runs drive time with
+    /// [`Cluster::step`]. A parallel-runtime site has nothing in
     /// flight here (its sends leave through the network's egress), so there
     /// this returns at once. On an error, what was not yet applied stays in
     /// flight for the next call.
@@ -394,7 +386,7 @@ impl Cluster {
         // is only cleared by a grant, and its one rejoin-purge reprieve is
         // already spent by the time a re-sent request can land here);
         // everything else is dropped as if lost — senders recover the way
-        // they recover from loss (the retry daemon, lazy relocation).
+        // they recover from loss (a later table request, lazy relocation).
         if let Some(rec) = self.recoveries[at].as_mut() {
             match &env.payload {
                 ClusterMsg::Rejoin(_)
@@ -423,15 +415,33 @@ impl Cluster {
 
     /// Advances the cluster's background clock by `ticks`: each tick
     /// delivers due messages, accounts fault transitions (partition heals,
-    /// crash/restarts), and polls the retry daemon. This — not
+    /// crash/restarts), and lets every node ask for the tables it has not
+    /// heard for a while ([`Cluster::request_tables`]). This — not
     /// [`Cluster::pump`] — drives chaos runs, where time must pass for
-    /// partitions to heal and backoff timers to fire.
+    /// partitions to heal and lost tables to be asked for again.
     pub fn step(&mut self, ticks: u64) -> Result<()> {
         for _ in 0..ticks {
             self.tick()?;
-            self.poll_retries()?;
+            let now = self.net.now();
+            for node in (0..self.nodes()).map(NodeId) {
+                self.request_tables(node, now);
+            }
         }
         Ok(())
+    }
+
+    /// Sends `node`'s due table requests ([`cleaner::table_requests`]) at
+    /// tick `now`: the simulator's clock from [`Cluster::step`], the
+    /// supervisor's pulse on threads. A node mid-recovery asks for nothing:
+    /// its scions are still being regenerated from the rejoin replies.
+    pub(crate) fn request_tables(&mut self, node: NodeId, now: u64) {
+        if self.in_recovery(node) {
+            return;
+        }
+        for (source, req) in cleaner::table_requests(&mut self.gc, &self.engine, node, now) {
+            self.stats[node.0 as usize].bump(StatKind::TablePulls);
+            self.send_gc(node, source, req);
+        }
     }
 
     /// One simulator tick: advance the clock, [`Cluster::deliver`] each due
@@ -445,35 +455,21 @@ impl Cluster {
         self.note_fault_events()
     }
 
-    /// Steps until the network is idle and no retried report is outstanding,
-    /// or `max_ticks` elapse. Returns the number of ticks consumed.
+    /// Steps until the network is idle, or `max_ticks` elapse. Returns the
+    /// number of ticks consumed.
     pub fn settle(&mut self, max_ticks: u64) -> Result<u64> {
         let mut used = 0;
-        while used < max_ticks {
-            // `map_or(true, ..)` rather than `is_none_or`: MSRV is 1.75.
-            #[allow(clippy::unnecessary_map_or)]
-            let quiet =
-                self.net.in_flight() == 0 && self.retry.as_ref().map_or(true, |d| d.pending() == 0);
-            if quiet {
-                break;
-            }
+        while used < max_ticks && self.net.in_flight() > 0 {
             self.step(1)?;
             used += 1;
         }
         Ok(used)
     }
 
-    /// Reports still tracked by the retry daemon (0 when disabled).
-    pub fn retries_pending(&self) -> usize {
-        self.retry.as_ref().map_or(0, RetryDaemon::pending)
-    }
-
     /// Turns fault transitions observed by the network into per-node
-    /// counters, wipes the volatile state of crashed nodes, and when they
-    /// restart pulls retry timers forward and launches the recovery
-    /// pipeline.
+    /// counters, wipes the volatile state of crashed nodes, and launches
+    /// the recovery pipeline of those that restart.
     fn note_fault_events(&mut self) -> Result<()> {
-        let now = self.net.now();
         let mut recovering = Vec::new();
         for ev in self.net.drain_fault_events() {
             match ev {
@@ -488,9 +484,6 @@ impl Cluster {
                 FaultEvent::NodeRestarted { node } => {
                     if let Some(s) = self.stats.get_mut(node.0 as usize) {
                         s.bump(StatKind::NodeRestarts);
-                    }
-                    if let Some(d) = &mut self.retry {
-                        d.hasten(node, now);
                     }
                     recovering.push(node);
                 }
@@ -508,12 +501,13 @@ impl Cluster {
 
     /// Discards every piece of `node`'s volatile state at the instant of an
     /// amnesia crash: memory image, object directory, scion/stub tables and
-    /// cleaner epochs, DSM token/ownership caches, incremental-collection
-    /// state, retry timers, and duplicate-tracking sequence numbers. The
-    /// network itself drops the node's reliable in-flight traffic
-    /// ([`bmx_net::FaultStats::amnesia_dropped`]). Per-node counters
-    /// survive on purpose — they model the experimenter's instrumentation,
-    /// not node state, and `NodeStats::since` requires monotonicity.
+    /// cleaner epochs and table-request schedules, DSM token/ownership
+    /// caches, incremental-collection state, and duplicate-tracking
+    /// sequence numbers. The network itself drops the node's reliable
+    /// in-flight traffic ([`bmx_net::FaultStats::amnesia_dropped`]).
+    /// Per-node counters survive on purpose — they model the
+    /// experimenter's instrumentation, not node state, and
+    /// `NodeStats::since` requires monotonicity.
     fn amnesia_wipe(&mut self, node: NodeId) {
         let n = node.0 as usize;
         self.mems[n] = NodeMemory::new(node);
@@ -521,9 +515,6 @@ impl Cluster {
         self.engine.amnesia_reset(node);
         self.incrementals[n] = None;
         self.recoveries[n] = None;
-        if let Some(d) = &mut self.retry {
-            d.forget_origin(node);
-        }
         self.last_seq[n].fill(0);
         for from_node in &mut self.last_seq {
             from_node[n] = 0;
@@ -597,7 +588,9 @@ impl Cluster {
                         recovered.extend(oids.into_iter().map(|o| (o, bunch)));
                         // Resume at the persisted epoch: the crashed
                         // incarnation may have published it to no peer.
-                        if let Some(brs) = self.gc.node_mut(node).bunch_mut(bunch) {
+                        let ns = self.gc.node_mut(node);
+                        ns.lost_tables.insert(bunch);
+                        if let Some(brs) = ns.bunch_mut(bunch) {
                             brs.epoch = brs.epoch.max(epoch);
                         }
                     }
@@ -947,6 +940,10 @@ impl Cluster {
                 reports_applied += 1;
             }
         }
+        // A peer that applied a table of the crashed incarnation may still
+        // hold what it justified.
+        let ns = self.gc.node_mut(node);
+        ns.lost_tables.extend(rec.epoch_floor.keys());
         // Epoch rule: resume each bunch's collection epoch at the larger of
         // the maximum any surviving peer had applied from this node and the
         // epoch the replay restored from the manifest, so the next report
@@ -982,58 +979,11 @@ impl Cluster {
         Ok(())
     }
 
-    /// Fires every retry due now: rebuilds the bunch's *current* report
-    /// (idempotent, so resending a newer one than originally tracked is
-    /// safe — it subsumes the lost table) and re-sends it to the pending
-    /// destinations.
-    fn poll_retries(&mut self) -> Result<()> {
-        let now = self.net.now();
-        let (resends, exhausted) = match &mut self.retry {
-            Some(d) => d.due(now),
-            None => return Ok(()),
-        };
-        for r in &exhausted {
-            self.stats[r.node.0 as usize].bump(StatKind::RetryBudgetExhausted);
-        }
-        for r in resends {
-            // The bunch can vanish between tracking and firing (from-space
-            // reuse); the entry then exhausts its budget harmlessly.
-            let Ok(report) = self.build_report(r.node, r.bunch) else {
-                continue;
-            };
-            for d in r.dests {
-                self.stats[r.node.0 as usize].bump(StatKind::StubTableMessages);
-                self.stats[r.node.0 as usize].bump(StatKind::RetryResends);
-                trace::emit(
-                    r.node,
-                    TraceEvent::ReportRetry {
-                        bunch: r.bunch,
-                        dest: d,
-                    },
-                );
-                metrics::link(r.node, d, LinkCtr::Retry, 1);
-                self.send_gc(r.node, d, GcMsg::Report(report.clone()));
-            }
-        }
-        if metrics::enabled() {
-            if let Some(d) = &self.retry {
-                for i in 0..self.nodes() {
-                    metrics::gauge_set(
-                        NodeId(i),
-                        Gge::RetryQueueDepth,
-                        d.pending_for(NodeId(i)) as u64,
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn dispatch_dsm(&mut self, src: NodeId, dst: NodeId, pkt: DsmPacket) -> Result<()> {
         self.with_engine(|e, sh, send| e.handle(src, dst, pkt, sh, send))
     }
 
-    fn dispatch_gc(&mut self, _src: NodeId, dst: NodeId, msg: GcMsg) -> Result<()> {
+    fn dispatch_gc(&mut self, src: NodeId, dst: NodeId, msg: GcMsg) -> Result<()> {
         let at = dst.0 as usize;
         let replies = match msg {
             GcMsg::ScionCreate { scion } => {
@@ -1041,15 +991,26 @@ impl Cluster {
                 return Ok(());
             }
             GcMsg::Report(report) => {
-                let outcome = cleaner::process_report(
+                cleaner::process_report(
                     &mut self.gc,
                     &mut self.engine,
                     &mut self.stats[at],
                     dst,
                     &report,
                 );
-                if outcome.applied {
-                    self.ack_report(&report, dst);
+                return Ok(());
+            }
+            // The current table, even with no stub toward the requester:
+            // that empty table is what cuts its last scions. A node that
+            // does not map the bunch, or lost its table in a crash, has
+            // none to answer with (one mid-recovery never gets here, see
+            // `deliver`).
+            GcMsg::TableReq { bunch, have: _ } => {
+                let ns = self.gc.node(dst);
+                if ns.bunch(bunch).is_some() && !ns.lost_tables.contains(&bunch) {
+                    let report = self.build_report(dst, bunch)?;
+                    self.stats[at].bump(StatKind::StubTableMessages);
+                    self.send_gc(dst, src, GcMsg::Report(report));
                 }
                 return Ok(());
             }
@@ -1342,7 +1303,6 @@ impl Cluster {
                 node,
                 &report,
             );
-            self.track_report(node, &report, &dests);
             for dst in dests {
                 self.stats[at].bump(StatKind::StubTableMessages);
                 self.send_gc(node, dst, GcMsg::Report(report.clone()));
@@ -1417,36 +1377,6 @@ impl Cluster {
         res
     }
 
-    /// Registers a freshly published report with the retry daemon.
-    fn track_report(
-        &mut self,
-        node: NodeId,
-        report: &bmx_gc::ReachabilityReport,
-        dests: &[NodeId],
-    ) {
-        let now = self.net.now();
-        if let Some(d) = &mut self.retry {
-            d.track(node, report.bunch, report.epoch, dests, now);
-        }
-    }
-
-    /// Feeds an applied report delivery back to the retry daemon, crediting
-    /// recovery latency when the daemon had to resend.
-    fn ack_report(&mut self, report: &bmx_gc::ReachabilityReport, dst: NodeId) {
-        let now = self.net.now();
-        let Some(d) = &mut self.retry else { return };
-        if let AckOutcome::Complete {
-            recovery_latency,
-            lag,
-        } = d.ack(report.from, report.bunch, report.epoch, dst, now)
-        {
-            metrics::observe(report.from, Hst::ReportRetireLagTicks, lag);
-            if let Some(lat) = recovery_latency {
-                self.stats[report.from.0 as usize].add(StatKind::RecoveryLatencyTicks, lat);
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Incremental collection (O'Toole-style, experiment E4b).
     // ------------------------------------------------------------------
@@ -1509,25 +1439,8 @@ impl Cluster {
         self.incrementals[node.0 as usize].is_some()
     }
 
-    /// Re-sends the current reachability report of `bunch` at `node` to the
-    /// given destinations — the recovery action for lost stub-table
-    /// messages (they are idempotent, Section 6.1). This is the *manual*
-    /// recovery path kept for targeted tests; with [`ClusterConfig::retry`]
-    /// enabled the retry daemon performs the same recovery automatically
-    /// under [`Cluster::step`].
-    pub fn resend_report(&mut self, node: NodeId, bunch: BunchId, dests: &[NodeId]) -> Result<()> {
-        let report = self.build_report(node, bunch)?;
-        for &d in dests {
-            if d != node {
-                self.stats[node.0 as usize].bump(StatKind::StubTableMessages);
-                self.send_gc(node, d, GcMsg::Report(report.clone()));
-            }
-        }
-        self.pump()
-    }
-
-    /// Builds the current reachability report of `bunch` at `node` (same
-    /// content a re-send would carry).
+    /// Builds the current reachability report of `bunch` at `node`: what
+    /// `node` answers a [`GcMsg::TableReq`] with.
     pub fn build_report(
         &mut self,
         node: NodeId,

@@ -56,7 +56,6 @@ pub mod mutator;
 pub mod parallel;
 pub mod persist;
 pub mod recovery;
-pub mod retry;
 
 pub use cluster::{Cluster, ClusterConfig, PersistConfig};
 pub use msg::ClusterMsg;
@@ -65,4 +64,3 @@ pub use parallel::{
     ChaosConfig, NodeHandle, NodeLiveness, NodeStatus, ParallelCluster, Shutdown, ShutdownReport,
 };
 pub use recovery::RecoveryOutcome;
-pub use retry::{RetryDaemon, RetryPolicy};

@@ -86,7 +86,7 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -341,6 +341,11 @@ struct Shared {
     acquire_timeout: Duration,
     /// Seed for acquire-backoff jitter (the configuration's one seed).
     backoff_seed: u64,
+    /// Set while the supervisor may still send: under a fault plane, which
+    /// can lose a message, each pulse lets every node ask for the tables
+    /// it has not heard for a while. A draining driver stays until it
+    /// clears, so no such request lands at a node whose driver has left.
+    pulling: AtomicBool,
 }
 
 /// A site's mutex, taken with wait/hold attribution under `node` — the
@@ -697,8 +702,9 @@ impl ParallelCluster {
     /// only if the calling thread has a metrics registry installed (it
     /// pumps the watchdogs). Nothing restarts a node that fails outside the
     /// plan — a protocol panic stays a hard failure, surfaced at shutdown.
-    /// The retry daemon is a feature of the deterministic mode and is
-    /// disabled.
+    /// Under a fault plan the supervisor's pulse is also the clock on which
+    /// each node asks for the tables it has not heard for a while, as
+    /// [`Cluster::step`] does in the simulator.
     ///
     /// # Panics
     ///
@@ -719,7 +725,6 @@ impl ParallelCluster {
         let nodes = cfg.nodes;
         let acquire_timeout = cfg.acquire_timeout;
         let net = std::mem::replace(&mut cfg.net, NetworkConfig::lossless(1));
-        cfg.retry = None;
         let backoff_seed = net.seed;
         let faulty = !net.is_quiet();
         let transport = ChannelTransport::try_new(nodes as usize, net);
@@ -769,6 +774,7 @@ impl ParallelCluster {
             registry: metrics::registry(),
             acquire_timeout,
             backoff_seed,
+            pulling: AtomicBool::new(faulty),
         });
 
         let drivers = (0..nodes)
@@ -1060,7 +1066,12 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
                 continue;
             }
         }
-        if phase != PHASE_RUN && shared.transport.in_flight() == 0 {
+        // `pulling` first: once it reads clear, every request the
+        // supervisor sent is already counted in flight.
+        if phase != PHASE_RUN
+            && !shared.pulling.load(Ordering::SeqCst)
+            && shared.transport.in_flight() == 0
+        {
             break;
         }
         // Spin briefly for back-to-back traffic, then park on the
@@ -1078,11 +1089,22 @@ fn drive(node: NodeId, shared: Arc<Shared>, generation: u64) {
 /// The supervisor thread body: beats the pulse clock (releasing what the
 /// fault plane holds on schedule), crashes and restarts nodes on the plan's
 /// transitions, stamps and revives nodes downed outside the plan, flips
-/// recovered nodes back to alive, and pumps the metrics watchdogs with a
-/// real pending-work reading so stalls latch alarms instead of being
-/// waited out. `alarms_seen` is the registry's alarm total at spawn: the
+/// recovered nodes back to alive, lets each live node ask for the tables
+/// it has not heard for a while (under a fault plane), and pumps the
+/// metrics watchdogs with a real pending-work reading so stalls latch
+/// alarms instead of being waited out. `alarms_seen` is the registry's alarm total at spawn: the
 /// first one above it writes the blackbox.
 fn supervise(shared: Arc<Shared>, cfg: ChaosConfig, mut alarms_seen: u64) {
+    /// Clears `pulling` however the supervisor leaves, and wakes the
+    /// drivers that drain until it is clear.
+    struct Leave<'a>(&'a Shared);
+    impl Drop for Leave<'_> {
+        fn drop(&mut self) {
+            self.0.pulling.store(false, Ordering::SeqCst);
+            self.0.ring_drivers();
+        }
+    }
+    let _leave = Leave(&shared);
     if let Some(reg) = &shared.registry {
         metrics::install_registry(Arc::clone(reg));
     }
@@ -1119,6 +1141,9 @@ fn supervise(shared: Arc<Shared>, cfg: ChaosConfig, mut alarms_seen: u64) {
                 }
                 NODE_RECOVERING if !st.core.lock().in_recovery(node) => {
                     st.status.store(NODE_ALIVE, Ordering::Release);
+                }
+                NODE_ALIVE if shared.pulling.load(Ordering::Relaxed) => {
+                    shared.lock_site(node, node).request_tables(node, pulse);
                 }
                 _ => {}
             }

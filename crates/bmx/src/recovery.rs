@@ -2,10 +2,10 @@
 //!
 //! An amnesia crash (power failure) loses a node's entire volatile state:
 //! memory image, object directory, DSM token/ownership caches, scion/stub
-//! tables, cleaner epochs, retry timers. What survives is the RVM store —
-//! the last post-BGC checkpoint of each bunch — and the *peers'* knowledge:
-//! who holds replicas, who registered entering ownerPtrs, and the highest
-//! reachability epoch each peer applied from the crashed node.
+//! tables, cleaner epochs and table-request schedules. What survives is the
+//! RVM store — the last post-BGC checkpoint of each bunch — and the *peers'*
+//! knowledge: who holds replicas, who registered entering ownerPtrs, and the
+//! highest reachability epoch each peer applied from the crashed node.
 //!
 //! On restart the node runs a three-stage pipeline
 //! (`Cluster::begin_recovery` drives it):

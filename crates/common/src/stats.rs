@@ -91,8 +91,9 @@ pub enum StatKind {
     ImageWordsCopied,
     /// Background (non-piggy-backed) GC messages.
     BackgroundGcMessages,
-    /// Reachability reports re-sent by the automatic retry daemon.
-    RetryResends,
+    /// Table requests this node's cleaner sent: each asks a source for a
+    /// table the node has not heard for a while.
+    TablePulls,
     /// Messages delivered more than once (duplication faults); the handlers
     /// are idempotent, so these are counted, not suppressed.
     DuplicateDeliveries,
@@ -100,15 +101,8 @@ pub enum StatKind {
     PartitionsHealed,
     /// Times this node came back from a crash.
     NodeRestarts,
-    /// Ticks between a report's first publication and the retry daemon
-    /// confirming every destination applied it — summed over reports that
-    /// needed at least one resend.
-    RecoveryLatencyTicks,
-    /// Reports the retry daemon gave up on (budget exhausted; the next
-    /// collection's report supersedes them).
-    RetryBudgetExhausted,
     /// Volatile-state wipes performed at an amnesia crash (memory image,
-    /// directory, DSM caches, cleaner tables, retry timers all discarded).
+    /// directory, DSM caches, cleaner tables and schedules all discarded).
     AmnesiaWipes,
     /// Crash-recovery pipelines run to completion (RVM replay + rejoin
     /// handshake + scion regeneration).
@@ -123,7 +117,7 @@ pub enum StatKind {
 
 impl StatKind {
     /// All counter kinds, for iteration in reports.
-    pub const ALL: [StatKind; 38] = [
+    pub const ALL: [StatKind; 36] = [
         StatKind::MessagesSent,
         StatKind::MessagesDropped,
         StatKind::BytesSent,
@@ -152,12 +146,10 @@ impl StatKind {
         StatKind::DsmLogicalMessages,
         StatKind::ImageWordsCopied,
         StatKind::BackgroundGcMessages,
-        StatKind::RetryResends,
+        StatKind::TablePulls,
         StatKind::DuplicateDeliveries,
         StatKind::PartitionsHealed,
         StatKind::NodeRestarts,
-        StatKind::RecoveryLatencyTicks,
-        StatKind::RetryBudgetExhausted,
         StatKind::AmnesiaWipes,
         StatKind::RecoveriesCompleted,
         StatKind::RejoinOrphansAdopted,

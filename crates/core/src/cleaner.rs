@@ -19,14 +19,90 @@
 //! duplicates and stale retransmissions are ignored, so processing is
 //! idempotent. FIFO per channel (message numbering) plus the epoch check
 //! gives exactly the ordering Section 6.1 requires.
+//!
+//! A lost table only delays collection (Section 6.1) because the cleaner
+//! asks for it again: [`table_requests`] names every `(source, bunch)`
+//! whose table justifies a scion or an entering ownerPtr here and that has
+//! sent no fresh table for a while, and the source answers with its
+//! current one. The recovery state lives where the scions are; the
+//! publisher keeps none per destination.
 
-use bmx_common::{NodeId, NodeStats, StatKind};
+use std::collections::BTreeSet;
+
+use bmx_common::{BunchId, NodeId, NodeStats, StatKind};
 use bmx_dsm::DsmEngine;
 use bmx_trace::{self as trace, TraceEvent};
 
-use crate::msg::ReachabilityReport;
+use crate::msg::{GcMsg, ReachabilityReport};
 use crate::ssp::InterScion;
-use crate::state::GcState;
+use crate::state::{GcState, Pull};
+
+/// A node looks at its pairs on the ticks divisible by this, all nodes on
+/// the same ticks, and asks a pair that has brought no fresh table for at
+/// least this long.
+pub const PULL_SILENCE: u64 = 4;
+/// The longest wait between two requests to one pair. Each request doubles
+/// the wait up to here, and a fresh table resets it, so while answers
+/// repeat `have` a pair is asked on the ticks divisible by this: the
+/// exchanges of all pairs fall in the same few ticks and leave the network
+/// idle in between. It bounds how long a lost table goes unnoticed.
+pub const PULL_MAX_WAIT: u64 = 8;
+
+/// The table requests `at` sends at tick `now`: one [`GcMsg::TableReq`] to
+/// each pair whose table justifies something the cleaner would cut here
+/// (inter scions by source node and bunch, intra scions by stub holder and
+/// bunch, entering ownerPtrs by replica holder and bunch) and is due.
+/// Forgets the schedule of pairs that justify nothing any more, so the
+/// requests stop once the last thing a pair justified is cut.
+pub fn table_requests(
+    gc: &mut GcState,
+    engine: &DsmEngine,
+    at: NodeId,
+    now: u64,
+) -> Vec<(NodeId, GcMsg)> {
+    #[allow(clippy::manual_is_multiple_of)] // `is_multiple_of` is newer than the MSRV
+    if now % PULL_SILENCE != 0 {
+        return Vec::new();
+    }
+    let ns = gc.node_mut(at);
+    let mut pairs: BTreeSet<(NodeId, BunchId)> = BTreeSet::new();
+    for (&bunch, brs) in &ns.bunches {
+        let inter = brs.scion_table.inter().iter();
+        pairs.extend(inter.map(|s| (s.source_node, s.source_bunch)));
+        pairs.extend(brs.scion_table.intra().iter().map(|s| (s.stub_at, bunch)));
+    }
+    for (_, st) in engine.replicas_where(at, |st| !st.entering.is_empty()) {
+        pairs.extend(st.entering.iter().map(|holder| (holder, st.bunch)));
+    }
+    // This node's own tables reach its cleaner synchronously.
+    pairs.retain(|&(source, _)| source != at);
+    ns.pulls.retain(|pair, _| pairs.contains(pair));
+    let mut out = Vec::new();
+    for pair in pairs {
+        let have = ns.cleaner_epochs.get(&pair).copied().unwrap_or_default();
+        let quiet = Pull {
+            epoch: have,
+            due: now + PULL_SILENCE,
+            wait: PULL_SILENCE,
+        };
+        let pull = ns.pulls.entry(pair).or_insert(quiet);
+        if pull.epoch != have {
+            *pull = quiet;
+        } else if now >= pull.due {
+            out.push((
+                pair.0,
+                GcMsg::TableReq {
+                    bunch: pair.1,
+                    have,
+                },
+            ));
+            pull.wait = (2 * pull.wait).min(PULL_MAX_WAIT);
+            // The next tick divisible by the wait.
+            pull.due = (now / pull.wait + 1) * pull.wait;
+        }
+    }
+    out
+}
 
 /// Outcome of processing one report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -483,5 +559,84 @@ mod tests {
         rep.exiting.push((Oid(7), NodeId(2)));
         let out = process_report(&mut gc, &mut engine, &mut stats, NodeId(1), &rep);
         assert_eq!(out.owner_ptrs_removed, 1);
+    }
+
+    /// The bunches of `at`'s requests at `now`, for the tests below.
+    fn asked(gc: &mut GcState, engine: &DsmEngine, at: u32, now: u64) -> Vec<(NodeId, BunchId)> {
+        table_requests(gc, engine, NodeId(at), now)
+            .into_iter()
+            .map(|(to, m)| match m {
+                GcMsg::TableReq { bunch, .. } => (to, bunch),
+                other => panic!("not a table request: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_requests_back_off_to_the_cap() {
+        let mut gc = gc_with(2);
+        let engine = DsmEngine::new(2);
+        let add = gc.node_mut(NodeId(1)).bunch_or_default(BunchId(2));
+        add.scion_table.add_inter(scion(1, 0, 1, 2));
+        let pair = (NodeId(0), BunchId(1));
+        // Looks happen on ticks divisible by PULL_SILENCE only.
+        assert!(asked(&mut gc, &engine, 1, 3).is_empty());
+        assert!(asked(&mut gc, &engine, 1, 4).is_empty(), "silence starts");
+        assert_eq!(asked(&mut gc, &engine, 1, 8), vec![pair]);
+        assert!(
+            asked(&mut gc, &engine, 1, 12).is_empty(),
+            "the wait doubled"
+        );
+        assert_eq!(asked(&mut gc, &engine, 1, 16), vec![pair]);
+        assert!(asked(&mut gc, &engine, 1, 20).is_empty(), "capped");
+        assert_eq!(asked(&mut gc, &engine, 1, 24), vec![pair]);
+    }
+
+    #[test]
+    fn a_fresh_table_resets_the_schedule() {
+        let mut gc = gc_with(2);
+        let mut engine = DsmEngine::new(2);
+        let mut stats = NodeStats::new();
+        let add = gc.node_mut(NodeId(1)).bunch_or_default(BunchId(2));
+        add.scion_table.add_inter(scion(1, 0, 1, 2));
+        asked(&mut gc, &engine, 1, 0);
+        assert_eq!(asked(&mut gc, &engine, 1, 4).len(), 1);
+        // The answer arrives at a fresh epoch and keeps the scion.
+        let mut rep = report(0, 1, 1);
+        rep.inter_stubs.push(crate::ssp::InterStub {
+            id: scion(1, 0, 1, 2).id,
+            source_oid: Oid(9),
+            source_bunch: BunchId(1),
+            target_bunch: BunchId(2),
+            target_addr: Addr(0x2_0000),
+            target_oid: Some(Oid(5)),
+            scion_at: NodeId(1),
+        });
+        process_report(&mut gc, &mut engine, &mut stats, NodeId(1), &rep);
+        assert!(asked(&mut gc, &engine, 1, 8).is_empty(), "heard just now");
+        let have = match table_requests(&mut gc, &engine, NodeId(1), 12).pop() {
+            Some((_, GcMsg::TableReq { have, .. })) => have,
+            other => panic!("expected one request, got {other:?}"),
+        };
+        assert_eq!(have, Epoch(1), "the request names the epoch applied");
+    }
+
+    #[test]
+    fn no_request_for_own_tables_or_once_nothing_is_justified() {
+        let mut gc = gc_with(2);
+        let engine = DsmEngine::new(2);
+        let add = gc.node_mut(NodeId(1)).bunch_or_default(BunchId(2));
+        // A scion justified by this node's own table, and one by node 0's.
+        add.scion_table.add_inter(scion(1, 1, 3, 2));
+        add.scion_table.add_inter(scion(2, 0, 1, 2));
+        asked(&mut gc, &engine, 1, 0);
+        assert_eq!(asked(&mut gc, &engine, 1, 4), vec![(NodeId(0), BunchId(1))]);
+        let brs = gc.node_mut(NodeId(1)).bunch_mut(BunchId(2)).unwrap();
+        brs.scion_table.retain_inter(|s| s.source_node != NodeId(0));
+        assert!(asked(&mut gc, &engine, 1, 8).is_empty());
+        assert!(
+            gc.node(NodeId(1)).pulls.is_empty(),
+            "the schedule is forgotten"
+        );
     }
 }

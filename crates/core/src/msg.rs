@@ -8,7 +8,9 @@
 //!   exiting-ownerPtr list a BGC produced. They are *idempotent*: on loss
 //!   they are simply re-sent; only per-channel FIFO is required (enforced by
 //!   message numbering in `bmx-net`), plus an epoch stamp so a cleaner never
-//!   applies an older table after a newer one;
+//!   applies an older table after a newer one. A node holding scions asks
+//!   for the table again when it has heard none for a while
+//!   ([`GcMsg::TableReq`], [`crate::cleaner::table_requests`]);
 //! * **from-space reuse traffic** (Section 4.5) — explicit address-change
 //!   notices and copy requests, exchanged in the background, used only when
 //!   a from-space segment must actually be reclaimed.
@@ -47,6 +49,17 @@ pub enum GcMsg {
     },
     /// An idempotent reachability table for the scion cleaner.
     Report(ReachabilityReport),
+    /// "Send me your current table of `bunch`": a node whose scions that
+    /// table justifies has heard none from the receiver for a while. The
+    /// answer is a [`GcMsg::Report`] to the requester, empty of stubs
+    /// toward it if the receiver holds none.
+    TableReq {
+        /// The bunch whose table is wanted.
+        bunch: BunchId,
+        /// The epoch of the receiver's table the requester last applied;
+        /// an answer at or below it brings nothing new.
+        have: Epoch,
+    },
     /// Explicit relocation notice (the explicit-update ablation of
     /// experiment E3; unacknowledged, applied idempotently).
     AddressChange {
@@ -116,7 +129,7 @@ impl WireSize for GcMsg {
                 relocations,
                 ..
             } => 24 + 8 * segments.len() as u64 + 24 * relocations.len() as u64,
-            GcMsg::RetireAck { .. } => 16,
+            GcMsg::TableReq { .. } | GcMsg::RetireAck { .. } => 16,
             GcMsg::CopyRequest { oids, .. } => 24 + 8 * oids.len() as u64,
             GcMsg::CopyReply { relocations, .. } => 24 + 24 * relocations.len() as u64,
         }

@@ -135,6 +135,18 @@ impl BunchReplicaGc {
     }
 }
 
+/// The table-request schedule of one `(source node, bunch)` pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pull {
+    /// The pair's cleaner epoch when the schedule was last looked at: a
+    /// higher one since means a fresh table arrived.
+    pub epoch: Epoch,
+    /// Tick at which the next request goes out.
+    pub due: u64,
+    /// Ticks between requests while no fresh table arrives.
+    pub wait: u64,
+}
+
 /// All collector state of one node.
 pub struct GcNodeState {
     /// The node.
@@ -154,6 +166,16 @@ pub struct GcNodeState {
     /// Latest reachability epoch consumed per `(source node, bunch)` —
     /// makes table processing idempotent and orders duplicates.
     pub cleaner_epochs: BTreeMap<(NodeId, BunchId), Epoch>,
+    /// When to ask each `(source node, bunch)` that justifies a scion here
+    /// for its table again ([`crate::cleaner::table_requests`]).
+    pub pulls: BTreeMap<(NodeId, BunchId), Pull>,
+    /// Bunches whose tables this node's crashed incarnation published:
+    /// peers may hold scions and ownerPtrs those tables justified, and the
+    /// stubs behind them died in the crash (the store holds none, and a
+    /// collection only keeps the stubs it finds). This node answers no
+    /// table request for them: its table would cut what its restored
+    /// pointers still need, under an epoch it may already have published.
+    pub lost_tables: BTreeSet<BunchId>,
     /// Bunches currently under an incremental collection at this node: the
     /// write barrier grays pointer-store targets in these bunches.
     pub active_groups: BTreeSet<BunchId>,
@@ -175,6 +197,8 @@ impl GcNodeState {
             next_root: 1,
             next_ssp: 1,
             cleaner_epochs: BTreeMap::new(),
+            pulls: BTreeMap::new(),
+            lost_tables: BTreeSet::new(),
             active_groups: BTreeSet::new(),
             grayed: Vec::new(),
         }

@@ -98,10 +98,10 @@ mod tests {
     #[test]
     fn diff_json_carries_signed_deltas() {
         let mut diff = BTreeMap::new();
-        diff.insert("node0/gauge/retry_queue_depth".to_string(), -4i64);
+        diff.insert("node0/gauge/scion_table_size".to_string(), -4i64);
         diff.insert("node0/hist/bgc_pause_micros/count".to_string(), 2i64);
         let text = diff_to_json(&diff);
-        assert!(text.contains("\"node0/gauge/retry_queue_depth\": -4"));
+        assert!(text.contains("\"node0/gauge/scion_table_size\": -4"));
         assert!(text.contains("\"node0/hist/bgc_pause_micros/count\": 2"));
     }
 }

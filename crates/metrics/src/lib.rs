@@ -14,7 +14,7 @@
 //!   round-trip and signed diffs ([`json`]) — what the blackbox and the
 //!   chaos soaks write.
 //! * **Watchdogs** ([`watchdog`]): drain-based leak detectors (from-space
-//!   retention that never drains, monotone scion backlog, retry storms,
+//!   retention that never drains, monotone scion backlog,
 //!   stalled Lamport clocks, a runtime making no progress) evaluated on
 //!   the mode's one clock (the network tick in the simulation, the
 //!   supervisor's pulse on real threads), emitting
@@ -230,16 +230,15 @@ mod tests {
     fn tick_respects_the_watchdog_interval() {
         let reg = install_with(WatchdogConfig {
             interval: 10,
-            retry_depth: 1,
-            retry_window: 0,
+            fromspace_window: 0,
             ..WatchdogConfig::default()
         });
-        tick(0, 0, 0); // primes baselines (queue still empty)
-        gauge_set(n(0), Gge::RetryQueueDepth, 5);
+        tick(0, 0, 0); // primes baselines (nothing retained yet)
+        gauge_set(n(0), Gge::FromSpaceRetainedWords, 5);
         tick(5, 0, 0); // off-interval: ignored
-        assert_eq!(reg.alarms(bmx_trace::AlarmKind::RetryStorm), 0);
-        tick(10, 0, 0); // evaluates: depth 5 >= 1 sustained >= 0 ticks
-        assert_eq!(reg.alarms(bmx_trace::AlarmKind::RetryStorm), 1);
+        assert_eq!(reg.alarms(bmx_trace::AlarmKind::FromSpaceLeak), 0);
+        tick(10, 0, 0); // evaluates: retained, undrained for >= 0 ticks
+        assert_eq!(reg.alarms(bmx_trace::AlarmKind::FromSpaceLeak), 1);
         disable();
     }
 }

@@ -29,8 +29,6 @@ pub enum Gge {
     ScionTableSize,
     /// Stubs across this node's bunch replicas.
     StubTableSize,
-    /// Reports this node still tracks in the retry daemon.
-    RetryQueueDepth,
 }
 
 /// Per-node histograms.
@@ -51,9 +49,6 @@ pub enum Hst {
     /// Forwarding hops a mutator access walked before reaching the
     /// current copy.
     ForwardingChainLen,
-    /// Ticks between a report's publication and the retry daemon
-    /// confirming every destination applied it.
-    ReportRetireLagTicks,
     /// Constituent protocol messages coalesced into one DSM envelope.
     /// Values above 1 are rounds the envelope batching actually compressed.
     EnvelopeMsgs,
@@ -80,26 +75,23 @@ pub enum LinkCtr {
     Drop,
     /// Duplicate copies injected on this link.
     Duplicate,
-    /// Report resends the retry daemon pushed over this link.
-    Retry,
     /// Payload bytes accepted on this link.
     Bytes,
 }
 
 impl Gge {
-    pub(crate) const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 4;
     /// All gauges, in index order.
     pub const ALL: [Gge; Self::COUNT] = [
         Gge::InflightBytes,
         Gge::FromSpaceRetainedWords,
         Gge::ScionTableSize,
         Gge::StubTableSize,
-        Gge::RetryQueueDepth,
     ];
 }
 
 impl Hst {
-    pub(crate) const COUNT: usize = 11;
+    pub(crate) const COUNT: usize = 10;
     /// All histograms, in index order.
     pub const ALL: [Hst; Self::COUNT] = [
         Hst::AcquireReadTicks,
@@ -108,7 +100,6 @@ impl Hst {
         Hst::GrantImageWords,
         Hst::BgcPauseMicros,
         Hst::ForwardingChainLen,
-        Hst::ReportRetireLagTicks,
         Hst::EnvelopeMsgs,
         Hst::AcquireReadMicros,
         Hst::AcquireWriteMicros,
@@ -117,13 +108,12 @@ impl Hst {
 }
 
 impl LinkCtr {
-    pub(crate) const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 4;
     /// All link counters, in index order.
     pub const ALL: [LinkCtr; Self::COUNT] = [
         LinkCtr::Send,
         LinkCtr::Drop,
         LinkCtr::Duplicate,
-        LinkCtr::Retry,
         LinkCtr::Bytes,
     ];
 }
@@ -494,19 +484,19 @@ mod tests {
         let base = reg.snapshot();
         reg.node(0).observe(Hst::BgcPauseMicros, 5);
         reg.node(0).observe(Hst::BgcPauseMicros, 5);
-        reg.node(1).set(Gge::RetryQueueDepth, 4);
+        reg.node(1).set(Gge::ScionTableSize, 4);
         reg.link(0, 1).add(LinkCtr::Send, 7);
         let now = reg.snapshot();
         let d = now.diff(&base);
         assert_eq!(d.get("node0/hist/bgc_pause_micros/count"), Some(&2));
-        assert_eq!(d.get("node1/gauge/retry_queue_depth"), Some(&4));
+        assert_eq!(d.get("node1/gauge/scion_table_size"), Some(&4));
         assert_eq!(d.get("link0-1/send"), Some(&7));
         assert!(!d.contains_key("node0/gauge/inflight_bytes"));
         // Gauges can move down: signed delta.
-        reg.node(1).set(Gge::RetryQueueDepth, 1);
+        reg.node(1).set(Gge::ScionTableSize, 1);
         let later = reg.snapshot();
         assert_eq!(
-            later.diff(&now).get("node1/gauge/retry_queue_depth"),
+            later.diff(&now).get("node1/gauge/scion_table_size"),
             Some(&-3)
         );
     }

@@ -2,9 +2,8 @@
 //!
 //! Each detector watches a registry signal that healthy runs *drain* —
 //! from-space retention drops when the reuse protocol hands segments
-//! back, scion tables shrink when the cleaner cuts dead scions, retry
-//! queues empty when acks land, Lamport clocks advance while neighbours
-//! make progress. A leak is the absence of drain over a calibrated
+//! back, scion tables shrink when the cleaner cuts dead scions, Lamport
+//! clocks advance while neighbours make progress. A leak is the absence of drain over a calibrated
 //! window, not a threshold crossing: absolute sizes vary wildly across
 //! workloads, but "never goes down" is workload-independent.
 //!
@@ -23,7 +22,7 @@ use crate::registry::{Gge, Registry};
 /// Watchdog tuning. Defaults are calibrated so the repo's chaos soaks —
 /// thousands of ticks of faults, partitions, and collector rotation —
 /// stay silent while injected leaks (a disabled cleaner, a from-space
-/// that never reuses, a wedged retry ack) fire within one soak.
+/// that never reuses) fire within one soak.
 #[derive(Clone, Copy, Debug)]
 pub struct WatchdogConfig {
     /// Ticks between detector evaluations.
@@ -37,13 +36,6 @@ pub struct WatchdogConfig {
     /// Consecutive strictly-increasing scion-table readings before
     /// [`AlarmKind::ScionBacklog`] fires; any decrease resets the streak.
     pub scion_increases: u32,
-    /// Retry-queue depth at or above which the storm clock runs.
-    pub retry_depth: u64,
-    /// Ticks the retry queue must sustain [`retry_depth`] before
-    /// [`AlarmKind::RetryStorm`] fires.
-    ///
-    /// [`retry_depth`]: WatchdogConfig::retry_depth
-    pub retry_window: u64,
     /// Ticks a node's Lamport clock may sit still before
     /// [`AlarmKind::ClockStall`] fires — but only if the rest of the
     /// cluster advanced meanwhile (see
@@ -68,8 +60,6 @@ impl Default for WatchdogConfig {
             interval: 32,
             fromspace_window: 20_000,
             scion_increases: 12,
-            retry_depth: 16,
-            retry_window: 600,
             stall_window: 1_000,
             stall_min_progress: 64,
             progress_window: 2_000,
@@ -90,9 +80,6 @@ struct NodeWd {
     sc_streak: u32,
     sc_since: u64,
     sc_latched: bool,
-    // Retry storm: episode start, latch.
-    rt_since: Option<u64>,
-    rt_latched: bool,
     // Clock stall: clock last seen, tick it last moved, cluster-wide max
     // clock at that moment, latch.
     ck_last: u64,
@@ -201,19 +188,6 @@ pub(crate) fn evaluate(reg: &Registry, now: u64, pending_work: u64, progress: u6
         }
         st.sc_last = sc;
 
-        // --- Retry storm: deep queue that never empties. ---
-        let rq = scope.gauge(Gge::RetryQueueDepth);
-        if rq >= cfg.retry_depth {
-            let since = *st.rt_since.get_or_insert(now);
-            if !st.rt_latched && now.saturating_sub(since) >= cfg.retry_window {
-                st.rt_latched = true;
-                fire(reg, i as u32, AlarmKind::RetryStorm, rq, since);
-            }
-        } else {
-            st.rt_since = None;
-            st.rt_latched = false;
-        }
-
         // --- Clock stall: this node frozen while the cluster moves. ---
         if trace_on {
             let ck = bmx_trace::clock(NodeId(i as u32));
@@ -260,8 +234,6 @@ mod tests {
             interval: 1,
             fromspace_window: 100,
             scion_increases: 3,
-            retry_depth: 4,
-            retry_window: 50,
             stall_window: 40,
             stall_min_progress: 8,
             progress_window: 30,
@@ -329,23 +301,6 @@ mod tests {
         assert_eq!(r.alarms(AlarmKind::ScionBacklog), 1);
         feed(&r, 13, &mut t);
         assert_eq!(r.alarms(AlarmKind::ScionBacklog), 1, "latched");
-    }
-
-    #[test]
-    fn retry_storm_requires_sustained_depth() {
-        let r = reg();
-        let n0 = r.node(0);
-        n0.set(Gge::RetryQueueDepth, 6);
-        for t in 0..30 {
-            evaluate(&r, t, 0, 0);
-        }
-        n0.set(Gge::RetryQueueDepth, 1); // drained before the window
-        evaluate(&r, 30, 0, 0);
-        n0.set(Gge::RetryQueueDepth, 6);
-        for t in 31..100 {
-            evaluate(&r, t, 0, 0);
-        }
-        assert_eq!(r.alarms(AlarmKind::RetryStorm), 1);
     }
 
     #[test]
@@ -424,8 +379,8 @@ mod tests {
                 oid: bmx_common::Oid(9),
             },
         );
-        n0.set(Gge::RetryQueueDepth, 100);
-        for t in 0..=60 {
+        n0.set(Gge::FromSpaceRetainedWords, 100);
+        for t in 0..=110 {
             evaluate(&r, t, 0, 0);
         }
         let recs = bmx_trace::take();
@@ -440,7 +395,7 @@ mod tests {
             ..
         } = alarm.event
         {
-            assert_eq!(kind, AlarmKind::RetryStorm);
+            assert_eq!(kind, AlarmKind::FromSpaceLeak);
             assert_eq!(witness_lamport, 1, "witnessed by the prior event");
             assert!(witness_lamport < alarm.lamport);
             assert!(since_tick <= alarm.tick);

@@ -161,7 +161,7 @@ mod tests {
         use crate::event::AlarmKind;
         let mut alarm = rec(0, 2, 2, 2);
         alarm.event = TraceEvent::MetricAlarm {
-            kind: AlarmKind::RetryStorm,
+            kind: AlarmKind::ScionBacklog,
             value: 1,
             since_tick: 0,
             witness_lamport: 1,

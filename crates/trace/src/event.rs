@@ -87,8 +87,6 @@ pub enum AlarmKind {
     FromSpaceLeak,
     /// The scion backlog grew monotonically across consecutive checks.
     ScionBacklog,
-    /// The report-retry queue stayed deep for a whole detection window.
-    RetryStorm,
     /// A node's Lamport clock stalled while the rest of the cluster
     /// made progress.
     ClockStall,
@@ -100,10 +98,9 @@ pub enum AlarmKind {
 
 impl AlarmKind {
     /// All detector kinds, for iteration in reports.
-    pub const ALL: [AlarmKind; 5] = [
+    pub const ALL: [AlarmKind; 4] = [
         AlarmKind::FromSpaceLeak,
         AlarmKind::ScionBacklog,
-        AlarmKind::RetryStorm,
         AlarmKind::ClockStall,
         AlarmKind::ProgressStall,
     ];
@@ -368,13 +365,6 @@ pub enum TraceEvent {
         /// Entering ownerPtrs removed.
         count: u64,
     },
-    /// The retry daemon re-sent a reachability report.
-    ReportRetry {
-        /// The bunch whose report was re-sent.
-        bunch: BunchId,
-        /// The destination of the re-send.
-        dest: NodeId,
-    },
     /// A from-space reuse protocol step at this node.
     Reuse {
         /// The bunch being reclaimed.
@@ -476,10 +466,7 @@ impl TraceEvent {
             | SspCut { .. }
             | ReportPublish { .. }
             | Reuse { .. } => "gc",
-            ReportApply { .. }
-            | ScionRetired { .. }
-            | OwnerPtrRetired { .. }
-            | ReportRetry { .. } => "cleaner",
+            ReportApply { .. } | ScionRetired { .. } | OwnerPtrRetired { .. } => "cleaner",
             RecoveryBegin { .. } | RecoveryComplete { .. } | RejoinEpoch { .. } => "recovery",
             MetricAlarm { .. } => "metrics",
             MutatorAccess { .. } => "mutator",

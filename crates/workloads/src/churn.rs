@@ -70,8 +70,8 @@ pub fn ownership_migration(
 /// One round of the mixed chaos workload: registry churn at every listed
 /// `(node, bunch, registry)` site, one ownership-migration hop over
 /// `migrate`, a collection at the round-robin-chosen site, and a slice of
-/// background clock ([`Cluster::step`]) so fault transitions and the retry
-/// daemon run *between* mutator bursts.
+/// background clock ([`Cluster::step`]) so fault transitions and the
+/// cleaners' table requests run *between* mutator bursts.
 ///
 /// Chaos soaks call this in a loop against a cluster whose network carries
 /// a fault plan: the mutator keeps creating garbage and bouncing tokens

@@ -105,12 +105,12 @@ fn frame(c: &Cluster, reg: &Registry, round: u64) -> String {
 
     out.push_str(
         "node  bgc  pause_p50(us)  acq_rd_p50  acq_wr_p50  inflight_B  \
-         fromspace_W  scions  stubs  retryq\n",
+         fromspace_W  scions  stubs  pulls\n",
     );
     for i in 0..NODES {
         let scope = reg.node(i);
         out.push_str(&format!(
-            "{:>4}  {:>3}  {:>13}  {:>10}  {:>10}  {:>10}  {:>11}  {:>6}  {:>5}  {:>6}\n",
+            "{:>4}  {:>3}  {:>13}  {:>10}  {:>10}  {:>10}  {:>11}  {:>6}  {:>5}  {:>5}\n",
             i,
             scope.hist(Hst::BgcPauseMicros).count(),
             quantile(reg, i, Hst::BgcPauseMicros, 0.5),
@@ -120,11 +120,11 @@ fn frame(c: &Cluster, reg: &Registry, round: u64) -> String {
             scope.gauge(Gge::FromSpaceRetainedWords),
             scope.gauge(Gge::ScionTableSize),
             scope.gauge(Gge::StubTableSize),
-            scope.gauge(Gge::RetryQueueDepth),
+            scope.stat(StatKind::TablePulls),
         ));
     }
 
-    out.push_str("\nlink        sent      bytes   dropped  duplicated  retried\n");
+    out.push_str("\nlink        sent      bytes   dropped  duplicated\n");
     for s in 0..NODES {
         for d in 0..NODES {
             if s == d {
@@ -135,12 +135,11 @@ fn frame(c: &Cluster, reg: &Registry, round: u64) -> String {
                 continue;
             }
             out.push_str(&format!(
-                "{s}→{d}   {:>9}  {:>9}  {:>8}  {:>10}  {:>7}\n",
+                "{s}→{d}   {:>9}  {:>9}  {:>8}  {:>10}\n",
                 l.ctr(LinkCtr::Send),
                 l.ctr(LinkCtr::Bytes),
                 l.ctr(LinkCtr::Drop),
                 l.ctr(LinkCtr::Duplicate),
-                l.ctr(LinkCtr::Retry),
             ));
         }
     }
@@ -346,7 +345,6 @@ fn main() -> Result<()> {
     let mut c = Cluster::new(ClusterConfig {
         nodes: NODES,
         net,
-        retry: Some(RetryPolicy::default()),
         ..Default::default()
     });
 

@@ -5,7 +5,7 @@
 //! A 3-node cluster replicates a shared bunch; ownership of a working set
 //! migrates continuously. Mid-workload, node 2 suffers an amnesia crash —
 //! a power failure that loses every piece of volatile state (memory image,
-//! directory, DSM token caches, scion/stub tables, retry timers). It comes
+//! directory, DSM token caches, scion/stub tables, cleaner epochs). It comes
 //! back with only its last post-BGC checkpoint on disk, replays the RVM
 //! redo log, broadcasts a rejoin request, reconciles ownership with the
 //! surviving peers under a fresh epoch, and regenerates its scion/stub
@@ -42,7 +42,6 @@ fn main() {
     let mut c = Cluster::new(ClusterConfig {
         nodes: 3,
         net,
-        retry: Some(RetryPolicy::default()),
         persist: Some(PersistConfig {
             dir: dir.clone(),
             truncate_log_bytes: Some(1 << 18),

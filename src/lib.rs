@@ -41,7 +41,7 @@ pub use bmx_workloads as workloads;
 pub mod prelude {
     pub use bmx::{
         ChaosConfig, Cluster, ClusterConfig, NodeHandle, NodeLiveness, NodeStatus, ObjSpec,
-        ParallelCluster, PersistConfig, RecoveryOutcome, RetryPolicy, Shutdown, ShutdownReport,
+        ParallelCluster, PersistConfig, RecoveryOutcome, Shutdown, ShutdownReport,
     };
     pub use bmx_addr::Protection;
     pub use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, StatKind};

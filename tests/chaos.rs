@@ -10,8 +10,8 @@
 //! The acceptance gate is the paper's safety claim under its weakest
 //! transport assumptions (Section 6.1): whatever the network does to
 //! loss-tolerant GC traffic, no reachable object is ever reclaimed. The
-//! liveness half (garbage eventually collected) is recovered by the
-//! automatic retry daemon once the network heals.
+//! liveness half (garbage eventually collected) is recovered once the
+//! network heals: a cleaner that hears no table asks its source again.
 
 use bmx::audit;
 use bmx_net::FaultStats;
@@ -77,12 +77,6 @@ fn run_chaos(seed: u64, schedule: Schedule) -> ChaosSummary {
     let cfg = ClusterConfig {
         nodes: 3,
         net,
-        retry: Some(RetryPolicy {
-            initial_interval: 4,
-            backoff: 2,
-            max_interval: 32,
-            budget: 6,
-        }),
         ..Default::default()
     };
     let mut c = Cluster::new(cfg);
@@ -132,8 +126,8 @@ fn run_chaos(seed: u64, schedule: Schedule) -> ChaosSummary {
     // site collection under migration is supported since the copy/
     // re-register fixes pinned by `tests/replica_bgc_regression.rs` — so
     // during either partition the reachability reports of whichever side
-    // collects are dropped, which is exactly what the retry daemon must
-    // recover.
+    // collects are dropped, which is exactly what the cleaners' table
+    // requests must recover.
     let mut rounds = 0;
     while c.net.now() < RUN_UNTIL {
         churn::chaos_round(&mut c, &sites, &migrate, rounds, seed).unwrap();
@@ -141,9 +135,8 @@ fn run_chaos(seed: u64, schedule: Schedule) -> ChaosSummary {
         c.run_bgc(collector, shared).unwrap();
         rounds += 1;
     }
-    // Let the retry daemon finish recovering lost reports.
-    c.settle(5_000).unwrap();
-    assert_eq!(c.retries_pending(), 0, "every report delivered or given up");
+    let used = c.settle(5_000).unwrap();
+    assert!(used < 5_000, "the network went idle");
 
     // The gate: zero premature reclamation, full structural consistency.
     audit::assert_no_premature_reclamation(&c, &expected_live);
@@ -254,8 +247,8 @@ fn check_every_fault_kind(summary: ChaosSummary) {
         summary.counters.iter().map(|c| c[idx]).sum()
     };
     assert!(
-        total(StatKind::RetryResends) > 0,
-        "the retry daemon resent reports"
+        total(StatKind::TablePulls) > 0,
+        "cleaners asked for lost tables"
     );
     assert!(
         total(StatKind::DuplicateDeliveries) > 0,

@@ -127,16 +127,7 @@ struct AmnesiaSummary {
     recoveries: usize,
 }
 
-/// The soak's retry daemon: every run below keeps it, except the one
-/// that shows what goes wrong without it.
-const SOAK_RETRY: Option<RetryPolicy> = Some(RetryPolicy {
-    initial_interval: 4,
-    backoff: 2,
-    max_interval: 32,
-    budget: 6,
-});
-
-fn run_amnesia(seed: u64, retry: Option<RetryPolicy>, schedule: Schedule) -> AmnesiaSummary {
+fn run_amnesia(seed: u64, schedule: Schedule) -> AmnesiaSummary {
     trace::install(FLIGHT_RECORDER_CAP);
     // Same policy as tests/chaos.rs: watchdogs must stay silent on a green
     // amnesia soak, and each seed leaves a metrics snapshot artifact.
@@ -149,7 +140,6 @@ fn run_amnesia(seed: u64, retry: Option<RetryPolicy>, schedule: Schedule) -> Amn
     let cfg = ClusterConfig {
         nodes: 3,
         net,
-        retry,
         persist: Some(PersistConfig {
             dir: dir.clone(),
             // Small bound so log truncation actually fires mid-run.
@@ -199,8 +189,8 @@ fn run_amnesia(seed: u64, retry: Option<RetryPolicy>, schedule: Schedule) -> Amn
         amnesia_round(&mut c, &sites, shared, &migrate, rounds).unwrap();
         rounds += 1;
     }
-    c.settle(5_000).unwrap();
-    assert_eq!(c.retries_pending(), 0, "every report delivered or given up");
+    let used = c.settle(5_000).unwrap();
+    assert!(used < 5_000, "the network went idle");
 
     // The recovery actually ran, against a real checkpoint.
     let recs: Vec<_> = c
@@ -344,7 +334,7 @@ fn dump_artifacts(seed: u64) -> Vec<String> {
 #[test]
 fn amnesia_crash_recovers_through_rvm_and_rejoin() {
     schedule::each(|schedule| {
-        run_amnesia(0xA3_5EED, SOAK_RETRY, schedule);
+        run_amnesia(0xA3_5EED, schedule);
     });
 }
 
@@ -355,8 +345,8 @@ fn amnesia_crash_recovers_through_rvm_and_rejoin() {
 /// seed.
 #[test]
 fn amnesia_runs_replay_identically_from_the_seed() {
-    let a = run_amnesia(0x0D15_EA5E, SOAK_RETRY, Schedule::Due);
-    let b = run_amnesia(0x0D15_EA5E, SOAK_RETRY, Schedule::Due);
+    let a = run_amnesia(0x0D15_EA5E, Schedule::Due);
+    let b = run_amnesia(0x0D15_EA5E, Schedule::Due);
     assert_eq!(a, b, "same seed must reproduce identical counters");
 }
 
@@ -373,7 +363,7 @@ fn amnesia_seed_sweep() {
         .into_iter()
         .flat_map(|s| seeds.iter().map(move |&seed| (s, seed)))
     {
-        let outcome = std::panic::catch_unwind(|| run_amnesia(seed, SOAK_RETRY, schedule));
+        let outcome = std::panic::catch_unwind(|| run_amnesia(seed, schedule));
         if let Err(panic) = outcome {
             let msg = panic
                 .downcast_ref::<String>()
@@ -408,8 +398,8 @@ fn amnesia_seed_sweep() {
 }
 
 /// A restarted node never reuses an epoch its crashed incarnation
-/// published. Without the retry daemon seed 0x8 used to break that (under
-/// `Due`, whose order these ticks are): N2 published B4 epoch 5 at t=1567
+/// published. Seed 0x8 used to break that before the manifest carried
+/// epochs (under `Due`, whose order these ticks are): N2 published B4 epoch 5 at t=1567
 /// and applied it only locally, crashed at t=1600 (restart 1800), the
 /// rejoin resumed B4 at the peers' floor of 4 (t=1802), N2 published a
 /// different epoch-5 report at t=2010, and N0 logged `OwnerPtrRetired` from
@@ -417,5 +407,5 @@ fn amnesia_seed_sweep() {
 /// rejoin resumes at the larger of it and the peers' floor.
 #[test]
 fn a_restarted_node_never_reuses_a_published_epoch() {
-    run_amnesia(0x8, None, Schedule::Due);
+    run_amnesia(0x8, Schedule::Due);
 }

@@ -2,21 +2,35 @@
 //!
 //! Reachability tables are idempotent: losing one delays collection but
 //! never endangers a live object, and a verbatim re-send fully recovers.
+//! The re-send is pulled: a cleaner that holds scions a source's table
+//! justifies, and has heard no table from it for a while, asks for it.
 //! Scion-messages enjoy the same recovery through the tables (the cleaner
 //! recreates missing scions from reported stubs); the window between a lost
 //! scion-message and the first report is the race the paper defers to
 //! [Ferreira 94b] — demonstrated, not hidden, below.
 
+use bmx_repro::gc::cleaner::PULL_SILENCE;
+use bmx_repro::gc::GcMsg;
 use bmx_repro::prelude::*;
 use bmx_repro::workloads::lists;
+
+mod schedule;
 
 fn n(i: u32) -> NodeId {
     NodeId(i)
 }
 
+/// Sends `bunch`'s current table at `from` to `to` once more, and delivers it.
+fn send_table_again(c: &mut Cluster, from: NodeId, bunch: BunchId, to: NodeId) {
+    let report = c.build_report(from, bunch).unwrap();
+    c.send_gc(from, to, GcMsg::Report(report));
+    c.pump().unwrap();
+}
+
 /// Losing every stub-table message keeps remote garbage uncollected
-/// (liveness deferred) but reclaims nothing live (safety); re-sending the
-/// same idempotent table after the network heals completes collection.
+/// (liveness deferred) but reclaims nothing live (safety); once the
+/// network heals, the target asks for the idempotent table again and
+/// collection completes.
 #[test]
 fn lost_tables_are_recovered_by_resend() {
     let cfg = ClusterConfig {
@@ -50,9 +64,10 @@ fn lost_tables_are_recovered_by_resend() {
     // ...and safety intact: `keep` is alive and readable at its node.
     assert_eq!(c.read_data(n2, keep, 0).unwrap(), 0);
 
-    // The network heals; the idempotent table is re-sent verbatim.
+    // The network heals; time passes, and N2, hearing no table, asks N1.
     c.net.set_drop(MsgClass::StubTable, 0.0);
-    c.resend_report(n1, b1, &[n2]).unwrap();
+    c.step(2 * PULL_SILENCE).unwrap();
+    c.settle(100).unwrap();
     let s = c.run_bgc(n2, b2).unwrap();
     assert_eq!(s.reclaimed, 1, "garbage collected after recovery");
     assert_eq!(
@@ -78,7 +93,7 @@ fn duplicate_tables_are_idempotent() {
     c.run_bgc(n1, b1).unwrap();
     // Re-send the same epoch's table five times.
     for _ in 0..5 {
-        c.resend_report(n1, b1, &[n2]).unwrap();
+        send_table_again(&mut c, n1, b1, n2);
     }
     // The scion survives (the stub is still reported) and the target lives.
     assert_eq!(
@@ -198,17 +213,13 @@ fn scion_message_loss_window_is_the_known_race() {
 }
 
 /// Every unlinked remote target is reclaimed eventually, even when the
-/// stub tables that announce the unlinks are lost and nothing re-sends
-/// them. A rooted object at n0 holds 40 refs into n1's bunch; each round
-/// unlinks one and runs `run_bgc(n0)`, 20 ticks, `run_bgc(n1)`, 20 ticks,
-/// with 400 more rounds after the last unlink. The table that removes the
-/// bunch's last stub toward n1 is the last one addressed to n1, so when
-/// the network drops it no later table supersedes it.
+/// stub tables that announce the unlinks are lost. A rooted object at n0
+/// holds 40 refs into n1's bunch; each round unlinks one and runs
+/// `run_bgc(n0)`, 20 ticks, `run_bgc(n1)`, 20 ticks, with 400 more rounds
+/// after the last unlink. The table that removes the bunch's last stub
+/// toward n1 is the last one addressed to n1, so when the network drops it
+/// no later table supersedes it: n1 has to ask for it.
 #[test]
-#[ignore = "known defect (ROADMAP 1(a)(vi)): the last stub table toward n1 is lost and never \
-            superseded; targets left at n1: seed 2 index 39, seed 4 index 39, seed 5 \
-            indices 38 and 39, seed 7 indices 38 and 39, seed 11 index 39, seed 16 \
-            index 39, seed 18 index 39"]
 fn the_last_unlinked_target_is_reclaimed_despite_a_lost_table() {
     const REFS: u64 = 40;
     const STEPS: u64 = 20;
@@ -218,7 +229,6 @@ fn the_last_unlinked_target_is_reclaimed_despite_a_lost_table() {
         let mut c = Cluster::new(ClusterConfig {
             nodes: 2,
             net,
-            retry: None,
             ..Default::default()
         });
         let (n0, n1) = (n(0), n(1));
@@ -256,6 +266,110 @@ fn the_last_unlinked_target_is_reclaimed_despite_a_lost_table() {
         .filter(|(_, left)| !left.is_empty())
         .collect();
     assert!(left.is_empty(), "(seed, targets left at n1): {left:?}");
+}
+
+/// The unlink-then-collect scenario above, measured: `s` ticks between the
+/// collections of a round, `drop` the StubTable loss rate. Returns the
+/// latency of each reclaimed target (ticks from its unlink to the start of
+/// the collection at n1 that reclaimed it) and how many targets are
+/// still at n1 after 400 rounds past the last unlink.
+fn unlink_latencies(seed: u64, s: u64, drop: f64, schedule: Schedule) -> (Vec<u64>, usize) {
+    const REFS: u64 = 40;
+    let mut net = NetworkConfig::lossless(1).with_drop(MsgClass::StubTable, drop);
+    net.seed = seed;
+    net.schedule = schedule;
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        net,
+        ..Default::default()
+    });
+    let (n0, n1) = (n(0), n(1));
+    let b0 = c.create_bunch(n0).unwrap();
+    let b1 = c.create_bunch(n1).unwrap();
+    let fields: Vec<u64> = (0..REFS).collect();
+    let src = c.alloc(n0, b0, &ObjSpec::with_refs(REFS, &fields)).unwrap();
+    c.add_root(n0, src);
+    let mut oids = Vec::new();
+    for i in 0..REFS {
+        let target = c.alloc(n1, b1, &ObjSpec::data(1)).unwrap();
+        oids.push(c.oid_at(n1, target).unwrap());
+        c.write_ref(n0, src, i, target).unwrap();
+    }
+    // Per target: the tick of its unlink, then of its absence at n1.
+    let mut unlinked: Vec<Option<u64>> = vec![None; REFS as usize];
+    let mut latencies = Vec::new();
+    let mut round = |c: &mut Cluster, unlinked: &mut Vec<Option<u64>>| {
+        c.run_bgc(n0, b0).unwrap();
+        c.step(s).unwrap();
+        let collected_at = c.net.now();
+        c.run_bgc(n1, b1).unwrap();
+        for (i, at) in unlinked.iter_mut().enumerate() {
+            if let Some(t) = *at {
+                if c.engine.obj_state(n1, oids[i]).is_none() {
+                    latencies.push(collected_at - t);
+                    *at = None;
+                }
+            }
+        }
+        c.step(s).unwrap();
+    };
+    for i in 0..REFS {
+        // Unlink on a quiet network: a table request still in flight would
+        // otherwise stretch the pump after n0's collection by a tick.
+        c.settle(100).unwrap();
+        c.write_ref(n0, src, i, Addr::NULL).unwrap();
+        unlinked[i as usize] = Some(c.net.now());
+        round(&mut c, &mut unlinked);
+    }
+    for _ in 0..400 {
+        if unlinked.iter().all(Option::is_none) {
+            break;
+        }
+        round(&mut c, &mut unlinked);
+    }
+    c.assert_gc_acquired_no_tokens();
+    let left = unlinked.iter().filter(|t| t.is_some()).count();
+    (latencies, left)
+}
+
+/// Completeness under table loss, cell by cell: s ∈ {5, 20} ticks between
+/// collections × StubTable drop ∈ {10 %, 30 %}, `net.seed` 1–20, 40
+/// targets a seed (800 a cell). No target may stay at n1 under any
+/// schedule. Under `Due`, at s = 20, the p99 latency must stay within what
+/// the report-retry daemon this mechanism replaced reached there (21 ticks
+/// at 10 %, 61 at 30 %; one round is 2s ticks, so 21 is "the first
+/// collection at n1" and 61 "the second"). A seeded schedule ends some
+/// ticks early, which delays deliveries by itself, so the tick bounds are
+/// not applied to it. `--nocapture` prints each cell's p50 / p99 / max.
+#[test]
+fn every_unlinked_target_is_reclaimed_under_table_loss() {
+    schedule::each(|schedule| {
+        for s in [5, 20] {
+            for drop in [0.1, 0.3] {
+                let mut latencies = Vec::new();
+                let mut left = 0;
+                for seed in 1..=20 {
+                    let (l, n) = unlink_latencies(seed, s, drop, schedule);
+                    latencies.extend(l);
+                    left += n;
+                }
+                latencies.sort_unstable();
+                // Nearest rank.
+                let q = |p: f64| latencies[(p * latencies.len() as f64).ceil() as usize - 1];
+                let (p50, p99) = (q(0.5), q(0.99));
+                let max = latencies[latencies.len() - 1];
+                let pct = drop * 100.0;
+                eprintln!(
+                    "s = {s}, drop {pct:.0} %: p50 {p50} / p99 {p99} / max {max}, left {left}"
+                );
+                assert_eq!(left, 0, "s = {s}, drop {pct:.0} %: targets left at n1");
+                if s == 20 && schedule == Schedule::Due {
+                    let bound = if drop < 0.2 { 21 } else { 61 };
+                    assert!(p99 <= bound, "s = 20, drop {pct:.0} %: p99 {p99} > {bound}");
+                }
+            }
+        }
+    });
 }
 
 /// Duplication idempotency properties. The chaos plane duplicates messages
@@ -302,7 +416,7 @@ mod duplication_properties {
         }
         c.run_bgc(n1, b1).unwrap();
         for _ in 1..deliveries {
-            c.resend_report(n1, b1, &[n2]).unwrap();
+            send_table_again(&mut c, n1, b1, n2);
         }
         let s = c.run_bgc(n2, b2).unwrap();
         ReportOutcome {

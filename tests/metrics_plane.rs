@@ -42,7 +42,6 @@ fn faulty_run(seed: u64) -> RunDigest {
     let mut c = Cluster::new(ClusterConfig {
         nodes: 3,
         net,
-        retry: Some(RetryPolicy::default()),
         ..Default::default()
     });
 
@@ -171,7 +170,6 @@ fn fromspace_watchdog_fires_when_the_drain_is_withheld() {
         1,
         "leak watchdog latched one alarm for the stuck from-space"
     );
-    assert_eq!(reg.alarms(AlarmKind::RetryStorm), 0);
     assert_eq!(reg.alarms(AlarmKind::ScionBacklog), 0);
     metrics::disable();
 }

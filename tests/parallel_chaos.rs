@@ -38,6 +38,8 @@ const NODES: u32 = 3;
 const SHARED: usize = 4;
 const STEPS: u64 = 24;
 const VICTIM: u32 = 2;
+/// Default seeds of the threads twin of ROADMAP 1(a)(vi).
+const THREADS_TWIN_SEEDS: [u64; 3] = [12, 18, 23];
 
 /// Serializes the tests in this binary: chaos runs install the
 /// *process-global* trace recorder, and two concurrently running
@@ -384,13 +386,8 @@ fn run_fault_soak(seed: u64) {
 
     // Watchdog policy: a fault plan may legitimately latch the liveness
     // detectors (ProgressStall while partitioned, ClockStall while a
-    // link heals) — but never the leak detectors, and never RetryStorm
-    // (the retry daemon does not run in parallel mode).
-    for kind in [
-        AlarmKind::FromSpaceLeak,
-        AlarmKind::ScionBacklog,
-        AlarmKind::RetryStorm,
-    ] {
+    // link heals) — but never the leak detectors.
+    for kind in [AlarmKind::FromSpaceLeak, AlarmKind::ScionBacklog] {
         assert_eq!(
             mreg.alarms(kind),
             0,
@@ -826,15 +823,10 @@ fn injected_watchdog_alarm_produces_blackbox_dump() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The CI sweep entry point: seeds from `PARALLEL_CHAOS_SEEDS`
-/// (comma-separated, 0x-hex or decimal), defaulting to 1..=8. Runs the
-/// full fault soak per seed; a failing seed writes a replay artifact to
-/// `target/chaos/parallel-failing-seed-*.txt` and the sweep reports
-/// every failure at once.
-#[test]
-fn parallel_chaos_seed_sweep() {
-    let _serial = serial();
-    let seeds: Vec<u64> = match std::env::var("PARALLEL_CHAOS_SEEDS") {
+/// The seeds in `PARALLEL_CHAOS_SEEDS` (comma-separated, 0x-hex or
+/// decimal), or `default` when it is unset.
+fn sweep_seeds(default: &[u64]) -> Vec<u64> {
+    match std::env::var("PARALLEL_CHAOS_SEEDS") {
         Ok(s) => s
             .split(',')
             .map(|t| {
@@ -845,8 +837,87 @@ fn parallel_chaos_seed_sweep() {
                 }
             })
             .collect(),
-        Err(_) => (1..=8).collect(),
+        Err(_) => default.to_vec(),
+    }
+}
+
+/// The unlink-then-collect scenario of
+/// `message_loss::the_last_unlinked_target_is_reclaimed_despite_a_lost_table`
+/// on real threads, with 30 % of StubTable envelopes dropped by the
+/// transport's fault stage: a rooted object at n0 holds 40 refs into n1's
+/// bunch, and each round unlinks one and collects at n0, then at n1. The
+/// table that removes n0's last stub toward n1 is the last one addressed to
+/// n1; when it is dropped, only n1 asking for it again (on the supervisor's
+/// pulse) cuts the last scions. Returns the targets still at n1 when the
+/// deadline passed.
+fn unlinked_targets_left_on_threads(seed: u64) -> Vec<u64> {
+    const REFS: u64 = 40;
+    let mut cfg = ClusterConfig::with_nodes(2);
+    cfg.net = NetworkConfig::lossless(1).with_drop(MsgClass::StubTable, 0.3);
+    cfg.net.seed = seed;
+    let pc = ParallelCluster::spawn_with_chaos(cfg, ChaosConfig::default());
+    let (h0, h1) = (pc.handle(n(0)), pc.handle(n(1)));
+    let b0 = h0.create_bunch().unwrap();
+    let b1 = h1.create_bunch().unwrap();
+    let fields: Vec<u64> = (0..REFS).collect();
+    let src = h0.alloc(b0, &ObjSpec::with_refs(REFS, &fields)).unwrap();
+    h0.add_root(src).unwrap();
+    let mut oids = Vec::new();
+    for i in 0..REFS {
+        let target = h1.alloc(b1, &ObjSpec::data(1)).unwrap();
+        oids.push(h1.oid_at(target).unwrap());
+        h0.write_ref(src, i, target).unwrap();
+    }
+    let round = || {
+        h0.run_bgc(b0).unwrap();
+        h1.run_bgc(b1).unwrap();
     };
+    for i in 0..REFS {
+        h0.write_ref(src, i, Addr::NULL).unwrap();
+        round();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let left = loop {
+        let left: Vec<u64> = h1
+            .with(|c| {
+                let present = |&i: &u64| c.engine.obj_state(n(1), oids[i as usize]).is_some();
+                Ok((0..REFS).filter(present).collect())
+            })
+            .unwrap();
+        if left.is_empty() || Instant::now() >= deadline {
+            break left;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        round();
+    };
+    let (cluster, _) = pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    cluster.assert_gc_acquired_no_tokens();
+    left
+}
+
+/// On threads as in the simulator, a lost table only delays collection:
+/// every unlinked target leaves n1 before a 10 s deadline. Seeds from
+/// `PARALLEL_CHAOS_SEEDS`; by default, seeds whose fault stage drops the
+/// last table toward n1 when nothing asks for it again.
+#[test]
+fn the_last_unlinked_target_is_reclaimed_on_threads_despite_a_lost_table() {
+    let _serial = serial();
+    let left: Vec<(u64, Vec<u64>)> = sweep_seeds(&THREADS_TWIN_SEEDS)
+        .into_iter()
+        .map(|seed| (seed, unlinked_targets_left_on_threads(seed)))
+        .filter(|(_, left)| !left.is_empty())
+        .collect();
+    assert!(left.is_empty(), "(seed, targets left at n1): {left:?}");
+}
+
+/// The CI sweep entry point: seeds from `PARALLEL_CHAOS_SEEDS`, defaulting
+/// to 1..=8. Runs the full fault soak per seed; a failing seed writes a
+/// replay artifact to `target/chaos/parallel-failing-seed-*.txt` and the
+/// sweep reports every failure at once.
+#[test]
+fn parallel_chaos_seed_sweep() {
+    let _serial = serial();
+    let seeds = sweep_seeds(&[1, 2, 3, 4, 5, 6, 7, 8]);
     let mut failed = Vec::new();
     for seed in seeds {
         let outcome = std::panic::catch_unwind(|| run_fault_soak(seed));

@@ -245,7 +245,6 @@ fn run_sim(seed: u64, schedule: Schedule) -> Digest {
     // (not transport behavior) is the only variable.
     cfg.net = NetworkConfig::lossless(1);
     cfg.net.schedule = schedule;
-    cfg.retry = None;
     let mut c = Cluster::new(cfg);
     let s = setup_workload(&mut c);
     let mut rngs: Vec<SplitMix64> = (0..NODES).map(|i| per_node_rng(seed, i)).collect();
@@ -402,7 +401,6 @@ fn gathered_cluster_after_setup_matches_sim() {
     let _serial = serial();
     let mut cfg = ClusterConfig::with_nodes(NODES);
     cfg.net = NetworkConfig::lossless(1);
-    cfg.retry = None;
     let mut sim = Cluster::new(cfg);
     let s_sim = setup_workload(&mut sim);
 
@@ -523,9 +521,6 @@ fn chaos_cfg(seed: u64, dir: &std::path::Path) -> ClusterConfig {
             .crash_amnesia(n(VICTIM), CRASH.0, CRASH.1),
     );
     cfg.net.seed = seed;
-    // The simulator's retry daemon would put traffic in flight on its own
-    // clock; the thread plane has none.
-    cfg.retry = None;
     cfg.persist = Some(PersistConfig::at(dir));
     cfg
 }
@@ -774,7 +769,6 @@ fn a_plan_crash_is_traced_and_counted_alike_on_both_planes() {
         DOWN.0,
         DOWN.1,
     ));
-    cfg.retry = None;
     let victim_faults = |records: Vec<trace::TraceRecord>| -> Vec<trace::FaultKind> {
         trace::query::merged_order(&records)
             .into_iter()
@@ -821,7 +815,6 @@ fn a_link_drop_is_traced_alike_on_both_planes() {
     cfg.net = NetworkConfig::lossless(1)
         .with_fault(FaultPlan::none().all_links(LinkFault::dropping(0.5)));
     cfg.net.seed = 0xD209_0001;
-    cfg.retry = None;
     let traced_drops = |records: Vec<trace::TraceRecord>| {
         MsgClass::ALL.map(|class| {
             let lane = class.lane();

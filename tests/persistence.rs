@@ -260,3 +260,46 @@ fn rejoin_does_not_claim_an_object_whose_ownership_is_in_flight() {
     c.release(n0, x).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restarted source does not answer for a table it lost. N0's rooted
+/// object points into N1's bunch; N0 checkpoints, crashes and comes back
+/// from its store with the pointer but without the stub table, which is
+/// not checkpointed. N1 holds the scion that pointer justifies and, hearing
+/// no table from N0, asks for one. An empty answer would cut the scion and
+/// let N1 reclaim an object N0 still points to.
+#[test]
+fn a_restarted_source_does_not_answer_with_a_table_it_lost() {
+    let dir = fresh_dir("lost-table");
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let (n0, n1) = (n(0), n(1));
+    let b0 = c.create_bunch(n0).unwrap();
+    let b1 = c.create_bunch(n1).unwrap();
+    let src = c.alloc(n0, b0, &ObjSpec::with_refs(1, &[0])).unwrap();
+    c.add_root(n0, src);
+    let tgt = c.alloc(n1, b1, &ObjSpec::data(1)).unwrap();
+    c.write_data(n1, tgt, 0, 77).unwrap();
+    c.write_ref(n0, src, 0, tgt).unwrap();
+    c.run_bgc(n0, b0).unwrap();
+    c.restart_with_amnesia(n0).unwrap();
+    c.settle(100).unwrap();
+    assert!(!c.in_recovery(n0), "the rejoin completed");
+    // N0 collects again: a fresh epoch of a table without the stub.
+    c.run_bgc(n0, b0).unwrap();
+    c.step(64).unwrap();
+    c.run_bgc(n1, b1).unwrap();
+    let src = c.root(n0, 1).expect("the root came back");
+    assert!(
+        !c.read_ref(n0, src, 0).unwrap().is_null(),
+        "N0 still points at it"
+    );
+    assert_eq!(
+        c.read_data(n1, tgt, 0).unwrap(),
+        77,
+        "the target survived at N1"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

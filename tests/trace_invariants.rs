@@ -231,12 +231,6 @@ fn recovery_scenario(seed: u64, schedule: Schedule) -> NodeId {
     let cfg = ClusterConfig {
         nodes: 3,
         net,
-        retry: Some(RetryPolicy {
-            initial_interval: 4,
-            backoff: 2,
-            max_interval: 32,
-            budget: 6,
-        }),
         persist: Some(PersistConfig {
             dir: dir.clone(),
             truncate_log_bytes: None,
@@ -320,11 +314,58 @@ fn recovery_scenario(seed: u64, schedule: Schedule) -> NodeId {
     victim
 }
 
+/// How many tables in `records` were applied as the answer to a table
+/// request: the source, right after a StubTable delivery from the
+/// requester, sends it a StubTable message (a delivered report makes the
+/// cleaner send nothing, so that delivery was a request), and the
+/// requester's cleaner applies that very message.
+fn pulled_tables_applied(records: &[TraceRecord]) -> usize {
+    let stub = MsgClass::StubTable.lane();
+    let at = |node: NodeId| -> Vec<&TraceEvent> {
+        records
+            .iter()
+            .filter(|r| r.node == node)
+            .map(|r| &r.event)
+            .collect()
+    };
+    let mut answers = Vec::new(); // (source, requester, seq)
+    let nodes: std::collections::BTreeSet<NodeId> = records.iter().map(|r| r.node).collect();
+    for &source in &nodes {
+        for w in at(source).windows(2) {
+            if let (
+                TraceEvent::MsgDeliver { src, lane, .. },
+                TraceEvent::MsgSend {
+                    dst,
+                    seq,
+                    lane: sent,
+                },
+            ) = (w[0], w[1])
+            {
+                if *lane == stub && *sent == stub && src == dst {
+                    answers.push((source, *dst, *seq));
+                }
+            }
+        }
+    }
+    answers
+        .into_iter()
+        .filter(|&(source, requester, seq)| {
+            at(requester).windows(2).any(|w| {
+                matches!(w[0], TraceEvent::MsgDeliver { src, seq: s, .. } if *src == source && *s == seq)
+                    && matches!(w[1], TraceEvent::ReportApply { source: s, .. } if *s == source)
+            })
+        })
+        .count()
+}
+
 /// The recovery plane traces coherently on a real amnesia-crash run: the
 /// three events appear in pipeline order at the victim with one consistent
 /// rejoin epoch, the post-crash epoch rule holds on the live stream, and —
 /// the teeth check — a stale retirement spliced into that same stream is
-/// flagged by the checker.
+/// flagged by the checker. What the crash loses comes back through table
+/// requests: at least one pulled table is applied, and scion retirement
+/// under a covering epoch and the Section-5 acquire invariants hold on the
+/// same stream.
 #[test]
 fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
     schedule::each(|schedule| {
@@ -371,6 +412,22 @@ fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
                  rejoin={i}, complete={complete})"
             );
         }
+
+        assert!(
+            pulled_tables_applied(&records) > 0,
+            "no pulled table was applied"
+        );
+        assert!(records.iter().any(|r| matches!(
+            r.event,
+            TraceEvent::ScionRetired { .. } | TraceEvent::OwnerPtrRetired { .. }
+        )));
+        let scion = trace::query::scion_retirement_violations(&records);
+        assert!(scion.is_empty(), "scion retirement violations: {scion:?}");
+        assert!(records
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::AcquireComplete { .. })));
+        let acq = trace::query::acquire_invariant_violations(&records);
+        assert!(acq.is_empty(), "acquire invariant violations: {acq:?}");
 
         // The live stream satisfies the post-crash epoch rule…
         let post = trace::query::post_crash_epoch_violations(&records);
