@@ -9,36 +9,7 @@ use bmx_addr::{NodeMemory, SegmentServer};
 use bmx_common::{
     Addr, BmxError, BunchId, Epoch, NodeId, NodeSet, NodeStats, Oid, Result, StatKind,
 };
-use bmx_dsm::{DsmEngine, DsmMsg, DsmPacket, DsmShared, Token};
-
-/// Equality over the deferrable token-request messages, used to dedupe the
-/// mid-recovery replay queue: sim-mode acquires re-send on every retry, and
-/// replaying each copy would double-queue the grant.
-fn same_request(a: &DsmMsg, b: &DsmMsg) -> bool {
-    match (a, b) {
-        (
-            DsmMsg::ReadReq {
-                oid: ao,
-                requester: ar,
-            },
-            DsmMsg::ReadReq {
-                oid: bo,
-                requester: br,
-            },
-        )
-        | (
-            DsmMsg::WriteReq {
-                oid: ao,
-                requester: ar,
-            },
-            DsmMsg::WriteReq {
-                oid: bo,
-                requester: br,
-            },
-        ) => ao == bo && ar == br,
-        _ => false,
-    }
-}
+use bmx_dsm::{DsmEngine, DsmPacket, DsmShared, Token};
 use bmx_gc::collect::CollectOutcome;
 use bmx_gc::{barrier, cleaner, collect, fromspace, CollectStats, GcMsg, GcState, RelocMode};
 use bmx_metrics as metrics;
@@ -381,30 +352,19 @@ impl Cluster {
         }
         // A node mid-recovery has no protocol state to serve from. Rejoin
         // traffic always lands; reports and scion-creates are idempotent
-        // and exactly what regeneration wants; token requests are deferred
-        // and replayed at completion (the requester's `waiting_for` latch
-        // is only cleared by a grant, and its one rejoin-purge reprieve is
-        // already spent by the time a re-sent request can land here);
-        // everything else is dropped as if lost — senders recover the way
-        // they recover from loss (a later table request, lazy relocation).
-        if let Some(rec) = self.recoveries[at].as_mut() {
-            match &env.payload {
+        // and exactly what regeneration wants; everything else is dropped
+        // as if lost, and senders recover the way they recover from loss:
+        // a token requester asks again (the simulator's next acquire, the
+        // threads' backoff nudge), a cleaner asks for the table later.
+        if self.recoveries[at].is_some()
+            && !matches!(
+                env.payload,
                 ClusterMsg::Rejoin(_)
-                | ClusterMsg::Gc(GcMsg::Report(_))
-                | ClusterMsg::Gc(GcMsg::ScionCreate { .. }) => {}
-                ClusterMsg::Dsm(pkt) => {
-                    for m in &pkt.msgs {
-                        let (DsmMsg::ReadReq { .. } | DsmMsg::WriteReq { .. }) = m else {
-                            continue;
-                        };
-                        if !rec.deferred.iter().any(|(_, d)| same_request(d, m)) {
-                            rec.deferred.push((env.src, m.clone()));
-                        }
-                    }
-                    return Ok(());
-                }
-                _ => return Ok(()),
-            }
+                    | ClusterMsg::Gc(GcMsg::Report(_))
+                    | ClusterMsg::Gc(GcMsg::ScionCreate { .. })
+            )
+        {
+            return Ok(());
         }
         match env.payload {
             ClusterMsg::Dsm(pkt) => self.dispatch_dsm(env.src, env.dst, pkt),
@@ -480,7 +440,7 @@ impl Cluster {
                         }
                     }
                 }
-                FaultEvent::NodeCrashed { node } => self.amnesia_wipe(node),
+                FaultEvent::NodeCrashed { node } => self.amnesia_wipe(node)?,
                 FaultEvent::NodeRestarted { node } => {
                     if let Some(s) = self.stats.get_mut(node.0 as usize) {
                         s.bump(StatKind::NodeRestarts);
@@ -507,8 +467,9 @@ impl Cluster {
     /// in-flight traffic ([`bmx_net::FaultStats::amnesia_dropped`]).
     /// Per-node counters survive on purpose — they model the
     /// experimenter's instrumentation, not node state, and
-    /// `NodeStats::since` requires monotonicity.
-    fn amnesia_wipe(&mut self, node: NodeId) {
+    /// `NodeStats::since` requires monotonicity. No rejoin waits for the
+    /// dead incarnation's answer any longer ([`Cluster::stop_awaiting`]).
+    fn amnesia_wipe(&mut self, node: NodeId) -> Result<()> {
         let n = node.0 as usize;
         self.mems[n] = NodeMemory::new(node);
         self.gc.nodes[n] = bmx_gc::GcNodeState::new(node);
@@ -523,6 +484,26 @@ impl Cluster {
         // re-registers the mappings it regains.
         self.server.borrow_mut().forget_mappings(node);
         self.stats[n].bump(StatKind::AmnesiaWipes);
+        self.stop_awaiting(node)
+    }
+
+    /// Stops every rejoin from waiting for `down`'s reply, and finishes a
+    /// rejoin that now waits for nobody. A crashed peer lost the request or
+    /// its answer, and it never answers by itself: once back, it asks for
+    /// the rejoining node's views with its own request. Called at the wipe:
+    /// the simulator's crash, and on threads the supervisor's restart of
+    /// the crashed node (the first moment the cluster's state learns of
+    /// the crash there).
+    fn stop_awaiting(&mut self, down: NodeId) -> Result<()> {
+        for node in (0..self.nodes()).map(NodeId) {
+            let Some(rec) = self.recoveries[node.0 as usize].as_mut() else {
+                continue;
+            };
+            if rec.awaiting.remove(&down) && rec.awaiting.is_empty() {
+                self.finish_recovery(node)?;
+            }
+        }
+        Ok(())
     }
 
     /// Opens (lazily) the node's RVM store under the configured directory.
@@ -556,7 +537,7 @@ impl Cluster {
     pub fn restart_with_amnesia(&mut self, node: NodeId) -> Result<()> {
         // A crash *during* recovery simply starts over: the wipe clears the
         // partial recovery and the epoch bump makes stale replies inert.
-        self.amnesia_wipe(node);
+        self.amnesia_wipe(node)?;
         if let Some(s) = self.stats.get_mut(node.0 as usize) {
             s.bump(StatKind::NodeRestarts);
         }
@@ -568,8 +549,8 @@ impl Cluster {
     /// rejoin handshake, [`crate::recovery`]) by broadcasting the
     /// `Request`. Stage 3 (scion/stub regeneration) happens in
     /// [`Cluster::finish_recovery`] when the last `Reply` arrives. With no
-    /// reachable peer the node claims everything it recovered and
-    /// completes immediately (the single-node scenario of experiment E9).
+    /// reachable peer it runs at once, and the node claims everything it
+    /// recovered (the single-node scenario of experiment E9).
     fn begin_recovery(&mut self, node: NodeId) -> Result<()> {
         let n = node.0 as usize;
         self.rejoin_epochs[n] += 1;
@@ -583,6 +564,8 @@ impl Cluster {
                     let Some(meta) = meta else { return Ok(()) };
                     self.next_oid[n] = self.next_oid[n].max(meta.next_oid);
                     self.rejoin_epochs[n] = self.rejoin_epochs[n].max(meta.rejoin_epoch + 1);
+                    let ns = self.gc.node_mut(node);
+                    ns.next_ssp = ns.next_ssp.max(meta.next_ssp);
                     for &(bunch, epoch) in &meta.bunches {
                         let (_, oids) = persist::recover_bunch_live(self, node, bunch, &mut rvm)?;
                         recovered.extend(oids.into_iter().map(|o| (o, bunch)));
@@ -602,6 +585,7 @@ impl Cluster {
                 });
                 self.rvms[n] = Some(rvm);
                 replay?;
+                self.restore_stubs(node, &recovered)?;
             }
         }
         let epoch = self.rejoin_epochs[n];
@@ -612,25 +596,7 @@ impl Cluster {
             .map(NodeId)
             .filter(|&p| p != node && !self.net.is_down(p))
             .collect();
-        if peers.is_empty() {
-            for &(oid, bunch) in &recovered {
-                self.engine
-                    .rejoin_claim_owner(node, oid, bunch, &[], &[], 1);
-            }
-            trace::emit(node, TraceEvent::RecoveryComplete { epoch });
-            self.stats[n].bump(StatKind::RecoveriesCompleted);
-            self.recovery_log.push(RecoveryOutcome {
-                node,
-                epoch,
-                restart_tick: started_at,
-                complete_tick: self.net.now(),
-                replay_micros,
-                objects_recovered: recovered.len(),
-                orphans_adopted: 0,
-                reports_applied: 0,
-            });
-            return Ok(());
-        }
+        let alone = peers.is_empty();
         for &p in &peers {
             self.stats[n].bump(StatKind::MessagesSent);
             self.net.send(
@@ -653,8 +619,42 @@ impl Cluster {
             orphans: BTreeMap::new(),
             epoch_floor: BTreeMap::new(),
             reports: Vec::new(),
-            deferred: Vec::new(),
         });
+        if alone {
+            self.finish_recovery(node)?;
+        }
+        Ok(())
+    }
+
+    /// Gives each inter-bunch pointer the replay restored its stub back.
+    /// Stub tables are not checkpointed, and without the stub the node's
+    /// tables would not justify the scion the pointer needs: a peer that
+    /// restarts later rebuilds its scions from those tables and would
+    /// reclaim the target. Each pointer is stored again through the write
+    /// barrier, which mints a fresh SSP id (the counter resumed above the
+    /// checkpointed one) and creates the scion or sends its scion-message.
+    fn restore_stubs(&mut self, node: NodeId, recovered: &[(Oid, BunchId)]) -> Result<()> {
+        let n = node.0 as usize;
+        for &(oid, bunch) in recovered {
+            let Some(addr) = self.gc.node(node).directory.addr_of(oid) else {
+                continue;
+            };
+            let src = self.mems[n].position(addr)?;
+            for (field, target) in object::ref_fields(&self.mems[n], addr)? {
+                let cur = self.gc.node(node).directory.resolve(target);
+                if self.gc.local_bunch_of(&self.mems[n], cur).unwrap_or(bunch) == bunch {
+                    continue;
+                }
+                let Cluster {
+                    gc, mems, stats, ..
+                } = self;
+                let out =
+                    barrier::write_ref(gc, node, &mut mems[n], &mut stats[n], src, field, target)?;
+                if let Some((dst, msg)) = out {
+                    self.send_gc(node, dst, msg);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -971,11 +971,6 @@ impl Cluster {
             orphans_adopted,
             reports_applied,
         });
-        // Serve the token requests that landed mid-recovery, on reconciled
-        // ownership state (a stale requester hint just forwards normally).
-        for (src, msg) in rec.deferred {
-            self.dispatch_dsm(src, node, DsmPacket::single(msg))?;
-        }
         Ok(())
     }
 
@@ -1361,6 +1356,7 @@ impl Cluster {
                 let meta = NodeMeta {
                     next_oid: self.next_oid[n],
                     rejoin_epoch: self.rejoin_epochs[n],
+                    next_ssp: self.gc.node(node).next_ssp,
                     roots: self.gc.node(node).roots.values().copied().collect(),
                     bunches: bunches.into_iter().collect(),
                 };

@@ -143,14 +143,15 @@ const NODE_META_ROOTS_CAP: usize = 4096;
 const NODE_META_BUNCH_CAP: usize = 1024;
 
 fn node_meta_bytes() -> usize {
-    8 * (5 + NODE_META_ROOTS_CAP + 2 * NODE_META_BUNCH_CAP)
+    8 * (6 + NODE_META_ROOTS_CAP + 2 * NODE_META_BUNCH_CAP)
 }
 
 /// Everything a node needs besides the bunch images to come back: the OID
-/// mint cursor (so post-restart allocations cannot collide with surviving
-/// pre-crash objects), the rejoin epoch, the mutator roots, and the list of
-/// checkpointed bunches to replay with each one's collection epoch (so a
-/// restart never publishes an epoch it already published).
+/// and SSP-id mint cursors (so post-restart allocations and stubs cannot
+/// collide with surviving pre-crash objects and scions), the rejoin epoch,
+/// the mutator roots, and the list of checkpointed bunches to replay with
+/// each one's collection epoch (so a restart never publishes an epoch it
+/// already published).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeMeta {
     /// The node's OID mint counter at checkpoint time.
@@ -158,6 +159,9 @@ pub struct NodeMeta {
     /// Rejoin epochs completed before the checkpoint (restart resumes
     /// strictly above this).
     pub rejoin_epoch: u64,
+    /// The node's SSP-id mint counter at checkpoint time
+    /// ([`bmx_gc::GcNodeState::next_ssp`]).
+    pub next_ssp: u64,
     /// The node's mutator roots (re-registered after replay).
     pub roots: Vec<Addr>,
     /// Every bunch with a checkpoint in this store, with the collection
@@ -168,10 +172,11 @@ pub struct NodeMeta {
 fn encode_node_meta(meta: &NodeMeta) -> Vec<u8> {
     let roots = &meta.roots[..meta.roots.len().min(NODE_META_ROOTS_CAP)];
     let bunches = &meta.bunches[..meta.bunches.len().min(NODE_META_BUNCH_CAP)];
-    let mut out = Vec::with_capacity(8 * (5 + roots.len() + 2 * bunches.len()));
+    let mut out = Vec::with_capacity(8 * (6 + roots.len() + 2 * bunches.len()));
     out.extend_from_slice(&NODE_META_MAGIC.to_le_bytes());
     out.extend_from_slice(&meta.next_oid.to_le_bytes());
     out.extend_from_slice(&meta.rejoin_epoch.to_le_bytes());
+    out.extend_from_slice(&meta.next_ssp.to_le_bytes());
     out.extend_from_slice(&(roots.len() as u64).to_le_bytes());
     for r in roots {
         out.extend_from_slice(&r.0.to_le_bytes());
@@ -185,7 +190,7 @@ fn encode_node_meta(meta: &NodeMeta) -> Vec<u8> {
 }
 
 fn decode_node_meta(bytes: &[u8]) -> Option<NodeMeta> {
-    if bytes.len() < 40 {
+    if bytes.len() < 48 {
         return None;
     }
     let rd = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"));
@@ -195,21 +200,22 @@ fn decode_node_meta(bytes: &[u8]) -> Option<NodeMeta> {
     let mut meta = NodeMeta {
         next_oid: rd(1),
         rejoin_epoch: rd(2),
+        next_ssp: rd(3),
         ..NodeMeta::default()
     };
-    let root_count = rd(3) as usize;
-    if bytes.len() < 8 * (5 + root_count) {
+    let root_count = rd(4) as usize;
+    if bytes.len() < 8 * (6 + root_count) {
         return None;
     }
     for i in 0..root_count {
-        meta.roots.push(Addr(rd(4 + i)));
+        meta.roots.push(Addr(rd(5 + i)));
     }
-    let bunch_count = rd(4 + root_count) as usize;
-    if bytes.len() < 8 * (5 + root_count + 2 * bunch_count) {
+    let bunch_count = rd(5 + root_count) as usize;
+    if bytes.len() < 8 * (6 + root_count + 2 * bunch_count) {
         return None;
     }
     for i in 0..bunch_count {
-        let at = 5 + root_count + 2 * i;
+        let at = 6 + root_count + 2 * i;
         meta.bunches
             .push((BunchId(rd(at) as u32), Epoch(rd(at + 1))));
     }

@@ -12,7 +12,10 @@
 //!
 //! 1. **RVM replay** — [`crate::persist::recover_bunch_live`] rebuilds the
 //!    checkpointed bunch replicas (losing at most uncommitted transactions;
-//!    a torn log tail is detected and cut by the redo-log scan).
+//!    a torn log tail is detected and cut by the redo-log scan). Stub
+//!    tables are not checkpointed: each restored inter-bunch pointer is
+//!    stored again through the write barrier, under an SSP id above every
+//!    id the manifest says the crashed incarnation minted.
 //! 2. **Rejoin handshake** — the messages in this module. The recovering
 //!    node broadcasts [`RejoinMsg::Request`] naming what it recovered; each
 //!    surviving peer purges protocol state that waits on the crashed node,
@@ -31,7 +34,11 @@
 //!    ([`ObjView::handoffs`]); the peer with the highest count made the
 //!    last handoff any survivor knows of, and its grantee — this node, and
 //!    ownership died with it, or a survivor the grant is on its way to —
-//!    decides between claiming and waiting as a plain replica.
+//!    decides between claiming and waiting as a plain replica. Until the
+//!    last reply the node serves nothing: a token request that reaches it
+//!    is dropped as if lost, and its requester asks again. A peer that
+//!    crashes meanwhile is no longer waited for; back up, it sends its own
+//!    request.
 //! 3. **Scion/stub regeneration** — the piggy-backed reports are applied
 //!    through the ordinary idempotent cleaner
 //!    ([`bmx_gc::cleaner::process_report`]), which recreates every scion
@@ -46,7 +53,6 @@
 //! `trace::query::post_crash_epoch_violations` checker asserts exactly this.
 
 use bmx_common::{BunchId, NodeId, Oid};
-use bmx_dsm::DsmMsg;
 use bmx_gc::ReachabilityReport;
 use bmx_net::WireSize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -193,7 +199,8 @@ pub struct Recovery {
     pub epoch: u64,
     /// What the RVM replay gave back.
     pub recovered: Vec<(Oid, BunchId)>,
-    /// Peers whose `Reply` is still outstanding.
+    /// Peers whose `Reply` is still outstanding. A peer that crashes
+    /// leaves the set (`Cluster::stop_awaiting`).
     pub awaiting: BTreeSet<NodeId>,
     /// Network tick the restart fired (for recovery-latency measurement).
     pub started_at: u64,
@@ -210,14 +217,6 @@ pub struct Recovery {
     /// ownership reconciliation, so entering-ownerPtr adjustments land on
     /// reconciled state).
     pub reports: Vec<ReachabilityReport>,
-    /// Token requests that arrived while the recovery was in flight,
-    /// replayed once the pipeline completes. A silent drop would wedge the
-    /// requester in real-thread mode: its `waiting_for` latch is only
-    /// cleared by a grant or by the rejoin `Request` purge, and that purge
-    /// fired once already — the re-sent request has nobody left to clear
-    /// it. Deduplicated by `(kind, oid, requester)` so sim-mode acquire
-    /// retries (which re-send every poll) cannot double-queue a grant.
-    pub deferred: Vec<(NodeId, DsmMsg)>,
 }
 
 /// One completed recovery, recorded for the E9 experiment and the chaos

@@ -303,18 +303,10 @@ impl DsmEngine {
             parents.retain(|&p| p != gone);
         }
         ns.deferred_invals.retain(|_, p| !p.is_empty());
-        // Replica bookkeeping: `gone`'s copies are forgotten, and acquires
-        // routed along an ownerPtr naming `gone` were dropped mid-flight —
-        // clear the wait so the mutator's retry re-sends after rejoin.
-        let mut stale_waits = Vec::new();
-        for (&oid, st) in ns.objects.iter_mut() {
+        // Replica bookkeeping: `gone`'s copies are forgotten. A request of
+        // ours that died with it is the requester's to send again.
+        for st in ns.objects.values_mut() {
             st.copy_set.remove(gone);
-            if !st.is_owner && st.owner_hint == gone {
-                stale_waits.push(oid);
-            }
-        }
-        for oid in stale_waits {
-            ns.waiting_for.remove(&oid);
         }
         // Transitive invalidation rounds awaiting the crashed node.
         let mut inval_done = Vec::new();
@@ -501,12 +493,12 @@ impl DsmEngine {
 
     /// Re-emits the outstanding token request for `oid` toward the
     /// *current* owner hint; a no-op unless `node` is waiting. This is the
-    /// lost-request recovery primitive for the real-thread runtime: a
+    /// one recovery of a lost token request on the real-thread runtime
+    /// (the simulator's acquire gives up and its next call asks afresh): a
     /// request can die in a crashed node's inbox or its amnesia-wiped
-    /// request queue, and when the requester's hint names a surviving
-    /// *forwarder* the rejoin purge never clears the wait — nobody is left
-    /// to produce the grant. Safe at any cadence: request queues
-    /// deduplicate by `(requester, kind)`, grant application is
+    /// request queue, or be dropped by a node that is still rejoining, and
+    /// nothing else will produce the grant. Safe at any cadence: request
+    /// queues deduplicate by `(requester, kind)`, grant application is
     /// idempotent, and a stale duplicate forwarded back to a requester
     /// that has since become owner resolves as a self-promotion.
     pub fn nudge_wait(

@@ -32,15 +32,20 @@ fn n(i: u32) -> NodeId {
 const FLIGHT_RECORDER_CAP: usize = 8_192;
 
 /// Fault windows (ticks). The partition heals well before the amnesia
-/// crash so the two recovery mechanisms are exercised separately.
+/// crash so the two recovery mechanisms are exercised separately. The
+/// second node's crash opens one tick after the victim restarts, while the
+/// victim's rejoin requests are still in flight.
 const PARTITION_START: u64 = 900;
 const PARTITION_END: u64 = 1200;
 const CRASH_START: u64 = 1600;
 const CRASH_END: u64 = 1800;
+const SECOND_CRASH_END: u64 = 2000;
 const RUN_UNTIL: u64 = 2600;
 
 /// The node that loses its memory.
 const VICTIM: u32 = 2;
+/// The node that crashes while the victim is rejoining.
+const SECOND_VICTIM: u32 = 1;
 
 fn amnesia_plan() -> FaultPlan {
     FaultPlan::none()
@@ -51,6 +56,7 @@ fn amnesia_plan() -> FaultPlan {
         })
         .partition(vec![n(0)], vec![n(1), n(2)], PARTITION_START, PARTITION_END)
         .crash_amnesia(n(VICTIM), CRASH_START, CRASH_END)
+        .crash_amnesia(n(SECOND_VICTIM), CRASH_END + 1, SECOND_CRASH_END)
 }
 
 fn persist_dir(seed: u64) -> std::path::PathBuf {
@@ -192,7 +198,8 @@ fn run_amnesia(seed: u64, schedule: Schedule) -> AmnesiaSummary {
     let used = c.settle(5_000).unwrap();
     assert!(used < 5_000, "the network went idle");
 
-    // The recovery actually ran, against a real checkpoint.
+    // The recovery actually ran, against a real checkpoint, and so did
+    // the second victim's.
     let recs: Vec<_> = c
         .recovery_log
         .iter()
@@ -202,6 +209,12 @@ fn run_amnesia(seed: u64, schedule: Schedule) -> AmnesiaSummary {
         recs.len(),
         1,
         "exactly one recovery at the victim: {recs:?}"
+    );
+    let second = c.recovery_log.iter().filter(|r| r.node == n(SECOND_VICTIM));
+    assert_eq!(
+        second.count(),
+        1,
+        "exactly one recovery at the second victim"
     );
     let rec = recs[0];
     assert!(
@@ -216,7 +229,12 @@ fn run_amnesia(seed: u64, schedule: Schedule) -> AmnesiaSummary {
         rec.complete_tick >= rec.restart_tick,
         "recovery latency is well-formed"
     );
+    assert!(
+        rec.complete_tick > CRASH_END + 1,
+        "the second crash landed while the victim was rejoining"
+    );
     assert!(!c.in_recovery(n(VICTIM)), "the rejoin handshake completed");
+    assert!(!c.in_recovery(n(SECOND_VICTIM)), "so did the second one");
 
     // The paper's safety gate, under the harshest crash model.
     audit::assert_no_premature_reclamation(&c, &expected_live);
@@ -404,7 +422,8 @@ fn amnesia_seed_sweep() {
 /// rejoin resumed B4 at the peers' floor of 4 (t=1802), N2 published a
 /// different epoch-5 report at t=2010, and N0 logged `OwnerPtrRetired` from
 /// it at t=2011. The manifest now carries each bunch's epoch, and the
-/// rejoin resumes at the larger of it and the peers' floor.
+/// rejoin resumes at the larger of it and the peers' floor. (The ticks
+/// were read before the plan gained N1's crash window.)
 #[test]
 fn a_restarted_node_never_reuses_a_published_epoch() {
     run_amnesia(0x8, Schedule::Due);

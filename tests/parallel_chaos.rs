@@ -524,6 +524,39 @@ fn spawn_rejects_an_invalid_fault_plan_with_the_typed_wording() {
     }
 }
 
+/// A node that restarts while a peer is down does not wait for that peer's
+/// answer forever. N1's outage ends inside N2's, so N1's rejoin request to
+/// N2 dies with N2's inbox; N2's restart wipes the dead incarnation, which
+/// ends N1's wait, and N2 then asks N1 like any peer. Both come back.
+#[test]
+fn a_rejoin_does_not_wait_for_a_peer_that_is_down() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("bmx-parallel-overlap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    const N2_UP: u64 = 40;
+    let plan = FaultPlan::none()
+        .crash_amnesia(n(1), 5, 20)
+        .crash_amnesia(n(2), 15, N2_UP);
+    let mut cfg = chaos_config(plan, 1);
+    cfg.persist = Some(PersistConfig::at(&dir));
+    let pc = ParallelCluster::spawn(cfg);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pc.now_pulse() <= N2_UP
+        || [n(1), n(2)]
+            .iter()
+            .any(|&p| pc.node_status(p) != NodeStatus::Alive)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "a rejoin never completed: {:?}",
+            pc.liveness()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    pc.shutdown(Shutdown::Drain).expect("drain shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Headline C: a mid-run injected crash fails *one* failure domain; the
 /// supervisor restarts it live through the crash-amnesia recovery
 /// pipeline (RVM replay, epoch rejoin, scion regeneration) while the

@@ -303,3 +303,240 @@ fn a_restarted_source_does_not_answer_with_a_table_it_lost() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A token request that lands at a node still rejoining is dropped as if
+/// lost; the requester asks again. N1 owns x and restarts; N0's write
+/// request reaches N1 before the rejoin replies do, so that acquire gives
+/// up with `WouldBlock`. The rejoin completes inside the same pump, and the
+/// next acquire is served from N1's reconciled state.
+#[test]
+fn a_request_to_a_rejoining_owner_is_dropped_and_asked_again() {
+    let dir = fresh_dir("mid-rejoin");
+    let (n0, n1) = (n(0), n(1));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let b = c.create_bunch(n1).unwrap();
+    let x = c.alloc(n1, b, &ObjSpec::data(1)).unwrap();
+    c.write_data(n1, x, 0, 5).unwrap();
+    c.add_root(n1, x);
+    c.map_bunch(n0, b, n1).unwrap();
+    c.add_root(n0, x);
+    c.run_bgc(n1, b).unwrap(); // N1's checkpoint holds x
+    c.settle(1_000).unwrap();
+
+    c.restart_with_amnesia(n1).unwrap(); // rejoin requests staged, not delivered
+    assert!(matches!(
+        c.acquire_write(n0, x),
+        Err(BmxError::WouldBlock { .. })
+    ));
+    assert!(!c.in_recovery(n1), "the rejoin completed");
+    c.acquire_write(n0, x).unwrap();
+    assert_eq!(c.read_data(n0, x, 0).unwrap(), 5);
+    c.write_data(n0, x, 0, 6).unwrap();
+    c.release(n0, x).unwrap();
+    let findings = bmx_repro::bmx::audit::audit(&c);
+    assert!(findings.is_empty(), "audit after the retry: {findings:#?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A peer that crashes while another node is rejoining does not wedge that
+/// rejoin. N1 restarts at tick 20 and asks N0 and N2; N2 crashes at tick 21
+/// with the request, or its answer, in flight. N1 stops waiting for a peer
+/// that is down, and N2's own rejoin later asks N1 like any peer.
+#[test]
+fn a_second_crash_does_not_wedge_a_rejoin() {
+    let (n1, n2) = (n(1), n(2));
+    let plan = FaultPlan::none()
+        .crash_amnesia(n1, 10, 20)
+        .crash_amnesia(n2, 21, 40);
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        net: NetworkConfig::lossless(1).with_fault(plan),
+        ..Default::default()
+    });
+    c.step(300).unwrap();
+    assert!(!c.in_recovery(n2), "N2 rejoined");
+    assert!(!c.in_recovery(n1), "N1's rejoin did not wait for N2");
+    for node in [n1, n2] {
+        assert!(c.recovery_log.iter().any(|r| r.node == node));
+    }
+}
+
+/// The same overlap over replicated data: four checkpointed objects, their
+/// ownership spread over all three nodes, N1 crashing and N2 crashing while
+/// N1 rejoins. Every object ends with one owner, every replica reads the
+/// value its owner checkpointed, and the audit is clean.
+#[test]
+fn overlapping_rejoins_keep_replicated_objects_consistent() {
+    let dir = fresh_dir("overlap");
+    let (n0, n1, n2) = (n(0), n(1), n(2));
+    let plan = FaultPlan::none()
+        .crash_amnesia(n1, 200, 210)
+        .crash_amnesia(n2, 211, 230);
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        net: NetworkConfig::lossless(1).with_fault(plan),
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let b = c.create_bunch(n0).unwrap();
+    let objs: Vec<Addr> = (0..4)
+        .map(|_| c.alloc(n0, b, &ObjSpec::data(1)).unwrap())
+        .collect();
+    for &o in &objs {
+        c.add_root(n0, o);
+    }
+    for node in [n1, n2] {
+        c.map_bunch(node, b, n0).unwrap();
+        for &o in &objs {
+            c.add_root(node, o);
+        }
+    }
+    let owners = [n0, n1, n2, n1];
+    for (i, (&o, &owner)) in objs.iter().zip(&owners).enumerate() {
+        c.acquire_write(owner, o).unwrap();
+        c.write_data(owner, o, 0, 10 + i as u64).unwrap();
+        c.release(owner, o).unwrap();
+    }
+    for node in [n0, n1, n2] {
+        c.run_bgc(node, b).unwrap(); // each node's checkpoint holds all four
+    }
+    c.settle(1_000).unwrap();
+    assert!(c.net.now() < 200, "setup ran into the crashes");
+
+    c.step(400).unwrap();
+    assert!(
+        !c.in_recovery(n1) && !c.in_recovery(n2),
+        "both rejoins completed"
+    );
+    let findings = bmx_repro::bmx::audit::audit(&c);
+    assert!(
+        findings.is_empty(),
+        "audit after the rejoins: {findings:#?}"
+    );
+    for (i, &o) in objs.iter().enumerate() {
+        for node in [n0, n1, n2] {
+            c.acquire_read(node, o).unwrap();
+            assert_eq!(c.read_data(node, o, 0).unwrap(), 10 + i as u64);
+            c.release(node, o).unwrap();
+        }
+        let oid = c.oid_at(n0, o).unwrap();
+        let owned = [n0, n1, n2]
+            .iter()
+            .filter(|&&p| c.engine.is_owner(p, oid))
+            .count();
+        assert_eq!(owned, 1, "object {i} has one owner");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// N0 stores a pointer into N1's bunch and clears it again before it
+/// checkpoints. Every table travels on the lossy `StubTable` lane, here
+/// lost, so N1 keeps the scion of that first SSP. `restart_n0` restarts N0
+/// from its checkpoint; then N0 stores a new pointer into N1's bunch, N1
+/// collects and releases its from-space, and N0's pointer is read at N1.
+fn read_through_a_pointer_stored_after_a_restart(restart_n0: bool) -> Result<u64> {
+    let dir = fresh_dir(&format!("ssp-ids-{restart_n0}"));
+    let (n0, n1) = (n(0), n(1));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        net: NetworkConfig::lossless(1).with_drop(MsgClass::StubTable, 1.0),
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let b0 = c.create_bunch(n0)?;
+    let b1 = c.create_bunch(n1)?;
+    let src = c.alloc(n0, b0, &ObjSpec::with_refs(1, &[0]))?;
+    let root = c.add_root(n0, src);
+    let old = c.alloc(n1, b1, &ObjSpec::data(1))?;
+    let new = c.alloc(n1, b1, &ObjSpec::data(1))?;
+    c.write_data(n1, new, 0, 88)?;
+    c.write_ref(n0, src, 0, old)?; // the first SSP N0 mints
+    c.write_ref(n0, src, 0, Addr::NULL)?;
+    c.run_bgc(n0, b0)?;
+    if restart_n0 {
+        c.restart_with_amnesia(n0)?;
+        c.settle(100)?;
+        assert!(!c.in_recovery(n0), "the rejoin completed");
+    }
+    let src = c.root(n0, root).expect("the root came back");
+    c.write_ref(n0, src, 0, new)?;
+    c.settle(100)?;
+    c.run_bgc(n1, b1)?;
+    c.reuse_from_space(n1, b1)?;
+    c.settle(100)?;
+    let p = c.read_ref(n0, src, 0)?;
+    let v = c.read_data(n1, p, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    v
+}
+
+/// A restarted node mints no SSP id its crashed incarnation used: the
+/// target still holds the dead incarnation's scion under that id and drops
+/// a scion-create that repeats it, so the new reference would justify
+/// nothing.
+#[test]
+fn a_restarted_node_mints_fresh_ssp_ids() {
+    assert_eq!(
+        read_through_a_pointer_stored_after_a_restart(false).unwrap(),
+        88
+    );
+    assert_eq!(
+        read_through_a_pointer_stored_after_a_restart(true).unwrap(),
+        88
+    );
+}
+
+/// N0 points into N1's bunch; `restart_n0` restarts N0 from its checkpoint
+/// first. Then N1 restarts, collects and releases its from-space, and N0's
+/// pointer is read at N1.
+fn read_through_a_restored_pointer(restart_n0: bool) -> Result<u64> {
+    let dir = fresh_dir(&format!("restored-stub-{restart_n0}"));
+    let (n0, n1) = (n(0), n(1));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let b0 = c.create_bunch(n0)?;
+    let b1 = c.create_bunch(n1)?;
+    let src = c.alloc(n0, b0, &ObjSpec::with_refs(1, &[0]))?;
+    let root = c.add_root(n0, src);
+    let tgt = c.alloc(n1, b1, &ObjSpec::data(1))?;
+    c.write_data(n1, tgt, 0, 77)?;
+    c.write_ref(n0, src, 0, tgt)?;
+    c.run_bgc(n0, b0)?;
+    c.run_bgc(n1, b1)?; // N1's checkpoint holds the target
+    c.settle(100)?;
+    if restart_n0 {
+        c.restart_with_amnesia(n0)?;
+        c.settle(100)?;
+    }
+    c.restart_with_amnesia(n1)?;
+    c.settle(100)?;
+    assert!(
+        !c.in_recovery(n0) && !c.in_recovery(n1),
+        "the rejoins completed"
+    );
+    c.run_bgc(n1, b1)?;
+    c.reuse_from_space(n1, b1)?;
+    c.settle(100)?;
+    let src = c.root(n0, root).expect("the root came back");
+    let p = c.read_ref(n0, src, 0)?;
+    let v = c.read_data(n1, p, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    v
+}
+
+/// A pointer restored from a checkpoint comes back with its stub. Stub
+/// tables are not checkpointed; without the stub, the restarted N0's rejoin
+/// answer to a later-restarting N1 carries a table that does not justify
+/// N1's scion, and N1 reclaims the target.
+#[test]
+fn a_restored_pointer_comes_back_with_its_stub() {
+    assert_eq!(read_through_a_restored_pointer(false).unwrap(), 77);
+    assert_eq!(read_through_a_restored_pointer(true).unwrap(), 77);
+}
