@@ -31,4 +31,4 @@ pub mod server;
 pub use layout::{ObjFlags, HEADER_WORDS};
 pub use memory::{MappedSegment, NodeMemory, SegmentImage};
 pub use object::{ObjectImage, ObjectView};
-pub use server::{BunchInfo, Protection, SegmentInfo, SegmentServer};
+pub use server::{BunchInfo, Protection, SegmentInfo, SegmentServer, Sweep};

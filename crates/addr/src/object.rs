@@ -198,12 +198,19 @@ pub fn rewrite_refs(
     Ok(())
 }
 
-/// [`rewrite_refs`] over every non-forwarded object of `seg` (a forwarded
-/// header's data words are a dead copy nobody reads).
-pub fn rewrite_refs_in(seg: &mut MappedSegment, mut f: impl FnMut(Addr) -> Addr) {
-    for off in seg.object_map.iter_ones() {
-        if !layout::header0_flags(seg.words[off]).contains(ObjFlags::FORWARDED) {
-            rewrite_refs_at(&mut seg.words, &seg.ref_map, off, &mut f);
+/// Passes every non-null word the reference map of `seg` marks through `f`
+/// and stores the result back where it is `Some`: the whole segment in one
+/// word-parallel pass over its reference map, for a sweep that must reach
+/// every reference the node holds. Slots of dead and forwarded objects are
+/// rewritten too; no one reads them.
+pub fn rewrite_ref_words(seg: &mut MappedSegment, mut f: impl FnMut(Addr) -> Option<Addr>) {
+    for idx in seg.ref_map.ones_in(0, seg.alloc_cursor as usize) {
+        let old = Addr(seg.words[idx]);
+        if old.is_null() {
+            continue;
+        }
+        if let Some(new) = f(old) {
+            seg.words[idx] = new.0;
         }
     }
 }
@@ -755,7 +762,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `views_in`/`refs_of`/`rewrite_refs_in`/`move_object` walk a
+        /// `views_in`/`refs_of`/`rewrite_ref_words`/`move_object` walk a
         /// borrowed segment; each must see and do exactly what the
         /// `objects_in` + `view` + per-field accessors do.
         #[test]
@@ -778,24 +785,12 @@ mod tests {
                 proptest::prop_assert_eq!(&fields, &ref_fields(&mem, v.addr).unwrap());
             }
 
-            // Rewriting: the reference goes object by object, field by field.
+            // Rewriting: the reference goes object by object, field by field,
+            // one object at a time...
             let moved = |t: Addr| if t.0 & 15 == 0 { Addr(t.0 + 8 * shift) } else { t };
             let mut reference = NodeMemory::new(NodeId(0));
             reference.install_segment(seg.clone());
             for v in want.iter().filter(|v| !v.is_forwarded()) {
-                for (f, t) in scalar_refs(&mem, v) {
-                    if !t.is_null() {
-                        write_ref_field(&mut reference, v.addr, f, moved(t)).unwrap();
-                    }
-                }
-            }
-            rewrite_refs_in(mem.segment_mut(info.id).unwrap(), moved);
-            proptest::prop_assert_eq!(
-                &mem.segment(info.id).unwrap().words,
-                &reference.segment(info.id).unwrap().words
-            );
-            // ...and one object at a time.
-            for v in want.iter().filter(|v| v.is_forwarded()) {
                 rewrite_refs(&mut mem, v.addr, moved).unwrap();
                 for (f, t) in scalar_refs(&reference, v) {
                     if !t.is_null() {
@@ -803,6 +798,19 @@ mod tests {
                     }
                 }
             }
+            proptest::prop_assert_eq!(
+                &mem.segment(info.id).unwrap().words,
+                &reference.segment(info.id).unwrap().words
+            );
+            // ...and every pointer slot of the segment, slot by slot, those
+            // of forwarded and swept objects too.
+            let whole = reference.segment_mut(info.id).unwrap();
+            for idx in 0..whole.alloc_cursor as usize {
+                if whole.ref_map.get(idx) && whole.words[idx] != 0 {
+                    whole.words[idx] = moved(Addr(whole.words[idx])).0;
+                }
+            }
+            rewrite_ref_words(mem.segment_mut(info.id).unwrap(), |t| Some(moved(t)));
             proptest::prop_assert_eq!(
                 &mem.segment(info.id).unwrap().words,
                 &reference.segment(info.id).unwrap().words

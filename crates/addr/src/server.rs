@@ -76,11 +76,35 @@ pub struct BunchInfo {
     pub protection: Protection,
 }
 
-/// The routing of one released range.
+/// The routing of one retired range.
 struct RetiredRange {
     base: Addr,
+    /// One past the range's last address.
+    end: Addr,
     /// `(from, oid, to)`, sorted by `from`, one per from-address.
     routes: Vec<(Addr, Oid, Addr)>,
+    /// The release clock's value when the server released the range; `None`
+    /// while its retire round is still running.
+    released: Option<u64>,
+}
+
+/// One node's latest sweep of the released ranges: what the reclamation
+/// rule ([`SegmentServer::note_sweep`]) reads. Indexed by node id, `sent`
+/// and `applied` cover every node of the cluster.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Sweep {
+    /// The release clock when the sweep began: it rewrote references into
+    /// every range released at or before this value.
+    pub seen: u64,
+    /// Per destination node, the sequence number of the last envelope the
+    /// node had sent on that link before the sweep.
+    pub sent: Vec<u64>,
+    /// Per source node, the highest sequence number the node had applied
+    /// from that link before the sweep.
+    pub applied: Vec<u64>,
+    /// Whether a checkpoint taken since holds the swept state (always, with
+    /// persistence off: a restart then comes back with nothing).
+    pub durable: bool,
 }
 
 /// Authoritative allocator of bunches and non-overlapping segment ranges.
@@ -95,18 +119,28 @@ pub struct SegmentServer {
     bunches: BTreeMap<BunchId, BunchInfo>,
     /// Address-keyed routing for *retired* ranges: `from -> (oid, to)` for
     /// every relocation whose from-space was reclaimed by the reuse
-    /// protocol, one table per released range, sorted by base. Nodes drop
-    /// their forwarding knowledge when a range is released (Section 4.5); a
+    /// protocol, one table per range, sorted by base. Nodes drop their
+    /// forwarding knowledge when a range is released (Section 4.5); a
     /// mutator still holding a pre-collection pointer resolves it here (the
     /// stand-in for the original system's address-keyed routing, like the
-    /// header fetch in `oid_at`).
+    /// header fetch in `oid_at`) until the range's grace has passed and
+    /// its routes are reclaimed ([`SegmentServer::note_sweep`]).
     retired: Vec<RetiredRange>,
     /// Routes in all of `retired`.
     retired_routes: usize,
+    /// The release clock: one tick per [`SegmentServer::release_segments`].
+    releases: u64,
+    /// Per node, its latest sweep, if it still counts.
+    sweeps: Vec<Option<Sweep>>,
+    /// Nodes down or recovering: no route is reclaimed while there is one.
+    unsettled: BTreeSet<NodeId>,
     /// Which nodes have each bunch mapped: where a collection's
     /// reachability reports and retire requests go. Kept here because the
     /// server is what every node can ask (paper, Section 8).
     mappings: BTreeMap<BunchId, BTreeSet<NodeId>>,
+    /// Which nodes have stored a pointer into each bunch without mapping
+    /// it: every retire round of the bunch reaches them.
+    referrers: BTreeMap<BunchId, BTreeSet<NodeId>>,
 }
 
 /// Lowest address ever handed out; keeps `Addr::NULL` and a guard band
@@ -131,7 +165,11 @@ impl SegmentServer {
             bunches: BTreeMap::new(),
             retired: Vec::new(),
             retired_routes: 0,
+            releases: 0,
+            sweeps: Vec::new(),
+            unsettled: BTreeSet::new(),
             mappings: BTreeMap::new(),
+            referrers: BTreeMap::new(),
         }
     }
 
@@ -304,7 +342,9 @@ impl SegmentServer {
                 at,
                 RetiredRange {
                     base,
+                    end: base.add_words(words),
                     routes: Vec::new(),
+                    released: None,
                 },
             ),
         }
@@ -322,10 +362,12 @@ impl SegmentServer {
     /// unmapped its copy). The ranges are never handed out again — segment
     /// bases only grow — so from here on `segment_of`/`bunch_of` answer
     /// `None` for them and a late relocation record into one is dropped as
-    /// an unknown address. Retired-range routing is kept: it is what still
-    /// serves a held pre-collection pointer. Unknown ids are ignored
-    /// (a retire round may be replayed).
+    /// an unknown address. The ranges' routing enters the grace set: it
+    /// serves a held pre-collection pointer until every node has swept its
+    /// references out of them ([`SegmentServer::note_sweep`]). Unknown ids
+    /// are ignored (a retire round may be replayed).
     pub fn release_segments(&mut self, ids: &[SegmentId]) {
+        self.releases += 1;
         for id in ids {
             let Some(info) = self.segments.remove(id) else {
                 continue;
@@ -334,7 +376,133 @@ impl SegmentServer {
             if let Some(b) = self.bunches.get_mut(&info.bunch) {
                 b.segments.retain(|s| s != id);
             }
+            let at = self.retired.partition_point(|r| r.base < info.base);
+            if let Some(r) = self.retired.get_mut(at).filter(|r| r.base == info.base) {
+                r.released.get_or_insert(self.releases);
+            }
         }
+    }
+
+    /// The release clock: a sweep that starts now covers every range
+    /// released so far.
+    pub fn release_clock(&self) -> u64 {
+        self.releases
+    }
+
+    /// Records `node`'s latest sweep, then reclaims every route whose grace
+    /// has provably passed. A range released at clock *e* loses its routes
+    /// once the latest sweeps of all nodes form a cut that no reference
+    /// into it can cross:
+    ///
+    /// * every node's sweep began at clock ≥ *e*, and is durable;
+    /// * on every link `s -> r`, `r` had applied, before its sweep,
+    ///   everything `s` had sent before its own (`applied[s] ≥ sent[r]`):
+    ///   an envelope that left `s` holding an address from before its sweep
+    ///   reached `r` before `r` swept;
+    /// * no node is down or recovering.
+    ///
+    /// After such a cut no node holds a reference into the range, and none
+    /// can receive one: whatever arrives after a sweep left its sender after
+    /// the sender's. Otherwise the routes stay.
+    pub fn note_sweep(&mut self, node: NodeId, sweep: Sweep) {
+        let n = self
+            .sweeps
+            .len()
+            .max(sweep.sent.len())
+            .max(node.0 as usize + 1);
+        self.sweeps.resize(n, None);
+        self.sweeps[node.0 as usize] = Some(sweep);
+        self.reclaim();
+    }
+
+    /// Releases since `node`'s latest counted sweep began; `None` if none
+    /// counts.
+    pub fn sweep_lag(&self, node: NodeId) -> Option<u64> {
+        let sweep = self.sweeps.get(node.0 as usize)?.as_ref()?;
+        Some(self.releases - sweep.seen)
+    }
+
+    /// `node` checkpointed: its latest sweep now survives a restart.
+    pub fn note_checkpoint(&mut self, node: NodeId) {
+        if let Some(Some(s)) = self.sweeps.get_mut(node.0 as usize) {
+            s.durable = true;
+            self.reclaim();
+        }
+    }
+
+    /// `node` took in state from outside the message plane (a mapped
+    /// image): its latest sweep no longer vouches for it.
+    pub fn forget_sweep(&mut self, node: NodeId) {
+        if let Some(s) = self.sweeps.get_mut(node.0 as usize) {
+            *s = None;
+        }
+    }
+
+    /// `node` crashed: nothing is reclaimed until it has recovered, and no
+    /// sweep taken before counts (its links' watermarks restart).
+    pub fn node_down(&mut self, node: NodeId) {
+        self.unsettled.insert(node);
+        self.sweeps.iter_mut().for_each(|s| *s = None);
+    }
+
+    /// `node` finished recovering.
+    pub fn node_settled(&mut self, node: NodeId) {
+        self.unsettled.remove(&node);
+    }
+
+    /// Whether `node` is neither down nor recovering, as far as the server
+    /// has been told.
+    pub fn is_settled(&self, node: NodeId) -> bool {
+        !self.unsettled.contains(&node)
+    }
+
+    /// `[base, end)` of every released range whose routes the server still
+    /// keeps (the grace set), by base.
+    pub fn released_ranges(&self) -> Vec<(Addr, Addr)> {
+        self.retired
+            .iter()
+            .filter(|r| r.released.is_some())
+            .map(|r| (r.base, r.end))
+            .collect()
+    }
+
+    /// Routes the server keeps, released or not.
+    pub fn route_count(&self) -> usize {
+        self.retired_routes
+    }
+
+    /// Drops the routes of every range the latest sweeps prove unreferenced
+    /// (see [`SegmentServer::note_sweep`]).
+    fn reclaim(&mut self) {
+        if !self.unsettled.is_empty() || !self.retired.iter().any(|r| r.released.is_some()) {
+            return;
+        }
+        let n = self.sweeps.len();
+        let mut seen = u64::MAX;
+        for r in 0..n {
+            let Some(sweep) = self.sweeps[r].as_ref().filter(|s| s.durable) else {
+                return;
+            };
+            seen = seen.min(sweep.seen);
+            for s in (0..n).filter(|&s| s != r) {
+                let applied = sweep.applied.get(s).copied().unwrap_or(0);
+                let sent = self.sweeps[s]
+                    .as_ref()
+                    .and_then(|from| from.sent.get(r).copied())
+                    .unwrap_or(u64::MAX);
+                if applied < sent {
+                    return;
+                }
+            }
+        }
+        let dropped = &mut self.retired_routes;
+        self.retired.retain(|range| {
+            let gone = matches!(range.released, Some(e) if e <= seen);
+            if gone {
+                *dropped -= range.routes.len();
+            }
+            !gone
+        });
     }
 
     /// Records that `node` has `bunch` mapped.
@@ -348,6 +516,19 @@ impl SegmentServer {
             .get(&bunch)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
+    }
+
+    /// Records that `node` stored a pointer into `bunch`, which it does not
+    /// map.
+    pub fn note_referrer(&mut self, bunch: BunchId, node: NodeId) {
+        self.referrers.entry(bunch).or_default().insert(node);
+    }
+
+    /// Whether `node` ever stored a pointer into `bunch` without mapping it.
+    pub fn is_referrer(&self, bunch: BunchId, node: NodeId) -> bool {
+        self.referrers
+            .get(&bunch)
+            .is_some_and(|r| r.contains(&node))
     }
 
     /// Forgets every mapping of `node` (it lost its memory; recovery or a
@@ -387,15 +568,48 @@ impl SegmentServer {
         found
     }
 
-    /// The route out of `from`, if a released range holds one.
+    /// Follows routes out of *released* ranges from `addr`, as far as they
+    /// lead out of released ranges: the object and where a reference to
+    /// `addr` must point instead. `None` if `addr` lies in no released
+    /// range or has no route there (an object dead when its range retired).
+    pub fn resolve_released(&self, addr: Addr) -> Option<(Oid, Addr)> {
+        let mut found = None;
+        let mut cur = addr;
+        let mut hops = 0;
+        while let Some((range, (oid, to))) = self.route_with_range(cur) {
+            if range.released.is_none() {
+                break;
+            }
+            found = Some((oid, to));
+            cur = to;
+            hops += 1;
+            assert!(
+                hops <= self.retired_routes,
+                "retired-range routing cycle at {addr}"
+            );
+        }
+        found
+    }
+
+    /// The route out of `from`, if a retired range holds one.
     fn route_from(&self, from: Addr) -> Option<(Oid, Addr)> {
+        self.route_with_range(from).map(|(_, route)| route)
+    }
+
+    fn route_with_range(&self, from: Addr) -> Option<(&RetiredRange, (Oid, Addr))> {
         let at = self
             .retired
             .partition_point(|r| r.base <= from)
             .checked_sub(1)?;
-        let routes = &self.retired[at].routes;
-        let i = routes.binary_search_by_key(&from, |&(f, ..)| f).ok()?;
-        Some((routes[i].1, routes[i].2))
+        let range = &self.retired[at];
+        if from >= range.end {
+            return None;
+        }
+        let i = range
+            .routes
+            .binary_search_by_key(&from, |&(f, ..)| f)
+            .ok()?;
+        Some((range, (range.routes[i].1, range.routes[i].2)))
     }
 }
 
@@ -479,6 +693,43 @@ mod tests {
             Some((Oid(7), gens[100].base))
         );
         assert_eq!(srv.bunch_of_held(gens[0].base), Some(b));
+    }
+
+    /// The reclamation rule of `note_sweep`, on two nodes and one released
+    /// range: the routes go only when both sweeps began after the release,
+    /// both are durable, neither node is down, and on each link the
+    /// receiver had applied what the sender had sent before sweeping.
+    #[test]
+    fn routes_go_once_the_latest_sweeps_form_a_cut() {
+        let mut srv = SegmentServer::new(64);
+        let b = srv.create_bunch(NodeId(0), Protection::default());
+        let (from, to) = (srv.alloc_segment(b).unwrap(), srv.alloc_segment(b).unwrap());
+        srv.note_retired(from.base, 64, [(Oid(1), from.base, to.base)]);
+        srv.release_segments(&[from.id]);
+        let e = srv.release_clock();
+        let sweep = |seen, sent: [u64; 2], applied: [u64; 2], durable| Sweep {
+            seen,
+            sent: sent.to_vec(),
+            applied: applied.to_vec(),
+            durable,
+        };
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let routed = |srv: &SegmentServer| srv.resolve_retired(from.base).is_some();
+        srv.note_sweep(n0, sweep(e - 1, [0, 5], [0, 3], true));
+        srv.note_sweep(n1, sweep(e, [3, 0], [5, 0], true));
+        assert!(routed(&srv), "n0's sweep predates the release");
+        srv.note_sweep(n0, sweep(e, [0, 6], [0, 3], true));
+        assert!(routed(&srv), "n1 has not applied n0's sixth envelope");
+        srv.note_sweep(n1, sweep(e, [3, 0], [6, 0], false));
+        assert!(routed(&srv), "n1's sweep is not durable yet");
+        srv.node_down(n0);
+        srv.note_sweep(n0, sweep(e, [0, 6], [0, 3], true));
+        srv.note_sweep(n1, sweep(e, [3, 0], [6, 0], true));
+        assert!(routed(&srv), "n0 is recovering");
+        srv.node_settled(n0);
+        srv.note_checkpoint(n1);
+        assert!(!routed(&srv), "the cut holds");
+        assert_eq!(srv.route_count(), 0);
     }
 
     #[test]

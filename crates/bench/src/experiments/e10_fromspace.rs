@@ -2,7 +2,9 @@
 //! are paid only when a segment is actually reclaimed, scaling with the
 //! number of live non-owned residents, and the reclaimed segments are
 //! released — unmapped everywhere and unknown to the server — so what stays
-//! mapped is the live data's space, whatever the residency mix.
+//! mapped is the live data's space, whatever the residency mix. The
+//! server's routing for released ranges is bounded too: after further
+//! rounds it keeps the last round's routes, not every round's.
 
 use bmx_common::{NodeId, StatKind};
 use bmx_net::MsgClass;
@@ -28,7 +30,15 @@ pub struct Row {
     pub mapped_segments_after: usize,
     /// Segments the server still has registered after the reuse.
     pub server_segments_after: usize,
+    /// Retired-range routes the server keeps after [`FOLLOW_UP_ROUNDS`]
+    /// more collect-and-reuse rounds at the initiator.
+    pub retired_routes_after: usize,
 }
+
+/// Collect-and-reuse rounds run after the measured reuse before the routes
+/// are counted: each releases a range, and each sweep lets the server drop
+/// the routes of the ranges released before it.
+pub const FOLLOW_UP_ROUNDS: usize = 2;
 
 /// List size.
 pub const OBJECTS: usize = 64;
@@ -51,21 +61,31 @@ pub fn run(fractions: &[f64]) -> Vec<Row> {
             let words_before = fx.cluster.stats[0].get(StatKind::WordsReclaimed);
             let completed = fx.cluster.reuse_from_space(n0, fx.bunch).expect("reuse");
             let server_segments_after = fx.cluster.server.borrow().segment_count();
+            let mapped_segments_after = fx
+                .cluster
+                .mems
+                .iter()
+                .map(|m| m.mapped_segments().len())
+                .sum();
+            let background_msgs =
+                fx.cluster.net.class_stats(MsgClass::GcBackground).sent - bg_before;
+            let retire_msgs =
+                fx.cluster.total_stat(StatKind::ExplicitRelocationMessages) - retire_before;
+            let words_reclaimed = fx.cluster.stats[0].get(StatKind::WordsReclaimed) - words_before;
+            for _ in 0..FOLLOW_UP_ROUNDS {
+                fx.cluster.run_bgc(n0, fx.bunch).expect("bgc");
+                fx.cluster.reuse_from_space(n0, fx.bunch).expect("reuse");
+            }
+            let retired_routes_after = fx.cluster.server.borrow().route_count();
             Row {
                 remote_fraction: f,
-                background_msgs: fx.cluster.net.class_stats(MsgClass::GcBackground).sent
-                    - bg_before,
-                retire_msgs: fx.cluster.total_stat(StatKind::ExplicitRelocationMessages)
-                    - retire_before,
-                words_reclaimed: fx.cluster.stats[0].get(StatKind::WordsReclaimed) - words_before,
+                background_msgs,
+                retire_msgs,
+                words_reclaimed,
                 completed,
-                mapped_segments_after: fx
-                    .cluster
-                    .mems
-                    .iter()
-                    .map(|m| m.mapped_segments().len())
-                    .sum(),
+                mapped_segments_after,
                 server_segments_after,
+                retired_routes_after,
             }
         })
         .collect()
@@ -83,6 +103,7 @@ pub fn table(rows: &[Row]) -> Table {
             "completed",
             "mapped_segments_after",
             "server_segments_after",
+            "retired_routes_after",
         ],
     );
     for r in rows {
@@ -94,6 +115,7 @@ pub fn table(rows: &[Row]) -> Table {
             r.completed.to_string(),
             r.mapped_segments_after.to_string(),
             r.server_segments_after.to_string(),
+            r.retired_routes_after.to_string(),
         ]);
     }
     t
@@ -112,6 +134,17 @@ mod tests {
             rows[1].background_msgs >= rows[0].background_msgs,
             "more remote residents, more copy traffic: {rows:?}"
         );
+    }
+
+    /// The routes of a released range go once every node has swept it in a
+    /// later round: after the follow-up rounds the server keeps at most the
+    /// last round's, one per object the initiator relocated.
+    #[test]
+    fn the_server_keeps_one_rounds_routes() {
+        for r in run(&[0.0, 0.5, 1.0]) {
+            let owned = OBJECTS - (OBJECTS as f64 * r.remote_fraction) as usize;
+            assert!(r.retired_routes_after <= owned + 1, "{r:?}");
+        }
     }
 
     #[test]

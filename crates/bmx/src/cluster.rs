@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use bmx_addr::object;
 use bmx_addr::server::Protection;
-use bmx_addr::{NodeMemory, SegmentServer};
+use bmx_addr::{NodeMemory, SegmentServer, Sweep};
 use bmx_common::{
     Addr, BmxError, BunchId, Epoch, NodeId, NodeSet, NodeStats, Oid, Result, StatKind,
 };
@@ -20,6 +20,14 @@ use bmx_trace::{self as trace, SpanKind, TraceEvent};
 use crate::msg::ClusterMsg;
 use crate::persist::{self, NodeMeta};
 use crate::recovery::{Assignment, ObjView, OrphanView, Recovery, RecoveryOutcome, RejoinMsg};
+
+/// Where a node's incarnation (its rejoin epoch) starts in the OID mint
+/// counter: above the node id, which [`Cluster::mint_oid`] puts at bit 40,
+/// leaving 2^40 OIDs per incarnation.
+const OID_INCARNATION_SHIFT: u32 = 48;
+/// Where a node's incarnation starts in its SSP-id counter: 2^40 ids per
+/// incarnation.
+const SSP_INCARNATION_SHIFT: u32 = 40;
 
 /// Construction parameters for a simulated cluster.
 #[derive(Clone, Debug)]
@@ -305,7 +313,35 @@ impl Cluster {
             stats,
             ..
         } = self;
-        f(gc, engine, mems, &mut stats[node.0 as usize])
+        let r = f(gc, engine, mems, &mut stats[node.0 as usize]);
+        self.report_sweep(node);
+        r
+    }
+
+    /// Reports a sweep `node` just made (`GcNodeState::swept`) to the
+    /// server, with the node's link watermarks as they stand before the
+    /// call that swept sends anything: per link, the last sequence number
+    /// the node sent and the highest it applied. A sweep made while an
+    /// incremental collection runs here does not count (its gray stack may
+    /// still hold swept addresses), and with persistence on one counts only
+    /// once a checkpoint follows it.
+    fn report_sweep(&mut self, node: NodeId) {
+        let n = node.0 as usize;
+        let Some(seen) = self.gc.node_mut(node).swept.take() else {
+            return;
+        };
+        if self.incrementals[n].is_some() {
+            return;
+        }
+        let sweep = Sweep {
+            seen,
+            sent: (0..self.nodes())
+                .map(|d| self.net.sent_seq(node, NodeId(d)))
+                .collect(),
+            applied: self.last_seq[n].clone(),
+            durable: self.persist.is_none(),
+        };
+        self.server.borrow_mut().note_sweep(node, sweep);
     }
 
     /// Sends a GC message, classing and counting it.
@@ -460,10 +496,10 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Discards every piece of `node`'s volatile state at the instant of an
-    /// amnesia crash: memory image, object directory, scion/stub tables and
-    /// cleaner epochs and table-request schedules, DSM token/ownership
-    /// caches, incremental-collection state, and duplicate-tracking
-    /// sequence numbers. The network itself drops the node's reliable
+    /// amnesia crash: memory image, OID counter, object directory,
+    /// scion/stub tables and cleaner epochs and table-request schedules,
+    /// DSM token/ownership caches, incremental-collection state, and
+    /// duplicate-tracking sequence numbers. The network itself drops the node's reliable
     /// in-flight traffic ([`bmx_net::FaultStats::amnesia_dropped`]).
     /// Per-node counters survive on purpose — they model the
     /// experimenter's instrumentation, not node state, and
@@ -473,6 +509,7 @@ impl Cluster {
         let n = node.0 as usize;
         self.mems[n] = NodeMemory::new(node);
         self.gc.nodes[n] = bmx_gc::GcNodeState::new(node);
+        self.next_oid[n] = 0;
         self.engine.amnesia_reset(node);
         self.incrementals[n] = None;
         self.recoveries[n] = None;
@@ -481,8 +518,13 @@ impl Cluster {
             from_node[n] = 0;
         }
         // The node no longer maps anything; recovery (or a fresh map_bunch)
-        // re-registers the mappings it regains.
-        self.server.borrow_mut().forget_mappings(node);
+        // re-registers the mappings it regains. No route is reclaimed until
+        // it has recovered and swept again.
+        {
+            let mut srv = self.server.borrow_mut();
+            srv.forget_mappings(node);
+            srv.node_down(node);
+        }
         self.stats[n].bump(StatKind::AmnesiaWipes);
         self.stop_awaiting(node)
     }
@@ -566,6 +608,14 @@ impl Cluster {
                     self.rejoin_epochs[n] = self.rejoin_epochs[n].max(meta.rejoin_epoch + 1);
                     let ns = self.gc.node_mut(node);
                     ns.next_ssp = ns.next_ssp.max(meta.next_ssp);
+                    self.begin_incarnation(node);
+                    // The incarnation is on disk before it mints anything: a
+                    // crash before the next checkpoint restarts above it.
+                    let durable = NodeMeta {
+                        rejoin_epoch: self.rejoin_epochs[n],
+                        ..meta.clone()
+                    };
+                    persist::checkpoint_node_meta(self, node, &mut rvm, &durable)?;
                     for &(bunch, epoch) in &meta.bunches {
                         let (_, oids) = persist::recover_bunch_live(self, node, bunch, &mut rvm)?;
                         recovered.extend(oids.into_iter().map(|o| (o, bunch)));
@@ -588,6 +638,7 @@ impl Cluster {
                 self.restore_stubs(node, &recovered)?;
             }
         }
+        self.begin_incarnation(node);
         let epoch = self.rejoin_epochs[n];
         let replay_micros = trace::now_us().saturating_sub(replay_start);
         trace::record(SpanKind::RecoveryReplay, node, replay_start, replay_micros);
@@ -624,6 +675,18 @@ impl Cluster {
             self.finish_recovery(node)?;
         }
         Ok(())
+    }
+
+    /// Starts `node`'s id mints in its incarnation — the rejoin epoch, one
+    /// per restart and persisted — so the restarted node mints no OID or
+    /// SSP id its dead incarnation may have minted after its last
+    /// checkpoint: a peer may still hold an object or a scion under it.
+    fn begin_incarnation(&mut self, node: NodeId) {
+        let n = node.0 as usize;
+        let incarnation = self.rejoin_epochs[n];
+        self.next_oid[n] = self.next_oid[n].max(incarnation << OID_INCARNATION_SHIFT);
+        let ns = self.gc.node_mut(node);
+        ns.next_ssp = ns.next_ssp.max(incarnation << SSP_INCARNATION_SHIFT);
     }
 
     /// Gives each inter-bunch pointer the replay restored its stub back.
@@ -959,6 +1022,7 @@ impl Cluster {
             let epoch = brs.epoch;
             trace::emit(node, TraceEvent::RejoinEpoch { bunch, epoch });
         }
+        self.server.borrow_mut().node_settled(node);
         trace::emit(node, TraceEvent::RecoveryComplete { epoch: rec.epoch });
         self.stats[n].bump(StatKind::RecoveriesCompleted);
         self.recovery_log.push(RecoveryOutcome {
@@ -1196,6 +1260,9 @@ impl Cluster {
         brs.alloc_segments = alloc_segments;
         brs.pending_from = pending_from;
         self.gc.note_mapping(bunch, node);
+        // The images did not travel as envelopes: the node's last sweep no
+        // longer vouches that it holds nothing from before `from`'s.
+        self.server.borrow_mut().forget_sweep(node);
 
         // DSM registration for every non-forwarded object replica.
         for (oid, _addr, fwd) in found {
@@ -1361,6 +1428,7 @@ impl Cluster {
                     bunches: bunches.into_iter().collect(),
                 };
                 persist::checkpoint_node_meta(self, node, &mut rvm, &meta)?;
+                self.server.borrow_mut().note_checkpoint(node);
             }
             if let Some(bound) = self.persist.as_ref().and_then(|p| p.truncate_log_bytes) {
                 if rvm.log_bytes() > bound {
@@ -1482,18 +1550,26 @@ impl Cluster {
     /// Starts the from-space reuse protocol for `bunch` at `node` and runs
     /// it to completion. Returns `true` if the segments were reclaimed.
     pub fn reuse_from_space(&mut self, node: NodeId, bunch: BunchId) -> Result<bool> {
-        let msgs = self.with_gc(node, |gc, engine, mems, stats| {
-            fromspace::start_reuse(gc, engine, &mut mems[node.0 as usize], stats, node, bunch)
-        })?;
-        for (dst, m) in msgs {
-            self.send_gc(node, dst, m);
-        }
+        self.start_reuse(node, bunch)?;
         self.pump()?;
         Ok(self
             .gc
             .node(node)
             .bunch(bunch)
             .is_some_and(|b| b.reuse.is_none()))
+    }
+
+    /// Starts the from-space reuse protocol for `bunch` at `node` and sends
+    /// its first messages, delivering nothing: the round runs as the
+    /// network is stepped ([`Cluster::step`]).
+    pub fn start_reuse(&mut self, node: NodeId, bunch: BunchId) -> Result<()> {
+        let msgs = self.with_gc(node, |gc, engine, mems, stats| {
+            fromspace::start_reuse(gc, engine, &mut mems[node.0 as usize], stats, node, bunch)
+        })?;
+        for (dst, m) in msgs {
+            self.send_gc(node, dst, m);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -179,7 +179,14 @@ impl Cluster {
         }
         let mut found = at.as_ref().is_ok_and(is_header);
         if !found {
-            if let Some((oid, to)) = self.server.borrow().resolve_retired(addr) {
+            // The held address or, when local forwarding took it on into a
+            // range released since, the end of that chain.
+            let routed = {
+                let srv = self.server.borrow();
+                srv.resolve_retired(addr)
+                    .or_else(|| srv.resolve_retired(cur))
+            };
+            if let Some((oid, to)) = routed {
                 self.stats[node.0 as usize].bump(StatKind::RetiredRouteHits);
                 cur = match dir.addr_of(oid) {
                     Some(a) if object::view(mem, a).is_ok_and(|v| v.oid == oid) => a,

@@ -39,16 +39,26 @@ pub fn write_ref(
     field: u64,
     target: Addr,
 ) -> Result<Option<(NodeId, GcMsg)>> {
-    let target_cur = gc.node(node).directory.resolve(target);
+    let mut target_cur = gc.node(node).directory.resolve(target);
+    let tgt_bunch = if target_cur.is_null() {
+        None
+    } else {
+        match mem.resolve(target_cur) {
+            Ok((seg, _)) => Some(seg.info.bunch),
+            Err(_) => {
+                // A held address into a released range is stored as where
+                // it leads: the heap keeps no reference its sweep missed.
+                if let Some(cur) = gc.resolve_released(node, target_cur) {
+                    target_cur = cur;
+                }
+                gc.local_bunch_of(mem, target_cur)
+            }
+        }
+    };
     let src_seg = &mut mem.segments_mut()[src_seg];
     object::write_ref_field_at(src_seg, src_off, field, target_cur)?;
     let src_bunch = src_seg.info.bunch;
     let source_oid = object::view_at(src_seg, src_off).oid;
-    let tgt_bunch = if target_cur.is_null() {
-        None
-    } else {
-        gc.local_bunch_of(mem, target_cur)
-    };
     let Some(tgt_bunch) = tgt_bunch else {
         stats.bump(StatKind::BarrierFastPaths);
         return Ok(None);
@@ -69,11 +79,14 @@ pub fn write_ref(
     let id = SspId { node, seq };
     // The scion lives locally when the target bunch is mapped here;
     // otherwise at the target bunch's creator node (the stable home a
-    // scion-message can always be routed to).
+    // scion-message can always be routed to), and the bunch's retire rounds
+    // must reach this node to sweep the pointer.
     let scion_at = if gc.node(node).bunches.contains_key(&tgt_bunch) {
         node
     } else {
-        gc.server.borrow().bunch(tgt_bunch)?.creator
+        let mut srv = gc.server.borrow_mut();
+        srv.note_referrer(tgt_bunch, node);
+        srv.bunch(tgt_bunch)?.creator
     };
     let stub = InterStub {
         id,

@@ -330,12 +330,23 @@ impl Ctx<'_> {
             if raw.is_null() {
                 continue;
             }
-            let addr = self.resolve(raw);
+            let mut addr = self.resolve(raw);
+            let mut at = self.mem.position(addr);
+            if at.is_err() {
+                // A reference into a released range that reached this node
+                // after its last sweep (a late scion or field) still names
+                // its object, through the server's routing, for the range's
+                // grace.
+                if let Some(cur) = self.gc.resolve_released(self.node, addr) {
+                    addr = cur;
+                    at = self.mem.position(addr);
+                }
+            }
             // A root or field may point at something this replica has never
             // materialized (e.g. a scion for an object allocated remotely
             // after mapping). Treat as opaque: conservative, nothing to do
             // locally — the owner's replica keeps it alive there.
-            let Ok((i, off)) = self.mem.position(addr) else {
+            let Ok((i, off)) = at else {
                 continue;
             };
             let seg = &self.mem.segments()[i];
@@ -521,10 +532,15 @@ impl Ctx<'_> {
                 self.core.out.reclaimed_words += view.footprint();
                 self.stats.bump(StatKind::ObjectsReclaimed);
                 self.stats.add(StatKind::WordsReclaimed, view.footprint());
-                if ns.directory.addr_of(view.oid) == Some(view.addr) {
-                    ns.directory.drop_oid(view.oid);
-                }
                 seg.object_map.clear(off);
+                // A ghost — bytes of an older copy, while the node's current
+                // copy of the object lives elsewhere — takes nothing else
+                // with it: the current copy is judged where it lies.
+                match ns.directory.addr_of(view.oid) {
+                    Some(cur) if cur != view.addr => continue,
+                    Some(_) => ns.directory.drop_oid(view.oid),
+                    None => {}
+                }
                 // The replica record disappears: the next report's exiting
                 // list will no longer mention it, and the scion cleaner at
                 // the owner will drop the entering ownerPtr (Section 6.2).

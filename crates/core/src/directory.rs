@@ -176,6 +176,12 @@ impl Directory {
         self.by_from.contains_key(&addr)
     }
 
+    /// Every address this node knows a forwarding edge out of, in no
+    /// particular order.
+    pub fn forwarded_froms(&self) -> impl Iterator<Item = Addr> + '_ {
+        self.by_from.keys().copied()
+    }
+
     /// The relocation record that moved `oid`, if any is still retained.
     pub fn reloc_of(&self, oid: Oid) -> Option<Relocation> {
         self.reloc_by_oid.get(&oid).copied()

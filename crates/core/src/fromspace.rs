@@ -20,6 +20,9 @@
 //!    locally), rewrites its local references and roots away from the
 //!    ranges, unmaps its replica of the segments, drops the forwarding
 //!    knowledge, and acknowledges.
+//!    Nodes that do not map the bunch hear of the round too, when they
+//!    point into the bunch or their sweep is due: they sweep and are not
+//!    waited for (see `SWEEP_EVERY` and `SegmentServer::note_sweep`).
 //! 3. **Release** — with every ack in, the initiator rewrites its own
 //!    references, unmaps the segments, and tells the segment server the
 //!    ranges are released. No replica anywhere still holds live data or
@@ -34,13 +37,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bmx_addr::object::{self, CopyBuf, ObjectView};
 use bmx_addr::{MappedSegment, NodeMemory};
+use bmx_common::hash::IdHashMap;
 use bmx_common::{Addr, BmxError, BunchId, NodeId, NodeStats, Oid, Result, SegmentId, StatKind};
 use bmx_dsm::{DsmEngine, Relocation};
 use bmx_trace::{self as trace, ReuseStep, TraceEvent};
 
+use crate::directory::Directory;
 use crate::integration::apply_relocations_at;
 use crate::msg::GcMsg;
-use crate::state::{GcState, RetireState, ReusePhase, ReuseState};
+use crate::state::{released_target, GcNodeState, GcState, RetireState, ReusePhase, ReuseState};
 
 /// Begins reclaiming the pending from-space segments of `bunch` at `node`.
 ///
@@ -402,30 +407,29 @@ fn advance_to_retire(
         }
     };
     let relocations = relocs_out_of(gc, mem, node, &segments);
-    let dests: Vec<NodeId> = gc
+    // Every mapper takes part, and so does every other live node that has
+    // stored a pointer into the bunch or whose sweep is due: each sweeps its
+    // references out of the retiring and the released ranges, which is what
+    // lets the server reclaim their routing (`SegmentServer::note_sweep`).
+    // Only a mapper has a replica to let go of first, so only mappers are
+    // waited for.
+    let mappers: BTreeSet<NodeId> = gc
         .mapped_nodes(bunch)
         .into_iter()
         .filter(|&d| d != node)
         .collect();
-    if dests.is_empty() {
-        finish_local(gc, engine, mem, stats, node, bunch)?;
-        return Ok(Vec::new());
-    }
-    {
-        let brs = gc.node_mut(node).bunch_mut(bunch).expect("checked");
-        if let Some(r) = brs.reuse.as_mut() {
-            r.phase = ReusePhase::Retire {
-                awaiting_acks: dests.iter().copied().collect(),
-            };
-        }
-    }
-    trace::emit(
-        node,
-        TraceEvent::Reuse {
-            bunch,
-            step: ReuseStep::Retire,
-        },
-    );
+    let dests: Vec<NodeId> = {
+        let srv = gc.server.borrow();
+        let due = |d| !matches!(srv.sweep_lag(d), Some(lag) if lag < SWEEP_EVERY);
+        (0..gc.nodes.len() as u32)
+            .map(NodeId)
+            .filter(|&d| {
+                d != node
+                    && (mappers.contains(&d)
+                        || srv.is_settled(d) && (srv.is_referrer(bunch, d) || due(d)))
+            })
+            .collect()
+    };
     let mut msgs = Vec::new();
     for d in dests {
         stats.bump(StatKind::ExplicitRelocationMessages);
@@ -439,6 +443,25 @@ fn advance_to_retire(
             },
         ));
     }
+    if mappers.is_empty() {
+        finish_local(gc, engine, mem, stats, node, bunch)?;
+        return Ok(msgs);
+    }
+    {
+        let brs = gc.node_mut(node).bunch_mut(bunch).expect("checked");
+        if let Some(r) = brs.reuse.as_mut() {
+            r.phase = ReusePhase::Retire {
+                awaiting_acks: mappers,
+            };
+        }
+    }
+    trace::emit(
+        node,
+        TraceEvent::Reuse {
+            bunch,
+            step: ReuseStep::Retire,
+        },
+    );
     Ok(msgs)
 }
 
@@ -475,6 +498,15 @@ pub fn handle_retire(
     relocations: &[Relocation],
     reply_to: NodeId,
 ) -> Result<Vec<(NodeId, GcMsg)>> {
+    if gc.node(at).bunch(bunch).is_none() {
+        sweep_without_replica(gc, &mut mems[at.0 as usize], at, segments, relocations);
+        // The initiator waits only for the nodes the server lists as mappers.
+        if !gc.mapped_nodes(bunch).contains(&at) {
+            return Ok(Vec::new());
+        }
+        stats.bump(StatKind::BackgroundGcMessages);
+        return Ok(vec![(reply_to, GcMsg::RetireAck { bunch, from: at })]);
+    }
     apply_relocations_at(gc, at, relocations, mems);
     let mem = &mut mems[at.0 as usize];
     // Evacuate whatever *this* replica still has alive in the ranges: the
@@ -588,9 +620,10 @@ fn finish_local(
 }
 
 /// Releases `at`'s replica of the doomed segments: rewrites local
-/// references and roots away from the ranges, hands the forwarding
-/// knowledge to the server's retired-range routing, unmaps the segments and
-/// drops them from the bunch's pools. Returns the released ranges.
+/// references, roots and SSP targets away from the ranges (sweeping the
+/// released ranges in the same pass), hands the forwarding knowledge to the
+/// server's retired-range routing, unmaps the segments and drops them from
+/// the bunch's pools. Returns the released ranges.
 fn release_segments(
     gc: &mut GcState,
     engine: &DsmEngine,
@@ -608,7 +641,6 @@ fn release_segments(
                 .map(|seg| (seg.info.base, seg.info.words))
         })
         .collect();
-    let in_doomed = |a: Addr| ranges.iter().any(|&(b, w)| a.in_range(b, w));
     // Final local settle. Per-node divergence (Section 4.2) means the
     // retire round's relocation gossip cannot always settle *this*
     // replica's copy: its local address may match no advertised edge, or
@@ -633,38 +665,10 @@ fn release_segments(
     for addr in unsettled {
         copy_out_locally(gc, mem, stats, at, bunch, addr, segments)?;
     }
-    // Rewrite references in every other mapped segment that still point
-    // into the ranges, then the roots.
-    {
-        let dir = &gc.node(at).directory;
-        for seg in mem.segments_mut() {
-            if !segments.contains(&seg.info.id) {
-                object::rewrite_refs_in(seg, |t| if in_doomed(t) { dir.resolve(t) } else { t });
-            }
-        }
-    }
-    let root_updates: Vec<(u64, Addr)> = {
-        let ns = gc.node(at);
-        ns.roots
-            .iter()
-            .filter(|&(_, &a)| in_doomed(a))
-            .map(|(&id, &a)| (id, ns.directory.resolve(a)))
-            .collect()
-    };
-    for (id, a) in root_updates {
-        gc.node_mut(at).set_root(id, a);
-    }
-    // Update scion target addresses that still point into the ranges.
-    {
-        let ns = gc.node_mut(at);
-        for brs in ns.bunches.values_mut() {
-            for s in brs.scion_table.inter_mut() {
-                if in_doomed(s.target_addr) {
-                    s.target_addr = ns.directory.resolve(s.target_addr);
-                }
-            }
-        }
-    }
+    // Point every reference outside the ranges that still leads into them
+    // at the object's current copy, and sweep the released ranges with it.
+    let doomed: Vec<(Addr, Addr)> = ranges.iter().map(|&(b, w)| (b, b.add_words(w))).collect();
+    sweep(gc, mem, at, segments, &doomed, |_, cur| cur);
     // Hand the forwarding knowledge this node is about to drop to the
     // segment server's retired-range routing: a mutator anywhere that still
     // holds a pre-collection pointer (a register-resident root, in the
@@ -692,4 +696,128 @@ fn release_segments(
     }
     crate::collect::refresh_node_gauges(gc, at);
     Ok(ranges)
+}
+
+/// Releases after a node's last counted sweep at which a retire round
+/// takes in a node that neither maps the bunch nor points into it. A node
+/// sweeps whenever it takes part in a round of a bunch it maps; this bounds
+/// the lag of one that maps none of the bunches reused, and so the routes
+/// the server keeps, without a message to every node in every round.
+const SWEEP_EVERY: u64 = 2;
+
+/// `at`'s part in a retire round of `bunch`, which it does not map: it has
+/// no replica to evacuate, so it points what it holds into the retiring
+/// ranges at where the initiator's relocations say the objects went and
+/// sweeps the released ranges. (Applying the records would map the
+/// to-spaces here. The initiator may have released the ranges already:
+/// then their routing leads the way.)
+fn sweep_without_replica(
+    gc: &mut GcState,
+    mem: &mut NodeMemory,
+    at: NodeId,
+    segments: &[SegmentId],
+    relocations: &[Relocation],
+) {
+    let retiring: Vec<(Addr, Addr)> = {
+        let srv = gc.server.borrow();
+        segments
+            .iter()
+            .filter_map(|&id| srv.segment(id).ok())
+            .map(|s| (s.base, s.base.add_words(s.words)))
+            .collect()
+    };
+    let moved: IdHashMap<Addr, Addr> = relocations.iter().map(|r| (r.from, r.to)).collect();
+    sweep(gc, mem, at, &[], &retiring, |dir, cur| {
+        let mut to = cur;
+        for _ in 0..=moved.len() {
+            match moved.get(&to) {
+                Some(&next) => to = next,
+                None => break,
+            }
+        }
+        dir.resolve(to)
+    });
+}
+
+/// Sweeps `at`: every reference it holds — pointer slots in its mapped
+/// segments other than `skip`, roots, the gray backlog, inter-stub and
+/// inter-scion targets — whose local forwarding leads into one of the
+/// `retiring` ranges (`[base, end)`) or into a released one is rewritten to
+/// name the object's current copy: `moved` says where a reference into a
+/// retiring range goes (given where the node's forwarding takes it), the
+/// routing where one into a released range does. Leaves the release clock
+/// the sweep began at in [`GcNodeState::swept`], for the driver to report
+/// with the node's link watermarks; the server reclaims a range's routes
+/// once every node has swept it (`SegmentServer::note_sweep`).
+fn sweep(
+    gc: &mut GcState,
+    mem: &mut NodeMemory,
+    at: NodeId,
+    skip: &[SegmentId],
+    retiring: &[(Addr, Addr)],
+    moved: impl Fn(&Directory, Addr) -> Addr,
+) {
+    let server = gc.server.clone();
+    let srv = server.borrow();
+    let released = srv.released_ranges();
+    let GcNodeState {
+        directory,
+        roots,
+        bunches,
+        grayed,
+        swept,
+        ..
+    } = gc.node_mut(at);
+    *swept = Some(srv.release_clock());
+    let dir = &*directory;
+    let within = |ranges: &[(Addr, Addr)], a: Addr| ranges.iter().any(|&(b, e)| b <= a && a < e);
+    // One comparison pair rejects most references: the ranges are old
+    // spaces, and what a node points at is mostly newer.
+    let (lo, hi) = released
+        .iter()
+        .chain(retiring)
+        .fold((Addr(u64::MAX), Addr::NULL), |(lo, hi), &(b, e)| {
+            (lo.min(b), hi.max(e))
+        });
+    let touched = |a: Addr| lo <= a && a < hi && (within(retiring, a) || within(&released, a));
+    // The few addresses whose forwarding leads into such a range: any other
+    // reference outside the ranges is left alone without a lookup.
+    let leads_in: IdHashMap<Addr, Addr> = dir
+        .forwarded_froms()
+        .map(|from| (from, dir.resolve(from)))
+        .filter(|&(from, end)| touched(end) && !touched(from))
+        .collect();
+    let to = |t: Addr| {
+        let cur = if touched(t) {
+            dir.resolve(t)
+        } else if leads_in.is_empty() {
+            return None;
+        } else {
+            *leads_in.get(&t)?
+        };
+        let new = if within(retiring, t) || within(retiring, cur) {
+            moved(dir, cur)
+        } else {
+            released_target(&srv, dir, cur)?
+        };
+        (new != t).then_some(new)
+    };
+    for seg in mem.segments_mut() {
+        if !skip.contains(&seg.info.id) {
+            object::rewrite_ref_words(seg, to);
+        }
+    }
+    for a in roots.values_mut().chain(grayed.iter_mut().map(|(_, a)| a)) {
+        if let Some(cur) = to(*a) {
+            *a = cur;
+        }
+    }
+    for brs in bunches.values_mut() {
+        brs.stub_table.retarget_inter(to);
+        for s in brs.scion_table.inter_mut() {
+            if let Some(cur) = to(s.target_addr) {
+                s.target_addr = cur;
+            }
+        }
+    }
 }

@@ -72,7 +72,8 @@ pub enum GcMsg {
     /// two): the receiver applies the final relocations, evacuates any live
     /// objects remaining in its own replica of the ranges (copying out
     /// owned ones, copy-requesting non-owned ones), rewrites local
-    /// references, unmaps its replica, and acknowledges.
+    /// references, unmaps its replica, and acknowledges. A receiver that
+    /// does not map the bunch only sweeps its references and sends no ack.
     Retire {
         /// The bunch whose segments retire.
         bunch: BunchId,

@@ -186,6 +186,18 @@ impl StubTable {
         });
     }
 
+    /// Moves each inter-bunch stub's target to `f(target)` where that is
+    /// `Some` (its range retired and the object lives on elsewhere).
+    pub fn retarget_inter(&mut self, mut f: impl FnMut(Addr) -> Option<Addr>) {
+        for s in &mut self.inter {
+            if let Some(to) = f(s.target_addr) {
+                self.addr_index.remove(&(s.source_oid, s.target_addr));
+                s.target_addr = to;
+                self.addr_index.insert((s.source_oid, to));
+            }
+        }
+    }
+
     /// Keeps only the intra-bunch stubs satisfying `f`.
     pub fn retain_intra(&mut self, mut f: impl FnMut(&IntraStub) -> bool) {
         let intra_index = &mut self.intra_index;

@@ -183,6 +183,10 @@ pub struct GcNodeState {
     /// collection of their bunch was running; that collection's next
     /// step or flip absorbs them.
     pub grayed: Vec<(BunchId, Addr)>,
+    /// A sweep of the released ranges this node made that its driver has
+    /// not yet reported to the server with the node's link watermarks
+    /// (`SegmentServer::note_sweep`): the release clock it began at.
+    pub swept: Option<u64>,
 }
 
 impl GcNodeState {
@@ -201,6 +205,7 @@ impl GcNodeState {
             lost_tables: BTreeSet::new(),
             active_groups: BTreeSet::new(),
             grayed: Vec::new(),
+            swept: None,
         }
     }
 
@@ -315,13 +320,34 @@ impl GcState {
     /// The bunch containing `addr`, read off the descriptor of the segment
     /// a node has mapped there (`mem` is that node's memory); the shared
     /// server (a mutex and a range lookup) is asked only about addresses
-    /// the node has not mapped.
+    /// the node has not mapped, and answers for a released range too, by
+    /// its routing (`SegmentServer::bunch_of_held`): a node that does not
+    /// map the bunch may hold such an address until it next sweeps.
     pub fn local_bunch_of(&self, mem: &NodeMemory, addr: Addr) -> Option<BunchId> {
         match mem.resolve(addr) {
             Ok((seg, _)) => Some(seg.info.bunch),
-            Err(_) => self.bunch_of(addr),
+            Err(_) => self.server.borrow().bunch_of_held(addr),
         }
     }
+
+    /// What `node` should name instead of `addr`, if `addr` lies in a
+    /// released range whose routing still knows where its object went
+    /// (`released_target`).
+    pub fn resolve_released(&self, node: NodeId, addr: Addr) -> Option<Addr> {
+        released_target(&self.server.borrow(), &self.node(node).directory, addr)
+    }
+}
+
+/// Where a node whose forwarding knowledge is `dir` finds the object that
+/// `addr`, an address in a released range, named: the node's own copy if it
+/// keeps one (replicas diverge, Section 4.2: the route leads to the copy of
+/// the node that relocated it), else the route's end through `dir`.
+pub(crate) fn released_target(srv: &SegmentServer, dir: &Directory, addr: Addr) -> Option<Addr> {
+    let (oid, to) = srv.resolve_released(addr)?;
+    Some(match dir.addr_of(oid) {
+        Some(own) if srv.segment_of(own).is_some() => own,
+        _ => dir.resolve(to),
+    })
 }
 
 #[cfg(test)]

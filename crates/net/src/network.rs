@@ -607,6 +607,12 @@ impl<M: WireSize + Clone> Network<M> {
         self.stats.values().map(|s| s.dropped).sum()
     }
 
+    /// The sequence number of the last message stamped on `src -> dst`
+    /// (0 before the first): the sender's half of a link watermark.
+    pub fn sent_seq(&self, src: NodeId, dst: NodeId) -> u64 {
+        self.seqs.get(&(src, dst)).map_or(0, |s| s.0)
+    }
+
     /// Exchanges the per-link sequence counters of the links leaving
     /// `src` with `other`'s: they are the sender's state, and move with it
     /// when the parallel runtime lends a node to another site's cluster.

@@ -21,7 +21,7 @@
 //!
 //! Both loops — reuse straight after each collection, and reuse one round
 //! behind it, the shape `gc_churn_sim` settled on — also bound every node's
-//! forwarding edges.
+//! forwarding edges and the server's retired-range routes.
 
 use bmx_repro::bmx::audit;
 use bmx_repro::common::SplitMix64;
@@ -33,7 +33,11 @@ mod schedule;
 const NODES: u32 = 3;
 const ASSEMBLIES: usize = 8;
 const PARTS: usize = 16;
-const ROUNDS: usize = 150;
+/// Rounds per run; `BOUNDED_HEAP_ROUNDS` overrides it (the nightly chaos
+/// job runs 1 500).
+fn rounds() -> usize {
+    std::env::var("BOUNDED_HEAP_ROUNDS").map_or(150, |r| r.parse().expect("a round count"))
+}
 const WARM_UP: usize = 20;
 const INCREMENTS: usize = 16;
 const CHURN_ALLOCS: usize = 60;
@@ -63,6 +67,15 @@ const SERVER_SEGMENTS_MAX: usize = 9;
 /// (Observed over seeds 1–8: 14 with immediate reuse, 84 with reuse a round
 /// behind.)
 const EDGES_MAX: usize = 256;
+/// Retired-range routes the server may keep: those of the ranges released
+/// since every node last swept, a round or two of relocations (a round
+/// relocates at most the database and a registry per collection), not one
+/// per relocation ever made. A range's routes go once every node has swept
+/// its references out of it and the link watermarks show nothing sent
+/// before a sweep is still on its way (`SegmentServer::note_sweep`); kept
+/// for ever, they would grow by about 30 a round. (Observed over seeds
+/// 1–8, both loops: at most 82.)
+const ROUTES_MAX: usize = 256;
 
 fn nodes() -> impl Iterator<Item = NodeId> {
     (0..NODES).map(NodeId)
@@ -228,13 +241,19 @@ impl World {
             registered <= SERVER_SEGMENTS_MAX,
             "seed {seed} round {r}: the server has {registered} segments registered"
         );
+        let routes = self.c.server.borrow().route_count();
+        assert!(
+            routes <= ROUTES_MAX,
+            "seed {seed} round {r}: the server keeps {routes} retired-range routes"
+        );
     }
 }
 
 fn run(seed: u64, lag: bool, schedule: Schedule) -> Result<()> {
     let mut w = World::build(lag, schedule)?;
     let mut rng = SplitMix64::new(seed);
-    for r in 0..ROUNDS {
+    let rounds = rounds();
+    for r in 0..rounds {
         w.round(r, &mut rng)?;
         if r >= WARM_UP {
             w.assert_bounded(seed, r);
@@ -293,7 +312,7 @@ fn run(seed: u64, lag: bool, schedule: Schedule) -> Result<()> {
     for node in nodes() {
         w.c.run_bgc(node, w.scratch[node.0 as usize])?;
     }
-    let detached = (ROUNDS * CHURN_ALLOCS) as u64 - u64::from(NODES);
+    let detached = (rounds * CHURN_ALLOCS) as u64 - u64::from(NODES);
     assert!(
         w.c.total_stat(StatKind::ObjectsReclaimed) >= detached,
         "seed {seed}: reclaimed {} of {detached} detached objects",

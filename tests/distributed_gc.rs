@@ -2,6 +2,8 @@
 //! distributed garbage, replicated-bunch collections interleaved with
 //! mutation, and the from-space reuse protocol.
 
+use bmx_repro::bmx::{audit, ClusterMsg};
+use bmx_repro::dsm::DsmShared;
 use bmx_repro::prelude::*;
 use bmx_repro::workloads::lists;
 
@@ -308,4 +310,258 @@ fn bunch_collections_are_independent() {
             (100..105).collect::<Vec<_>>()
         );
     });
+}
+
+/// An inter-bunch stub whose target moved keeps its SSP through the reuse
+/// of the target's from-space. The release rewrites the source's field to
+/// the target's new address; it must rewrite the stub's target with it, or
+/// the source bunch's next collection, which matches stubs to the fields it
+/// traces, drops the stub, and the target dies with the scion.
+#[test]
+fn a_stub_keeps_its_target_through_a_reuse_at_the_same_node() {
+    schedule::each(|schedule| {
+        let mut c = schedule::cluster(1, schedule);
+        let n0 = n(0);
+        let (ba, bb) = (c.create_bunch(n0).unwrap(), c.create_bunch(n0).unwrap());
+        let a = c.alloc(n0, ba, &ObjSpec::with_refs(1, &[0])).unwrap();
+        let root = c.add_root(n0, a);
+        let b = c.alloc(n0, bb, &ObjSpec::data(1)).unwrap();
+        c.write_data(n0, b, 0, 55).unwrap();
+        c.write_ref(n0, a, 0, b).unwrap();
+        c.run_bgc(n0, bb).unwrap();
+        assert!(c.reuse_from_space(n0, bb).unwrap());
+        c.run_bgc(n0, ba).unwrap();
+        let stubs = c.gc.node(n0).bunch(ba).unwrap().stub_table.inter().len();
+        for _ in 0..2 {
+            c.run_bgc(n0, bb).unwrap();
+        }
+        let a = c.root(n0, root).unwrap();
+        let p = c.read_ref(n0, a, 0).unwrap();
+        assert_eq!(c.read_data(n0, p, 0), Ok(55));
+        assert_eq!(stubs, 1, "the stub survives the source's collection");
+    });
+}
+
+/// A node that holds a pointer into a bunch it does not map takes part in
+/// the target's retire round: it points the field at the target's new
+/// address, so its next collection still finds the reference, keeps the
+/// stub, and the target's scion with it. Before, the field kept the
+/// released address, the collector found no bunch for it and dropped the
+/// stub, and the target was reclaimed.
+#[test]
+fn a_pointer_from_a_node_that_does_not_map_the_target_survives_its_reuse() {
+    schedule::each(|schedule| {
+        let mut c = schedule::cluster(2, schedule);
+        let (n0, n1) = (n(0), n(1));
+        let ba = c.create_bunch(n0).unwrap();
+        let bb = c.create_bunch(n1).unwrap();
+        let src = c.alloc(n0, ba, &ObjSpec::with_refs(1, &[0])).unwrap();
+        let root = c.add_root(n0, src);
+        let tgt = c.alloc(n1, bb, &ObjSpec::data(1)).unwrap();
+        c.write_data(n1, tgt, 0, 77).unwrap();
+        c.write_ref(n0, src, 0, tgt).unwrap();
+        c.run_bgc(n1, bb).unwrap();
+        assert!(c.reuse_from_space(n1, bb).unwrap());
+        c.run_bgc(n0, ba).unwrap();
+        let findings: Vec<String> = audit::audit(&c).into_iter().map(|f| f.what).collect();
+        for _ in 0..2 {
+            c.run_bgc(n1, bb).unwrap();
+        }
+        let src = c.root(n0, root).unwrap();
+        let p = c.read_ref(n0, src, 0).unwrap();
+        assert_eq!(c.read_data(n1, p, 0), Ok(77));
+        assert!(findings.is_empty(), "{findings:#?}");
+        assert!(audit::audit(&c).is_empty());
+    });
+}
+
+/// Starts a read acquire of the object at `addr` by `node` and leaves its
+/// request on the network: no pump runs, so time passes only as the test
+/// steps it.
+fn request_read(c: &mut Cluster, node: NodeId, addr: Addr) {
+    let oid = c.oid_at(node, addr).unwrap();
+    let Cluster {
+        engine,
+        gc,
+        mems,
+        stats,
+        net,
+        ..
+    } = c;
+    let mut sh = DsmShared { mems, stats, gc };
+    engine
+        .start_read(node, oid, &mut sh, &mut |s, d, p| {
+            net.send(s, d, MsgClass::Dsm, ClusterMsg::Dsm(p));
+        })
+        .unwrap();
+}
+
+/// The grace of a released range outlasts an envelope that carries an
+/// address into it, sent before its sender swept and delivered after its
+/// receiver did. N0's grant of `holder` to N1 leaves N0 just before N0
+/// sweeps in N2's retire round, carrying `holder`'s pointer into the range
+/// that round releases; a partition between N0 and N1 holds the grant
+/// while that round and two more run. N0 and N1 map none of N2's bunches,
+/// so they sit the second round out and sweep again in the third, which
+/// covers the range; but N1 has not applied what N0 sent before sweeping,
+/// so the routes stay. The grant lands, its pointer still reaches the
+/// target, and a later round reclaims the routes.
+#[test]
+fn an_address_held_up_in_flight_keeps_its_range_routed() {
+    const HOLD: u64 = 200;
+    const HEAL: u64 = HOLD + 100;
+    let (n0, n1, n2) = (n(0), n(1), n(2));
+    let fault = FaultPlan::none().partition(vec![n0], vec![n1], HOLD, HEAL);
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        net: NetworkConfig::lossless(1).with_fault(fault),
+        ..Default::default()
+    });
+    let a = c.create_bunch(n0).unwrap();
+    let holder = c.alloc(n0, a, &ObjSpec::with_refs(1, &[0])).unwrap();
+    c.add_root(n0, holder);
+    c.map_bunch(n1, a, n0).unwrap();
+    let holder_at_n1 = c.add_root(n1, holder);
+    let b = c.create_bunch(n2).unwrap();
+    let tgt = c.alloc(n2, b, &ObjSpec::data(1)).unwrap();
+    c.write_data(n2, tgt, 0, 42).unwrap();
+    let churn: Vec<(BunchId, u64)> = (0..2)
+        .map(|_| {
+            let bunch = c.create_bunch(n2).unwrap();
+            let kept = c.alloc(n2, bunch, &ObjSpec::data(1)).unwrap();
+            (bunch, c.add_root(n2, kept))
+        })
+        .collect();
+    // N1's replica of `holder` still has the field empty; only N0's grant
+    // brings it the pointer, and N0's scion keeps the target alive.
+    c.write_ref(n0, holder, 0, tgt).unwrap();
+    c.run_bgc(n2, b).unwrap();
+    for &(bunch, _) in &churn {
+        c.run_bgc(n2, bunch).unwrap();
+    }
+    let now = c.net.now();
+    assert!(now < HOLD - 1, "set-up ends before the partition ({now})");
+    c.step(HOLD - 1 - now).unwrap();
+
+    // Tick HOLD - 1: N1 asks N0 for `holder`, N2 starts retiring `b`'s
+    // from-space. At HOLD N0 grants (held by the partition), then sweeps.
+    request_read(&mut c, n1, holder);
+    for (round, bunch) in [b, churn[0].0, churn[1].0].into_iter().enumerate() {
+        c.start_reuse(n2, bunch).unwrap();
+        c.step(4).unwrap();
+        let done = c.gc.node(n2).bunch(bunch).unwrap().reuse.is_none();
+        assert!(done, "round {round} done");
+    }
+    // Both have swept the range since its release, but the grant N0 sent
+    // before its first sweep has not reached N1.
+    for node in [n0, n1] {
+        let lag = c.server.borrow().sweep_lag(node).expect("swept");
+        assert!(lag < c.server.borrow().release_clock(), "{node} swept it");
+    }
+    assert!(
+        c.server.borrow().resolve_retired(tgt).is_some(),
+        "a range stays routed while an address into it is in flight"
+    );
+
+    // The partition heals and the grant lands after N1's sweeps.
+    c.step(HEAL - c.net.now() + 2).unwrap();
+    let h1 = c.root(n1, holder_at_n1).unwrap();
+    assert!(c.poll_acquire(n1, h1, false).unwrap(), "the grant arrived");
+    let p = c.read_ref(n1, h1, 0).unwrap();
+    c.release(n1, h1).unwrap();
+    assert_eq!(
+        c.read_data(n2, p, 0),
+        Ok(42),
+        "the pointer reaches the target"
+    );
+
+    // Later rounds, and N1's sweep covers what the grant brought. The
+    // partition dropped N0's table requests to N1, which N1 cannot tell from
+    // ones still on their way: the link must carry a later envelope first
+    // (here N0's table of `a`, which N1 maps).
+    c.run_bgc(n0, a).unwrap();
+    for &(bunch, root) in &churn {
+        let kept = c.root(n2, root).unwrap();
+        c.write_data(n2, kept, 0, 1).unwrap();
+        c.run_bgc(n2, bunch).unwrap();
+        assert!(c.reuse_from_space(n2, bunch).unwrap());
+    }
+    assert!(
+        c.server.borrow().resolve_retired(tgt).is_none(),
+        "the grace has passed"
+    );
+    let p = c
+        .read_ref(n1, c.root(n1, holder_at_n1).unwrap(), 0)
+        .unwrap();
+    assert_eq!(c.read_data(n2, p, 0), Ok(42));
+    assert!(audit::audit(&c).is_empty());
+    c.assert_gc_acquired_no_tokens();
+}
+
+/// The same for a duplicated message: N0 stores a pointer into `d` just as
+/// N2 starts retiring `d`'s from-space, and the scion-message goes to `d`'s
+/// creator N1 on a link that delays and doubles it. Both copies land after
+/// N1 swept, naming the target by its released address; N1's collection
+/// finds the target through the range's routing, so it stays alive, and a
+/// later round points the scion at the target's new address.
+#[test]
+fn a_duplicated_message_held_up_in_flight_still_reaches_its_object() {
+    let (n0, n1, n2) = (n(0), n(1), n(2));
+    let late = LinkFault {
+        drop: 0.0,
+        duplicate: 1.0,
+        jitter: 20,
+    };
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        net: NetworkConfig {
+            seed: 1,
+            ..NetworkConfig::lossless(1).with_fault(FaultPlan::none().link(n0, n1, late))
+        },
+        ..Default::default()
+    });
+    let a = c.create_bunch(n0).unwrap();
+    let src = c.alloc(n0, a, &ObjSpec::with_refs(1, &[0])).unwrap();
+    let root = c.add_root(n0, src);
+    let d = c.create_bunch(n1).unwrap();
+    let tgt = c.alloc(n1, d, &ObjSpec::data(1)).unwrap();
+    c.write_data(n1, tgt, 0, 7).unwrap();
+    c.map_bunch(n2, d, n1).unwrap();
+    c.acquire_write(n2, tgt).unwrap(); // N2 owns the target and moves it
+    c.release(n2, tgt).unwrap();
+    c.run_bgc(n2, d).unwrap();
+    c.start_reuse(n2, d).unwrap();
+    c.write_ref(n0, src, 0, tgt).unwrap(); // runs the round to its end
+    assert!(c.gc.node(n2).bunch(d).unwrap().reuse.is_none());
+    assert!(c.server.borrow().segment_of(tgt).is_none(), "released");
+    let scions: Vec<Addr> =
+        c.gc.node(n1)
+            .bunch(d)
+            .unwrap()
+            .scion_table
+            .inter()
+            .iter()
+            .map(|s| s.target_addr)
+            .collect();
+    assert_eq!(scions, vec![tgt], "one scion, installed after N1's sweep");
+    assert!(c.total_stat(StatKind::DuplicateDeliveries) > 0);
+
+    c.run_bgc(n1, d).unwrap();
+    for _ in 0..2 {
+        c.run_bgc(n2, d).unwrap();
+    }
+    let p = c.read_ref(n0, c.root(n0, root).unwrap(), 0).unwrap();
+    assert_eq!(c.read_data(n2, p, 0), Ok(7), "the target survived");
+
+    // Later rounds: N1's sweep points the scion past the released range,
+    // and once N0's sweep is due too, the range's routes go.
+    assert!(c.reuse_from_space(n2, d).unwrap());
+    c.run_bgc(n2, d).unwrap();
+    assert!(c.reuse_from_space(n2, d).unwrap());
+    assert!(c.server.borrow().resolve_retired(tgt).is_none());
+    c.run_bgc(n1, d).unwrap();
+    c.run_bgc(n2, d).unwrap();
+    let p = c.read_ref(n0, c.root(n0, root).unwrap(), 0).unwrap();
+    assert_eq!(c.read_data(n2, p, 0), Ok(7));
+    assert!(audit::audit(&c).is_empty());
 }

@@ -120,10 +120,12 @@ fn fromspace_watchdog_is_silent_when_the_drain_runs() {
     let mut c = Cluster::new(ClusterConfig::with_nodes(2));
     let b = c.create_bunch(n(0)).unwrap();
     let root = c.alloc(n(0), b, &ObjSpec::with_refs(1, &[0])).unwrap();
-    c.add_root(n(0), root);
+    let root = c.add_root(n(0), root);
 
     for _ in 0..6 {
         // Garbage + a collection retires a segment into from-space...
+        // (the root moves with every collection: it is read, not held).
+        let root = c.root(n(0), root).unwrap();
         let junk = c.alloc(n(0), b, &ObjSpec::data(4)).unwrap();
         c.write_ref(n(0), root, 0, junk).unwrap();
         c.write_data(n(0), junk, 0, 7).unwrap();

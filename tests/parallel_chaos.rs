@@ -986,3 +986,42 @@ fn parallel_chaos_seed_sweep() {
         "parallel chaos seeds failed (replay artifacts in target/chaos/): {failed:?}"
     );
 }
+
+/// On threads as in the simulator, the server drops a released range's
+/// routes once every node has swept it: n1 churns, collects and reuses a
+/// bunch round after round, n0 maps none of it and only sweeps, and the
+/// routes stay at about two rounds' relocations (each round moves the
+/// registry and its last object) instead of growing with every round.
+#[test]
+fn retired_routes_stay_bounded_on_threads() {
+    let _serial = serial();
+    const ROUNDS: usize = 40;
+    let pc = ParallelCluster::spawn(ClusterConfig::with_nodes(2));
+    let (h0, h1) = (pc.handle(n(0)), pc.handle(n(1)));
+    let own = h0.create_bunch().unwrap();
+    let counter = h0.alloc(own, &ObjSpec::data(1)).unwrap();
+    h0.add_root(counter).unwrap();
+    let b = h1.create_bunch().unwrap();
+    let registry = h1.alloc(b, &ObjSpec::with_refs(1, &[0])).unwrap();
+    let registry = h1.add_root(registry).unwrap();
+    let mut most = 0;
+    for round in 0..ROUNDS {
+        h0.write_data(counter, 0, round as u64).unwrap();
+        let at = h1
+            .with(|c| Ok(c.root(n(1), registry)))
+            .unwrap()
+            .expect("registry root");
+        for i in 0..20 {
+            let o = h1.alloc(b, &ObjSpec::data(2)).unwrap();
+            h1.write_data(o, 0, i).unwrap();
+            h1.write_ref(at, 0, o).unwrap();
+        }
+        h1.run_bgc(b).unwrap();
+        h1.with(|c| c.reuse_from_space(n(1), b)).unwrap();
+        assert!(pc.quiesce(Duration::from_secs(10)), "round {round} ends");
+        most = most.max(h1.with(|c| Ok(c.server.borrow().route_count())).unwrap());
+    }
+    assert!(most <= 3 * 2, "the server kept {most} routes");
+    let (c, _) = pc.shutdown(Shutdown::Drain).expect("shutdown");
+    assert!(audit::audit(&c).is_empty());
+}

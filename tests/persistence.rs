@@ -433,11 +433,12 @@ fn overlapping_rejoins_keep_replicated_objects_consistent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// N0 stores a pointer into N1's bunch and clears it again before it
-/// checkpoints. Every table travels on the lossy `StubTable` lane, here
-/// lost, so N1 keeps the scion of that first SSP. `restart_n0` restarts N0
-/// from its checkpoint; then N0 stores a new pointer into N1's bunch, N1
-/// collects and releases its from-space, and N0's pointer is read at N1.
+/// N0 checkpoints, then stores a pointer into N1's bunch and clears it
+/// again. Every table travels on the lossy `StubTable` lane, here lost, so
+/// N1 keeps the scion of that first SSP. `restart_n0` restarts N0 from its
+/// checkpoint, whose SSP counter predates that SSP; then N0 stores a new
+/// pointer into N1's bunch, N1 collects and releases its from-space, and
+/// N0's pointer is read at N1.
 fn read_through_a_pointer_stored_after_a_restart(restart_n0: bool) -> Result<u64> {
     let dir = fresh_dir(&format!("ssp-ids-{restart_n0}"));
     let (n0, n1) = (n(0), n(1));
@@ -454,9 +455,9 @@ fn read_through_a_pointer_stored_after_a_restart(restart_n0: bool) -> Result<u64
     let old = c.alloc(n1, b1, &ObjSpec::data(1))?;
     let new = c.alloc(n1, b1, &ObjSpec::data(1))?;
     c.write_data(n1, new, 0, 88)?;
+    c.run_bgc(n0, b0)?; // N0's checkpoint
     c.write_ref(n0, src, 0, old)?; // the first SSP N0 mints
     c.write_ref(n0, src, 0, Addr::NULL)?;
-    c.run_bgc(n0, b0)?;
     if restart_n0 {
         c.restart_with_amnesia(n0)?;
         c.settle(100)?;
@@ -488,6 +489,31 @@ fn a_restarted_node_mints_fresh_ssp_ids() {
         read_through_a_pointer_stored_after_a_restart(true).unwrap(),
         88
     );
+}
+
+/// Nor does it mint an OID again that its crashed incarnation minted after
+/// the last checkpoint: a peer may hold a replica under it.
+#[test]
+fn a_restarted_node_mints_fresh_oids() {
+    let dir = fresh_dir("oids");
+    let (n0, n1) = (n(0), n(1));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let b0 = c.create_bunch(n0).unwrap();
+    let first = c.alloc(n0, b0, &ObjSpec::data(1)).unwrap();
+    c.add_root(n0, first);
+    c.run_bgc(n0, b0).unwrap(); // N0's checkpoint
+    let lost = c.alloc(n0, b0, &ObjSpec::data(1)).unwrap();
+    let lost = c.oid_at(n0, lost).unwrap();
+    c.restart_with_amnesia(n0).unwrap();
+    c.settle(100).unwrap();
+    assert!(!c.in_recovery(n0) && !c.in_recovery(n1));
+    let again = c.alloc(n0, b0, &ObjSpec::data(1)).unwrap();
+    assert_ne!(c.oid_at(n0, again).unwrap(), lost);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// N0 points into N1's bunch; `restart_n0` restarts N0 from its checkpoint
