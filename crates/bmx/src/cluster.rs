@@ -28,6 +28,9 @@ const OID_INCARNATION_SHIFT: u32 = 48;
 /// Where a node's incarnation starts in its SSP-id counter: 2^40 ids per
 /// incarnation.
 const SSP_INCARNATION_SHIFT: u32 = 40;
+/// Where a node's incarnation starts in the collection epochs of the bunch
+/// replicas it creates: 2^32 collections per replica and incarnation.
+const EPOCH_INCARNATION_SHIFT: u32 = 32;
 
 /// Construction parameters for a simulated cluster.
 #[derive(Clone, Debug)]
@@ -616,16 +619,9 @@ impl Cluster {
                         ..meta.clone()
                     };
                     persist::checkpoint_node_meta(self, node, &mut rvm, &durable)?;
-                    for &(bunch, epoch) in &meta.bunches {
+                    for &bunch in &meta.bunches {
                         let (_, oids) = persist::recover_bunch_live(self, node, bunch, &mut rvm)?;
                         recovered.extend(oids.into_iter().map(|o| (o, bunch)));
-                        // Resume at the persisted epoch: the crashed
-                        // incarnation may have published it to no peer.
-                        let ns = self.gc.node_mut(node);
-                        ns.lost_tables.insert(bunch);
-                        if let Some(brs) = ns.bunch_mut(bunch) {
-                            brs.epoch = brs.epoch.max(epoch);
-                        }
                     }
                     // Roots go back only after the objects they name exist.
                     for addr in meta.roots {
@@ -668,7 +664,6 @@ impl Cluster {
             replay_micros,
             views: BTreeMap::new(),
             orphans: BTreeMap::new(),
-            epoch_floor: BTreeMap::new(),
             reports: Vec::new(),
         });
         if alone {
@@ -677,16 +672,20 @@ impl Cluster {
         Ok(())
     }
 
-    /// Starts `node`'s id mints in its incarnation — the rejoin epoch, one
-    /// per restart and persisted — so the restarted node mints no OID or
-    /// SSP id its dead incarnation may have minted after its last
-    /// checkpoint: a peer may still hold an object or a scion under it.
+    /// Starts `node`'s id mints and collection epochs in its incarnation —
+    /// the rejoin epoch, one per restart and persisted — so the restarted
+    /// node mints no OID or SSP id its dead incarnation may have minted
+    /// after its last checkpoint (a peer may still hold an object or a
+    /// scion under it), and every table it publishes is newer than any its
+    /// dead incarnation published (a peer's staleness gate would discard
+    /// it, or take a different table for one it already applied).
     fn begin_incarnation(&mut self, node: NodeId) {
         let n = node.0 as usize;
         let incarnation = self.rejoin_epochs[n];
         self.next_oid[n] = self.next_oid[n].max(incarnation << OID_INCARNATION_SHIFT);
         let ns = self.gc.node_mut(node);
         ns.next_ssp = ns.next_ssp.max(incarnation << SSP_INCARNATION_SHIFT);
+        ns.epoch_base = Epoch(incarnation << EPOCH_INCARNATION_SHIFT);
     }
 
     /// Gives each inter-bunch pointer the replay restored its stub back.
@@ -731,9 +730,8 @@ impl Cluster {
                 from,
                 views,
                 orphans,
-                epochs,
                 reports,
-            } => self.handle_rejoin_reply(dst, epoch, from, views, orphans, epochs, reports),
+            } => self.handle_rejoin_reply(dst, epoch, from, views, orphans, reports),
             RejoinMsg::Assign { assignments, .. } => {
                 for a in assignments {
                     if a.owner == dst {
@@ -755,7 +753,7 @@ impl Cluster {
 
     /// A surviving peer answers a rejoin `Request` from `src`: purge every
     /// piece of protocol state that waits on the crashed incarnation, then
-    /// reply with views, orphans, epoch floors, and fresh reports.
+    /// reply with views, orphans and fresh reports.
     fn handle_rejoin_request(
         &mut self,
         src: NodeId,
@@ -805,14 +803,6 @@ impl Cluster {
                 handoffs: st.handoffs,
             })
             .collect();
-        let epochs: Vec<(BunchId, u64)> = self
-            .gc
-            .node(dst)
-            .cleaner_epochs
-            .iter()
-            .filter(|((from, _), _)| *from == src)
-            .map(|((_, b), e)| (*b, e.0))
-            .collect();
         let bunches: Vec<BunchId> = self.gc.node(dst).bunches.keys().copied().collect();
         let mut reports = Vec::new();
         for b in bunches {
@@ -830,7 +820,6 @@ impl Cluster {
                 from: dst,
                 views,
                 orphans,
-                epochs,
                 reports,
             }),
         );
@@ -839,7 +828,6 @@ impl Cluster {
 
     /// The recovering node accumulates a peer's `Reply`; the last one
     /// triggers [`Cluster::finish_recovery`].
-    #[allow(clippy::too_many_arguments)]
     fn handle_rejoin_reply(
         &mut self,
         dst: NodeId,
@@ -847,7 +835,6 @@ impl Cluster {
         from: NodeId,
         views: Vec<ObjView>,
         orphans: Vec<OrphanView>,
-        epochs: Vec<(BunchId, u64)>,
         reports: Vec<bmx_gc::ReachabilityReport>,
     ) -> Result<()> {
         let n = dst.0 as usize;
@@ -864,10 +851,6 @@ impl Cluster {
             for o in orphans {
                 rec.orphans.entry(o.oid).or_default().push((from, o));
             }
-            for (b, e) in epochs {
-                let f = rec.epoch_floor.entry(b).or_insert(0);
-                *f = (*f).max(e);
-            }
             rec.reports.extend(reports);
             rec.awaiting.remove(&from);
             rec.awaiting.is_empty()
@@ -880,9 +863,8 @@ impl Cluster {
 
     /// Stages 2 (conclusion) and 3 of the pipeline, run when the last peer
     /// `Reply` arrives: reconcile ownership without moving any token a
-    /// survivor holds, re-home orphans, regenerate scions from the
-    /// collected reports, and resume collection epochs above the
-    /// cluster-wide floor.
+    /// survivor holds, re-home orphans, and regenerate scions from the
+    /// collected reports.
     fn finish_recovery(&mut self, node: NodeId) -> Result<()> {
         let n = node.0 as usize;
         let Some(rec) = self.recoveries[n].take() else {
@@ -1003,25 +985,6 @@ impl Cluster {
                 reports_applied += 1;
             }
         }
-        // A peer that applied a table of the crashed incarnation may still
-        // hold what it justified.
-        let ns = self.gc.node_mut(node);
-        ns.lost_tables.extend(rec.epoch_floor.keys());
-        // Epoch rule: resume each bunch's collection epoch at the larger of
-        // the maximum any surviving peer had applied from this node and the
-        // epoch the replay restored from the manifest, so the next report
-        // published here is strictly newer than anything pre-crash (the
-        // peers' `>=` staleness gate would silently discard it otherwise,
-        // and an epoch published only locally before the crash would be
-        // published twice with different contents).
-        for (&bunch, &floor) in &rec.epoch_floor {
-            let Some(brs) = self.gc.node_mut(node).bunch_mut(bunch) else {
-                continue;
-            };
-            brs.epoch = brs.epoch.max(Epoch(floor));
-            let epoch = brs.epoch;
-            trace::emit(node, TraceEvent::RejoinEpoch { bunch, epoch });
-        }
         self.server.borrow_mut().node_settled(node);
         trace::emit(node, TraceEvent::RecoveryComplete { epoch: rec.epoch });
         self.stats[n].bump(StatKind::RecoveriesCompleted);
@@ -1061,12 +1024,10 @@ impl Cluster {
             }
             // The current table, even with no stub toward the requester:
             // that empty table is what cuts its last scions. A node that
-            // does not map the bunch, or lost its table in a crash, has
-            // none to answer with (one mid-recovery never gets here, see
-            // `deliver`).
+            // does not map the bunch has none to answer with (one
+            // mid-recovery never gets here, see `deliver`).
             GcMsg::TableReq { bunch, have: _ } => {
-                let ns = self.gc.node(dst);
-                if ns.bunch(bunch).is_some() && !ns.lost_tables.contains(&bunch) {
+                if self.gc.node(dst).bunch(bunch).is_some() {
                     let report = self.build_report(dst, bunch)?;
                     self.stats[at].bump(StatKind::StubTableMessages);
                     self.send_gc(dst, src, GcMsg::Report(report));
@@ -1402,21 +1363,15 @@ impl Cluster {
         let res = (|| -> Result<()> {
             // The manifest accumulates every bunch ever checkpointed here.
             let prev = persist::recover_node_meta(node, &mut rvm)?.unwrap_or_default();
-            let mut bunches: BTreeMap<BunchId, Epoch> = prev.bunches.into_iter().collect();
+            let mut bunches: BTreeSet<BunchId> = prev.bunches.into_iter().collect();
             let mapped: Vec<BunchId> = self.gc.node(node).bunches.keys().copied().collect();
             let mut wrote = false;
             for bunch in mapped {
                 // A bunch with no segment left here (e.g. fully reused) is
                 // not checkpointable; skip it rather than fail the collection.
                 if persist::checkpoint_bunch(self, node, bunch, &mut rvm).is_ok() {
-                    bunches.entry(bunch).or_default();
+                    bunches.insert(bunch);
                     wrote = true;
-                }
-            }
-            // Every listed bunch still held here carries its current epoch.
-            for (bunch, epoch) in bunches.iter_mut() {
-                if let Some(brs) = self.gc.node(node).bunch(*bunch) {
-                    *epoch = (*epoch).max(brs.epoch);
                 }
             }
             if wrote {

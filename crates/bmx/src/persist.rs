@@ -16,7 +16,7 @@
 
 use bmx_addr::object;
 use bmx_addr::MappedSegment;
-use bmx_common::{Addr, BmxError, BunchId, Epoch, NodeId, Result, SegmentId, StatKind};
+use bmx_common::{Addr, BmxError, BunchId, NodeId, Result, SegmentId, StatKind};
 use bmx_rvm::{RegionId, Rvm};
 
 use crate::cluster::Cluster;
@@ -136,22 +136,22 @@ fn node_meta_region(node: NodeId) -> RegionId {
 
 /// First word of a written node-meta region (an all-zero region means the
 /// node never checkpointed).
-const NODE_META_MAGIC: u64 = 0x424D_585F_4E4F_4445; // "BMX_NODE"
+const NODE_META_MAGIC: u64 = 0x424D_585F_4E4F_4432; // "BMX_NOD2"
 /// Maximum mutator roots the manifest can carry.
 const NODE_META_ROOTS_CAP: usize = 4096;
 /// Maximum checkpointed bunches the manifest can list.
 const NODE_META_BUNCH_CAP: usize = 1024;
 
 fn node_meta_bytes() -> usize {
-    8 * (6 + NODE_META_ROOTS_CAP + 2 * NODE_META_BUNCH_CAP)
+    8 * (6 + NODE_META_ROOTS_CAP + NODE_META_BUNCH_CAP)
 }
 
 /// Everything a node needs besides the bunch images to come back: the OID
 /// and SSP-id mint cursors (so post-restart allocations and stubs cannot
-/// collide with surviving pre-crash objects and scions), the rejoin epoch,
-/// the mutator roots, and the list of checkpointed bunches to replay with
-/// each one's collection epoch (so a restart never publishes an epoch it
-/// already published).
+/// collide with surviving pre-crash objects and scions), the rejoin epoch
+/// (the incarnation, which also puts every post-restart collection epoch
+/// above any the node published before), the mutator roots, and the list
+/// of checkpointed bunches to replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeMeta {
     /// The node's OID mint counter at checkpoint time.
@@ -164,15 +164,14 @@ pub struct NodeMeta {
     pub next_ssp: u64,
     /// The node's mutator roots (re-registered after replay).
     pub roots: Vec<Addr>,
-    /// Every bunch with a checkpoint in this store, with the collection
-    /// epoch its replica here had reached when the manifest was written.
-    pub bunches: Vec<(BunchId, Epoch)>,
+    /// Every bunch with a checkpoint in this store.
+    pub bunches: Vec<BunchId>,
 }
 
 fn encode_node_meta(meta: &NodeMeta) -> Vec<u8> {
     let roots = &meta.roots[..meta.roots.len().min(NODE_META_ROOTS_CAP)];
     let bunches = &meta.bunches[..meta.bunches.len().min(NODE_META_BUNCH_CAP)];
-    let mut out = Vec::with_capacity(8 * (6 + roots.len() + 2 * bunches.len()));
+    let mut out = Vec::with_capacity(8 * (6 + roots.len() + bunches.len()));
     out.extend_from_slice(&NODE_META_MAGIC.to_le_bytes());
     out.extend_from_slice(&meta.next_oid.to_le_bytes());
     out.extend_from_slice(&meta.rejoin_epoch.to_le_bytes());
@@ -182,9 +181,8 @@ fn encode_node_meta(meta: &NodeMeta) -> Vec<u8> {
         out.extend_from_slice(&r.0.to_le_bytes());
     }
     out.extend_from_slice(&(bunches.len() as u64).to_le_bytes());
-    for (b, epoch) in bunches {
+    for b in bunches {
         out.extend_from_slice(&(b.0 as u64).to_le_bytes());
-        out.extend_from_slice(&epoch.0.to_le_bytes());
     }
     out
 }
@@ -211,13 +209,11 @@ fn decode_node_meta(bytes: &[u8]) -> Option<NodeMeta> {
         meta.roots.push(Addr(rd(5 + i)));
     }
     let bunch_count = rd(5 + root_count) as usize;
-    if bytes.len() < 8 * (6 + root_count + 2 * bunch_count) {
+    if bytes.len() < 8 * (6 + root_count + bunch_count) {
         return None;
     }
     for i in 0..bunch_count {
-        let at = 6 + root_count + 2 * i;
-        meta.bunches
-            .push((BunchId(rd(at) as u32), Epoch(rd(at + 1))));
+        meta.bunches.push(BunchId(rd(6 + root_count + i) as u32));
     }
     Some(meta)
 }

@@ -3,9 +3,9 @@
 //! An amnesia crash (power failure) loses a node's entire volatile state:
 //! memory image, object directory, DSM token/ownership caches, scion/stub
 //! tables, cleaner epochs and table-request schedules. What survives is the
-//! RVM store — the last post-BGC checkpoint of each bunch — and the *peers'*
-//! knowledge: who holds replicas, who registered entering ownerPtrs, and the
-//! highest reachability epoch each peer applied from the crashed node.
+//! RVM store — the last post-BGC checkpoint of each bunch and the manifest
+//! with the rejoin epoch — and the *peers'* knowledge: who holds replicas
+//! and who registered entering ownerPtrs.
 //!
 //! On restart the node runs a three-stage pipeline
 //! (`Cluster::begin_recovery` drives it):
@@ -21,12 +21,12 @@
 //!    surviving peer purges protocol state that waits on the crashed node,
 //!    then answers with [`RejoinMsg::Reply`]: its view of the recovered
 //!    objects, the *orphans* (its replicas whose ownerPtr names the crashed
-//!    node but which the node did not recover), its cleaner-epoch floor for
-//!    the crashed node's bunches, and a fresh reachability report of every
-//!    bunch it maps. Ownership is reconciled without ever moving a token a
-//!    surviving node holds — the Section-5 acquire invariants are untouched
-//!    because the recovering node only ever *demotes* itself (replica where
-//!    a survivor owns) or claims objects nobody else owns. "Nobody reports
+//!    node but which the node did not recover), and a fresh reachability
+//!    report of every bunch it maps. Ownership is reconciled without ever
+//!    moving a token a surviving node holds — the Section-5 acquire
+//!    invariants are untouched because the recovering node only ever
+//!    *demotes* itself (replica where a survivor owns) or claims objects
+//!    nobody else owns. "Nobody reports
 //!    ownership" is not yet "nobody owns": a write grant between two
 //!    survivors may be in flight while both answer, the old owner already
 //!    demoted and the new one still waiting. Each peer therefore reports
@@ -45,12 +45,15 @@
 //!    whose site is the recovered node. No recovery-special cleaning logic
 //!    exists: correctness rests exactly on the paper's Section-6 design.
 //!
-//! The *epoch rules*: the node's per-bunch collection epochs resume at the
-//! maximum any surviving peer had applied ([`RejoinMsg::Reply::epochs`]),
-//! so every post-restart report is strictly newer than anything the crashed
-//! incarnation published — the cleaner's `>=` staleness gate then guarantees
-//! no pre-crash table is ever mistaken for a fresh one. The
-//! `trace::query::post_crash_epoch_violations` checker asserts exactly this.
+//! The *epoch rule*: the rejoin epoch is the node's incarnation, and every
+//! bunch replica the new incarnation creates — replayed or mapped afresh —
+//! starts its collection epoch with the incarnation in the high bits. Every
+//! post-restart report is therefore strictly newer than anything a dead
+//! incarnation published, without asking a peer: the cleaner's `>=`
+//! staleness gate never mistakes a pre-crash table for a fresh one, and
+//! never discards a fresh one. Each table the new incarnation answers with
+//! is built from what it has rebuilt. The
+//! `trace::query::post_crash_epoch_violations` checker asserts the rule.
 
 use bmx_common::{BunchId, NodeId, Oid};
 use bmx_gc::ReachabilityReport;
@@ -139,10 +142,6 @@ pub enum RejoinMsg {
         /// Replicas orphaned by the crash (ownerPtr names the crashed node,
         /// object not in the recovered list).
         orphans: Vec<OrphanView>,
-        /// The peer's cleaner-epoch floor per bunch for reports *from* the
-        /// crashed node — the recovering node resumes its collection epochs
-        /// above the cluster-wide maximum of these.
-        epochs: Vec<(BunchId, u64)>,
         /// A fresh idempotent reachability report for every bunch the peer
         /// maps: the scion/stub regeneration payload.
         reports: Vec<ReachabilityReport>,
@@ -164,13 +163,11 @@ impl WireSize for RejoinMsg {
             RejoinMsg::Reply {
                 views,
                 orphans,
-                epochs,
                 reports,
                 ..
             } => {
                 20 + 18 * views.len() as u64
                     + 17 * orphans.len() as u64
-                    + 12 * epochs.len() as u64
                     + reports
                         .iter()
                         .map(|r| {
@@ -211,8 +208,6 @@ pub struct Recovery {
     pub views: BTreeMap<Oid, Vec<(NodeId, ObjView)>>,
     /// Collected orphans per object, tagged with the reporting holder.
     pub orphans: BTreeMap<Oid, Vec<(NodeId, OrphanView)>>,
-    /// Cluster-wide cleaner-epoch maximum per bunch for this node's reports.
-    pub epoch_floor: BTreeMap<BunchId, u64>,
     /// Reports piggy-backed on replies, applied at completion (after the
     /// ownership reconciliation, so entering-ownerPtr adjustments land on
     /// reconciled state).

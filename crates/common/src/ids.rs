@@ -51,7 +51,9 @@ impl MsgSeq {
 ///
 /// Each run of the bunch garbage collector on a replica bumps the replica's
 /// epoch; stub tables and scions are stamped with it so the scion cleaner can
-/// discard stale tables (DESIGN.md, Section 5).
+/// discard stale tables (DESIGN.md, Section 5). A replica starts at its
+/// node's incarnation in the high bits, so a restarted node's epochs order
+/// above every epoch it published before (DESIGN.md §8, "Epoch rules").
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Epoch(pub u64);
 

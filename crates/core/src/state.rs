@@ -163,19 +163,16 @@ pub struct GcNodeState {
     next_root: u64,
     /// SSP-id counter for pairs created at this node.
     pub next_ssp: u64,
+    /// The collection epoch every bunch replica created here starts at:
+    /// the node's incarnation in the high bits, so every table this
+    /// incarnation publishes is newer than any a dead one published.
+    pub epoch_base: Epoch,
     /// Latest reachability epoch consumed per `(source node, bunch)` —
     /// makes table processing idempotent and orders duplicates.
     pub cleaner_epochs: BTreeMap<(NodeId, BunchId), Epoch>,
     /// When to ask each `(source node, bunch)` that justifies a scion here
     /// for its table again ([`crate::cleaner::table_requests`]).
     pub pulls: BTreeMap<(NodeId, BunchId), Pull>,
-    /// Bunches whose tables this node's crashed incarnation published:
-    /// peers may hold scions and ownerPtrs those tables justified, and the
-    /// stubs behind them died in the crash (the store holds none, and a
-    /// collection only keeps the stubs it finds). This node answers no
-    /// table request for them: its table would cut what its restored
-    /// pointers still need, under an epoch it may already have published.
-    pub lost_tables: BTreeSet<BunchId>,
     /// Bunches currently under an incremental collection at this node: the
     /// write barrier grays pointer-store targets in these bunches.
     pub active_groups: BTreeSet<BunchId>,
@@ -200,9 +197,9 @@ impl GcNodeState {
             roots: BTreeMap::new(),
             next_root: 1,
             next_ssp: 1,
+            epoch_base: Epoch::default(),
             cleaner_epochs: BTreeMap::new(),
             pulls: BTreeMap::new(),
-            lost_tables: BTreeSet::new(),
             active_groups: BTreeSet::new(),
             grayed: Vec::new(),
             swept: None,
@@ -255,9 +252,11 @@ impl GcNodeState {
 
     /// State of the given bunch replica, created on demand.
     pub fn bunch_or_default(&mut self, bunch: BunchId) -> &mut BunchReplicaGc {
-        self.bunches
-            .entry(bunch)
-            .or_insert_with(|| BunchReplicaGc::new(bunch, Vec::new()))
+        let epoch = self.epoch_base;
+        self.bunches.entry(bunch).or_insert_with(|| BunchReplicaGc {
+            epoch,
+            ..BunchReplicaGc::new(bunch, Vec::new())
+        })
     }
 
     /// Mints a fresh SSP sequence number.

@@ -387,16 +387,6 @@ pub enum TraceEvent {
         /// The rejoin epoch of this recovery.
         epoch: u64,
     },
-    /// During rejoin the node resumed `bunch`'s collection-epoch counter
-    /// at `epoch` (the larger of the max any surviving peer had applied
-    /// and the epoch the node's checkpoint carried), so every post-restart
-    /// report is strictly newer than anything pre-crash.
-    RejoinEpoch {
-        /// The bunch whose epoch counter was resumed.
-        bunch: BunchId,
-        /// The resumed epoch.
-        epoch: Epoch,
-    },
 
     // ---------------- metrics plane ----------------
     /// The metrics watchdog raised an alarm at this node. The alarm is
@@ -467,7 +457,7 @@ impl TraceEvent {
             | ReportPublish { .. }
             | Reuse { .. } => "gc",
             ReportApply { .. } | ScionRetired { .. } | OwnerPtrRetired { .. } => "cleaner",
-            RecoveryBegin { .. } | RecoveryComplete { .. } | RejoinEpoch { .. } => "recovery",
+            RecoveryBegin { .. } | RecoveryComplete { .. } => "recovery",
             MetricAlarm { .. } => "metrics",
             MutatorAccess { .. } => "mutator",
             Span { .. } => "span",

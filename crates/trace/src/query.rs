@@ -217,12 +217,12 @@ pub fn acquire_invariant_violations(records: &[TraceRecord]) -> Vec<TraceRecord>
 /// node `X` begins recovery from an amnesia crash (`RecoveryBegin` at `X`),
 /// every later scion/ownerPtr retirement justified by one of `X`'s reports
 /// must carry an epoch *strictly greater* than the highest epoch any node
-/// had applied from `X` for that bunch before the recovery. The rejoin
-/// handshake resumes `X`'s per-bunch epoch counters at the larger of the
-/// surviving cluster-wide maximum and the epoch `X`'s checkpoint carried,
-/// so a retirement under a pre-crash epoch after a
-/// restart means a stale (possibly amnesia-forgotten) report was replayed
-/// as if fresh — exactly the confusion the idempotent cleaner design is
+/// had applied from `X` for that bunch before the recovery. Every bunch
+/// replica `X`'s new incarnation creates starts its collection epoch with
+/// the incarnation in the high bits, above any epoch a dead incarnation
+/// published, so a retirement under a pre-crash epoch after a restart
+/// means a stale (possibly amnesia-forgotten) report was replayed as if
+/// fresh — exactly the confusion the idempotent cleaner design is
 /// supposed to rule out. Returns the offending retirement records.
 ///
 /// The pass walks the merged happens-before order once: it tracks, per

@@ -369,13 +369,16 @@ fn amnesia_runs_replay_identically_from_the_seed() {
 }
 
 /// Seed sweep for the nightly chaos job: `AMNESIA_SEEDS` (comma-separated,
-/// `0x`-prefixed hex or decimal) overrides the default 8-seed set, and each
-/// seed runs under every schedule `SCHEDULE_SEEDS` names. A failing seed
-/// writes the replay artifact, the per-node flight recorders, and the
-/// victim's RVM directory listing to `target/chaos/`.
+/// `0x`-prefixed hex or decimal) overrides the default set, and each
+/// seed runs under every schedule `SCHEDULE_SEEDS` names. The default set
+/// is seeds 1–8 plus 0x3c4d and 14, which fail (0x3c4d under `Due`, 14
+/// under schedule 3004) when a restarted node answers table requests under
+/// epochs that do not carry its incarnation. A failing seed writes the
+/// replay artifact, the per-node flight recorders, and the victim's RVM
+/// directory listing to `target/chaos/`.
 #[test]
 fn amnesia_seed_sweep() {
-    let seeds = schedule::seeds_from_env("AMNESIA_SEEDS", &[1, 2, 3, 4, 5, 6, 7, 8]);
+    let seeds = schedule::seeds_from_env("AMNESIA_SEEDS", &[1, 2, 3, 4, 5, 6, 7, 8, 0x3c4d, 14]);
     let mut failures = Vec::new();
     for (schedule, seed) in schedule::schedules()
         .into_iter()
@@ -421,9 +424,10 @@ fn amnesia_seed_sweep() {
 /// and applied it only locally, crashed at t=1600 (restart 1800), the
 /// rejoin resumed B4 at the peers' floor of 4 (t=1802), N2 published a
 /// different epoch-5 report at t=2010, and N0 logged `OwnerPtrRetired` from
-/// it at t=2011. The manifest now carries each bunch's epoch, and the
-/// rejoin resumes at the larger of it and the peers' floor. (The ticks
-/// were read before the plan gained N1's crash window.)
+/// it at t=2011. Every replica a restarted node creates now starts its
+/// epochs with the incarnation in the high bits, above any epoch a dead
+/// incarnation published. (The ticks were read before the plan gained N1's
+/// crash window.)
 #[test]
 fn a_restarted_node_never_reuses_a_published_epoch() {
     run_amnesia(0x8, Schedule::Due);

@@ -187,7 +187,8 @@ fn blocking_cross_node_acquire_renders_as_one_stitched_flow() {
 }
 
 /// The critical path of a contended acquire (DESIGN.md §12): two nodes
-/// take turns writing one object, so most acquires block, and each blocked
+/// take turns writing one object, so every acquire but the first blocks
+/// on the token at the other node, and each blocked
 /// acquire's spans stitch into five contiguous segments by flow id. Pinned:
 /// nearly every blocked acquire stitches, and the median of what each
 /// one's segments add up to is at least 90 % of the median blocked
@@ -210,20 +211,24 @@ fn contended_acquires_stitch_into_a_critical_path_that_covers_them() {
     assert!(pc.quiesce(Duration::from_secs(10)), "setup quiesce");
 
     trace::enable_spans(trace::UNBOUNDED);
-    // Both start together: a writer that ran its rounds before the other
-    // began would block once, not take turns.
-    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    // The writers take turns, one bracket per turn and a barrier between
+    // turns: however the host schedules them, the token is always at the
+    // other node when an acquire starts.
+    let turn = std::sync::Arc::new(std::sync::Barrier::new(2));
     let writers: Vec<_> = [h0, h1]
         .into_iter()
-        .map(|h| {
-            let start = std::sync::Arc::clone(&start);
+        .enumerate()
+        .map(|(i, h)| {
+            let turn = std::sync::Arc::clone(&turn);
             std::thread::spawn(move || {
-                start.wait();
-                for _ in 0..ROUNDS {
-                    h.acquire_write(obj).expect("acquire");
-                    let v = h.read_data(obj, 1).expect("read");
-                    h.write_data(obj, 1, v + 1).expect("write");
-                    h.release(obj).expect("release");
+                for round in 0..2 * ROUNDS {
+                    if round % 2 == i as u64 {
+                        h.acquire_write(obj).expect("acquire");
+                        let v = h.read_data(obj, 1).expect("read");
+                        h.write_data(obj, 1, v + 1).expect("write");
+                        h.release(obj).expect("release");
+                    }
+                    turn.wait();
                 }
             })
         })

@@ -2,6 +2,7 @@
 //! the disk; crash recovery restores them; torn logs are survived.
 
 use bmx_repro::bmx::persist;
+use bmx_repro::common::Epoch;
 use bmx_repro::prelude::*;
 use bmx_repro::rvm::{Rvm, RvmOptions};
 use bmx_repro::workloads::lists;
@@ -565,4 +566,85 @@ fn read_through_a_restored_pointer(restart_n0: bool) -> Result<u64> {
 fn a_restored_pointer_comes_back_with_its_stub() {
     assert_eq!(read_through_a_restored_pointer(false).unwrap(), 77);
     assert_eq!(read_through_a_restored_pointer(true).unwrap(), 77);
+}
+
+/// The cleaner epoch N1 has applied from N0 for `bunch`.
+fn applied_from_n0(c: &Cluster, bunch: BunchId) -> Epoch {
+    c.gc.node(n(1)).cleaner_epochs[&(n(0), bunch)]
+}
+
+/// A bunch a restarted node maps again, without having recovered it,
+/// publishes tables its peers apply. N0 maps N1's bunch and collects it
+/// five times, so N1 has applied N0's epoch 5; N0 restarts with no store,
+/// maps the bunch again and collects it. The new replica's epochs start
+/// above every epoch the dead incarnation published, so N1 applies the
+/// new table instead of discarding it as stale.
+#[test]
+fn a_bunch_mapped_again_after_a_restart_publishes_fresh_epochs() {
+    let (n0, n1) = (n(0), n(1));
+    let mut c = Cluster::new(ClusterConfig::with_nodes(2));
+    let b = c.create_bunch(n1).unwrap();
+    let x = c.alloc(n1, b, &ObjSpec::data(1)).unwrap();
+    c.add_root(n1, x);
+    c.map_bunch(n0, b, n1).unwrap();
+    for _ in 0..5 {
+        c.run_bgc(n0, b).unwrap();
+    }
+    c.settle(1_000).unwrap();
+    assert_eq!(applied_from_n0(&c, b), Epoch(5));
+
+    c.restart_with_amnesia(n0).unwrap();
+    c.settle(1_000).unwrap();
+    assert!(!c.in_recovery(n0), "the rejoin completed");
+    c.map_bunch(n0, b, n1).unwrap();
+    c.run_bgc(n0, b).unwrap();
+    c.settle(1_000).unwrap();
+    assert!(
+        applied_from_n0(&c, b) > Epoch(5),
+        "N1 discarded the restarted N0's table as stale (applied {:?})",
+        applied_from_n0(&c, b)
+    );
+}
+
+/// A restarted node answers a table request for a bunch its manifest
+/// replayed, from the stubs it restored. N0's rooted object points into
+/// N1's bunch; N0 checkpoints, restarts from its store and does not
+/// collect again. N1 asks for the table behind its scion, applies N0's
+/// answer, and keeps the target the restored pointer needs.
+#[test]
+fn a_restarted_source_answers_a_table_request_for_a_replayed_bunch() {
+    let dir = fresh_dir("replayed-table");
+    let (n0, n1) = (n(0), n(1));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 2,
+        persist: Some(PersistConfig::at(&dir)),
+        ..Default::default()
+    });
+    let b0 = c.create_bunch(n0).unwrap();
+    let b1 = c.create_bunch(n1).unwrap();
+    let src = c.alloc(n0, b0, &ObjSpec::with_refs(1, &[0])).unwrap();
+    c.add_root(n0, src);
+    let tgt = c.alloc(n1, b1, &ObjSpec::data(1)).unwrap();
+    c.write_data(n1, tgt, 0, 77).unwrap();
+    c.write_ref(n0, src, 0, tgt).unwrap();
+    c.run_bgc(n0, b0).unwrap(); // N0's checkpoint
+    c.settle(100).unwrap();
+    let before = applied_from_n0(&c, b0);
+
+    c.restart_with_amnesia(n0).unwrap();
+    c.settle(100).unwrap();
+    assert!(!c.in_recovery(n0), "the rejoin completed");
+    c.step(64).unwrap();
+    assert!(
+        applied_from_n0(&c, b0) > before,
+        "N1 applied no table of the restarted N0: {:?}",
+        applied_from_n0(&c, b0)
+    );
+    c.run_bgc(n1, b1).unwrap();
+    assert_eq!(
+        c.read_data(n1, tgt, 0).unwrap(),
+        77,
+        "the target survived at N1"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -374,8 +374,8 @@ fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
         let records = trace::take();
         trace::disable();
 
-        // The victim's own timeline: RecoveryBegin, then every RejoinEpoch,
-        // then RecoveryComplete, all under the same rejoin epoch.
+        // The victim's own timeline: RecoveryBegin, then RecoveryComplete,
+        // both under the same rejoin epoch.
         let mine: Vec<&TraceRecord> = records.iter().filter(|r| r.node == victim).collect();
         let begin = mine
             .iter()
@@ -395,23 +395,6 @@ fn recovery_events_and_post_crash_epoch_rule_on_a_real_run() {
             _ => unreachable!(),
         };
         assert_eq!(begin_epoch, complete_epoch, "one rejoin epoch end to end");
-        let rejoins: Vec<usize> = mine
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r.event, TraceEvent::RejoinEpoch { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            !rejoins.is_empty(),
-            "the survivors handed back at least one per-bunch epoch floor"
-        );
-        for i in rejoins {
-            assert!(
-                begin < i && i < complete,
-                "RejoinEpoch sits inside the recovery window (begin={begin}, \
-                 rejoin={i}, complete={complete})"
-            );
-        }
 
         assert!(
             pulled_tables_applied(&records) > 0,
