@@ -305,14 +305,6 @@ impl SegmentServer {
         self.segment_of(addr).map(|s| s.bunch)
     }
 
-    /// The bunch a *held* address names: the containing segment's, or — for
-    /// an address in a released range — the one its retired-range routing
-    /// leads to (a collection never moves an object across bunches).
-    pub fn bunch_of_held(&self, addr: Addr) -> Option<BunchId> {
-        self.bunch_of(addr)
-            .or_else(|| self.bunch_of(self.resolve_retired(addr)?.1))
-    }
-
     /// Registers the relocation set `(oid, from, to)` of the retiring range
     /// `[base, base + words)` (called by every reuse participant just
     /// before it unmaps its replica); records from outside the range are
@@ -544,72 +536,39 @@ impl SegmentServer {
         self.segments.len()
     }
 
-    /// Follows retired-range routing from `addr` to the youngest known
-    /// `(oid, address)` — chains span multiple generations of reuse when
-    /// a to-space was itself later retired. Returns `None` for an address
-    /// no retirement ever recorded.
+    /// Follows the routes of retired ranges from `addr` to the youngest
+    /// address they lead to: the object and that address. The chain crosses
+    /// every retired range, retiring or released, so it spans the
+    /// generations of reuse a to-space later retired in turn. `None` for an
+    /// address no route leaves (never retired, or an object dead when its
+    /// range retired).
     ///
     /// # Panics
     ///
     /// Panics on a routing cycle: a chain follows each route at most once.
-    pub fn resolve_retired(&self, addr: Addr) -> Option<(Oid, Addr)> {
-        let mut cur = addr;
-        let mut found = None;
-        let mut hops = 0;
-        while let Some((oid, to)) = self.route_from(cur) {
-            found = Some((oid, to));
-            cur = to;
-            hops += 1;
+    pub fn route(&self, addr: Addr) -> Option<(Oid, Addr)> {
+        let mut found: Option<(Oid, Addr)> = None;
+        for hops in 0.. {
             assert!(
                 hops <= self.retired_routes,
                 "retired-range routing cycle at {addr}"
             );
-        }
-        found
-    }
-
-    /// Follows routes out of *released* ranges from `addr`, as far as they
-    /// lead out of released ranges: the object and where a reference to
-    /// `addr` must point instead. `None` if `addr` lies in no released
-    /// range or has no route there (an object dead when its range retired).
-    pub fn resolve_released(&self, addr: Addr) -> Option<(Oid, Addr)> {
-        let mut found = None;
-        let mut cur = addr;
-        let mut hops = 0;
-        while let Some((range, (oid, to))) = self.route_with_range(cur) {
-            if range.released.is_none() {
+            let from = found.map_or(addr, |(_, to)| to);
+            let Some(range) = self
+                .retired
+                .partition_point(|r| r.base <= from)
+                .checked_sub(1)
+                .map(|at| &self.retired[at])
+                .filter(|r| from < r.end)
+            else {
                 break;
-            }
-            found = Some((oid, to));
-            cur = to;
-            hops += 1;
-            assert!(
-                hops <= self.retired_routes,
-                "retired-range routing cycle at {addr}"
-            );
+            };
+            let Ok(i) = range.routes.binary_search_by_key(&from, |&(f, ..)| f) else {
+                break;
+            };
+            found = Some((range.routes[i].1, range.routes[i].2));
         }
         found
-    }
-
-    /// The route out of `from`, if a retired range holds one.
-    fn route_from(&self, from: Addr) -> Option<(Oid, Addr)> {
-        self.route_with_range(from).map(|(_, route)| route)
-    }
-
-    fn route_with_range(&self, from: Addr) -> Option<(&RetiredRange, (Oid, Addr))> {
-        let at = self
-            .retired
-            .partition_point(|r| r.base <= from)
-            .checked_sub(1)?;
-        let range = &self.retired[at];
-        if from >= range.end {
-            return None;
-        }
-        let i = range
-            .routes
-            .binary_search_by_key(&from, |&(f, ..)| f)
-            .ok()?;
-        Some((range, (range.routes[i].1, range.routes[i].2)))
     }
 }
 
@@ -688,11 +647,8 @@ mod tests {
             srv.note_retired(w[0].base, 64, [(Oid(7), w[0].base, w[1].base)]);
             srv.release_segments(&[w[0].id]);
         }
-        assert_eq!(
-            srv.resolve_retired(gens[0].base),
-            Some((Oid(7), gens[100].base))
-        );
-        assert_eq!(srv.bunch_of_held(gens[0].base), Some(b));
+        assert_eq!(srv.route(gens[0].base), Some((Oid(7), gens[100].base)));
+        assert_eq!(srv.bunch_of(gens[100].base), Some(b));
     }
 
     /// The reclamation rule of `note_sweep`, on two nodes and one released
@@ -714,7 +670,7 @@ mod tests {
             durable,
         };
         let (n0, n1) = (NodeId(0), NodeId(1));
-        let routed = |srv: &SegmentServer| srv.resolve_retired(from.base).is_some();
+        let routed = |srv: &SegmentServer| srv.route(from.base).is_some();
         srv.note_sweep(n0, sweep(e - 1, [0, 5], [0, 3], true));
         srv.note_sweep(n1, sweep(e, [3, 0], [5, 0], true));
         assert!(routed(&srv), "n0's sweep predates the release");
@@ -739,7 +695,7 @@ mod tests {
         let (a, b) = (Addr(FIRST_BASE), Addr(FIRST_BASE + 64 * 8));
         srv.note_retired(a, 64, [(Oid(1), a, b)]);
         srv.note_retired(b, 64, [(Oid(1), b, a)]);
-        srv.resolve_retired(a);
+        srv.route(a);
     }
 
     /// The per-range routing against a `BTreeMap<Addr, (Oid, Addr)>` model:
@@ -792,7 +748,7 @@ mod tests {
                 };
                 for a in (0..8 * WORDS).map(|w| base(0).add_words(w)) {
                     assert_eq!(
-                        srv.resolve_retired(a),
+                        srv.route(a),
                         model_resolve(a),
                         "seed {seed} step {step} at {a}"
                     );

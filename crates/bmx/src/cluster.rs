@@ -704,7 +704,7 @@ impl Cluster {
             let src = self.mems[n].position(addr)?;
             for (field, target) in object::ref_fields(&self.mems[n], addr)? {
                 let cur = self.gc.node(node).directory.resolve(target);
-                if self.gc.local_bunch_of(&self.mems[n], cur).unwrap_or(bunch) == bunch {
+                if self.held_bunch(node, cur).unwrap_or(bunch) == bunch {
                     continue;
                 }
                 let Cluster {

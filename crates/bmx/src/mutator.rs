@@ -8,6 +8,7 @@
 use bmx_addr::{object, Protection};
 use bmx_common::{Addr, BmxError, BunchId, NodeId, Oid, Result, StatKind};
 use bmx_dsm::{AcquireStart, Token};
+use bmx_gc::{held, held_bunch, Held};
 use bmx_metrics::{self as metrics, Hst};
 use bmx_trace::{self as trace, TraceEvent};
 
@@ -149,11 +150,12 @@ impl Cluster {
     /// segment's index and the word offset of the object's header, which
     /// the accessor hands to the segment-relative form of its operation.
     ///
-    /// The cold tail: forwarding may dead-end at an address holding no
-    /// object (the range was released by from-space reuse and the edges
-    /// dropped with it, Section 4.5). The segment server's retired-range
-    /// routing then supplies the object identity, and the node's own
-    /// replica of it is preferred.
+    /// The cold tail: forwarding may end where the node holds no object
+    /// (the range was released by from-space reuse and the edges dropped
+    /// with it, Section 4.5). [`bmx_gc::held`] then places the address: a
+    /// route out of a retired range leads to the node's own copy or the
+    /// route's end, and where nothing is mapped, the bunch it names
+    /// decides the access.
     fn locate(&self, node: NodeId, addr: Addr, access: Access) -> Result<(usize, usize)> {
         let mem = &self.mems[node.0 as usize];
         let dir = &self.gc.node(node).directory;
@@ -161,37 +163,21 @@ impl Cluster {
         metrics::observe(node, Hst::ForwardingChainLen, hops as u64);
         let is_header = |&(seg, off): &(usize, usize)| mem.segments()[seg].object_map.get(off);
         let mut at = mem.position(cur);
-        match at {
-            Ok((seg, _)) => {
-                let info = &mem.segments()[seg].info;
-                access.allowed_by(info.bunch, info.protection)?;
-            }
-            // Nothing is mapped where forwarding ends: what the server
-            // knows of the held address decides, and an address it does
-            // not know either fails as unmapped below.
-            Err(_) if access != Access::Header => {
-                let srv = self.server.borrow();
-                if let Some(bunch) = srv.bunch_of_held(addr) {
-                    access.allowed_by(bunch, srv.bunch(bunch)?.protection)?;
-                }
-            }
-            Err(_) => {}
+        if let Ok((seg, _)) = at {
+            let info = &mem.segments()[seg].info;
+            access.allowed_by(info.bunch, info.protection)?;
         }
         let mut found = at.as_ref().is_ok_and(is_header);
         if !found {
-            // The held address or, when local forwarding took it on into a
-            // range released since, the end of that chain.
-            let routed = {
-                let srv = self.server.borrow();
-                srv.resolve_retired(addr)
-                    .or_else(|| srv.resolve_retired(cur))
-            };
-            if let Some((oid, to)) = routed {
+            let place = held(mem, dir, &self.server, cur);
+            if at.is_err() && access != Access::Header {
+                if let Some(bunch) = place.bunch(mem) {
+                    access.allowed_by(bunch, self.server.borrow().bunch(bunch)?.protection)?;
+                }
+            }
+            if let Held::Routed { to, .. } = place {
                 self.stats[node.0 as usize].bump(StatKind::RetiredRouteHits);
-                cur = match dir.addr_of(oid) {
-                    Some(a) if object::view(mem, a).is_ok_and(|v| v.oid == oid) => a,
-                    _ => dir.resolve(to),
-                };
+                cur = to;
                 at = mem.position(cur);
                 found = at.as_ref().is_ok_and(is_header);
             }
@@ -275,21 +261,20 @@ impl Cluster {
 
     /// Resolves the OID of the object at `addr` for `node`.
     ///
-    /// Fast path: the local header. If the object's data never reached this
-    /// node, the header is fetched from the bunch creator — a stand-in for
-    /// the address-keyed routing of the original system (see DESIGN.md), and
-    /// accounted as one protocol round-trip. If the creator's replica lost
-    /// the trail too — every copy of the forwarding knowledge dies when a
-    /// from-space range is released (Section 4.5) — the segment
-    /// server's retired-range routing resolves the stale pointer.
+    /// Fast path: the local header. Otherwise [`bmx_gc::held`] places the
+    /// address at the node, for its bunch, then at the bunch creator: its
+    /// header is fetched — a stand-in for the address-keyed routing of the
+    /// original system (see DESIGN.md), accounted as one protocol
+    /// round-trip — or, where every copy of the forwarding knowledge died
+    /// with a released from-space range (Section 4.5), the route names the
+    /// object at the creator's copy or the route's end, and the node's
+    /// directory learns that address.
     pub fn oid_at(&mut self, node: NodeId, addr: Addr) -> Result<Oid> {
         if let Ok(oid) = self.oid_at_local(node, addr) {
             return Ok(oid);
         }
         let bunch = self
-            .server
-            .borrow()
-            .bunch_of_held(addr)
+            .held_bunch(node, addr)
             .ok_or(BmxError::Unmapped { node, addr })?;
         let creator = self.server.borrow().bunch(bunch)?.creator;
         if !self.is_resident(creator) {
@@ -297,45 +282,40 @@ impl Cluster {
             // operation again once it holds the creator's slot too.
             return Err(BmxError::NeedsNode { node: creator });
         }
-        let (oid, retired_to) = match self.oid_at_local(creator, addr) {
-            Ok(oid) => (oid, None),
-            Err(err) => {
-                let Some((oid, cur)) = self.server.borrow().resolve_retired(addr) else {
-                    return Err(err);
-                };
-                self.stats[node.0 as usize].bump(StatKind::RetiredRouteHits);
-                // Prefer an address some replica demonstrably populated:
-                // this node's own copy first, then the creator's; the
-                // routing target is only a last resort (the data lands
-                // there at grant time).
-                let local = self.gc.node(node).directory.addr_of(oid).filter(|&a| {
-                    object::view(&self.mems[node.0 as usize], a).is_ok_and(|v| v.oid == oid)
-                });
-                let at_creator = self.gc.node(creator).directory.addr_of(oid).filter(|&a| {
-                    object::view(&self.mems[creator.0 as usize], a).is_ok_and(|v| v.oid == oid)
-                });
-                (oid, Some((local, local.or(at_creator).unwrap_or(cur))))
+        let (mem, dir) = (
+            &self.mems[creator.0 as usize],
+            &self.gc.node(creator).directory,
+        );
+        let cur = dir.resolve(addr);
+        let (oid, routed) = match held(mem, dir, &self.server, cur) {
+            Held::Local((seg, off)) => (object::view_at(&mem.segments()[seg], off).oid, None),
+            Held::Routed { oid, to, .. } => (oid, Some(to)),
+            _ if mem.is_mapped(cur) => return Err(BmxError::NotAnObject { addr: cur }),
+            _ => {
+                return Err(BmxError::Unmapped {
+                    node: creator,
+                    addr: cur,
+                })
             }
         };
         self.stats[node.0 as usize].add(StatKind::MessagesSent, 2);
         self.stats[node.0 as usize].add(StatKind::DsmProtocolMessages, 2);
         self.stats[node.0 as usize].add(StatKind::DsmLogicalMessages, 2);
-        match retired_to {
+        let dir = &mut self.gc.nodes[node.0 as usize].directory;
+        match routed {
             // The node now knows where this object lives locally (same
             // address until relocations say otherwise) and who to ask for
             // tokens.
-            None => self.gc.node_mut(node).directory.set_addr(oid, addr),
-            Some((local, cur)) => {
-                // Teach the local directory the retired address, so later
-                // brackets (release, field access) resolve without routing.
-                let dir = &mut self.gc.node_mut(node).directory;
+            None => dir.set_addr(oid, addr),
+            // Teach the local directory the retired address, so later
+            // brackets (release, field access) resolve without routing.
+            Some(to) => {
+                self.stats[node.0 as usize].bump(StatKind::RetiredRouteHits);
                 if !dir.is_forwarded_from(addr) {
-                    dir.record_move(oid, addr, cur);
+                    dir.record_move(oid, addr, to);
                 }
-                if local.is_none() {
-                    let cur = dir.resolve(cur);
-                    dir.set_addr(oid, cur);
-                }
+                let cur = dir.resolve(to);
+                dir.set_addr(oid, cur);
             }
         }
         if self.engine.obj_state(node, oid).is_none() {
@@ -492,7 +472,7 @@ impl Cluster {
     pub fn add_root(&mut self, node: NodeId, addr: Addr) -> u64 {
         // A root created during an incremental collection makes its target
         // reachable: gray it.
-        let bunch = self.gc.local_bunch_of(&self.mems[node.0 as usize], addr);
+        let bunch = self.held_bunch(node, addr);
         self.gc.node_mut(node).gray_if_active(bunch, addr);
         self.gc.node_mut(node).add_root(addr)
     }
@@ -504,9 +484,16 @@ impl Cluster {
 
     /// Re-points a root slot.
     pub fn set_root(&mut self, node: NodeId, id: u64, addr: Addr) {
-        let bunch = self.gc.local_bunch_of(&self.mems[node.0 as usize], addr);
+        let bunch = self.held_bunch(node, addr);
         self.gc.node_mut(node).gray_if_active(bunch, addr);
         self.gc.node_mut(node).set_root(id, addr);
+    }
+
+    /// The bunch of the object `addr` names at `node` (as [`bmx_gc::held`]
+    /// places it, without first following the node's forwarding).
+    pub(crate) fn held_bunch(&self, node: NodeId, addr: Addr) -> Option<BunchId> {
+        let mem = &self.mems[node.0 as usize];
+        held_bunch(mem, &self.gc.node(node).directory, &self.server, addr)
     }
 
     /// Drops a root slot.

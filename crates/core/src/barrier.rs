@@ -16,16 +16,17 @@ use bmx_trace::{self as trace, SspKind, TraceEvent};
 
 use crate::msg::GcMsg;
 use crate::ssp::{InterScion, InterStub, SspId};
-use crate::state::GcState;
+use crate::state::{held, GcState, Held};
 
 /// Performs the barriered pointer store `(*src).field = target` at `node`.
 ///
 /// `(src_seg, src_off)` is where the caller located the current copy of
 /// the source object: the index in [`NodeMemory::segments`] of its segment
 /// and the word offset of its header there. The target goes through local
-/// forwarding, so the stored pointer names the current copy. Both bunch
-/// ids come off the node's own segment descriptors: a store between
-/// mapped objects touches no shared state.
+/// forwarding, so the stored pointer names the current copy; a target the
+/// node does not map is placed by [`held`]. Both bunch ids of a store
+/// between mapped objects come off the node's own segment descriptors: it
+/// touches no shared state.
 ///
 /// Returns the scion-message to transmit, if the store created a cross-node
 /// inter-bunch reference. The caller (the cluster driver) owns transmission;
@@ -39,20 +40,19 @@ pub fn write_ref(
     field: u64,
     target: Addr,
 ) -> Result<Option<(NodeId, GcMsg)>> {
-    let mut target_cur = gc.node(node).directory.resolve(target);
-    let tgt_bunch = if target_cur.is_null() {
-        None
-    } else {
-        match mem.resolve(target_cur) {
-            Ok((seg, _)) => Some(seg.info.bunch),
-            Err(_) => {
-                // A held address into a released range is stored as where
-                // it leads: the heap keeps no reference its sweep missed.
-                if let Some(cur) = gc.resolve_released(node, target_cur) {
-                    target_cur = cur;
-                }
-                gc.local_bunch_of(mem, target_cur)
+    let dir = &gc.node(node).directory;
+    let mut target_cur = dir.resolve(target);
+    let tgt_bunch = match mem.position(target_cur) {
+        _ if target_cur.is_null() => None,
+        Ok((seg, _)) => Some(mem.segments()[seg].info.bunch),
+        Err(_) => {
+            let at = held(mem, dir, &gc.server, target_cur);
+            // A held address into a retired range is stored as where it
+            // leads: the heap keeps no reference its sweep missed.
+            if let Held::Routed { to, .. } = at {
+                target_cur = to;
             }
+            at.bunch(mem)
         }
     };
     let src_seg = &mut mem.segments_mut()[src_seg];

@@ -46,7 +46,7 @@ use bmx_trace::{self as trace, GcPhase, SpanKind, SspKind, TraceEvent};
 use crate::incremental::IncrementalBgc;
 use crate::msg::ReachabilityReport;
 use crate::ssp::InterStub;
-use crate::state::GcState;
+use crate::state::{held, held_bunch, GcState, Held};
 
 /// Counters from one collection.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -264,9 +264,8 @@ impl Ctx<'_> {
     }
 
     fn in_group(&self, addr: Addr) -> Option<BunchId> {
-        self.gc
-            .local_bunch_of(self.mem, addr)
-            .filter(|b| self.core.group.contains(b))
+        let dir = &self.gc.node(self.node).directory;
+        held_bunch(self.mem, dir, &self.gc.server, addr).filter(|b| self.core.group.contains(b))
     }
 
     /// Clears the mark bits a previous collection left in the group's
@@ -331,17 +330,18 @@ impl Ctx<'_> {
                 continue;
             }
             let mut addr = self.resolve(raw);
-            let mut at = self.mem.position(addr);
-            if at.is_err() {
-                // A reference into a released range that reached this node
-                // after its last sweep (a late scion or field) still names
-                // its object, through the server's routing, for the range's
-                // grace.
-                if let Some(cur) = self.gc.resolve_released(self.node, addr) {
-                    addr = cur;
-                    at = self.mem.position(addr);
+            let dir = &self.gc.node(self.node).directory;
+            // A reference into a retired range that reached this node after
+            // its last sweep (a late scion or field) still names its object,
+            // through the server's routing, for the range's grace.
+            let at = match held(self.mem, dir, &self.gc.server, addr) {
+                Held::Local(at) => Ok(at),
+                Held::Routed { to, .. } => {
+                    addr = to;
+                    self.mem.position(addr)
                 }
-            }
+                _ => continue,
+            };
             // A root or field may point at something this replica has never
             // materialized (e.g. a scion for an object allocated remotely
             // after mapping). Treat as opaque: conservative, nothing to do
@@ -405,7 +405,7 @@ impl Ctx<'_> {
                     continue;
                 }
                 let tr = dir.resolve(t);
-                match gc.local_bunch_of(mem, tr) {
+                match held_bunch(mem, dir, &gc.server, tr) {
                     Some(tb) if core.group.contains(&tb) => stack.push(tr),
                     Some(_) => {
                         core.inter_refs.push(InterRef {

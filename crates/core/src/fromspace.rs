@@ -45,7 +45,7 @@ use bmx_trace::{self as trace, ReuseStep, TraceEvent};
 use crate::directory::Directory;
 use crate::integration::apply_relocations_at;
 use crate::msg::GcMsg;
-use crate::state::{released_target, GcNodeState, GcState, RetireState, ReusePhase, ReuseState};
+use crate::state::{held, GcNodeState, GcState, Held, RetireState, ReusePhase, ReuseState};
 
 /// Begins reclaiming the pending from-space segments of `bunch` at `node`.
 ///
@@ -744,8 +744,8 @@ fn sweep_without_replica(
 /// inter-scion targets — whose local forwarding leads into one of the
 /// `retiring` ranges (`[base, end)`) or into a released one is rewritten to
 /// name the object's current copy: `moved` says where a reference into a
-/// retiring range goes (given where the node's forwarding takes it), the
-/// routing where one into a released range does. Leaves the release clock
+/// retiring range goes (given where the node's forwarding takes it),
+/// [`held`] where one into a released range does. Leaves the release clock
 /// the sweep began at in [`GcNodeState::swept`], for the driver to report
 /// with the node's link watermarks; the server reclaims a range's routes
 /// once every node has swept it (`SegmentServer::note_sweep`).
@@ -758,8 +758,10 @@ fn sweep(
     moved: impl Fn(&Directory, Addr) -> Addr,
 ) {
     let server = gc.server.clone();
-    let srv = server.borrow();
-    let released = srv.released_ranges();
+    let (released, clock) = {
+        let srv = server.borrow();
+        (srv.released_ranges(), srv.release_clock())
+    };
     let GcNodeState {
         directory,
         roots,
@@ -768,7 +770,7 @@ fn sweep(
         swept,
         ..
     } = gc.node_mut(at);
-    *swept = Some(srv.release_clock());
+    *swept = Some(clock);
     let dir = &*directory;
     let within = |ranges: &[(Addr, Addr)], a: Addr| ranges.iter().any(|&(b, e)| b <= a && a < e);
     // One comparison pair rejects most references: the ranges are old
@@ -787,26 +789,50 @@ fn sweep(
         .map(|from| (from, dir.resolve(from)))
         .filter(|&(from, end)| touched(end) && !touched(from))
         .collect();
-    let to = |t: Addr| {
-        let cur = if touched(t) {
-            dir.resolve(t)
-        } else if leads_in.is_empty() {
-            return None;
-        } else {
-            *leads_in.get(&t)?
-        };
-        let new = if within(retiring, t) || within(retiring, cur) {
-            moved(dir, cur)
-        } else {
-            released_target(&srv, dir, cur)?
+    // Where the node's forwarding takes a reference that leads into a range.
+    let lead = |t: Addr| match touched(t) {
+        true => Some(dir.resolve(t)),
+        false if leads_in.is_empty() => None,
+        false => leads_in.get(&t).copied(),
+    };
+    let retiring_to =
+        |t: Addr, cur| (within(retiring, t) || within(retiring, cur)).then(|| moved(dir, cur));
+    let to = |mem: &NodeMemory, t: Addr| {
+        let cur = lead(t)?;
+        let new = match retiring_to(t, cur) {
+            Some(new) => new,
+            None => match held(mem, dir, &server, cur) {
+                Held::Routed { to, .. } => to,
+                _ => return None,
+            },
         };
         (new != t).then_some(new)
     };
+    // `held` reads the node's own copies, so the pass that rewrites the
+    // segments leaves a reference into a released range to a second pass.
+    let mut late = IdHashMap::default();
     for seg in mem.segments_mut() {
         if !skip.contains(&seg.info.id) {
-            object::rewrite_ref_words(seg, to);
+            object::rewrite_ref_words(seg, |t| {
+                let Some(new) = retiring_to(t, lead(t)?) else {
+                    late.insert(t, None);
+                    return None;
+                };
+                (new != t).then_some(new)
+            });
         }
     }
+    if !late.is_empty() {
+        for (&t, new) in late.iter_mut() {
+            *new = to(mem, t);
+        }
+        for seg in mem.segments_mut() {
+            if !skip.contains(&seg.info.id) {
+                object::rewrite_ref_words(seg, |t| *late.get(&t)?);
+            }
+        }
+    }
+    let to = |t: Addr| to(mem, t);
     for a in roots.values_mut().chain(grayed.iter_mut().map(|(_, a)| a)) {
         if let Some(cur) = to(*a) {
             *a = cur;

@@ -13,7 +13,7 @@ use bmx_dsm::{GcIntegration, IntraSspCreate, Relocation};
 use bmx_trace::{self as trace, SspKind, TraceEvent};
 
 use crate::ssp::{IntraScion, IntraStub};
-use crate::state::{GcState, RelocMode};
+use crate::state::{held, GcState, Held, RelocMode};
 
 /// Applies relocation records at `node`: updates the directory, maps the
 /// to-space segment if needed, copies the local from-space replica to the
@@ -155,19 +155,13 @@ impl GcIntegration for GcState {
         }
     }
 
-    fn resolve_current(&self, node: NodeId, addr: Addr) -> Addr {
-        let cur = self.node(node).directory.resolve(addr);
-        if cur == addr {
-            // No local knowledge. If the address lies in a range the reuse
-            // protocol reclaimed (every node dropped its edges), the server's
-            // retired-range routing still knows where the contents went —
-            // without it, a stale address in an in-flight grant would name
-            // a range no node can map any more.
-            if let Some((_, to)) = self.server.borrow().resolve_retired(addr) {
-                return self.node(node).directory.resolve(to);
-            }
+    fn resolve_current(&self, node: NodeId, addr: Addr, mems: &[NodeMemory]) -> Addr {
+        let dir = &self.node(node).directory;
+        let cur = dir.resolve(addr);
+        match held(&mems[node.0 as usize], dir, &self.server, cur) {
+            Held::Routed { to, .. } => to,
+            _ => cur,
         }
-        cur
     }
 
     fn grant_relocations(

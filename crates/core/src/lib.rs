@@ -45,4 +45,6 @@ pub use grouping::Heuristic;
 pub use incremental::IncrementalBgc;
 pub use msg::{GcMsg, ReachabilityReport};
 pub use ssp::{InterScion, InterStub, IntraScion, IntraStub, ScionTable, SspId, StubTable};
-pub use state::{BunchReplicaGc, GcNodeState, GcState, RelocMode, SharedServer};
+pub use state::{
+    held, held_bunch, BunchReplicaGc, GcNodeState, GcState, Held, RelocMode, SharedServer,
+};

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bmx_addr::{NodeMemory, SegmentServer};
+use bmx_addr::{object, NodeMemory, SegmentServer};
 use bmx_common::{Addr, BunchId, Epoch, NodeId, Oid, SegmentId};
 use bmx_dsm::Relocation;
 use bmx_net::PiggybackBuffer;
@@ -315,38 +315,81 @@ impl GcState {
     pub fn bunch_of(&self, addr: Addr) -> Option<BunchId> {
         self.server.borrow().bunch_of(addr)
     }
+}
 
-    /// The bunch containing `addr`, read off the descriptor of the segment
-    /// a node has mapped there (`mem` is that node's memory); the shared
-    /// server (a mutex and a range lookup) is asked only about addresses
-    /// the node has not mapped, and answers for a released range too, by
-    /// its routing (`SegmentServer::bunch_of_held`): a node that does not
-    /// map the bunch may hold such an address until it next sweeps.
-    pub fn local_bunch_of(&self, mem: &NodeMemory, addr: Addr) -> Option<BunchId> {
-        match mem.resolve(addr) {
-            Ok((seg, _)) => Some(seg.info.bunch),
-            Err(_) => self.server.borrow().bunch_of_held(addr),
+/// [`held`]'s answer: where the object a held address names is, for one
+/// node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Held {
+    /// The node holds an object header there ([`NodeMemory::position`]).
+    Local((usize, usize)),
+    /// A segment the server registers to this bunch, where the node holds
+    /// no object.
+    Remote(BunchId),
+    /// A retired range's route names `oid`, of `bunch`; the node finds it
+    /// at `to`.
+    Routed { oid: Oid, to: Addr, bunch: BunchId },
+    /// Nothing the node holds, and nothing the server registers or routes.
+    Unknown,
+}
+
+impl Held {
+    /// The object's bunch, if anyone knows it.
+    pub fn bunch(self, mem: &NodeMemory) -> Option<BunchId> {
+        match self {
+            Held::Local((seg, _)) => Some(mem.segments()[seg].info.bunch),
+            Held::Remote(bunch) | Held::Routed { bunch, .. } => Some(bunch),
+            Held::Unknown => None,
         }
-    }
-
-    /// What `node` should name instead of `addr`, if `addr` lies in a
-    /// released range whose routing still knows where its object went
-    /// (`released_target`).
-    pub fn resolve_released(&self, node: NodeId, addr: Addr) -> Option<Addr> {
-        released_target(&self.server.borrow(), &self.node(node).directory, addr)
     }
 }
 
-/// Where a node whose forwarding knowledge is `dir` finds the object that
-/// `addr`, an address in a released range, named: the node's own copy if it
-/// keeps one (replicas diverge, Section 4.2: the route leads to the copy of
-/// the node that relocated it), else the route's end through `dir`.
-pub(crate) fn released_target(srv: &SegmentServer, dir: &Directory, addr: Addr) -> Option<Addr> {
-    let (oid, to) = srv.resolve_released(addr)?;
-    Some(match dir.addr_of(oid) {
-        Some(own) if srv.segment_of(own).is_some() => own,
-        _ => dir.resolve(to),
-    })
+/// Where the node with memory `mem` and forwarding `dir` finds the object
+/// that `addr`, an address it holds (through its forwarding), names: the
+/// one rule every path that places a held address asks. The node's own
+/// copy wins: a header it holds at `addr` answers without a lock. Only a
+/// miss reads the server, once. A route ([`SegmentServer::route`]) crosses
+/// every retired range, retiring or released, to its youngest address; the
+/// object is then at the node's own copy, the address `dir` gives it if
+/// the header the node holds there names it (replicas diverge, Section
+/// 4.2), else at the route's end through `dir`, and its bunch is the
+/// server's for that address, else for `addr`. With no route a registered
+/// segment answers its bunch.
+#[inline]
+pub fn held(mem: &NodeMemory, dir: &Directory, srv: &SharedServer, addr: Addr) -> Held {
+    match mem.position(addr) {
+        Ok((seg, off)) if mem.segments()[seg].object_map.get(off) => Held::Local((seg, off)),
+        _ => held_elsewhere(mem, dir, &srv.borrow(), addr),
+    }
+}
+
+/// [`held`]'s bunch for `addr`: a segment the node maps answers it whether
+/// or not the node holds a header there, as the server would (a route never
+/// leaves its bunch), so a mapped address reads no more than its segment.
+#[inline]
+pub fn held_bunch(
+    mem: &NodeMemory,
+    dir: &Directory,
+    srv: &SharedServer,
+    addr: Addr,
+) -> Option<BunchId> {
+    match mem.position(addr) {
+        Ok((seg, _)) => Some(mem.segments()[seg].info.bunch),
+        Err(_) => held_elsewhere(mem, dir, &srv.borrow(), addr).bunch(mem),
+    }
+}
+
+#[cold]
+fn held_elsewhere(mem: &NodeMemory, dir: &Directory, srv: &SegmentServer, addr: Addr) -> Held {
+    let Some((oid, end)) = srv.route(addr) else {
+        return srv.bunch_of(addr).map_or(Held::Unknown, Held::Remote);
+    };
+    let to = dir
+        .addr_of(oid)
+        .filter(|&own| object::view(mem, own).is_ok_and(|v| v.oid == oid))
+        .unwrap_or_else(|| dir.resolve(end));
+    let bunch = srv.bunch_of(to).or_else(|| srv.bunch_of(addr));
+    bunch.map_or(Held::Unknown, |bunch| Held::Routed { oid, to, bunch })
 }
 
 #[cfg(test)]

@@ -1460,9 +1460,10 @@ impl DsmEngine {
     ///
     /// The address in the grant is the *granter's* current address; the
     /// local address may differ if this node relocated the object itself
-    /// (Fig. 3 case (d)) — `resolve_current` follows local forwarding. The
-    /// installed data's pointer fields are likewise rewritten through local
-    /// forwarding before the acquire completes.
+    /// (Fig. 3 case (d)) — `resolve_current` follows local forwarding, and
+    /// the server's routing for an address the node no longer holds. The
+    /// installed data's pointer fields are placed the same way before the
+    /// acquire completes.
     fn install_replica(
         &mut self,
         at: NodeId,
@@ -1472,7 +1473,7 @@ impl DsmEngine {
         sh: &mut DsmShared<'_>,
     ) -> Result<()> {
         let local = sh.gc.local_addr(at, oid).unwrap_or(granter_addr);
-        let mut local = sh.gc.resolve_current(at, local);
+        let mut local = sh.gc.resolve_current(at, local, sh.mems);
         sh.gc.ensure_mapped(at, local, sh.mems);
         if !sh.mems[at.0 as usize].is_mapped(local) {
             // This node's last address for the object lies in a range the
@@ -1480,18 +1481,17 @@ impl DsmEngine {
             // replica the collector dropped, and nobody ever moved the
             // object *from* there, so no routing exists either): the
             // granter's address is the live one.
-            local = sh.gc.resolve_current(at, granter_addr);
+            local = sh.gc.resolve_current(at, granter_addr, sh.mems);
             sh.gc.ensure_mapped(at, local, sh.mems);
         }
-        let mem = &mut sh.mems[at.0 as usize];
-        object::install_object_at(mem, local, image)?;
+        object::install_object_at(&mut sh.mems[at.0 as usize], local, image)?;
         sh.gc.note_local_addr(at, oid, local);
         // Fig. 3 case (d): rewrite refs that point at from-space copies that
         // were already relocated locally.
-        for (field, target) in object::ref_fields(mem, local)? {
-            let cur = sh.gc.resolve_current(at, target);
+        for (field, target) in object::ref_fields(&sh.mems[at.0 as usize], local)? {
+            let cur = sh.gc.resolve_current(at, target, sh.mems);
             if cur != target {
-                object::write_ref_field(mem, local, field, cur)?;
+                object::write_ref_field(&mut sh.mems[at.0 as usize], local, field, cur)?;
             }
         }
         Ok(())

@@ -33,9 +33,13 @@ pub trait GcIntegration {
     /// this way.
     fn ensure_mapped(&mut self, node: NodeId, addr: Addr, mems: &mut [NodeMemory]);
 
-    /// Follows node-local forwarding: if the object at `addr` was copied at
-    /// `node`, returns its to-space address, else `addr` unchanged.
-    fn resolve_current(&self, node: NodeId, addr: Addr) -> Addr;
+    /// Where `node` names the object at `addr` now: `addr` through the
+    /// node's own forwarding, then placed as `bmx_gc::held` places a held
+    /// address. An address where the node holds an object stays put; any
+    /// other that a retired range's route leads on from becomes the node's
+    /// own copy of the object, else the route's end through its
+    /// forwarding. `mems` is read for the node's headers and own copies.
+    fn resolve_current(&self, node: NodeId, addr: Addr, mems: &[NodeMemory]) -> Addr;
 
     /// Invariant 1 (granter side): the new locations of `oid` and of every
     /// object directly referenced from it, as far as they were relocated at
@@ -114,7 +118,7 @@ impl GcIntegration for NullGcIntegration {
 
     fn ensure_mapped(&mut self, _node: NodeId, _addr: Addr, _mems: &mut [NodeMemory]) {}
 
-    fn resolve_current(&self, _node: NodeId, addr: Addr) -> Addr {
+    fn resolve_current(&self, _node: NodeId, addr: Addr, _mems: &[NodeMemory]) -> Addr {
         addr
     }
 

@@ -280,25 +280,10 @@ fn run(seed: u64, lag: bool, schedule: Schedule) -> Result<()> {
     }
     // The chaos suites' gate (`audit::assert_no_premature_reclamation`):
     // nothing the mutator can reach was reclaimed, and the structural audit
-    // is clean — but for one class of finding this loop is known to
-    // provoke and this test does not own. Per-node address divergence
-    // (Section 4.2) lets a grant carry a pointer that is the *granter's*
-    // private address of the target (a copy-out its final settle made, whose
-    // relocation record died with the released range); the receiver cannot
-    // translate it, and its replica of a part is left with a ring pointer
-    // to an address where it holds nothing. The collector treats such a
-    // field as opaque and the owner's copy keeps the target alive, so
-    // nothing is reclaimed early — `audit_liveness` is empty on every seed
-    // — but an application following that pointer would fail. The parent
-    // commit shows it on 8 of seeds 1–16 of this loop, this one on 4
-    // (ROADMAP, "From eight seeds to every schedule").
-    let dangling_ref = |f: &audit::Finding| {
-        f.what.ends_with("no object header there")
-            || f.what.ends_with("address outside every bunch")
-    };
+    // is clean.
     let findings: Vec<String> = audit::audit_liveness(&w.c, &live)
         .into_iter()
-        .chain(audit::audit(&w.c).into_iter().filter(|f| !dangling_ref(f)))
+        .chain(audit::audit(&w.c))
         .map(|f| format!("[{}] {}", f.node, f.what))
         .collect();
     assert!(findings.is_empty(), "seed {seed}: {findings:#?}");

@@ -236,7 +236,7 @@ fn from_space_reuse_protocol_reclaims_segments() {
         // ...and from the stale head address an application may still hold:
         // every node dropped its forwarding edges with the range, the server's
         // retired-range routing kept them, and each node counts the hit.
-        assert!(c.server.borrow().resolve_retired(list.head).is_some());
+        assert!(c.server.borrow().route(list.head).is_some());
         for node in [n1, n2] {
             let hits = |c: &Cluster| c.stats[node.0 as usize].get(StatKind::RetiredRouteHits);
             let before = hits(&c);
@@ -459,7 +459,7 @@ fn an_address_held_up_in_flight_keeps_its_range_routed() {
         assert!(lag < c.server.borrow().release_clock(), "{node} swept it");
     }
     assert!(
-        c.server.borrow().resolve_retired(tgt).is_some(),
+        c.server.borrow().route(tgt).is_some(),
         "a range stays routed while an address into it is in flight"
     );
 
@@ -487,7 +487,7 @@ fn an_address_held_up_in_flight_keeps_its_range_routed() {
         assert!(c.reuse_from_space(n2, bunch).unwrap());
     }
     assert!(
-        c.server.borrow().resolve_retired(tgt).is_none(),
+        c.server.borrow().route(tgt).is_none(),
         "the grace has passed"
     );
     let p = c
@@ -558,10 +558,278 @@ fn a_duplicated_message_held_up_in_flight_still_reaches_its_object() {
     assert!(c.reuse_from_space(n2, d).unwrap());
     c.run_bgc(n2, d).unwrap();
     assert!(c.reuse_from_space(n2, d).unwrap());
-    assert!(c.server.borrow().resolve_retired(tgt).is_none());
+    assert!(c.server.borrow().route(tgt).is_none());
     c.run_bgc(n1, d).unwrap();
     c.run_bgc(n2, d).unwrap();
     let p = c.read_ref(n0, c.root(n0, root).unwrap(), 0).unwrap();
     assert_eq!(c.read_data(n2, p, 0), Ok(7));
     assert!(audit::audit(&c).is_empty());
+}
+
+/// The one held-address fixture: N1 creates bunch `b` and its object `o`
+/// (payload 42, rooted at N1), collects `b`, which moves `o`, and releases
+/// the from-space in a reuse round. N0 still holds `a`, `o`'s address from
+/// before the collection, outside its heap, so no sweep rewrote it, and
+/// every node dropped its forwarding out of the released range with it.
+/// With `own_replica` N0 maps `b` and keeps its replica of `o` through the
+/// round; otherwise N0 maps nothing of `b`. N0 also has a private bunch
+/// `a0` holding `h0` (one pointer field), and maps N1's bunch `hb`, whose
+/// object `h` (one pointer field) N1 owns.
+struct HeldFixture {
+    c: Cluster,
+    a: Addr,
+    oid: Oid,
+    /// Where `o` lives now at N1, the node that moved it.
+    now: Addr,
+    b: BunchId,
+    a0: BunchId,
+    h0: Addr,
+    h: Addr,
+}
+
+impl HeldFixture {
+    fn new(own_replica: bool) -> Self {
+        let (n0, n1) = (n(0), n(1));
+        let mut c = Cluster::new(ClusterConfig {
+            nodes: 2,
+            net: NetworkConfig::lossless(1),
+            ..Default::default()
+        });
+        let b = c.create_bunch(n1).unwrap();
+        let a = c.alloc(n1, b, &ObjSpec::data(1)).unwrap();
+        c.write_data(n1, a, 0, 42).unwrap();
+        let root = c.add_root(n1, a);
+        let oid = c.oid_at(n1, a).unwrap();
+        if own_replica {
+            c.map_bunch(n0, b, n1).unwrap();
+        }
+        let a0 = c.create_bunch(n0).unwrap();
+        let h0 = c.alloc(n0, a0, &ObjSpec::with_refs(1, &[0])).unwrap();
+        c.add_root(n0, h0);
+        let hb = c.create_bunch(n1).unwrap();
+        let h = c.alloc(n1, hb, &ObjSpec::with_refs(1, &[0])).unwrap();
+        c.add_root(n1, h);
+        c.map_bunch(n0, hb, n1).unwrap();
+        c.run_bgc(n1, b).unwrap();
+        assert!(c.reuse_from_space(n1, b).unwrap());
+        let now = c.root(n1, root).unwrap();
+        assert_ne!(now, a, "N1 moved the object");
+        assert!(c.server.borrow().segment_of(a).is_none(), "released");
+        assert!(!c.gc.node(n0).directory.is_forwarded_from(a));
+        HeldFixture {
+            c,
+            a,
+            oid,
+            now,
+            b,
+            a0,
+            h0,
+            h,
+        }
+    }
+
+    /// Reads `o`'s payload at N0 through `p` inside a read bracket, with
+    /// the object the bracket named.
+    fn read_at(&mut self, p: Addr) -> Result<(Oid, u64)> {
+        let n0 = n(0);
+        self.c.acquire_read(n0, p)?;
+        let oid = self.c.oid_at(n0, p)?;
+        let v = self.c.read_data(n0, p, 0)?;
+        self.c.release(n0, p)?;
+        Ok((oid, v))
+    }
+}
+
+type HeldRow = (
+    &'static str,
+    fn(&mut HeldFixture, bool) -> Result<(Oid, u64)>,
+);
+
+/// Every path that places a held address (`bmx_gc::held`) reaches the same
+/// object with the same payload from the fixture's released address, with
+/// and without a replica at the holding node: a plain read (without a
+/// replica, the error names the object's current address, the same place);
+/// an acquire, which asks the node and then the creator; a pointer store
+/// with the address as its target; a root through a collection; and a
+/// grant whose image carries the address, stored past the write barrier at
+/// the granter.
+#[test]
+fn every_path_reaches_the_object_a_released_address_names() {
+    const N0: NodeId = NodeId(0);
+    let rows: [HeldRow; 5] = [
+        ("read_data", |f, own| {
+            if own {
+                Ok((f.c.oid_at_local(N0, f.a)?, f.c.read_data(N0, f.a, 0)?))
+            } else {
+                let err = f.c.read_data(N0, f.a, 0).unwrap_err();
+                assert_eq!(
+                    err,
+                    BmxError::Unmapped {
+                        node: N0,
+                        addr: f.now
+                    }
+                );
+                f.read_at(f.now)
+            }
+        }),
+        ("acquire_read/oid_at", |f, _| f.read_at(f.a)),
+        ("write_ref", |f, _| {
+            f.c.write_ref(N0, f.h0, 0, f.a)?;
+            let p = f.c.read_ref(N0, f.h0, 0)?;
+            assert_ne!(p, f.a, "the barrier stores where the address leads");
+            f.read_at(p)
+        }),
+        ("add_root + BGC", |f, own| {
+            let r = f.c.add_root(N0, f.a);
+            f.c.run_bgc(N0, if own { f.b } else { f.a0 })?;
+            let p = f.c.root(N0, r).unwrap();
+            let reached = f.read_at(p);
+            // The audit wants every root at a local header; this one may
+            // name the released address until N0 next sweeps.
+            f.c.remove_root(N0, r);
+            reached
+        }),
+        ("grant", |f, _| {
+            let (n1, h) = (n(1), f.h);
+            bmx_repro::addr::object::write_ref_field(&mut f.c.mems[1], h, 0, f.a)?;
+            assert_eq!(
+                f.c.read_ref(n1, h, 0)?,
+                f.a,
+                "N1's image carries the address"
+            );
+            f.c.acquire_read(N0, h)?;
+            let p = f.c.read_ref(N0, h, 0)?;
+            f.c.release(N0, h)?;
+            assert_ne!(p, f.a, "the install placed the address");
+            // N1's field was stored past the barrier, and the audit would
+            // rightly flag it.
+            bmx_repro::addr::object::write_ref_field(&mut f.c.mems[1], h, 0, Addr::NULL)?;
+            f.read_at(p)
+        }),
+    ];
+    for own in [true, false] {
+        for (name, row) in rows {
+            let mut f = HeldFixture::new(own);
+            let oid = f.oid;
+            assert_eq!(row(&mut f, own), Ok((oid, 42)), "{name}, own replica {own}");
+            let findings: Vec<String> = audit::audit(&f.c).into_iter().map(|f| f.what).collect();
+            assert!(
+                findings.is_empty(),
+                "{name}, own replica {own}: {findings:#?}"
+            );
+        }
+    }
+}
+
+/// A released address whose creator keeps its copy: `oid_at` at a node
+/// without a replica asks the creator, and the creator's answer is the
+/// route's, so the node's directory learns the edge and names the object
+/// where the creator holds it: the held address and the current one are
+/// the same object to the pointer comparison (Section 4.2). Before, the
+/// node recorded the released address itself as the object's location,
+/// where no node can map anything, and the comparison said two objects.
+#[test]
+fn oid_at_learns_the_creators_copy_for_a_released_address() {
+    let n0 = n(0);
+    let mut f = HeldFixture::new(false);
+    assert_eq!(f.c.oid_at(n0, f.a), Ok(f.oid));
+    assert_eq!(f.c.gc.node(n0).directory.addr_of(f.oid), Some(f.now));
+    assert!(f.c.ptr_eq(n0, f.a, f.now));
+}
+
+/// A pointer store whose target lies in a range still retiring, which N0
+/// does not map and whose route a participant has registered: the barrier
+/// stores where the route leads. N0 holds a pointer into the bunch only
+/// from this store on, after the round's `Retire` went out, so no sweep of
+/// that round reaches the field. Before, the field kept the retiring
+/// address, which the round then released, and the audit found a pointer
+/// outside every bunch.
+#[test]
+fn a_store_into_a_retiring_range_names_where_its_route_leads() {
+    let (n0, n1, n2) = (n(0), n(1), n(2));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        net: NetworkConfig::lossless(1),
+        ..Default::default()
+    });
+    let a0 = c.create_bunch(n0).unwrap();
+    let src = c.alloc(n0, a0, &ObjSpec::with_refs(1, &[0])).unwrap();
+    c.add_root(n0, src);
+    let d = c.create_bunch(n1).unwrap();
+    let t = c.alloc(n1, d, &ObjSpec::data(1)).unwrap();
+    c.write_data(n1, t, 0, 9).unwrap();
+    let root = c.add_root(n1, t);
+    c.map_bunch(n2, d, n1).unwrap();
+    c.run_bgc(n1, d).unwrap();
+    let now = c.root(n1, root).unwrap();
+    assert_ne!(now, t, "N1 moved the target");
+    c.start_reuse(n1, d).unwrap();
+    let retiring_and_routed = |c: &Cluster| {
+        let srv = c.server.borrow();
+        srv.segment_of(t).is_some() && srv.route(t).is_some()
+    };
+    for _ in 0..20 {
+        if retiring_and_routed(&c) {
+            break;
+        }
+        c.step(1).unwrap();
+    }
+    assert!(
+        retiring_and_routed(&c),
+        "a participant registered the route"
+    );
+    c.write_ref(n0, src, 0, t).unwrap();
+    c.settle(200).unwrap();
+    assert!(
+        c.gc.node(n1).bunch(d).unwrap().reuse.is_none(),
+        "round done"
+    );
+    assert!(c.server.borrow().segment_of(t).is_none(), "released");
+    assert_eq!(c.read_ref(n0, src, 0), Ok(now));
+    assert_eq!(c.read_data(n1, now, 0), Ok(9));
+    let findings: Vec<String> = audit::audit(&c).into_iter().map(|f| f.what).collect();
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+/// A sweep follows a route across a range retiring in the same round. N2
+/// holds a root at `t` without mapping `t`'s bunch and sweeps only every
+/// other release, so it sits out the rounds that release `t`'s range and
+/// the next; N1 moves the object on in every round. N0, a mapper whose
+/// `Retire` is delivered in the same tick but first, registers the route
+/// out of the retiring range before N2, due by then, sweeps, and N2's root
+/// goes to where N1 holds the object now. Before, the sweep stopped at the range not yet released and
+/// pointed the root into it, which the same round then released.
+#[test]
+fn a_sweep_follows_a_route_across_a_range_retiring_in_the_same_round() {
+    let (n0, n1, n2) = (n(0), n(1), n(2));
+    let mut c = Cluster::new(ClusterConfig {
+        nodes: 3,
+        net: NetworkConfig::lossless(1),
+        ..Default::default()
+    });
+    // A round in which N2 sweeps, so the next ones do not wait for it.
+    let e = c.create_bunch(n1).unwrap();
+    let kept = c.alloc(n1, e, &ObjSpec::data(1)).unwrap();
+    c.add_root(n1, kept);
+    c.run_bgc(n1, e).unwrap();
+    assert!(c.reuse_from_space(n1, e).unwrap());
+    assert!(c.server.borrow().sweep_lag(n2).is_some(), "N2 swept");
+    let d = c.create_bunch(n1).unwrap();
+    let t = c.alloc(n1, d, &ObjSpec::data(1)).unwrap();
+    c.write_data(n1, t, 0, 5).unwrap();
+    let at_n1 = c.add_root(n1, t);
+    c.map_bunch(n0, d, n1).unwrap();
+    let at_n2 = c.add_root(n2, t);
+    let mut rounds = 0;
+    while c.root(n2, at_n2) == Some(t) {
+        rounds += 1;
+        assert!(rounds < 8, "N2 never swept");
+        c.run_bgc(n1, d).unwrap();
+        assert!(c.reuse_from_space(n1, d).unwrap());
+    }
+    assert!(rounds > 2, "N2 swept only after {rounds} rounds");
+    let now = c.root(n1, at_n1).unwrap();
+    assert_eq!(c.root(n2, at_n2), Some(now));
+    assert!(c.server.borrow().segment_of(now).is_some());
+    assert_eq!(c.read_data(n1, now, 0), Ok(5));
 }

@@ -247,3 +247,236 @@ fn ptr_eq_stable_across_relocations() {
         }
     }
 }
+
+/// One step of a random history of one node's view of held addresses.
+#[derive(Clone, Debug)]
+enum HeldOp {
+    /// The node's own collection moves its copy of object `i` to a fresh
+    /// segment of the object's bunch.
+    MoveOwn(usize),
+    /// Another node moves its copy of object `i` to a fresh segment the
+    /// node does not map; with `true` the node learns the record.
+    MoveElsewhere(usize, bool),
+    /// The `k`-th registered segment (mod their number) retires: its
+    /// relocation records are registered and the node drops its replica and
+    /// its forwarding out of it.
+    Retire(usize),
+    /// The `k`-th retiring segment is released.
+    Release(usize),
+    /// The node sweeps and the cut holds: released ranges lose their routes.
+    Sweep,
+}
+
+fn held_op_strategy() -> impl Strategy<Value = HeldOp> {
+    const OBJS: usize = 4;
+    prop_oneof![
+        (0..OBJS).prop_map(HeldOp::MoveOwn),
+        (0..OBJS, any::<bool>()).prop_map(|(i, learn)| HeldOp::MoveElsewhere(i, learn)),
+        (0..8usize).prop_map(HeldOp::Retire),
+        (0..8usize).prop_map(HeldOp::Release),
+        Just(HeldOp::Sweep),
+    ]
+}
+
+/// Where a segment is in its life, as the model tracks it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum SegLife {
+    Registered,
+    Retiring,
+    Released,
+    Swept,
+}
+
+/// Runs a history against one node's memory and directory and the segment
+/// server, and after every step compares `bmx_gc::held` with a brute-force
+/// answer for every address the history ever gave an object, as held and
+/// through the node's forwarding: the model keeps its own copy of every
+/// route the retired ranges registered (the later record winning per
+/// from-address) and walks it, finds the node's own copy by scanning the
+/// headers it holds, and takes bunches from its own list of the segments
+/// the server still registers.
+fn run_held_history(ops: &[HeldOp]) {
+    use bmx_repro::addr::{object, NodeMemory, SegmentInfo, SegmentServer, Sweep};
+    use bmx_repro::gc::{held, Directory, Held, SharedServer};
+    use std::collections::BTreeMap;
+
+    const WORDS: u64 = 16;
+    let node = n(0);
+    let srv = SharedServer::new(SegmentServer::new(WORDS));
+    let mut mem = NodeMemory::new(node);
+    let mut dir = Directory::new();
+    let mut segs: Vec<(SegmentInfo, SegLife)> = Vec::new();
+    let bunches: Vec<BunchId> = (0..2)
+        .map(|_| srv.borrow_mut().create_bunch(n(1), Protection::default()))
+        .collect();
+    // The node maps one segment per bunch and allocates the objects there.
+    let mut objs: Vec<(Oid, BunchId)> = Vec::new();
+    let mut elsewhere: Vec<Addr> = Vec::new();
+    for &b in &bunches {
+        let info = srv.borrow_mut().alloc_segment(b).unwrap();
+        mem.map_segment(info);
+        segs.push((info, SegLife::Registered));
+        for _ in 0..2 {
+            let oid = Oid(objs.len() as u64 + 1);
+            let seg = mem.segment_mut(info.id).unwrap();
+            let a = object::alloc_in_segment(seg, oid, 1, &[]).unwrap();
+            dir.set_addr(oid, a);
+            objs.push((oid, b));
+            elsewhere.push(a);
+        }
+    }
+    let mut probes: Vec<Addr> = elsewhere.clone();
+    let mut relocs: Vec<(Oid, Addr, Addr)> = Vec::new();
+    let mut routes: BTreeMap<Addr, (Oid, Addr)> = BTreeMap::new();
+    let life_of = |segs: &[(SegmentInfo, SegLife)], a: Addr| {
+        segs.iter()
+            .find(|(info, _)| info.contains(a))
+            .map(|&(_, life)| life)
+    };
+    let fresh = |segs: &mut Vec<(SegmentInfo, SegLife)>, b: BunchId| {
+        let info = srv.borrow_mut().alloc_segment(b).unwrap();
+        segs.push((info, SegLife::Registered));
+        info
+    };
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            HeldOp::MoveOwn(i) => {
+                let (oid, b) = objs[i];
+                let Some(own) = dir
+                    .addr_of(oid)
+                    .filter(|&a| object::view(&mem, a).is_ok_and(|v| v.oid == oid))
+                    .filter(|&a| !dir.is_forwarded_from(a))
+                else {
+                    continue;
+                };
+                let info = fresh(&mut segs, b);
+                mem.map_segment(info);
+                let seg = mem.segment_mut(info.id).unwrap();
+                let to = object::alloc_in_segment(seg, oid, 1, &[]).unwrap();
+                object::set_forwarding(&mut mem, own, to).unwrap();
+                assert!(dir.record_move(oid, own, to));
+                relocs.push((oid, own, to));
+                probes.push(to);
+            }
+            HeldOp::MoveElsewhere(i, learn) => {
+                let (oid, b) = objs[i];
+                let from = elsewhere[i];
+                if life_of(&segs, from) != Some(SegLife::Registered) {
+                    continue;
+                }
+                let to = fresh(&mut segs, b).base;
+                if learn {
+                    dir.record_move(oid, from, to);
+                }
+                relocs.push((oid, from, to));
+                elsewhere[i] = to;
+                probes.push(to);
+            }
+            HeldOp::Retire(k) => {
+                let live: Vec<usize> = (0..segs.len())
+                    .filter(|&s| segs[s].1 == SegLife::Registered)
+                    .collect();
+                if live.is_empty() {
+                    continue;
+                }
+                let s = live[k % live.len()];
+                let info = segs[s].0;
+                let out: Vec<(Oid, Addr, Addr)> = relocs
+                    .iter()
+                    .copied()
+                    .filter(|&(_, from, _)| info.contains(from))
+                    .collect();
+                for &(oid, from, to) in &out {
+                    routes.insert(from, (oid, to));
+                }
+                srv.borrow_mut().note_retired(info.base, WORDS, out);
+                if mem.has_segment(info.id) {
+                    mem.unmap_segment(info.id).unwrap();
+                }
+                dir.forget_range(info.base, WORDS);
+                segs[s].1 = SegLife::Retiring;
+            }
+            HeldOp::Release(k) => {
+                let retiring: Vec<usize> = (0..segs.len())
+                    .filter(|&s| segs[s].1 == SegLife::Retiring)
+                    .collect();
+                if retiring.is_empty() {
+                    continue;
+                }
+                let s = retiring[k % retiring.len()];
+                srv.borrow_mut().release_segments(&[segs[s].0.id]);
+                segs[s].1 = SegLife::Released;
+            }
+            HeldOp::Sweep => {
+                let seen = srv.borrow().release_clock();
+                let sweep = Sweep {
+                    seen,
+                    sent: vec![0],
+                    applied: vec![0],
+                    durable: true,
+                };
+                srv.borrow_mut().note_sweep(node, sweep);
+                for (info, life) in &mut segs {
+                    if *life == SegLife::Released {
+                        routes.retain(|&from, _| !info.contains(from));
+                        *life = SegLife::Swept;
+                    }
+                }
+            }
+        }
+        let registered = |a: Addr| {
+            segs.iter()
+                .find(|(info, life)| {
+                    info.contains(a) && matches!(life, SegLife::Registered | SegLife::Retiring)
+                })
+                .map(|(info, _)| info.bunch)
+        };
+        let brute = |p: Addr| {
+            if let Ok((s, off)) = mem.position(p) {
+                if mem.segments()[s].object_map.get(off) {
+                    return Held::Local((s, off));
+                }
+            }
+            let mut found = None;
+            let mut cur = p;
+            while let Some(&(oid, to)) = routes.get(&cur) {
+                found = Some((oid, to));
+                cur = to;
+            }
+            let Some((oid, end)) = found else {
+                return registered(p).map_or(Held::Unknown, Held::Remote);
+            };
+            let own = dir.addr_of(oid).filter(|&a| {
+                mem.segments()
+                    .iter()
+                    .flat_map(object::views_in)
+                    .any(|v| v.addr == a && v.oid == oid)
+            });
+            let to = own.unwrap_or_else(|| dir.resolve(end));
+            match registered(to).or_else(|| registered(p)) {
+                Some(bunch) => Held::Routed { oid, to, bunch },
+                None => Held::Unknown,
+            }
+        };
+        for &p in &probes {
+            for p in [p, dir.resolve(p)] {
+                assert_eq!(
+                    held(&mem, &dir, &srv, p),
+                    brute(p),
+                    "step {step} ({op:?}) at {p}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn held_matches_a_brute_force_walk_over_random_histories(
+        ops in proptest::collection::vec(held_op_strategy(), 1..80)
+    ) {
+        run_held_history(&ops);
+    }
+}
